@@ -7,10 +7,13 @@
  * the object detector through the same lens.
  *
  *   $ ./cnn_reliability [trials]
+ *
+ * A malformed trial count prints usage on stderr and exits 2.
  */
 
 #include <iostream>
 
+#include "common/cli.hh"
 #include "fault/campaign.hh"
 #include "common/table.hh"
 #include "metrics/metrics.hh"
@@ -47,7 +50,10 @@ main(int argc, char **argv)
 {
     using namespace mparch;
     const std::uint64_t trials =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 600;
+        cli::parse({.usage = "usage: cnn_reliability [trials]\n",
+                    .positionals = {cli::Kind::Count}},
+                   argc, argv)
+            .positionalCount(0, 600);
 
     std::cout << "Training the digit classifier (host double, SGD + "
                  "backprop)...\n";

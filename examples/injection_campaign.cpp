@@ -11,16 +11,17 @@
  *
  * With --journal each campaign appends its trials to a crash-safe
  * journal under DIR; --resume continues interrupted campaigns from
- * those journals (see docs/campaigns.md).
+ * those journals (see docs/campaigns.md). An unknown option or
+ * precision, or a malformed count, prints usage on stderr and exits
+ * 2.
  *
  * This is the level to work at when adding a new fault model or a
  * new injection site class.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
+#include "common/cli.hh"
 #include "fault/campaign.hh"
 #include "fault/supervisor.hh"
 #include "metrics/metrics.hh"
@@ -52,41 +53,35 @@ main(int argc, char **argv)
 {
     using namespace mparch;
 
-    // Positional arguments first, then optional --flags.
-    int positional = argc;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strncmp(argv[i], "--", 2)) {
-            positional = i;
-            break;
-        }
-    }
-    const std::string workload = positional > 1 ? argv[1] : "mxm";
+    const cli::Args args = cli::parse(
+        {.usage = "usage: injection_campaign [workload]"
+                  " [single|double|half] [trials]\n"
+                  "                          [--journal DIR] [--resume]"
+                  " [--batch N]\n",
+         .text = {"journal"},
+         .counts = {"batch"},
+         .switches = {"resume"},
+         .positionals = {cli::Kind::Text, cli::Kind::Text,
+                         cli::Kind::Count}},
+        argc, argv);
+    const std::string workload = args.positional(0, "mxm");
+    const std::string precisionName = args.positional(1, "single");
     fp::Precision precision = fp::Precision::Single;
-    if (positional > 2) {
-        if (!std::strcmp(argv[2], "double"))
-            precision = fp::Precision::Double;
-        else if (!std::strcmp(argv[2], "half"))
-            precision = fp::Precision::Half;
-    }
+    if (precisionName == "double")
+        precision = fp::Precision::Double;
+    else if (precisionName == "half")
+        precision = fp::Precision::Half;
+    else if (precisionName != "single")
+        args.fail("unknown precision '" + precisionName + "'");
     fault::CampaignConfig config;
-    config.trials = positional > 3
-                        ? std::strtoull(argv[3], nullptr, 10)
-                        : 500;
+    config.trials = args.positionalCount(2, 500);
 
     fault::SupervisorConfig supervisor;
     supervisor.scale = 0.2;
     supervisor.handleSignals = true;
-    for (int i = positional; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--journal") && i + 1 < argc)
-            supervisor.journalDir = argv[++i];
-        else if (!std::strcmp(argv[i], "--resume"))
-            supervisor.resume = true;
-        else if (!std::strcmp(argv[i], "--batch") && i + 1 < argc)
-            supervisor.batchSize =
-                std::strtoull(argv[++i], nullptr, 10);
-        else
-            fatal("unknown flag '", argv[i], "'");
-    }
+    supervisor.journalDir = args.text("journal");
+    supervisor.resume = args.has("resume");
+    supervisor.batchSize = args.count("batch", supervisor.batchSize);
 
     auto w = nn::makeAnyWorkload(workload, precision, 0.2);
     std::cout << "Workload " << w->name() << " at "

@@ -2,106 +2,71 @@
  * @file
  * mparch_cli — command-line frontend over the whole public API.
  *
- * Subcommands:
+ * Subcommands (flags: kUsage below, printed on any usage error):
  *
- *   study    --arch fpga|xeon-phi|gpu --workload NAME
- *            [--precision double|single|half|bfloat16] [--trials N]
- *            [--scale S] [--csv FILE] [--json FILE]
- *            [--journal DIR] [--resume] [--batch N] [--jobs N]
- *     Run the full reliability study (FIT, MEBF, TRE, criticality).
- *     With --journal every campaign appends its trials to a journal
- *     under DIR; --resume continues an interrupted study from those
- *     journals; --batch sets records per flush.
+ *   study         Run the full reliability study (FIT, MEBF, TRE,
+ *                 criticality) and print it as a result document;
+ *                 --json/--csv write it too. With --journal every
+ *                 campaign appends its trials to a journal under DIR;
+ *                 --resume continues an interrupted study from those
+ *                 journals; --batch sets records per flush.
+ *   campaign      Run one injection campaign and print the outcome
+ *                 accounting. --jobs executes trials on N worker
+ *                 threads (0 = all hardware threads, the default);
+ *                 journals and results are byte-identical to --jobs 1
+ *                 because outcomes are committed in index order.
+ *                 --shards/--shard run an interleaved slice (trial i
+ *                 belongs to shard i mod N); merged shard journals
+ *                 reproduce the unsharded campaign exactly.
+ *   replay-trial  Re-execute one journaled trial standalone and dump
+ *                 its fault anatomy, outcome and agreement with the
+ *                 journal record.
+ *   beamplan      Size a (virtual) beam campaign the way the paper
+ *                 sizes real ones: hours needed, natural-exposure
+ *                 equivalence.
  *
- *   campaign --workload NAME --precision P
- *            [--site memory|datapath] [--model single-bit-flip|
- *            double-bit-flip|random-byte|random-value] [--trials N]
- *            [--scale S] [--journal DIR] [--resume] [--batch N]
- *            [--shards N --shard I] [--jobs N]
- *     Run one injection campaign and print the outcome accounting.
- *     --jobs executes trials on N worker threads (0 = all hardware
- *     threads, the default); journals and results are byte-identical
- *     to --jobs 1 because outcomes are committed in index order.
- *     --shards/--shard run an interleaved slice (trial i belongs to
- *     shard i mod N); merged shard journals reproduce the unsharded
- *     campaign exactly.
- *
- *   replay-trial --journal FILE --trial N
- *     Re-execute one journaled trial standalone and dump its fault
- *     anatomy, outcome and agreement with the journal record.
- *
- *   beamplan --fit-per-hour R [--errors N] [--flux F]
- *     Size a (virtual) beam campaign the way the paper sizes real
- *     ones: hours needed, natural-exposure equivalence.
- *
- * Exit code 0 on success; 1 on usage errors (via fatal()).
+ * Options accept "--opt value" and "--opt=value" (common/cli). Exit
+ * code 0 on success, 1 when a campaign is interrupted or a replay
+ * disagrees with its journal, 2 on a usage error: an unknown
+ * subcommand or option, a missing value, a malformed number or an
+ * unknown name prints usage on stderr.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 
 #include "beam/exposure.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "core/study.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "fault/supervisor.hh"
 #include "nn/nn_workloads.hh"
+#include "report/study.hh"
 
 namespace {
 
 using namespace mparch;
 
-/** Minimal --flag [value] parser; a flag followed by another flag
- *  (or nothing) is a boolean switch, e.g. --resume. */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i) {
-            if (argv[i][0] != '-' || argv[i][1] != '-')
-                fatal("expected --flag, got '", argv[i], "'");
-            const std::string key = argv[i] + 2;
-            if (i + 1 < argc &&
-                std::strncmp(argv[i + 1], "--", 2) != 0) {
-                values_[key] = argv[++i];
-            } else {
-                values_[key] = "1";
-            }
-        }
-    }
-
-    std::string
-    get(const std::string &key, const std::string &fallback) const
-    {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    double
-    getNum(const std::string &key, double fallback) const
-    {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback
-                                   : std::atof(it->second.c_str());
-    }
-
-    bool
-    getFlag(const std::string &key) const
-    {
-        return values_.count(key) != 0;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
-};
+const char *const kUsage =
+    "usage: mparch_cli <study|campaign|replay-trial|beamplan>"
+    " [--opt value ...]\n"
+    "  study    --arch fpga|xeon-phi|gpu --workload NAME\n"
+    "           [--precision double|single|half|bfloat16] [--trials N]\n"
+    "           [--scale S] [--csv FILE] [--json FILE] [--journal DIR]\n"
+    "           [--resume] [--batch N] [--jobs N]\n"
+    "  campaign --workload NAME --precision P [--site memory|datapath]\n"
+    "           [--model single-bit-flip|double-bit-flip|random-byte|\n"
+    "                    random-value] [--trials N] [--scale S]\n"
+    "           [--journal DIR] [--resume] [--batch N]\n"
+    "           [--shards N --shard I] [--jobs N]\n"
+    "  replay-trial --journal FILE --trial N\n"
+    "  beamplan --fit-per-hour R [--errors N] [--flux F]\n";
 
 fp::Precision
-parsePrecision(const std::string &text)
+parsePrecision(const cli::Args &args, const std::string &text)
 {
     if (text == "double")
         return fp::Precision::Double;
@@ -111,11 +76,11 @@ parsePrecision(const std::string &text)
         return fp::Precision::Half;
     if (text == "bfloat16")
         return fp::Precision::Bfloat16;
-    fatal("unknown precision '", text, "'");
+    args.fail("unknown precision '" + text + "'");
 }
 
 core::Architecture
-parseArch(const std::string &text)
+parseArch(const cli::Args &args, const std::string &text)
 {
     if (text == "fpga")
         return core::Architecture::Fpga;
@@ -123,11 +88,11 @@ parseArch(const std::string &text)
         return core::Architecture::XeonPhi;
     if (text == "gpu")
         return core::Architecture::Gpu;
-    fatal("unknown architecture '", text, "'");
+    args.fail("unknown architecture '" + text + "'");
 }
 
 fault::FaultModel
-parseModel(const std::string &text)
+parseModel(const cli::Args &args, const std::string &text)
 {
     for (auto model : {fault::FaultModel::SingleBitFlip,
                        fault::FaultModel::DoubleBitFlip,
@@ -136,101 +101,98 @@ parseModel(const std::string &text)
         if (text == fault::faultModelName(model))
             return model;
     }
-    fatal("unknown fault model '", text, "'");
+    args.fail("unknown fault model '" + text + "'");
 }
 
 int
-cmdStudy(const Args &args)
+cmdStudy(int argc, char **argv)
 {
+    const cli::Args args = cli::parse(
+        {.usage = kUsage,
+         .text = {"arch", "workload", "precision", "csv", "json",
+                  "journal"},
+         .counts = {"trials", "batch", "jobs"},
+         .reals = {"scale"},
+         .switches = {"resume"}},
+        argc, argv, 2);
     core::StudyConfig config;
-    config.arch = parseArch(args.get("arch", "gpu"));
-    config.workload = args.get("workload", "mxm");
-    config.trials =
-        static_cast<std::uint64_t>(args.getNum("trials", 300));
-    config.scale = args.getNum("scale", 0.2);
-    const std::string precision = args.get("precision", "");
-    if (!precision.empty())
-        config.precisions = {parsePrecision(precision)};
-    config.journalDir = args.get("journal", "");
-    config.resume = args.getFlag("resume");
-    config.batchSize =
-        static_cast<std::uint64_t>(args.getNum("batch", 256));
-    config.jobs = static_cast<unsigned>(args.getNum("jobs", 0));
+    config.arch = parseArch(args, args.text("arch", "gpu"));
+    config.workload = args.text("workload", "mxm");
+    config.trials = args.count("trials", 300);
+    config.scale = args.real("scale", 0.2);
+    if (args.has("precision"))
+        config.precisions = {
+            parsePrecision(args, args.text("precision"))};
+    config.journalDir = args.text("journal");
+    config.resume = args.has("resume");
+    config.batchSize = args.count("batch", 256);
+    config.jobs = static_cast<unsigned>(args.count("jobs", 0));
 
-    const core::StudyResult result = core::runStudy(config);
-    result.printReport(std::cout);
+    const report::ResultDoc doc =
+        report::studyDocument(core::runStudy(config));
+    std::cout << doc.title << "\n";
+    doc.print(std::cout);
 
-    const std::string json_path = args.get("json", "");
+    const std::string json_path = args.text("json");
     if (!json_path.empty()) {
         std::ofstream out(json_path);
         if (!out)
             fatal("cannot write '", json_path, "'");
-        result.writeJson(out);
+        doc.writeJson(out);
         std::cout << "wrote " << json_path << "\n";
     }
 
-    const std::string csv_path = args.get("csv", "");
+    const std::string csv_path = args.text("csv");
     if (!csv_path.empty()) {
-        Table csv({"arch", "workload", "precision", "fit_sdc",
-                   "fit_due", "time_s", "mebf", "avf_dp", "pvf"});
-        for (const auto &row : result.rows) {
-            csv.row()
-                .cell(core::architectureName(config.arch))
-                .cell(config.workload)
-                .cell(std::string(fp::precisionName(row.precision)))
-                .cell(row.fitSdc, 3)
-                .cell(row.fitDue, 3)
-                .cell(row.timeSeconds, 9)
-                .cell(row.mebf, 6)
-                .cell(row.avfDatapath, 4)
-                .cell(row.pvf, 4);
-        }
         std::ofstream out(csv_path);
         if (!out)
             fatal("cannot write '", csv_path, "'");
-        csv.printCsv(out);
+        report::ResultDoc::writeCsv(doc.tables.front(), out);
         std::cout << "wrote " << csv_path << "\n";
     }
     return 0;
 }
 
 int
-cmdCampaign(const Args &args)
+cmdCampaign(int argc, char **argv)
 {
-    const std::string workload = args.get("workload", "mxm");
+    const cli::Args args = cli::parse(
+        {.usage = kUsage,
+         .text = {"workload", "precision", "site", "model", "journal"},
+         .counts = {"trials", "batch", "shards", "shard", "jobs"},
+         .reals = {"scale"},
+         .switches = {"resume"}},
+        argc, argv, 2);
+    const std::string workload = args.text("workload", "mxm");
     const fp::Precision precision =
-        parsePrecision(args.get("precision", "single"));
-    auto w = nn::makeAnyWorkload(workload, precision,
-                                 args.getNum("scale", 0.2));
+        parsePrecision(args, args.text("precision", "single"));
+    const double scale = args.real("scale", 0.2);
+    auto w = nn::makeAnyWorkload(workload, precision, scale);
 
     fault::CampaignConfig config;
-    config.trials =
-        static_cast<std::uint64_t>(args.getNum("trials", 500));
+    config.trials = args.count("trials", 500);
     config.model =
-        parseModel(args.get("model", "single-bit-flip"));
+        parseModel(args, args.text("model", "single-bit-flip"));
     config.recordAnatomy = true;
 
-    const std::string site = args.get("site", "memory");
+    const std::string site = args.text("site", "memory");
     fault::CampaignKind kind;
     if (site == "memory") {
         kind = fault::CampaignKind::Memory;
     } else if (site == "datapath") {
         kind = fault::CampaignKind::Datapath;
     } else {
-        fatal("unknown site '", site, "' (memory | datapath)");
+        args.fail("unknown site '" + site + "' (memory | datapath)");
     }
 
     fault::SupervisorConfig supervisor;
-    supervisor.journalDir = args.get("journal", "");
-    supervisor.resume = args.getFlag("resume");
-    supervisor.batchSize =
-        static_cast<std::uint64_t>(args.getNum("batch", 256));
-    supervisor.shardCount =
-        static_cast<std::uint64_t>(args.getNum("shards", 1));
-    supervisor.shardIndex =
-        static_cast<std::uint64_t>(args.getNum("shard", 0));
-    supervisor.scale = args.getNum("scale", 0.2);
-    supervisor.jobs = static_cast<unsigned>(args.getNum("jobs", 0));
+    supervisor.journalDir = args.text("journal");
+    supervisor.resume = args.has("resume");
+    supervisor.batchSize = args.count("batch", 256);
+    supervisor.shardCount = args.count("shards", 1);
+    supervisor.shardIndex = args.count("shard", 0);
+    supervisor.scale = scale;
+    supervisor.jobs = static_cast<unsigned>(args.count("jobs", 0));
     // Factory workload + correct scale: the cache key is sound.
     supervisor.useGoldenCache = true;
     supervisor.handleSignals = true;
@@ -274,13 +236,15 @@ cmdCampaign(const Args &args)
 }
 
 int
-cmdReplayTrial(const Args &args)
+cmdReplayTrial(int argc, char **argv)
 {
-    const std::string path = args.get("journal", "");
+    const cli::Args args = cli::parse(
+        {.usage = kUsage, .text = {"journal"}, .counts = {"trial"}},
+        argc, argv, 2);
+    const std::string path = args.text("journal");
     if (path.empty())
-        fatal("replay-trial needs --journal FILE");
-    const auto index =
-        static_cast<std::uint64_t>(args.getNum("trial", 0));
+        args.fail("replay-trial needs --journal FILE");
+    const std::uint64_t index = args.count("trial", 0);
 
     std::string why;
     const auto journal = fault::readJournal(path, &why);
@@ -343,13 +307,16 @@ cmdReplayTrial(const Args &args)
 }
 
 int
-cmdBeamPlan(const Args &args)
+cmdBeamPlan(int argc, char **argv)
 {
-    const double rate = args.getNum("fit-per-hour", 0.0);
+    const cli::Args args = cli::parse(
+        {.usage = kUsage, .reals = {"fit-per-hour", "errors", "flux"}},
+        argc, argv, 2);
+    const double rate = args.real("fit-per-hour", 0.0);
     if (rate <= 0.0)
-        fatal("beamplan needs --fit-per-hour > 0");
-    const double errors = args.getNum("errors", 100.0);
-    const double flux = args.getNum("flux", 13.0 * 1e6);
+        args.fail("beamplan needs --fit-per-hour > 0");
+    const double errors = args.real("errors", 100.0);
+    const double flux = args.real("flux", 13.0 * 1e6);
 
     const double hours = beam::beamHoursForErrors(rate, errors);
     const double acc = beam::accelerationFactor(flux);
@@ -370,22 +337,16 @@ cmdBeamPlan(const Args &args)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2) {
-        std::cerr << "usage: mparch_cli "
-                     "<study|campaign|replay-trial|beamplan> "
-                     "[--flag value ...]\n"
-                     "see the file header for the full flag list\n";
-        return 1;
-    }
-    const Args args(argc, argv, 2);
-    const std::string cmd = argv[1];
+    const std::string cmd = argc > 1 ? argv[1] : "";
     if (cmd == "study")
-        return cmdStudy(args);
+        return cmdStudy(argc, argv);
     if (cmd == "campaign")
-        return cmdCampaign(args);
+        return cmdCampaign(argc, argv);
     if (cmd == "replay-trial")
-        return cmdReplayTrial(args);
+        return cmdReplayTrial(argc, argv);
     if (cmd == "beamplan")
-        return cmdBeamPlan(args);
-    fatal("unknown subcommand '", cmd, "'");
+        return cmdBeamPlan(argc, argv);
+    cli::usageError(argv[0], kUsage,
+                    cmd.empty() ? "missing subcommand"
+                                : "unknown subcommand '" + cmd + "'");
 }

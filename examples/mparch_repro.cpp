@@ -2,198 +2,83 @@
  * @file
  * mparch_repro — the registry-driven reproduction driver.
  *
- * One binary that enumerates, runs and judges every experiment in
- * the declarative registry (all paper tables/figures, the ablations,
- * the extensions and the engine bench), replacing "run 33 binaries
- * and eyeball the tables" with a machine-checked scorecard.
+ * The one front door to every experiment: enumerates, runs and
+ * judges the declarative registry (all paper tables/figures, the
+ * ablations, the extensions and the engine check) with a
+ * machine-checked scorecard.
  *
- * Usage: mparch_repro [options]
- *   --list            list registered experiments and exit
- *   --filter <regex>  run only experiments whose id matches
- *   --trials N        override injection trials (0 = per-experiment
- *                     default)
- *   --scale X         override workload scale (0 = default)
- *   --jobs N          campaign worker threads (0 = all hardware
- *                     threads; results identical for every N)
- *   --quick           only experiments flagged quick (the fast,
- *                     deterministic subset)
- *   --json <dir>      write one JSON document per experiment
- *   --csv <dir>       write one CSV file per result table
- *   --scorecard       print the aggregate shape-check scorecard and
- *                     exit non-zero if any check failed
- *   --no-progress     suppress campaign progress on stderr
+ * Usage: mparch_repro [--list] [--filter <regex>] [--quick]
+ *                     [--trials N] [--scale X] [--jobs N]
+ *                     [--json <dir>] [--csv <dir>] [--scorecard]
+ *                     [--no-progress]
+ * (`mparch_repro --help` explains each option). `--filter
+ * '^fig3_fpga_fit$'` runs one experiment; `--trials`/`--scale` 0
+ * keep the per-experiment defaults; results are identical for every
+ * `--jobs`.
  *
- * Options accept both "--opt value" and "--opt=value". Malformed
- * input is an error (usage, exit 2), never a silent default.
+ * Options accept both "--opt value" and "--opt=value" (common/cli).
+ * An unknown option, a missing value or a malformed number prints
+ * usage on stderr and exits 2, never a silent default. Exit 1 when
+ * --scorecard finds a failed check.
  */
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <regex>
 #include <string>
 #include <vector>
 
-#include <sys/stat.h>
-
+#include "common/cli.hh"
 #include "report/registry.hh"
 
 namespace {
 
 using namespace mparch;
 
-struct DriverArgs
-{
-    bool list = false;
-    bool quick = false;
-    bool scorecard = false;
-    std::string filter;
-    std::string jsonDir;
-    std::string csvDir;
-    report::RunContext ctx;
+const cli::Spec kSpec{
+    .usage =
+        "usage: mparch_repro [--list] [--filter <regex>] [--quick]\n"
+        "       [--trials N] [--scale X] [--jobs N]\n"
+        "       [--json <dir>] [--csv <dir>] [--scorecard]"
+        " [--no-progress]\n"
+        "\n"
+        "  --list       list registered experiments and exit\n"
+        "  --filter     run only experiments whose id matches the regex\n"
+        "  --quick      only experiments flagged quick\n"
+        "  --trials N   override injection trials (0 = per-experiment"
+        " default)\n"
+        "  --scale X    override workload scale (0 = default)\n"
+        "  --jobs N     campaign worker threads (0 = all hardware"
+        " threads)\n"
+        "  --json DIR   write one JSON document per experiment\n"
+        "  --csv DIR    write one CSV file per result table\n"
+        "  --scorecard  print the aggregate shape-check scorecard; exit"
+        " non-zero\n"
+        "               if any check failed\n"
+        "  --no-progress  suppress campaign progress on stderr\n",
+    .text = {"filter", "json", "csv"},
+    .counts = {"trials", "jobs"},
+    .reals = {"scale"},
+    .switches = {"help", "list", "quick", "scorecard", "no-progress"},
 };
-
-void
-printUsage(const char *prog, std::ostream &os)
-{
-    os << "usage: " << prog
-       << " [--list] [--filter <regex>] [--quick]\n"
-          "       [--trials N] [--scale X] [--jobs N]\n"
-          "       [--json <dir>] [--csv <dir>] [--scorecard]"
-          " [--no-progress]\n"
-          "\n"
-          "  --list       list registered experiments and exit\n"
-          "  --filter     run only experiments whose id matches the"
-          " regex\n"
-          "  --quick      only experiments flagged quick\n"
-          "  --trials N   override injection trials (0 ="
-          " per-experiment default)\n"
-          "  --scale X    override workload scale (0 = default)\n"
-          "  --jobs N     campaign worker threads (0 = all hardware"
-          " threads)\n"
-          "  --json DIR   write one JSON document per experiment\n"
-          "  --csv DIR    write one CSV file per result table\n"
-          "  --scorecard  print the aggregate shape-check scorecard;"
-          " exit non-zero\n"
-          "               if any check failed\n"
-          "  --no-progress  suppress campaign progress on stderr\n";
-}
-
-[[noreturn]] void
-fail(const char *prog, const std::string &why)
-{
-    std::cerr << prog << ": error: " << why << "\n";
-    printUsage(prog, std::cerr);
-    std::exit(2);
-}
-
-bool
-parseCount(const std::string &text, std::uint64_t *out)
-{
-    if (text.empty() || text.find_first_not_of("0123456789") !=
-                            std::string::npos)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end != text.c_str() + text.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseReal(const std::string &text, double *out)
-{
-    if (text.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end != text.c_str() + text.size() || v < 0.0)
-        return false;
-    *out = v;
-    return true;
-}
-
-DriverArgs
-parseArgs(int argc, char **argv)
-{
-    DriverArgs args;
-    const auto value_of = [&](const std::string &arg, int *i) {
-        const auto eq = arg.find('=');
-        if (eq != std::string::npos)
-            return arg.substr(eq + 1);
-        if (*i + 1 >= argc)
-            fail(argv[0], arg + " needs a value");
-        return std::string(argv[++*i]);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto is = [&](const char *name) {
-            return arg == name ||
-                   arg.rfind(std::string(name) + "=", 0) == 0;
-        };
-        if (arg == "--list") {
-            args.list = true;
-        } else if (arg == "--quick") {
-            args.quick = true;
-        } else if (arg == "--scorecard") {
-            args.scorecard = true;
-        } else if (arg == "--no-progress") {
-            args.ctx.progress = false;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage(argv[0], std::cout);
-            std::exit(0);
-        } else if (is("--filter")) {
-            args.filter = value_of(arg, &i);
-        } else if (is("--json")) {
-            args.jsonDir = value_of(arg, &i);
-        } else if (is("--csv")) {
-            args.csvDir = value_of(arg, &i);
-        } else if (is("--trials")) {
-            const std::string v = value_of(arg, &i);
-            if (!parseCount(v, &args.ctx.trials))
-                fail(argv[0], "bad --trials value '" + v + "'");
-        } else if (is("--scale")) {
-            const std::string v = value_of(arg, &i);
-            if (!parseReal(v, &args.ctx.scale))
-                fail(argv[0], "bad --scale value '" + v + "'");
-        } else if (is("--jobs")) {
-            const std::string v = value_of(arg, &i);
-            std::uint64_t jobs = 0;
-            if (!parseCount(v, &jobs))
-                fail(argv[0], "bad --jobs value '" + v + "'");
-            args.ctx.jobs = static_cast<unsigned>(jobs);
-        } else {
-            fail(argv[0], "unknown argument '" + arg + "'");
-        }
-    }
-    return args;
-}
 
 /** Experiments selected by --filter/--quick, in registry order. */
 std::vector<const report::Experiment *>
-selectExperiments(const DriverArgs &args, const char *prog)
+selectExperiments(const cli::Args &args)
 {
+    const std::string pattern = args.text("filter");
     std::regex filter;
-    if (!args.filter.empty()) {
-        try {
-            filter = std::regex(args.filter);
-        } catch (const std::regex_error &e) {
-            fail(prog, "bad --filter regex '" + args.filter +
-                           "': " + e.what());
-        }
+    try {
+        filter = std::regex(pattern);
+    } catch (const std::regex_error &e) {
+        args.fail("bad --filter regex '" + pattern + "': " + e.what());
     }
     std::vector<const report::Experiment *> selected;
     for (const auto &e : report::experiments()) {
-        if (args.quick && !e.quick)
+        if (args.has("quick") && !e.quick)
             continue;
-        if (!args.filter.empty() &&
-            !std::regex_search(e.id, filter))
+        if (!std::regex_search(e.id, filter))
             continue;
         selected.push_back(&e);
     }
@@ -219,35 +104,35 @@ listExperiments(const std::vector<const report::Experiment *> &sel)
     std::cout << sel.size() << " experiments registered\n";
 }
 
-/** mkdir -p equivalent for the single-level output directories. */
-bool
-ensureDir(const std::string &path)
-{
-    struct stat st{};
-    if (::stat(path.c_str(), &st) == 0)
-        return S_ISDIR(st.st_mode);
-    return ::mkdir(path.c_str(), 0755) == 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const DriverArgs args = parseArgs(argc, argv);
-    const auto selected = selectExperiments(args, argv[0]);
+    const cli::Args args = cli::parse(kSpec, argc, argv);
+    const auto selected = selectExperiments(args);
+    report::RunContext ctx;
+    ctx.trials = args.count("trials", 0);
+    ctx.scale = args.real("scale", 0.0);
+    ctx.jobs = static_cast<unsigned>(args.count("jobs", 0));
+    ctx.progress = !args.has("no-progress");
+    const std::string jsonDir = args.text("json");
+    const std::string csvDir = args.text("csv");
 
-    if (args.list) {
+    if (args.has("list")) {
         listExperiments(selected);
         return 0;
     }
     if (selected.empty()) {
         std::cerr << argv[0] << ": no experiment matches filter '"
-                  << args.filter << "'\n";
+                  << args.text("filter") << "'\n";
         return 2;
     }
-    for (const std::string &dir : {args.jsonDir, args.csvDir}) {
-        if (!dir.empty() && !ensureDir(dir)) {
+    for (const std::string &dir : {jsonDir, csvDir}) {
+        std::error_code ec;
+        if (!dir.empty())
+            std::filesystem::create_directories(dir, ec);
+        if (ec) {
             std::cerr << argv[0] << ": cannot create directory '"
                       << dir << "'\n";
             return 2;
@@ -259,23 +144,22 @@ main(int argc, char **argv)
         std::cout << "\n=== " << e->id << " — " << e->title
                   << " ===\n"
                   << "shape target: " << e->shapeTarget << "\n";
-        docs.push_back(report::runExperiment(*e, args.ctx));
+        docs.push_back(report::runExperiment(*e, ctx));
         const auto &doc = docs.back();
         doc.print(std::cout);
 
-        if (!args.jsonDir.empty()) {
-            const std::string path =
-                args.jsonDir + "/" + e->id + ".json";
+        if (!jsonDir.empty()) {
+            const std::string path = jsonDir + "/" + e->id + ".json";
             std::ofstream out(path);
             doc.writeJson(out);
             if (!out)
                 std::cerr << argv[0] << ": failed writing " << path
                           << "\n";
         }
-        if (!args.csvDir.empty()) {
+        if (!csvDir.empty()) {
             for (const auto &table : doc.tables) {
-                const std::string path = args.csvDir + "/" + e->id +
-                                         "." + table.name() + ".csv";
+                const std::string path = csvDir + "/" + e->id + "." +
+                                         table.name() + ".csv";
                 std::ofstream out(path);
                 report::ResultDoc::writeCsv(table, out);
                 if (!out)
@@ -285,7 +169,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (args.scorecard) {
+    if (args.has("scorecard")) {
         std::cout << "\n";
         const auto card = report::printScorecard(docs, std::cout);
         return card.allPassed() ? 0 : 1;

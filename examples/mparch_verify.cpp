@@ -2,44 +2,37 @@
  * @file
  * mparch_verify — differential-oracle frontend for the softfloat core.
  *
- * Subcommands:
+ * Subcommands (flags: kUsage below, printed on any usage error):
  *
- *   quick [--corpus DIR] [--trials N] [--seed S] [--jobs N]
- *     The regression gate: replay the persisted counterexample corpus,
- *     run the exhaustive binary16 unary sweeps (sqrt/exp/log and the
- *     half->single/double/bfloat16 conversions), then fuzz every
- *     memory format with N trials each (default 10^6, fixed seed).
+ *   quick   The regression gate: replay the persisted counterexample
+ *           corpus, run the exhaustive binary16 unary sweeps
+ *           (sqrt/exp/log and the half->single/double/bfloat16
+ *           conversions), then fuzz every memory format with N
+ *           trials each (default 10^6, fixed seed).
+ *   sweep   Sweep one operation. With --samples 0 (the default) the
+ *           sweep is exhaustive: all operand pairs for binary ops
+ *           (16-bit formats only), all inputs for unary ops and
+ *           conversions. OP is one of add sub mul div sqrt exp log
+ *           convert; convert needs --dst.
+ *   fuzz    Property-based fuzzing of one format. LIST is
+ *           comma-separated op names (default: all ops).
+ *   corpus  Replay the regression corpus alone.
+ *   check   Run a single case through production code and every
+ *           oracle, verbosely. This is the command mismatch reports
+ *           print.
  *
- *   sweep --op OP --format F [--dst D] [--samples N] [--seed S]
- *         [--jobs N] [--no-props] [--no-monotone] [--max-report N]
- *     Sweep one operation. With --samples 0 (the default) the sweep
- *     is exhaustive: all operand pairs for binary ops (16-bit formats
- *     only), all inputs for unary ops and conversions. OP is one of
- *     add sub mul div sqrt exp log convert; convert needs --dst.
- *
- *   fuzz --format F [--trials N] [--seed S] [--jobs N] [--ops LIST]
- *     Property-based fuzzing of one format. LIST is comma-separated
- *     op names (default: all ops).
- *
- *   corpus [--corpus DIR]
- *     Replay the regression corpus alone.
- *
- *   check --op OP --format F [--dst D] --a HEX [--b HEX] [--c HEX]
- *     Run a single case through production code and every oracle,
- *     verbosely. This is the command mismatch reports print.
- *
- * Exit code 0 when everything agrees, 1 on any mismatch (or usage
- * error via fatal()).
+ * Counts (--trials, --seed, --samples, --a ...) are whole decimal or
+ * 0x-prefixed hex numbers. Exit code 0 when everything agrees, 1 on
+ * any mismatch, 2 on a usage error: an unknown subcommand or option,
+ * a missing value, a malformed number or an unknown op/format name
+ * prints usage on stderr.
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 
-#include "common/logging.hh"
+#include "common/cli.hh"
 #include "fp/softfloat.hh"
 #include "verify/verify.hh"
 
@@ -49,86 +42,55 @@ using namespace mparch;
 using verify::Case;
 using verify::VOp;
 
-/** Minimal --flag [value] parser (same idiom as mparch_cli). */
-class Args
+const char *const kUsage =
+    "usage: mparch_verify <quick|sweep|fuzz|corpus|check> [--opt value"
+    " ...]\n"
+    "  quick  [--corpus DIR] [--trials N] [--seed S] [--jobs N]\n"
+    "  sweep  --op OP --format F [--dst D] [--samples N] [--seed S]\n"
+    "         [--jobs N] [--no-props] [--no-monotone] [--max-report N]\n"
+    "         [--exp-tol N] [--log-tol N]\n"
+    "  fuzz   --format F [--trials N] [--seed S] [--jobs N]"
+    " [--ops LIST]\n"
+    "  corpus [--corpus DIR]\n"
+    "  check  --op OP --format F [--dst D] --a HEX [--b HEX]"
+    " [--c HEX]\n";
+
+cli::Args
+parseArgs(int argc, char **argv, cli::Spec spec)
 {
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i) {
-            if (argv[i][0] != '-' || argv[i][1] != '-')
-                fatal("expected --flag, got '", argv[i], "'");
-            const std::string key = argv[i] + 2;
-            if (i + 1 < argc &&
-                std::strncmp(argv[i + 1], "--", 2) != 0) {
-                values_[key] = argv[++i];
-            } else {
-                values_[key] = "1";
-            }
-        }
-    }
-
-    std::string
-    get(const std::string &key, const std::string &fallback) const
-    {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    std::uint64_t
-    getU64(const std::string &key, std::uint64_t fallback) const
-    {
-        const auto it = values_.find(key);
-        if (it == values_.end())
-            return fallback;
-        return std::strtoull(it->second.c_str(), nullptr, 0);
-    }
-
-    bool
-    getFlag(const std::string &key) const
-    {
-        return values_.count(key) != 0;
-    }
-
-    bool
-    has(const std::string &key) const
-    {
-        return values_.count(key) != 0;
-    }
-
-  private:
-    std::map<std::string, std::string> values_;
-};
+    spec.usage = kUsage;
+    return cli::parse(spec, argc, argv, 2);
+}
 
 fp::Format
-requireFormat(const Args &args, const std::string &key)
+requireFormat(const cli::Args &args, const std::string &key)
 {
-    const std::string name = args.get(key, "");
+    const std::string name = args.text(key);
     if (name.empty())
-        fatal("missing --", key);
+        args.fail("missing --" + key);
     const auto f = verify::parseFormat(name);
     if (!f)
-        fatal("unknown format '", name, "'");
+        args.fail("unknown format '" + name + "'");
     return *f;
 }
 
 VOp
-requireOp(const Args &args)
+requireOp(const cli::Args &args)
 {
-    const std::string name = args.get("op", "");
+    const std::string name = args.text("op");
     if (name.empty())
-        fatal("missing --op");
+        args.fail("missing --op");
     const auto op = verify::parseVOp(name);
     if (!op)
-        fatal("unknown op '", name, "'");
+        args.fail("unknown op '" + name + "'");
     return *op;
 }
 
 /** Default corpus location: source tree when run from a checkout. */
 std::string
-corpusDir(const Args &args)
+corpusDir(const cli::Args &args)
 {
-    return args.get("corpus", "tests/data/fp_corpus");
+    return args.text("corpus", "tests/data/fp_corpus");
 }
 
 int
@@ -178,12 +140,14 @@ runFuzz(fp::Format f, const verify::FuzzConfig &cfg)
 }
 
 int
-cmdQuick(const Args &args)
+cmdQuick(int argc, char **argv)
 {
-    const unsigned jobs =
-        static_cast<unsigned>(args.getU64("jobs", 0));
-    const std::uint64_t seed = args.getU64("seed", 1);
-    const std::uint64_t trials = args.getU64("trials", 1000000);
+    const cli::Args args = parseArgs(
+        argc, argv,
+        {.text = {"corpus"}, .counts = {"trials", "seed", "jobs"}});
+    const unsigned jobs = static_cast<unsigned>(args.count("jobs", 0));
+    const std::uint64_t seed = args.count("seed", 1);
+    const std::uint64_t trials = args.count("trials", 1000000);
 
     int rc = replayCorpus(corpusDir(args));
 
@@ -216,23 +180,31 @@ cmdQuick(const Args &args)
 }
 
 int
-cmdSweep(const Args &args)
+cmdSweep(int argc, char **argv)
 {
+    const cli::Args args = parseArgs(
+        argc, argv,
+        {.text = {"op", "format", "dst"},
+         .counts = {"samples", "seed", "jobs", "max-report", "exp-tol",
+                    "log-tol"},
+         .switches = {"no-props", "no-monotone"}});
     const VOp op = requireOp(args);
     const fp::Format f = requireFormat(args, "format");
 
     verify::SweepConfig cfg;
-    cfg.jobs = static_cast<unsigned>(args.getU64("jobs", 0));
-    cfg.samples = args.getU64("samples", 0);
-    cfg.seed = args.getU64("seed", 1);
+    cfg.jobs = static_cast<unsigned>(args.count("jobs", 0));
+    cfg.samples = args.count("samples", 0);
+    cfg.seed = args.count("seed", 1);
     cfg.maxReport =
-        static_cast<std::size_t>(args.getU64("max-report", 32));
-    cfg.checkMonotone = !args.getFlag("no-monotone");
-    cfg.check.props = !args.getFlag("no-props");
-    cfg.check.prop.expUlpTol = static_cast<int>(
-        args.getU64("exp-tol", cfg.check.prop.expUlpTol));
-    cfg.check.prop.logUlpTol = static_cast<int>(
-        args.getU64("log-tol", cfg.check.prop.logUlpTol));
+        static_cast<std::size_t>(args.count("max-report", 32));
+    cfg.checkMonotone = !args.has("no-monotone");
+    cfg.check.props = !args.has("no-props");
+    cfg.check.prop.expUlpTol = static_cast<int>(args.count(
+        "exp-tol",
+        static_cast<std::uint64_t>(cfg.check.prop.expUlpTol)));
+    cfg.check.prop.logUlpTol = static_cast<int>(args.count(
+        "log-tol",
+        static_cast<std::uint64_t>(cfg.check.prop.logUlpTol)));
 
     std::ostringstream what;
     what << "sweep " << verify::formatName(f) << ' '
@@ -249,46 +221,45 @@ cmdSweep(const Args &args)
 }
 
 int
-cmdFuzz(const Args &args)
+cmdFuzz(int argc, char **argv)
 {
+    const cli::Args args = parseArgs(
+        argc, argv,
+        {.text = {"format", "ops"}, .counts = {"trials", "seed", "jobs"}});
     const fp::Format f = requireFormat(args, "format");
     verify::FuzzConfig cfg;
-    cfg.trials = args.getU64("trials", 1000000);
-    cfg.seed = args.getU64("seed", 1);
-    cfg.jobs = static_cast<unsigned>(args.getU64("jobs", 0));
-    const std::string ops = args.get("ops", "");
+    cfg.trials = args.count("trials", 1000000);
+    cfg.seed = args.count("seed", 1);
+    cfg.jobs = static_cast<unsigned>(args.count("jobs", 0));
+    const std::string ops = args.text("ops");
     std::istringstream in(ops);
     std::string name;
     while (std::getline(in, name, ',')) {
         const auto op = verify::parseVOp(name);
         if (!op)
-            fatal("unknown op '", name, "'");
+            args.fail("unknown op '" + name + "'");
         cfg.ops.push_back(*op);
     }
     return runFuzz(f, cfg);
 }
 
 int
-cmdCheck(const Args &args)
+cmdCheck(int argc, char **argv)
 {
+    const cli::Args args = parseArgs(
+        argc, argv,
+        {.text = {"op", "format", "dst"}, .counts = {"a", "b", "c"}});
     Case c;
     c.op = requireOp(args);
     c.fmt = requireFormat(args, "format");
     if (c.op == VOp::Convert)
         c.dst = requireFormat(args, "dst");
-    if (!args.has("a"))
-        fatal("missing --a");
-    c.a = args.getU64("a", 0);
-    const unsigned arity = verify::vopArity(c.op);
-    if (arity >= 2) {
-        if (!args.has("b"))
-            fatal("missing --b");
-        c.b = args.getU64("b", 0);
-    }
-    if (arity >= 3) {
-        if (!args.has("c"))
-            fatal("missing --c");
-        c.c = args.getU64("c", 0);
+    const char *names[] = {"a", "b", "c"};
+    std::uint64_t *operands[] = {&c.a, &c.b, &c.c};
+    for (unsigned i = 0; i < verify::vopArity(c.op); ++i) {
+        if (!args.has(names[i]))
+            args.fail(std::string("missing --") + names[i]);
+        *operands[i] = args.count(names[i], 0);
     }
 
     const fp::Format rf = c.resultFormat();
@@ -314,32 +285,24 @@ cmdCheck(const Args &args)
     return ok ? 0 : 1;
 }
 
-void
-usage()
-{
-    fatal("usage: mparch_verify quick|sweep|fuzz|corpus|check "
-          "[--flags]  (see file header for details)");
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        usage();
-    const std::string cmd = argv[1];
-    const Args args(argc, argv, 2);
+    const std::string cmd = argc > 1 ? argv[1] : "";
     if (cmd == "quick")
-        return cmdQuick(args);
+        return cmdQuick(argc, argv);
     if (cmd == "sweep")
-        return cmdSweep(args);
+        return cmdSweep(argc, argv);
     if (cmd == "fuzz")
-        return cmdFuzz(args);
+        return cmdFuzz(argc, argv);
     if (cmd == "corpus")
-        return replayCorpus(corpusDir(args));
+        return replayCorpus(corpusDir(
+            parseArgs(argc, argv, {.text = {"corpus"}})));
     if (cmd == "check")
-        return cmdCheck(args);
-    usage();
-    return 1;
+        return cmdCheck(argc, argv);
+    cli::usageError(argv[0], kUsage,
+                    cmd.empty() ? "missing subcommand"
+                                : "unknown subcommand '" + cmd + "'");
 }

@@ -7,11 +7,14 @@
  * does protection cost?").
  *
  *   $ ./protected_gemm [precision] [trials]
+ *
+ * An unknown precision or a malformed trial count prints usage on
+ * stderr and exits 2.
  */
 
-#include <cstring>
 #include <iostream>
 
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "fault/campaign.hh"
 #include "mitigation/abft.hh"
@@ -22,18 +25,23 @@ main(int argc, char **argv)
 {
     using namespace mparch;
 
+    const cli::Args args = cli::parse(
+        {.usage = "usage: protected_gemm [half|double|single|bfloat16]"
+                  " [trials]\n",
+         .positionals = {cli::Kind::Text, cli::Kind::Count}},
+        argc, argv);
+    const std::string precisionName = args.positional(0, "half");
     fp::Precision precision = fp::Precision::Half;
-    if (argc > 1) {
-        if (!std::strcmp(argv[1], "double"))
-            precision = fp::Precision::Double;
-        else if (!std::strcmp(argv[1], "single"))
-            precision = fp::Precision::Single;
-        else if (!std::strcmp(argv[1], "bfloat16"))
-            precision = fp::Precision::Bfloat16;
-    }
+    if (precisionName == "double")
+        precision = fp::Precision::Double;
+    else if (precisionName == "single")
+        precision = fp::Precision::Single;
+    else if (precisionName == "bfloat16")
+        precision = fp::Precision::Bfloat16;
+    else if (precisionName != "half")
+        args.fail("unknown precision '" + precisionName + "'");
     fault::CampaignConfig config;
-    config.trials = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                             : 400;
+    config.trials = args.positionalCount(1, 400);
 
     std::cout << "GEMM at " << fp::precisionName(precision)
               << " under CAROL-FI memory injection, "

@@ -14,45 +14,50 @@
  * reliability-performance tradeoff, the measured propagation
  * probabilities (datapath AVF and CAROL-FI-style PVF) and the
  * FIT-reduction-vs-TRE curve.
+ *
+ * An unknown architecture or a third argument prints usage on stderr
+ * and exits 2.
  */
 
-#include <cstring>
 #include <iostream>
 
+#include "common/cli.hh"
 #include "core/study.hh"
+#include "report/study.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace mparch;
 
+    const cli::Args args = cli::parse(
+        {.usage = "usage: quickstart [fpga|xeon-phi|gpu] [workload]\n",
+         .positionals = {cli::Kind::Text, cli::Kind::Text}},
+        argc, argv);
     core::StudyConfig config;
     config.arch = core::Architecture::Gpu;
-    config.workload = "mxm";
+    config.workload = args.positional(1, "mxm");
     config.trials = 300;
     config.scale = 0.2;
 
-    if (argc > 1) {
-        if (!std::strcmp(argv[1], "fpga"))
-            config.arch = core::Architecture::Fpga;
-        else if (!std::strcmp(argv[1], "xeon-phi"))
-            config.arch = core::Architecture::XeonPhi;
-        else if (!std::strcmp(argv[1], "gpu"))
-            config.arch = core::Architecture::Gpu;
-        else
-            fatal("unknown architecture '", argv[1],
+    const std::string arch = args.positional(0, "gpu");
+    if (arch == "fpga")
+        config.arch = core::Architecture::Fpga;
+    else if (arch == "xeon-phi")
+        config.arch = core::Architecture::XeonPhi;
+    else if (arch != "gpu")
+        args.fail("unknown architecture '" + arch +
                   "' (want fpga | xeon-phi | gpu)");
-    }
-    if (argc > 2)
-        config.workload = argv[2];
 
     std::cout << "Running " << config.workload << " on the simulated "
               << core::architectureName(config.arch) << " with "
               << config.trials
               << " injection trials per campaign...\n\n";
 
-    const core::StudyResult result = core::runStudy(config);
-    result.printReport(std::cout);
+    const report::ResultDoc doc =
+        report::studyDocument(core::runStudy(config));
+    std::cout << doc.title << "\n";
+    doc.print(std::cout);
 
     std::cout << "\nReading the report:\n"
               << " - fit-sdc/fit-due are in arbitrary units; compare "

@@ -10,10 +10,13 @@
  * decision the paper's Section 7 asks system designers to make.
  *
  *   $ ./tre_explorer [workload] [trials]
+ *
+ * A malformed trial count prints usage on stderr and exits 2.
  */
 
 #include <iostream>
 
+#include "common/cli.hh"
 #include "fault/campaign.hh"
 #include "common/table.hh"
 #include "metrics/metrics.hh"
@@ -39,10 +42,13 @@ int
 main(int argc, char **argv)
 {
     using namespace mparch;
-    const std::string workload = argc > 1 ? argv[1] : "mxm";
+    const cli::Args args = cli::parse(
+        {.usage = "usage: tre_explorer [workload] [trials]\n",
+         .positionals = {cli::Kind::Text, cli::Kind::Count}},
+        argc, argv);
+    const std::string workload = args.positional(0, "mxm");
     fault::CampaignConfig config;
-    config.trials = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                             : 600;
+    config.trials = args.positionalCount(1, 600);
 
     std::cout << "TRE sweep for " << workload << " (" << config.trials
               << " trials per campaign)\n\n";

@@ -159,11 +159,6 @@ finishSource(SourceFile &file)
     for (const Token &t : file.tokens)
         if (t.kind != TokKind::Comment)
             file.code.push_back(t);
-    file.lineCount =
-        static_cast<std::size_t>(std::count(file.content.begin(),
-                                            file.content.end(), '\n'));
-    if (!file.content.empty() && file.content.back() != '\n')
-        ++file.lineCount;
     analyzeStructure(file);
 }
 
@@ -297,12 +292,6 @@ SourceFile::isHeader() const
 {
     return hasSuffix(path, ".hh") || hasSuffix(path, ".h") ||
            hasSuffix(path, ".hpp");
-}
-
-bool
-SourceFile::isBenchShim() const
-{
-    return pathHas("bench") && hasSuffix(path, ".cpp");
 }
 
 bool

@@ -59,10 +59,8 @@ struct SourceFile
     std::vector<ScopeKind> scope;     ///< per `code` token
     std::vector<std::pair<std::size_t, std::size_t>> functions;
         ///< [open,close] brace index ranges into `code`
-    std::size_t lineCount = 0;
 
     bool isHeader() const;            ///< .hh / .h / .hpp
-    bool isBenchShim() const;         ///< bench/*.cpp
 
     /** True if a path component sequence appears, e.g. "src/fp". */
     bool pathHas(const std::string &part) const;

@@ -17,7 +17,6 @@ allRules()
         &orderedSerializationRule(),
         &hookCoverageRule(),
         &includeHygieneRule(),
-        &registryShimRule(),
     };
     return rules;
 }

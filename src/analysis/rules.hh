@@ -21,7 +21,6 @@ const Rule &rngDisciplineRule();
 const Rule &orderedSerializationRule();
 const Rule &hookCoverageRule();
 const Rule &includeHygieneRule();
-const Rule &registryShimRule();
 
 namespace detail {
 

@@ -2,9 +2,9 @@
  * @file
  * Fixed-width text table and CSV emitters.
  *
- * Every bench binary reproduces one of the paper's tables or figures;
- * this class renders the rows in a uniform, diff-friendly layout and
- * can also dump CSV for external plotting.
+ * Result documents (report/document.hh) and the command-line tools
+ * render their rows through this class in a uniform, diff-friendly
+ * layout; it can also dump CSV for external plotting.
  */
 
 #ifndef MPARCH_COMMON_TABLE_HH

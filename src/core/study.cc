@@ -1,12 +1,8 @@
 #include "core/study.hh"
 
-#include <ostream>
-
 #include "arch/fpga/fpga.hh"
-#include "common/json.hh"
 #include "arch/gpu/gpu.hh"
 #include "arch/phi/phi.hh"
-#include "common/table.hh"
 #include "fault/supervisor.hh"
 #include "nn/nn_workloads.hh"
 
@@ -154,87 +150,6 @@ runStudy(const StudyConfig &config)
     for (fp::Precision p : precisions)
         result.rows.push_back(evaluateOne(config, p));
     return result;
-}
-
-void
-StudyResult::printReport(std::ostream &os) const
-{
-    Table table({"precision", "fit-sdc(a.u.)", "fit-due(a.u.)",
-                 "time(s)", "mebf(a.u.)", "avf-dp", "pvf",
-                 "crit-frac", "coverage"});
-    table.setTitle(std::string(architectureName(config.arch)) + " / " +
-                   config.workload);
-    for (const auto &row : rows) {
-        table.row()
-            .cell(std::string(fp::precisionName(row.precision)))
-            .cell(row.fitSdc, 1)
-            .cell(row.fitDue, 1)
-            .cell(row.timeSeconds, 9)
-            .cell(row.mebf, 4)
-            .cell(row.avfDatapath, 3)
-            .cell(row.pvf, 3)
-            .cell(row.severity.criticalChange +
-                      row.severity.detectionChange,
-                  3)
-            .cell(row.coverage, 3);
-    }
-    table.print(os);
-
-    Table tre_table({"precision", "tre", "fit-fraction-remaining"});
-    tre_table.setTitle("FIT reduction vs tolerated relative error");
-    for (const auto &row : rows) {
-        for (std::size_t i = 0; i < row.tre.thresholds.size(); ++i) {
-            tre_table.row()
-                .cell(std::string(fp::precisionName(row.precision)))
-                .cell(row.tre.thresholds[i], 4)
-                .cell(row.tre.remaining[i], 3);
-        }
-    }
-    tre_table.print(os);
-}
-
-void
-StudyResult::writeJson(std::ostream &os) const
-{
-    json::Writer w(os);
-    w.beginObject()
-        .member("arch", architectureName(config.arch))
-        .member("workload", config.workload)
-        .member("trials", config.trials)
-        .member("scale", config.scale);
-    w.key("rows").beginArray();
-    for (const auto &row : rows) {
-        w.beginObject()
-            .member("precision",
-                    std::string(fp::precisionName(row.precision)))
-            .member("fit_sdc", row.fitSdc)
-            .member("fit_due", row.fitDue)
-            .member("time_s", row.timeSeconds)
-            .member("mebf", row.mebf)
-            .member("avf_datapath", row.avfDatapath)
-            .member("pvf", row.pvf)
-            .member("coverage", row.coverage)
-            .member("poisoned", row.poisoned);
-        w.key("severity")
-            .beginObject()
-            .member("tolerable", row.severity.tolerable)
-            .member("detection_change", row.severity.detectionChange)
-            .member("critical_change", row.severity.criticalChange)
-            .endObject();
-        w.key("tre").beginArray();
-        for (std::size_t t = 0; t < row.tre.thresholds.size();
-             ++t) {
-            w.beginArray()
-                .value(row.tre.thresholds[t])
-                .value(row.tre.remaining[t])
-                .endArray();
-        }
-        w.endArray();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << "\n";
 }
 
 } // namespace mparch::core

@@ -9,20 +9,20 @@
  * all AVFs measured by fault-injection campaigns against the
  * softfloat-simulated workload.
  *
- * Typical use (see examples/quickstart.cpp):
+ * Typical use (see examples/quickstart.cpp; report::studyDocument
+ * renders the result):
  * @code
  *   core::StudyConfig config;
  *   config.arch = core::Architecture::Gpu;
  *   config.workload = "mxm";
  *   const core::StudyResult result = core::runStudy(config);
- *   result.printReport(std::cout);
+ *   report::studyDocument(result).print(std::cout);
  * @endcode
  */
 
 #ifndef MPARCH_CORE_STUDY_HH
 #define MPARCH_CORE_STUDY_HH
 
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -54,7 +54,7 @@ struct StudyConfig
     double scale = 0.15;
 
     /** Injection trials per campaign (paper: >2000 per data type;
-     *  the default trades precision for bench turnaround). */
+     *  the default trades precision for turnaround). */
     std::uint64_t trials = 400;
 
     /** Campaign seed. */
@@ -123,13 +123,6 @@ struct StudyResult
 
     /** Row for a precision, if evaluated. */
     const PrecisionResult *find(fp::Precision p) const;
-
-    /** Render a human-readable report of every metric. */
-    void printReport(std::ostream &os) const;
-
-    /** Emit the result as a JSON document (stable schema for
-     *  external tooling; see examples/mparch_cli.cpp --json). */
-    void writeJson(std::ostream &os) const;
 };
 
 /** Run the campaigns and models for every requested precision. */

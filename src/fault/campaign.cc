@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "fault/hooks.hh"
+#include "fault/supervisor.hh"
 
 namespace mparch::fault {
 
@@ -520,17 +521,19 @@ class PersistentTrialRunner : public TrialRunner
     std::uint64_t totalUnits_ = 0;
 };
 
-/** Plain in-memory campaign: every trial in index order. */
+/** Serial, unjournaled supervised run; a refused campaign (e.g. a
+ *  non-finite golden output) is a user error. */
 CampaignResult
-runAll(TrialRunner &runner, std::uint64_t trials)
+runPlain(Workload &w, CampaignKind kind, const CampaignConfig &config,
+         fp::OpKind kind_filter = fp::OpKind::NumKinds,
+         const std::vector<EngineAllocation> &engines = {})
 {
-    CampaignResult result;
-    result.corpus.reserve(trials);
-    if (runner.config().recordAnatomy)
-        result.anatomy.reserve(trials);
-    for (std::uint64_t t = 0; t < trials; ++t)
-        accumulate(result, runner.runTrial(t));
-    return result;
+    SupervisedCampaign run = runSupervisedCampaign(
+        w, kind, config, SupervisorConfig{}, kind_filter, engines);
+    if (!run.error.empty())
+        fatal(campaignKindName(kind), " campaign on ", w.name(), ": ",
+              run.error);
+    return std::move(run.result);
 }
 
 /** Golden-run cache key; the full identity of a factory workload. */
@@ -585,53 +588,44 @@ clearGoldenRunCache()
 }
 
 std::unique_ptr<TrialRunner>
-makeMemoryTrialRunner(Workload &w, const CampaignConfig &config,
-                      std::shared_ptr<const GoldenRun> golden)
+makeTrialRunner(Workload &w, CampaignKind kind,
+                const CampaignConfig &config, fp::OpKind kind_filter,
+                const std::vector<EngineAllocation> &engines,
+                std::shared_ptr<const GoldenRun> golden)
 {
-    return std::make_unique<MemoryTrialRunner>(w, config,
-                                               std::move(golden));
-}
-
-std::unique_ptr<TrialRunner>
-makeDatapathTrialRunner(Workload &w, const CampaignConfig &config,
-                        fp::OpKind kind_filter,
-                        std::shared_ptr<const GoldenRun> golden)
-{
-    return std::make_unique<DatapathTrialRunner>(w, config,
-                                                 kind_filter,
-                                                 std::move(golden));
-}
-
-std::unique_ptr<TrialRunner>
-makePersistentTrialRunner(Workload &w, const CampaignConfig &config,
-                          const std::vector<EngineAllocation> &engines,
-                          std::shared_ptr<const GoldenRun> golden)
-{
-    return std::make_unique<PersistentTrialRunner>(
-        w, config, engines, std::move(golden));
+    switch (kind) {
+      case CampaignKind::Memory:
+        return std::make_unique<MemoryTrialRunner>(w, config,
+                                                   std::move(golden));
+      case CampaignKind::Datapath:
+        return std::make_unique<DatapathTrialRunner>(
+            w, config, kind_filter, std::move(golden));
+      case CampaignKind::Persistent:
+        return std::make_unique<PersistentTrialRunner>(
+            w, config, engines, std::move(golden));
+    }
+    panic("unknown campaign kind");
 }
 
 CampaignResult
 runMemoryCampaign(Workload &w, const CampaignConfig &config)
 {
-    MemoryTrialRunner runner(w, config);
-    return runAll(runner, config.trials);
+    return runPlain(w, CampaignKind::Memory, config);
 }
 
 CampaignResult
 runDatapathCampaign(Workload &w, const CampaignConfig &config,
                     fp::OpKind kind_filter)
 {
-    DatapathTrialRunner runner(w, config, kind_filter);
-    return runAll(runner, config.trials);
+    return runPlain(w, CampaignKind::Datapath, config, kind_filter);
 }
 
 CampaignResult
 runPersistentCampaign(Workload &w, const CampaignConfig &config,
                       const std::vector<EngineAllocation> &engines)
 {
-    PersistentTrialRunner runner(w, config, engines);
-    return runAll(runner, config.trials);
+    return runPlain(w, CampaignKind::Persistent, config,
+                    fp::OpKind::NumKinds, engines);
 }
 
 CampaignResult

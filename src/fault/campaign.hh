@@ -238,9 +238,11 @@ void accumulate(CampaignResult &result, const TrialOutcome &trial);
  * outcomes is independent of how the index range is partitioned
  * across processes (sharding).
  *
- * The three factories below correspond to runMemoryCampaign /
- * runDatapathCampaign / runPersistentCampaign, which are now thin
- * index loops over this interface.
+ * makeTrialRunner() builds one for any CampaignKind. Every campaign
+ * runs its trials through the supervisor (runSupervisedCampaign);
+ * runMemoryCampaign / runDatapathCampaign / runPersistentCampaign
+ * do so with a default SupervisorConfig: one thread, no journal, no
+ * golden-run cache.
  */
 class TrialRunner
 {
@@ -317,19 +319,8 @@ cachedGoldenRun(workloads::Workload &w, std::uint64_t input_seed,
 /** Drop every cached golden run (tests, FP-model experiments). */
 void clearGoldenRunCache();
 
-/** Prepare a CAROL-FI-style memory campaign (see runMemoryCampaign).
- *  @param golden Optional pre-computed golden run to share. */
-std::unique_ptr<TrialRunner>
-makeMemoryTrialRunner(workloads::Workload &w,
-                      const CampaignConfig &config,
-                      std::shared_ptr<const GoldenRun> golden = nullptr);
-
-/** Prepare a functional-unit campaign (see runDatapathCampaign). */
-std::unique_ptr<TrialRunner>
-makeDatapathTrialRunner(workloads::Workload &w,
-                        const CampaignConfig &config,
-                        fp::OpKind kind_filter = fp::OpKind::NumKinds,
-                        std::shared_ptr<const GoldenRun> golden = nullptr);
+/** Which campaign protocol a runner (or supervised run) executes. */
+enum class CampaignKind { Memory, Datapath, Persistent };
 
 /** One engine of a spatial design and its physical operator count. */
 struct EngineAllocation
@@ -338,17 +329,29 @@ struct EngineAllocation
     std::uint64_t units = 1;
 };
 
-/** Prepare an FPGA config-memory campaign (see
- *  runPersistentCampaign). */
+/**
+ * Build the per-trial runner for any campaign kind (the supervisor's
+ * and the replay tool's common factory).
+ *
+ * @param kind_filter Datapath campaigns: restrict to one op kind.
+ * @param engines     Persistent campaigns: engine allocations.
+ * @param golden      Optional pre-computed golden run to share (the
+ *                    golden-run cache); null recomputes it.
+ */
 std::unique_ptr<TrialRunner>
-makePersistentTrialRunner(workloads::Workload &w,
-                          const CampaignConfig &config,
-                          const std::vector<EngineAllocation> &engines,
-                          std::shared_ptr<const GoldenRun> golden = nullptr);
+makeTrialRunner(workloads::Workload &w, CampaignKind kind,
+                const CampaignConfig &config,
+                fp::OpKind kind_filter = fp::OpKind::NumKinds,
+                const std::vector<EngineAllocation> &engines = {},
+                std::shared_ptr<const GoldenRun> golden = nullptr);
 
 /**
  * CAROL-FI-style campaign: corrupt a random element of a random live
  * buffer (weighted by bit population) at a random tick.
+ *
+ * This and the two functions below are serial supervised runs; a
+ * campaign the supervisor refuses (non-finite golden output) is
+ * fatal().
  */
 CampaignResult runMemoryCampaign(workloads::Workload &w,
                                  const CampaignConfig &config);

@@ -28,9 +28,6 @@
 
 namespace mparch::fault {
 
-/** Which campaign kind a supervised run wraps. */
-enum class CampaignKind { Memory, Datapath, Persistent };
-
 /** Name of a CampaignKind ("memory" / "datapath" / "persistent"). */
 const char *campaignKindName(CampaignKind kind);
 

@@ -151,25 +151,6 @@ runSupervisedTrial(TrialRunner &runner, std::uint64_t index,
 
 } // namespace
 
-std::unique_ptr<TrialRunner>
-makeTrialRunner(Workload &w, CampaignKind kind,
-                const CampaignConfig &config, fp::OpKind kind_filter,
-                const std::vector<EngineAllocation> &engines,
-                std::shared_ptr<const GoldenRun> golden)
-{
-    switch (kind) {
-      case CampaignKind::Memory:
-        return makeMemoryTrialRunner(w, config, std::move(golden));
-      case CampaignKind::Datapath:
-        return makeDatapathTrialRunner(w, config, kind_filter,
-                                       std::move(golden));
-      case CampaignKind::Persistent:
-        return makePersistentTrialRunner(w, config, engines,
-                                         std::move(golden));
-    }
-    panic("unknown campaign kind");
-}
-
 SupervisedCampaign
 runSupervisedCampaign(Workload &w, CampaignKind kind,
                       const CampaignConfig &config,

@@ -180,20 +180,6 @@ struct SupervisedCampaign
 };
 
 /**
- * Build the per-trial runner for any campaign kind (the supervisor's
- * and the replay tool's common factory).
- *
- * @param golden Optional pre-computed golden run to share (the
- *               golden-run cache); null recomputes it.
- */
-std::unique_ptr<TrialRunner>
-makeTrialRunner(workloads::Workload &w, CampaignKind kind,
-                const CampaignConfig &config,
-                fp::OpKind kind_filter = fp::OpKind::NumKinds,
-                const std::vector<EngineAllocation> &engines = {},
-                std::shared_ptr<const GoldenRun> golden = nullptr);
-
-/**
  * Run one campaign under supervision.
  *
  * @param w           Workload (reset per trial, like the plain

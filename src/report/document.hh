@@ -2,8 +2,8 @@
  * @file
  * The structured result document every experiment produces.
  *
- * A ResultDoc is the machine-readable counterpart of what a bench
- * binary used to print: one or more named tables of typed cells,
+ * A ResultDoc is everything an experiment (or a study, see
+ * report/study.hh) reports: one or more named tables of typed cells,
  * free-text notes, and — once the registry's shape checks have run —
  * a list of pass/fail verdicts against the paper's qualitative
  * claims. Documents render to the classic column-aligned text

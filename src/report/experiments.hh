@@ -44,9 +44,8 @@ fault::SupervisorConfig reportSupervisor(const RunContext &ctx,
 
 /**
  * Run one campaign with the context's worker threads and the
- * golden-run cache — the registry-path replacement for the plain
- * runMemoryCampaign / runDatapathCampaign / runPersistentCampaign
- * calls the old bench mains made (which were always serial).
+ * golden-run cache (the plain runMemoryCampaign / ... functions run
+ * serially without the cache).
  */
 fault::CampaignResult
 runReportCampaign(workloads::Workload &w, fault::CampaignKind kind,

@@ -35,9 +35,6 @@ table1FpgaTime()
                {"mxm/double/time", 2.730},
                {"mxm/single/time", 2.100},
                {"mxm/half/time", 2.310}};
-    e.timings = {{"mxm",
-                  {Precision::Double, Precision::Single,
-                   Precision::Half}}};
     e.run = [](const Experiment &self, const RunContext &ctx) {
         ResultDoc doc;
         const double scale = self.scaleFor(ctx);

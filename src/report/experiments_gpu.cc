@@ -46,9 +46,6 @@ table3GpuTime()
                {"yolite/double/time", 0.133},
                {"yolite/single/time", 0.079},
                {"yolite/half/time", 0.283}};
-    e.timings = {{"micro-fma",
-                  {Precision::Double, Precision::Single,
-                   Precision::Half}}};
     e.run = [](const Experiment &self, const RunContext &ctx) {
         ResultDoc doc;
         const double scale = self.scaleFor(ctx);

@@ -39,7 +39,6 @@ table2PhiTime()
                {"mxm/single/time", 12.028},
                {"lud/double/time", 1.264},
                {"lud/single/time", 0.818}};
-    e.timings = {{"lud", kPhiPrecisions}};
     e.run = [](const Experiment &self, const RunContext &ctx) {
         ResultDoc doc;
         const double scale = self.scaleFor(ctx);

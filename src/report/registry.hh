@@ -7,9 +7,9 @@
  * descriptor in a single table: identity, paper reference, default
  * campaign knobs, the paper's reference values as data, the shape
  * checks that make its prose claims executable, and a run function
- * producing a structured ResultDoc. The bench binaries and the
- * mparch_repro driver are both thin front-ends over this table; no
- * row-extraction logic lives anywhere else.
+ * producing a structured ResultDoc. The mparch_repro driver is the
+ * one front-end over this table (`mparch_repro --filter '^<id>$'`
+ * runs one entry); no row-extraction logic lives anywhere else.
  */
 
 #ifndef MPARCH_REPORT_REGISTRY_HH
@@ -40,22 +40,13 @@ enum class ExperimentKind
 const char *experimentKindName(ExperimentKind kind);
 
 /**
- * A paper reference value carried as registry data (the numbers that
- * used to be hard-coded inside bench mains). Keys are free-form but
- * conventionally "<workload>/<precision>/<metric>".
+ * A paper reference value carried as registry data. Keys are
+ * free-form but conventionally "<workload>/<precision>/<metric>".
  */
 struct PaperValue
 {
     std::string key;
     double value = 0.0;
-};
-
-/** Kernel-timing registration spec for the google-benchmark hook
- *  (consumed by the bench shims; ignored by the driver). */
-struct TimingSpec
-{
-    std::string workload;
-    std::vector<fp::Precision> precisions;
 };
 
 /** Effective knobs for one experiment run (0 = experiment default). */
@@ -75,10 +66,10 @@ struct RunContext
 /** One registered experiment. */
 struct Experiment
 {
-    std::string id;           ///< == bench binary name
+    std::string id;           ///< stable identifier (--filter)
     std::string paperRef;     ///< "Figure 3", "Table 1", "-"
     ExperimentKind kind = ExperimentKind::PaperFigure;
-    std::string title;        ///< the bench banner headline
+    std::string title;        ///< the report headline
     std::string shapeTarget;  ///< the prose shape target
 
     std::uint64_t defaultTrials = 0;
@@ -89,7 +80,6 @@ struct Experiment
     bool quick = false;
 
     std::vector<PaperValue> paper;
-    std::vector<TimingSpec> timings;
     std::vector<ShapeCheck> checks;
 
     /** Produce the result tables/notes (verdicts are appended by

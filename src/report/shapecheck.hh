@@ -4,8 +4,7 @@
  *
  * The paper's FIT values are in arbitrary units, so its actual
  * claims are *shapes*: orderings, ratios, crossovers and growing
- * shares. Historically those lived as prose in bench banners and
- * EXPERIMENTS.md; a ShapeCheck turns each one into an executable
+ * shares. A ShapeCheck turns each one into an executable
  * predicate over an experiment's ResultDoc with an explicit
  * pass/fail verdict and a human-readable "observed" trace.
  *

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/study.hh"
+#include "report/study.hh"
 
 namespace mparch::core {
 namespace {
@@ -87,11 +88,12 @@ TEST(StudyRunTest, ReportRendersEveryPrecision)
     config.workload = "micro-add";
     config.trials = 50;
     config.scale = 0.1;
-    const StudyResult result = runStudy(config);
+    const report::ResultDoc doc =
+        report::studyDocument(runStudy(config));
+    EXPECT_EQ(doc.title, "gpu / micro-add");
     std::ostringstream os;
-    result.printReport(os);
+    doc.print(os);
     const std::string text = os.str();
-    EXPECT_NE(text.find("gpu / micro-add"), std::string::npos);
     EXPECT_NE(text.find("double"), std::string::npos);
     EXPECT_NE(text.find("single"), std::string::npos);
     EXPECT_NE(text.find("half"), std::string::npos);

@@ -14,11 +14,13 @@
 #include <sstream>
 
 #include "common/histogram.hh"
+#include "common/json.hh"
 #include "core/study.hh"
 #include "fault/campaign.hh"
 #include "metrics/metrics.hh"
 #include "nn/mnistnet.hh"
 #include "nn/nn_workloads.hh"
+#include "report/study.hh"
 
 namespace mparch {
 namespace {
@@ -274,27 +276,31 @@ TEST(JsonExport, WellFormedAndComplete)
     config.scale = 0.1;
     const auto result = core::runStudy(config);
     std::ostringstream os;
-    result.writeJson(os);
-    const std::string json = os.str();
-    EXPECT_NE(json.find("\"arch\": \"gpu\""), std::string::npos);
-    EXPECT_NE(json.find("\"workload\": \"micro-mul\""),
-              std::string::npos);
-    for (const char *key :
-         {"fit_sdc", "fit_due", "mebf", "tre", "severity"})
-        EXPECT_NE(json.find(key), std::string::npos) << key;
-    // Balanced braces/brackets (cheap well-formedness check).
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
-    EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-              std::count(json.begin(), json.end(), ']'));
-    // One row object per precision.
-    std::size_t rows = 0, at = 0;
-    while ((at = json.find("\"precision\"", at)) !=
-           std::string::npos) {
-        ++rows;
-        ++at;
-    }
-    EXPECT_EQ(rows, result.rows.size());
+    report::studyDocument(result).writeJson(os);
+
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(os.str(), doc, &error)) << error;
+    EXPECT_EQ(doc.find("title")->string, "gpu / micro-mul");
+    EXPECT_EQ(doc.find("trials")->number, 50.0);
+    const auto &tables = doc.find("tables")->array;
+    ASSERT_EQ(tables.size(), 2u);
+    // One main row per precision, carrying every headline metric.
+    const json::Value &main = tables[0];
+    EXPECT_EQ(main.find("name")->string, "main");
+    std::vector<std::string> columns;
+    for (const auto &c : main.find("columns")->array)
+        columns.push_back(c.string);
+    for (const char *key : {"fit-sdc(a.u.)", "fit-due(a.u.)",
+                            "mebf(a.u.)", "tolerable", "crit-frac"})
+        EXPECT_NE(std::find(columns.begin(), columns.end(), key),
+                  columns.end())
+            << key;
+    EXPECT_EQ(main.find("rows")->array.size(), result.rows.size());
+    // The TRE curve of every precision.
+    const std::size_t curve = result.rows[0].tre.thresholds.size();
+    EXPECT_EQ(tables[1].find("rows")->array.size(),
+              result.rows.size() * curve);
 }
 
 } // namespace

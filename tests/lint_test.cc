@@ -394,40 +394,6 @@ TEST(IncludeHygiene, SelfIncludeMustComeFirst)
 }
 
 // ---------------------------------------------------------------
-// registry-shim
-
-TEST(RegistryShim, AcceptsTheShimShape)
-{
-    const auto report = lintBuffer("bench/fig3_fpga_fit.cpp", R"cpp(
-        #include "bench_util.hh"
-        int main(int argc, char **argv) {
-            return mparch::bench::shimMain(argc, argv,
-                                           "fig3_fpga_fit");
-        }
-    )cpp", "registry-shim");
-    EXPECT_EQ(report.active(), 0u);
-}
-
-TEST(RegistryShim, FlagsNonShimBenchBinaries)
-{
-    std::string big = "#include <cstdio>\n";
-    for (int i = 0; i < 40; ++i)
-        big += "// padding line to exceed the shim budget\n";
-    big += "int main() { return 0; }\n";
-    const auto report =
-        lintBuffer("bench/fig99_custom.cpp", big, "registry-shim");
-    EXPECT_EQ(report.active(), 2u);  // no shimMain + over budget
-}
-
-TEST(RegistryShim, IgnoresOtherTrees)
-{
-    const auto report = lintBuffer("examples/quickstart.cpp",
-                                   "int main() { return 0; }\n",
-                                   "registry-shim");
-    EXPECT_EQ(report.active(), 0u);
-}
-
-// ---------------------------------------------------------------
 // Suppressions
 
 TEST(Suppression, SameLineWaives)
@@ -503,7 +469,7 @@ TEST(Registry, CatalogueIsStable)
     const std::vector<std::string> expected = {
         "banned-api",          "rng-discipline",
         "ordered-serialization", "hook-coverage",
-        "include-hygiene",     "registry-shim",
+        "include-hygiene",
     };
     EXPECT_EQ(names, expected);
     for (const Rule *r : allRules()) {
@@ -581,8 +547,8 @@ TEST(RealTree, SweepIsLintClean)
 {
     const std::string root = MPARCH_SOURCE_DIR;
     const LintReport report =
-        lintPaths({root + "/src", root + "/bench",
-                   root + "/examples", root + "/tests"},
+        lintPaths({root + "/src", root + "/examples",
+                   root + "/tools", root + "/tests"},
                   LintOptions{});
     EXPECT_TRUE(report.errors.empty());
     for (const Finding &f : report.findings) {

@@ -11,10 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +23,7 @@
 #include "mitigation/replicated.hh"
 #include "nn/nn_workloads.hh"
 #include "workloads/workload.hh"
+#include "test_util.hh"
 
 namespace mparch {
 namespace {
@@ -38,49 +36,11 @@ using fault::runSupervisedCampaign;
 using fault::SupervisedCampaign;
 using fault::SupervisorConfig;
 using fp::Precision;
+using test::expectSameResult;
+using test::slurp;
+using test::tempPath;
 using workloads::makeWorkload;
 using workloads::Workload;
-
-std::string
-tempPath(const std::string &name)
-{
-    return (std::filesystem::path(::testing::TempDir()) / name)
-        .string();
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-/** Tally-level equality (corpus and anatomy compared element-wise). */
-void
-expectSameResult(const fault::CampaignResult &a,
-                 const fault::CampaignResult &b)
-{
-    EXPECT_EQ(a.trials, b.trials);
-    EXPECT_EQ(a.masked, b.masked);
-    EXPECT_EQ(a.sdc, b.sdc);
-    EXPECT_EQ(a.due, b.due);
-    EXPECT_EQ(a.detected, b.detected);
-    ASSERT_EQ(a.corpus.size(), b.corpus.size());
-    for (std::size_t i = 0; i < a.corpus.size(); ++i) {
-        EXPECT_EQ(a.corpus[i].maxRel, b.corpus[i].maxRel);
-        EXPECT_EQ(a.corpus[i].corruptedFraction,
-                  b.corpus[i].corruptedFraction);
-        EXPECT_EQ(a.corpus[i].severity, b.corpus[i].severity);
-    }
-    ASSERT_EQ(a.anatomy.size(), b.anatomy.size());
-    for (std::size_t i = 0; i < a.anatomy.size(); ++i) {
-        EXPECT_EQ(a.anatomy[i].bit, b.anatomy[i].bit);
-        EXPECT_EQ(a.anatomy[i].field, b.anatomy[i].field);
-        EXPECT_EQ(a.anatomy[i].outcome, b.anatomy[i].outcome);
-    }
-}
 
 // ---------------------------------------------------------------
 // Executor primitives.

@@ -8,10 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,59 +18,23 @@
 #include "fault/journal.hh"
 #include "fault/supervisor.hh"
 #include "workloads/workload.hh"
+#include "test_util.hh"
 
 namespace mparch::fault {
 namespace {
 
 using fp::Precision;
+using test::expectSameResult;
+using test::slurp;
+using test::tempPath;
 using workloads::makeWorkload;
 using workloads::Workload;
-
-std::string
-tempPath(const std::string &name)
-{
-    return (std::filesystem::path(::testing::TempDir()) / name)
-        .string();
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
 
 void
 spit(const std::string &path, const std::string &text)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << text;
-}
-
-/** Tally-level equality (corpus compared element-wise). */
-void
-expectSameResult(const CampaignResult &a, const CampaignResult &b)
-{
-    EXPECT_EQ(a.trials, b.trials);
-    EXPECT_EQ(a.masked, b.masked);
-    EXPECT_EQ(a.sdc, b.sdc);
-    EXPECT_EQ(a.due, b.due);
-    EXPECT_EQ(a.detected, b.detected);
-    ASSERT_EQ(a.corpus.size(), b.corpus.size());
-    for (std::size_t i = 0; i < a.corpus.size(); ++i) {
-        EXPECT_EQ(a.corpus[i].maxRel, b.corpus[i].maxRel);
-        EXPECT_EQ(a.corpus[i].corruptedFraction,
-                  b.corpus[i].corruptedFraction);
-        EXPECT_EQ(a.corpus[i].severity, b.corpus[i].severity);
-    }
-    ASSERT_EQ(a.anatomy.size(), b.anatomy.size());
-    for (std::size_t i = 0; i < a.anatomy.size(); ++i) {
-        EXPECT_EQ(a.anatomy[i].bit, b.anatomy[i].bit);
-        EXPECT_EQ(a.anatomy[i].field, b.anatomy[i].field);
-        EXPECT_EQ(a.anatomy[i].outcome, b.anatomy[i].outcome);
-    }
 }
 
 /**

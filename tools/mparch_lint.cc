@@ -13,31 +13,34 @@
  *   -h, --help         usage
  *
  * Exit status: 0 clean, 1 unsuppressed findings, 2 usage or I/O
- * error. Wired into tier-1 as the `lint_all` ctest entry.
+ * error (an unknown option or rule, or a missing value, prints usage
+ * on stderr). Wired into tier-1 as the `lint_all` ctest entry.
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "analysis/lint.hh"
+#include "common/cli.hh"
 
 namespace {
 
-void
-usage(std::ostream &os)
-{
-    os << "usage: mparch_lint [--list-rules] [--rule <name>]...\n"
-          "                   [--json <path>] [--show-suppressed]\n"
-          "                   <file-or-dir>...\n"
-          "\n"
-          "Lints C++ sources against the project's determinism and\n"
-          "injectability rules. Directories are walked recursively\n"
-          "(skipping data/ and build*/). Exit status: 0 clean,\n"
-          "1 findings, 2 usage/I-O error.\n";
-}
+const mparch::cli::Spec kSpec{
+    .usage = "usage: mparch_lint [--list-rules] [--rule <name>]...\n"
+             "                   [--json <path>] [--show-suppressed]\n"
+             "                   <file-or-dir>...\n"
+             "\n"
+             "Lints C++ sources against the project's determinism and\n"
+             "injectability rules. Directories are walked recursively\n"
+             "(skipping data/ and build*/). Exit status: 0 clean,\n"
+             "1 findings, 2 usage/I-O error.\n",
+    .text = {"json"},
+    .switches = {"help", "list-rules", "show-suppressed"},
+    .repeatable = {"rule"},
+    .variadic = true,
+};
 
 void
 listRules(std::ostream &os)
@@ -56,62 +59,24 @@ main(int argc, char **argv)
 {
     using namespace mparch::analysis;
 
+    const mparch::cli::Args args = mparch::cli::parse(kSpec, argc, argv);
+    if (args.has("list-rules")) {
+        listRules(std::cout);
+        return 0;
+    }
     LintOptions options;
-    std::vector<std::string> paths;
-    std::string jsonPath;
-    bool showSuppressed = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "-h" || arg == "--help") {
-            usage(std::cout);
-            return 0;
-        }
-        if (arg == "--list-rules") {
-            listRules(std::cout);
-            return 0;
-        }
-        if (arg == "--show-suppressed") {
-            showSuppressed = true;
-            continue;
-        }
-        if (arg == "--rule" || arg == "--json") {
-            if (i + 1 >= argc) {
-                std::cerr << "mparch_lint: " << arg
-                          << " needs an argument\n";
-                usage(std::cerr);
-                return 2;
-            }
-            const std::string value = argv[++i];
-            if (arg == "--rule") {
-                if (findRule(value) == nullptr) {
-                    std::cerr << "mparch_lint: unknown rule '"
-                              << value << "' (see --list-rules)\n";
-                    return 2;
-                }
-                options.onlyRules.push_back(value);
-            } else {
-                jsonPath = value;
-            }
-            continue;
-        }
-        if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "mparch_lint: unknown option " << arg
-                      << "\n";
-            usage(std::cerr);
-            return 2;
-        }
-        paths.push_back(arg);
+    for (const std::string &rule : args.all("rule")) {
+        if (findRule(rule) == nullptr)
+            args.fail("unknown rule '" + rule + "' (see --list-rules)");
+        options.onlyRules.push_back(rule);
     }
-    if (paths.empty()) {
-        std::cerr << "mparch_lint: no files or directories given\n";
-        usage(std::cerr);
-        return 2;
-    }
+    if (args.positionals().empty())
+        args.fail("no files or directories given");
 
-    const LintReport report = lintPaths(paths, options);
-    printReport(report, std::cout, showSuppressed);
+    const LintReport report = lintPaths(args.positionals(), options);
+    printReport(report, std::cout, args.has("show-suppressed"));
 
+    const std::string jsonPath = args.text("json");
     if (!jsonPath.empty()) {
         std::ofstream out(jsonPath);
         if (!out) {
