@@ -11,8 +11,9 @@
  *                 --resume continues an interrupted study from those
  *                 journals; --batch sets records per flush.
  *   campaign      Run one injection campaign and print the outcome
- *                 accounting. --jobs executes trials on N worker
- *                 threads (0 = all hardware threads, the default);
+ *                 accounting plus the fault-free run's op mix.
+ *                 --jobs executes trials on N worker threads (0 =
+ *                 all hardware threads, the default);
  *                 journals and results are byte-identical to --jobs 1
  *                 because outcomes are committed in index order.
  *                 --shards/--shard run an interleaved slice (trial i
@@ -59,49 +60,24 @@ const char *const kUsage =
     "           [--resume] [--batch N] [--jobs N]\n"
     "  campaign --workload NAME --precision P [--site memory|datapath]\n"
     "           [--model single-bit-flip|double-bit-flip|random-byte|\n"
-    "                    random-value] [--trials N] [--scale S]\n"
-    "           [--journal DIR] [--resume] [--batch N]\n"
+    "                    random-value|word-burst] [--trials N]\n"
+    "           [--scale S] [--journal DIR] [--resume] [--batch N]\n"
     "           [--shards N --shard I] [--jobs N]\n"
     "  replay-trial --journal FILE --trial N\n"
     "  beamplan --fit-per-hour R [--errors N] [--flux F]\n";
 
-fp::Precision
-parsePrecision(const cli::Args &args, const std::string &text)
+/** The enumerator @p parse finds for option @p option (@p fallback
+ *  when absent); an unknown name is a usage error. */
+template <typename Parse>
+auto
+parseName(const cli::Args &args, const std::string &option,
+          const std::string &fallback, Parse parse)
 {
-    if (text == "double")
-        return fp::Precision::Double;
-    if (text == "single")
-        return fp::Precision::Single;
-    if (text == "half")
-        return fp::Precision::Half;
-    if (text == "bfloat16")
-        return fp::Precision::Bfloat16;
-    args.fail("unknown precision '" + text + "'");
-}
-
-core::Architecture
-parseArch(const cli::Args &args, const std::string &text)
-{
-    if (text == "fpga")
-        return core::Architecture::Fpga;
-    if (text == "xeon-phi")
-        return core::Architecture::XeonPhi;
-    if (text == "gpu")
-        return core::Architecture::Gpu;
-    args.fail("unknown architecture '" + text + "'");
-}
-
-fault::FaultModel
-parseModel(const cli::Args &args, const std::string &text)
-{
-    for (auto model : {fault::FaultModel::SingleBitFlip,
-                       fault::FaultModel::DoubleBitFlip,
-                       fault::FaultModel::RandomByte,
-                       fault::FaultModel::RandomValue}) {
-        if (text == fault::faultModelName(model))
-            return model;
-    }
-    args.fail("unknown fault model '" + text + "'");
+    const std::string text = args.text(option, fallback);
+    const auto value = parse(text);
+    if (!value)
+        args.fail("unknown " + option + " '" + text + "'");
+    return *value;
 }
 
 int
@@ -116,13 +92,14 @@ cmdStudy(int argc, char **argv)
          .switches = {"resume"}},
         argc, argv, 2);
     core::StudyConfig config;
-    config.arch = parseArch(args, args.text("arch", "gpu"));
+    config.arch =
+        parseName(args, "arch", "gpu", core::parseArchitecture);
     config.workload = args.text("workload", "mxm");
     config.trials = args.count("trials", 300);
     config.scale = args.real("scale", 0.2);
     if (args.has("precision"))
         config.precisions = {
-            parsePrecision(args, args.text("precision"))};
+            parseName(args, "precision", "", fp::parsePrecision)};
     config.journalDir = args.text("journal");
     config.resume = args.has("resume");
     config.batchSize = args.count("batch", 256);
@@ -165,25 +142,22 @@ cmdCampaign(int argc, char **argv)
         argc, argv, 2);
     const std::string workload = args.text("workload", "mxm");
     const fp::Precision precision =
-        parsePrecision(args, args.text("precision", "single"));
+        parseName(args, "precision", "single", fp::parsePrecision);
     const double scale = args.real("scale", 0.2);
     auto w = nn::makeAnyWorkload(workload, precision, scale);
 
     fault::CampaignConfig config;
     config.trials = args.count("trials", 500);
-    config.model =
-        parseModel(args, args.text("model", "single-bit-flip"));
+    config.model = parseName(args, "model", "single-bit-flip",
+                             fault::parseFaultModel);
     config.recordAnatomy = true;
 
-    const std::string site = args.text("site", "memory");
-    fault::CampaignKind kind;
-    if (site == "memory") {
-        kind = fault::CampaignKind::Memory;
-    } else if (site == "datapath") {
-        kind = fault::CampaignKind::Datapath;
-    } else {
-        args.fail("unknown site '" + site + "' (memory | datapath)");
-    }
+    const fault::CampaignKind kind =
+        parseName(args, "site", "memory", fault::parseCampaignKind);
+    if (kind == fault::CampaignKind::Persistent)
+        args.fail("--site persistent needs engine allocations"
+                  " (memory | datapath)");
+    const std::string site = fault::campaignKindName(kind);
 
     fault::SupervisorConfig supervisor;
     supervisor.journalDir = args.text("journal");
@@ -229,6 +203,17 @@ cmdCampaign(int argc, char **argv)
     if (run.resumed)
         table.row().cell("resumed trials").cell(
             static_cast<std::int64_t>(run.resumed));
+    // The fault-free run's op mix (a cache hit: the campaign ran it).
+    const auto golden =
+        fault::cachedGoldenRun(*w, config.inputSeed, scale);
+    for (std::size_t k = 0;
+         k < static_cast<std::size_t>(fp::OpKind::NumKinds); ++k) {
+        const auto op = static_cast<fp::OpKind>(k);
+        if (golden->ops.count(op))
+            table.row()
+                .cell(std::string("golden ops ") + fp::opKindName(op))
+                .cell(static_cast<std::int64_t>(golden->ops.count(op)));
+    }
     table.print(std::cout);
     if (!run.journalPath.empty())
         std::cout << "journal: " << run.journalPath << "\n";
@@ -259,17 +244,6 @@ cmdReplayTrial(int argc, char **argv)
     if (!replay.error.empty())
         fatal(replay.error);
 
-    const auto fieldName = [](fault::FaultAnatomy::Field field) {
-        using Field = fault::FaultAnatomy::Field;
-        switch (field) {
-          case Field::Sign:         return "sign";
-          case Field::Exponent:     return "exponent";
-          case Field::MantissaHigh: return "mantissa-high";
-          case Field::MantissaLow:  return "mantissa-low";
-        }
-        return "?";
-    };
-
     Table table({"metric", "value"});
     table.setTitle("replay of trial " + std::to_string(index) +
                    " from " + path);
@@ -291,7 +265,7 @@ cmdReplayTrial(int argc, char **argv)
         table.row().cell("flipped bit").cell(
             static_cast<std::int64_t>(replay.trial.anatomy.bit));
         table.row().cell("bit field").cell(
-            fieldName(replay.trial.anatomy.field));
+            fault::bitFieldName(replay.trial.anatomy.field));
     }
     if (replay.hasJournaled) {
         table.row().cell("journaled outcome").cell(

@@ -34,20 +34,16 @@ main(int argc, char **argv)
         {.usage = "usage: quickstart [fpga|xeon-phi|gpu] [workload]\n",
          .positionals = {cli::Kind::Text, cli::Kind::Text}},
         argc, argv);
+    const std::string arch = args.positional(0, "gpu");
+    const auto parsed = core::parseArchitecture(arch);
+    if (!parsed)
+        args.fail("unknown architecture '" + arch +
+                  "' (want fpga | xeon-phi | gpu)");
     core::StudyConfig config;
-    config.arch = core::Architecture::Gpu;
+    config.arch = *parsed;
     config.workload = args.positional(1, "mxm");
     config.trials = 300;
     config.scale = 0.2;
-
-    const std::string arch = args.positional(0, "gpu");
-    if (arch == "fpga")
-        config.arch = core::Architecture::Fpga;
-    else if (arch == "xeon-phi")
-        config.arch = core::Architecture::XeonPhi;
-    else if (arch != "gpu")
-        args.fail("unknown architecture '" + arch +
-                  "' (want fpga | xeon-phi | gpu)");
 
     std::cout << "Running " << config.workload << " on the simulated "
               << core::architectureName(config.arch) << " with "

@@ -19,6 +19,16 @@ architectureName(Architecture arch)
     return "?";
 }
 
+std::optional<Architecture>
+parseArchitecture(std::string_view name)
+{
+    for (Architecture arch : {Architecture::Fpga, Architecture::XeonPhi,
+                              Architecture::Gpu})
+        if (architectureName(arch) == name)
+            return arch;
+    return std::nullopt;
+}
+
 std::vector<fp::Precision>
 supportedPrecisions(Architecture arch)
 {

@@ -25,6 +25,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/metrics.hh"
@@ -37,6 +38,9 @@ enum class Architecture { Fpga, XeonPhi, Gpu };
 
 /** Name of an Architecture ("fpga", "xeon-phi", "gpu"). */
 const char *architectureName(Architecture arch);
+
+/** Inverse of architectureName(); nullopt for an unknown name. */
+std::optional<Architecture> parseArchitecture(std::string_view name);
 
 /** Precisions a device supports (KNC has no half). */
 std::vector<fp::Precision> supportedPrecisions(Architecture arch);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -38,6 +39,18 @@ bitField(fp::Format f, int bit)
     if (bit >= static_cast<int>(f.manBits) / 2)
         return FaultAnatomy::Field::MantissaHigh;
     return FaultAnatomy::Field::MantissaLow;
+}
+
+const char *
+bitFieldName(FaultAnatomy::Field field)
+{
+    switch (field) {
+      case FaultAnatomy::Field::Sign:         return "sign";
+      case FaultAnatomy::Field::Exponent:     return "exponent";
+      case FaultAnatomy::Field::MantissaHigh: return "mantissa-high";
+      case FaultAnatomy::Field::MantissaLow:  return "mantissa-low";
+    }
+    return "?";
 }
 
 void
@@ -626,32 +639,6 @@ runPersistentCampaign(Workload &w, const CampaignConfig &config,
 {
     return runPlain(w, CampaignKind::Persistent, config,
                     fp::OpKind::NumKinds, engines);
-}
-
-CampaignResult
-runPersistentCampaign(
-    Workload &w, const CampaignConfig &config,
-    const std::function<std::uint64_t(fp::OpKind)> &physical_units)
-{
-    const GoldenRun golden(w, config.inputSeed);
-    std::vector<EngineAllocation> engines;
-    for (std::size_t k = 0;
-         k < static_cast<std::size_t>(fp::OpKind::NumKinds); ++k) {
-        const auto kind = static_cast<fp::OpKind>(k);
-        if (kind == fp::OpKind::Exp)
-            continue;
-        if (golden.ops.count(kind) == 0)
-            continue;
-        const std::uint64_t units = physical_units(kind);
-        if (units == 0)
-            continue;
-        EngineAllocation alloc;
-        alloc.engine.name = fp::opKindName(kind);
-        alloc.engine.kind = kind;
-        alloc.units = units;
-        engines.push_back(alloc);
-    }
-    return runPersistentCampaign(w, config, engines);
 }
 
 } // namespace mparch::fault

@@ -15,7 +15,6 @@
 #define MPARCH_FAULT_CAMPAIGN_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,6 +54,9 @@ struct FaultAnatomy
 
 /** Classify a bit position into its IEEE754 field. */
 FaultAnatomy::Field bitField(fp::Format f, int bit);
+
+/** Name of a bit field ("sign", "exponent", "mantissa-high", ...). */
+const char *bitFieldName(FaultAnatomy::Field field);
 
 /** One silent data corruption captured for post-processing. */
 struct SdcRecord
@@ -376,14 +378,6 @@ CampaignResult runDatapathCampaign(
 CampaignResult runPersistentCampaign(
     workloads::Workload &w, const CampaignConfig &config,
     const std::vector<EngineAllocation> &engines);
-
-/**
- * Convenience overload: one engine per operation kind, with the
- * physical unit count given by @p physical_units (0 = kind absent).
- */
-CampaignResult runPersistentCampaign(
-    workloads::Workload &w, const CampaignConfig &config,
-    const std::function<std::uint64_t(fp::OpKind)> &physical_units);
 
 } // namespace mparch::fault
 

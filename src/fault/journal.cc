@@ -33,29 +33,6 @@ parseOutcome(const std::string &text)
     return std::nullopt;
 }
 
-std::optional<FaultModel>
-parseFaultModel(const std::string &text)
-{
-    for (auto m : {FaultModel::SingleBitFlip,
-                   FaultModel::DoubleBitFlip, FaultModel::RandomByte,
-                   FaultModel::RandomValue, FaultModel::WordBurst}) {
-        if (text == faultModelName(m))
-            return m;
-    }
-    return std::nullopt;
-}
-
-std::optional<fp::Precision>
-parsePrecision(const std::string &text)
-{
-    for (auto p : {fp::Precision::Half, fp::Precision::Single,
-                   fp::Precision::Double, fp::Precision::Bfloat16}) {
-        if (text == fp::precisionName(p))
-            return p;
-    }
-    return std::nullopt;
-}
-
 /** Split a string on a delimiter (keeps empty fields). */
 std::vector<std::string>
 split(const std::string &text, char delim)
@@ -388,7 +365,7 @@ readJournal(const std::string &path, std::string *error)
     h.workload = get("workload");
     if (h.workload.empty())
         return fail("missing workload name in '" + path + "'");
-    const auto precision = parsePrecision(get("precision"));
+    const auto precision = fp::parsePrecision(get("precision"));
     if (!precision)
         return fail("bad precision in '" + path + "'");
     h.precision = *precision;

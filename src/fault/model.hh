@@ -11,6 +11,8 @@
 #define MPARCH_FAULT_MODEL_HH
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "common/bits.hh"
 #include "common/rng.hh"
@@ -39,6 +41,19 @@ faultModelName(FaultModel model)
       case FaultModel::WordBurst:     return "word-burst";
     }
     return "?";
+}
+
+/** Inverse of faultModelName(); nullopt for an unknown name. */
+constexpr std::optional<FaultModel>
+parseFaultModel(std::string_view name)
+{
+    for (FaultModel m :
+         {FaultModel::SingleBitFlip, FaultModel::DoubleBitFlip,
+          FaultModel::RandomByte, FaultModel::RandomValue,
+          FaultModel::WordBurst})
+        if (faultModelName(m) == name)
+            return m;
+    return std::nullopt;
 }
 
 /**

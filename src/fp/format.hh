@@ -17,6 +17,7 @@
 #define MPARCH_FP_FORMAT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 #include "common/bits.hh"
@@ -43,6 +44,17 @@ precisionName(Precision p)
       case Precision::Bfloat16: return "bfloat16";
     }
     return "?";
+}
+
+/** Inverse of precisionName(); nullopt for an unknown name. */
+constexpr std::optional<Precision>
+parsePrecision(std::string_view name)
+{
+    for (Precision p : {Precision::Half, Precision::Single,
+                        Precision::Double, Precision::Bfloat16})
+        if (precisionName(p) == name)
+            return p;
+    return std::nullopt;
 }
 
 /** All three precisions, in the paper's presentation order. */

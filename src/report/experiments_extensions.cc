@@ -245,17 +245,6 @@ extBitAnatomy()
         auto &table = doc.addTable(
             "main", {"precision", "field", "flips", "avf-sdc",
                      "critical(>1%) share of SDCs"});
-        const auto fieldName = [](FaultAnatomy::Field f) {
-            switch (f) {
-              case FaultAnatomy::Field::Sign:     return "sign";
-              case FaultAnatomy::Field::Exponent: return "exponent";
-              case FaultAnatomy::Field::MantissaHigh:
-                return "mantissa-high";
-              case FaultAnatomy::Field::MantissaLow:
-                return "mantissa-low";
-            }
-            return "?";
-        };
         for (auto p : fp::allPrecisions) {
             auto w = workloads::makeWorkload("mxm", p, scale);
             fault::CampaignConfig config;
@@ -280,7 +269,7 @@ extBitAnatomy()
                 }
                 table.row()
                     .cell(precisionLabel(p))
-                    .cell(fieldName(field))
+                    .cell(fault::bitFieldName(field))
                     .cell(static_cast<std::int64_t>(flips))
                     .cell({flips ? static_cast<double>(sdc) / flips
                                  : 0.0,

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string_view>
 
 #include "core/study.hh"
+#include "fault/journal.hh"
+#include "fault/model.hh"
 #include "report/study.hh"
 
 namespace mparch::core {
@@ -30,6 +33,36 @@ TEST(StudyConfigTest, ArchitectureNames)
     EXPECT_STREQ(architectureName(Architecture::Fpga), "fpga");
     EXPECT_STREQ(architectureName(Architecture::XeonPhi), "xeon-phi");
     EXPECT_STREQ(architectureName(Architecture::Gpu), "gpu");
+}
+
+/** Every enumerator of @p E parses back from its name. Scoped enums
+ *  count up from 0 and each name function answers "?" one past the
+ *  last, so an enumerator the parser forgets cannot go unnoticed. */
+template <typename E, typename Name, typename Parse>
+void
+expectNamesRoundTrip(Name name, Parse parse)
+{
+    int count = 0;
+    for (; std::string_view(name(static_cast<E>(count))) != "?";
+         ++count) {
+        const E e = static_cast<E>(count);
+        EXPECT_EQ(parse(name(e)), e) << name(e);
+    }
+    EXPECT_GT(count, 1);
+    EXPECT_FALSE(parse("?"));
+    EXPECT_FALSE(parse(""));
+}
+
+TEST(StudyConfigTest, EveryNameRoundTripsThroughItsParser)
+{
+    expectNamesRoundTrip<Architecture>(architectureName,
+                                       parseArchitecture);
+    expectNamesRoundTrip<Precision>(fp::precisionName,
+                                    fp::parsePrecision);
+    expectNamesRoundTrip<fault::FaultModel>(fault::faultModelName,
+                                            fault::parseFaultModel);
+    expectNamesRoundTrip<fault::CampaignKind>(fault::campaignKindName,
+                                              fault::parseCampaignKind);
 }
 
 TEST(StudyRunTest, GpuStudyPopulatesAllRows)

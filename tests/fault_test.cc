@@ -268,11 +268,13 @@ TEST(PersistentCampaignTest, BrokenOperatorCorruptsMoreOutput)
     auto w = makeWorkload("mxm", Precision::Single, 0.1);
     CampaignConfig config;
     config.trials = 150;
-    const auto units = [](OpKind kind) -> std::uint64_t {
-        return kind == OpKind::Fma ? 16 : 0;
-    };
+    // One broken operator among 16 physical fma units.
+    EngineAllocation fma;
+    fma.engine.name = fp::opKindName(OpKind::Fma);
+    fma.engine.kind = OpKind::Fma;
+    fma.units = 16;
     const CampaignResult persistent =
-        runPersistentCampaign(*w, config, units);
+        runPersistentCampaign(*w, config, {fma});
     const CampaignResult transient = runDatapathCampaign(*w, config);
     EXPECT_EQ(persistent.trials, 150u);
     ASSERT_GT(persistent.sdc, 0u);

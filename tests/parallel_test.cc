@@ -3,8 +3,9 @@
  * Tests for the parallel campaign engine: the executor primitives
  * (thread pool, index chunker, ordered channel), clone isolation for
  * every registered workload, parallel-vs-serial bit-exactness for
- * all three campaign kinds, the golden-run cache, and
- * kill-and-resume under a multi-threaded run.
+ * all three campaign kinds, journals pinned against committed
+ * copies, the golden-run cache, and kill-and-resume under a
+ * multi-threaded run.
  */
 
 #include <gtest/gtest.h>
@@ -299,6 +300,65 @@ TEST(ParallelCampaignTest, ManyWorkersOnTinyCampaign)
                                   8, tempPath("tiny-wide.mpj"));
     ASSERT_TRUE(wide.error.empty()) << wide.error;
     expectSameResult(wide.result, serial.result);
+}
+
+// ---------------------------------------------------------------
+// Pinned journals: today's campaigns against committed bytes.
+// ---------------------------------------------------------------
+
+/** Run @p kind at jobs 1 and 4; both journals must equal the
+ *  committed tests/data/journals/<name>.mpj byte for byte. A
+ *  mismatch names the fresh journal to copy over it to re-record. */
+void
+expectPinnedJournal(const std::string &name, Workload &w,
+                    CampaignKind kind, const CampaignConfig &config,
+                    const std::vector<EngineAllocation> &engines = {})
+{
+    const std::string pinned =
+        std::string(MPARCH_PINNED_JOURNALS) + "/" + name + ".mpj";
+    const std::string expected = slurp(pinned);
+    for (unsigned jobs : {1u, 4u}) {
+        const std::string path = tempPath(
+            name + "-jobs" + std::to_string(jobs) + ".mpj");
+        const auto run =
+            runWithJobs(w, kind, config, jobs, path, engines);
+        ASSERT_TRUE(run.error.empty()) << run.error;
+        EXPECT_EQ(slurp(path), expected)
+            << "journal at jobs " << jobs << " differs from " << pinned
+            << "; to re-record: cp " << path << " " << pinned;
+    }
+}
+
+TEST(PinnedJournalTest, MemoryCampaign)
+{
+    auto w = makeWorkload("mxm", Precision::Single, 0.1);
+    CampaignConfig config;
+    config.trials = 30;
+    config.seed = 3;
+    config.recordAnatomy = true;
+    expectPinnedJournal("memory", *w, CampaignKind::Memory, config);
+}
+
+TEST(PinnedJournalTest, DatapathCampaign)
+{
+    auto w = makeWorkload("lud", Precision::Single, 0.1);
+    CampaignConfig config;
+    config.trials = 30;
+    config.seed = 11;
+    expectPinnedJournal("datapath", *w, CampaignKind::Datapath, config);
+}
+
+TEST(PinnedJournalTest, PersistentCampaign)
+{
+    auto w = makeWorkload("mxm", Precision::Single, 0.1);
+    CampaignConfig config;
+    config.trials = 30;
+    config.seed = 17;
+    const GoldenRun golden(*w, config.inputSeed);
+    const auto circuit = fpga::synthesize(*w, golden);
+    ASSERT_FALSE(circuit.engines.empty());
+    expectPinnedJournal("persistent", *w, CampaignKind::Persistent,
+                        config, circuit.engines);
 }
 
 // ---------------------------------------------------------------
