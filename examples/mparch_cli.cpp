@@ -29,8 +29,8 @@
  * Options accept "--opt value" and "--opt=value" (common/cli). Exit
  * code 0 on success, 1 when a campaign is interrupted or a replay
  * disagrees with its journal, 2 on a usage error: an unknown
- * subcommand or option, a missing value, a malformed number or an
- * unknown name prints usage on stderr.
+ * subcommand or option, a missing value, a malformed number, zero
+ * trials or an unknown name prints usage on stderr.
  */
 
 #include <fstream>
@@ -96,6 +96,8 @@ cmdStudy(int argc, char **argv)
         parseName(args, "arch", "gpu", core::parseArchitecture);
     config.workload = args.text("workload", "mxm");
     config.trials = args.count("trials", 300);
+    if (config.trials == 0)
+        args.fail("--trials must be at least 1");
     config.scale = args.real("scale", 0.2);
     if (args.has("precision"))
         config.precisions = {
@@ -148,6 +150,8 @@ cmdCampaign(int argc, char **argv)
 
     fault::CampaignConfig config;
     config.trials = args.count("trials", 500);
+    if (config.trials == 0)
+        args.fail("--trials must be at least 1");
     config.model = parseName(args, "model", "single-bit-flip",
                              fault::parseFaultModel);
     config.recordAnatomy = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <string>
 
 #include "arch/gpu/params.hh"
@@ -54,7 +55,10 @@ namespace {
 double
 controlDueAvf(Precision p)
 {
+    // Concurrent studies (core::runStudy is reentrant) share it.
+    static std::mutex mu;
     static double cache[4] = {-1.0, -1.0, -1.0, -1.0};
+    const std::lock_guard<std::mutex> lock(mu);
     const auto idx = static_cast<std::size_t>(p);
     if (cache[idx] < 0.0) {
         SmConfig config;

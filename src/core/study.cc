@@ -1,5 +1,9 @@
 #include "core/study.hh"
 
+#include <map>
+#include <mutex>
+#include <tuple>
+
 #include "arch/fpga/fpga.hh"
 #include "arch/gpu/gpu.hh"
 #include "arch/phi/phi.hh"
@@ -147,6 +151,17 @@ evaluateOne(const StudyConfig &config, fp::Precision p)
     return row;
 }
 
+/** Everything an un-journaled study's rows depend on. `jobs` is
+ *  not part of it: results are bit-identical at every job count. */
+using StudyKey = std::tuple<Architecture, std::string,
+                            std::vector<fp::Precision>, double,
+                            std::uint64_t, std::uint64_t>;
+
+/** Studies computed since the golden-run cache was last cleared. */
+std::mutex g_memoMu;
+std::uint64_t g_memoGeneration = 0;
+std::map<StudyKey, std::vector<PrecisionResult>> g_memo;
+
 } // namespace
 
 StudyResult
@@ -157,8 +172,36 @@ runStudy(const StudyConfig &config)
     std::vector<fp::Precision> precisions = config.precisions;
     if (precisions.empty())
         precisions = supportedPrecisions(config.arch);
-    for (fp::Precision p : precisions)
-        result.rows.push_back(evaluateOne(config, p));
+    const auto compute = [&] {
+        for (fp::Precision p : precisions)
+            result.rows.push_back(evaluateOne(config, p));
+    };
+    // A journaled study (resumed or not) must write its journals.
+    if (!config.journalDir.empty()) {
+        compute();
+        return result;
+    }
+
+    const StudyKey key{config.arch, config.workload, precisions,
+                       config.scale, config.trials, config.seed};
+    const std::uint64_t generation = fault::goldenRunCacheGeneration();
+    {
+        std::lock_guard<std::mutex> lock(g_memoMu);
+        if (g_memoGeneration < generation) {
+            g_memo.clear();
+            g_memoGeneration = generation;
+        }
+        if (const auto it = g_memo.find(key); it != g_memo.end()) {
+            result.rows = it->second;
+            return result;
+        }
+    }
+    compute();
+    // A clear while computing means this result belongs to a dropped
+    // generation; the next call recomputes it.
+    std::lock_guard<std::mutex> lock(g_memoMu);
+    if (fault::goldenRunCacheGeneration() == generation)
+        g_memo.emplace(key, result.rows);
     return result;
 }
 

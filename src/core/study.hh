@@ -129,7 +129,10 @@ struct StudyResult
     const PrecisionResult *find(fp::Precision p) const;
 };
 
-/** Run the campaigns and models for every requested precision. */
+/** Run the campaigns and models for every requested precision.
+ *  Identical un-journaled studies are computed once per process
+ *  (until fault::clearGoldenRunCache(); see docs/performance.md).
+ *  Thread-safe. */
 StudyResult runStudy(const StudyConfig &config);
 
 } // namespace mparch::core

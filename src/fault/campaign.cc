@@ -1,6 +1,7 @@
 #include "fault/campaign.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -572,6 +573,7 @@ struct GoldenKey
 
 std::mutex g_goldenCacheMu;
 std::map<GoldenKey, std::shared_ptr<const GoldenRun>> g_goldenCache;
+std::atomic<std::uint64_t> g_goldenCacheGeneration{0};
 
 } // namespace
 
@@ -598,6 +600,13 @@ clearGoldenRunCache()
 {
     std::lock_guard<std::mutex> lock(g_goldenCacheMu);
     g_goldenCache.clear();
+    ++g_goldenCacheGeneration;
+}
+
+std::uint64_t
+goldenRunCacheGeneration()
+{
+    return g_goldenCacheGeneration.load();
 }
 
 std::unique_ptr<TrialRunner>

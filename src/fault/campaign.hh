@@ -318,8 +318,16 @@ std::shared_ptr<const GoldenRun>
 cachedGoldenRun(workloads::Workload &w, std::uint64_t input_seed,
                 double scale);
 
-/** Drop every cached golden run (tests, FP-model experiments). */
+/**
+ * Drop every cached golden run (tests, FP-model experiments), and
+ * with them every study core::runStudy memoised: the two caches
+ * share one lifetime.
+ */
 void clearGoldenRunCache();
+
+/** Bumped by every clearGoldenRunCache(); caches built on top of
+ *  the golden-run cache compare it to know when to drop out. */
+std::uint64_t goldenRunCacheGeneration();
 
 /** Which campaign protocol a runner (or supervised run) executes. */
 enum class CampaignKind { Memory, Datapath, Persistent };

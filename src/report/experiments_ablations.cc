@@ -151,21 +151,30 @@ ablationBeamMc()
             inv.entries.resize(2);
             const double analytic = inv.fitSdc();
 
+            // Each neutron is trial 0 of a one-trial campaign seeded
+            // from the beam's stream, classified against the golden
+            // run evaluateGpu already cached.
+            const auto golden = reportGoldenRun(*w, scale);
             Rng rng(97);
             const double fluence = 400.0 / inv.rawRate();
             const auto mc = beam::runBeam(
                 inv, fluence, rng,
-                [&w](std::size_t entry, Rng &r) {
+                [&w, &golden](std::size_t entry, Rng &r) {
                     fault::CampaignConfig one;
                     one.trials = 1;
                     one.seed = r.next();
-                    const fault::CampaignResult res =
-                        entry == 0
-                            ? fault::runDatapathCampaign(*w, one)
-                            : fault::runMemoryCampaign(*w, one);
-                    if (res.due)
+                    const auto kind = entry == 0
+                                          ? fault::CampaignKind::Datapath
+                                          : fault::CampaignKind::Memory;
+                    const fault::OutcomeKind outcome =
+                        fault::makeTrialRunner(*w, kind, one,
+                                               fp::OpKind::NumKinds, {},
+                                               golden)
+                            ->runTrial(0)
+                            .outcome;
+                    if (outcome == fault::OutcomeKind::Due)
                         return beam::BeamOutcome::Due;
-                    if (res.sdc)
+                    if (outcome == fault::OutcomeKind::Sdc)
                         return beam::BeamOutcome::Sdc;
                     return beam::BeamOutcome::Masked;
                 });

@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string_view>
+#include <thread>
 
 #include "core/study.hh"
+#include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "fault/model.hh"
 #include "report/study.hh"
+#include "test_util.hh"
 
 namespace mparch::core {
 namespace {
@@ -145,6 +149,157 @@ TEST(StudyRunTest, DeterministicAcrossRuns)
     const StudyResult b = runStudy(config);
     EXPECT_DOUBLE_EQ(a.rows[0].fitSdc, b.rows[0].fitSdc);
     EXPECT_DOUBLE_EQ(a.rows[0].avfDatapath, b.rows[0].avfDatapath);
+}
+
+/** Field-by-field equality of two studies' rows (doubles exactly). */
+void
+expectSameRows(const StudyResult &a, const StudyResult &b)
+{
+    ASSERT_EQ(a.rows.size(), b.rows.size());
+    for (std::size_t i = 0; i < a.rows.size(); ++i) {
+        const PrecisionResult &x = a.rows[i];
+        const PrecisionResult &y = b.rows[i];
+        EXPECT_EQ(x.precision, y.precision);
+        EXPECT_EQ(x.fitSdc, y.fitSdc);
+        EXPECT_EQ(x.fitDue, y.fitDue);
+        EXPECT_EQ(x.timeSeconds, y.timeSeconds);
+        EXPECT_EQ(x.mebf, y.mebf);
+        EXPECT_EQ(x.avfDatapath, y.avfDatapath);
+        EXPECT_EQ(x.pvf, y.pvf);
+        EXPECT_EQ(x.tre.thresholds, y.tre.thresholds);
+        EXPECT_EQ(x.tre.remaining, y.tre.remaining);
+        EXPECT_EQ(x.severity.tolerable, y.severity.tolerable);
+        EXPECT_EQ(x.severity.detectionChange,
+                  y.severity.detectionChange);
+        EXPECT_EQ(x.severity.criticalChange, y.severity.criticalChange);
+        EXPECT_EQ(x.luts, y.luts);
+        EXPECT_EQ(x.dsps, y.dsps);
+        EXPECT_EQ(x.brams, y.brams);
+        EXPECT_EQ(x.vectorRegisters, y.vectorRegisters);
+        EXPECT_EQ(x.coverage, y.coverage);
+        EXPECT_EQ(x.poisoned, y.poisoned);
+    }
+}
+
+/** A Xeon Phi study small enough to run several times per test. */
+StudyConfig
+memoStudy()
+{
+    StudyConfig config;
+    config.arch = Architecture::XeonPhi;
+    config.workload = "mxm";
+    config.trials = 40;
+    config.scale = 0.1;
+    config.jobs = 1;
+    return config;
+}
+
+TEST(StudyMemoTest, RepeatAndRecomputeAfterClearAgree)
+{
+    fault::clearGoldenRunCache();
+    const StudyResult first = runStudy(memoStudy());
+    const StudyResult repeat = runStudy(memoStudy());
+    fault::clearGoldenRunCache();
+    const StudyResult recomputed = runStudy(memoStudy());
+    EXPECT_FALSE(first.rows[0].tre.remaining.empty());
+    expectSameRows(first, repeat);
+    expectSameRows(first, recomputed);
+}
+
+TEST(StudyMemoTest, ClearingTheGoldenCacheEmptiesTheMemo)
+{
+    // A memo hit runs no campaign, so it leaves the golden-run cache
+    // empty; a recomputed study fills it. Probe the study's cache key
+    // with a workload of another size: a filled entry hands back the
+    // study's golden run, an empty one runs the probe's own.
+    const StudyConfig config = memoStudy();
+    fault::clearGoldenRunCache();
+    runStudy(config);
+    fault::clearGoldenRunCache();
+    runStudy(config);
+
+    auto probe = workloads::makeWorkload("mxm", Precision::Double, 0.2);
+    auto study = workloads::makeWorkload("mxm", Precision::Double,
+                                         config.scale);
+    const fault::CampaignConfig defaults;
+    const std::uint64_t study_ticks =
+        fault::GoldenRun(*study, defaults.inputSeed).ticks;
+    ASSERT_NE(fault::GoldenRun(*probe, defaults.inputSeed).ticks,
+              study_ticks);
+    EXPECT_EQ(fault::cachedGoldenRun(*probe, defaults.inputSeed,
+                                     config.scale)
+                  ->ticks,
+              study_ticks);
+    fault::clearGoldenRunCache();
+}
+
+TEST(StudyMemoTest, HitCarriesTheCallersJobs)
+{
+    StudyConfig config = memoStudy();
+    const StudyResult serial = runStudy(config);
+    config.jobs = 4;
+    const StudyResult hit = runStudy(config);
+    EXPECT_EQ(serial.config.jobs, 1u);
+    EXPECT_EQ(hit.config.jobs, 4u);
+    expectSameRows(serial, hit);
+}
+
+TEST(StudyMemoTest, DefaultPrecisionsEqualTheExplicitList)
+{
+    StudyConfig implicit = memoStudy();
+    StudyConfig explicit_list = memoStudy();
+    explicit_list.precisions = supportedPrecisions(explicit_list.arch);
+    fault::clearGoldenRunCache();
+    const StudyResult a = runStudy(implicit);
+    fault::clearGoldenRunCache();
+    const StudyResult b = runStudy(explicit_list);
+    const StudyResult hit = runStudy(implicit);
+    EXPECT_EQ(a.rows.size(), 2u);
+    EXPECT_TRUE(hit.config.precisions.empty());
+    expectSameRows(a, b);
+    expectSameRows(a, hit);
+}
+
+TEST(StudyMemoTest, JournaledStudyStillWritesItsJournals)
+{
+    StudyConfig config = memoStudy();
+    const StudyResult plain = runStudy(config);
+    const std::string dir = test::tempPath("journals");
+    std::filesystem::remove_all(dir);
+    config.journalDir = dir;
+    const StudyResult journaled = runStudy(config);
+    expectSameRows(plain, journaled);
+
+    const std::filesystem::path arch_dir =
+        std::filesystem::path(dir) / architectureName(config.arch);
+    std::size_t journals = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(arch_dir)) {
+        EXPECT_EQ(entry.path().extension(), ".mpj");
+        EXPECT_FALSE(test::slurp(entry.path().string()).empty());
+        ++journals;
+    }
+    // Two precisions x (PVF + datapath) campaigns.
+    EXPECT_EQ(journals, 4u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(StudyMemoTest, ConcurrentCallersAgree)
+{
+    // A GPU study, so both callers also share the memoised
+    // control-AVF simulation.
+    fault::clearGoldenRunCache();
+    StudyConfig config = memoStudy();
+    config.arch = Architecture::Gpu;
+    config.workload = "micro-mul";
+    config.precisions = {Precision::Single};
+    StudyResult a, b;
+    std::thread ta([&] { a = runStudy(config); });
+    std::thread tb([&] { b = runStudy(config); });
+    ta.join();
+    tb.join();
+    expectSameRows(a, b);
+    expectSameRows(a, runStudy(config));
 }
 
 } // namespace
