@@ -68,8 +68,6 @@ FpgaEvaluation
 evaluateFpga(Workload &w, const FpgaOptions &options)
 {
     FpgaEvaluation eval;
-    const fault::GoldenRun golden(w, /*input_seed=*/99);
-    eval.circuit = synthesize(w, golden);
 
     // Persistent configuration-memory campaign: a config upset breaks
     // one physical operator for the rest of the execution (the run
@@ -78,19 +76,25 @@ evaluateFpga(Workload &w, const FpgaOptions &options)
     fault::CampaignConfig config_campaign;
     config_campaign.trials = options.configTrials;
     config_campaign.seed = options.seed;
-    const auto config_run = fault::runCampaign(
+    const auto golden = fault::goldenRunFor(
+        w, config_campaign.inputSeed, options.supervisor);
+    eval.circuit = synthesize(w, *golden);
+    const auto config_run = fault::runSupervisedCampaign(
         w, fault::CampaignKind::Persistent, config_campaign,
-        options.supervisor, "config", fp::OpKind::NumKinds,
+        options.supervisor, fp::OpKind::NumKinds,
         eval.circuit.engines);
+    fault::requireAccepted(config_run, w,
+                           fault::CampaignKind::Persistent);
     eval.configCampaign = config_run.result;
 
     // BRAM content campaign: transient single-bit data flips.
     fault::CampaignConfig bram_campaign;
     bram_campaign.trials = options.bramTrials;
     bram_campaign.seed = options.seed + 1;
-    const auto bram_run =
-        fault::runCampaign(w, fault::CampaignKind::Memory,
-                           bram_campaign, options.supervisor, "bram");
+    const auto bram_run = fault::runSupervisedCampaign(
+        w, fault::CampaignKind::Memory, bram_campaign,
+        options.supervisor);
+    fault::requireAccepted(bram_run, w, fault::CampaignKind::Memory);
     eval.bramCampaign = bram_run.result;
     eval.coverage =
         std::min(config_run.coverage(), bram_run.coverage());

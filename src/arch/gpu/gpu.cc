@@ -102,7 +102,6 @@ GpuEvaluation
 evaluateGpu(Workload &w, const GpuOptions &options)
 {
     GpuEvaluation eval;
-    const fault::GoldenRun golden(w, /*input_seed=*/99);
     const workloads::KernelDesc desc = w.desc();
     const Precision p = w.precision();
 
@@ -110,9 +109,11 @@ evaluateGpu(Workload &w, const GpuOptions &options)
     fault::CampaignConfig dp;
     dp.trials = options.datapathTrials;
     dp.seed = options.seed;
-    const auto dp_run =
-        fault::runCampaign(w, fault::CampaignKind::Datapath, dp,
-                           options.supervisor, "datapath");
+    const auto golden =
+        fault::goldenRunFor(w, dp.inputSeed, options.supervisor);
+    const auto dp_run = fault::runSupervisedCampaign(
+        w, fault::CampaignKind::Datapath, dp, options.supervisor);
+    fault::requireAccepted(dp_run, w, fault::CampaignKind::Datapath);
     eval.datapathCampaign = dp_run.result;
 
     // Data residing in caches / registers awaiting use; the Titan V
@@ -120,9 +121,9 @@ evaluateGpu(Workload &w, const GpuOptions &options)
     fault::CampaignConfig mem;
     mem.trials = options.memoryTrials;
     mem.seed = options.seed + 1;
-    const auto mem_run =
-        fault::runCampaign(w, fault::CampaignKind::Memory, mem,
-                           options.supervisor, "memory");
+    const auto mem_run = fault::runSupervisedCampaign(
+        w, fault::CampaignKind::Memory, mem, options.supervisor);
+    fault::requireAccepted(mem_run, w, fault::CampaignKind::Memory);
     eval.memoryCampaign = mem_run.result;
     eval.coverage = std::min(dp_run.coverage(), mem_run.coverage());
     eval.poisoned = dp_run.poisoned + mem_run.poisoned;
@@ -130,7 +131,7 @@ evaluateGpu(Workload &w, const GpuOptions &options)
     // --- Exposure inventory ---------------------------------------
     const double fu_bits =
         static_cast<double>(activeCores(p)) *
-        mixDatapathBitsPerCore(golden.ops, p);
+        mixDatapathBitsPerCore(golden->ops, p);
 
     double footprint_bits = 0.0;
     for (const auto &view : w.buffers())
@@ -144,7 +145,7 @@ evaluateGpu(Workload &w, const GpuOptions &options)
     // why the paper sees ~2x double-vs-half DUE on the FMA-dominated
     // codes (Section 6.1). opLatency/8 is that occupancy proxy
     // (1.0 double, 0.5 single, 0.375 half).
-    const double time_now = gpuTimeSeconds(w, golden);
+    const double time_now = gpuTimeSeconds(w, *golden);
     const double control_bits =
         kSmCount * kSmControlBits * (0.1 + 25.0 * desc.branchDensity);
     const double due_prob =

@@ -48,16 +48,16 @@ evaluatePhi(Workload &w, const PhiOptions &options)
     PhiEvaluation eval;
     eval.compiled = compileKernel(w.desc(), w.precision());
 
-    const fault::GoldenRun golden(w, /*input_seed=*/99);
-
     // PVF: CAROL-FI protocol — single bit flip in a random program
     // variable at a random instant (Figure 7).
     fault::CampaignConfig pvf;
     pvf.trials = options.pvfTrials;
     pvf.seed = options.seed;
-    const auto pvf_run =
-        fault::runCampaign(w, fault::CampaignKind::Memory, pvf,
-                           options.supervisor, "pvf");
+    const auto golden =
+        fault::goldenRunFor(w, pvf.inputSeed, options.supervisor);
+    const auto pvf_run = fault::runSupervisedCampaign(
+        w, fault::CampaignKind::Memory, pvf, options.supervisor);
+    fault::requireAccepted(pvf_run, w, fault::CampaignKind::Memory);
     eval.pvfCampaign = pvf_run.result;
 
     // Functional-unit strikes: what the beam actually hits in the
@@ -66,9 +66,9 @@ evaluatePhi(Workload &w, const PhiOptions &options)
     fault::CampaignConfig dp;
     dp.trials = options.datapathTrials;
     dp.seed = options.seed + 1;
-    const auto dp_run =
-        fault::runCampaign(w, fault::CampaignKind::Datapath, dp,
-                           options.supervisor, "datapath");
+    const auto dp_run = fault::runSupervisedCampaign(
+        w, fault::CampaignKind::Datapath, dp, options.supervisor);
+    fault::requireAccepted(dp_run, w, fault::CampaignKind::Datapath);
     eval.datapathCampaign = dp_run.result;
     eval.coverage = std::min(pvf_run.coverage(), dp_run.coverage());
     eval.poisoned = pvf_run.poisoned + dp_run.poisoned;
@@ -96,7 +96,7 @@ evaluatePhi(Workload &w, const PhiOptions &options)
     };
     eval.fitSdc = eval.inventory.fitSdc();
     eval.fitDue = eval.inventory.fitDue();
-    eval.timeSeconds = phiTimeSeconds(w, golden);
+    eval.timeSeconds = phiTimeSeconds(w, *golden);
     eval.mebf =
         metrics::mebf(eval.fitSdc + eval.fitDue, eval.timeSeconds);
     return eval;

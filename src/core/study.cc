@@ -55,7 +55,7 @@ namespace {
 
 /** Crash-safety knobs forwarded into every campaign. Journals land
  *  under <journalDir>/<arch> so studies of different devices never
- *  collide on campaign tags. */
+ *  collide on journal names. */
 fault::SupervisorConfig
 makeSupervisor(const StudyConfig &config)
 {

@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "fault/hooks.hh"
-#include "fault/supervisor.hh"
 
 namespace mparch::fault {
 
@@ -535,21 +534,6 @@ class PersistentTrialRunner : public TrialRunner
     std::uint64_t totalUnits_ = 0;
 };
 
-/** Serial, unjournaled supervised run; a refused campaign (e.g. a
- *  non-finite golden output) is a user error. */
-CampaignResult
-runPlain(Workload &w, CampaignKind kind, const CampaignConfig &config,
-         fp::OpKind kind_filter = fp::OpKind::NumKinds,
-         const std::vector<EngineAllocation> &engines = {})
-{
-    SupervisedCampaign run = runSupervisedCampaign(
-        w, kind, config, SupervisorConfig{}, kind_filter, engines);
-    if (!run.error.empty())
-        fatal(campaignKindName(kind), " campaign on ", w.name(), ": ",
-              run.error);
-    return std::move(run.result);
-}
-
 /** Golden-run cache key; the full identity of a factory workload. */
 struct GoldenKey
 {
@@ -627,27 +611,6 @@ makeTrialRunner(Workload &w, CampaignKind kind,
             w, config, engines, std::move(golden));
     }
     panic("unknown campaign kind");
-}
-
-CampaignResult
-runMemoryCampaign(Workload &w, const CampaignConfig &config)
-{
-    return runPlain(w, CampaignKind::Memory, config);
-}
-
-CampaignResult
-runDatapathCampaign(Workload &w, const CampaignConfig &config,
-                    fp::OpKind kind_filter)
-{
-    return runPlain(w, CampaignKind::Datapath, config, kind_filter);
-}
-
-CampaignResult
-runPersistentCampaign(Workload &w, const CampaignConfig &config,
-                      const std::vector<EngineAllocation> &engines)
-{
-    return runPlain(w, CampaignKind::Persistent, config,
-                    fp::OpKind::NumKinds, engines);
 }
 
 } // namespace mparch::fault

@@ -241,10 +241,9 @@ void accumulate(CampaignResult &result, const TrialOutcome &trial);
  * across processes (sharding).
  *
  * makeTrialRunner() builds one for any CampaignKind. Every campaign
- * runs its trials through the supervisor (runSupervisedCampaign);
- * runMemoryCampaign / runDatapathCampaign / runPersistentCampaign
- * do so with a default SupervisorConfig: one thread, no journal, no
- * golden-run cache.
+ * runs its trials through the supervisor (runSupervisedCampaign,
+ * fault/supervisor.hh); a default SupervisorConfig means one thread,
+ * no journal and no golden-run cache.
  */
 class TrialRunner
 {
@@ -329,7 +328,19 @@ void clearGoldenRunCache();
  *  the golden-run cache compare it to know when to drop out. */
 std::uint64_t goldenRunCacheGeneration();
 
-/** Which campaign protocol a runner (or supervised run) executes. */
+/**
+ * Which campaign protocol a runner (or supervised run) executes.
+ *
+ *  - Memory: CAROL-FI style; corrupt a random element of a random
+ *    live buffer (weighted by bit population) at a random tick.
+ *  - Datapath: corrupt one datapath stage of one random dynamic
+ *    operation (uniform over executed operations; stage chosen
+ *    proportionally to its bit population), optionally restricted
+ *    to one op kind.
+ *  - Persistent: FPGA configuration memory; break one physical
+ *    operator of one engine for the whole execution, sampled
+ *    proportionally to each engine's unit count.
+ */
 enum class CampaignKind { Memory, Datapath, Persistent };
 
 /** One engine of a spatial design and its physical operator count. */
@@ -354,38 +365,6 @@ makeTrialRunner(workloads::Workload &w, CampaignKind kind,
                 fp::OpKind kind_filter = fp::OpKind::NumKinds,
                 const std::vector<EngineAllocation> &engines = {},
                 std::shared_ptr<const GoldenRun> golden = nullptr);
-
-/**
- * CAROL-FI-style campaign: corrupt a random element of a random live
- * buffer (weighted by bit population) at a random tick.
- *
- * This and the two functions below are serial supervised runs; a
- * campaign the supervisor refuses (non-finite golden output) is
- * fatal().
- */
-CampaignResult runMemoryCampaign(workloads::Workload &w,
-                                 const CampaignConfig &config);
-
-/**
- * Functional-unit campaign: corrupt one datapath stage of one random
- * dynamic operation (uniform over executed operations; stage chosen
- * proportionally to its bit population).
- *
- * @param kind_filter Restrict strikes to one operation kind; pass
- *                    OpKind::NumKinds for "any".
- */
-CampaignResult runDatapathCampaign(
-    workloads::Workload &w, const CampaignConfig &config,
-    fp::OpKind kind_filter = fp::OpKind::NumKinds);
-
-/**
- * FPGA configuration-memory campaign: break one physical operator of
- * one engine persistently for the whole execution. Broken operators
- * are sampled proportionally to each engine's unit count.
- */
-CampaignResult runPersistentCampaign(
-    workloads::Workload &w, const CampaignConfig &config,
-    const std::vector<EngineAllocation> &engines);
 
 } // namespace mparch::fault
 

@@ -27,7 +27,8 @@ trialFailureName(TrialFailure failure)
 
 namespace {
 
-/** Last signal delivered while a supervised campaign was running. */
+/** Last signal delivered while a supervised campaign was running;
+ *  never cleared, so later campaigns see it too. */
 volatile std::sig_atomic_t g_signal = 0;
 
 void
@@ -44,7 +45,6 @@ class SignalScope
     {
         if (!installed_)
             return;
-        g_signal = 0;
         previousInt_ = std::signal(SIGINT, onSignal);
         previousTerm_ = std::signal(SIGTERM, onSignal);
     }
@@ -102,8 +102,7 @@ makeHeader(Workload &w, CampaignKind kind,
     header.config = config;
     header.kindFilter = kind_filter;
     header.engines = engines;
-    header.shardCount =
-        supervisor.shardCount ? supervisor.shardCount : 1;
+    header.shardCount = supervisor.shardCount;
     header.shardIndex = supervisor.shardIndex;
     header.goldenFingerprint = goldenFingerprint(golden);
     return header;
@@ -145,8 +144,34 @@ runSupervisedTrial(TrialRunner &runner, std::uint64_t index,
                 cell.error = e.what();
                 return cell;
             }
+        } catch (...) {
+            // Non-std exception: poison without retry, don't
+            // terminate.
+            cell.throws = max_retries + 1;
+            cell.error = "non-standard exception";
+            return cell;
         }
     }
+}
+
+/** The journal file @p supervisor names for this campaign: its
+ *  journalPath, or a name derived under journalDir (created here). */
+std::string
+journalPathFor(const Workload &w, CampaignKind kind,
+               const SupervisorConfig &supervisor)
+{
+    if (!supervisor.journalPath.empty() || supervisor.journalDir.empty())
+        return supervisor.journalPath;
+    std::error_code ec;
+    std::filesystem::create_directories(supervisor.journalDir, ec);
+    std::ostringstream name;
+    name << w.name() << "-" << fp::precisionName(w.precision()) << "-"
+         << campaignKindName(kind);
+    if (supervisor.shardCount > 1)
+        name << "-shard" << supervisor.shardIndex;
+    name << ".mpj";
+    return (std::filesystem::path(supervisor.journalDir) / name.str())
+        .string();
 }
 
 } // namespace
@@ -159,27 +184,26 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
                       const std::vector<EngineAllocation> &engines)
 {
     SupervisedCampaign run;
-    run.journalPath = supervisor.journalPath;
-
-    const std::uint64_t shards =
-        supervisor.shardCount ? supervisor.shardCount : 1;
+    const std::uint64_t shards = supervisor.shardCount;
+    if (shards == 0) {
+        run.error = "shard count must be at least 1";
+        return run;
+    }
     if (supervisor.shardIndex >= shards) {
         run.error = "shard index out of range";
         return run;
     }
+    run.journalPath = journalPathFor(w, kind, supervisor);
+    const std::string &journalPath = run.journalPath;
     for (std::uint64_t i = supervisor.shardIndex; i < config.trials;
          i += shards) {
         ++run.planned;
     }
 
     // Golden reference + sampling tables (also validates config).
-    std::shared_ptr<const GoldenRun> golden;
-    if (supervisor.useGoldenCache) {
-        golden =
-            cachedGoldenRun(w, config.inputSeed, supervisor.scale);
-    }
-    const auto runner = makeTrialRunner(w, kind, config, kind_filter,
-                                        engines, std::move(golden));
+    const auto runner = makeTrialRunner(
+        w, kind, config, kind_filter, engines,
+        goldenRunFor(w, config.inputSeed, supervisor));
     if (goldenIsNonFinite(w, runner->golden())) {
         bumpFailure(run, TrialFailure::NonFiniteGolden);
         run.error =
@@ -195,11 +219,10 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
     // Resume: load completed trials and validate provenance.
     std::vector<bool> done;
     bool append = false;
-    if (supervisor.resume && !supervisor.journalPath.empty() &&
-        std::filesystem::exists(supervisor.journalPath)) {
+    if (supervisor.resume && !journalPath.empty() &&
+        std::filesystem::exists(journalPath)) {
         std::string why;
-        const auto journal =
-            readJournal(supervisor.journalPath, &why);
+        const auto journal = readJournal(journalPath, &why);
         if (!journal) {
             run.error = "refusing to resume: " + why;
             return run;
@@ -207,7 +230,7 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
         why = journal->header.mismatch(header);
         if (!why.empty()) {
             run.error = "refusing to resume from '" +
-                        supervisor.journalPath + "': " + why;
+                        journalPath + "': " + why;
             return run;
         }
         done.assign(config.trials, false);
@@ -223,10 +246,9 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
         // Cut any torn tail (a record half-written when the previous
         // process died) so appended records start on a fresh line.
         std::error_code ec;
-        const auto size =
-            std::filesystem::file_size(supervisor.journalPath, ec);
+        const auto size = std::filesystem::file_size(journalPath, ec);
         if (!ec && journal->validBytes < size) {
-            std::filesystem::resize_file(supervisor.journalPath,
+            std::filesystem::resize_file(journalPath,
                                          journal->validBytes, ec);
         }
         append = true;
@@ -234,13 +256,13 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
 
     // Journal writer (fresh header unless appending after resume).
     std::unique_ptr<JournalWriter> writer;
-    if (!supervisor.journalPath.empty()) {
+    if (!journalPath.empty()) {
         writer = std::make_unique<JournalWriter>(
-            supervisor.journalPath, header, supervisor.batchSize,
+            journalPath, header, supervisor.batchSize,
             /*truncate=*/!append);
         if (!writer->ok()) {
             bumpFailure(run, TrialFailure::JournalIo);
-            warn("cannot write journal '", supervisor.journalPath,
+            warn("cannot write journal '", journalPath,
                  "'; continuing without crash safety");
             writer.reset();
         }
@@ -293,7 +315,7 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
                 makeTrialRecord(cell.index, cell.trial, cell.throws));
             if (!writer->ok()) {
                 bumpFailure(run, TrialFailure::JournalIo);
-                warn("journal write to '", supervisor.journalPath,
+                warn("journal write to '", journalPath,
                      "' failed; continuing without crash safety");
                 writer.reset();
             }
@@ -323,6 +345,10 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
             pending.size() / (static_cast<std::uint64_t>(jobs) * 4),
             1, 32);
         parallel::IndexChunker chunker(pending.size(), chunk);
+        // A signal delivered before this campaign started (a study
+        // stopping as a whole) must not let workers claim a chunk.
+        if (signals.fired())
+            chunker.stop();
         parallel::OrderedChannel<TrialCell> channel(
             std::max<std::size_t>(jobs * chunk * 4, 256), jobs);
 
@@ -343,18 +369,9 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
             std::uint64_t begin = 0, end = 0;
             while (chunker.next(begin, end)) {
                 for (std::uint64_t pos = begin; pos < end; ++pos) {
-                    TrialCell cell;
-                    try {
-                        cell = runSupervisedTrial(
-                            mine, pending[pos],
-                            supervisor.maxRetries);
-                    } catch (...) {
-                        // Non-std exception: poison, don't terminate.
-                        cell.index = pending[pos];
-                        cell.throws = supervisor.maxRetries + 1;
-                        cell.error = "non-standard exception";
-                    }
-                    channel.put(pos, std::move(cell));
+                    channel.put(pos, runSupervisedTrial(
+                                         mine, pending[pos],
+                                         supervisor.maxRetries));
                 }
             }
             channel.producerDone();
@@ -388,7 +405,7 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
         os << "campaign interrupted after " << run.result.trials
            << "/" << run.planned << " trials";
         if (writer && writer->ok()) {
-            os << "; journal flushed to '" << supervisor.journalPath
+            os << "; journal flushed to '" << journalPath
                << "' — re-run with --resume to continue";
         }
         inform(os.str());
@@ -396,29 +413,23 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
     return run;
 }
 
-SupervisedCampaign
-runCampaign(Workload &w, CampaignKind kind,
-            const CampaignConfig &config,
-            const SupervisorConfig &supervisor, const std::string &tag,
-            fp::OpKind kind_filter,
-            const std::vector<EngineAllocation> &engines)
+std::shared_ptr<const GoldenRun>
+goldenRunFor(Workload &w, std::uint64_t input_seed,
+             const SupervisorConfig &supervisor)
 {
-    SupervisorConfig resolved = supervisor;
-    if (resolved.journalPath.empty() && !resolved.journalDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(resolved.journalDir, ec);
-        std::ostringstream name;
-        name << w.name() << "-" << fp::precisionName(w.precision())
-             << "-" << tag;
-        if (resolved.shardCount > 1)
-            name << "-shard" << resolved.shardIndex;
-        name << ".mpj";
-        resolved.journalPath =
-            (std::filesystem::path(resolved.journalDir) / name.str())
-                .string();
-    }
-    return runSupervisedCampaign(w, kind, config, resolved,
-                                 kind_filter, engines);
+    if (supervisor.useGoldenCache)
+        return cachedGoldenRun(w, input_seed, supervisor.scale);
+    return std::make_shared<const GoldenRun>(w, input_seed);
+}
+
+void
+requireAccepted(const SupervisedCampaign &run, const Workload &w,
+                CampaignKind kind)
+{
+    if (!run.error.empty())
+        fatal(campaignKindName(kind), " campaign on ", w.name(), "/",
+              fp::precisionName(w.precision()), " refused: ",
+              run.error);
 }
 
 ReplayResult

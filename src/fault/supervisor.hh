@@ -74,7 +74,8 @@ struct SupervisorConfig
     std::string journalPath;
 
     /** Directory for derived journal file names
-     *  (<workload>-<precision>-<tag>.mpj); created on demand. */
+     *  (<workload>-<precision>-<kind>[-shard<i>].mpj, the kind as
+     *  campaignKindName() spells it); created on demand. */
     std::string journalDir;
 
     /** Continue from an existing journal instead of truncating it. */
@@ -90,7 +91,7 @@ struct SupervisorConfig
      * Shard this run executes: trial i is owned by shard
      * i % shardCount == shardIndex. Counter-based RNG guarantees
      * that merging all shards' results reproduces the unsharded
-     * campaign exactly.
+     * campaign exactly. A count of 0 is refused.
      */
     std::uint64_t shardCount = 1;
     std::uint64_t shardIndex = 0;
@@ -118,8 +119,11 @@ struct SupervisorConfig
     bool useGoldenCache = false;
 
     /** Install SIGINT/SIGTERM handlers for the duration of the run
-     *  (flush journal + print resume hint). CLI front-ends enable
-     *  this; library/test embeddings usually leave it off. */
+     *  (flush journal + print resume hint). A delivered signal stays
+     *  delivered for the rest of the process, so every later run
+     *  with this set stops before its first trial: a study stops as
+     *  a whole. CLI front-ends enable this; library/test embeddings
+     *  usually leave it off. */
     bool handleSignals = false;
 
     /** Optional cooperative stop: polled between trials. */
@@ -182,8 +186,12 @@ struct SupervisedCampaign
 /**
  * Run one campaign under supervision.
  *
- * @param w           Workload (reset per trial, like the plain
- *                    campaign functions).
+ * The library's one campaign entry point. With an empty
+ * journalPath and a journalDir set, the journal file name is derived
+ * from the workload, precision, campaign kind and shard (see
+ * SupervisorConfig::journalDir).
+ *
+ * @param w           Workload (reset per trial).
  * @param kind        Which campaign protocol to run.
  * @param config      Campaign physics knobs.
  * @param supervisor  Robustness knobs (journal, resume, shards...).
@@ -198,17 +206,22 @@ runSupervisedCampaign(workloads::Workload &w, CampaignKind kind,
                       const std::vector<EngineAllocation> &engines = {});
 
 /**
- * Arch-model helper: supervised run when the supervisor options
- * carry a journal destination, plain in-memory supervised run
- * otherwise. @p tag disambiguates the derived journal file when one
- * study runs several campaigns per workload ("datapath", "bram"...).
+ * The golden run a campaign with these knobs classifies against:
+ * cachedGoldenRun() when @p supervisor enables the cache, a fresh
+ * execution otherwise. Device models take their op counts from here,
+ * so a study executes each reference once.
  */
-SupervisedCampaign
-runCampaign(workloads::Workload &w, CampaignKind kind,
-            const CampaignConfig &config,
-            const SupervisorConfig &supervisor, const std::string &tag,
-            fp::OpKind kind_filter = fp::OpKind::NumKinds,
-            const std::vector<EngineAllocation> &engines = {});
+std::shared_ptr<const GoldenRun>
+goldenRunFor(workloads::Workload &w, std::uint64_t input_seed,
+             const SupervisorConfig &supervisor);
+
+/**
+ * fatal() when the supervisor refused @p run, naming the campaign
+ * (workload, precision, kind) and the reason. Every front end that
+ * cannot report a refusal itself stops on it this way.
+ */
+void requireAccepted(const SupervisedCampaign &run,
+                     const workloads::Workload &w, CampaignKind kind);
 
 /** Result of replaying one journaled trial. */
 struct ReplayResult

@@ -44,8 +44,8 @@ fault::SupervisorConfig reportSupervisor(const RunContext &ctx,
 
 /**
  * Run one campaign with the context's worker threads and the
- * golden-run cache (the plain runMemoryCampaign / ... functions run
- * serially without the cache).
+ * golden-run cache (a default SupervisorConfig runs serially without
+ * the cache); a refused campaign is fatal.
  */
 fault::CampaignResult
 runReportCampaign(workloads::Workload &w, fault::CampaignKind kind,

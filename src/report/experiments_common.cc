@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "common/logging.hh"
 #include "nn/nn_workloads.hh"
 
 namespace mparch::report {
@@ -56,9 +55,7 @@ runReportCampaign(workloads::Workload &w, fault::CampaignKind kind,
     const auto supervised = fault::runSupervisedCampaign(
         w, kind, config, reportSupervisor(ctx, scale), kind_filter,
         engines);
-    if (!supervised.error.empty())
-        fatal("campaign on ", w.name(), " failed: ",
-              supervised.error);
+    fault::requireAccepted(supervised, w, kind);
     return supervised.result;
 }
 

@@ -155,8 +155,8 @@ extMitigation()
 
             for (auto &variant : variants) {
                 const double ops = static_cast<double>(
-                    fault::GoldenRun(*variant.w, 99)
-                        .ops.totalOps());
+                    reportGoldenRun(*variant.w, scale)
+                        ->ops.totalOps());
                 fault::CampaignConfig config;
                 config.trials = self.trialsFor(ctx);
                 const auto r = runReportCampaign(

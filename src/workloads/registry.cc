@@ -27,49 +27,60 @@ sdcSeverityName(SdcSeverity severity)
 
 namespace {
 
-/** Instantiate one benchmark template at a runtime precision. */
-template <template <fp::Precision> class W, typename... Args>
+/** Instantiate one benchmark template at a runtime precision; @p
+ *  Args lead the constructor arguments, before the scale. */
+template <template <fp::Precision> class W, auto... Args>
 WorkloadPtr
-dispatch(fp::Precision p, Args &&...args)
+dispatch(fp::Precision p, double scale)
 {
     switch (p) {
       case fp::Precision::Half:
-        return std::make_unique<W<fp::Precision::Half>>(
-            std::forward<Args>(args)...);
+        return std::make_unique<W<fp::Precision::Half>>(Args..., scale);
       case fp::Precision::Single:
-        return std::make_unique<W<fp::Precision::Single>>(
-            std::forward<Args>(args)...);
+        return std::make_unique<W<fp::Precision::Single>>(Args..., scale);
       case fp::Precision::Double:
-        return std::make_unique<W<fp::Precision::Double>>(
-            std::forward<Args>(args)...);
+        return std::make_unique<W<fp::Precision::Double>>(Args..., scale);
       case fp::Precision::Bfloat16:
-        return std::make_unique<W<fp::Precision::Bfloat16>>(
-            std::forward<Args>(args)...);
+        return std::make_unique<W<fp::Precision::Bfloat16>>(Args...,
+                                                             scale);
     }
     panic("unknown precision");
 }
 
+WorkloadPtr
+makeMixed(fp::Precision, double scale)
+{
+    return std::make_unique<MxMMixedWorkload>(scale);
+}
+
+/** Every numeric benchmark by name, the one list of them. */
+const std::pair<std::string_view, WorkloadMaker> kWorkloads[] = {
+    {"mxm", dispatch<MxMWorkload>},
+    {"mxm-mixed", makeMixed},
+    {"lavamd", dispatch<LavaMDWorkload>},
+    {"hotspot", dispatch<HotspotWorkload>},
+    {"lud", dispatch<LudWorkload>},
+    {"micro-add", dispatch<MicroWorkload, MicroOp::Add>},
+    {"micro-mul", dispatch<MicroWorkload, MicroOp::Mul>},
+    {"micro-fma", dispatch<MicroWorkload, MicroOp::Fma>},
+};
+
 } // namespace
+
+WorkloadMaker
+findWorkload(std::string_view name)
+{
+    for (const auto &[known, make] : kWorkloads)
+        if (known == name)
+            return make;
+    return nullptr;
+}
 
 WorkloadPtr
 makeWorkload(const std::string &name, fp::Precision p, double scale)
 {
-    if (name == "mxm")
-        return dispatch<MxMWorkload>(p, scale);
-    if (name == "mxm-mixed")
-        return std::make_unique<MxMMixedWorkload>(scale);
-    if (name == "lavamd")
-        return dispatch<LavaMDWorkload>(p, scale);
-    if (name == "hotspot")
-        return dispatch<HotspotWorkload>(p, scale);
-    if (name == "lud")
-        return dispatch<LudWorkload>(p, scale);
-    if (name == "micro-add")
-        return dispatch<MicroWorkload>(p, MicroOp::Add, scale);
-    if (name == "micro-mul")
-        return dispatch<MicroWorkload>(p, MicroOp::Mul, scale);
-    if (name == "micro-fma")
-        return dispatch<MicroWorkload>(p, MicroOp::Fma, scale);
+    if (const WorkloadMaker make = findWorkload(name))
+        return make(p, scale);
     fatal("unknown workload '", name, "'");
 }
 

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hh"
@@ -278,6 +279,13 @@ class Workload
 
 /** Shorthand for factory results. */
 using WorkloadPtr = std::unique_ptr<Workload>;
+
+/** Factory for one benchmark at a precision and problem scale. */
+using WorkloadMaker = WorkloadPtr (*)(fp::Precision p, double scale);
+
+/** The factory makeWorkload() dispatches @p name to; null for an
+ *  unknown name. */
+WorkloadMaker findWorkload(std::string_view name);
 
 /**
  * Instantiate a benchmark by name and precision.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "arch/fpga/fpga.hh"
 #include "arch/fpga/opcost.hh"
@@ -17,6 +18,7 @@
 #include "arch/phi/compiler_model.hh"
 #include "arch/phi/phi.hh"
 #include "nn/nn_workloads.hh"
+#include "workloads/mxm.hh"
 
 namespace mparch {
 namespace {
@@ -346,6 +348,47 @@ TEST(GpuTiming, Table3Ratios)
     const double xh = time("mxm", Precision::Half);
     EXPECT_NEAR(xs / xd, 0.82, 0.1);
     EXPECT_NEAR(xh / xs, 0.62, 0.1);
+}
+
+/** The factory's mxm (single) counting its executions; clones
+ *  share the count. */
+class CountingMxM : public workloads::MxMWorkload<Precision::Single>
+{
+  public:
+    using MxMWorkload::MxMWorkload;
+
+    std::unique_ptr<Workload>
+    clone() const override
+    {
+        return std::make_unique<CountingMxM>(*this);
+    }
+
+    void
+    execute(workloads::ExecutionEnv &env) override
+    {
+        ++*executions;
+        MxMWorkload::execute(env);
+    }
+
+    std::shared_ptr<int> executions = std::make_shared<int>(0);
+};
+
+TEST(GpuEvaluation, SharesTheCampaignsGoldenRun)
+{
+    // With the golden-run cache on, the model's op counts come from
+    // the run its campaigns classify against: one golden execution
+    // plus one per trial.
+    const double scale = 0.1;
+    CountingMxM w(scale);
+    gpu::GpuOptions opt;
+    opt.datapathTrials = 30;
+    opt.memoryTrials = 20;
+    opt.supervisor.scale = scale;
+    opt.supervisor.useGoldenCache = true;
+    fault::clearGoldenRunCache();
+    (void)gpu::evaluateGpu(w, opt);
+    fault::clearGoldenRunCache();
+    EXPECT_EQ(*w.executions, 30 + 20 + 1);
 }
 
 TEST(GpuYolite, HalfSlowerAndDueHigh)

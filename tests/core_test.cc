@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -260,9 +262,28 @@ TEST(StudyMemoTest, DefaultPrecisionsEqualTheExplicitList)
     expectSameRows(a, hit);
 }
 
-TEST(StudyMemoTest, JournaledStudyStillWritesItsJournals)
+/** One architecture and the campaign kinds its study journals. */
+struct ArchJournals
+{
+    Architecture arch;
+    std::vector<std::string> kinds;
+};
+
+void
+PrintTo(const ArchJournals &param, std::ostream *os)
+{
+    *os << architectureName(param.arch);
+}
+
+class StudyJournalTest : public ::testing::TestWithParam<ArchJournals>
+{
+};
+
+TEST_P(StudyJournalTest, JournaledStudyStillWritesItsJournals)
 {
     StudyConfig config = memoStudy();
+    config.arch = GetParam().arch;
+    config.precisions = {Precision::Double, Precision::Single};
     const StudyResult plain = runStudy(config);
     const std::string dir = test::tempPath("journals");
     std::filesystem::remove_all(dir);
@@ -270,18 +291,49 @@ TEST(StudyMemoTest, JournaledStudyStillWritesItsJournals)
     const StudyResult journaled = runStudy(config);
     expectSameRows(plain, journaled);
 
+    // One journal per campaign, named <workload>-<precision>-<kind>.
+    std::set<std::string> expected, written;
+    for (const char *precision : {"double", "single"})
+        for (const std::string &kind : GetParam().kinds)
+            expected.insert("mxm-" + std::string(precision) + "-" +
+                            kind + ".mpj");
     const std::filesystem::path arch_dir =
         std::filesystem::path(dir) / architectureName(config.arch);
-    std::size_t journals = 0;
     for (const auto &entry :
          std::filesystem::directory_iterator(arch_dir)) {
-        EXPECT_EQ(entry.path().extension(), ".mpj");
         EXPECT_FALSE(test::slurp(entry.path().string()).empty());
-        ++journals;
+        written.insert(entry.path().filename().string());
     }
-    // Two precisions x (PVF + datapath) campaigns.
-    EXPECT_EQ(journals, 4u);
+    EXPECT_EQ(written, expected);
     std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PerArch, StudyJournalTest,
+    ::testing::Values(
+        ArchJournals{Architecture::Fpga, {"persistent", "memory"}},
+        ArchJournals{Architecture::XeonPhi, {"memory", "datapath"}},
+        ArchJournals{Architecture::Gpu, {"datapath", "memory"}}),
+    [](const ::testing::TestParamInfo<ArchJournals> &info) {
+        std::string name = architectureName(info.param.arch);
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
+
+TEST(StudyJournalDeathTest, ResumeWithOtherTrialsIsFatal)
+{
+    // A resumed study whose journals disagree with its configuration
+    // stops instead of reporting all-zero rows.
+    StudyConfig config = memoStudy();
+    config.precisions = {Precision::Single};
+    config.journalDir = test::tempPath("journals");
+    std::filesystem::remove_all(config.journalDir);
+    runStudy(config);
+    config.resume = true;
+    config.trials += 10;
+    EXPECT_EXIT(runStudy(config), ::testing::ExitedWithCode(1),
+                "refusing to resume");
+    std::filesystem::remove_all(config.journalDir);
 }
 
 TEST(StudyMemoTest, ConcurrentCallersAgree)
