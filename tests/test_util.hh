@@ -15,25 +15,36 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "fault/campaign.hh"
+#include "fault/supervisor.hh"
 
 namespace mparch::test {
 
-/** <TempDir>/<suite>.<test>.<pid>.<name>, unique per test process. */
+/**
+ * <TempDir>/<suite>.<test>.<pid>.<name>, unique per test process.
+ * Parameterised suite and test names contain '/'; it becomes '_', so
+ * the path stays one entry directly under TempDir and removing it
+ * leaves nothing behind.
+ */
 inline std::string
 tempPath(const std::string &name)
 {
     const ::testing::TestInfo *info =
         ::testing::UnitTest::GetInstance()->current_test_info();
     std::string unique = std::to_string(::getpid()) + "." + name;
-    if (info != nullptr)
-        unique = std::string(info->test_suite_name()) + "." +
-                 info->name() + "." + unique;
+    if (info != nullptr) {
+        std::string test = std::string(info->test_suite_name()) + "." +
+                           info->name();
+        std::replace(test.begin(), test.end(), '/', '_');
+        unique = test + "." + unique;
+    }
     return (std::filesystem::path(::testing::TempDir()) / unique)
         .string();
 }
@@ -46,6 +57,23 @@ slurp(const std::string &path)
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
+}
+
+/**
+ * One campaign through fault::runSupervisedCampaign with the default
+ * supervisor. A refused campaign fails the calling test: its empty
+ * result would otherwise pass most comparisons without testing them.
+ */
+inline fault::CampaignResult
+acceptedCampaign(workloads::Workload &w, fault::CampaignKind kind,
+                 const fault::CampaignConfig &config,
+                 fp::OpKind kind_filter = fp::OpKind::NumKinds,
+                 const std::vector<fault::EngineAllocation> &engines = {})
+{
+    const fault::SupervisedCampaign run = fault::runSupervisedCampaign(
+        w, kind, config, fault::SupervisorConfig{}, kind_filter, engines);
+    EXPECT_TRUE(run.error.empty()) << "campaign refused: " << run.error;
+    return run.result;
 }
 
 /** Tally-level equality (corpus and anatomy compared element-wise). */
