@@ -112,9 +112,15 @@ cmdStudy(int argc, char **argv)
     if (config.trials == 0)
         args.fail("--trials must be at least 1");
     config.scale = args.real("scale", 0.2);
-    if (args.has("precision"))
-        config.precisions = {
-            parseName(args, "precision", "", fp::parsePrecision)};
+    if (args.has("precision")) {
+        const fp::Precision p =
+            parseName(args, "precision", "", fp::parsePrecision);
+        if (!core::supportsPrecision(config.arch, p))
+            args.fail(std::string(core::architectureName(config.arch)) +
+                      " does not implement " +
+                      std::string(fp::precisionName(p)) + " precision");
+        config.precisions = {p};
+    }
     config.journalDir = args.text("journal");
     config.resume = args.has("resume");
     config.batchSize = args.count("batch", 256);

@@ -64,41 +64,23 @@ synthesize(Workload &w, const fault::GoldenRun &golden)
     return circuit;
 }
 
-FpgaEvaluation
-evaluateFpga(Workload &w, const FpgaOptions &options)
+arch::DeviceEvaluation
+evaluateFpga(Workload &w, const arch::DeviceOptions &options)
 {
-    FpgaEvaluation eval;
+    arch::DeviceEvaluation eval;
+    const CircuitReport circuit =
+        synthesize(w, *arch::deviceGoldenRun(w, options));
 
     // Persistent configuration-memory campaign: a config upset breaks
     // one physical operator for the rest of the execution (the run
     // policy reprograms the FPGA after each observed error, so faults
     // never accumulate — matching the paper's procedure).
-    fault::CampaignConfig config_campaign;
-    config_campaign.trials = options.configTrials;
-    config_campaign.seed = options.seed;
-    const auto golden = fault::goldenRunFor(
-        w, config_campaign.inputSeed, options.supervisor);
-    eval.circuit = synthesize(w, *golden);
-    const auto config_run = fault::runSupervisedCampaign(
-        w, fault::CampaignKind::Persistent, config_campaign,
-        options.supervisor, fp::OpKind::NumKinds,
-        eval.circuit.engines);
-    fault::requireAccepted(config_run, w,
-                           fault::CampaignKind::Persistent);
-    eval.configCampaign = config_run.result;
+    arch::runDeviceCampaign(eval, w, fault::CampaignKind::Persistent,
+                            options.seed, options, circuit.engines);
 
     // BRAM content campaign: transient single-bit data flips.
-    fault::CampaignConfig bram_campaign;
-    bram_campaign.trials = options.bramTrials;
-    bram_campaign.seed = options.seed + 1;
-    const auto bram_run = fault::runSupervisedCampaign(
-        w, fault::CampaignKind::Memory, bram_campaign,
-        options.supervisor);
-    fault::requireAccepted(bram_run, w, fault::CampaignKind::Memory);
-    eval.bramCampaign = bram_run.result;
-    eval.coverage =
-        std::min(config_run.coverage(), bram_run.coverage());
-    eval.poisoned = config_run.poisoned + bram_run.poisoned;
+    arch::runDeviceCampaign(eval, w, fault::CampaignKind::Memory,
+                            options.seed + 1, options);
 
     // Exposure inventory. Only config bits over *logic actually
     // toggling* matter for the persistent mechanism; BRAM content is
@@ -106,16 +88,14 @@ evaluateFpga(Workload &w, const FpgaOptions &options)
     eval.inventory.node = beam::Node::Fpga28nm;
     eval.inventory.entries = {
         {"config-memory", beam::BitClass::SramConfig,
-         eval.circuit.configBits, eval.configCampaign.avfSdc(),
-         eval.configCampaign.avfDue()},
-        {"bram-content", beam::BitClass::SramData,
-         eval.circuit.bramBits, eval.bramCampaign.avfSdc(),
-         eval.bramCampaign.avfDue()},
+         circuit.configBits, eval.datapathCampaign.avfSdc(),
+         eval.datapathCampaign.avfDue()},
+        {"bram-content", beam::BitClass::SramData, circuit.bramBits,
+         eval.memoryCampaign.avfSdc(), eval.memoryCampaign.avfDue()},
     };
     eval.fitSdc = eval.inventory.fitSdc();
     eval.fitDue = eval.inventory.fitDue();
-    eval.timeSeconds =
-        eval.circuit.cycles / clockHz(w.precision());
+    eval.timeSeconds = circuit.cycles / clockHz(w.precision());
     eval.mebf = metrics::mebf(eval.fitSdc, eval.timeSeconds);
     return eval;
 }

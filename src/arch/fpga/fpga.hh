@@ -16,12 +16,9 @@
 #ifndef MPARCH_ARCH_FPGA_FPGA_HH
 #define MPARCH_ARCH_FPGA_FPGA_HH
 
-#include <map>
-
+#include "arch/device.hh"
 #include "arch/fpga/opcost.hh"
-#include "beam/inventory.hh"
 #include "fault/campaign.hh"
-#include "fault/supervisor.hh"
 #include "workloads/workload.hh"
 
 namespace mparch::fpga {
@@ -50,47 +47,17 @@ struct CircuitReport
 CircuitReport synthesize(workloads::Workload &w,
                          const fault::GoldenRun &golden);
 
-/** Full reliability evaluation of one (workload, precision). */
-struct FpgaEvaluation
-{
-    CircuitReport circuit;
+/** Seed of stand-alone evaluations (ablations, model tests). */
+inline constexpr std::uint64_t kDefaultSeed = 11;
 
-    /** Persistent config-memory campaign (paper's dominant FPGA
-     *  error source). */
-    fault::CampaignResult configCampaign;
-
-    /** BRAM content (transient data) campaign. */
-    fault::CampaignResult bramCampaign;
-
-    /** Exposure inventory with measured AVFs filled in. */
-    beam::ResourceInventory inventory;
-
-    double fitSdc = 0.0;        ///< a.u.
-    double fitDue = 0.0;        ///< a.u. (expected 0)
-    double timeSeconds = 0.0;   ///< modelled execution time
-    double mebf = 0.0;          ///< a.u.
-
-    /** Minimum completed fraction over the campaigns. */
-    double coverage = 1.0;
-
-    /** Trials abandoned by the supervisor across the campaigns. */
-    std::uint64_t poisoned = 0;
-};
-
-/** Evaluation knobs. */
-struct FpgaOptions
-{
-    std::uint64_t configTrials = 600;
-    std::uint64_t bramTrials = 400;
-    std::uint64_t seed = 11;
-
-    /** Crash-safety knobs (journal dir, resume, batching). */
-    fault::SupervisorConfig supervisor;
-};
-
-/** Run the synthesis, campaigns and FIT/MEBF assembly. */
-FpgaEvaluation evaluateFpga(workloads::Workload &w,
-                            const FpgaOptions &options = {});
+/**
+ * Synthesis, then the persistent config-memory campaign (seed
+ * options.seed, the datapath campaign) and the BRAM content campaign
+ * (options.seed + 1, the memory campaign); FIT and MEBF (SDC only:
+ * no FPGA DUEs) from the circuit's exposure.
+ */
+arch::DeviceEvaluation evaluateFpga(workloads::Workload &w,
+                                    const arch::DeviceOptions &options);
 
 } // namespace mparch::fpga
 

@@ -98,35 +98,22 @@ gpuTimeSeconds(Workload &w, const fault::GoldenRun &golden)
     return issued / (activeCores(p) * kClockHz * eff);
 }
 
-GpuEvaluation
-evaluateGpu(Workload &w, const GpuOptions &options)
+arch::DeviceEvaluation
+evaluateGpu(Workload &w, const arch::DeviceOptions &options)
 {
-    GpuEvaluation eval;
+    arch::DeviceEvaluation eval;
     const workloads::KernelDesc desc = w.desc();
     const Precision p = w.precision();
+    const auto golden = arch::deviceGoldenRun(w, options);
 
     // Functional-unit strikes (beam-like AVF + TRE corpus).
-    fault::CampaignConfig dp;
-    dp.trials = options.datapathTrials;
-    dp.seed = options.seed;
-    const auto golden =
-        fault::goldenRunFor(w, dp.inputSeed, options.supervisor);
-    const auto dp_run = fault::runSupervisedCampaign(
-        w, fault::CampaignKind::Datapath, dp, options.supervisor);
-    fault::requireAccepted(dp_run, w, fault::CampaignKind::Datapath);
-    eval.datapathCampaign = dp_run.result;
+    arch::runDeviceCampaign(eval, w, fault::CampaignKind::Datapath,
+                            options.seed, options);
 
     // Data residing in caches / registers awaiting use; the Titan V
     // has no ECC (the paper triplicates only the HBM2 contents).
-    fault::CampaignConfig mem;
-    mem.trials = options.memoryTrials;
-    mem.seed = options.seed + 1;
-    const auto mem_run = fault::runSupervisedCampaign(
-        w, fault::CampaignKind::Memory, mem, options.supervisor);
-    fault::requireAccepted(mem_run, w, fault::CampaignKind::Memory);
-    eval.memoryCampaign = mem_run.result;
-    eval.coverage = std::min(dp_run.coverage(), mem_run.coverage());
-    eval.poisoned = dp_run.poisoned + mem_run.poisoned;
+    arch::runDeviceCampaign(eval, w, fault::CampaignKind::Memory,
+                            options.seed + 1, options);
 
     // --- Exposure inventory ---------------------------------------
     const double fu_bits =

@@ -15,57 +15,28 @@
 #ifndef MPARCH_ARCH_GPU_GPU_HH
 #define MPARCH_ARCH_GPU_GPU_HH
 
+#include "arch/device.hh"
 #include "arch/gpu/datapath.hh"
 #include "arch/gpu/regfile.hh"
-#include "beam/inventory.hh"
 #include "fault/campaign.hh"
-#include "fault/supervisor.hh"
 #include "workloads/workload.hh"
 
 namespace mparch::gpu {
 
-/** Full reliability evaluation of one (workload, precision). */
-struct GpuEvaluation
-{
-    /** Functional-unit strike campaign (AVF + TRE corpus). */
-    fault::CampaignResult datapathCampaign;
-
-    /** Cache/memory-resident data campaign. */
-    fault::CampaignResult memoryCampaign;
-
-    beam::ResourceInventory inventory;
-
-    double fitSdc = 0.0;       ///< a.u. (Figures 10a/10b/10c)
-    double fitDue = 0.0;       ///< a.u.
-    double timeSeconds = 0.0;  ///< Table 3 model
-    double mebf = 0.0;         ///< a.u. (Figure 13)
-
-    /** Minimum completed fraction over the campaigns (1.0 unless a
-     *  supervised run was interrupted or poisoned trials). */
-    double coverage = 1.0;
-
-    /** Trials abandoned by the supervisor across the campaigns. */
-    std::uint64_t poisoned = 0;
-};
-
-/** Evaluation knobs. */
-struct GpuOptions
-{
-    std::uint64_t datapathTrials = 500;
-    std::uint64_t memoryTrials = 400;
-    std::uint64_t seed = 31;
-
-    /** Crash-safety knobs (journal dir, resume, batching). */
-    fault::SupervisorConfig supervisor;
-};
+/** Seed of stand-alone evaluations (ablations, model tests). */
+inline constexpr std::uint64_t kDefaultSeed = 31;
 
 /** Execution-time model only (Table 3). */
 double gpuTimeSeconds(workloads::Workload &w,
                       const fault::GoldenRun &golden);
 
-/** Run campaigns and assemble FIT/MEBF. */
-GpuEvaluation evaluateGpu(workloads::Workload &w,
-                          const GpuOptions &options = {});
+/**
+ * The functional-unit campaign (seed options.seed, the datapath
+ * campaign), then the cache-resident data campaign (options.seed + 1,
+ * the memory campaign); FIT, and MEBF over SDC + DUE.
+ */
+arch::DeviceEvaluation evaluateGpu(workloads::Workload &w,
+                                   const arch::DeviceOptions &options);
 
 } // namespace mparch::gpu
 

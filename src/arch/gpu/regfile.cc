@@ -10,12 +10,6 @@ using workloads::MicroOp;
 
 namespace {
 
-/** Chain constants shared with MicroWorkload (see micro.hh). */
-constexpr double kMulK = 1.0009765625;
-constexpr double kAddK = 0.0009765625;
-constexpr double kFmaM = 0.9990234375;
-constexpr double kFmaA = 0.001708984375;
-
 /** One dependent-chain lane state. */
 template <Precision P>
 struct Lane
@@ -29,14 +23,14 @@ struct Lane
         x = fp::Fp<P>::fromDouble(x0);
         switch (op) {
           case MicroOp::Add:
-            k1 = fp::Fp<P>::fromDouble(kAddK);
+            k1 = fp::Fp<P>::fromDouble(workloads::kMicroAddK);
             break;
           case MicroOp::Mul:
-            k1 = fp::Fp<P>::fromDouble(kMulK);
+            k1 = fp::Fp<P>::fromDouble(workloads::kMicroMulK);
             break;
           case MicroOp::Fma:
-            k1 = fp::Fp<P>::fromDouble(kFmaM);
-            k2 = fp::Fp<P>::fromDouble(kFmaA);
+            k1 = fp::Fp<P>::fromDouble(workloads::kMicroFmaM);
+            k2 = fp::Fp<P>::fromDouble(workloads::kMicroFmaA);
             break;
         }
     }

@@ -39,50 +39,37 @@ phiTimeSeconds(Workload &w, const fault::GoldenRun &golden)
     return kSerialOverhead + compute + mem;
 }
 
-PhiEvaluation
-evaluatePhi(Workload &w, const PhiOptions &options)
+arch::DeviceEvaluation
+evaluatePhi(Workload &w, const arch::DeviceOptions &options)
 {
-    MPARCH_ASSERT(w.precision() == fp::Precision::Double ||
-                      w.precision() == fp::Precision::Single,
-                  "KNC does not implement half precision");
-    PhiEvaluation eval;
-    eval.compiled = compileKernel(w.desc(), w.precision());
+    if (!implementsPrecision(w.precision()))
+        panic("KNC does not implement ",
+              fp::precisionName(w.precision()), " precision");
+    arch::DeviceEvaluation eval;
+    const CompiledKernel compiled =
+        compileKernel(w.desc(), w.precision());
+    const auto golden = arch::deviceGoldenRun(w, options);
 
     // PVF: CAROL-FI protocol — single bit flip in a random program
     // variable at a random instant (Figure 7).
-    fault::CampaignConfig pvf;
-    pvf.trials = options.pvfTrials;
-    pvf.seed = options.seed;
-    const auto golden =
-        fault::goldenRunFor(w, pvf.inputSeed, options.supervisor);
-    const auto pvf_run = fault::runSupervisedCampaign(
-        w, fault::CampaignKind::Memory, pvf, options.supervisor);
-    fault::requireAccepted(pvf_run, w, fault::CampaignKind::Memory);
-    eval.pvfCampaign = pvf_run.result;
+    arch::runDeviceCampaign(eval, w, fault::CampaignKind::Memory,
+                            options.seed, options);
 
     // Functional-unit strikes: what the beam actually hits in the
     // unprotected datapath; its corpus also drives the TRE analysis
     // (Figure 8).
-    fault::CampaignConfig dp;
-    dp.trials = options.datapathTrials;
-    dp.seed = options.seed + 1;
-    const auto dp_run = fault::runSupervisedCampaign(
-        w, fault::CampaignKind::Datapath, dp, options.supervisor);
-    fault::requireAccepted(dp_run, w, fault::CampaignKind::Datapath);
-    eval.datapathCampaign = dp_run.result;
-    eval.coverage = std::min(pvf_run.coverage(), dp_run.coverage());
-    eval.poisoned = pvf_run.poisoned + dp_run.poisoned;
+    arch::runDeviceCampaign(eval, w, fault::CampaignKind::Datapath,
+                            options.seed + 1, options);
 
     // Exposure inventory. ECC-protected structures (register file,
     // caches) are absent: MCA corrects them (Section 3.1).
     const workloads::KernelDesc desc = w.desc();
     const double datapath_bits =
-        static_cast<double>(kCores) * eval.compiled.vectorRegisters *
+        static_cast<double>(kCores) * compiled.vectorRegisters *
         kUnprotectedBitsPerReg;
     const double control_bits =
         static_cast<double>(kCores) *
-        (eval.compiled.simdLanes * kControlBitsPerLane +
-         kControlBitsFixed);
+        (compiled.simdLanes * kControlBitsPerLane + kControlBitsFixed);
     const double due_prob =
         kControlDueFactor * (1.0 + 8.0 * desc.branchDensity);
 

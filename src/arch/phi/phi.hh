@@ -15,57 +15,35 @@
 #ifndef MPARCH_ARCH_PHI_PHI_HH
 #define MPARCH_ARCH_PHI_PHI_HH
 
+#include "arch/device.hh"
 #include "arch/phi/compiler_model.hh"
-#include "beam/inventory.hh"
 #include "fault/campaign.hh"
-#include "fault/supervisor.hh"
 #include "workloads/workload.hh"
 
 namespace mparch::phi {
 
-/** Full reliability evaluation of one (workload, precision). */
-struct PhiEvaluation
+/** Seed of stand-alone evaluations (ablations, model tests). */
+inline constexpr std::uint64_t kDefaultSeed = 23;
+
+/** KNC implements double and single precision only. */
+inline bool
+implementsPrecision(fp::Precision p)
 {
-    CompiledKernel compiled;
-
-    /** CAROL-FI-style variable injection (PVF, Figure 7). */
-    fault::CampaignResult pvfCampaign;
-
-    /** Functional-unit injection (beam-like AVF + TRE corpus). */
-    fault::CampaignResult datapathCampaign;
-
-    beam::ResourceInventory inventory;
-
-    double fitSdc = 0.0;       ///< a.u. (Figure 6)
-    double fitDue = 0.0;       ///< a.u. (Figure 6)
-    double timeSeconds = 0.0;  ///< Table 2 model
-    double mebf = 0.0;         ///< a.u. (Figure 9)
-
-    /** Minimum completed fraction over the campaigns. */
-    double coverage = 1.0;
-
-    /** Trials abandoned by the supervisor across the campaigns. */
-    std::uint64_t poisoned = 0;
-};
-
-/** Evaluation knobs. */
-struct PhiOptions
-{
-    std::uint64_t pvfTrials = 500;
-    std::uint64_t datapathTrials = 500;
-    std::uint64_t seed = 23;
-
-    /** Crash-safety knobs (journal dir, resume, batching). */
-    fault::SupervisorConfig supervisor;
-};
+    return p == fp::Precision::Double || p == fp::Precision::Single;
+}
 
 /** Execution-time model only (Table 2). */
 double phiTimeSeconds(workloads::Workload &w,
                       const fault::GoldenRun &golden);
 
-/** Run campaigns and assemble FIT/PVF/MEBF. */
-PhiEvaluation evaluatePhi(workloads::Workload &w,
-                          const PhiOptions &options = {});
+/**
+ * The PVF campaign (seed options.seed, the memory campaign), then
+ * the functional-unit campaign (options.seed + 1, the datapath
+ * campaign); FIT, and MEBF over SDC + DUE. Fatal for a precision
+ * KNC does not implement.
+ */
+arch::DeviceEvaluation evaluatePhi(workloads::Workload &w,
+                                   const arch::DeviceOptions &options);
 
 } // namespace mparch::phi
 

@@ -33,13 +33,20 @@ parseArchitecture(std::string_view name)
     return std::nullopt;
 }
 
+bool
+supportsPrecision(Architecture arch, fp::Precision p)
+{
+    return arch != Architecture::XeonPhi || phi::implementsPrecision(p);
+}
+
 std::vector<fp::Precision>
 supportedPrecisions(Architecture arch)
 {
-    using fp::Precision;
-    if (arch == Architecture::XeonPhi)
-        return {Precision::Double, Precision::Single};
-    return {Precision::Double, Precision::Single, Precision::Half};
+    std::vector<fp::Precision> out;
+    for (fp::Precision p : fp::allPrecisions)
+        if (supportsPrecision(arch, p))
+            out.push_back(p);
+    return out;
 }
 
 const PrecisionResult *
@@ -83,71 +90,36 @@ evaluateOne(const StudyConfig &config, fp::Precision p)
     row.precision = p;
     auto w = nn::makeAnyWorkload(config.workload, p, config.scale);
 
+    arch::DeviceOptions options;
+    options.datapathTrials = config.trials;
+    options.memoryTrials = config.trials / 2 + 1;
+    options.seed = config.seed;
+    options.supervisor = makeSupervisor(config);
+    arch::DeviceEvaluation eval;
     switch (config.arch) {
-      case Architecture::Fpga: {
-        fpga::FpgaOptions options;
-        options.configTrials = config.trials;
-        options.bramTrials = config.trials / 2 + 1;
-        options.seed = config.seed;
-        options.supervisor = makeSupervisor(config);
-        const auto eval = fpga::evaluateFpga(*w, options);
-        row.fitSdc = eval.fitSdc;
-        row.fitDue = eval.fitDue;
-        row.timeSeconds = eval.timeSeconds;
-        row.mebf = eval.mebf;
-        row.avfDatapath = eval.configCampaign.avfSdc();
-        row.pvf = eval.bramCampaign.avfSdc();
-        row.tre = metrics::treCurve(eval.configCampaign);
-        row.severity = metrics::criticalitySplit(eval.configCampaign);
-        row.luts = eval.circuit.luts;
-        row.dsps = eval.circuit.dsps;
-        row.brams = eval.circuit.brams;
-        row.coverage = eval.coverage;
-        row.poisoned = eval.poisoned;
+      case Architecture::Fpga:
+        eval = fpga::evaluateFpga(*w, options);
         break;
-      }
-      case Architecture::XeonPhi: {
-        phi::PhiOptions options;
-        options.pvfTrials = config.trials;
-        options.datapathTrials = config.trials;
-        options.seed = config.seed;
-        options.supervisor = makeSupervisor(config);
-        const auto eval = phi::evaluatePhi(*w, options);
-        row.fitSdc = eval.fitSdc;
-        row.fitDue = eval.fitDue;
-        row.timeSeconds = eval.timeSeconds;
-        row.mebf = eval.mebf;
-        row.avfDatapath = eval.datapathCampaign.avfSdc();
-        row.pvf = eval.pvfCampaign.avfSdc();
-        row.tre = metrics::treCurve(eval.datapathCampaign);
-        row.severity =
-            metrics::criticalitySplit(eval.datapathCampaign);
-        row.vectorRegisters = eval.compiled.vectorRegisters;
-        row.coverage = eval.coverage;
-        row.poisoned = eval.poisoned;
+      case Architecture::XeonPhi:
+        options.memoryTrials = config.trials;
+        eval = phi::evaluatePhi(*w, options);
+        row.vectorRegisters =
+            phi::compileKernel(w->desc(), p).vectorRegisters;
         break;
-      }
-      case Architecture::Gpu: {
-        gpu::GpuOptions options;
-        options.datapathTrials = config.trials;
-        options.memoryTrials = config.trials / 2 + 1;
-        options.seed = config.seed;
-        options.supervisor = makeSupervisor(config);
-        const auto eval = gpu::evaluateGpu(*w, options);
-        row.fitSdc = eval.fitSdc;
-        row.fitDue = eval.fitDue;
-        row.timeSeconds = eval.timeSeconds;
-        row.mebf = eval.mebf;
-        row.avfDatapath = eval.datapathCampaign.avfSdc();
-        row.pvf = eval.memoryCampaign.avfSdc();
-        row.tre = metrics::treCurve(eval.datapathCampaign);
-        row.severity =
-            metrics::criticalitySplit(eval.datapathCampaign);
-        row.coverage = eval.coverage;
-        row.poisoned = eval.poisoned;
+      case Architecture::Gpu:
+        eval = gpu::evaluateGpu(*w, options);
         break;
-      }
     }
+    row.fitSdc = eval.fitSdc;
+    row.fitDue = eval.fitDue;
+    row.timeSeconds = eval.timeSeconds;
+    row.mebf = eval.mebf;
+    row.avfDatapath = eval.datapathCampaign.avfSdc();
+    row.pvf = eval.memoryCampaign.avfSdc();
+    row.tre = metrics::treCurve(eval.datapathCampaign);
+    row.severity = metrics::criticalitySplit(eval.datapathCampaign);
+    row.coverage = eval.coverage;
+    row.poisoned = eval.poisoned;
     return row;
 }
 

@@ -42,7 +42,12 @@ const char *architectureName(Architecture arch);
 /** Inverse of architectureName(); nullopt for an unknown name. */
 std::optional<Architecture> parseArchitecture(std::string_view name);
 
-/** Precisions a device supports (KNC has no half). */
+/** Whether the device's model implements @p p: every precision
+ *  except on KNC, which has neither half nor bfloat16. */
+bool supportsPrecision(Architecture arch, fp::Precision p);
+
+/** The paper's precisions (fp::allPrecisions) the device supports;
+ *  what a study evaluates by default. */
 std::vector<fp::Precision> supportedPrecisions(Architecture arch);
 
 /** Study configuration. */
@@ -104,9 +109,6 @@ struct PrecisionResult
     /** SDC severity split (CNN workloads; numeric kernels report
      *  100% critical-change and defer to TRE). */
     metrics::CriticalitySplit severity;
-
-    /** FPGA extras (zero elsewhere). */
-    double luts = 0.0, dsps = 0.0, brams = 0.0;
 
     /** Phi extra: instantiated vector registers (zero elsewhere). */
     int vectorRegisters = 0;

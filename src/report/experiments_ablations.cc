@@ -139,10 +139,9 @@ ablationBeamMc()
              "mc-ci95-hi", "mc-faults", "covered"});
         for (auto p : fp::allPrecisions) {
             auto w = workloads::makeWorkload("micro-mul", p, scale);
-            gpu::GpuOptions opt;
-            opt.datapathTrials = self.trialsFor(ctx);
-            opt.memoryTrials = self.trialsFor(ctx) / 2;
-            opt.supervisor = reportSupervisor(ctx, scale);
+            const arch::DeviceOptions opt{
+                self.trialsFor(ctx), self.trialsFor(ctx) / 2,
+                gpu::kDefaultSeed, reportSupervisor(ctx, scale)};
             const auto eval = gpu::evaluateGpu(*w, opt);
 
             // Strip the control entry (its DUEs are analytic-only)
@@ -239,10 +238,9 @@ ablationProtection()
             for (auto p :
                  {Precision::Double, Precision::Single}) {
                 auto w = workloads::makeWorkload(name, p, scale);
-                phi::PhiOptions opt;
-                opt.pvfTrials = self.trialsFor(ctx);
-                opt.datapathTrials = self.trialsFor(ctx);
-                opt.supervisor = reportSupervisor(ctx, scale);
+                const arch::DeviceOptions opt{
+                    self.trialsFor(ctx), self.trialsFor(ctx),
+                    phi::kDefaultSeed, reportSupervisor(ctx, scale)};
                 auto eval = phi::evaluatePhi(*w, opt);
                 const double base = eval.fitSdc;
                 // Without MCA the architectural register file (32 x
@@ -254,7 +252,7 @@ ablationProtection()
                      beam::BitClass::SramData,
                      static_cast<double>(phi::kCores) *
                          phi::kVectorRegisters * phi::kVpuBits,
-                     eval.pvfCampaign.avfSdc(), 0.0});
+                     eval.memoryCampaign.avfSdc(), 0.0});
                 phi_table.row()
                     .cell(name)
                     .cell(precisionLabel(p))
@@ -270,10 +268,9 @@ ablationProtection()
         for (const std::string name : {"mxm", "lavamd"}) {
             for (auto p : fp::allPrecisions) {
                 auto w = workloads::makeWorkload(name, p, scale);
-                gpu::GpuOptions opt;
-                opt.datapathTrials = self.trialsFor(ctx);
-                opt.memoryTrials = self.trialsFor(ctx) / 2;
-                opt.supervisor = reportSupervisor(ctx, scale);
+                const arch::DeviceOptions opt{
+                    self.trialsFor(ctx), self.trialsFor(ctx) / 2,
+                    gpu::kDefaultSeed, reportSupervisor(ctx, scale)};
                 auto eval = gpu::evaluateGpu(*w, opt);
                 const double base = eval.fitSdc;
                 // Without triplication every DRAM-resident copy of
@@ -344,19 +341,21 @@ ablationScrubbing()
         std::vector<Row> rows;
         for (auto p : fp::allPrecisions) {
             auto w = workloads::makeWorkload("mxm", p, scale);
-            fpga::FpgaOptions opt;
-            opt.configTrials = self.trialsFor(ctx);
-            opt.bramTrials = self.trialsFor(ctx) / 2;
-            opt.supervisor = reportSupervisor(ctx, scale);
+            const arch::DeviceOptions opt{
+                self.trialsFor(ctx), self.trialsFor(ctx) / 2,
+                fpga::kDefaultSeed, reportSupervisor(ctx, scale)};
             const auto eval = fpga::evaluateFpga(*w, opt);
             // Scrubbing only concerns the persistent mechanism: the
             // configuration-memory entry's raw upset rate and AVF.
-            const double config_rate =
-                eval.circuit.configBits *
-                beam::bitSensitivity(beam::Node::Fpga28nm,
-                                     beam::BitClass::SramConfig);
-            rows.push_back({p, config_rate,
-                            eval.configCampaign.avfSdc()});
+            const beam::ResourceEntry &config =
+                eval.inventory.entries.front();
+            MPARCH_ASSERT(config.name == "config-memory",
+                          "FPGA inventory starts with config memory");
+            rows.push_back(
+                {p,
+                 config.bits * beam::bitSensitivity(eval.inventory.node,
+                                                    config.bitClass),
+                 config.avfSdc});
         }
         auto &table = doc.addTable(
             "main", {"scrub-interval(a.u.)", "double", "single",

@@ -36,6 +36,17 @@ microOpName(MicroOp op)
     return "?";
 }
 
+/**
+ * Chain constants, exactly representable in binary16:
+ *  mul: x *= 1 + 2^-10  -> x_final ~ x0 * 7.0 after 2k steps
+ *  add: x += 2^-10      -> x_final ~ x0 + 2
+ *  fma: x = x*m + a, m = 1 - 2^-10: converges towards a/2^-10
+ */
+inline constexpr double kMicroMulK = 1.0009765625;
+inline constexpr double kMicroAddK = 0.0009765625;
+inline constexpr double kMicroFmaM = 0.9990234375;
+inline constexpr double kMicroFmaA = 0.001708984375;
+
 /** Single-operation chain benchmark at precision P. */
 template <fp::Precision P>
 class MicroWorkload : public Workload
@@ -89,14 +100,10 @@ class MicroWorkload : public Workload
     void
     execute(ExecutionEnv &env) override
     {
-        // Chain constants, exactly representable in binary16:
-        //  mul: x *= 1 + 2^-10  -> x_final ~ x0 * 7.0 after 2k steps
-        //  add: x += 2^-10      -> x_final ~ x0 + 2
-        //  fma: x = x*m + a, m = 1 - 2^-10: converges towards a/2^-10
-        const Value mul_k = Value::fromDouble(1.0009765625);
-        const Value add_k = Value::fromDouble(0.0009765625);
-        const Value fma_m = Value::fromDouble(0.9990234375);
-        const Value fma_a = Value::fromDouble(0.001708984375);
+        const Value mul_k = Value::fromDouble(kMicroMulK);
+        const Value add_k = Value::fromDouble(kMicroAddK);
+        const Value fma_m = Value::fromDouble(kMicroFmaM);
+        const Value fma_a = Value::fromDouble(kMicroFmaA);
         for (std::size_t it = 0; it < iters_; ++it) {
             env.tick();
             if (env.aborted())

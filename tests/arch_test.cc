@@ -91,9 +91,7 @@ TEST(FpgaSynthesis, MnistUsesMoreResourcesThanMxm)
 
 TEST(FpgaEvaluation, FitDecreasesWithPrecisionAndNoDue)
 {
-    fpga::FpgaOptions opt;
-    opt.configTrials = 150;
-    opt.bramTrials = 100;
+    const arch::DeviceOptions opt{150, 100, fpga::kDefaultSeed, {}};
     double prev = 1e300;
     for (auto p : fp::allPrecisions) {  // double, single, half
         auto w = workloads::makeWorkload("mxm", p, 0.15);
@@ -107,9 +105,7 @@ TEST(FpgaEvaluation, FitDecreasesWithPrecisionAndNoDue)
 
 TEST(FpgaEvaluation, MebfImprovesWithReducedPrecision)
 {
-    fpga::FpgaOptions opt;
-    opt.configTrials = 150;
-    opt.bramTrials = 100;
+    const arch::DeviceOptions opt{150, 100, fpga::kDefaultSeed, {}};
     auto ws = workloads::makeWorkload("mxm", Precision::Single, 0.15);
     auto wh = workloads::makeWorkload("mxm", Precision::Half, 0.15);
     const auto es = fpga::evaluateFpga(*ws, opt);
@@ -121,17 +117,15 @@ TEST(FpgaEvaluation, MebfImprovesWithReducedPrecision)
 
 TEST(FpgaEvaluation, MnistCriticalShareGrowsAsPrecisionShrinks)
 {
-    fpga::FpgaOptions opt;
-    opt.configTrials = 250;
-    opt.bramTrials = 100;
+    const arch::DeviceOptions opt{250, 100, fpga::kDefaultSeed, {}};
     auto wd = nn::makeAnyWorkload("mnist", Precision::Double, 0.5);
     auto wh = nn::makeAnyWorkload("mnist", Precision::Half, 0.5);
     const auto ed = fpga::evaluateFpga(*wd, opt);
     const auto eh = fpga::evaluateFpga(*wh, opt);
     using workloads::SdcSeverity;
-    const double crit_d = ed.configCampaign.severityFraction(
+    const double crit_d = ed.datapathCampaign.severityFraction(
         SdcSeverity::CriticalChange);
-    const double crit_h = eh.configCampaign.severityFraction(
+    const double crit_h = eh.datapathCampaign.severityFraction(
         SdcSeverity::CriticalChange);
     // Paper Figure 3: 5% critical at double vs 20% at half.
     EXPECT_GT(crit_h, crit_d);
@@ -141,9 +135,7 @@ TEST(FpgaEvaluation, MnistCriticalShareGrowsAsPrecisionShrinks)
 TEST(FpgaTiming, HalfMxmSlowerThanSingle)
 {
     // Paper Table 1: MxM takes 2.10s in single but 2.31s in half.
-    fpga::FpgaOptions opt;
-    opt.configTrials = 60;
-    opt.bramTrials = 40;
+    const arch::DeviceOptions opt{60, 40, fpga::kDefaultSeed, {}};
     auto ws = workloads::makeWorkload("mxm", Precision::Single, 0.15);
     auto wh = workloads::makeWorkload("mxm", Precision::Half, 0.15);
     const double ts = fpga::evaluateFpga(*ws, opt).timeSeconds;
@@ -189,16 +181,17 @@ TEST(PhiCompiler, LaneCounts)
 
 TEST(PhiEvaluation, RejectsHalfPrecision)
 {
-    auto w = workloads::makeWorkload("mxm", Precision::Half, 0.1);
-    EXPECT_DEATH((void)phi::evaluatePhi(*w),
-                 "KNC does not implement half");
+    for (auto p : {Precision::Half, Precision::Bfloat16}) {
+        auto w = workloads::makeWorkload("mxm", p, 0.1);
+        EXPECT_DEATH((void)phi::evaluatePhi(*w, {}),
+                     "KNC does not implement " +
+                         std::string(fp::precisionName(p)));
+    }
 }
 
 TEST(PhiEvaluation, Figure6Shapes)
 {
-    phi::PhiOptions opt;
-    opt.pvfTrials = 150;
-    opt.datapathTrials = 150;
+    const arch::DeviceOptions opt{150, 150, phi::kDefaultSeed, {}};
     auto eval = [&](const char *name, Precision p) {
         auto w = workloads::makeWorkload(name, p, 0.15);
         return phi::evaluatePhi(*w, opt);
@@ -219,10 +212,10 @@ TEST(PhiEvaluation, Figure6Shapes)
     EXPECT_GT(mxm_s.fitDue, mxm_d.fitDue);
     EXPECT_GT(lud_s.fitDue, lud_d.fitDue);
     // PVF (Figure 7): similar across precisions per code.
-    EXPECT_NEAR(lava_s.pvfCampaign.avfSdc(),
-                lava_d.pvfCampaign.avfSdc(), 0.15);
-    EXPECT_NEAR(mxm_s.pvfCampaign.avfSdc(),
-                mxm_d.pvfCampaign.avfSdc(), 0.15);
+    EXPECT_NEAR(lava_s.memoryCampaign.avfSdc(),
+                lava_d.memoryCampaign.avfSdc(), 0.15);
+    EXPECT_NEAR(mxm_s.memoryCampaign.avfSdc(),
+                mxm_d.memoryCampaign.avfSdc(), 0.15);
     // Table 2: single ~35% faster for LavaMD/LUD, slower for MxM.
     EXPECT_LT(lava_s.timeSeconds, 0.8 * lava_d.timeSeconds);
     EXPECT_LT(lud_s.timeSeconds, 0.8 * lud_d.timeSeconds);
@@ -272,9 +265,7 @@ TEST(GpuRegfile, Figure12DoubleTwiceSingleAndHalf)
 
 TEST(GpuMicro, Figure10aShapes)
 {
-    gpu::GpuOptions opt;
-    opt.datapathTrials = 250;
-    opt.memoryTrials = 100;
+    const arch::DeviceOptions opt{250, 100, gpu::kDefaultSeed, {}};
     auto eval = [&](const char *name, Precision p) {
         auto w = workloads::makeWorkload(name, p, 0.15);
         return gpu::evaluateGpu(*w, opt);
@@ -306,9 +297,7 @@ TEST(GpuMicro, Figure10aShapes)
 
 TEST(GpuApps, Figure10bShapes)
 {
-    gpu::GpuOptions opt;
-    opt.datapathTrials = 200;
-    opt.memoryTrials = 150;
+    const arch::DeviceOptions opt{200, 150, gpu::kDefaultSeed, {}};
     auto eval = [&](const char *name, Precision p) {
         auto w = workloads::makeWorkload(name, p, 0.15);
         return gpu::evaluateGpu(*w, opt);
@@ -380,9 +369,7 @@ TEST(GpuEvaluation, SharesTheCampaignsGoldenRun)
     // plus one per trial.
     const double scale = 0.1;
     CountingMxM w(scale);
-    gpu::GpuOptions opt;
-    opt.datapathTrials = 30;
-    opt.memoryTrials = 20;
+    arch::DeviceOptions opt{30, 20, gpu::kDefaultSeed, {}};
     opt.supervisor.scale = scale;
     opt.supervisor.useGoldenCache = true;
     fault::clearGoldenRunCache();
@@ -393,9 +380,7 @@ TEST(GpuEvaluation, SharesTheCampaignsGoldenRun)
 
 TEST(GpuYolite, HalfSlowerAndDueHigh)
 {
-    gpu::GpuOptions opt;
-    opt.datapathTrials = 150;
-    opt.memoryTrials = 100;
+    const arch::DeviceOptions opt{150, 100, gpu::kDefaultSeed, {}};
     auto es = [&](Precision p) {
         auto w = nn::makeAnyWorkload("yolite", p, 1.0);
         return gpu::evaluateGpu(*w, opt);
@@ -412,9 +397,7 @@ TEST(GpuYolite, HalfSlowerAndDueHigh)
 
 TEST(GpuMebf, Figure13MicroAndApps)
 {
-    gpu::GpuOptions opt;
-    opt.datapathTrials = 150;
-    opt.memoryTrials = 100;
+    const arch::DeviceOptions opt{150, 100, gpu::kDefaultSeed, {}};
     auto eval = [&](const char *name, Precision p) {
         auto w = workloads::makeWorkload(name, p, 0.15);
         return gpu::evaluateGpu(*w, opt);

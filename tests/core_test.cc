@@ -12,10 +12,14 @@
 #include <string_view>
 #include <thread>
 
+#include "arch/fpga/fpga.hh"
+#include "arch/gpu/gpu.hh"
+#include "arch/phi/phi.hh"
 #include "core/study.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "fault/model.hh"
+#include "nn/nn_workloads.hh"
 #include "report/study.hh"
 #include "test_util.hh"
 
@@ -32,6 +36,12 @@ TEST(StudyConfigTest, SupportedPrecisions)
     ASSERT_EQ(phi.size(), 2u);
     EXPECT_EQ(phi[0], Precision::Double);
     EXPECT_EQ(phi[1], Precision::Single);
+    // Beyond the defaults: bfloat16 runs wherever the model has it.
+    EXPECT_TRUE(supportsPrecision(Architecture::Gpu, Precision::Bfloat16));
+    EXPECT_TRUE(supportsPrecision(Architecture::Fpga, Precision::Bfloat16));
+    EXPECT_FALSE(supportsPrecision(Architecture::XeonPhi, Precision::Half));
+    EXPECT_FALSE(
+        supportsPrecision(Architecture::XeonPhi, Precision::Bfloat16));
 }
 
 TEST(StudyConfigTest, ArchitectureNames)
@@ -105,7 +115,7 @@ TEST(StudyRunTest, PhiStudySkipsHalf)
     EXPECT_GT(result.rows[0].vectorRegisters, 0);
 }
 
-TEST(StudyRunTest, FpgaStudyReportsResources)
+TEST(StudyRunTest, FpgaStudyHasNoDue)
 {
     StudyConfig config;
     config.arch = Architecture::Fpga;
@@ -115,8 +125,7 @@ TEST(StudyRunTest, FpgaStudyReportsResources)
     config.precisions = {Precision::Single};
     const StudyResult result = runStudy(config);
     ASSERT_EQ(result.rows.size(), 1u);
-    EXPECT_GT(result.rows[0].luts, 0.0);
-    EXPECT_GT(result.rows[0].dsps, 0.0);
+    EXPECT_GT(result.rows[0].fitSdc, 0.0);
     EXPECT_DOUBLE_EQ(result.rows[0].fitDue, 0.0);
 }
 
@@ -174,9 +183,6 @@ expectSameRows(const StudyResult &a, const StudyResult &b)
         EXPECT_EQ(x.severity.detectionChange,
                   y.severity.detectionChange);
         EXPECT_EQ(x.severity.criticalChange, y.severity.criticalChange);
-        EXPECT_EQ(x.luts, y.luts);
-        EXPECT_EQ(x.dsps, y.dsps);
-        EXPECT_EQ(x.brams, y.brams);
         EXPECT_EQ(x.vectorRegisters, y.vectorRegisters);
         EXPECT_EQ(x.coverage, y.coverage);
         EXPECT_EQ(x.poisoned, y.poisoned);
@@ -262,6 +268,20 @@ TEST(StudyMemoTest, DefaultPrecisionsEqualTheExplicitList)
     expectSameRows(a, hit);
 }
 
+/** Test name of a per-architecture case: the architecture's name
+ *  with '_' for '-'. */
+struct ArchParamName
+{
+    template <typename Param>
+    std::string
+    operator()(const ::testing::TestParamInfo<Param> &info) const
+    {
+        std::string name = architectureName(info.param.arch);
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    }
+};
+
 /** One architecture and the campaign kinds its study journals. */
 struct ArchJournals
 {
@@ -314,11 +334,7 @@ INSTANTIATE_TEST_SUITE_P(
         ArchJournals{Architecture::Fpga, {"persistent", "memory"}},
         ArchJournals{Architecture::XeonPhi, {"memory", "datapath"}},
         ArchJournals{Architecture::Gpu, {"datapath", "memory"}}),
-    [](const ::testing::TestParamInfo<ArchJournals> &info) {
-        std::string name = architectureName(info.param.arch);
-        std::replace(name.begin(), name.end(), '-', '_');
-        return name;
-    });
+    ArchParamName());
 
 TEST(StudyJournalDeathTest, ResumeWithOtherTrialsIsFatal)
 {
@@ -335,6 +351,93 @@ TEST(StudyJournalDeathTest, ResumeWithOtherTrialsIsFatal)
                 "refusing to resume");
     std::filesystem::remove_all(config.journalDir);
 }
+
+/** One device model and the campaigns a study runs through it. */
+struct DeviceContract
+{
+    Architecture arch;
+    arch::DeviceEvaluation (*evaluate)(workloads::Workload &,
+                                       const arch::DeviceOptions &);
+    /** Journal name of the campaign that fills datapathCampaign. */
+    const char *datapathKind;
+    /** Memory-campaign trials of a study with kContractTrials. */
+    std::uint64_t memoryTrials;
+};
+
+constexpr std::uint64_t kContractTrials = 20;
+
+void
+PrintTo(const DeviceContract &param, std::ostream *os)
+{
+    *os << architectureName(param.arch);
+}
+
+class DeviceContractTest : public ::testing::TestWithParam<DeviceContract>
+{
+};
+
+TEST_P(DeviceContractTest, StudyRowCopiesTheDeviceEvaluation)
+{
+    const DeviceContract &device = GetParam();
+    StudyConfig config;
+    config.arch = device.arch;
+    config.workload = "mxm";
+    config.precisions = {Precision::Single};
+    config.scale = 0.1;
+    config.trials = kContractTrials;
+    config.jobs = 1;
+    config.journalDir = test::tempPath("journals");
+    std::filesystem::remove_all(config.journalDir);
+    const StudyResult study = runStudy(config);
+    ASSERT_EQ(study.rows.size(), 1u);
+    const PrecisionResult &row = study.rows[0];
+
+    // The study's campaigns ran the trials its policy gives them.
+    const std::string prefix = config.journalDir + "/" +
+                               architectureName(config.arch) +
+                               "/mxm-single-";
+    const auto datapath_journal = fault::readJournal(
+        prefix + device.datapathKind + ".mpj");
+    const auto memory_journal = fault::readJournal(prefix + "memory.mpj");
+    ASSERT_TRUE(datapath_journal && memory_journal);
+    EXPECT_EQ(datapath_journal->header.config.trials, kContractTrials);
+    EXPECT_EQ(memory_journal->header.config.trials, device.memoryTrials);
+    std::filesystem::remove_all(config.journalDir);
+
+    // The same options through the device model give the row.
+    auto w = nn::makeAnyWorkload(config.workload, Precision::Single,
+                                 config.scale);
+    arch::DeviceOptions options;
+    options.datapathTrials = kContractTrials;
+    options.memoryTrials = device.memoryTrials;
+    options.seed = config.seed;
+    const arch::DeviceEvaluation eval = device.evaluate(*w, options);
+    EXPECT_EQ(eval.datapathCampaign.trials, kContractTrials);
+    EXPECT_EQ(eval.memoryCampaign.trials, device.memoryTrials);
+    EXPECT_EQ(row.avfDatapath, eval.datapathCampaign.avfSdc());
+    EXPECT_EQ(row.pvf, eval.memoryCampaign.avfSdc());
+    EXPECT_EQ(row.fitSdc, eval.inventory.fitSdc());
+    EXPECT_EQ(row.fitDue, eval.inventory.fitDue());
+    EXPECT_EQ(row.timeSeconds, eval.timeSeconds);
+    EXPECT_EQ(row.mebf, eval.mebf);
+    const metrics::TreCurve tre = metrics::treCurve(eval.datapathCampaign);
+    EXPECT_FALSE(tre.remaining.empty());
+    EXPECT_EQ(row.tre.thresholds, tre.thresholds);
+    EXPECT_EQ(row.tre.remaining, tre.remaining);
+    EXPECT_EQ(row.coverage, eval.coverage);
+    EXPECT_EQ(row.poisoned, eval.poisoned);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PerArch, DeviceContractTest,
+    ::testing::Values(
+        DeviceContract{Architecture::Fpga, fpga::evaluateFpga,
+                       "persistent", kContractTrials / 2 + 1},
+        DeviceContract{Architecture::XeonPhi, phi::evaluatePhi,
+                       "datapath", kContractTrials},
+        DeviceContract{Architecture::Gpu, gpu::evaluateGpu, "datapath",
+                       kContractTrials / 2 + 1}),
+    ArchParamName());
 
 TEST(StudyMemoTest, ConcurrentCallersAgree)
 {
