@@ -17,9 +17,9 @@
  *   fuzz    Property-based fuzzing of one format. LIST is
  *           comma-separated op names (default: all ops).
  *   corpus  Replay the regression corpus alone.
- *   check   Run a single case through production code and every
- *           oracle, verbosely. This is the command mismatch reports
- *           print.
+ *   check   Run a single case through production code, every oracle
+ *           and the host-FPU gate, verbosely. This is the command
+ *           mismatch reports print.
  *
  * Counts (--trials, --seed, --samples, --a ...) are whole decimal or
  * 0x-prefixed hex numbers. Exit code 0 when everything agrees, 1 on
@@ -276,6 +276,8 @@ cmdCheck(int argc, char **argv)
               << (exact.supported ? fp::fpDescribe(rf, exact.bits)
                                   : std::string("(unsupported)"))
               << "\n";
+    std::cout << "host-gate:  "
+              << fp::fpDescribe(rf, verify::runGated(c)) << "\n";
     std::vector<verify::Mismatch> found;
     verify::CheckOptions opts;
     const bool ok = verify::checkCase(c, opts, &found);

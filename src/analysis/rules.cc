@@ -17,6 +17,7 @@ allRules()
         &orderedSerializationRule(),
         &hookCoverageRule(),
         &includeHygieneRule(),
+        &hostMathRule(),
     };
     return rules;
 }

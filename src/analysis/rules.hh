@@ -21,6 +21,7 @@ const Rule &rngDisciplineRule();
 const Rule &orderedSerializationRule();
 const Rule &hookCoverageRule();
 const Rule &includeHygieneRule();
+const Rule &hostMathRule();
 
 namespace detail {
 

@@ -1,0 +1,120 @@
+/**
+ * @file
+ * host-math: native floating-point math in src/fp lives in host.cc.
+ *
+ * The softfloat core is the reference every campaign result rests
+ * on; the host FPU may stand in for it only through the host-FPU gate
+ * in src/fp/host.cc, whose admissibility table says where a native
+ * result is provably the softfloat result. A native fma or sqrt
+ * anywhere else in src/fp would be a second, unverified
+ * implementation, and a `#pragma STDC FP_CONTRACT` could let the
+ * compiler fuse a host a*b+c into one rounding. In src/fp sources
+ * other than host.cc the rule flags:
+ *
+ *  - `fma`, `fmaf`, `fmal`, `sqrt`, `sqrtf`, `sqrtl` (plain, `std::`-
+ *    or `::`-qualified; member accesses are not flagged);
+ *  - every `__builtin_fma*` and `__builtin_sqrt*`;
+ *  - `#pragma STDC FP_CONTRACT`.
+ *
+ * Exemptions, from an audit of the tree: fp/value.hh declares the
+ * Fp<P> overloads `fma(a, b, c)` and `sqrt(a)`, which run the
+ * softfloat fpFma/fpSqrt, so unqualified `fma`/`sqrt` there are not
+ * host math (a `std::` spelling still is). convert.cc and
+ * transcendental.cc hold host-double range checks (std::log,
+ * std::isfinite, std::lround, std::clamp), none of which this rule
+ * covers; they need no exemption.
+ */
+
+#include "analysis/rules.hh"
+
+#include <string_view>
+
+namespace mparch::analysis {
+
+namespace {
+
+using detail::memberAccess;
+using detail::stdQualified;
+
+const char *const kHostMath[] = {
+    "fma", "fmaf", "fmal", "sqrt", "sqrtf", "sqrtl",
+};
+
+bool
+isHostMath(const std::string &name)
+{
+    for (const char *banned : kHostMath)
+        if (name == banned)
+            return true;
+    const std::string_view view(name);
+    return view.starts_with("__builtin_fma") ||
+           view.starts_with("__builtin_sqrt");
+}
+
+class HostMathRule final : public Rule
+{
+  public:
+    const char *name() const override { return "host-math"; }
+
+    const char *
+    summary() const override
+    {
+        return "native fma/sqrt and FP_CONTRACT pragmas in src/fp only "
+               "in the host-FPU gate (host.cc)";
+    }
+
+    void
+    check(const SourceFile &file, std::vector<Finding> &out) const
+        override
+    {
+        if (!file.pathHas("src/fp") || file.stem() == "host")
+            return;
+        const bool fpOverloads = file.stem() == "value" &&
+                                 file.isHeader();
+        const auto &code = file.code;
+        for (std::size_t i = 0; i < code.size(); ++i) {
+            const Token &t = code[i];
+            if (t.kind == TokKind::Directive && t.text == "pragma" &&
+                i + 2 < code.size() && code[i + 1].isIdent("STDC") &&
+                code[i + 2].isIdent("FP_CONTRACT")) {
+                report(file, t, "#pragma STDC FP_CONTRACT", out);
+                continue;
+            }
+            if (t.kind != TokKind::Identifier || !isHostMath(t.text) ||
+                memberAccess(code, i))
+                continue;
+            if (fpOverloads && (t.text == "fma" || t.text == "sqrt") &&
+                !stdQualified(code, i))
+                continue;
+            report(file, t, t.text, out);
+        }
+    }
+
+  private:
+    void
+    report(const SourceFile &file, const Token &t,
+           const std::string &what, std::vector<Finding> &out) const
+    {
+        Finding f;
+        f.rule = name();
+        f.path = file.path;
+        f.line = t.line;
+        f.col = t.col;
+        f.message = what + ": native floating-point math in src/fp "
+                           "outside the host-FPU gate";
+        f.hint = "compute through the softfloat core, or add the op "
+                 "to src/fp/host.cc behind OpCtx::host";
+        out.push_back(std::move(f));
+    }
+};
+
+} // namespace
+
+const Rule &
+hostMathRule()
+{
+    static const HostMathRule rule;
+    return rule;
+}
+
+} // namespace mparch::analysis

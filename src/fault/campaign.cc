@@ -222,7 +222,7 @@ classify(Workload &w, const GoldenRun &golden, bool hung)
 /** Run one armed execution under the watchdog. */
 bool  // returns "hung"
 executeArmed(Workload &w, const GoldenRun &golden,
-             const CampaignConfig &config, fp::FpHook *hook,
+             const CampaignConfig &config, DatapathFault *fault,
              const std::function<void(std::uint64_t)> &on_tick)
 {
     ExecutionEnv env;
@@ -231,7 +231,8 @@ executeArmed(Workload &w, const GoldenRun &golden,
                   static_cast<double>(golden.ticks)));
     env.onTick = on_tick;
     fp::FpContext ctx;
-    ctx.hook = hook;
+    if (fault != nullptr)
+        fault->arm(ctx);
     {
         fp::FpEnvGuard guard(ctx);
         w.execute(env);

@@ -33,8 +33,61 @@ const std::array<fp::Stage, 10> &stagesFor(fp::OpKind kind,
  */
 unsigned stageWidthEstimate(fp::Stage stage, fp::Format f);
 
+/**
+ * A datapath fault: a strike trigger (which dynamic ops) plus the
+ * stage and bit it corrupts in them.
+ *
+ * arm() installs the hook together with its trigger, so only the
+ * struck ops reach perturb() and every other op runs on the fast
+ * path. Installed as a plain FpContext::hook (no trigger), it sees
+ * every op and advances the trigger itself at each OperandA visit,
+ * which is the same point in the op stream: both installs corrupt
+ * the same ops.
+ */
+class DatapathFault : public fp::FpHook
+{
+  public:
+    /** Install this fault (hook and trigger) into @p ctx. */
+    void
+    arm(fp::FpContext &ctx)
+    {
+        ctx.hook = this;
+        ctx.strike = &trigger_;
+    }
+
+  protected:
+    DatapathFault(const fp::StrikeTrigger &trigger, fp::Stage stage,
+                  double bit_frac)
+        : trigger_(trigger), stage_(stage), bitFrac_(bit_frac)
+    {}
+
+    /**
+     * The bit to corrupt in this visit of @p stage of @p op, or -1
+     * when the visit is not struck.
+     */
+    int
+    struckBit(fp::OpKind op, fp::Stage stage, unsigned width)
+    {
+        if (stage == fp::Stage::OperandA) {
+            const fp::FpContext *ctx = fp::currentContext();
+            if (ctx == nullptr || ctx->strike != &trigger_)
+                trigger_.enter(op);
+        }
+        if (stage != stage_ || !trigger_.strikes(op))
+            return -1;
+        const auto bit = static_cast<unsigned>(bitFrac_ * width);
+        return static_cast<int>(bit >= width ? width - 1 : bit);
+    }
+
+    fp::StrikeTrigger trigger_;
+
+  private:
+    fp::Stage stage_;
+    double bitFrac_;
+};
+
 /** Flip one bit of one stage of one dynamic op instance. */
-class OneShotDatapathHook : public fp::FpHook
+class OneShotDatapathHook : public DatapathFault
 {
   public:
     /**
@@ -46,44 +99,23 @@ class OneShotDatapathHook : public fp::FpHook
      */
     OneShotDatapathHook(fp::OpKind kind, std::uint64_t index,
                         fp::Stage stage, double bit_frac)
-        : kind_(kind), index_(index), stage_(stage),
-          bitFrac_(bit_frac)
+        : DatapathFault(fp::StrikeTrigger::oneShot(kind, index), stage,
+                        bit_frac)
     {}
 
     std::uint64_t
     perturb(fp::OpKind op, fp::Stage stage, unsigned width,
             std::uint64_t value) override
     {
-        if (stage == fp::Stage::OperandA) {
-            // Every instrumented op visits OperandA exactly once,
-            // first: use it as the dynamic instance counter.
-            current_ = seen_[static_cast<std::size_t>(op)]++;
-        }
-        if (!fired_ && op == kind_ && stage == stage_ &&
-            current_ == index_ &&
-            seen_[static_cast<std::size_t>(op)] == index_ + 1) {
-            fired_ = true;
-            auto bit = static_cast<unsigned>(bitFrac_ * width);
-            if (bit >= width)
-                bit = width - 1;
-            return value ^ (1ULL << bit);
-        }
-        return value;
+        const int bit = struckBit(op, stage, width);
+        if (bit < 0)
+            return value;
+        trigger_.spent = true;
+        return value ^ (1ULL << bit);
     }
 
     /** True once the fault was placed. */
-    bool fired() const { return fired_; }
-
-  private:
-    fp::OpKind kind_;
-    std::uint64_t index_;
-    fp::Stage stage_;
-    double bitFrac_;
-    std::array<std::uint64_t,
-               static_cast<std::size_t>(fp::OpKind::NumKinds)>
-        seen_{};
-    std::uint64_t current_ = 0;
-    bool fired_ = false;
+    bool fired() const { return trigger_.spent; }
 };
 
 /**
@@ -114,7 +146,7 @@ persistModeName(PersistMode mode)
  * optionally restricted to an engine's periodic index window so a
  * fault in (say) a CNN's conv engine never touches its dense engine.
  */
-class PersistentDatapathHook : public fp::FpHook
+class PersistentDatapathHook : public DatapathFault
 {
   public:
     /**
@@ -134,35 +166,28 @@ class PersistentDatapathHook : public fp::FpHook
                            double bit_frac, std::uint64_t period = 0,
                            std::uint64_t lo = 0, std::uint64_t hi = 0,
                            PersistMode mode = PersistMode::Flip)
-        : kind_(kind), units_(units ? units : 1), unit_(unit % units_),
-          stage_(stage), bitFrac_(bit_frac), period_(period), lo_(lo),
-          hi_(hi), mode_(mode)
+        : DatapathFault(fp::StrikeTrigger::persistent(kind, units, unit,
+                                                      period, lo, hi),
+                        stage, bit_frac),
+          mode_(mode)
     {}
 
     std::uint64_t
     perturb(fp::OpKind op, fp::Stage stage, unsigned width,
             std::uint64_t value) override
     {
-        if (stage == fp::Stage::OperandA && op == kind_) {
-            current_ = count_++;
-            inWindow_ = period_ == 0 ||
-                        (current_ % period_ >= lo_ &&
-                         current_ % period_ < hi_);
-        }
-        if (op == kind_ && stage == stage_ && inWindow_ &&
-            current_ % units_ == unit_) {
-            ++hits_;
-            auto bit = static_cast<unsigned>(bitFrac_ * width);
-            if (bit >= width)
-                bit = width - 1;
-            switch (mode_) {
-              case PersistMode::Flip:
-                return value ^ (1ULL << bit);
-              case PersistMode::StuckAt0:
-                return setBit(value, bit, false);
-              case PersistMode::StuckAt1:
-                return setBit(value, bit, true);
-            }
+        const int bit = struckBit(op, stage, width);
+        if (bit < 0)
+            return value;
+        ++hits_;
+        const auto b = static_cast<unsigned>(bit);
+        switch (mode_) {
+          case PersistMode::Flip:
+            return value ^ (1ULL << b);
+          case PersistMode::StuckAt0:
+            return setBit(value, b, false);
+          case PersistMode::StuckAt1:
+            return setBit(value, b, true);
         }
         return value;
     }
@@ -171,18 +196,7 @@ class PersistentDatapathHook : public fp::FpHook
     std::uint64_t hits() const { return hits_; }
 
   private:
-    fp::OpKind kind_;
-    std::uint64_t units_;
-    std::uint64_t unit_;
-    fp::Stage stage_;
-    double bitFrac_;
-    std::uint64_t period_;
-    std::uint64_t lo_;
-    std::uint64_t hi_;
     PersistMode mode_;
-    std::uint64_t count_ = 0;
-    std::uint64_t current_ = 0;
-    bool inWindow_ = false;
     std::uint64_t hits_ = 0;
 };
 

@@ -166,6 +166,8 @@ std::uint64_t
 addCore(Format f, std::uint64_t a, std::uint64_t b, OpKind op)
 {
     const OpCtx ctx = detail::enterOp(op);
+    if (ctx.host && detail::hostAdmits(op, f))
+        return detail::hostAdd(f, a, op == OpKind::Sub ? fpNeg(f, b) : b);
     a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
         f.valueMask();
     b = detail::touch(ctx, op, Stage::OperandB, f.totalBits, b) &
@@ -249,6 +251,8 @@ fpMul(Format f, std::uint64_t a, std::uint64_t b)
 {
     const OpKind op = OpKind::Mul;
     const OpCtx ctx = detail::enterOp(op);
+    if (ctx.host && detail::hostAdmits(op, f))
+        return detail::hostMul(f, a, b);
     a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
         f.valueMask();
     b = detail::touch(ctx, op, Stage::OperandB, f.totalBits, b) &

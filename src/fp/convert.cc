@@ -49,19 +49,25 @@ std::uint64_t
 fpConvert(Format dst, Format src, std::uint64_t a)
 {
     const OpCtx ctx = detail::enterOp(OpKind::Convert);
+    if (ctx.host && detail::hostAdmitsConvert(dst, src))
+        return detail::hostConvert(dst, src, a);
     return convertCore(dst, src, a, ctx, true);
 }
 
 std::uint64_t
 fpConvertSilent(Format dst, Format src, std::uint64_t a)
 {
+    // Silent conversions always round to nearest-even.
+    if (detail::hostAdmitsConvert(dst, src) && detail::hostFpuReady())
+        return detail::hostConvert(dst, src, a);
     return convertCore(dst, src, a, OpCtx{}, false);
 }
 
 std::uint64_t
 fpFromInt(Format f, std::int64_t v)
 {
-    const OpCtx ctx = detail::enterOp(OpKind::Convert);
+    // No floating-point operand, hence no OperandA visit.
+    const OpCtx ctx = detail::enterOp(OpKind::Convert, false);
     if (v == 0)
         return zero(f, false);
     const bool sign = v < 0;
@@ -86,7 +92,7 @@ fpFromInt(Format f, std::int64_t v)
 std::int64_t
 fpToInt(Format f, std::uint64_t a)
 {
-    (void)detail::noteOp(OpKind::Convert);
+    (void)detail::enterOp(OpKind::Convert, false);
     const FpClass ca = classify(f, a);
     if (ca == FpClass::NaN)
         return 0;

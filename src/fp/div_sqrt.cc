@@ -19,6 +19,8 @@ fpDiv(Format f, std::uint64_t a, std::uint64_t b)
 {
     const OpKind op = OpKind::Div;
     const OpCtx ctx = detail::enterOp(op);
+    if (ctx.host && detail::hostAdmits(op, f))
+        return detail::hostDiv(f, a, b);
     a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
         f.valueMask();
     b = detail::touch(ctx, op, Stage::OperandB, f.totalBits, b) &
@@ -81,6 +83,8 @@ fpSqrt(Format f, std::uint64_t a)
 {
     const OpKind op = OpKind::Sqrt;
     const OpCtx ctx = detail::enterOp(op);
+    if (ctx.host && detail::hostAdmits(op, f))
+        return detail::hostSqrt(f, a);
     a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
         f.valueMask();
 

@@ -25,6 +25,8 @@ fpFma(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c)
 {
     const OpKind op = OpKind::Fma;
     const OpCtx ctx = detail::enterOp(op);
+    if (ctx.host && detail::hostAdmits(op, f))
+        return detail::hostFma(f, a, b, c);
     a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
         f.valueMask();
     b = detail::touch(ctx, op, Stage::OperandB, f.totalBits, b) &

@@ -1,5 +1,7 @@
 #include "hooks.hh"
 
+#include "fp/internal.hh"
+
 namespace mparch::fp {
 
 namespace {
@@ -73,13 +75,24 @@ FpEnvGuard::~FpEnvGuard()
 
 namespace detail {
 
-FpContext *
-noteOp(OpKind op)
+OpCtx
+enterOp(OpKind op, bool reads_operand)
 {
     FpContext *ctx = tlsContext;
-    if (ctx)
-        ++ctx->opCount[static_cast<std::size_t>(op)];
-    return ctx;
+    if (ctx == nullptr)
+        return {nullptr, false, hostFpuReady()};
+    ++ctx->opCount[static_cast<std::size_t>(op)];
+    if (ctx->hook != nullptr) {
+        StrikeTrigger *strike = ctx->strike;
+        if (strike == nullptr)
+            return {ctx, true, false};
+        if (reads_operand)
+            strike->enter(op);
+        if (strike->strikes(op))
+            return {ctx, true, false};
+    }
+    return {ctx, false,
+            ctx->rounding == Rounding::NearestEven && hostFpuReady()};
 }
 
 } // namespace detail

@@ -57,7 +57,9 @@ const char *stageName(Stage stage);
  *
  * The default implementation is the identity; fault injectors derive
  * from this and flip bits when their trigger condition (op index,
- * stage, bit) is met.
+ * stage, bit) is met. A hook installed alone sees every stage of
+ * every op; one installed with a StrikeTrigger (FpContext::strike)
+ * sees only the ops the trigger strikes.
  */
 class FpHook
 {
@@ -100,16 +102,111 @@ enum class Rounding
 const char *roundingName(Rounding mode);
 
 /**
+ * Which dynamic operations an installed hook perturbs, as data.
+ *
+ * A fault strikes one dynamic op (one-shot: the index-th op of a
+ * kind) or every op a broken unit executes (persistent: ops of a kind
+ * whose index falls on `unit` modulo `units`, optionally only inside
+ * an engine's window [lo, hi) of every `period` ops). Holding that
+ * trigger as data lets detail::enterOp() decide per op, without
+ * calling the hook, whether the op is struck: only struck ops run the
+ * stage-by-stage softfloat path, every other op may take the host
+ * FPU.
+ *
+ * The state advances once per op entry, which is the op's OperandA
+ * visit. `current` is the dynamic index of the last entered op
+ * within its kind; a one-shot trigger shares it across kinds, so an
+ * op nested inside another (fpExp's inner fmas) moves it for the
+ * outer op's later stages too, exactly as the counting hooks did.
+ */
+struct StrikeTrigger
+{
+    enum class Mode { OneShot, Persistent };
+
+    Mode mode = Mode::OneShot;
+    OpKind kind = OpKind::NumKinds;
+    std::uint64_t index = 0;   ///< one-shot: dynamic instance struck
+    std::uint64_t units = 1;   ///< persistent: physical units of kind
+    std::uint64_t unit = 0;    ///< persistent: the broken unit
+    std::uint64_t period = 0;  ///< persistent: window period (0 = all)
+    std::uint64_t lo = 0;      ///< persistent: window start
+    std::uint64_t hi = 0;      ///< persistent: window end
+
+    std::array<std::uint64_t, static_cast<std::size_t>(OpKind::NumKinds)>
+        seen{};                ///< entered ops per kind
+    std::uint64_t current = 0;
+    bool inWindow = false;
+    bool spent = false;        ///< one-shot: the fault was placed
+
+    /** Strike the @p index-th dynamic op of @p kind, once. */
+    static StrikeTrigger
+    oneShot(OpKind kind, std::uint64_t index)
+    {
+        StrikeTrigger t;
+        t.kind = kind;
+        t.index = index;
+        return t;
+    }
+
+    /** Strike every op of @p kind that the broken unit executes. */
+    static StrikeTrigger
+    persistent(OpKind kind, std::uint64_t units, std::uint64_t unit,
+               std::uint64_t period, std::uint64_t lo, std::uint64_t hi)
+    {
+        StrikeTrigger t;
+        t.mode = Mode::Persistent;
+        t.kind = kind;
+        t.units = units ? units : 1;
+        t.unit = unit % t.units;
+        t.period = period;
+        t.lo = lo;
+        t.hi = hi;
+        return t;
+    }
+
+    /** Advance past the entry of one op of kind @p op. */
+    void
+    enter(OpKind op)
+    {
+        const auto k = static_cast<std::size_t>(op);
+        if (mode == Mode::OneShot) {
+            current = seen[k]++;
+        } else if (op == kind) {
+            current = seen[k]++;
+            inWindow = period == 0 || (current % period >= lo &&
+                                       current % period < hi);
+        }
+    }
+
+    /** Whether the stages of the op of kind @p op in flight are hit. */
+    bool
+    strikes(OpKind op) const
+    {
+        if (op != kind)
+            return false;
+        if (mode == Mode::OneShot) {
+            return !spent && current == index &&
+                   seen[static_cast<std::size_t>(op)] == index + 1;
+        }
+        return inWindow && current % units == unit;
+    }
+};
+
+/**
  * Per-thread floating-point execution environment.
  *
  * Counts operations by kind (used by the architecture models to build
  * instruction mixes and resource inventories), owns an optional
  * perturbation hook, and carries the rounding mode — the software
  * analogue of an FPU control register.
+ *
+ * With @c strike null, an installed hook sees every stage of every
+ * op. With @c strike set, only the ops it strikes reach the hook.
  */
 struct FpContext
 {
     FpHook *hook = nullptr;
+    StrikeTrigger *strike = nullptr;
     Rounding rounding = Rounding::NearestEven;
     std::array<std::uint64_t, static_cast<std::size_t>(OpKind::NumKinds)>
         opCount{};
@@ -156,18 +253,20 @@ class FpEnvGuard
 /**
  * Per-operation dispatch state, captured once at op entry.
  *
- * The softfloat fast path: whether a hook is installed is decided by
- * a single branch in detail::enterOp() instead of one branch plus a
- * hook-pointer load at every datapath stage. Golden runs and the
- * un-struck majority of each trial's operations run with
- * hooked == nullptr, so every touch() reduces to a no-op compare.
- * `ctx` is kept separately because the rounding mode must be honoured
- * even when no hook is installed.
+ * detail::enterOp() makes the one routing decision per op: a struck
+ * op (or any op under a hook without a trigger) gets `hooked` and
+ * runs the softfloat body stage by stage; an op that is not struck,
+ * rounds to nearest-even and finds the host FPU in its IEEE default
+ * mode gets `host`, and the caller may compute it natively when its
+ * format is admissible (see host.cc). `ctx` is kept for every op
+ * because the rounding mode must be honoured even when no hook is
+ * installed. Sixteen bytes, so enterOp() returns it in registers.
  */
 struct OpCtx
 {
-    FpContext *ctx = nullptr;     ///< counters + rounding, or null
-    FpContext *hooked = nullptr;  ///< == ctx iff a hook is installed
+    FpContext *ctx = nullptr;  ///< counters + rounding, or null
+    bool hooked = false;       ///< ctx's hook sees this op's stages
+    bool host = false;         ///< may run on the host FPU
 
     Rounding
     rounding() const
@@ -178,25 +277,24 @@ struct OpCtx
 
 namespace detail {
 
-/** Record one op in the current context and return it (or nullptr). */
-FpContext *noteOp(OpKind op);
-
-/** Count one op and capture the hook-dispatch state for its stages. */
-inline OpCtx
-enterOp(OpKind op)
-{
-    FpContext *ctx = noteOp(op);
-    return {ctx, (ctx && ctx->hook) ? ctx : nullptr};
-}
+/**
+ * Count one op, advance the strike trigger and decide its route.
+ *
+ * @p reads_operand is false only for an op with no floating-point
+ * operand (fpFromInt, fpToInt): it has no OperandA visit, so it does
+ * not advance the trigger, and it reaches the hook exactly when the
+ * trigger's current state strikes its kind.
+ */
+OpCtx enterOp(OpKind op, bool reads_operand = true);
 
 /** Run the context hook for @p stage, if any. */
 inline std::uint64_t
 touch(const OpCtx &oc, OpKind op, Stage stage, unsigned width,
       std::uint64_t value)
 {
-    if (oc.hooked == nullptr) [[likely]]
+    if (!oc.hooked) [[likely]]
         return value;
-    return oc.hooked->hook->perturb(op, stage, width, value);
+    return oc.ctx->hook->perturb(op, stage, width, value);
 }
 
 } // namespace detail

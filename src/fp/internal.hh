@@ -9,6 +9,11 @@
 #ifndef MPARCH_FP_INTERNAL_HH
 #define MPARCH_FP_INTERNAL_HH
 
+#if defined(__SSE2__)
+#include <pmmintrin.h>
+#include <xmmintrin.h>
+#endif
+
 #include "fp/format.hh"
 #include "fp/softfloat.hh"
 
@@ -59,6 +64,88 @@ normalize(Format f, Unpacked u)
     }
     return u;
 }
+
+/**
+ * True when the host FPU rounds to nearest-even with flush-to-zero
+ * and denormals-are-zero clear: the only host mode in which its
+ * results are the IEEE results the softfloat core computes. Read
+ * per op, so a caller that changes the host mode mid-run
+ * (fesetround, MXCSR) falls back to softfloat at once.
+ */
+inline bool
+hostFpuReady()
+{
+#if defined(__SSE2__)
+    // MXCSR rounding control 00 is round-to-nearest-even.
+    constexpr unsigned kIeeeDefault =
+        _MM_ROUND_MASK | _MM_FLUSH_ZERO_MASK | _MM_DENORMALS_ZERO_MASK;
+    return (_mm_getcsr() & kIeeeDefault) == 0;
+#else
+    return false;  // no portable FTZ/DAZ query: stay on softfloat
+#endif
+}
+
+/**
+ * The admissibility table of the host-FPU route (host.cc): whether
+ * the host computes @p op in format @p f bit-identically to the
+ * softfloat core under round-to-nearest-even. It follows the table of
+ * src/verify/host_oracle.cc: an op on p-bit operands carried out in a
+ * P-bit format and rounded once more to p bits is correctly rounded
+ * for P >= 2p + 2 (Figueroa). Single and double run natively
+ * (std::fma is correctly rounded); half (p = 11) and bfloat16 (p = 8)
+ * run in float (P = 24) for everything but fma, whose exact product
+ * float cannot hold; tf32 and exp/log never do (exp/log's inner ops
+ * take the gate one by one).
+ */
+constexpr bool
+hostAdmits(OpKind op, Format f)
+{
+    const bool native = f == kSingle || f == kDouble;
+    switch (op) {
+      case OpKind::Add:
+      case OpKind::Sub:
+      case OpKind::Mul:
+      case OpKind::Div:
+      case OpKind::Sqrt:
+        return native || f == kHalf || f == kBfloat16;
+      case OpKind::Fma:
+        return native;
+      default:
+        return false;
+    }
+}
+
+/**
+ * Whether the host converts @p src to @p dst bit-identically: a
+ * widening is exact, a narrowing must be one rounding from the
+ * source value, so double -> half/bfloat16 (two roundings through
+ * float) is not admitted.
+ */
+constexpr bool
+hostAdmitsConvert(Format dst, Format src)
+{
+    const auto memory = [](Format f) {
+        return f == kHalf || f == kSingle || f == kDouble ||
+               f == kBfloat16;
+    };
+    return memory(dst) && memory(src) &&
+           (src != kDouble || dst == kSingle || dst == kDouble);
+}
+
+/**
+ * The host-FPU route of the softfloat ops (host.cc), for an op whose
+ * OpCtx::host is set and whose format hostAdmits(): the round-to-
+ * nearest-even result, with NaNs canonicalised to quietNaN(f).
+ * Subtraction is hostAdd of the negated operand, as in the softfloat
+ * core.
+ */
+std::uint64_t hostAdd(Format f, std::uint64_t a, std::uint64_t b);
+std::uint64_t hostMul(Format f, std::uint64_t a, std::uint64_t b);
+std::uint64_t hostDiv(Format f, std::uint64_t a, std::uint64_t b);
+std::uint64_t hostSqrt(Format f, std::uint64_t a);
+std::uint64_t hostFma(Format f, std::uint64_t a, std::uint64_t b,
+                      std::uint64_t c);
+std::uint64_t hostConvert(Format dst, Format src, std::uint64_t a);
 
 } // namespace mparch::fp::detail
 

@@ -15,8 +15,8 @@
 #include "fp/softfloat.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <vector>
 
 #include "fp/internal.hh"
 
@@ -24,15 +24,78 @@ namespace mparch::fp {
 
 namespace {
 
-/** Polynomial degree per precision. */
-int
-expDegree(Format f)
+/**
+ * The format constants of fpExp and fpLog, encoded once per format.
+ * The encodings are silent conversions, so a table gives the same
+ * bits and the same op counts as encoding them on every call.
+ */
+struct Constants
 {
-    if (f == kHalf)
-        return 4;
+    // fpExp: two-part ln2 (r = x - k*ln2 keeps extra effective
+    // precision) and the Horner coefficients 1/i!, whose degree
+    // grows with precision: 4 / 6 / 13.
+    std::uint64_t log2e;
+    std::uint64_t negLn2Hi;
+    std::uint64_t negLn2Lo;
+    int expDegree;
+    std::array<std::uint64_t, 14> expCoeff;
+    // fpLog: the [sqrt(1/2), sqrt(2)) fold and the atanh series
+    // coefficients 1/(2i+1), 3 / 6 / 10 terms.
+    std::uint64_t sqrt2;
+    std::uint64_t half;
+    std::uint64_t two;
+    std::uint64_t ln2;
+    int logTerms;
+    std::array<std::uint64_t, 11> logCoeff;
+};
+
+Constants
+makeConstants(Format f)
+{
+    Constants k{};
+    k.log2e = fpFromDouble(f, 1.4426950408889634);
+    k.negLn2Hi = fpFromDouble(f, -0x1.62e42fefa38p-1);
+    k.negLn2Lo = fpFromDouble(f, -0x1.ef35793c7673p-45);
+    k.expDegree = f == kHalf ? 4 : f == kSingle ? 6 : 13;
+    double inv_fact = 1.0;
+    for (int i = 0; i <= k.expDegree; ++i) {
+        if (i > 1)
+            inv_fact /= i;
+        k.expCoeff[static_cast<std::size_t>(i)] =
+            fpFromDouble(f, inv_fact);
+    }
+    k.sqrt2 = fpFromDouble(f, 1.4142135623730951);
+    k.half = fpFromDouble(f, 0.5);
+    k.two = fpFromDouble(f, 2.0);
+    k.ln2 = fpFromDouble(f, 0.6931471805599453);
+    k.logTerms = f == kHalf ? 3 : f == kSingle ? 6 : 10;
+    for (int i = 0; i <= k.logTerms; ++i)
+        k.logCoeff[static_cast<std::size_t>(i)] =
+            fpFromDouble(f, 1.0 / (2.0 * i + 1.0));
+    return k;
+}
+
+/**
+ * The constants of @p f: built once for each memory format, and into
+ * @p scratch for any other format (tf32, the random-format tests).
+ */
+const Constants &
+constantsFor(Format f, Constants &scratch)
+{
+    static const Constants half = makeConstants(kHalf);
+    static const Constants single = makeConstants(kSingle);
+    static const Constants dbl = makeConstants(kDouble);
+    static const Constants bf16 = makeConstants(kBfloat16);
     if (f == kSingle)
-        return 6;
-    return 13;
+        return single;
+    if (f == kDouble)
+        return dbl;
+    if (f == kHalf)
+        return half;
+    if (f == kBfloat16)
+        return bf16;
+    scratch = makeConstants(f);
+    return scratch;
 }
 
 /** exp(x) overflows the format above this. */
@@ -99,14 +162,10 @@ fpExp(Format f, std::uint64_t a)
     if (xd < underflowThreshold(f))
         return zero(f, false);
 
-    const std::uint64_t log2e = fpFromDouble(f, 1.4426950408889634);
-    // Two-part ln2 so r = x - k*ln2 keeps extra effective precision.
-    const std::uint64_t neg_ln2_hi =
-        fpFromDouble(f, -0x1.62e42fefa38p-1);
-    const std::uint64_t neg_ln2_lo =
-        fpFromDouble(f, -0x1.ef35793c7673p-45);
+    Constants scratch;
+    const Constants &c = constantsFor(f, scratch);
 
-    const std::uint64_t t = fpMul(f, a, log2e);
+    const std::uint64_t t = fpMul(f, a, c.log2e);
     // Clamp k against corrupted inputs (a datapath fault upstream can
     // make t non-finite; lround would then return LONG_MIN and the
     // scaling loop below would effectively never terminate).
@@ -117,21 +176,13 @@ fpExp(Format f, std::uint64_t a)
                        : 0;
     const std::uint64_t kf = fpFromDouble(f, static_cast<double>(k));
 
-    std::uint64_t r = fpFma(f, kf, neg_ln2_hi, a);
-    r = fpFma(f, kf, neg_ln2_lo, r);
+    std::uint64_t r = fpFma(f, kf, c.negLn2Hi, a);
+    r = fpFma(f, kf, c.negLn2Lo, r);
 
     // Horner over 1 + r + r^2/2! + ... + r^deg/deg!.
-    const int deg = expDegree(f);
-    double inv_fact = 1.0;
-    std::vector<std::uint64_t> coeff(static_cast<std::size_t>(deg) + 1);
-    for (int i = 0; i <= deg; ++i) {
-        if (i > 1)
-            inv_fact /= i;
-        coeff[static_cast<std::size_t>(i)] = fpFromDouble(f, inv_fact);
-    }
-    std::uint64_t p = coeff[static_cast<std::size_t>(deg)];
-    for (int i = deg - 1; i >= 0; --i)
-        p = fpFma(f, p, r, coeff[static_cast<std::size_t>(i)]);
+    std::uint64_t p = c.expCoeff[static_cast<std::size_t>(c.expDegree)];
+    for (int i = c.expDegree - 1; i >= 0; --i)
+        p = fpFma(f, p, r, c.expCoeff[static_cast<std::size_t>(i)]);
 
     std::uint64_t result = scaleByPow2(f, p, k);
     result = detail::touch(ctx, op, Stage::Result, f.totalBits, result) &
@@ -165,9 +216,10 @@ fpLog(Format f, std::uint64_t a)
     std::uint64_t m =
         packFields(f, false, f.bias(),
                    u.sig & f.manMask());  // m in [1, 2)
-    const std::uint64_t sqrt2 = fpFromDouble(f, 1.4142135623730951);
-    if (!fpLess(f, m, sqrt2)) {
-        m = fpMul(f, m, fpFromDouble(f, 0.5));
+    Constants scratch;
+    const Constants &c = constantsFor(f, scratch);
+    if (!fpLess(f, m, c.sqrt2)) {
+        m = fpMul(f, m, c.half);
         ++k;
     }
 
@@ -176,21 +228,14 @@ fpLog(Format f, std::uint64_t a)
                                    fpAdd(f, m, one_v));
     const std::uint64_t t2 = fpMul(f, tt, tt);
 
-    const int terms = f == kHalf ? 3 : f == kSingle ? 6 : 10;
     // Horner over 1 + t2/3 + t2^2/5 + ...
-    std::uint64_t poly =
-        fpFromDouble(f, 1.0 / (2.0 * terms + 1.0));
-    for (int i = terms - 1; i >= 0; --i) {
-        poly = fpFma(f, poly, t2,
-                     fpFromDouble(f, 1.0 / (2.0 * i + 1.0)));
-    }
-    std::uint64_t ln_m = fpMul(f, fpMul(f, tt, poly),
-                               fpFromDouble(f, 2.0));
+    std::uint64_t poly = c.logCoeff[static_cast<std::size_t>(c.logTerms)];
+    for (int i = c.logTerms - 1; i >= 0; --i)
+        poly = fpFma(f, poly, t2, c.logCoeff[static_cast<std::size_t>(i)]);
+    std::uint64_t ln_m = fpMul(f, fpMul(f, tt, poly), c.two);
 
     const std::uint64_t kf = fpFromDouble(f, static_cast<double>(k));
-    const std::uint64_t ln2 =
-        fpFromDouble(f, 0.6931471805599453);
-    std::uint64_t result = fpFma(f, kf, ln2, ln_m);
+    std::uint64_t result = fpFma(f, kf, c.ln2, ln_m);
     result = detail::touch(ctx, op, Stage::Result, f.totalBits,
                            result) &
              f.valueMask();

@@ -89,7 +89,7 @@ parseFormat(std::string_view name)
 }
 
 std::uint64_t
-runProduction(const Case &c)
+runGated(const Case &c)
 {
     const Format f = c.fmt;
     switch (c.op) {
@@ -105,6 +105,16 @@ runProduction(const Case &c)
       case VOp::NumOps:  break;
     }
     return 0;
+}
+
+std::uint64_t
+runProduction(const Case &c)
+{
+    fp::FpHook identity;
+    fp::FpContext ctx;
+    ctx.hook = &identity;
+    fp::FpEnvGuard guard(ctx);
+    return runGated(c);
 }
 
 std::uint64_t
@@ -230,6 +240,12 @@ checkCase(const Case &c, const CheckOptions &opts,
             if (out)
                 out->push_back({c, got, exact.bits, "exact", ""});
         }
+    }
+    const std::uint64_t gated = runGated(c);
+    if (gated != got) {
+        ok = false;
+        if (out)
+            out->push_back({c, gated, got, "host-gate", ""});
     }
     if (opts.props) {
         for (std::string &violation :

@@ -19,6 +19,11 @@
  *     symmetry, NaN/Inf/subnormal classification, monotonic rounding,
  *     bounded-ULP envelopes for the transcendentals — properties.cc).
  *
+ * The production result the oracles judge is the softfloat reference
+ * (runProduction forces it past the host-FPU gate); the host-gate
+ * check then requires the gated result to equal it, so both routes
+ * an op can take in a campaign are verified on every case.
+ *
  * On top of the oracles sit two engines:
  *
  *  - exhaustive/sampled *sweeps* over whole operand spaces (all 2^32
@@ -101,8 +106,19 @@ struct Case
     }
 };
 
-/** Execute the case through the production softfloat core. */
+/**
+ * Execute the case through the production softfloat core. Runs under
+ * an identity FpHook, which instruments every op and so keeps it off
+ * the host-FPU gate: this is the reference the oracles judge.
+ */
 std::uint64_t runProduction(const Case &c);
+
+/**
+ * Execute the case as production code with no context does: through
+ * the host-FPU gate, which must agree with runProduction() bit for
+ * bit (the host-gate check).
+ */
+std::uint64_t runGated(const Case &c);
 
 /** An oracle's verdict: unsupported, or the expected bit pattern. */
 struct OracleResult
@@ -159,9 +175,10 @@ checkProperties(const Case &c, std::uint64_t result,
 struct Mismatch
 {
     Case c;
-    std::uint64_t got = 0;
+    std::uint64_t got = 0;       ///< host-gate: the gated result
     std::uint64_t want = 0;      ///< meaningless for property violations
-    std::string oracle;          ///< "host", "exact", or "property"
+    std::string oracle;          ///< "host", "exact", "host-gate" or
+                                 ///< "property"
     std::string detail;          ///< free text (property description, ...)
 };
 
@@ -184,7 +201,8 @@ struct CheckOptions
 };
 
 /**
- * Run one case through the production core and every enabled oracle.
+ * Run one case through the production core and every enabled oracle,
+ * and require the gated result to equal it (the host-gate check).
  * Returns true when everything agrees; on disagreement, appends to
  * @p out (when given) and returns false.
  */

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/campaign.hh"
 #include "fault/hooks.hh"
@@ -527,6 +531,281 @@ TEST(FaultAnatomyTest, LowMantissaCriticalityGrowsAsPrecisionShrinks)
     const double h = critical_share(Precision::Half);
     EXPECT_LT(d, 0.05);
     EXPECT_GT(h, d + 0.1);
+}
+
+// ---------------------------------------------------------------------
+// Gate equivalence. An armed fault (hook plus strike trigger) sends
+// only its struck ops through the softfloat stages and lets every
+// other op take the host FPU; the same fault behind a generic FpHook
+// subclass instruments every op and advances the trigger at OperandA
+// visits, as the counting hooks did. Both must corrupt the same ops:
+// equal outputs, fired() and hits().
+// ---------------------------------------------------------------------
+
+/** A generic hook around a fault: forces every op to be instrumented. */
+class EveryOp : public fp::FpHook
+{
+  public:
+    explicit EveryOp(fp::FpHook &fault) : fault_(fault) {}
+
+    std::uint64_t
+    perturb(OpKind op, Stage stage, unsigned width,
+            std::uint64_t value) override
+    {
+        return fault_.perturb(op, stage, width, value);
+    }
+
+  private:
+    fp::FpHook &fault_;
+};
+
+/** Output bits of one execution, plus the watchdog verdict. */
+struct Execution
+{
+    std::vector<std::uint64_t> out;
+    bool aborted = false;
+
+    bool operator==(const Execution &) const = default;
+};
+
+constexpr std::uint64_t kGateInputSeed = 11;
+
+Execution
+execute(workloads::Workload &w, DatapathFault &fault, bool gated,
+        std::uint64_t tick_budget)
+{
+    w.reset(kGateInputSeed);
+    workloads::ExecutionEnv env;
+    env.tickBudget = tick_budget;
+    EveryOp every(fault);
+    fp::FpContext ctx;
+    if (gated)
+        fault.arm(ctx);
+    else
+        ctx.hook = &every;
+    {
+        fp::FpEnvGuard guard(ctx);
+        w.execute(env);
+    }
+    Execution e;
+    const workloads::BufferView view = w.output();
+    for (std::size_t i = 0; i < view.count; ++i)
+        e.out.push_back(view.get(i));
+    e.aborted = env.aborted();
+    return e;
+}
+
+/** Golden op counts per kind and tick count of @p w. */
+std::pair<fp::FpContext, std::uint64_t>
+goldenMix(workloads::Workload &w)
+{
+    w.reset(kGateInputSeed);
+    workloads::ExecutionEnv env;
+    fp::FpContext ctx;
+    {
+        fp::FpEnvGuard guard(ctx);
+        w.execute(env);
+    }
+    return {ctx, env.ticks()};
+}
+
+const OpKind kGateKinds[] = {OpKind::Add, OpKind::Sub, OpKind::Mul,
+                             OpKind::Fma, OpKind::Div, OpKind::Sqrt,
+                             OpKind::Exp, OpKind::Convert};
+
+struct GateCase
+{
+    const char *name;
+    Precision precision;
+};
+
+class GateEquivalenceTest : public ::testing::TestWithParam<GateCase>
+{};
+
+TEST_P(GateEquivalenceTest, OneShotFaultsMatchEveryOpInstrumented)
+{
+    auto w = makeWorkload(GetParam().name, GetParam().precision, 0.1);
+    const auto [mix, ticks] = goldenMix(*w);
+    Rng rng(5);
+    int cases = 0;
+    int fired = 0;
+    for (OpKind kind : kGateKinds) {
+        const std::uint64_t n = mix.count(kind);
+        if (n == 0)
+            continue;
+        std::size_t stage_count = 0;
+        const auto &stages = stagesFor(kind, stage_count);
+        for (std::uint64_t index : {std::uint64_t{0}, n / 2, n - 1,
+                                    rng.below(n)}) {
+            for (std::size_t s = 0; s < stage_count; ++s) {
+                const double frac = rng.uniform();
+                OneShotDatapathHook gated(kind, index, stages[s], frac);
+                OneShotDatapathHook every(kind, index, stages[s], frac);
+                const Execution a = execute(*w, gated, true, 4 * ticks);
+                const Execution b = execute(*w, every, false, 4 * ticks);
+                EXPECT_EQ(a, b) << fp::opKindName(kind) << " #" << index
+                                << " " << fp::stageName(stages[s]);
+                EXPECT_EQ(gated.fired(), every.fired());
+                ++cases;
+                fired += gated.fired();
+            }
+        }
+    }
+    EXPECT_GT(cases, 20);
+    EXPECT_GT(fired, cases / 2);
+}
+
+TEST_P(GateEquivalenceTest, PersistentFaultsMatchEveryOpInstrumented)
+{
+    auto w = makeWorkload(GetParam().name, GetParam().precision, 0.1);
+    const auto [mix, ticks] = goldenMix(*w);
+    Rng rng(6);
+    int cases = 0;
+    for (OpKind kind : kGateKinds) {
+        const std::uint64_t n = mix.count(kind);
+        if (n == 0)
+            continue;
+        std::size_t stage_count = 0;
+        const auto &stages = stagesFor(kind, stage_count);
+        for (std::uint64_t units : {1, 3, 16}) {
+            for (PersistMode mode : {PersistMode::Flip,
+                                     PersistMode::StuckAt0,
+                                     PersistMode::StuckAt1}) {
+                // Whole stream, or an engine window within a period.
+                const std::uint64_t period = rng.chance(0.5) ? 0
+                                             : 1 + rng.below(n);
+                const std::uint64_t lo = period ? rng.below(period) : 0;
+                const std::uint64_t hi =
+                    period ? lo + 1 + rng.below(period - lo) : 0;
+                const std::uint64_t unit = rng.below(units);
+                const Stage stage = stages[rng.below(stage_count)];
+                const double frac = rng.uniform();
+                PersistentDatapathHook gated(kind, units, unit, stage,
+                                             frac, period, lo, hi,
+                                             mode);
+                PersistentDatapathHook every(kind, units, unit, stage,
+                                             frac, period, lo, hi,
+                                             mode);
+                const Execution a = execute(*w, gated, true, 4 * ticks);
+                const Execution b = execute(*w, every, false, 4 * ticks);
+                EXPECT_EQ(a, b) << fp::opKindName(kind) << " unit "
+                                << unit << "/" << units << " "
+                                << fp::stageName(stage) << " "
+                                << persistModeName(mode);
+                EXPECT_EQ(gated.hits(), every.hits());
+                ++cases;
+            }
+        }
+    }
+    EXPECT_GE(cases, 9);  // three unit counts x three modes per kind
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, GateEquivalenceTest,
+    ::testing::Values(GateCase{"mxm", Precision::Single},
+                      GateCase{"lud", Precision::Single},
+                      GateCase{"lavamd", Precision::Double}),
+    [](const auto &info) {
+        return std::string(info.param.name) + "_" +
+               std::string(fp::precisionName(info.param.precision));
+    });
+
+/**
+ * A scripted op stream over zeros, NaNs, infinities and subnormals:
+ * struck ops that return early before their stage, exp/log whose
+ * inner ops move the shared one-shot index between the outer op's
+ * stages, and fpFromInt/fpToInt, which have no OperandA visit and so
+ * leave the trigger where it was.
+ */
+std::vector<std::uint64_t>
+scriptedOps()
+{
+    const fp::Format f = fp::kSingle;
+    const std::uint64_t values[] = {
+        fp::fpFromDouble(f, 1.5),    fp::zero(f, false),
+        fp::quietNaN(f),             fp::infinity(f, true),
+        fp::packFields(f, false, 0, 5), fp::fpFromDouble(f, -2.25),
+        fp::maxFinite(f, false),     fp::fpFromDouble(f, 0.75),
+    };
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < std::size(values); ++i) {
+        const std::uint64_t a = values[i];
+        const std::uint64_t b = values[(i + 3) % std::size(values)];
+        const std::uint64_t c = values[(i + 5) % std::size(values)];
+        out.push_back(fp::fpAdd(f, a, b));
+        out.push_back(fp::fpMul(f, a, b));
+        out.push_back(fp::fpFma(f, a, b, c));
+        out.push_back(fp::fpExp(f, a));
+        out.push_back(fp::fpFromInt(f, static_cast<std::int64_t>(i) - 3));
+        out.push_back(fp::fpSub(f, a, c));
+        out.push_back(fp::fpDiv(f, a, b));
+        out.push_back(fp::fpSqrt(f, a));
+        out.push_back(fp::fpLog(f, a));
+        out.push_back(fp::fpConvert(fp::kDouble, f, a));
+        out.push_back(static_cast<std::uint64_t>(fp::fpToInt(f, a)));
+    }
+    return out;
+}
+
+std::vector<std::uint64_t>
+scripted(DatapathFault &fault, bool gated)
+{
+    EveryOp every(fault);
+    fp::FpContext ctx;
+    if (gated)
+        fault.arm(ctx);
+    else
+        ctx.hook = &every;
+    fp::FpEnvGuard guard(ctx);
+    return scriptedOps();
+}
+
+TEST(GateScriptTest, EdgeCasesEveryKindIndexAndStage)
+{
+    fp::FpContext mix;
+    {
+        fp::FpEnvGuard guard(mix);
+        (void)scriptedOps();
+    }
+    int fired = 0;
+    int hit = 0;
+    for (OpKind kind : kGateKinds) {
+        ASSERT_GT(mix.count(kind), 0u) << fp::opKindName(kind);
+        for (std::uint64_t index = 0; index < mix.count(kind); ++index) {
+            for (int s = 0; s < static_cast<int>(Stage::NumStages); ++s) {
+                const auto stage = static_cast<Stage>(s);
+                OneShotDatapathHook gated(kind, index, stage, 0.4);
+                OneShotDatapathHook every(kind, index, stage, 0.4);
+                EXPECT_EQ(scripted(gated, true), scripted(every, false))
+                    << fp::opKindName(kind) << " #" << index << " "
+                    << fp::stageName(stage);
+                EXPECT_EQ(gated.fired(), every.fired());
+                fired += gated.fired();
+            }
+        }
+        for (std::uint64_t units : {1, 2, 3}) {
+            for (std::uint64_t unit = 0; unit < units; ++unit) {
+                for (int s = 0; s < static_cast<int>(Stage::NumStages);
+                     ++s) {
+                    const auto stage = static_cast<Stage>(s);
+                    PersistentDatapathHook gated(kind, units, unit, stage,
+                                                 0.6, 0, 0, 0,
+                                                 PersistMode::StuckAt1);
+                    PersistentDatapathHook every(kind, units, unit, stage,
+                                                 0.6, 0, 0, 0,
+                                                 PersistMode::StuckAt1);
+                    EXPECT_EQ(scripted(gated, true),
+                              scripted(every, false))
+                        << fp::opKindName(kind) << " unit " << unit << "/"
+                        << units << " " << fp::stageName(stage);
+                    EXPECT_EQ(gated.hits(), every.hits());
+                    hit += gated.hits() > 0;
+                }
+            }
+        }
+    }
+    EXPECT_GT(fired, 100);
+    EXPECT_GT(hit, 100);
 }
 
 } // namespace

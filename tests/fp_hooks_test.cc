@@ -267,8 +267,9 @@ runAllOps(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c)
 
 TEST(HookInvariance, NoOpHookIsByteIdenticalToFastPath)
 {
-    // A default-constructed FpHook is the identity perturbation; the
-    // fast path is no context at all (hooked == nullptr short-circuit).
+    // A default-constructed FpHook is the identity perturbation and
+    // forces the softfloat path; with no context at all the host-FPU
+    // gate takes every admissible op.
     for (const Format f : {kHalf, kSingle, kDouble, kBfloat16, kTf32}) {
         Rng rng(0x1009 ^ f.totalBits);
         for (int trial = 0; trial < 200; ++trial) {

@@ -394,6 +394,61 @@ TEST(IncludeHygiene, SelfIncludeMustComeFirst)
 }
 
 // ---------------------------------------------------------------
+// host-math
+
+TEST(HostMath, FlagsNativeMathInFpSources)
+{
+    const auto report = lintBuffer("src/fp/arith.cc", R"cpp(
+        #pragma STDC FP_CONTRACT ON
+        #include <cmath>
+        double f(double a, double b, double c) {
+            return std::fma(a, b, c) + ::sqrt(a) + sqrtf(1.0f) +
+                   __builtin_fma(a, b, c) + __builtin_sqrtl(c);
+        }
+    )cpp", "host-math");
+    EXPECT_EQ(report.active(), 6u);
+}
+
+TEST(HostMath, HostGateFileIsTheException)
+{
+    const auto report = lintBuffer("src/fp/host.cc", R"cpp(
+        #include <cmath>
+        double f(double a, double b, double c) {
+            return std::fma(a, b, c) + std::sqrt(a);
+        }
+    )cpp", "host-math");
+    EXPECT_EQ(report.active(), 0u);
+}
+
+TEST(HostMath, FpValueOverloadsAreNotHostMath)
+{
+    // value.hh names its softfloat wrappers fma and sqrt; only a
+    // std:: spelling there is host math.
+    const auto report = lintBuffer("src/fp/value.hh", R"cpp(
+        template <Precision P>
+        Fp<P> fma(Fp<P> a, Fp<P> b, Fp<P> c);
+        template <Precision P>
+        Fp<P> sqrt(Fp<P> a) { return Fp<P>::fromBits(fpSqrt(a)); }
+        inline double host(double x) { return std::sqrt(x); }
+    )cpp", "host-math");
+    EXPECT_EQ(report.active(), 1u);
+}
+
+TEST(HostMath, OnlyAppliesToFpSources)
+{
+    const auto report = lintBuffer("src/verify/host_oracle.cc", R"cpp(
+        double f(double a, double b, double c) {
+            return std::fma(a, b, c) + v.sqrt(a);
+        }
+    )cpp", "host-math");
+    EXPECT_EQ(report.active(), 0u);
+    const auto member = lintBuffer("src/fp/x.cc", R"cpp(
+        double f(Vec v) { return v.sqrt() + p->fma(); }
+    )cpp", "host-math");
+    EXPECT_EQ(member.active(), 0u);
+}
+
+// ---------------------------------------------------------------
 // Suppressions
 
 TEST(Suppression, SameLineWaives)
@@ -469,7 +524,7 @@ TEST(Registry, CatalogueIsStable)
     const std::vector<std::string> expected = {
         "banned-api",          "rng-discipline",
         "ordered-serialization", "hook-coverage",
-        "include-hygiene",
+        "include-hygiene",     "host-math",
     };
     EXPECT_EQ(names, expected);
     for (const Rule *r : allRules()) {
