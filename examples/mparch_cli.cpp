@@ -302,6 +302,9 @@ cmdReplayTrial(int argc, char **argv)
             fault::outcomeKindName(replay.journaled.outcome));
         table.row().cell("replay consistent").cell(
             replay.consistent ? "yes" : "NO");
+        if (!replay.consistent)
+            table.row().cell("first differing column").cell(
+                replay.mismatch);
     } else {
         table.row().cell("journaled outcome").cell(
             "(not in journal — trial never completed)");

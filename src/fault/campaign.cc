@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <map>
@@ -144,10 +145,162 @@ accumulate(CampaignResult &result, const TrialOutcome &trial)
         result.anatomy.push_back(trial.anatomy);
 }
 
+namespace {
+
+/** Call @p f(j, data, size) for each block j of @p w's state. */
+template <typename F>
+void
+forEachBlock(Workload &w, F &&f)
+{
+    constexpr std::size_t kBlock = GoldenCheckpoints::kBlockBytes;
+    std::size_t j = 0;
+    for (const auto span : w.checkpointState()) {
+        for (std::size_t at = 0; at < span.size(); at += kBlock)
+            f(j++, span.data() + at, std::min(kBlock, span.size() - at));
+    }
+}
+
+} // namespace
+
+std::size_t
+GoldenCheckpoints::append(const std::byte *data, std::size_t size)
+{
+    const std::size_t index = arena_.size() / kBlockBytes;
+    arena_.resize(arena_.size() + kBlockBytes);
+    std::memcpy(arena_.data() + index * kBlockBytes, data, size);
+    return index;
+}
+
+void
+GoldenCheckpoints::thin()
+{
+    // Mark the blocks the even checkpoints use, slide them down the
+    // arena in order (a block only ever moves to a lower index), then
+    // renumber the kept references.
+    std::vector<bool> used(arena_.size() / kBlockBytes, false);
+    for (std::size_t i = 0; i < points_.size(); i += 2)
+        for (std::size_t j = 0; j < blocks_; ++j)
+            used[refs_[i * blocks_ + j]] = true;
+    std::vector<std::size_t> renumber(used.size());
+    std::size_t kept = 0;
+    for (std::size_t b = 0; b < used.size(); ++b) {
+        if (!used[b])
+            continue;
+        if (b != kept) {
+            std::memmove(arena_.data() + kept * kBlockBytes,
+                         arena_.data() + b * kBlockBytes, kBlockBytes);
+        }
+        renumber[b] = kept++;
+    }
+    arena_.resize(kept * kBlockBytes);
+    for (std::size_t i = 0; 2 * i < points_.size(); ++i) {
+        points_[i] = points_[2 * i];
+        for (std::size_t j = 0; j < blocks_; ++j)
+            refs_[i * blocks_ + j] = renumber[refs_[2 * i * blocks_ + j]];
+    }
+    points_.resize((points_.size() + 1) / 2);
+    refs_.resize(points_.size() * blocks_);
+    stride_ *= 2;
+}
+
+void
+GoldenCheckpoints::record(Workload &w, std::uint64_t tick,
+                          const fp::FpContext &ops)
+{
+    if (tick % stride_ != 0)
+        return;
+    if (points_.size() == kMaxCheckpoints) {
+        thin();
+        if (tick % stride_ != 0)
+            return;
+    }
+    const bool first = points_.empty();
+    if (first) {
+        // One allocation each for the usual case: a copy of the state
+        // plus as many changed blocks over the whole run.
+        forEachBlock(w, [&](std::size_t, const std::byte *, std::size_t) {
+            ++blocks_;
+        });
+        arena_.reserve(2 * blocks_ * kBlockBytes);
+        refs_.reserve(kMaxCheckpoints * blocks_);
+        points_.reserve(kMaxCheckpoints);
+    }
+    const std::size_t previous = refs_.size() - (first ? 0 : blocks_);
+    forEachBlock(w, [&](std::size_t j, const std::byte *data,
+                        std::size_t size) {
+        if (!first) {
+            const std::size_t ref = refs_[previous + j];
+            if (std::memcmp(arena_.data() + ref * kBlockBytes, data,
+                            size) == 0) {
+                refs_.push_back(ref);
+                return;
+            }
+        }
+        refs_.push_back(append(data, size));
+    });
+    points_.push_back({tick, ops.opCount, ops.entered()});
+}
+
+std::size_t
+GoldenCheckpoints::at(std::uint64_t tick) const
+{
+    if (tick % stride_ != 0 || tick / stride_ >= points_.size())
+        return points_.size();
+    return static_cast<std::size_t>(tick / stride_);
+}
+
+std::size_t
+GoldenCheckpoints::lastAtOrBefore(std::uint64_t tick) const
+{
+    if (points_.empty())
+        return 0;
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(tick / stride_, points_.size() - 1));
+}
+
+std::size_t
+GoldenCheckpoints::lastBeforeOp(fp::OpKind kind,
+                                std::uint64_t index) const
+{
+    const auto k = static_cast<std::size_t>(kind);
+    std::size_t i = points_.empty() ? 0 : points_.size() - 1;
+    while (i > 0 && points_[i].entered[k] > index)
+        --i;
+    return i;
+}
+
+void
+GoldenCheckpoints::restore(std::size_t i, Workload &w) const
+{
+    std::size_t count = 0;
+    forEachBlock(w, [&](std::size_t j, std::byte *data, std::size_t size) {
+        MPARCH_ASSERT(j < blocks_, "checkpoint state grew");
+        std::memcpy(data, block(i, j), size);
+        ++count;
+    });
+    MPARCH_ASSERT(count == blocks_, "checkpoint state shrank");
+}
+
+bool
+GoldenCheckpoints::matches(std::size_t i, Workload &w) const
+{
+    bool equal = true;
+    forEachBlock(w, [&](std::size_t j, const std::byte *data,
+                        std::size_t size) {
+        equal = equal && std::memcmp(data, block(i, j), size) == 0;
+    });
+    return equal;
+}
+
 GoldenRun::GoldenRun(Workload &w, std::uint64_t input_seed)
 {
     w.reset(input_seed);
     ExecutionEnv env;
+    if (!w.checkpointState().empty()) {
+        env.onTick = [&](std::uint64_t tick) {
+            checkpoints.record(w, tick, ops);
+        };
+    }
     {
         fp::FpEnvGuard guard(ops);
         w.execute(env);
@@ -219,25 +372,100 @@ classify(Workload &w, const GoldenRun &golden, bool hung)
     return trial;
 }
 
-/** Run one armed execution under the watchdog. */
-bool  // returns "hung"
-executeArmed(Workload &w, const GoldenRun &golden,
-             const CampaignConfig &config, DatapathFault *fault,
-             const std::function<void(std::uint64_t)> &on_tick)
+/** How one armed execution went. */
+struct ArmedRun
 {
-    ExecutionEnv env;
-    env.tickBudget = static_cast<std::uint64_t>(
-        std::ceil(config.timeoutFactor *
-                  static_cast<double>(golden.ticks)));
-    env.onTick = on_tick;
+    bool hung = false;
+
+    /** Tick the execution started from (a restored checkpoint). */
+    std::uint64_t resumedAt = 0;
+
+    /** Stopped early, provably masked, at tick maskedAt. */
+    bool maskedEarly = false;
+    std::uint64_t maskedAt = 0;
+
+    /** The trial's outcome against @p golden. */
+    TrialOutcome
+    outcome(Workload &w, const GoldenRun &golden) const
+    {
+        return maskedEarly ? TrialOutcome{} : classify(w, golden, hung);
+    }
+
+    /** Append the resumed-at / masked-at fields to @p os. */
+    void
+    describe(std::ostream &os) const
+    {
+        os << " resumed-at=" << resumedAt;
+        if (maskedEarly)
+            os << " masked-at=" << maskedAt;
+    }
+};
+
+/**
+ * Run one armed execution under the watchdog.
+ *
+ * A resumable workload starts from golden checkpoint @p from instead
+ * of reset() and tick 0; @p from must lie before the first point the
+ * fault can act. A checkpoint past the tick budget makes the trial a
+ * hang without executing, as the whole run would abort before
+ * reaching it.
+ *
+ * Once @p settled says the fault can act no more, the execution
+ * stops as masked at the first checkpoint tick where the state equals
+ * the golden run's: from identical state the rest repeats the golden
+ * run, which fits the budget. A null @p settled never stops early.
+ */
+ArmedRun
+executeArmed(Workload &w, const GoldenRun &golden,
+             const CampaignConfig &config, std::size_t from,
+             DatapathFault *fault,
+             const std::function<void(std::uint64_t)> &on_tick,
+             const std::function<bool()> &settled)
+{
+    const GoldenCheckpoints &checkpoints = golden.checkpoints;
+    const auto budget = static_cast<std::uint64_t>(std::ceil(
+        config.timeoutFactor * static_cast<double>(golden.ticks)));
+    ArmedRun run;
     fp::FpContext ctx;
     if (fault != nullptr)
         fault->arm(ctx);
+    if (checkpoints.empty()) {
+        w.reset(config.inputSeed);
+    } else {
+        const GoldenCheckpoints::Point &point = checkpoints[from];
+        run.resumedAt = point.tick;
+        if (point.tick > budget) {
+            run.hung = true;
+            return run;
+        }
+        checkpoints.restore(from, w);
+        ctx.opCount = point.ops;
+        if (fault != nullptr)
+            fault->resume(point.entered);
+    }
+
+    ExecutionEnv env(run.resumedAt);
+    env.tickBudget = budget;
+    const bool may_stop =
+        settled && !checkpoints.empty() && budget >= golden.ticks;
+    env.onTick = [&](std::uint64_t tick) {
+        if (on_tick)
+            on_tick(tick);
+        if (!may_stop || !settled())
+            return;
+        const std::size_t i = checkpoints.at(tick);
+        if (i < checkpoints.size() && checkpoints.matches(i, w)) {
+            run.maskedEarly = true;
+            run.maskedAt = tick;
+            env.stop();
+        }
+    };
     {
         fp::FpEnvGuard guard(ctx);
         w.execute(env);
     }
-    return env.aborted();
+    run.hung = env.timedOut();
+    return run;
 }
 
 /** CAROL-FI memory campaign, one trial at a time. */
@@ -263,7 +491,6 @@ class MemoryTrialRunner : public TrialRunner
     runTrial(std::uint64_t index, bool describe) override
     {
         Rng rng = trialRng(config_.seed, index);
-        workload_.reset(config_.inputSeed);
 
         // Pick the target: buffer weighted by bit population, then a
         // uniform element, then the fault model's bit pattern.
@@ -286,9 +513,11 @@ class MemoryTrialRunner : public TrialRunner
         Rng payload_rng = rng.fork();
 
         int flipped_bit = -1;
+        bool injected = false;
         const auto on_tick = [&](std::uint64_t tick) {
             if (tick != inject_tick)
                 return;
+            injected = true;
             if (config_.model == FaultModel::WordBurst) {
                 // A multi-bit upset along a physical row: the same
                 // bit position flips in up to 4 adjacent words
@@ -311,9 +540,11 @@ class MemoryTrialRunner : public TrialRunner
                 flipped_bit = highestSetBit(before ^ after);
             target.set(element, after);
         };
-        const bool hung = executeArmed(workload_, *golden_, config_,
-                                       nullptr, on_tick);
-        TrialOutcome trial = classify(workload_, *golden_, hung);
+        const ArmedRun run = executeArmed(
+            workload_, *golden_, config_,
+            golden_->checkpoints.lastAtOrBefore(inject_tick), nullptr,
+            on_tick, [&injected] { return injected; });
+        TrialOutcome trial = run.outcome(workload_, *golden_);
         if (config_.recordAnatomy && flipped_bit >= 0) {
             trial.hasAnatomy = true;
             trial.anatomy.bit = flipped_bit;
@@ -329,6 +560,7 @@ class MemoryTrialRunner : public TrialRunner
                << faultModelName(config_.model) << " buffer="
                << target.name << " element=" << element
                << " tick=" << inject_tick << " bit=" << flipped_bit;
+            run.describe(os);
             trial.description = os.str();
         }
         return trial;
@@ -380,7 +612,6 @@ class DatapathTrialRunner : public TrialRunner
     runTrial(std::uint64_t index, bool describe) override
     {
         Rng rng = trialRng(config_.seed, index);
-        workload_.reset(config_.inputSeed);
         const fp::Format f = fp::formatOf(workload_.precision());
 
         // Uniform over dynamic operations...
@@ -422,15 +653,18 @@ class DatapathTrialRunner : public TrialRunner
         const double bit_frac = rng.uniform();
         OneShotDatapathHook hook(kind, op_index, stages[si], bit_frac);
 
-        const bool hung = executeArmed(workload_, *golden_, config_,
-                                       &hook, nullptr);
-        TrialOutcome trial = classify(workload_, *golden_, hung);
+        const ArmedRun run = executeArmed(
+            workload_, *golden_, config_,
+            golden_->checkpoints.lastBeforeOp(kind, op_index), &hook,
+            nullptr, [&hook] { return hook.exhausted(); });
+        TrialOutcome trial = run.outcome(workload_, *golden_);
         if (describe) {
             std::ostringstream os;
             os << "site=datapath kind=" << fp::opKindName(kind)
                << " dynamic-index=" << op_index << " stage="
                << fp::stageName(stages[si])
                << " bit-frac=" << bit_frac;
+            run.describe(os);
             trial.description = os.str();
         }
         return trial;
@@ -474,7 +708,6 @@ class PersistentTrialRunner : public TrialRunner
     runTrial(std::uint64_t index, bool describe) override
     {
         Rng rng = trialRng(config_.seed, index);
-        workload_.reset(config_.inputSeed);
         const fp::Format f = fp::formatOf(workload_.precision());
 
         // A configuration upset strikes a physical operator; sample
@@ -515,9 +748,14 @@ class PersistentTrialRunner : public TrialRunner
                                     alloc.engine.lo, alloc.engine.hi,
                                     mode);
 
-        const bool hung = executeArmed(workload_, *golden_, config_,
-                                       &hook, nullptr);
-        TrialOutcome trial = classify(workload_, *golden_, hung);
+        // The broken unit first acts on op `unit` of its kind (or
+        // later, inside an engine window); a persistent fault keeps
+        // acting, so the run never stops early.
+        const ArmedRun run = executeArmed(
+            workload_, *golden_, config_,
+            golden_->checkpoints.lastBeforeOp(kind, unit), &hook,
+            nullptr, nullptr);
+        TrialOutcome trial = run.outcome(workload_, *golden_);
         if (describe) {
             std::ostringstream os;
             os << "site=persistent engine=" << alloc.engine.name
@@ -525,6 +763,7 @@ class PersistentTrialRunner : public TrialRunner
                << unit << "/" << alloc.units << " stage="
                << fp::stageName(stages[si]) << " mode="
                << persistModeName(mode) << " bit-frac=" << bit_frac;
+            run.describe(os);
             trial.description = os.str();
         }
         return trial;

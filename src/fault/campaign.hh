@@ -2,10 +2,10 @@
  * @file
  * Fault-injection campaigns over workloads.
  *
- * A campaign repeats: reset the workload with a fixed input seed, arm
- * one fault (in memory, in a datapath stage, or persistently in a
- * "physical operator"), execute, and classify the outcome against a
- * golden run. The aggregate gives the AVF/PVF (probability that a
+ * A campaign repeats: restore a golden checkpoint (or reset the
+ * workload with a fixed input seed), arm one fault (in memory, in a
+ * datapath stage, or persistently in a "physical operator"),
+ * execute, and classify the outcome against a golden run. The aggregate gives the AVF/PVF (probability that a
  * fault propagates to the output — the paper's Figures 7 and 12) and
  * an SDC corpus of output deviations that feeds the TRE analysis
  * (Figures 4, 8 and 11).
@@ -14,6 +14,7 @@
 #ifndef MPARCH_FAULT_CAMPAIGN_HH
 #define MPARCH_FAULT_CAMPAIGN_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -182,7 +183,99 @@ struct CampaignConfig
 };
 
 /**
- * Fault-free reference execution: output bits, tick count, op mix.
+ * Golden-prefix checkpoints: copies of a resumable workload's state
+ * (Workload::checkpointState) at evenly spaced ticks of its golden
+ * run, with the op counts at each.
+ *
+ * A trial restores the last checkpoint before its fault instead of
+ * resetting and replaying the golden prefix, and compares its state
+ * with the later checkpoints to stop as soon as it is provably
+ * masked (docs/performance.md, "Golden-prefix checkpoints").
+ *
+ * The state is cut into blocks of kBlockBytes. A checkpoint copies
+ * only the blocks that changed since the previous one and shares the
+ * others, so read-only inputs and output a kernel has not reached
+ * yet are held once. The distinct blocks live in one contiguous
+ * arena.
+ *
+ * Recording starts at every tick; when the budget is full it keeps
+ * every other checkpoint, drops the blocks only the others used and
+ * doubles the stride, so a run of T ticks ends with checkpoints at
+ * ticks 0, s, 2s, ... for the smallest power of two s with
+ * ceil(T / s) <= kMaxCheckpoints.
+ */
+class GoldenCheckpoints
+{
+  public:
+    /** Checkpoints kept per golden run (bounds its memory). */
+    static constexpr std::size_t kMaxCheckpoints = 16;
+
+    /** Granularity at which checkpoints share unchanged state. */
+    static constexpr std::size_t kBlockBytes = 512;
+
+    /** Where the golden run stood at one checkpoint, before the
+     *  checkpoint's tick executed. */
+    struct Point
+    {
+        std::uint64_t tick = 0;
+        fp::OpCounts ops{};      ///< FpContext::opCount
+        fp::OpCounts entered{};  ///< StrikeTrigger::seen
+    };
+
+    /** Record @p w's state and the counts of @p ops at golden tick
+     *  @p tick, when one is due. Called at every tick, in order, from
+     *  tick 0. */
+    void record(workloads::Workload &w, std::uint64_t tick,
+                const fp::FpContext &ops);
+
+    /** No checkpoints: the workload is not resumable. */
+    bool empty() const { return points_.empty(); }
+
+    std::size_t size() const { return points_.size(); }
+
+    const Point &operator[](std::size_t i) const { return points_[i]; }
+
+    /** Index of the checkpoint taken at @p tick, or size(). */
+    std::size_t at(std::uint64_t tick) const;
+
+    /** Index of the last checkpoint at or before @p tick. */
+    std::size_t lastAtOrBefore(std::uint64_t tick) const;
+
+    /** Index of the last checkpoint taken before the @p index-th
+     *  entered op of @p kind. */
+    std::size_t lastBeforeOp(fp::OpKind kind, std::uint64_t index) const;
+
+    /** Copy checkpoint @p i into @p w's state. */
+    void restore(std::size_t i, workloads::Workload &w) const;
+
+    /** True when @p w's state equals checkpoint @p i bit for bit. */
+    bool matches(std::size_t i, workloads::Workload &w) const;
+
+  private:
+    /** Block @p j of checkpoint @p i. */
+    const std::byte *
+    block(std::size_t i, std::size_t j) const
+    {
+        return arena_.data() + refs_[i * blocks_ + j] * kBlockBytes;
+    }
+
+    /** Copy @p size bytes at @p data into a new arena block; returns
+     *  its index. */
+    std::size_t append(const std::byte *data, std::size_t size);
+
+    /** Keep every other checkpoint and the blocks they use. */
+    void thin();
+
+    std::vector<Point> points_;
+    std::vector<std::size_t> refs_;  ///< arena block per checkpoint block
+    std::vector<std::byte> arena_;   ///< the distinct blocks
+    std::size_t blocks_ = 0;         ///< blocks per state
+    std::uint64_t stride_ = 1;
+};
+
+/**
+ * Fault-free reference execution: output bits, tick count, op mix,
+ * and checkpoints of a resumable workload.
  */
 struct GoldenRun
 {
@@ -192,6 +285,9 @@ struct GoldenRun
     std::vector<std::uint64_t> outputBits;
     std::uint64_t ticks = 0;
     fp::FpContext ops;  ///< per-kind dynamic operation counts
+
+    /** Empty unless the workload declares checkpointState(). */
+    GoldenCheckpoints checkpoints;
 };
 
 /**
@@ -223,7 +319,10 @@ struct TrialOutcome
     FaultAnatomy anatomy;
 
     /** Human-readable fault-site description (replay/debug only;
-     *  empty unless runTrial() was asked to describe). */
+     *  empty unless runTrial() was asked to describe): the sampled
+     *  site, then `resumed-at=<tick>` (the tick the execution started
+     *  from) and, for a trial that stopped early as provably masked,
+     *  `masked-at=<tick>`. */
     std::string description;
 };
 

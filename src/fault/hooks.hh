@@ -55,6 +55,17 @@ class DatapathFault : public fp::FpHook
         ctx.strike = &trigger_;
     }
 
+    /**
+     * Continue counting from a golden checkpoint whose op entries per
+     * kind were @p entered. The checkpoint must come before the first
+     * op this fault can strike; the rest of the trigger's state then
+     * decides strikes() as it would have in the whole run.
+     */
+    void resume(const fp::OpCounts &entered) { trigger_.seen = entered; }
+
+    /** True once this fault can no longer strike any op. */
+    bool exhausted() const { return trigger_.exhausted(); }
+
   protected:
     DatapathFault(const fp::StrikeTrigger &trigger, fp::Stage stage,
                   double bit_frac)

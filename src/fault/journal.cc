@@ -240,6 +240,29 @@ makeTrialRecord(std::uint64_t index, const TrialOutcome &trial,
     return rec;
 }
 
+std::string
+firstDifferingColumn(const TrialRecord &a, const TrialRecord &b)
+{
+    if (a.index != b.index)
+        return "index";
+    if (a.outcome != b.outcome)
+        return "outcome";
+    // %.17g round-trips, so journaled doubles compare exactly.
+    if (a.maxRel != b.maxRel)
+        return "max_rel";
+    if (a.corruptedFraction != b.corruptedFraction)
+        return "corrupted_fraction";
+    if (a.severity != b.severity)
+        return "severity";
+    if (a.bit != b.bit)
+        return "bit";
+    if (a.field != b.field)
+        return "field";
+    if (a.retries != b.retries)
+        return "retries";
+    return "";
+}
+
 void
 accumulate(CampaignResult &result, const TrialRecord &record)
 {

@@ -102,6 +102,14 @@ struct TrialRecord
 TrialRecord makeTrialRecord(std::uint64_t index,
                             const TrialOutcome &trial, int retries);
 
+/**
+ * Name of the first journal column (as in `#columns=`) whose value
+ * differs between @p a and @p b, compared exactly; empty when every
+ * column agrees.
+ */
+std::string firstDifferingColumn(const TrialRecord &a,
+                                 const TrialRecord &b);
+
 /** Fold a journaled record back into campaign tallies (resume). */
 void accumulate(CampaignResult &result, const TrialRecord &record);
 

@@ -462,7 +462,9 @@ replayTrial(Workload &w, const Journal &journal, std::uint64_t index)
             continue;
         replay.journaled = rec;
         replay.hasJournaled = true;
-        replay.consistent = rec.outcome == replay.trial.outcome;
+        replay.mismatch = firstDifferingColumn(
+            rec, makeTrialRecord(index, replay.trial, rec.retries));
+        replay.consistent = replay.mismatch.empty();
         break;
     }
     return replay;

@@ -234,8 +234,12 @@ struct ReplayResult
     TrialRecord journaled;
     bool hasJournaled = false;
 
-    /** True when the journaled outcome matches the re-execution. */
+    /** True when every journaled column matches the re-execution. */
     bool consistent = true;
+
+    /** The first journal column (the `#columns=` name) that differs
+     *  from the re-execution's record; empty when consistent. */
+    std::string mismatch;
 
     /** Non-empty when the replay could not run. */
     std::string error;

@@ -82,6 +82,8 @@ enterOp(OpKind op, bool reads_operand)
     if (ctx == nullptr)
         return {nullptr, false, hostFpuReady()};
     ++ctx->opCount[static_cast<std::size_t>(op)];
+    if (!reads_operand)
+        ++ctx->operandless[static_cast<std::size_t>(op)];
     if (ctx->hook != nullptr) {
         StrikeTrigger *strike = ctx->strike;
         if (strike == nullptr)

@@ -52,6 +52,10 @@ enum class Stage
 /** Name of a Stage ("operand-a", "product-lo", ...). */
 const char *stageName(Stage stage);
 
+/** One counter per operation kind. */
+using OpCounts =
+    std::array<std::uint64_t, static_cast<std::size_t>(OpKind::NumKinds)>;
+
 /**
  * Perturbation callback invoked by the softfloat core at each stage.
  *
@@ -132,8 +136,7 @@ struct StrikeTrigger
     std::uint64_t lo = 0;      ///< persistent: window start
     std::uint64_t hi = 0;      ///< persistent: window end
 
-    std::array<std::uint64_t, static_cast<std::size_t>(OpKind::NumKinds)>
-        seen{};                ///< entered ops per kind
+    OpCounts seen{};           ///< entered ops per kind
     std::uint64_t current = 0;
     bool inWindow = false;
     bool spent = false;        ///< one-shot: the fault was placed
@@ -190,6 +193,19 @@ struct StrikeTrigger
         }
         return inWindow && current % units == unit;
     }
+
+    /**
+     * One-shot: true once no later op can be struck, because the
+     * fault was placed or an op of its kind past the struck one
+     * already entered (strikes() needs seen == index + 1, and seen
+     * only grows).
+     */
+    bool
+    exhausted() const
+    {
+        return mode == Mode::OneShot &&
+               (spent || seen[static_cast<std::size_t>(kind)] > index + 1);
+    }
 };
 
 /**
@@ -208,8 +224,22 @@ struct FpContext
     FpHook *hook = nullptr;
     StrikeTrigger *strike = nullptr;
     Rounding rounding = Rounding::NearestEven;
-    std::array<std::uint64_t, static_cast<std::size_t>(OpKind::NumKinds)>
-        opCount{};
+    OpCounts opCount{};
+
+    /** The ops counted in opCount that read no floating-point operand
+     *  (fpFromInt, fpToInt), which a StrikeTrigger does not enter. */
+    OpCounts operandless{};
+
+    /** The per-kind entries (StrikeTrigger::seen) of a trigger
+     *  installed in this context from its first op. */
+    OpCounts
+    entered() const
+    {
+        OpCounts e = opCount;
+        for (std::size_t k = 0; k < e.size(); ++k)
+            e[k] -= operandless[k];
+        return e;
+    }
 
     /** Total number of FP operations executed in this context. */
     std::uint64_t

@@ -76,7 +76,7 @@ class HotspotWorkload : public Workload
         const Value k = Value::fromDouble(0.125);     // diffusion
         const Value ambient = Value::fromDouble(0.6);
         const Value leak = Value::fromDouble(0.015);  // sink
-        for (std::size_t it = 0; it < iters_; ++it) {
+        for (std::size_t it = env.startTick(); it < iters_; ++it) {
             env.tick();
             if (env.aborted())
                 return;
@@ -118,6 +118,12 @@ class HotspotWorkload : public Workload
     }
 
     BufferView output() override { return makeBufferView("temp", temp_); }
+
+    std::vector<std::span<std::byte>>
+    checkpointState() override
+    {
+        return {stateBytes(temp_), stateBytes(power_), stateBytes(next_)};
+    }
 
     KernelDesc
     desc() const override

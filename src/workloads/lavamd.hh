@@ -87,14 +87,13 @@ class LavaMDWorkload : public Workload
     {
         const Value a2 = Value::fromDouble(0.5);  // alpha^2 cutoff
         const Value two = Value::fromDouble(2.0);
+        // One tick per (home box, neighbour box) pair, row-major.
         const std::size_t boxes = boxCount();
-        for (std::size_t hb = 0; hb < boxes; ++hb) {
-            for (std::size_t nb = 0; nb < boxes; ++nb) {
-                env.tick();
-                if (env.aborted())
-                    return;
-                interact(hb, nb, a2, two);
-            }
+        for (std::size_t t = env.startTick(); t < boxes * boxes; ++t) {
+            env.tick();
+            if (env.aborted())
+                return;
+            interact(t / boxes, t % boxes, a2, two);
         }
     }
 
@@ -108,6 +107,14 @@ class LavaMDWorkload : public Workload
     }
 
     BufferView output() override { return makeBufferView("v", v_); }
+
+    std::vector<std::span<std::byte>>
+    checkpointState() override
+    {
+        return {stateBytes(x_),  stateBytes(y_),  stateBytes(z_),
+                stateBytes(q_),  stateBytes(v_),  stateBytes(fx_),
+                stateBytes(fy_), stateBytes(fz_)};
+    }
 
     KernelDesc
     desc() const override

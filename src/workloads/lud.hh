@@ -66,7 +66,7 @@ class LudWorkload : public Workload
     void
     execute(ExecutionEnv &env) override
     {
-        for (std::size_t k = 0; k < n_; ++k) {
+        for (std::size_t k = env.startTick(); k < n_; ++k) {
             env.tick();
             if (env.aborted())
                 return;
@@ -87,6 +87,12 @@ class LudWorkload : public Workload
     }
 
     BufferView output() override { return makeBufferView("M", m_); }
+
+    std::vector<std::span<std::byte>>
+    checkpointState() override
+    {
+        return {stateBytes(m_)};
+    }
 
     KernelDesc
     desc() const override

@@ -104,7 +104,7 @@ class MicroWorkload : public Workload
         const Value add_k = Value::fromDouble(kMicroAddK);
         const Value fma_m = Value::fromDouble(kMicroFmaM);
         const Value fma_a = Value::fromDouble(kMicroFmaA);
-        for (std::size_t it = 0; it < iters_; ++it) {
+        for (std::size_t it = env.startTick(); it < iters_; ++it) {
             env.tick();
             if (env.aborted())
                 return;
@@ -132,6 +132,12 @@ class MicroWorkload : public Workload
     }
 
     BufferView output() override { return makeBufferView("x", x_); }
+
+    std::vector<std::span<std::byte>>
+    checkpointState() override
+    {
+        return {stateBytes(x_)};
+    }
 
     KernelDesc
     desc() const override

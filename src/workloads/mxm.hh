@@ -64,7 +64,7 @@ class MxMWorkload : public Workload
     void
     execute(ExecutionEnv &env) override
     {
-        for (std::size_t i = 0; i < n_; ++i) {
+        for (std::size_t i = env.startTick(); i < n_; ++i) {
             env.tick();
             if (env.aborted())
                 return;
@@ -85,6 +85,12 @@ class MxMWorkload : public Workload
     }
 
     BufferView output() override { return makeBufferView("C", c_); }
+
+    std::vector<std::span<std::byte>>
+    checkpointState() override
+    {
+        return {stateBytes(a_), stateBytes(b_), stateBytes(c_)};
+    }
 
     KernelDesc
     desc() const override

@@ -2,14 +2,14 @@
  * @file
  * Mixed-precision GEMM (extension workload).
  *
- * Volta's headline mixed-precision feature — absent from the paper's
- * benchmarks but implied by its title — is the tensor-core contract:
- * half-precision storage and multiplies with single-precision
- * accumulation. This workload implements exactly that contract on
- * the softfloat core (half operands widened exactly to single, FMA
- * accumulated in single), so campaigns can answer the natural
- * follow-up question: does mixed-precision accumulation keep half's
- * exposure benefits while recovering double-like criticality?
+ * A half storage, single accumulation GEMM: half operands are
+ * widened exactly to single and multiply-accumulated with a single
+ * FMA, on the softfloat core. Mixed precision of this kind is absent
+ * from the paper's benchmarks but implied by its title, so campaigns
+ * can answer the natural follow-up question: does single
+ * accumulation keep half's exposure benefits while recovering
+ * double-like criticality? The model is this arithmetic only, not a
+ * tensor core's datapath, tiling or internal accumulation order.
  */
 
 #ifndef MPARCH_WORKLOADS_MXM_MIXED_HH
@@ -74,15 +74,16 @@ class MxMMixedWorkload : public Workload
     {
         const fp::Format h = fp::kHalf;
         const fp::Format s = fp::kSingle;
-        for (std::size_t i = 0; i < n_; ++i) {
+        for (std::size_t i = env.startTick(); i < n_; ++i) {
             env.tick();
             if (env.aborted())
                 return;
             for (std::size_t j = 0; j < n_; ++j) {
                 std::uint64_t acc = 0;  // +0.0f
                 for (std::size_t k = 0; k < n_; ++k) {
-                    // Tensor-core contract: widen half operands
-                    // exactly, multiply-accumulate in single.
+                    // Half storage, single accumulation: widen the
+                    // half operands exactly, multiply-accumulate in
+                    // single.
                     const std::uint64_t wa = fp::fpConvert(
                         s, h, a_[i * n_ + k].bits());
                     const std::uint64_t wb = fp::fpConvert(
@@ -102,6 +103,12 @@ class MxMMixedWorkload : public Workload
     }
 
     BufferView output() override { return makeBufferView("C", c_); }
+
+    std::vector<std::span<std::byte>>
+    checkpointState() override
+    {
+        return {stateBytes(a_), stateBytes(b_), stateBytes(c_)};
+    }
 
     KernelDesc
     desc() const override

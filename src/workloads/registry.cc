@@ -76,6 +76,15 @@ findWorkload(std::string_view name)
     return nullptr;
 }
 
+std::vector<std::string_view>
+workloadNames()
+{
+    std::vector<std::string_view> names;
+    for (const auto &entry : kWorkloads)
+        names.push_back(entry.first);
+    return names;
+}
+
 WorkloadPtr
 makeWorkload(const std::string &name, fp::Precision p, double scale)
 {

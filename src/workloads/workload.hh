@@ -13,11 +13,14 @@
 #ifndef MPARCH_WORKLOADS_WORKLOAD_HH
 #define MPARCH_WORKLOADS_WORKLOAD_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hh"
@@ -64,6 +67,16 @@ makeBufferView(std::string name, std::vector<fp::Fp<P>> &data)
     return view;
 }
 
+/** Byte span over a state vector (Workload::checkpointState). */
+template <typename T>
+std::span<std::byte>
+stateBytes(std::vector<T> &data)
+{
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "checkpointed state is copied with memcpy");
+    return std::as_writable_bytes(std::span<T>(data));
+}
+
 /**
  * Execution environment handed to Workload::execute().
  *
@@ -75,6 +88,14 @@ makeBufferView(std::string name, std::vector<fp::Fp<P>> &data)
 class ExecutionEnv
 {
   public:
+    ExecutionEnv() = default;
+
+    /** An environment resuming at tick @p start: a resumable
+     *  workload's outer loop starts from startTick(). */
+    explicit ExecutionEnv(std::uint64_t start)
+        : start_(start), ticks_(start)
+    {}
+
     /** Callback fired before the given tick executes. */
     std::function<void(std::uint64_t)> onTick;
 
@@ -89,18 +110,33 @@ class ExecutionEnv
             onTick(ticks_);
         ++ticks_;
         if (tickBudget && ticks_ > tickBudget)
-            aborted_ = true;
+            timedOut_ = true;
     }
 
-    /** True once the watchdog fired; workloads must return early. */
-    bool aborted() const { return aborted_; }
+    /** End the execution at this tick because its outcome is
+     *  already known (a trial proven masked); not a hang. */
+    void stop() { stopped_ = true; }
 
-    /** Ticks executed so far. */
+    /** True once the watchdog fired or stop() was called; workloads
+     *  must return early. */
+    bool aborted() const { return timedOut_ || stopped_; }
+
+    /** True once the watchdog fired (a hang). */
+    bool timedOut() const { return timedOut_; }
+
+    /** Ticks executed so far, counted from tick 0 even when the
+     *  execution resumed later. */
     std::uint64_t ticks() const { return ticks_; }
 
+    /** The tick this environment resumes at; 0 when fresh, also for
+     *  a second kernel run in the same environment (a replica). */
+    std::uint64_t startTick() const { return start_; }
+
   private:
+    std::uint64_t start_ = 0;
     std::uint64_t ticks_ = 0;
-    bool aborted_ = false;
+    bool timedOut_ = false;
+    bool stopped_ = false;
 };
 
 /**
@@ -185,10 +221,11 @@ const char *sdcSeverityName(SdcSeverity severity);
 /**
  * Abstract benchmark executed under fault injection.
  *
- * Lifecycle per trial: reset(seed) regenerates inputs and clears
- * outputs (bit-identical for identical seeds), execute() runs the
- * kernel (instrumented softfloat inside the caller's FpEnvGuard),
- * then the campaign inspects output() and classifySdc().
+ * Lifecycle per trial: restore a golden checkpoint or reset(seed)
+ * (which regenerates inputs and clears outputs, bit-identically for
+ * identical seeds), execute() the kernel (instrumented softfloat
+ * inside the caller's FpEnvGuard), then the campaign inspects
+ * output() and classifySdc().
  */
 class Workload
 {
@@ -213,8 +250,34 @@ class Workload
     /** Regenerate inputs deterministically and clear outputs. */
     virtual void reset(std::uint64_t input_seed) = 0;
 
-    /** Run the kernel, honouring env.aborted() between ticks. */
+    /**
+     * Run the kernel, honouring env.aborted() between ticks. A
+     * resumable workload (see checkpointState()) starts its outer
+     * loop at env.startTick(), so a fresh environment runs it whole.
+     */
     virtual void execute(ExecutionEnv &env) = 0;
+
+    /**
+     * Byte spans over all of this workload's mutable state, for
+     * golden-prefix checkpoints (docs/performance.md). A trial copies
+     * a checkpoint of the golden run into these spans instead of
+     * calling reset(), then resumes execute() at the checkpoint's
+     * tick.
+     *
+     * Contract for a non-empty list: the spans cover everything
+     * execute() reads or writes, no counted FP op runs before the
+     * first tick(), and execute() under an ExecutionEnv starting at
+     * tick t does exactly what the whole run does from its t-th
+     * tick() on. The spans are taken afresh at every use, since a
+     * workload may swap buffers between ticks.
+     *
+     * Empty (the default) means not resumable: trials reset() and
+     * run from tick 0.
+     */
+    virtual std::vector<std::span<std::byte>> checkpointState()
+    {
+        return {};
+    }
 
     /** Live data buffers eligible for fault injection. */
     virtual std::vector<BufferView> buffers() = 0;
@@ -287,11 +350,14 @@ using WorkloadMaker = WorkloadPtr (*)(fp::Precision p, double scale);
  *  unknown name. */
 WorkloadMaker findWorkload(std::string_view name);
 
+/** Every name makeWorkload() knows, in registry order. */
+std::vector<std::string_view> workloadNames();
+
 /**
  * Instantiate a benchmark by name and precision.
  *
- * Known names: "mxm", "lavamd", "lud", "micro-add", "micro-mul",
- * "micro-fma". Throws via fatal() on unknown names.
+ * Known names: workloadNames(). Throws via fatal() on unknown
+ * names.
  *
  * @param scale 1.0 is the default problem size; campaigns can shrink
  *              (or grow) the run time with this knob.

@@ -287,6 +287,51 @@ TEST(StrikeTriggerTest, PersistentRoutesTheBrokenUnitsOps)
     EXPECT_EQ(hook.seen.size(), 3u);  // ops 2, 6 and 10
 }
 
+TEST(StrikeTriggerTest, ContextEntriesMatchATriggersCount)
+{
+    // FpContext::entered() stands in for a trigger's `seen` at a
+    // golden checkpoint: it must leave out the ops without an FP
+    // operand exactly as StrikeTrigger::enter does.
+    OperandCounter hook;
+    StrikeTrigger strike;  // kind NumKinds: strikes nothing
+    FpContext ctx;
+    ctx.hook = &hook;
+    ctx.strike = &strike;
+    FpEnvGuard guard(ctx);
+    const std::uint64_t x = fpFromInt(kSingle, 3);
+    (void)fpConvert(kDouble, kSingle, x);
+    (void)fpToInt(kSingle, fpAdd(kSingle, x, x));
+    (void)fpExp(kSingle, x);
+    EXPECT_EQ(ctx.count(OpKind::Convert), 3u);
+    EXPECT_EQ(ctx.entered()[static_cast<std::size_t>(OpKind::Convert)], 1u);
+    EXPECT_EQ(ctx.entered(), strike.seen);
+    EXPECT_TRUE(hook.seen.empty());
+}
+
+TEST(StrikeTriggerTest, OneShotIsExhaustedOncePlacedOrPassed)
+{
+    StrikeTrigger placed = StrikeTrigger::oneShot(OpKind::Mul, 2);
+    EXPECT_FALSE(placed.exhausted());
+    placed.spent = true;
+    EXPECT_TRUE(placed.exhausted());
+
+    // The struck op entered but its stage was not hit yet: only the
+    // entry of a later op of the same kind exhausts the trigger.
+    StrikeTrigger passed = StrikeTrigger::oneShot(OpKind::Mul, 2);
+    for (int i = 0; i < 3; ++i)
+        passed.enter(OpKind::Mul);
+    EXPECT_TRUE(passed.strikes(OpKind::Mul));
+    EXPECT_FALSE(passed.exhausted());
+    passed.enter(OpKind::Add);
+    EXPECT_FALSE(passed.exhausted());
+    passed.enter(OpKind::Mul);
+    EXPECT_FALSE(passed.strikes(OpKind::Mul));
+    EXPECT_TRUE(passed.exhausted());
+
+    EXPECT_FALSE(StrikeTrigger::persistent(OpKind::Add, 4, 1, 0, 0, 0)
+                     .exhausted());
+}
+
 TEST(StrikeTriggerTest, HookWithoutTriggerSeesEveryOp)
 {
     OperandCounter hook;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -613,6 +614,71 @@ TEST(ReplayTest, JournaledTrialsReplayConsistently)
             EXPECT_EQ(replay.trial.sdc.maxRel,
                       replay.journaled.maxRel);
         }
+    }
+}
+
+TEST(ReplayTest, TamperedRecordNamesFirstDifferingColumn)
+{
+    auto w = makeWorkload("mxm", Precision::Single, 0.1);
+    CampaignConfig config;
+    config.trials = 40;
+    config.recordAnatomy = true;
+    SupervisorConfig supervisor;
+    supervisor.journalPath = tempPath("replay-tampered.mpj");
+    EXPECT_TRUE(runSupervisedCampaign(*w, CampaignKind::Memory, config,
+                                      supervisor)
+                    .complete());
+    const auto journal = readJournal(supervisor.journalPath);
+    ASSERT_TRUE(journal.has_value());
+    ASSERT_EQ(journal->records.size(), 40u);
+
+    // A replay of one record with @p edit applied to it.
+    const auto replayEdited = [&](std::uint64_t index,
+                                  const std::function<void(TrialRecord &)>
+                                      &edit) {
+        Journal tampered = *journal;
+        for (auto &rec : tampered.records)
+            if (rec.index == index)
+                edit(rec);
+        return replayTrial(*w, tampered, index);
+    };
+
+    const auto untouched = replayEdited(1, [](TrialRecord &) {});
+    EXPECT_TRUE(untouched.consistent);
+    EXPECT_EQ(untouched.mismatch, "");
+
+    // The record that slipped through when only outcomes were compared.
+    const auto forged = replayEdited(1, [](TrialRecord &rec) {
+        rec.outcome = OutcomeKind::Sdc;
+        rec.maxRel = 0.5;
+        rec.corruptedFraction = 0.9;
+        rec.severity = 2;
+        rec.bit = 3;
+        rec.field = 2;
+    });
+    EXPECT_FALSE(forged.consistent);
+    EXPECT_FALSE(forged.mismatch.empty());
+
+    // One column at a time, each named, with the outcome unchanged.
+    const auto sdc = std::find_if(
+        journal->records.begin(), journal->records.end(),
+        [](const TrialRecord &rec) {
+            return rec.outcome == OutcomeKind::Sdc;
+        });
+    ASSERT_NE(sdc, journal->records.end());
+    const std::pair<const char *, std::function<void(TrialRecord &)>>
+        edits[] = {
+            {"max_rel", [](TrialRecord &r) { r.maxRel *= 2.0; }},
+            {"corrupted_fraction",
+             [](TrialRecord &r) { r.corruptedFraction /= 2.0; }},
+            {"severity", [](TrialRecord &r) { r.severity = 0; }},
+            {"bit", [](TrialRecord &r) { r.bit ^= 1; }},
+            {"field", [](TrialRecord &r) { r.field = (r.field + 1) % 4; }},
+        };
+    for (const auto &[column, edit] : edits) {
+        const auto replay = replayEdited(sdc->index, edit);
+        EXPECT_FALSE(replay.consistent) << column;
+        EXPECT_EQ(replay.mismatch, column);
     }
 }
 
