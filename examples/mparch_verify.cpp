@@ -12,8 +12,9 @@
  *   sweep   Sweep one operation. With --samples 0 (the default) the
  *           sweep is exhaustive: all operand pairs for binary ops
  *           (16-bit formats only), all inputs for unary ops and
- *           conversions. OP is one of add sub mul div sqrt exp log
- *           convert; convert needs --dst.
+ *           conversions. OP is one of add sub mul div fma sqrt exp
+ *           log convert; convert needs --dst, and fma needs
+ *           --samples (its triples are too many to enumerate).
  *   fuzz    Property-based fuzzing of one format. LIST is
  *           comma-separated op names (default: all ops).
  *   corpus  Replay the regression corpus alone.
@@ -214,6 +215,14 @@ cmdSweep(int argc, char **argv)
         what << " -> " << verify::formatName(dst);
         return reportSweep(what.str(),
                            verify::sweepConvert(f, dst, cfg));
+    }
+    if (verify::vopArity(op) == 3) {
+        if (cfg.samples == 0)
+            args.fail("--op " + std::string(verify::vopName(op)) +
+                      " needs --samples: its operand triples cannot "
+                      "be enumerated");
+        return reportSweep(what.str(),
+                           verify::sweepTriples(op, f, cfg));
     }
     if (verify::vopArity(op) == 2)
         return reportSweep(what.str(), verify::sweepPairs(op, f, cfg));

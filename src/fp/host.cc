@@ -9,9 +9,14 @@
  * the host may compute it instead, and hostAdmits() in fp/internal.hh
  * says for which formats the host result is bit-identical; everything
  * else falls through to the unchanged softfloat body. The 16-bit
- * formats run in float with exact bit-level widening and one integer
- * round-to-nearest-even narrowing; NaN results are canonicalised to
- * quietNaN(f), as the softfloat core returns them.
+ * formats widen exactly at the bit level and narrow by one integer
+ * round-to-nearest-even step (narrow). Their add, sub, mul, div and
+ * sqrt run in float; their fma runs in double, where the product is
+ * exact, and keeps the host result only when TwoSum proves the sum
+ * exact too: every other fma returns kHostDeclined and runs on
+ * softfloat.
+ * NaN results are canonicalised to quietNaN(f), as the softfloat core
+ * returns them.
  *
  * Built with -ffp-contract=off (all of mparch_fp) so no a*b+c here is
  * ever fused, and with -fno-math-errno so std::sqrt is the bare
@@ -80,36 +85,6 @@ widenHalf(std::uint64_t h)
     return std::bit_cast<float>(bits);
 }
 
-/** One round-to-nearest-even narrowing of a float to binary16. */
-std::uint64_t
-narrowHalf(float v)
-{
-    const auto u = std::bit_cast<std::uint32_t>(v);
-    const std::uint32_t sign = (u >> 16) & 0x8000u;
-    const std::uint32_t mag = u & 0x7fffffffu;
-    if (mag > 0x7f800000u)
-        return quietNaN(kHalf);
-    if (mag >= 0x477ff000u)  // 65520 = max + ulp/2 and above: inf
-        return sign | 0x7c00u;
-    if (mag >= 0x38800000u) {
-        // Normal: rebias the exponent (127 -> 15), then round the
-        // 13 dropped bits half-to-even; a carry bumps the exponent.
-        const std::uint32_t r = mag - 0x38000000u;
-        return sign | ((r + 0xfffu + ((r >> 13) & 1u)) >> 13);
-    }
-    // Subnormal: round the value to a multiple of 2^-24.
-    const std::uint32_t e = mag >> 23;
-    if (e < 102)  // below 2^-25: rounds to zero
-        return sign;
-    const std::uint32_t m = (mag & 0x7fffffu) | 0x800000u;
-    const std::uint32_t shift = 126 - e;
-    const std::uint32_t q = m >> shift;
-    const std::uint32_t rem = m & ((1u << shift) - 1u);
-    const std::uint32_t half = 1u << (shift - 1);
-    return sign | (q + ((rem > half || (rem == half && (q & 1u))) ? 1u
-                                                                  : 0u));
-}
-
 /** bfloat16 is the top half of a binary32 pattern (exact). */
 float
 widenBfloat16(std::uint64_t b)
@@ -117,17 +92,100 @@ widenBfloat16(std::uint64_t b)
     return std::bit_cast<float>(static_cast<std::uint32_t>(b) << 16);
 }
 
-/** One round-to-nearest-even narrowing of a float to bfloat16. */
-std::uint64_t
-narrowBfloat16(float v)
+/** A half or bfloat16 pattern as a float (exact). */
+template <Format F>
+float
+widen16(std::uint64_t a)
 {
-    if (std::isnan(v))
-        return quietNaN(kBfloat16);
-    // Adding 0x7fff plus the kept LSB rounds the 16 dropped bits
-    // half-to-even; a carry bumps the exponent (and saturates the
-    // largest finite into infinity).
-    const auto u = std::bit_cast<std::uint32_t>(v);
-    return (u + 0x7fffu + ((u >> 16) & 1u)) >> 16;
+    static_assert(F == kHalf || F == kBfloat16);
+    if constexpr (F == kHalf)
+        return widenHalf(a);
+    else
+        return widenBfloat16(a);
+}
+
+/**
+ * One round-to-nearest-even narrowing of the binary32 (S = kSingle)
+ * or binary64 (S = kDouble) pattern @p u to the 16-bit format F.
+ *
+ * The normal range rebiases the exponent and rounds the dropped bits
+ * half-to-even by one addition (a carry bumps the exponent), behind a
+ * single range check; NaN, overflow and subnormal results take the
+ * rare branches. Subnormal results round the value to a multiple of
+ * F's smallest subnormal the same way.
+ */
+template <Format F, Format S>
+std::uint64_t
+narrow(std::uint64_t u)
+{
+    static_assert(F == kHalf || F == kBfloat16);
+    static_assert(S == kSingle || S == kDouble);
+    constexpr unsigned kDrop = S.manBits - F.manBits;
+    constexpr std::uint64_t kHalfUlp = 1ULL << (kDrop - 1);
+    constexpr std::uint64_t kInf = infinity(F, false);
+    // mag - kRebias puts F's biased exponent into S's field.
+    constexpr std::uint64_t kRebias =
+        static_cast<std::uint64_t>(S.bias() - F.bias()) << S.manBits;
+    // Normal results lie in [kMinNormal, kOverflow); max + ulp/2 and
+    // above round to infinity.
+    constexpr std::uint64_t kMinNormal = kRebias + S.hiddenBit();
+    constexpr std::uint64_t kOverflow = kRebias + (kInf << kDrop) - kHalfUlp;
+    const std::uint64_t sign = (u >> S.signPos()) << F.signPos();
+    const std::uint64_t mag = u & (S.valueMask() >> 1);
+    if (mag - kMinNormal < kOverflow - kMinNormal) {
+        const std::uint64_t r = mag - kRebias;
+        return sign | ((r + (kHalfUlp - 1) + ((r >> kDrop) & 1u)) >> kDrop);
+    }
+    if (mag > infinity(S, false))
+        return quietNaN(F);
+    if (mag >= kOverflow)
+        return sign | kInf;
+    // Subnormal: value = m * 2^(e - bias - manBits) in S, counted in
+    // units of F's smallest subnormal 2^(minExp - manBits).
+    const int biased = static_cast<int>(mag >> S.manBits);
+    const int e = biased == 0 ? 1 : biased;
+    const std::uint64_t m =
+        (mag & S.manMask()) | (biased == 0 ? 0 : S.hiddenBit());
+    const int shift = S.bias() + S.manBits + F.minExp() - F.manBits - e;
+    if (shift > S.manBits + 1)  // below half the smallest subnormal
+        return sign;
+    const std::uint64_t half = 1ULL << (shift - 1);
+    return sign | ((m + (half - 1) + ((m >> shift) & 1u)) >> shift);
+}
+
+/** Run @p op in float on half/bfloat16 operands, narrowing once. */
+template <Format F, class Op>
+std::uint64_t
+binary16(std::uint64_t a, std::uint64_t b, Op op)
+{
+    return narrow<F, kSingle>(
+        std::bit_cast<std::uint32_t>(op(widen16<F>(a), widen16<F>(b))));
+}
+
+/**
+ * Half/bfloat16 fma in double. The product of two 16-bit operands is
+ * exact there (at most 22 significant bits, exponents far inside
+ * double's range), so the addition is the only rounding before the
+ * narrowing; TwoSum tells whether it rounded.
+ */
+template <Format F>
+std::uint64_t
+fma16(std::uint64_t a, std::uint64_t b, std::uint64_t c)
+{
+    const double x = widen16<F>(a);
+    const double y = widen16<F>(b);
+    const double z = widen16<F>(c);
+    const double p = x * y;
+    const double s = p + z;
+    if (std::isfinite(s)) {
+        // TwoSum: s + err == p + z exactly. A non-zero err means s is
+        // already rounded, and narrowing it would round twice.
+        const double zv = s - p;
+        const double err = (p - (s - zv)) + (z - zv);
+        if (err != 0)
+            return kHostDeclined;
+    }
+    return narrow<F, kDouble>(std::bit_cast<std::uint64_t>(s));
 }
 
 /** Run @p op natively in @p f (in float for the 16-bit formats). */
@@ -140,20 +198,20 @@ hostBinary(Format f, std::uint64_t a, std::uint64_t b, Op op)
     if (f == kDouble)
         return encodeDouble(op(decodeDouble(a), decodeDouble(b)));
     if (f == kHalf)
-        return narrowHalf(op(widenHalf(a), widenHalf(b)));
+        return binary16<kHalf>(a, b, op);
     MPARCH_ASSERT(f == kBfloat16, "format not admitted by hostAdmits");
-    return narrowBfloat16(op(widenBfloat16(a), widenBfloat16(b)));
+    return binary16<kBfloat16>(a, b, op);
 }
 
-/** Any admitted source as a float (exact), double excepted. */
-float
-widenToFloat(Format src, std::uint64_t a)
+/** Any memory-format pattern as a double (exact). */
+double
+widenToDouble(Format src, std::uint64_t a)
 {
+    if (src == kDouble)
+        return decodeDouble(a);
     if (src == kSingle)
         return decodeSingle(a);
-    if (src == kHalf)
-        return widenHalf(a);
-    return widenBfloat16(a);
+    return src == kHalf ? widenHalf(a) : widenBfloat16(a);
 }
 
 } // namespace
@@ -189,24 +247,28 @@ hostFma(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c)
         return encodeSingle(
             std::fma(decodeSingle(a), decodeSingle(b), decodeSingle(c)));
     }
-    return encodeDouble(
-        std::fma(decodeDouble(a), decodeDouble(b), decodeDouble(c)));
+    if (f == kDouble) {
+        return encodeDouble(
+            std::fma(decodeDouble(a), decodeDouble(b), decodeDouble(c)));
+    }
+    if (f == kHalf)
+        return fma16<kHalf>(a, b, c);
+    MPARCH_ASSERT(f == kBfloat16, "format not admitted by hostAdmits");
+    return fma16<kBfloat16>(a, b, c);
 }
 
 std::uint64_t
 hostConvert(Format dst, Format src, std::uint64_t a)
 {
-    if (src == kDouble) {
-        const double v = decodeDouble(a);
-        return dst == kDouble ? encodeDouble(v)
-                              : encodeSingle(static_cast<float>(v));
-    }
-    const float v = widenToFloat(src, a);
+    // Every source widens to double exactly; one rounding narrows.
+    const double v = widenToDouble(src, a);
     if (dst == kDouble)
-        return encodeDouble(static_cast<double>(v));
+        return encodeDouble(v);
     if (dst == kSingle)
-        return encodeSingle(v);
-    return dst == kHalf ? narrowHalf(v) : narrowBfloat16(v);
+        return encodeSingle(static_cast<float>(v));
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    return dst == kHalf ? narrow<kHalf, kDouble>(bits)
+                        : narrow<kBfloat16, kDouble>(bits);
 }
 
 } // namespace mparch::fp::detail

@@ -93,33 +93,35 @@ hostFpuReady()
  * P-bit format and rounded once more to p bits is correctly rounded
  * for P >= 2p + 2 (Figueroa). Single and double run natively
  * (std::fma is correctly rounded); half (p = 11) and bfloat16 (p = 8)
- * run in float (P = 24) for everything but fma, whose exact product
- * float cannot hold; tf32 and exp/log never do (exp/log's inner ops
- * take the gate one by one).
+ * run add, sub, mul, div and sqrt in float (P = 24). Their fma runs
+ * in double, where the product is exact: hostFma proves the sum
+ * exact too (TwoSum error zero), so narrowing it is the one rounding,
+ * and hands every other case back to softfloat. tf32 and exp/log
+ * never take the route (exp/log's inner ops take the gate one by
+ * one).
  */
 constexpr bool
 hostAdmits(OpKind op, Format f)
 {
-    const bool native = f == kSingle || f == kDouble;
     switch (op) {
       case OpKind::Add:
       case OpKind::Sub:
       case OpKind::Mul:
       case OpKind::Div:
       case OpKind::Sqrt:
-        return native || f == kHalf || f == kBfloat16;
       case OpKind::Fma:
-        return native;
+        return f == kSingle || f == kDouble || f == kHalf ||
+               f == kBfloat16;
       default:
         return false;
     }
 }
 
 /**
- * Whether the host converts @p src to @p dst bit-identically: a
- * widening is exact, a narrowing must be one rounding from the
- * source value, so double -> half/bfloat16 (two roundings through
- * float) is not admitted.
+ * Whether the host converts @p src to @p dst bit-identically: every
+ * memory format widens to double exactly, and each narrowing is one
+ * rounding of that double (a host cast to single, one integer
+ * narrowing to half/bfloat16).
  */
 constexpr bool
 hostAdmitsConvert(Format dst, Format src)
@@ -128,8 +130,7 @@ hostAdmitsConvert(Format dst, Format src)
         return f == kHalf || f == kSingle || f == kDouble ||
                f == kBfloat16;
     };
-    return memory(dst) && memory(src) &&
-           (src != kDouble || dst == kSingle || dst == kDouble);
+    return memory(dst) && memory(src);
 }
 
 /**
@@ -143,6 +144,16 @@ std::uint64_t hostAdd(Format f, std::uint64_t a, std::uint64_t b);
 std::uint64_t hostMul(Format f, std::uint64_t a, std::uint64_t b);
 std::uint64_t hostDiv(Format f, std::uint64_t a, std::uint64_t b);
 std::uint64_t hostSqrt(Format f, std::uint64_t a);
+
+/**
+ * hostFma's answer when a half/bfloat16 fma's sum is not provably
+ * exact: the caller runs softfloat. No host result has this pattern,
+ * as NaNs are canonicalised. A plain integer keeps the answer in a
+ * register, where a std::optional return costs a store-forwarding
+ * stall per op.
+ */
+inline constexpr std::uint64_t kHostDeclined = ~std::uint64_t{0};
+
 std::uint64_t hostFma(Format f, std::uint64_t a, std::uint64_t b,
                       std::uint64_t c);
 std::uint64_t hostConvert(Format dst, Format src, std::uint64_t a);

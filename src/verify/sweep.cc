@@ -62,6 +62,31 @@ valueLine(Format f, std::uint64_t bits)
     return fp::signOf(f, bits) ? -mag : mag;
 }
 
+/** Merge the workers' outcomes; keep the first maxReport by key. */
+SweepReport
+merge(std::vector<WorkerOut> &outs, const SweepConfig &cfg)
+{
+    SweepReport report;
+    std::vector<Keyed> merged;
+    for (WorkerOut &out : outs) {
+        report.cases += out.cases;
+        report.mismatches += out.mismatches;
+        merged.insert(merged.end(),
+                      std::make_move_iterator(out.kept.begin()),
+                      std::make_move_iterator(out.kept.end()));
+    }
+    std::stable_sort(merged.begin(), merged.end(),
+                     [](const Keyed &x, const Keyed &y) {
+                         return x.key < y.key;
+                     });
+    if (merged.size() > cfg.maxReport)
+        merged.resize(cfg.maxReport);
+    report.sample.reserve(merged.size());
+    for (Keyed &k : merged)
+        report.sample.push_back(std::move(k.m));
+    return report;
+}
+
 /**
  * Run the chunked loop over @p count units and merge the outcome.
  * @p body is called as body(unit, worker_out, chunk_kept_budget).
@@ -89,25 +114,7 @@ runChunked(std::uint64_t count, const SweepConfig &cfg, Body body)
         }
     });
 
-    SweepReport report;
-    std::vector<Keyed> merged;
-    for (WorkerOut &out : outs) {
-        report.cases += out.cases;
-        report.mismatches += out.mismatches;
-        merged.insert(merged.end(),
-                      std::make_move_iterator(out.kept.begin()),
-                      std::make_move_iterator(out.kept.end()));
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Keyed &x, const Keyed &y) {
-                         return x.key < y.key;
-                     });
-    if (merged.size() > cfg.maxReport)
-        merged.resize(cfg.maxReport);
-    report.sample.reserve(merged.size());
-    for (Keyed &k : merged)
-        report.sample.push_back(std::move(k.m));
-    return report;
+    return merge(outs, cfg);
 }
 
 void
@@ -134,6 +141,35 @@ unaryCase(VOp op, Format f, Format dst, std::uint64_t bits)
     c.dst = dst;
     c.a = bits;
     return c;
+}
+
+/**
+ * The sampled sweep of @p op at any arity: @c cfg.samples cases, each
+ * drawing its operands (a, then b, then c) from its own counter-based
+ * stream, so the report is independent of the chunking.
+ */
+SweepReport
+sweepSampled(VOp op, Format f, Format dst, const SweepConfig &cfg)
+{
+    const unsigned arity = vopArity(op);
+    const std::uint64_t seed = Rng::mix(
+        cfg.seed, (static_cast<std::uint64_t>(op) << 32) |
+                      (static_cast<std::uint64_t>(f.totalBits) << 16) |
+                      f.manBits);
+    return runChunked(
+        cfg.samples, cfg,
+        [&](std::uint64_t unit, WorkerOut &out, std::size_t &budget) {
+            Rng rng = trialRng(seed, unit);
+            Case c = unaryCase(op, f, dst, genOperand(rng, f));
+            if (arity >= 2)
+                c.b = genOperand(rng, f);
+            if (arity >= 3)
+                c.c = genOperand(rng, f);
+            std::vector<Mismatch> found;
+            ++out.cases;
+            if (!checkCase(c, cfg.check, &found))
+                record(out, budget, unit, found);
+        });
 }
 
 /**
@@ -184,9 +220,6 @@ checkMonotonePair(VOp op, Format f, Format dst, std::uint64_t prev,
 SweepReport
 sweepUnaryLike(VOp op, Format f, Format dst, const SweepConfig &cfg)
 {
-    const Format rf = op == VOp::Convert ? dst : f;
-    (void)rf;
-
     if (cfg.samples == 0) {
         MPARCH_ASSERT(f.totalBits <= 16,
                       "exhaustive sweep needs a <= 16-bit format");
@@ -213,20 +246,7 @@ sweepUnaryLike(VOp op, Format f, Format dst, const SweepConfig &cfg)
             });
     }
 
-    const std::uint64_t seed = Rng::mix(
-        cfg.seed, (static_cast<std::uint64_t>(op) << 32) |
-                      (static_cast<std::uint64_t>(f.totalBits) << 16) |
-                      f.manBits);
-    return runChunked(
-        cfg.samples, cfg,
-        [&](std::uint64_t unit, WorkerOut &out, std::size_t &budget) {
-            Rng rng = trialRng(seed, unit);
-            Case c = unaryCase(op, f, dst, genOperand(rng, f));
-            std::vector<Mismatch> found;
-            ++out.cases;
-            if (!checkCase(c, cfg.check, &found))
-                record(out, budget, unit, found);
-        });
+    return sweepSampled(op, f, dst, cfg);
 }
 
 } // namespace
@@ -268,44 +288,19 @@ sweepPairs(VOp op, fp::Format f, const SweepConfig &cfg)
             }
         });
 
-        SweepReport report;
-        std::vector<Keyed> merged;
-        for (WorkerOut &out : outs) {
-            report.cases += out.cases;
-            report.mismatches += out.mismatches;
-            merged.insert(merged.end(),
-                          std::make_move_iterator(out.kept.begin()),
-                          std::make_move_iterator(out.kept.end()));
-        }
-        std::stable_sort(merged.begin(), merged.end(),
-                         [](const Keyed &x, const Keyed &y) {
-                             return x.key < y.key;
-                         });
-        if (merged.size() > cfg.maxReport)
-            merged.resize(cfg.maxReport);
-        for (Keyed &k : merged)
-            report.sample.push_back(std::move(k.m));
-        return report;
+        return merge(outs, cfg);
     }
 
-    const std::uint64_t seed = Rng::mix(
-        cfg.seed, (static_cast<std::uint64_t>(op) << 32) |
-                      (static_cast<std::uint64_t>(f.totalBits) << 16) |
-                      f.manBits);
-    return runChunked(
-        cfg.samples, cfg,
-        [&](std::uint64_t unit, WorkerOut &out, std::size_t &budget) {
-            Rng rng = trialRng(seed, unit);
-            Case c;
-            c.op = op;
-            c.fmt = f;
-            c.a = genOperand(rng, f);
-            c.b = genOperand(rng, f);
-            std::vector<Mismatch> found;
-            ++out.cases;
-            if (!checkCase(c, cfg.check, &found))
-                record(out, budget, unit, found);
-        });
+    return sweepSampled(op, f, f, cfg);
+}
+
+SweepReport
+sweepTriples(VOp op, fp::Format f, const SweepConfig &cfg)
+{
+    MPARCH_ASSERT(vopArity(op) == 3, "sweepTriples needs a ternary op");
+    MPARCH_ASSERT(cfg.samples != 0,
+                  "a ternary sweep is sampled: set SweepConfig::samples");
+    return sweepSampled(op, f, f, cfg);
 }
 
 SweepReport

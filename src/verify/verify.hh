@@ -27,10 +27,10 @@
  * On top of the oracles sit two engines:
  *
  *  - exhaustive/sampled *sweeps* over whole operand spaces (all 2^32
- *    binary16 pairs per binary op, all 2^16 inputs per unary op),
- *    fanned out over the common/parallel ThreadPool with
- *    deterministic chunking — the mismatch report is byte-identical
- *    for any --jobs;
+ *    binary16 pairs per binary op, all 2^16 inputs per unary op,
+ *    sampled fma triples), fanned out over the common/parallel
+ *    ThreadPool with deterministic chunking — the mismatch report is
+ *    byte-identical for any --jobs;
  *  - a seeded property-based *fuzzer* with a special-value-biased
  *    operand generator and counterexample shrinking, whose failures
  *    are persisted to tests/data/fp_corpus/ and replayed first by
@@ -248,6 +248,14 @@ struct SweepReport
  * from counter-based streams (deterministic in jobs).
  */
 SweepReport sweepPairs(VOp op, fp::Format f, const SweepConfig &cfg);
+
+/**
+ * Sweep a ternary op (Fma) over @c samples pseudo-random biased
+ * triples, drawn as sweepPairs draws its pairs. Always sampled: the
+ * 2^48 triples of a 16-bit format cannot be enumerated, so
+ * cfg.samples must be non-zero.
+ */
+SweepReport sweepTriples(VOp op, fp::Format f, const SweepConfig &cfg);
 
 /** Sweep a unary op (Sqrt/Exp/Log) over all (or sampled) inputs. */
 SweepReport sweepUnary(VOp op, fp::Format f, const SweepConfig &cfg);

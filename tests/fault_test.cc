@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -704,10 +705,16 @@ INSTANTIATE_TEST_SUITE_P(
     Workloads, GateEquivalenceTest,
     ::testing::Values(GateCase{"mxm", Precision::Single},
                       GateCase{"lud", Precision::Single},
-                      GateCase{"lavamd", Precision::Double}),
+                      GateCase{"lavamd", Precision::Double},
+                      GateCase{"mxm", Precision::Half},
+                      GateCase{"micro-fma", Precision::Half},
+                      GateCase{"lavamd", Precision::Bfloat16}),
     [](const auto &info) {
-        return std::string(info.param.name) + "_" +
-               std::string(fp::precisionName(info.param.precision));
+        std::string name = std::string(info.param.name) + "_" +
+                           std::string(fp::precisionName(
+                               info.param.precision));
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
     });
 
 /**

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the host-FPU gate in front of the softfloat core: the
- * gated conversions equal the forced softfloat route bit for bit, the
- * gate steps aside whenever the host FPU leaves its IEEE default mode
- * (directed rounding, flush-to-zero, denormals-are-zero), and a
- * strike trigger routes exactly its struck ops to the hook.
+ * gated conversions and the gated half/bfloat16 fma edge cases equal
+ * the forced softfloat route bit for bit, the gate steps aside
+ * whenever the host FPU leaves its IEEE default mode (directed
+ * rounding, flush-to-zero, denormals-are-zero), and a strike trigger
+ * routes exactly its struck ops to the hook.
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +109,91 @@ TEST(HostGate, ConversionsMatchForcedSoftfloat)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------
+// Half/bfloat16 fma: host result only under the exact-sum proof
+
+struct FmaCase
+{
+    const char *what;
+    std::uint64_t a, b, c;
+};
+
+/** Gated fma equals forced softfloat on every case, for format @p f. */
+void
+expectFmaMatchesForced(Format f, const std::vector<FmaCase> &cases)
+{
+    for (const FmaCase &k : cases) {
+        const std::uint64_t want =
+            forced([&] { return fpFma(f, k.a, k.b, k.c); });
+        EXPECT_EQ(fpFma(f, k.a, k.b, k.c), want) << k.what;
+    }
+}
+
+TEST(HostGateFma, HalfEdgeCasesMatchForcedSoftfloat)
+{
+    expectFmaMatchesForced(kHalf, {
+        {"1*2-2 cancels to +0", 0x3c00, 0x4000, 0xc000},
+        {"-2*1+2 cancels to +0", 0xc000, 0x3c00, 0x4000},
+        {"(-0)+(-0)", 0x8000, 0x3c00, 0x8000},
+        {"(+0)+(-0)", 0x0000, 0x3c00, 0x8000},
+        {"(-0*-1)+(-0)", 0x8000, 0xbc00, 0x8000},
+        {"inf*0+1", 0x7c00, 0x0000, 0x3c00},
+        {"0*-inf+nan", 0x0000, 0xfc00, 0x7e00},
+        {"inf*1-inf", 0x7c00, 0x3c00, 0xfc00},
+        {"inf*1+inf", 0x7c00, 0x3c00, 0x7c00},
+        {"1*1-inf", 0x3c00, 0x3c00, 0xfc00},
+        {"signalling payload in a", 0x7d23, 0x3c00, 0x3c00},
+        {"negative payload in b", 0x3c00, 0xfe01, 0x3c00},
+        {"payload in c", 0x3c00, 0x3c00, 0x7c01},
+        {"2^-24*0.5 ties to 0", 0x0001, 0x3800, 0x0000},
+        {"3*2^-24*0.5 ties to even 2", 0x0003, 0x3800, 0x0000},
+        {"subnormal sum", 0x0005, 0x3800, 0x0007},
+        {"subnormal minus product", 0x0201, 0x3800, 0x8300},
+        {"2047*2^-25 ties up to min normal", 0x07ff, 0x3800, 0x0000},
+        {"1023*2^-24+2^-25 ties up to min normal", 0x0001, 0x3800,
+         0x03ff},
+        {"1022*2^-24+2^-25 ties down to even", 0x0001, 0x3800, 0x03fe},
+        {"min normal minus 2^-25", 0x8001, 0x3800, 0x0400},
+        {"65504+16 = 65520 ties to inf", 0x7bff, 0x3c00, 0x4c00},
+        {"65504+15.99 rounds to max", 0x7bff, 0x3c00, 0x4bff},
+        {"-65504-16 ties to -inf", 0xfbff, 0x3c00, 0xcc00},
+        {"product past max, cancelled back", 0x7bff, 0x4000, 0xfbff},
+        {"product overflow", 0x7bff, 0x7bff, 0x3c00},
+        {"tiny product under a large addend", 0x0001, 0x0001, 0x7800},
+    });
+}
+
+TEST(HostGateFma, Bfloat16EdgeCasesMatchForcedSoftfloat)
+{
+    expectFmaMatchesForced(kBfloat16, {
+        {"1*2-2 cancels to +0", 0x3f80, 0x4000, 0xc000},
+        {"(-0)+(-0)", 0x8000, 0x3f80, 0x8000},
+        {"inf*0+1", 0x7f80, 0x0000, 0x3f80},
+        {"inf*1-inf", 0x7f80, 0x3f80, 0xff80},
+        {"payloads", 0x7f81, 0xffc3, 0x7fa0},
+        {"subnormal*0.5 ties to even", 0x0003, 0x3f00, 0x0000},
+        {"max subnormal+half unit ties to min normal", 0x0001, 0x3f00,
+         0x007f},
+        {"max finite+half ulp ties to inf", 0x7f7f, 0x3f80, 0x7b00},
+        {"max finite squared", 0x7f7f, 0x7f7f, 0x0000},
+        {"tiny product under a large addend", 0x0001, 0x0001, 0x7f00},
+    });
+}
+
+TEST(HostGateFma, TinyAddendBreaksAProductTie)
+{
+    // 0x3f88^2 = 1 + 2^-3 + 2^-8 is the exact midpoint of 0x3f90 and
+    // 0x3f91; the addend 2^-133 must break the tie upward. A double
+    // fma narrowed afterwards rounds twice and lands on 0x3f90, so
+    // the gate has to hand this case to softfloat.
+    EXPECT_EQ(forced([] { return fpFma(kBfloat16, 0x3f88, 0x3f88, 0x1); }),
+              0x3f91u);
+    EXPECT_EQ(fpFma(kBfloat16, 0x3f88, 0x3f88, 0x0001), 0x3f91u);
+    EXPECT_EQ(fpFma(kBfloat16, 0xbf88, 0x3f88, 0x8001), 0xbf91u);
+    // Without the addend the tie goes to even.
+    EXPECT_EQ(fpFma(kBfloat16, 0x3f88, 0x3f88, 0x0000), 0x3f90u);
 }
 
 TEST(HostGate, GatedOpsStillCount)
