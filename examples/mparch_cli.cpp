@@ -66,7 +66,9 @@ const char *const kUsage =
     "           [--scale S] [--journal DIR] [--resume] [--batch N]\n"
     "           [--shards N --shard I] [--jobs N]\n"
     "  replay-trial --journal FILE --trial N\n"
-    "  beamplan --fit-per-hour R [--errors N] [--flux F]\n";
+    "  beamplan --fit-per-hour R [--errors N] [--flux F]\n"
+    "  --jobs N: trial worker threads, 0 (default) = all hardware"
+    " threads; at most 1024\n";
 
 /** The enumerator @p parse finds for option @p option (@p fallback
  *  when absent); an unknown name is a usage error. */
@@ -124,7 +126,7 @@ cmdStudy(int argc, char **argv)
     config.journalDir = args.text("journal");
     config.resume = args.has("resume");
     config.batchSize = args.count("batch", 256);
-    config.jobs = static_cast<unsigned>(args.count("jobs", 0));
+    config.jobs = args.jobs();
 
     const core::StudyResult result = core::runStudy(config);
     const report::ResultDoc doc = report::studyDocument(result);
@@ -197,7 +199,7 @@ cmdCampaign(int argc, char **argv)
     if (supervisor.shardIndex >= supervisor.shardCount)
         args.fail("--shard must be below --shards");
     supervisor.scale = scale;
-    supervisor.jobs = static_cast<unsigned>(args.count("jobs", 0));
+    supervisor.jobs = args.jobs();
     // Factory workload + correct scale: the cache key is sound.
     supervisor.useGoldenCache = true;
     supervisor.handleSignals = true;

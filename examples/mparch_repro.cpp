@@ -50,7 +50,7 @@ const cli::Spec kSpec{
         " default)\n"
         "  --scale X    override workload scale (0 = default)\n"
         "  --jobs N     campaign worker threads (0 = all hardware"
-        " threads)\n"
+        " threads; at most 1024)\n"
         "  --json DIR   write one JSON document per experiment\n"
         "  --csv DIR    write one CSV file per result table\n"
         "  --scorecard  print the aggregate shape-check scorecard; exit"
@@ -114,7 +114,7 @@ main(int argc, char **argv)
     report::RunContext ctx;
     ctx.trials = args.count("trials", 0);
     ctx.scale = args.real("scale", 0.0);
-    ctx.jobs = static_cast<unsigned>(args.count("jobs", 0));
+    ctx.jobs = args.jobs();
     ctx.progress = !args.has("no-progress");
     const std::string jsonDir = args.text("json");
     const std::string csvDir = args.text("csv");

@@ -54,7 +54,9 @@ const char *const kUsage =
     " [--ops LIST]\n"
     "  corpus [--corpus DIR]\n"
     "  check  --op OP --format F [--dst D] --a HEX [--b HEX]"
-    " [--c HEX]\n";
+    " [--c HEX]\n"
+    "  --jobs N: worker threads, 0 (default) = all hardware threads;"
+    " at most 1024\n";
 
 cli::Args
 parseArgs(int argc, char **argv, cli::Spec spec)
@@ -146,7 +148,7 @@ cmdQuick(int argc, char **argv)
     const cli::Args args = parseArgs(
         argc, argv,
         {.text = {"corpus"}, .counts = {"trials", "seed", "jobs"}});
-    const unsigned jobs = static_cast<unsigned>(args.count("jobs", 0));
+    const unsigned jobs = args.jobs();
     const std::uint64_t seed = args.count("seed", 1);
     const std::uint64_t trials = args.count("trials", 1000000);
 
@@ -193,7 +195,7 @@ cmdSweep(int argc, char **argv)
     const fp::Format f = requireFormat(args, "format");
 
     verify::SweepConfig cfg;
-    cfg.jobs = static_cast<unsigned>(args.count("jobs", 0));
+    cfg.jobs = args.jobs();
     cfg.samples = args.count("samples", 0);
     cfg.seed = args.count("seed", 1);
     cfg.maxReport =
@@ -239,7 +241,7 @@ cmdFuzz(int argc, char **argv)
     verify::FuzzConfig cfg;
     cfg.trials = args.count("trials", 1000000);
     cfg.seed = args.count("seed", 1);
-    cfg.jobs = static_cast<unsigned>(args.count("jobs", 0));
+    cfg.jobs = args.jobs();
     const std::string ops = args.text("ops");
     std::istringstream in(ops);
     std::string name;

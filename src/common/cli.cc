@@ -177,6 +177,17 @@ Args::count(const std::string &name, std::uint64_t fallback) const
     return fallback;
 }
 
+unsigned
+Args::jobs() const
+{
+    const std::uint64_t n = count("jobs", 0);
+    if (n > kMaxJobs) {
+        fail("--jobs " + std::to_string(n) + " is above the limit of " +
+             std::to_string(kMaxJobs));
+    }
+    return static_cast<unsigned>(n);
+}
+
 double
 Args::real(const std::string &name, double fallback) const
 {

@@ -28,6 +28,9 @@
 
 namespace mparch::cli {
 
+/** The largest worker count a --jobs option may ask for. */
+inline constexpr unsigned kMaxJobs = 1024;
+
 /** What an option or positional argument holds. */
 enum class Kind { Switch, Text, Count, Real };
 
@@ -83,6 +86,10 @@ class Args
     std::uint64_t count(const std::string &name,
                         std::uint64_t fallback) const;
     double real(const std::string &name, double fallback) const;
+
+    /** The --jobs count, 0 (all hardware threads) when absent; a
+     *  request above kMaxJobs is rejected like a parse error. */
+    unsigned jobs() const;
 
     /** Every value of a repeatable option, in order. */
     const std::vector<std::string> &all(const std::string &name) const;

@@ -1,5 +1,7 @@
 #include "common/parallel.hh"
 
+#include <algorithm>
+
 namespace mparch::parallel {
 
 unsigned
@@ -10,9 +12,11 @@ hardwareJobs()
 }
 
 unsigned
-resolveJobs(unsigned requested)
+resolveJobs(unsigned requested, std::uint64_t tasks)
 {
-    return requested ? requested : hardwareJobs();
+    const std::uint64_t jobs = requested ? requested : hardwareJobs();
+    return static_cast<unsigned>(
+        std::min(jobs, std::max<std::uint64_t>(tasks, 1)));
 }
 
 ThreadPool::ThreadPool(unsigned workers)

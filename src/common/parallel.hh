@@ -45,10 +45,12 @@ namespace mparch::parallel {
 unsigned hardwareJobs();
 
 /**
- * Resolve a --jobs request: 0 means "all hardware threads", anything
- * else is taken literally. Never returns 0.
+ * Resolve a --jobs request for @p tasks independent tasks: 0 means
+ * "all hardware threads", anything else is taken literally, and the
+ * result is clamped to [1, tasks], since a worker beyond the task
+ * count would only be built to sit idle.
  */
-unsigned resolveJobs(unsigned requested);
+unsigned resolveJobs(unsigned requested, std::uint64_t tasks);
 
 /**
  * A fixed pool of worker threads.

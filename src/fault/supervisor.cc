@@ -322,9 +322,8 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
         }
     };
 
-    const unsigned jobs = pending.size() > 1
-                              ? parallel::resolveJobs(supervisor.jobs)
-                              : 1;
+    const unsigned jobs =
+        parallel::resolveJobs(supervisor.jobs, pending.size());
     if (jobs <= 1) {
         for (std::uint64_t index : pending) {
             if (stopping()) {

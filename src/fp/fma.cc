@@ -176,4 +176,29 @@ fpFma(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c)
                      ctx, op);
 }
 
+std::uint64_t
+fpFmaChain(Format f, const std::uint64_t *a, std::size_t sa,
+           const std::uint64_t *b, std::size_t sb, std::size_t n,
+           std::uint64_t acc)
+{
+    const OpKind op = OpKind::Fma;
+    const bool admitted = detail::hostAdmits(op, f);
+    for (std::size_t i = 0; i < n; ++i) {
+        // One decision per run: the host takes the un-struck prefix,
+        // then the element it stopped at goes through fpFma.
+        if (const std::uint64_t run =
+                admitted ? detail::peekRun(op, n - i) : 0) {
+            const std::size_t took = detail::hostFmaChain(
+                f, a + i * sa, sa, b + i * sb, sb,
+                static_cast<std::size_t>(run), acc);
+            detail::commitRun(op, took);
+            i += took;
+            if (i == n)
+                break;
+        }
+        acc = fpFma(f, a[i * sa], b[i * sb], acc);
+    }
+    return acc;
+}
+
 } // namespace mparch::fp

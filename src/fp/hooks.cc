@@ -97,6 +97,34 @@ enterOp(OpKind op, bool reads_operand)
             ctx->rounding == Rounding::NearestEven && hostFpuReady()};
 }
 
+std::uint64_t
+peekRun(OpKind op, std::uint64_t n)
+{
+    const FpContext *ctx = tlsContext;
+    std::uint64_t run = n;
+    if (ctx != nullptr) {
+        if (ctx->rounding != Rounding::NearestEven)
+            return 0;
+        if (ctx->hook != nullptr) {
+            if (ctx->strike == nullptr)
+                return 0;
+            run = ctx->strike->unstruck(op, n);
+        }
+    }
+    return run != 0 && hostFpuReady() ? run : 0;
+}
+
+void
+commitRun(OpKind op, std::uint64_t k)
+{
+    FpContext *ctx = tlsContext;
+    if (ctx == nullptr)
+        return;
+    ctx->opCount[static_cast<std::size_t>(op)] += k;
+    if (ctx->hook != nullptr && ctx->strike != nullptr)
+        ctx->strike->skip(op, k);
+}
+
 } // namespace detail
 
 } // namespace mparch::fp

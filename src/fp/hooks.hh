@@ -195,6 +195,58 @@ struct StrikeTrigger
     }
 
     /**
+     * How many of the next @p n entries of kind @p op strikes() would
+     * find un-struck, counted from the first: the struck entry's
+     * offset, or @p n when none of them is struck.
+     */
+    std::uint64_t
+    unstruck(OpKind op, std::uint64_t n) const
+    {
+        if (op != kind || n == 0)
+            return n;
+        // Entry i of the run gets current == seen + i.
+        const std::uint64_t first = seen[static_cast<std::size_t>(op)];
+        if (mode == Mode::OneShot) {
+            if (spent || index < first)
+                return n;
+            return index - first < n ? index - first : n;
+        }
+        // The broken unit's entries are first + i for i = (unit -
+        // first) mod units, then every units-th; step through those
+        // alone, carrying the phase within the window period.
+        std::uint64_t i = (unit + units - first % units) % units;
+        if (period == 0)
+            return i < n ? i : n;
+        if (lo >= hi)
+            return n;
+        std::uint64_t phase = (first + i) % period;
+        const std::uint64_t step = units % period;
+        for (; i < n; i += units) {
+            if (phase >= lo && phase < hi)
+                return i;
+            phase += step;
+            if (phase >= period)
+                phase -= period;
+        }
+        return n;
+    }
+
+    /** Advance past @p m entries of kind @p op: @p m calls of enter. */
+    void
+    skip(OpKind op, std::uint64_t m)
+    {
+        if (m == 0 || (mode == Mode::Persistent && op != kind))
+            return;
+        const auto k = static_cast<std::size_t>(op);
+        seen[k] += m;
+        current = seen[k] - 1;
+        if (mode == Mode::Persistent) {
+            inWindow = period == 0 || (current % period >= lo &&
+                                       current % period < hi);
+        }
+    }
+
+    /**
      * One-shot: true once no later op can be struck, because the
      * fault was placed or an op of its kind past the struck one
      * already entered (strikes() needs seen == index + 1, and seen
@@ -316,6 +368,19 @@ namespace detail {
  * trigger's current state strikes its kind.
  */
 OpCtx enterOp(OpKind op, bool reads_operand = true);
+
+/**
+ * How many of the next @p n ops of kind @p op (which all read an
+ * operand) would each get OpCtx::host from enterOp(): the un-struck
+ * prefix under a strike trigger, zero under a hook without one, a
+ * directed rounding mode or a host FPU outside its IEEE default
+ * mode. Reads the host mode once; nothing is counted or entered.
+ */
+std::uint64_t peekRun(OpKind op, std::uint64_t n);
+
+/** Count and enter @p k ops of kind @p op as @p k enterOp() calls
+ *  would, for ops peekRun() allowed the host to run. */
+void commitRun(OpKind op, std::uint64_t k);
 
 /** Run the context hook for @p stage, if any. */
 inline std::uint64_t

@@ -16,7 +16,8 @@
  * exact too: every other fma returns kHostDeclined and runs on
  * softfloat.
  * NaN results are canonicalised to quietNaN(f), as the softfloat core
- * returns them.
+ * returns them. hostFmaChain is hostFma over the un-struck run of a
+ * dot product that fpFmaChain (fma.cc) routes here as a whole.
  *
  * Built with -ffp-contract=off (all of mparch_fp) so no a*b+c here is
  * ever fused, and with -fno-math-errno so std::sqrt is the bare
@@ -188,6 +189,40 @@ fma16(std::uint64_t a, std::uint64_t b, std::uint64_t c)
     return narrow<F, kDouble>(std::bit_cast<std::uint64_t>(s));
 }
 
+/**
+ * A single/double chain, accumulating in T. hostFma canonicalises each
+ * NaN result, but a NaN accumulator stays NaN through every later fma
+ * whatever its payload, so canonicalising once at the end returns the
+ * same pattern and keeps the check off the dependency chain.
+ */
+template <class T, class Decode, class Encode>
+std::uint64_t
+nativeChain(const std::uint64_t *a, std::size_t sa, const std::uint64_t *b,
+            std::size_t sb, std::size_t n, std::uint64_t acc,
+            Decode decode, Encode encode)
+{
+    T r = decode(acc);
+    for (std::size_t i = 0; i < n; ++i)
+        r = std::fma(decode(a[i * sa]), decode(b[i * sb]), r);
+    return encode(r);
+}
+
+/** A half/bfloat16 chain: fma16 per element up to its first decline. */
+template <Format F>
+std::size_t
+chain16(const std::uint64_t *a, std::size_t sa, const std::uint64_t *b,
+        std::size_t sb, std::size_t n, std::uint64_t &acc)
+{
+    std::size_t i = 0;
+    for (; i < n; ++i) {
+        const std::uint64_t r = fma16<F>(a[i * sa], b[i * sb], acc);
+        if (r == kHostDeclined)
+            break;
+        acc = r;
+    }
+    return i;
+}
+
 /** Run @p op natively in @p f (in float for the 16-bit formats). */
 template <class Op>
 std::uint64_t
@@ -255,6 +290,29 @@ hostFma(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c)
         return fma16<kHalf>(a, b, c);
     MPARCH_ASSERT(f == kBfloat16, "format not admitted by hostAdmits");
     return fma16<kBfloat16>(a, b, c);
+}
+
+std::size_t
+hostFmaChain(Format f, const std::uint64_t *a, std::size_t sa,
+             const std::uint64_t *b, std::size_t sb, std::size_t n,
+             std::uint64_t &acc)
+{
+    if (n == 0)
+        return 0;
+    if (f == kSingle) {
+        acc = nativeChain<float>(a, sa, b, sb, n, acc, decodeSingle,
+                                 encodeSingle);
+        return n;
+    }
+    if (f == kDouble) {
+        acc = nativeChain<double>(a, sa, b, sb, n, acc, decodeDouble,
+                                  encodeDouble);
+        return n;
+    }
+    if (f == kHalf)
+        return chain16<kHalf>(a, sa, b, sb, n, acc);
+    MPARCH_ASSERT(f == kBfloat16, "format not admitted by hostAdmits");
+    return chain16<kBfloat16>(a, sa, b, sb, n, acc);
 }
 
 std::uint64_t

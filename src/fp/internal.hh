@@ -156,6 +156,17 @@ inline constexpr std::uint64_t kHostDeclined = ~std::uint64_t{0};
 
 std::uint64_t hostFma(Format f, std::uint64_t a, std::uint64_t b,
                       std::uint64_t c);
+
+/**
+ * hostFma over a run: acc = hostFma(f, a[i * sa], b[i * sb], acc) for
+ * i < @p n, stopping before the first element hostFma declines (only
+ * half/bfloat16 decline). Returns how many elements it took; @p acc
+ * holds the result after them.
+ */
+std::size_t hostFmaChain(Format f, const std::uint64_t *a,
+                         std::size_t sa, const std::uint64_t *b,
+                         std::size_t sb, std::size_t n,
+                         std::uint64_t &acc);
 std::uint64_t hostConvert(Format dst, Format src, std::uint64_t a);
 
 } // namespace mparch::fp::detail

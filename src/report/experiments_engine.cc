@@ -57,11 +57,11 @@ benchCampaignThroughput()
     e.run = [](const Experiment &self, const RunContext &ctx) {
         ResultDoc doc;
         const double scale = self.scaleFor(ctx);
-        const unsigned jobs = parallel::resolveJobs(ctx.jobs);
-
         fault::CampaignConfig config;
         config.trials = self.trialsFor(ctx);
         config.seed = 29;
+        const unsigned jobs =
+            parallel::resolveJobs(ctx.jobs, config.trials);
 
         auto w = workloads::makeWorkload(
             "mxm", fp::Precision::Single, scale);

@@ -249,7 +249,7 @@ shrinkCase(Case c, const std::function<bool(const Case &)> &fails,
 FuzzReport
 fuzzFormat(fp::Format f, const FuzzConfig &cfg)
 {
-    const unsigned jobs = parallel::resolveJobs(cfg.jobs);
+    const unsigned jobs = parallel::resolveJobs(cfg.jobs, cfg.trials);
     const std::uint64_t seed = Rng::mix(
         cfg.seed, (static_cast<std::uint64_t>(f.totalBits) << 16) |
                       f.manBits);

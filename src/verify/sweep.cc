@@ -95,7 +95,7 @@ template <typename Body>
 SweepReport
 runChunked(std::uint64_t count, const SweepConfig &cfg, Body body)
 {
-    const unsigned jobs = parallel::resolveJobs(cfg.jobs);
+    const unsigned jobs = parallel::resolveJobs(cfg.jobs, count);
     std::vector<WorkerOut> outs(jobs);
     // Chunks sized so even a 2^16-unit sweep produces enough of them
     // to balance a fast/slow worker split.
@@ -262,7 +262,7 @@ sweepPairs(VOp op, fp::Format f, const SweepConfig &cfg)
         const std::uint64_t space = 1ULL << f.totalBits;
         // Chunk by first operand: each claimed range runs a full
         // inner loop over every second operand.
-        const unsigned jobs = parallel::resolveJobs(cfg.jobs);
+        const unsigned jobs = parallel::resolveJobs(cfg.jobs, space / 4);
         std::vector<WorkerOut> outs(jobs);
         parallel::IndexChunker chunker(space, 4);
         parallel::ThreadPool pool(jobs);

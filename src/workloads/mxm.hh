@@ -5,7 +5,9 @@
  * Dense matrix multiplication C = A x B, the paper's cornerstone
  * compute kernel (Section 3.1): a pure FMA chain, memory-bound in the
  * paper's non-tiled GPU form. The same source runs in double, single
- * and half precision via the Fp<P> value type.
+ * and half precision via the Fp<P> value type. Each output element is
+ * one fp::fmaChain call, which runs the fmas no fault strikes as one
+ * native loop and counts and hooks them exactly as the per-op loop.
  */
 
 #ifndef MPARCH_WORKLOADS_MXM_HH
@@ -68,11 +70,11 @@ class MxMWorkload : public Workload
             env.tick();
             if (env.aborted())
                 return;
+            // c[i][j] = sum over k of a[i][k] * b[k][j], one fma
+            // chain per output element (k ascending, from +0).
             for (std::size_t j = 0; j < n_; ++j) {
-                Value acc{};
-                for (std::size_t k = 0; k < n_; ++k)
-                    acc = fma(a_[i * n_ + k], b_[k * n_ + j], acc);
-                c_[i * n_ + j] = acc;
+                c_[i * n_ + j] = fp::fmaChain(&a_[i * n_], 1, &b_[j], n_,
+                                              n_, Value{});
             }
         }
     }

@@ -179,6 +179,36 @@ TEST(CliParseDeathTest, FailAfterParsingExitsTwo)
                 "prog: error: unknown precision 'quad'\nusage: prog");
 }
 
+TEST(CliArgs, JobsUpToTheLimitAreAccepted)
+{
+    const Spec spec{.usage = "usage: prog [--jobs N]\n",
+                    .counts = {"jobs"}};
+    std::string error;
+    const auto absent = Args::tryParse(spec, {}, &error);
+    ASSERT_TRUE(absent) << error;
+    EXPECT_EQ(absent->jobs(), 0u);
+    for (unsigned n : {0u, 1u, 64u, kMaxJobs}) {
+        const auto args =
+            Args::tryParse(spec, {"--jobs", std::to_string(n)}, &error);
+        ASSERT_TRUE(args) << error;
+        EXPECT_EQ(args->jobs(), n);
+    }
+}
+
+TEST(CliParseDeathTest, JobsAboveTheLimitExitTwo)
+{
+    // 2^32 and 2^32 + 1 once wrapped to 0 (all threads) and 1.
+    const Spec spec{.usage = "usage: prog [--jobs N]\n",
+                    .counts = {"jobs"}};
+    for (const char *n : {"1025", "4294967296", "4294967297"}) {
+        const char *argv[] = {"prog", "--jobs", n};
+        const Args args = parse(spec, 3, const_cast<char **>(argv));
+        EXPECT_EXIT((void)args.jobs(), ::testing::ExitedWithCode(2),
+                    std::string("prog: error: --jobs ") + n +
+                        " is above the limit of 1024\nusage: prog");
+    }
+}
+
 TEST(CliParseDeathTest, DeclaredHelpPrintsUsageAndExitsZero)
 {
     const Spec spec{.usage = "usage: helpful\n", .switches = {"help"}};

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -363,6 +364,110 @@ TEST(HookFlips, ExponentFlipScalesResult)
     }
     // Flipping exponent bit 0 halves or doubles the magnitude.
     EXPECT_TRUE(corrupted == 1.0 || corrupted == 4.0) << corrupted;
+}
+
+// ---------------------------------------------------------------
+// Strike-trigger run arithmetic: unstruck() + skip() equal stepping
+// enter()/strikes() one op at a time
+
+/** The state enter() advances. */
+void
+expectSameState(const StrikeTrigger &a, const StrikeTrigger &b,
+                const std::string &what)
+{
+    EXPECT_EQ(a.seen, b.seen) << what;
+    EXPECT_EQ(a.current, b.current) << what;
+    EXPECT_EQ(a.inWindow, b.inWindow) << what;
+    EXPECT_EQ(a.spent, b.spent) << what;
+}
+
+/** A one-shot trigger on Fma whose index falls before, at either end
+ *  of, inside or after the run of @p n entries from @p start. */
+StrikeTrigger
+randomOneShot(Rng &rng, std::uint64_t start, std::uint64_t n)
+{
+    std::uint64_t index = 0;
+    switch (rng.below(5)) {
+      case 0: index = start ? rng.below(start) : 0; break;
+      case 1: index = start; break;
+      case 2: index = start + (n ? n - 1 : 0); break;
+      case 3: index = start + rng.below(n + 1); break;
+      default: index = start + n + rng.below(8); break;
+    }
+    StrikeTrigger t = StrikeTrigger::oneShot(OpKind::Fma, index);
+    t.spent = rng.chance(0.1);
+    return t;
+}
+
+/** A persistent trigger on Fma: units 1-17, the whole stream, a
+ *  window within a period, or an empty window. */
+StrikeTrigger
+randomPersistent(Rng &rng)
+{
+    const std::uint64_t units = 1 + rng.below(17);
+    const std::uint64_t unit = rng.below(units);
+    std::uint64_t period = 0, lo = 0, hi = 0;
+    switch (rng.below(3)) {
+      case 0:
+        break;
+      case 1:
+        period = 1 + rng.below(40);
+        lo = rng.below(period);
+        hi = lo + 1 + rng.below(period - lo);
+        break;
+      default:  // empty: lo >= hi
+        period = 1 + rng.below(40);
+        hi = rng.below(period);
+        lo = hi + rng.below(3);
+        break;
+    }
+    return StrikeTrigger::persistent(OpKind::Fma, units, unit, period,
+                                     lo, hi);
+}
+
+TEST(StrikeTriggerRuns, UnstruckAndSkipMatchSteppingEnter)
+{
+    Rng rng(2019);
+    int struck_runs = 0;
+    for (int iter = 0; iter < 40000; ++iter) {
+        const std::uint64_t start = rng.below(300);
+        const std::uint64_t n = rng.below(65);
+        StrikeTrigger t = rng.chance(0.5) ? randomOneShot(rng, start, n)
+                                          : randomPersistent(rng);
+        // Random prior state, as after a checkpoint resume or ops of
+        // other kinds; the run is of the trigger's kind or not.
+        for (auto &s : t.seen)
+            s = rng.below(50);
+        t.seen[static_cast<std::size_t>(OpKind::Fma)] = start;
+        t.current = rng.below(400);
+        t.inWindow = rng.chance(0.5);
+        const OpKind op = rng.chance(0.8) ? OpKind::Fma : OpKind::Add;
+        const std::string what = "iter " + std::to_string(iter);
+
+        StrikeTrigger stepped = t;
+        std::uint64_t first = n;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            stepped.enter(op);
+            if (first == n && stepped.strikes(op))
+                first = i;
+        }
+        ASSERT_EQ(t.unstruck(op, n), first) << what;
+        struck_runs += first < n;
+
+        StrikeTrigger whole = t;
+        whole.skip(op, n);
+        expectSameState(whole, stepped, what + " whole run");
+
+        // A prefix, as the host takes it before a struck op.
+        const std::uint64_t m = rng.below(n + 1);
+        StrikeTrigger prefix = t;
+        StrikeTrigger prefix_stepped = t;
+        prefix.skip(op, m);
+        for (std::uint64_t i = 0; i < m; ++i)
+            prefix_stepped.enter(op);
+        expectSameState(prefix, prefix_stepped, what + " prefix");
+    }
+    EXPECT_GT(struck_runs, 10000);
 }
 
 } // namespace

@@ -12,6 +12,8 @@
 
 #include <bit>
 #include <cfenv>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #endif
 
 #include "common/rng.hh"
+#include "fault/hooks.hh"
 #include "fp/softfloat.hh"
 
 namespace mparch::fp {
@@ -256,8 +259,9 @@ class HostModeGuard
 
 /**
  * Soft round-to-nearest-even results of single/double add, mul, div,
- * sqrt, fma and the host-double conversions over random operands
- * (subnormals included), in one flat vector.
+ * sqrt, fma, the host-double conversions and fma chains in every
+ * memory format over random operands (subnormals included), in one
+ * flat vector.
  */
 std::vector<std::uint64_t>
 softResults()
@@ -280,6 +284,18 @@ softResults()
             out.push_back(fpFromDouble(f, v));
         out.push_back(std::bit_cast<std::uint64_t>(
             fpToDouble(kSingle, operand(rng, kSingle))));
+    }
+    for (Format f : {kSingle, kDouble, kHalf, kBfloat16}) {
+        for (int i = 0; i < 400; ++i) {
+            std::uint64_t a[16], b[16];
+            const std::size_t n = 1 + rng.below(16);
+            for (std::size_t k = 0; k < n; ++k) {
+                a[k] = operand(rng, f);
+                b[k] = rng.chance(0.5) ? operand(rng, f)
+                                       : packFields(f, false, 0, 1);
+            }
+            out.push_back(fpFmaChain(f, a, 1, b, 1, n, operand(rng, f)));
+        }
     }
     return out;
 }
@@ -429,6 +445,312 @@ TEST(StrikeTriggerTest, HookWithoutTriggerSeesEveryOp)
     (void)fpSqrt(kSingle, x);
     (void)fpExp(kSingle, x);
     EXPECT_GE(hook.seen.size(), 10u);  // exp's inner ops included
+}
+
+// ---------------------------------------------------------------
+// fpFmaChain equals the per-op fpFma loop: result bits, op counts,
+// trigger entries, hook calls and the fault's own tallies
+
+/** A chain's operands, both read at one stride. */
+struct ChainInput
+{
+    Format f;
+    std::vector<std::uint64_t> a, b;
+    std::size_t stride = 1;
+    std::size_t n = 0;
+    std::uint64_t acc = 0;
+};
+
+/** Lay @p a and @p b out at @p stride (other slots hold junk). */
+ChainInput
+makeChain(Format f, const std::vector<std::uint64_t> &a,
+          const std::vector<std::uint64_t> &b, std::size_t stride,
+          std::uint64_t acc)
+{
+    ChainInput in{f, {}, {}, stride, a.size(), acc};
+    in.a.assign(a.size() * stride, quietNaN(f));
+    in.b.assign(b.size() * stride, infinity(f, true));
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        in.a[i * stride] = a[i];
+        in.b[i * stride] = b[i];
+    }
+    return in;
+}
+
+std::uint64_t
+fmaLoop(bool chain, const ChainInput &in)
+{
+    if (chain) {
+        return fpFmaChain(in.f, in.a.data(), in.stride, in.b.data(),
+                          in.stride, in.n, in.acc);
+    }
+    std::uint64_t acc = in.acc;
+    for (std::size_t i = 0; i < in.n; ++i)
+        acc = fpFma(in.f, in.a[i * in.stride], in.b[i * in.stride], acc);
+    return acc;
+}
+
+/** Counts every stage visit, forwarding it to an optional fault. */
+class CountingHook : public FpHook
+{
+  public:
+    explicit CountingHook(FpHook *inner = nullptr) : inner_(inner) {}
+
+    std::uint64_t
+    perturb(OpKind op, Stage stage, unsigned width, std::uint64_t value)
+        override
+    {
+        ++calls;
+        return inner_ ? inner_->perturb(op, stage, width, value) : value;
+    }
+
+    std::uint64_t calls = 0;
+
+  private:
+    FpHook *inner_;
+};
+
+/** How a compared loop's context is set up. */
+struct ChainSetup
+{
+    std::string what = {};
+    bool context = true;
+    Rounding rounding = Rounding::NearestEven;
+    bool identityHook = false;  ///< a hook without a trigger
+    /** An armed fault (hook + trigger), made fresh per route. */
+    std::function<std::unique_ptr<fault::DatapathFault>()> fault = {};
+};
+
+/** Everything a loop leaves behind. */
+struct LoopOutcome
+{
+    std::uint64_t result = 0;
+    OpCounts counts{};
+    OpCounts entered{};
+    std::uint64_t hookCalls = 0;
+    bool fired = false;
+    std::uint64_t hits = 0;
+
+    bool operator==(const LoopOutcome &) const = default;
+};
+
+/** Fmas (and one add) run before the loop, so the trigger starts with
+ *  entries of both kinds and a moved shared index. */
+constexpr std::size_t kPrefixFmas = 3;
+
+LoopOutcome
+runLoop(bool chain, const ChainInput &in, const ChainSetup &setup)
+{
+    LoopOutcome out;
+    if (!setup.context) {
+        out.result = fmaLoop(chain, in);
+        return out;
+    }
+    std::unique_ptr<fault::DatapathFault> fault =
+        setup.fault ? setup.fault() : nullptr;
+    CountingHook counter(fault.get());
+    FpContext ctx;
+    ctx.rounding = setup.rounding;
+    if (fault) {
+        fault->arm(ctx);
+        ctx.hook = &counter;
+    } else if (setup.identityHook) {
+        ctx.hook = &counter;
+    }
+    {
+        FpEnvGuard guard(ctx);
+        const std::uint64_t one = fpFromDouble(in.f, 1.0);
+        (void)fpAdd(in.f, one, one);
+        for (std::size_t i = 0; i < kPrefixFmas; ++i)
+            (void)fpFma(in.f, one, one, one);
+        out.result = fmaLoop(chain, in);
+    }
+    out.counts = ctx.opCount;
+    out.entered = ctx.entered();
+    out.hookCalls = counter.calls;
+    if (auto *o = dynamic_cast<fault::OneShotDatapathHook *>(fault.get()))
+        out.fired = o->fired();
+    if (auto *p = dynamic_cast<fault::PersistentDatapathHook *>(
+            fault.get()))
+        out.hits = p->hits();
+    return out;
+}
+
+void
+expectChainMatchesLoop(const ChainInput &in, const ChainSetup &setup,
+                       const std::string &what)
+{
+    const LoopOutcome per_op = runLoop(false, in, setup);
+    const LoopOutcome chain = runLoop(true, in, setup);
+    EXPECT_EQ(chain.result, per_op.result) << what << " " << setup.what
+                                           << std::hex << " per-op "
+                                           << per_op.result;
+    EXPECT_EQ(chain, per_op) << what << " " << setup.what;
+}
+
+/** The setups every chain is compared under, for a run of @p n. */
+std::vector<ChainSetup>
+chainSetups(std::size_t n)
+{
+    std::vector<ChainSetup> out;
+    out.push_back({"no context", false});
+    out.push_back({"bare context"});
+    out.push_back({"identity hook", true, Rounding::NearestEven, true});
+    for (Rounding r : {Rounding::Upward, Rounding::TowardZero,
+                       Rounding::Downward})
+        out.push_back({roundingName(r), true, r});
+    if (n == 0)
+        return out;
+    const std::size_t positions[] = {0, n / 2, n - 1};
+    for (std::size_t pos : positions) {
+        for (Stage stage : {Stage::OperandC, Stage::ProductLo,
+                            Stage::Result}) {
+            ChainSetup s{"one-shot at " + std::to_string(pos) + " " +
+                         stageName(stage)};
+            s.fault = [pos, stage] {
+                return std::make_unique<fault::OneShotDatapathHook>(
+                    OpKind::Fma, kPrefixFmas + pos, stage, 0.9);
+            };
+            out.push_back(s);
+        }
+        for (std::uint64_t units : {1, 3, 5}) {
+            const std::uint64_t unit = (kPrefixFmas + pos) % units;
+            for (std::uint64_t period : {0, 4}) {
+                ChainSetup s{"persistent " + std::to_string(unit) + "/" +
+                             std::to_string(units) + " from " +
+                             std::to_string(pos) + " period " +
+                             std::to_string(period)};
+                s.fault = [units, unit, period] {
+                    return std::make_unique<fault::PersistentDatapathHook>(
+                        OpKind::Fma, units, unit, Stage::PreRoundSig,
+                        0.5, period, period ? 1 : 0, period ? 3 : 0,
+                        fault::PersistMode::Flip);
+                };
+                out.push_back(s);
+            }
+        }
+    }
+    return out;
+}
+
+constexpr Format kChainFormats[] = {kHalf, kSingle, kDouble, kBfloat16,
+                                    kTf32};
+
+TEST(FmaChain, RandomChainsMatchThePerOpLoop)
+{
+    Rng rng(31);
+    for (Format f : kChainFormats) {
+        for (std::size_t n : {0, 1, 7, 33}) {
+            // Mostly moderate values, so the sum stays finite and
+            // the specials' effect shows.
+            std::vector<std::uint64_t> a(n), b(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const bool special = rng.chance(0.1);
+                a[i] = special ? operand(rng, f)
+                               : fpFromDouble(f, rng.uniform(-1.0, 1.0));
+                b[i] = fpFromDouble(f, rng.uniform(-1.0, 1.0));
+            }
+            for (std::size_t stride : {std::size_t{1}, n}) {
+                const ChainInput in =
+                    makeChain(f, a, b, stride ? stride : 1, zero(f, false));
+                const std::string what = "format " +
+                    std::to_string(f.totalBits) + "/" +
+                    std::to_string(f.manBits) + " n=" + std::to_string(n) +
+                    " stride=" + std::to_string(stride);
+                for (const ChainSetup &setup : chainSetups(n))
+                    expectChainMatchesLoop(in, setup, what);
+            }
+        }
+    }
+}
+
+TEST(FmaChain, SpecialValuesMatchThePerOpLoop)
+{
+    for (Format f : kChainFormats) {
+        const std::uint64_t one = fpFromDouble(f, 1.0);
+        const std::uint64_t two = fpFromDouble(f, 2.0);
+        const std::uint64_t m_two = fpFromDouble(f, -2.0);
+        const std::uint64_t payload =
+            packFields(f, true, f.maxBiasedExp(), 1);  // signalling
+        const std::uint64_t sub = packFields(f, false, 0, 3);
+        const std::uint64_t inf = infinity(f, false);
+        const std::uint64_t m_inf = infinity(f, true);
+        struct Case
+        {
+            const char *what;
+            std::vector<std::uint64_t> a, b;
+            std::uint64_t acc;
+        };
+        const Case cases[] = {
+            {"exact cancellation to +0", {one, one}, {two, m_two},
+             zero(f, false)},
+            {"cancellation from -0", {one, one, one},
+             {two, m_two, zero(f, true)}, zero(f, true)},
+            {"NaN payload first", {payload, one, one}, {one, one, one}, one},
+            {"NaN payload last", {one, one, payload}, {one, two, one}, one},
+            {"NaN accumulator", {one, two}, {one, one}, payload},
+            {"inf then -inf", {inf, one, m_inf}, {one, one, one}, one},
+            {"inf times zero", {one, inf}, {one, zero(f, false)}, one},
+            {"subnormal products", {sub, sub, sub}, {one, sub, one}, sub},
+            {"subnormal sum cancels", {sub, sub}, {one, fpNeg(f, one)},
+             zero(f, false)},
+        };
+        for (const Case &k : cases) {
+            for (std::size_t stride : {std::size_t{1}, k.a.size()}) {
+                const ChainInput in = makeChain(f, k.a, k.b, stride, k.acc);
+                for (const ChainSetup &setup : chainSetups(k.a.size()))
+                    expectChainMatchesLoop(in, setup, k.what);
+            }
+        }
+    }
+}
+
+TEST(FmaChain, Bfloat16DeclineAnywhereInTheRun)
+{
+    // 0x3f88^2 + 0x0001 is the fma the host declines (see
+    // TinyAddendBreaksAProductTie); an element 0x0001 * 1 sets the
+    // accumulator up for it, zeros around it leave it alone.
+    const std::uint64_t one = 0x3f80, tie = 0x3f88, tiny = 0x0001;
+    const std::size_t n = 9;
+    for (std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+        std::vector<std::uint64_t> a(n, 0), b(n, 0);
+        if (at > 0) {
+            a[at - 1] = tiny;
+            b[at - 1] = one;
+        }
+        a[at] = tie;
+        b[at] = tie;
+        for (std::size_t stride : {std::size_t{1}, n}) {
+            const ChainInput in =
+                makeChain(kBfloat16, a, b, stride, at == 0 ? tiny : 0);
+            EXPECT_EQ(fmaLoop(true, in), 0x3f91u) << "decline at " << at;
+            for (const ChainSetup &setup : chainSetups(n))
+                expectChainMatchesLoop(in, setup,
+                                       "decline at " + std::to_string(at));
+        }
+    }
+}
+
+TEST(FmaChain, HostModesFallBackToSoftfloat)
+{
+    // Directed rounding and FTZ/DAZ on the host: every element must
+    // leave the native loop (HostModeIndependence covers the chain's
+    // results; this pins its accounting under an armed fault too).
+    Rng rng(8);
+    std::vector<std::uint64_t> a(12), b(12);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        a[i] = packFields(kSingle, false, 0, rng.below(1u << 20) + 1);
+        b[i] = fpFromDouble(kSingle, rng.uniform(-1.0, 1.0));
+    }
+    const ChainInput in = makeChain(kSingle, a, b, 1, 0);
+    for (HostMode mode : {HostMode::Upward, HostMode::TowardZero,
+                          HostMode::FlushDenormals}) {
+        const LoopOutcome want = runLoop(false, in, {"bare context"});
+        HostModeGuard guard(mode);
+        for (const ChainSetup &setup : chainSetups(in.n))
+            expectChainMatchesLoop(in, setup, "host mode");
+        EXPECT_EQ(runLoop(true, in, {"bare context"}), want);
+    }
 }
 
 } // namespace

@@ -138,9 +138,21 @@ TEST(OrderedChannelTest, DeliversInOrderUnderConcurrentProducers)
 TEST(ResolveJobsTest, ZeroMeansAllHardwareThreads)
 {
     EXPECT_GE(parallel::hardwareJobs(), 1u);
-    EXPECT_EQ(parallel::resolveJobs(0), parallel::hardwareJobs());
-    EXPECT_EQ(parallel::resolveJobs(1), 1u);
-    EXPECT_EQ(parallel::resolveJobs(5), 5u);
+    EXPECT_EQ(parallel::resolveJobs(0, 1u << 20),
+              parallel::hardwareJobs());
+    EXPECT_EQ(parallel::resolveJobs(1, 10), 1u);
+    EXPECT_EQ(parallel::resolveJobs(5, 10), 5u);
+}
+
+TEST(ResolveJobsTest, ClampsToTheTaskCount)
+{
+    // No more workers than tasks, and never none, even for no tasks.
+    EXPECT_EQ(parallel::resolveJobs(64, 10), 10u);
+    EXPECT_EQ(parallel::resolveJobs(4294967295u, 10), 10u);
+    EXPECT_EQ(parallel::resolveJobs(10, 10), 10u);
+    EXPECT_EQ(parallel::resolveJobs(0, 1), 1u);
+    EXPECT_EQ(parallel::resolveJobs(7, 0), 1u);
+    EXPECT_EQ(parallel::resolveJobs(0, 0), 1u);
 }
 
 // ---------------------------------------------------------------
