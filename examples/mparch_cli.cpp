@@ -30,9 +30,9 @@
  * code 0 on success; 1 when a campaign is refused or interrupted, a
  * study row's coverage is below 1, or a replay disagrees with its
  * journal; 2 on a usage error: an unknown subcommand or option, a
- * missing value, a malformed number, zero trials, a shard count of
- * 0 or a shard index past it, or an unknown name prints usage on
- * stderr.
+ * missing value, a malformed number, zero trials, a zero --scale,
+ * --errors or --flux, a shard count of 0 or a shard index past it,
+ * or an unknown name prints usage on stderr.
  */
 
 #include <fstream>
@@ -95,6 +95,17 @@ workloadName(const cli::Args &args)
     return name;
 }
 
+/** --scale, 0.2 when absent. Zero is a usage error: the factories
+ *  would silently run their minimum size instead. */
+double
+positiveScale(const cli::Args &args)
+{
+    const double scale = args.real("scale", 0.2);
+    if (scale <= 0.0)
+        args.fail("--scale must be greater than 0");
+    return scale;
+}
+
 int
 cmdStudy(int argc, char **argv)
 {
@@ -113,7 +124,7 @@ cmdStudy(int argc, char **argv)
     config.trials = args.count("trials", 300);
     if (config.trials == 0)
         args.fail("--trials must be at least 1");
-    config.scale = args.real("scale", 0.2);
+    config.scale = positiveScale(args);
     if (args.has("precision")) {
         const fp::Precision p =
             parseName(args, "precision", "", fp::parsePrecision);
@@ -170,7 +181,7 @@ cmdCampaign(int argc, char **argv)
     const std::string workload = workloadName(args);
     const fp::Precision precision =
         parseName(args, "precision", "single", fp::parsePrecision);
-    const double scale = args.real("scale", 0.2);
+    const double scale = positiveScale(args);
     auto w = nn::makeAnyWorkload(workload, precision, scale);
 
     fault::CampaignConfig config;
@@ -325,7 +336,11 @@ cmdBeamPlan(int argc, char **argv)
     if (rate <= 0.0)
         args.fail("beamplan needs --fit-per-hour > 0");
     const double errors = args.real("errors", 100.0);
+    if (errors <= 0.0)
+        args.fail("--errors must be greater than 0");
     const double flux = args.real("flux", 13.0 * 1e6);
+    if (flux <= 0.0)
+        args.fail("--flux must be greater than 0");
 
     const double hours = beam::beamHoursForErrors(rate, errors);
     const double acc = beam::accelerationFactor(flux);

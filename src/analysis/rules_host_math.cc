@@ -8,8 +8,11 @@
  * result is provably the softfloat result. A native fma or sqrt
  * anywhere else in src/fp would be a second, unverified
  * implementation, and a `#pragma STDC FP_CONTRACT` could let the
- * compiler fuse a host a*b+c into one rounding. In src/fp sources
- * other than host.cc the rule flags:
+ * compiler fuse a host a*b+c into one rounding. The gate is host.cc
+ * and fp/host.hh, whose inline per-format ops the block gate's
+ * HostFp<P> runs inside kernels (built with -ffp-contract=off, a
+ * PUBLIC option of mparch_fp). In every other src/fp source the rule
+ * flags:
  *
  *  - `fma`, `fmaf`, `fmal`, `sqrt`, `sqrtf`, `sqrtl` (plain, `std::`-
  *    or `::`-qualified; member accesses are not flagged);
@@ -18,11 +21,13 @@
  *
  * Exemptions, from an audit of the tree: fp/value.hh declares the
  * Fp<P> overloads `fma(a, b, c)` and `sqrt(a)`, which run the
- * softfloat fpFma/fpSqrt, so unqualified `fma`/`sqrt` there are not
- * host math (a `std::` spelling still is). convert.cc and
- * transcendental.cc hold host-double range checks (std::log,
- * std::isfinite, std::lround, std::clamp), none of which this rule
- * covers; they need no exemption.
+ * softfloat fpFma/fpSqrt, and transcendental.cc composes exp over a
+ * value type (its own softfloat SoftValue or HostFp<P>) through the
+ * same unqualified `fma`, so unqualified `fma`/`sqrt` in those two
+ * files are not host math (a `std::` or `::` spelling still is).
+ * convert.cc and transcendental.cc hold host-double range checks
+ * (std::log, std::isfinite, std::lround, std::clamp), none of which
+ * this rule covers; they need no exemption.
  */
 
 #include "analysis/rules.hh"
@@ -60,17 +65,19 @@ class HostMathRule final : public Rule
     summary() const override
     {
         return "native fma/sqrt and FP_CONTRACT pragmas in src/fp only "
-               "in the host-FPU gate (host.cc)";
+               "in the host-FPU gate (host.cc, host.hh)";
     }
 
     void
     check(const SourceFile &file, std::vector<Finding> &out) const
         override
     {
+        // host.cc and host.hh: the host-FPU gate itself.
         if (!file.pathHas("src/fp") || file.stem() == "host")
             return;
-        const bool fpOverloads = file.stem() == "value" &&
-                                 file.isHeader();
+        const bool fpOverloads =
+            (file.stem() == "value" && file.isHeader()) ||
+            (file.stem() == "transcendental" && !file.isHeader());
         const auto &code = file.code;
         for (std::size_t i = 0; i < code.size(); ++i) {
             const Token &t = code[i];

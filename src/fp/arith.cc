@@ -302,12 +302,6 @@ fpMul(Format f, std::uint64_t a, std::uint64_t b)
 }
 
 std::uint64_t
-fpNeg(Format f, std::uint64_t a)
-{
-    return (a ^ (1ULL << f.signPos())) & f.valueMask();
-}
-
-std::uint64_t
 fpAbs(Format f, std::uint64_t a)
 {
     return a & (f.valueMask() >> 1);

@@ -20,21 +20,14 @@ using detail::U128;
 using detail::Unpacked;
 using detail::unpackFinite;
 
+namespace {
+
+/** The softfloat fma, stage by stage, for the op @p ctx entered. */
 std::uint64_t
-fpFma(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c)
+fmaBody(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c,
+        const OpCtx &ctx)
 {
     const OpKind op = OpKind::Fma;
-    const OpCtx ctx = detail::enterOp(op);
-    if (ctx.host && detail::hostAdmits(op, f)) {
-        // Single and double never decline. Returning their result
-        // unchecked keeps the check off their path, which is worth
-        // about 6% of a lavamd double execution.
-        if (f == kSingle || f == kDouble)
-            return detail::hostFma(f, a, b, c);
-        const std::uint64_t r = detail::hostFma(f, a, b, c);
-        if (r != detail::kHostDeclined)
-            return r;
-    }
     a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
         f.valueMask();
     b = detail::touch(ctx, op, Stage::OperandB, f.totalBits, b) &
@@ -176,29 +169,31 @@ fpFma(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c)
                      ctx, op);
 }
 
+} // namespace
+
 std::uint64_t
-fpFmaChain(Format f, const std::uint64_t *a, std::size_t sa,
-           const std::uint64_t *b, std::size_t sb, std::size_t n,
-           std::uint64_t acc)
+fpFma(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c)
 {
     const OpKind op = OpKind::Fma;
-    const bool admitted = detail::hostAdmits(op, f);
-    for (std::size_t i = 0; i < n; ++i) {
-        // One decision per run: the host takes the un-struck prefix,
-        // then the element it stopped at goes through fpFma.
-        if (const std::uint64_t run =
-                admitted ? detail::peekRun(op, n - i) : 0) {
-            const std::size_t took = detail::hostFmaChain(
-                f, a + i * sa, sa, b + i * sb, sb,
-                static_cast<std::size_t>(run), acc);
-            detail::commitRun(op, took);
-            i += took;
-            if (i == n)
-                break;
-        }
-        acc = fpFma(f, a[i * sa], b[i * sb], acc);
+    const OpCtx ctx = detail::enterOp(op);
+    if (ctx.host && detail::hostAdmits(op, f)) {
+        // Single and double never decline. Returning their result
+        // unchecked keeps the check off their path, which is worth
+        // about 6% of a lavamd double execution.
+        if (f == kSingle || f == kDouble)
+            return detail::hostFma(f, a, b, c);
+        const std::uint64_t r = detail::hostFma(f, a, b, c);
+        if (r != detail::kHostDeclined)
+            return r;
     }
-    return acc;
+    return fmaBody(f, a, b, c, ctx);
+}
+
+std::uint64_t
+detail::fmaUnhooked(Format f, std::uint64_t a, std::uint64_t b,
+                    std::uint64_t c)
+{
+    return fmaBody(f, a, b, c, OpCtx{});
 }
 
 } // namespace mparch::fp

@@ -97,32 +97,78 @@ enterOp(OpKind op, bool reads_operand)
             ctx->rounding == Rounding::NearestEven && hostFpuReady()};
 }
 
-std::uint64_t
-peekRun(OpKind op, std::uint64_t n)
+namespace {
+
+/**
+ * Whether the current context lets the host run un-struck ops at
+ * all; @p strike is then the trigger they must be counted past, or
+ * null when there is none.
+ */
+bool
+hostRoute(const FpContext *ctx, const StrikeTrigger *&strike)
 {
-    const FpContext *ctx = tlsContext;
-    std::uint64_t run = n;
+    strike = nullptr;
     if (ctx != nullptr) {
         if (ctx->rounding != Rounding::NearestEven)
-            return 0;
+            return false;
         if (ctx->hook != nullptr) {
             if (ctx->strike == nullptr)
-                return 0;
-            run = ctx->strike->unstruck(op, n);
+                return false;
+            strike = ctx->strike;
         }
     }
-    return run != 0 && hostFpuReady() ? run : 0;
+    return hostFpuReady();
+}
+
+} // namespace
+
+OpCounts
+peekBlock(const OpCounts &upper)
+{
+    const StrikeTrigger *strike;
+    if (!hostRoute(tlsContext, strike))
+        return {};
+    if (strike == nullptr)
+        return upper;
+    OpCounts run;
+    for (std::size_t k = 0; k < run.size(); ++k)
+        run[k] = strike->unstruck(static_cast<OpKind>(k), upper[k]);
+    return run;
+}
+
+std::uint64_t
+peekBlock(OpKind op, std::uint64_t n)
+{
+    const StrikeTrigger *strike;
+    if (!hostRoute(tlsContext, strike))
+        return 0;
+    return strike == nullptr ? n : strike->unstruck(op, n);
 }
 
 void
-commitRun(OpKind op, std::uint64_t k)
+commitBlock(const OpCounts &exact, OpKind last)
 {
     FpContext *ctx = tlsContext;
     if (ctx == nullptr)
         return;
-    ctx->opCount[static_cast<std::size_t>(op)] += k;
+    const auto l = static_cast<std::size_t>(last);
+    for (std::size_t k = 0; k < exact.size(); ++k) {
+        if (k != l)
+            commitBlock(static_cast<OpKind>(k), exact[k]);
+    }
+    if (l < exact.size())
+        commitBlock(last, exact[l]);
+}
+
+void
+commitBlock(OpKind op, std::uint64_t n)
+{
+    FpContext *ctx = tlsContext;
+    if (ctx == nullptr)
+        return;
+    ctx->opCount[static_cast<std::size_t>(op)] += n;
     if (ctx->hook != nullptr && ctx->strike != nullptr)
-        ctx->strike->skip(op, k);
+        ctx->strike->skip(op, n);
 }
 
 } // namespace detail

@@ -370,17 +370,33 @@ namespace detail {
 OpCtx enterOp(OpKind op, bool reads_operand = true);
 
 /**
- * How many of the next @p n ops of kind @p op (which all read an
- * operand) would each get OpCtx::host from enterOp(): the un-struck
- * prefix under a strike trigger, zero under a hook without one, a
- * directed rounding mode or a host FPU outside its IEEE default
- * mode. Reads the host mode once; nothing is counted or entered.
+ * The block gate's question, asked once for a whole block: for each
+ * kind k, how many of the next @p upper[k] ops of kind k (which all
+ * read an operand) would each get OpCtx::host from enterOp(), counted
+ * from the first: the un-struck prefix under a strike trigger
+ * (StrikeTrigger::unstruck), and zero for every kind under a hook
+ * without one, a directed rounding mode or a host FPU outside its
+ * IEEE default mode. A block whose op count per kind is at most
+ * @p upper may run wholly on the host when the answer equals
+ * @p upper. Reads the host mode once; nothing is counted or entered.
  */
-std::uint64_t peekRun(OpKind op, std::uint64_t n);
+OpCounts peekBlock(const OpCounts &upper);
 
-/** Count and enter @p k ops of kind @p op as @p k enterOp() calls
- *  would, for ops peekRun() allowed the host to run. */
-void commitRun(OpKind op, std::uint64_t k);
+/** The one-kind case: peekBlock(upper)[op] for an upper bound of
+ *  @p n ops of kind @p op and none of any other kind. */
+std::uint64_t peekBlock(OpKind op, std::uint64_t n);
+
+/**
+ * Count and enter @p exact[k] ops of each kind k as that many
+ * enterOp() calls would, for a block peekBlock() gave to the host.
+ * @p last is the kind of the block's last op (any kind when the
+ * block ran none); it is entered last, so the trigger's `current`
+ * ends where stepping the block op by op leaves it.
+ */
+void commitBlock(const OpCounts &exact, OpKind last);
+
+/** The one-kind case: count and enter @p n ops of kind @p op. */
+void commitBlock(OpKind op, std::uint64_t n);
 
 /** Run the context hook for @p stage, if any. */
 inline std::uint64_t

@@ -1,0 +1,500 @@
+/**
+ * @file
+ * The host-FPU ops and the block gate.
+ *
+ * detail::host{Add,Mul,Div,Sqrt,Fma}<F> compute one op of the memory
+ * format F on the host FPU, bit-identical to the softfloat core under
+ * round-to-nearest-even (host.cc says why for each format), on the
+ * Native<F> value an op hands to the next. The per-op gate (fpAdd &
+ * co. through the runtime-format entry points in host.cc) and
+ * HostFp<P> below run these same definitions.
+ *
+ * The block gate decides once per kernel block instead of once per
+ * op. A kernel templates its block body over the value type:
+ * Fp<P> is the per-op gated reference, HostFp<P> runs every op on
+ * the host with no context, no trigger and no hook, counting into a
+ * block-local HostTally. runBlock() picks HostFp<P> when an upper
+ * bound on the block's ops per kind is wholly un-struck
+ * (detail::peekBlock) and then enters the ops the block actually ran
+ * (detail::commitBlock), so op counts and strike-trigger state end
+ * exactly where the per-op route leaves them.
+ *
+ * Native math lives only here and in host.cc (the host-math lint
+ * rule). These inline ops are compiled in kernel translation units
+ * too, so mparch_fp passes -ffp-contract=off to its consumers as
+ * well (PUBLIC in src/fp/CMakeLists.txt): no host a*b+c is fused.
+ */
+
+#ifndef MPARCH_FP_HOST_HH
+#define MPARCH_FP_HOST_HH
+
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <type_traits>
+
+#include "fp/value.hh"
+
+namespace mparch::fp {
+
+namespace detail {
+
+/** binary16 bits -> the same value as a float (exact). */
+inline float
+widenHalf(std::uint64_t h)
+{
+    const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u)
+                               << 16;
+    const auto exp = static_cast<std::uint32_t>(h >> 10) & 0x1fu;
+    auto man = static_cast<std::uint32_t>(h) & 0x3ffu;
+    std::uint32_t bits;
+    if (exp == 0x1f) {
+        bits = sign | 0x7f800000u | (man << 13);  // inf, NaN
+    } else if (exp != 0) {
+        bits = sign | ((exp + 112) << 23) | (man << 13);
+    } else if (man == 0) {
+        bits = sign;
+    } else {
+        // Subnormal man * 2^-24: move the leading one to the hidden
+        // bit position (bit 10) and lower the exponent to match.
+        const auto shift =
+            static_cast<std::uint32_t>(std::countl_zero(man) - 21);
+        man <<= shift;
+        bits = sign | ((113 - shift) << 23) | ((man & 0x3ffu) << 13);
+    }
+    return std::bit_cast<float>(bits);
+}
+
+/** bfloat16 is the top half of a binary32 pattern (exact). */
+inline float
+widenBfloat16(std::uint64_t b)
+{
+    return std::bit_cast<float>(static_cast<std::uint32_t>(b) << 16);
+}
+
+/** A half or bfloat16 pattern as a float (exact). */
+template <Format F>
+float
+widen16(std::uint64_t a)
+{
+    static_assert(F == kHalf || F == kBfloat16);
+    if constexpr (F == kHalf)
+        return widenHalf(a);
+    else
+        return widenBfloat16(a);
+}
+
+/**
+ * One round-to-nearest-even narrowing of the binary32 (S = kSingle)
+ * or binary64 (S = kDouble) pattern @p u to the 16-bit format F.
+ *
+ * The normal range rebiases the exponent and rounds the dropped bits
+ * half-to-even by one addition (a carry bumps the exponent), behind a
+ * single range check; NaN, overflow and subnormal results take the
+ * rare branches. Subnormal results round the value to a multiple of
+ * F's smallest subnormal the same way.
+ */
+template <Format F, Format S>
+std::uint64_t
+narrow(std::uint64_t u)
+{
+    static_assert(F == kHalf || F == kBfloat16);
+    static_assert(S == kSingle || S == kDouble);
+    constexpr unsigned kDrop = S.manBits - F.manBits;
+    constexpr std::uint64_t kHalfUlp = 1ULL << (kDrop - 1);
+    constexpr std::uint64_t kInf = infinity(F, false);
+    // mag - kRebias puts F's biased exponent into S's field.
+    constexpr std::uint64_t kRebias =
+        static_cast<std::uint64_t>(S.bias() - F.bias()) << S.manBits;
+    // Normal results lie in [kMinNormal, kOverflow); max + ulp/2 and
+    // above round to infinity.
+    constexpr std::uint64_t kMinNormal = kRebias + S.hiddenBit();
+    constexpr std::uint64_t kOverflow = kRebias + (kInf << kDrop) - kHalfUlp;
+    const std::uint64_t sign = (u >> S.signPos()) << F.signPos();
+    const std::uint64_t mag = u & (S.valueMask() >> 1);
+    if (mag - kMinNormal < kOverflow - kMinNormal) {
+        const std::uint64_t r = mag - kRebias;
+        return sign | ((r + (kHalfUlp - 1) + ((r >> kDrop) & 1u)) >> kDrop);
+    }
+    if (mag > infinity(S, false))
+        return quietNaN(F);
+    if (mag >= kOverflow)
+        return sign | kInf;
+    // Subnormal: value = m * 2^(e - bias - manBits) in S, counted in
+    // units of F's smallest subnormal 2^(minExp - manBits).
+    const int biased = static_cast<int>(mag >> S.manBits);
+    const int e = biased == 0 ? 1 : biased;
+    const std::uint64_t m =
+        (mag & S.manMask()) | (biased == 0 ? 0 : S.hiddenBit());
+    const int shift = S.bias() + S.manBits + F.minExp() - F.manBits - e;
+    if (shift > S.manBits + 1)  // below half the smallest subnormal
+        return sign;
+    const std::uint64_t half = 1ULL << (shift - 1);
+    return sign | ((m + (half - 1) + ((m >> shift) & 1u)) >> shift);
+}
+
+/**
+ * What a host op of format F computes on and hands to the next op:
+ * single and double travel as float and double, half and bfloat16
+ * as their pattern (each op widens, computes and narrows once).
+ */
+template <Format F>
+using Native = std::conditional_t<
+    F == kSingle, float,
+    std::conditional_t<F == kDouble, double, std::uint64_t>>;
+
+/** The pattern @p a of F as its Native value (exact). */
+template <Format F>
+Native<F>
+toNative(std::uint64_t a)
+{
+    if constexpr (F == kSingle)
+        return std::bit_cast<float>(static_cast<std::uint32_t>(a));
+    else if constexpr (F == kDouble)
+        return std::bit_cast<double>(a);
+    else
+        return a;
+}
+
+/** The pattern of the Native value @p v of F (exact). */
+template <Format F>
+std::uint64_t
+toBits(Native<F> v)
+{
+    if constexpr (F == kSingle)
+        return std::bit_cast<std::uint32_t>(v);
+    else if constexpr (F == kDouble)
+        return std::bit_cast<std::uint64_t>(v);
+    else
+        return v;
+}
+
+/**
+ * The softfloat core's quiet NaN as a float or double. Out of line
+ * and cold, so canonical()'s NaN test stays a branch: as a select it
+ * would lengthen the dependency chain of a value carried from op to
+ * op (a host block's fma chain) and move it out of its register.
+ */
+template <class T>
+[[gnu::cold, gnu::noinline]] T
+quietNaNOf()
+{
+    static_assert(std::is_same_v<T, float> || std::is_same_v<T, double>);
+    constexpr Format f = std::is_same_v<T, float> ? kSingle : kDouble;
+    return toNative<f>(quietNaN(f));
+}
+
+/** @p v with a NaN replaced by the softfloat core's quietNaN. */
+template <class T>
+T
+canonical(T v)
+{
+    if (std::isnan(v)) [[unlikely]]
+        return quietNaNOf<T>();
+    return v;
+}
+
+/**
+ * Run @p op natively in F: single and double as themselves, half and
+ * bfloat16 in float with one narrowing.
+ */
+template <Format F, class Op>
+Native<F>
+hostBinary(Native<F> a, Native<F> b, Op op)
+{
+    if constexpr (F == kSingle || F == kDouble) {
+        return canonical(op(a, b));
+    } else {
+        return narrow<F, kSingle>(std::bit_cast<std::uint32_t>(
+            op(widen16<F>(a), widen16<F>(b))));
+    }
+}
+
+template <Format F>
+Native<F>
+hostAdd(Native<F> a, Native<F> b)
+{
+    return hostBinary<F>(a, b, [](auto x, auto y) { return x + y; });
+}
+
+template <Format F>
+Native<F>
+hostMul(Native<F> a, Native<F> b)
+{
+    return hostBinary<F>(a, b, [](auto x, auto y) { return x * y; });
+}
+
+template <Format F>
+Native<F>
+hostDiv(Native<F> a, Native<F> b)
+{
+    return hostBinary<F>(a, b, [](auto x, auto y) { return x / y; });
+}
+
+template <Format F>
+Native<F>
+hostSqrt(Native<F> a)
+{
+    return hostBinary<F>(a, a, [](auto x, auto) { return std::sqrt(x); });
+}
+
+/** -a: a sign flip, as fpNeg. */
+template <Format F>
+Native<F>
+hostNeg(Native<F> a)
+{
+    if constexpr (F == kSingle || F == kDouble)
+        return -a;
+    else
+        return fpNeg(F, a);
+}
+
+/**
+ * hostFma's answer when a half/bfloat16 fma's sum is not provably
+ * exact: the caller runs softfloat. No host result has this pattern,
+ * as NaNs are canonicalised. A plain integer keeps the answer in a
+ * register, where a std::optional return costs a store-forwarding
+ * stall per op.
+ */
+inline constexpr std::uint64_t kHostDeclined = ~std::uint64_t{0};
+
+/**
+ * Half/bfloat16 fma in double. The product of two 16-bit operands is
+ * exact there (at most 22 significant bits, exponents far inside
+ * double's range), so the addition is the only rounding before the
+ * narrowing; TwoSum tells whether it rounded.
+ */
+template <Format F>
+std::uint64_t
+fma16(std::uint64_t a, std::uint64_t b, std::uint64_t c)
+{
+    const double x = widen16<F>(a);
+    const double y = widen16<F>(b);
+    const double z = widen16<F>(c);
+    const double p = x * y;
+    const double s = p + z;
+    if (std::isfinite(s)) {
+        // TwoSum: s + err == p + z exactly. A non-zero err means s is
+        // already rounded, and narrowing it would round twice.
+        const double zv = s - p;
+        const double err = (p - (s - zv)) + (z - zv);
+        if (err != 0)
+            return kHostDeclined;
+    }
+    return narrow<F, kDouble>(std::bit_cast<std::uint64_t>(s));
+}
+
+/** a * b + c in F; half/bfloat16 may return kHostDeclined. */
+template <Format F>
+Native<F>
+hostFma(Native<F> a, Native<F> b, Native<F> c)
+{
+    if constexpr (F == kSingle || F == kDouble)
+        return canonical(std::fma(a, b, c));
+    else
+        return fma16<F>(a, b, c);
+}
+
+/**
+ * The softfloat fma body with no op entry and no hook (fma.cc), at
+ * round-to-nearest-even: what fpFma computes for an un-struck op the
+ * host declined.
+ */
+std::uint64_t fmaUnhooked(Format f, std::uint64_t a, std::uint64_t b,
+                          std::uint64_t c);
+
+} // namespace detail
+
+/** The ops a host block ran, per kind, and the kind of the last. */
+struct HostTally
+{
+    OpCounts ops{};
+    OpKind last = OpKind::NumKinds;
+
+    void
+    add(OpKind op)
+    {
+        ++ops[static_cast<std::size_t>(op)];
+        last = op;
+    }
+};
+
+/**
+ * A value of precision P inside a host block: every op is the host
+ * op of its format, NaN results are canonicalised per op, and the op
+ * is counted in the block's HostTally. No FpContext, trigger or hook
+ * sees it; only runBlock() and fmaChain() make these, for blocks the
+ * gate proved un-struck.
+ */
+template <Precision P>
+class HostFp
+{
+    // Every Precision is a format the host admits (internal.hh).
+    static constexpr Format F = formatOf(P);
+    using Native = detail::Native<F>;
+
+  public:
+    static constexpr Format format() { return F; }
+
+    /** The stored value @p v, counting into @p tally. */
+    HostFp(Fp<P> v, HostTally &tally)
+        : v_(detail::toNative<F>(v.bits())), tally_(&tally)
+    {}
+
+    /** Back to the stored type. */
+    explicit operator Fp<P>() const { return Fp<P>::fromBits(bits()); }
+
+    std::uint64_t bits() const { return detail::toBits<F>(v_); }
+
+    /** A value of the same block with the pattern @p bits. */
+    HostFp
+    withBits(std::uint64_t bits) const
+    {
+        return {detail::toNative<F>(bits), tally_};
+    }
+
+    HostFp
+    operator+(HostFp o) const
+    {
+        return counted(OpKind::Add, detail::hostAdd<F>(v_, o.v_));
+    }
+    HostFp
+    operator-(HostFp o) const
+    {
+        return counted(OpKind::Sub,
+                       detail::hostAdd<F>(v_, detail::hostNeg<F>(o.v_)));
+    }
+    HostFp
+    operator*(HostFp o) const
+    {
+        return counted(OpKind::Mul, detail::hostMul<F>(v_, o.v_));
+    }
+    HostFp
+    operator/(HostFp o) const
+    {
+        return counted(OpKind::Div, detail::hostDiv<F>(v_, o.v_));
+    }
+    HostFp operator-() const { return {detail::hostNeg<F>(v_), tally_}; }
+
+    /**
+     * Fused multiply-add. A half/bfloat16 fma the host declines runs
+     * the softfloat body un-hooked: the block is un-struck, so there
+     * is nothing to inject and nothing to restart.
+     */
+    friend HostFp
+    fma(HostFp a, HostFp b, HostFp c)
+    {
+        Native r = detail::hostFma<F>(a.v_, b.v_, c.v_);
+        if constexpr (F == kHalf || F == kBfloat16) {
+            if (r == detail::kHostDeclined) [[unlikely]]
+                r = detail::fmaUnhooked(F, a.v_, b.v_, c.v_);
+        }
+        return a.counted(OpKind::Fma, r);
+    }
+
+    /** fpExp's composition on host ops (transcendental.cc). */
+    template <Precision Q>
+    friend HostFp<Q> exp(HostFp<Q> a);
+
+  private:
+    HostFp(Native v, HostTally *tally) : v_(v), tally_(tally) {}
+
+    HostFp
+    counted(OpKind op, Native v) const
+    {
+        tally_->add(op);
+        return {v, tally_};
+    }
+
+    Native v_;
+    HostTally *tally_;
+};
+
+template <Precision P>
+HostFp<P> exp(HostFp<P> a);
+
+/**
+ * An upper bound on the ops one exp of format @p f enters, per kind,
+ * the Exp itself included: its reduction and Horner fmas, and every
+ * multiplication scaleByPow2 may take.
+ */
+OpCounts expOpBound(Format f);
+
+/** How a block body reads stored Fp<P> values on the reference
+ *  route: as themselves, through the per-op gate. */
+template <Precision P>
+struct SoftRoute
+{
+    using Value = Fp<P>;
+
+    Value operator()(Fp<P> v) const { return v; }
+};
+
+/** How a block body reads stored Fp<P> values on the host route. */
+template <Precision P>
+struct HostRoute
+{
+    using Value = HostFp<P>;
+
+    HostTally &tally;
+
+    Value operator()(Fp<P> v) const { return Value(v, tally); }
+};
+
+/**
+ * Run one kernel block: @p body(route) with a HostRoute when every
+ * kind is un-struck for @p upper[k] ops (an upper bound on what the
+ * block runs), else with a SoftRoute. The body reads its stored
+ * values through route(v) and computes in `typename
+ * decltype(route)::Value`, so both routes compile one source; a host
+ * block's ops are then entered as the per-op route would have
+ * entered them.
+ */
+template <Precision P, class Body>
+void
+runBlock(const OpCounts &upper, Body &&body)
+{
+    if (detail::peekBlock(upper) == upper) {
+        HostTally tally;
+        body(HostRoute<P>{tally});
+        detail::commitBlock(tally.ops, tally.last);
+        return;
+    }
+    body(SoftRoute<P>{});
+}
+
+/**
+ * The dot-product fma chain acc = fma(a[i * sa], b[i * sb], acc) for
+ * i < @p n (strides in elements), with the result, op counts,
+ * trigger state and hook calls of that per-op loop. The block gate
+ * runs each un-struck prefix as one host block; the op it stopped at
+ * goes through the per-op route.
+ */
+template <Precision P>
+Fp<P>
+fmaChain(const Fp<P> *a, std::size_t sa, const Fp<P> *b, std::size_t sb,
+         std::size_t n, Fp<P> acc)
+{
+    std::size_t i = 0;
+    while (i < n) {
+        if (const std::size_t run = detail::peekBlock(OpKind::Fma, n - i)) {
+            HostTally tally;
+            HostFp<P> h(acc, tally);
+            for (const std::size_t end = i + run; i < end; ++i)
+                h = fma(HostFp<P>(a[i * sa], tally),
+                        HostFp<P>(b[i * sb], tally), h);
+            acc = Fp<P>(h);
+            detail::commitBlock(OpKind::Fma, run);
+            if (i == n)
+                break;
+        }
+        acc = fma(a[i * sa], b[i * sb], acc);
+        ++i;
+    }
+    return acc;
+}
+
+} // namespace mparch::fp
+
+#endif // MPARCH_FP_HOST_HH

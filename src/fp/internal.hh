@@ -15,6 +15,7 @@
 #endif
 
 #include "fp/format.hh"
+#include "fp/host.hh"
 #include "fp/softfloat.hh"
 
 namespace mparch::fp::detail {
@@ -136,37 +137,17 @@ hostAdmitsConvert(Format dst, Format src)
 /**
  * The host-FPU route of the softfloat ops (host.cc), for an op whose
  * OpCtx::host is set and whose format hostAdmits(): the round-to-
- * nearest-even result, with NaNs canonicalised to quietNaN(f).
- * Subtraction is hostAdd of the negated operand, as in the softfloat
- * core.
+ * nearest-even result, with NaNs canonicalised to quietNaN(f), from
+ * the per-format ops of fp/host.hh. Subtraction is hostAdd of the
+ * negated operand, as in the softfloat core. hostFma may return
+ * kHostDeclined (half/bfloat16 only).
  */
 std::uint64_t hostAdd(Format f, std::uint64_t a, std::uint64_t b);
 std::uint64_t hostMul(Format f, std::uint64_t a, std::uint64_t b);
 std::uint64_t hostDiv(Format f, std::uint64_t a, std::uint64_t b);
 std::uint64_t hostSqrt(Format f, std::uint64_t a);
-
-/**
- * hostFma's answer when a half/bfloat16 fma's sum is not provably
- * exact: the caller runs softfloat. No host result has this pattern,
- * as NaNs are canonicalised. A plain integer keeps the answer in a
- * register, where a std::optional return costs a store-forwarding
- * stall per op.
- */
-inline constexpr std::uint64_t kHostDeclined = ~std::uint64_t{0};
-
 std::uint64_t hostFma(Format f, std::uint64_t a, std::uint64_t b,
                       std::uint64_t c);
-
-/**
- * hostFma over a run: acc = hostFma(f, a[i * sa], b[i * sb], acc) for
- * i < @p n, stopping before the first element hostFma declines (only
- * half/bfloat16 decline). Returns how many elements it took; @p acc
- * holds the result after them.
- */
-std::size_t hostFmaChain(Format f, const std::uint64_t *a,
-                         std::size_t sa, const std::uint64_t *b,
-                         std::size_t sb, std::size_t n,
-                         std::uint64_t &acc);
 std::uint64_t hostConvert(Format dst, Format src, std::uint64_t a);
 
 } // namespace mparch::fp::detail

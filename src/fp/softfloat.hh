@@ -18,7 +18,6 @@
 #ifndef MPARCH_FP_SOFTFLOAT_HH
 #define MPARCH_FP_SOFTFLOAT_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -39,19 +38,6 @@ std::uint64_t fpMul(Format f, std::uint64_t a, std::uint64_t b);
 /** a * b + c with a single rounding (fused multiply-add). */
 std::uint64_t fpFma(Format f, std::uint64_t a, std::uint64_t b,
                     std::uint64_t c);
-
-/**
- * A dot product as an fma chain: for i < @p n, acc = fpFma(f,
- * a[i * sa], b[i * sb], acc); returns the final acc. The result and
- * every FpContext side effect (op counts, strike trigger, hook calls)
- * are those of that per-op loop. Runs of un-struck elements are
- * counted and entered once and computed natively (host.cc); every
- * element the host may not take goes through fpFma itself.
- */
-std::uint64_t fpFmaChain(Format f, const std::uint64_t *a,
-                         std::size_t sa, const std::uint64_t *b,
-                         std::size_t sb, std::size_t n,
-                         std::uint64_t acc);
 
 /** a / b, correctly rounded (RNE). */
 std::uint64_t fpDiv(Format f, std::uint64_t a, std::uint64_t b);
@@ -79,7 +65,11 @@ std::uint64_t fpExp(Format f, std::uint64_t a);
 std::uint64_t fpLog(Format f, std::uint64_t a);
 
 /** -a (sign flip; NaN payload untouched). */
-std::uint64_t fpNeg(Format f, std::uint64_t a);
+inline std::uint64_t
+fpNeg(Format f, std::uint64_t a)
+{
+    return (a ^ (1ULL << f.signPos())) & f.valueMask();
+}
 
 /** |a|. */
 std::uint64_t fpAbs(Format f, std::uint64_t a);

@@ -17,7 +17,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 
+#include "fp/host.hh"
 #include "fp/internal.hh"
 
 namespace mparch::fp {
@@ -113,10 +115,44 @@ underflowThreshold(Format f)
            std::log(2.0);
 }
 
-/** Multiply by 2^k without leaving the format. */
-std::uint64_t
-scaleByPow2(Format f, std::uint64_t x, long k)
+/**
+ * The value type of fpExp's reference route: a pattern of a runtime
+ * format whose ops run through the per-op gated softfloat core. It
+ * points at the format rather than holding it: a 3-byte Format split
+ * into registers and reassembled in memory for every call costs a
+ * store-forwarding stall per op.
+ */
+struct SoftValue
 {
+    const Format *f;
+    std::uint64_t v;
+
+    Format format() const { return *f; }
+    std::uint64_t bits() const { return v; }
+    SoftValue withBits(std::uint64_t b) const { return {f, b}; }
+
+    SoftValue operator*(SoftValue o) const { return {f, fpMul(*f, v, o.v)}; }
+
+    friend SoftValue
+    fma(SoftValue a, SoftValue b, SoftValue c)
+    {
+        return {a.f, fpFma(*a.f, a.v, b.v, c.v)};
+    }
+};
+
+/** The largest |k| expPoly scales by in format @p f. */
+long
+expScaleLimit(Format f)
+{
+    return 2L * (f.maxExp() + static_cast<long>(f.manBits) + 2);
+}
+
+/** Multiply by 2^k without leaving the format. */
+template <class V>
+V
+scaleByPow2(V x, long k)
+{
+    const Format f = x.format();
     // Split so each factor is a representable normal power of two.
     while (k != 0) {
         long step = k;
@@ -128,24 +164,23 @@ scaleByPow2(Format f, std::uint64_t x, long k)
             step = lo;
         const std::uint64_t factor = packFields(
             f, false, static_cast<int>(step) + f.bias(), 0);
-        x = fpMul(f, x, factor);
+        x = x * x.withBits(factor);
         k -= step;
-        if (isZero(f, x) || isInf(f, x) || isNaN(f, x))
+        if (isZero(f, x.bits()) || isInf(f, x.bits()) ||
+            isNaN(f, x.bits()))
             break;
     }
     return x;
 }
 
-} // namespace
-
-std::uint64_t
-fpExp(Format f, std::uint64_t a)
+/**
+ * exp's early exits, which run no op: the result for NaN, infinite,
+ * zero and out-of-range operands, or nullopt when @p a takes the
+ * polynomial.
+ */
+std::optional<std::uint64_t>
+expSpecial(Format f, std::uint64_t a)
 {
-    const OpKind op = OpKind::Exp;
-    const OpCtx ctx = detail::enterOp(op);
-    a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
-        f.valueMask();
-
     const FpClass ca = classify(f, a);
     if (ca == FpClass::NaN)
         return quietNaN(f);
@@ -161,33 +196,91 @@ fpExp(Format f, std::uint64_t a)
         return infinity(f, false);
     if (xd < underflowThreshold(f))
         return zero(f, false);
+    return std::nullopt;
+}
 
+/**
+ * exp's composition of in-format ops on the value type V: the
+ * range reduction, the Horner polynomial and the scaling. SoftValue
+ * (fpExp) and HostFp<P> (a host block) run this one source, so both
+ * routes run the same op sequence.
+ */
+template <class V>
+V
+expPoly(V a)
+{
+    const Format f = a.format();
     Constants scratch;
     const Constants &c = constantsFor(f, scratch);
 
-    const std::uint64_t t = fpMul(f, a, c.log2e);
+    const V t = a * a.withBits(c.log2e);
     // Clamp k against corrupted inputs (a datapath fault upstream can
     // make t non-finite; lround would then return LONG_MIN and the
     // scaling loop below would effectively never terminate).
-    const double td = fpToDouble(f, t);
-    const double k_limit = 2.0 * (f.maxExp() + f.manBits + 2);
+    const double td = fpToDouble(f, t.bits());
+    const auto k_limit = static_cast<double>(expScaleLimit(f));
     const long k = std::isfinite(td)
                        ? std::lround(std::clamp(td, -k_limit, k_limit))
                        : 0;
-    const std::uint64_t kf = fpFromDouble(f, static_cast<double>(k));
+    const V kf = a.withBits(fpFromDouble(f, static_cast<double>(k)));
 
-    std::uint64_t r = fpFma(f, kf, c.negLn2Hi, a);
-    r = fpFma(f, kf, c.negLn2Lo, r);
+    V r = fma(kf, a.withBits(c.negLn2Hi), a);
+    r = fma(kf, a.withBits(c.negLn2Lo), r);
 
     // Horner over 1 + r + r^2/2! + ... + r^deg/deg!.
-    std::uint64_t p = c.expCoeff[static_cast<std::size_t>(c.expDegree)];
+    V p = a.withBits(c.expCoeff[static_cast<std::size_t>(c.expDegree)]);
     for (int i = c.expDegree - 1; i >= 0; --i)
-        p = fpFma(f, p, r, c.expCoeff[static_cast<std::size_t>(i)]);
+        p = fma(p, r, a.withBits(c.expCoeff[static_cast<std::size_t>(i)]));
 
-    std::uint64_t result = scaleByPow2(f, p, k);
+    return scaleByPow2(p, k);
+}
+
+} // namespace
+
+std::uint64_t
+fpExp(Format f, std::uint64_t a)
+{
+    const OpKind op = OpKind::Exp;
+    const OpCtx ctx = detail::enterOp(op);
+    a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
+        f.valueMask();
+    if (const auto special = expSpecial(f, a))
+        return *special;
+    std::uint64_t result = expPoly(SoftValue{&f, a}).bits();
     result = detail::touch(ctx, op, Stage::Result, f.totalBits, result) &
              f.valueMask();
     return result;
+}
+
+template <Precision P>
+HostFp<P>
+exp(HostFp<P> a)
+{
+    a.tally_->add(OpKind::Exp);
+    if (const auto special = expSpecial(a.format(), a.bits()))
+        return a.withBits(*special);
+    return expPoly(a);
+}
+
+template HostFp<Precision::Half> exp(HostFp<Precision::Half>);
+template HostFp<Precision::Single> exp(HostFp<Precision::Single>);
+template HostFp<Precision::Double> exp(HostFp<Precision::Double>);
+template HostFp<Precision::Bfloat16> exp(HostFp<Precision::Bfloat16>);
+
+OpCounts
+expOpBound(Format f)
+{
+    Constants scratch;
+    const Constants &c = constantsFor(f, scratch);
+    // scaleByPow2 multiplies by at most min(maxExp, -minExp) per step.
+    const long step = std::min<long>(f.maxExp(), -f.minExp());
+    OpCounts bound{};
+    bound[static_cast<std::size_t>(OpKind::Exp)] = 1;
+    bound[static_cast<std::size_t>(OpKind::Mul)] =
+        1 + static_cast<std::uint64_t>((expScaleLimit(f) + step - 1) / step);
+    bound[static_cast<std::size_t>(OpKind::Fma)] =
+        2 + static_cast<std::uint64_t>(c.expDegree);
+    return bound;
 }
 
 std::uint64_t

@@ -12,10 +12,8 @@
 #ifndef MPARCH_FP_VALUE_HH
 #define MPARCH_FP_VALUE_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <type_traits>
 
 #include "fp/softfloat.hh"
 
@@ -128,26 +126,6 @@ fma(Fp<P> a, Fp<P> b, Fp<P> c)
 {
     return Fp<P>::fromBits(
         fpFma(Fp<P>::format(), a.bits(), b.bits(), c.bits()));
-}
-
-/**
- * The dot-product fma chain acc = fma(a[i * sa], b[i * sb], acc) for
- * i < @p n (strides in elements), as one fpFmaChain call: the same
- * result and op accounting as the per-op loop, with runs of un-struck
- * ops on the host FPU.
- */
-template <Precision P>
-Fp<P>
-fmaChain(const Fp<P> *a, std::size_t sa, const Fp<P> *b, std::size_t sb,
-         std::size_t n, Fp<P> acc)
-{
-    // fpFmaChain indexes the elements as an array of their bits.
-    static_assert(std::is_standard_layout_v<Fp<P>> &&
-                  sizeof(Fp<P>) == sizeof(std::uint64_t) &&
-                  alignof(Fp<P>) == alignof(std::uint64_t));
-    return Fp<P>::fromBits(fpFmaChain(
-        Fp<P>::format(), reinterpret_cast<const std::uint64_t *>(a), sa,
-        reinterpret_cast<const std::uint64_t *>(b), sb, n, acc.bits()));
 }
 
 /** Square root in the value's precision. */

@@ -87,13 +87,17 @@ class LavaMDWorkload : public Workload
     {
         const Value a2 = Value::fromDouble(0.5);  // alpha^2 cutoff
         const Value two = Value::fromDouble(2.0);
-        // One tick per (home box, neighbour box) pair, row-major.
+        const fp::OpCounts pair_ops = boxPairBound();
+        // One tick per (home box, neighbour box) pair, row-major; the
+        // pair's interactions are one block.
         const std::size_t boxes = boxCount();
         for (std::size_t t = env.startTick(); t < boxes * boxes; ++t) {
             env.tick();
             if (env.aborted())
                 return;
-            interact(t / boxes, t % boxes, a2, two);
+            fp::runBlock<P>(pair_ops, [&](auto load) {
+                interact(load, t / boxes, t % boxes, a2, two);
+            });
         }
     }
 
@@ -130,10 +134,31 @@ class LavaMDWorkload : public Workload
     }
 
   private:
-    /** Accumulate contributions of box @p nb onto box @p hb. */
-    void
-    interact(std::size_t hb, std::size_t nb, Value a2, Value two)
+    /**
+     * An upper bound on one box pair's ops: at most par^2 particle
+     * pairs, each with three subs, ten muls, six adds and one exp.
+     */
+    fp::OpCounts
+    boxPairBound() const
     {
+        fp::OpCounts bound = fp::expOpBound(Value::format());
+        bound[static_cast<std::size_t>(fp::OpKind::Sub)] += 3;
+        bound[static_cast<std::size_t>(fp::OpKind::Mul)] += 10;
+        bound[static_cast<std::size_t>(fp::OpKind::Add)] += 6;
+        for (auto &n : bound)
+            n *= par_ * par_;
+        return bound;
+    }
+
+    /** Accumulate contributions of box @p nb onto box @p hb. */
+    template <class Load>
+    void
+    interact(Load load, std::size_t hb, std::size_t nb, Value a2_in,
+             Value two_in)
+    {
+        using V = typename Load::Value;
+        const V a2 = load(a2_in);
+        const V two = load(two_in);
         const std::size_t base_i = hb * par_;
         const std::size_t base_j = nb * par_;
         for (std::size_t i = base_i; i < base_i + par_; ++i) {
@@ -143,17 +168,18 @@ class LavaMDWorkload : public Workload
                 // Explicit mul/add (not contracted to FMA), matching
                 // the Rodinia source and keeping the kernel's
                 // instruction mix multiplication-dominated.
-                const Value dx = x_[i] - x_[j];
-                const Value dy = y_[i] - y_[j];
-                const Value dz = z_[i] - z_[j];
-                const Value r2 = dx * dx + dy * dy + dz * dz;
-                const Value u2 = a2 * r2;
-                const Value vij = exp(-u2);
-                const Value fs = two * q_[j] * vij;
-                v_[i] += q_[j] * vij;
-                fx_[i] += dx * fs;
-                fy_[i] += dy * fs;
-                fz_[i] += dz * fs;
+                const V dx = load(x_[i]) - load(x_[j]);
+                const V dy = load(y_[i]) - load(y_[j]);
+                const V dz = load(z_[i]) - load(z_[j]);
+                const V r2 = dx * dx + dy * dy + dz * dz;
+                const V u2 = a2 * r2;
+                const V vij = exp(-u2);
+                const V qj = load(q_[j]);
+                const V fs = two * qj * vij;
+                v_[i] = Value(load(v_[i]) + qj * vij);
+                fx_[i] = Value(load(fx_[i]) + dx * fs);
+                fy_[i] = Value(load(fy_[i]) + dy * fs);
+                fz_[i] = Value(load(fz_[i]) + dz * fs);
             }
         }
     }

@@ -104,24 +104,16 @@ class MicroWorkload : public Workload
         const Value add_k = Value::fromDouble(kMicroAddK);
         const Value fma_m = Value::fromDouble(kMicroFmaM);
         const Value fma_a = Value::fromDouble(kMicroFmaA);
+        // One block per tick: one op of the stressed kind per thread.
+        fp::OpCounts tick_ops{};
+        tick_ops[static_cast<std::size_t>(opKind())] = threads_;
         for (std::size_t it = env.startTick(); it < iters_; ++it) {
             env.tick();
             if (env.aborted())
                 return;
-            switch (op_) {
-              case MicroOp::Add:
-                for (auto &x : x_)
-                    x = x + add_k;
-                break;
-              case MicroOp::Mul:
-                for (auto &x : x_)
-                    x = x * mul_k;
-                break;
-              case MicroOp::Fma:
-                for (auto &x : x_)
-                    x = fma(x, fma_m, fma_a);
-                break;
-            }
+            fp::runBlock<P>(tick_ops, [&](auto load) {
+                step(load, mul_k, add_k, fma_m, fma_a);
+            });
         }
     }
 
@@ -156,6 +148,47 @@ class MicroWorkload : public Workload
     MicroOp microOp() const { return op_; }
 
   private:
+    /** The stressed op's kind. */
+    fp::OpKind
+    opKind() const
+    {
+        switch (op_) {
+          case MicroOp::Add: return fp::OpKind::Add;
+          case MicroOp::Mul: return fp::OpKind::Mul;
+          case MicroOp::Fma: return fp::OpKind::Fma;
+        }
+        return fp::OpKind::NumKinds;
+    }
+
+    /** One tick: every thread applies the op once, on @p load's route. */
+    template <class Load>
+    void
+    step(Load load, Value mul_k, Value add_k, Value fma_m, Value fma_a)
+    {
+        using V = typename Load::Value;
+        switch (op_) {
+          case MicroOp::Add: {
+            const V k = load(add_k);
+            for (auto &x : x_)
+                x = Value(load(x) + k);
+            break;
+          }
+          case MicroOp::Mul: {
+            const V k = load(mul_k);
+            for (auto &x : x_)
+                x = Value(load(x) * k);
+            break;
+          }
+          case MicroOp::Fma: {
+            const V m = load(fma_m);
+            const V a = load(fma_a);
+            for (auto &x : x_)
+                x = Value(fma(load(x), m, a));
+            break;
+          }
+        }
+    }
+
     MicroOp op_;
     std::size_t threads_;
     std::size_t iters_;

@@ -6,8 +6,9 @@
  * compute kernel (Section 3.1): a pure FMA chain, memory-bound in the
  * paper's non-tiled GPU form. The same source runs in double, single
  * and half precision via the Fp<P> value type. Each output element is
- * one fp::fmaChain call, which runs the fmas no fault strikes as one
- * native loop and counts and hooks them exactly as the per-op loop.
+ * one fp::fmaChain call, which runs each run of fmas no fault strikes
+ * as one host block (fp/host.hh) and counts and hooks them exactly as
+ * the per-op loop.
  */
 
 #ifndef MPARCH_WORKLOADS_MXM_HH

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "fp/host.hh"
 #include "fp/value.hh"
 
 namespace mparch::workloads {

@@ -537,7 +537,9 @@ TEST(FaultAnatomyTest, LowMantissaCriticalityGrowsAsPrecisionShrinks)
 // ---------------------------------------------------------------------
 // Gate equivalence. An armed fault (hook plus strike trigger) sends
 // only its struck ops through the softfloat stages and lets every
-// other op take the host FPU; the same fault behind a generic FpHook
+// other op take the host FPU, one op at a time or, in the block-gated
+// kernels (micro, lavamd, mxm's chains), a whole un-struck block at
+// once; the same fault behind a generic FpHook
 // subclass instruments every op and advances the trigger at OperandA
 // visits, as the counting hooks did. Both must corrupt the same ops:
 // equal outputs, fired() and hits().
@@ -705,10 +707,24 @@ INSTANTIATE_TEST_SUITE_P(
     Workloads, GateEquivalenceTest,
     ::testing::Values(GateCase{"mxm", Precision::Single},
                       GateCase{"lud", Precision::Single},
-                      GateCase{"lavamd", Precision::Double},
                       GateCase{"mxm", Precision::Half},
+                      // The block gate's kernels, in every format.
+                      GateCase{"lavamd", Precision::Single},
+                      GateCase{"lavamd", Precision::Double},
+                      GateCase{"lavamd", Precision::Half},
+                      GateCase{"lavamd", Precision::Bfloat16},
+                      GateCase{"micro-add", Precision::Single},
+                      GateCase{"micro-add", Precision::Double},
+                      GateCase{"micro-add", Precision::Half},
+                      GateCase{"micro-add", Precision::Bfloat16},
+                      GateCase{"micro-mul", Precision::Single},
+                      GateCase{"micro-mul", Precision::Double},
+                      GateCase{"micro-mul", Precision::Half},
+                      GateCase{"micro-mul", Precision::Bfloat16},
+                      GateCase{"micro-fma", Precision::Single},
+                      GateCase{"micro-fma", Precision::Double},
                       GateCase{"micro-fma", Precision::Half},
-                      GateCase{"lavamd", Precision::Bfloat16}),
+                      GateCase{"micro-fma", Precision::Bfloat16}),
     [](const auto &info) {
         std::string name = std::string(info.param.name) + "_" +
                            std::string(fp::precisionName(

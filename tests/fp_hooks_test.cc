@@ -379,6 +379,7 @@ expectSameState(const StrikeTrigger &a, const StrikeTrigger &b,
     EXPECT_EQ(a.current, b.current) << what;
     EXPECT_EQ(a.inWindow, b.inWindow) << what;
     EXPECT_EQ(a.spent, b.spent) << what;
+    EXPECT_EQ(a.exhausted(), b.exhausted()) << what;
 }
 
 /** A one-shot trigger on Fma whose index falls before, at either end
@@ -468,6 +469,97 @@ TEST(StrikeTriggerRuns, UnstruckAndSkipMatchSteppingEnter)
         expectSameState(prefix, prefix_stepped, what + " prefix");
     }
     EXPECT_GT(struck_runs, 10000);
+}
+
+/** A random block: ops of a few kinds, the armed kind more often. */
+std::vector<OpKind>
+randomBlock(Rng &rng, OpKind armed)
+{
+    const OpKind kinds[] = {OpKind::Add, OpKind::Sub, OpKind::Mul,
+                            OpKind::Fma, OpKind::Exp};
+    std::vector<OpKind> block(rng.below(41));
+    for (auto &op : block)
+        op = rng.chance(0.4) ? armed : kinds[rng.below(5)];
+    return block;
+}
+
+TEST(StrikeTriggerRuns, BlocksMatchSteppingEnter)
+{
+    // peekBlock/commitBlock against enterOp one op at a time, for
+    // random multi-kind blocks under random triggers: the gate gives
+    // a block to the host only if no op in it is struck, always when
+    // its exact counts are un-struck, and committing the exact counts
+    // leaves the context and the trigger where stepping leaves them.
+    Rng rng(2121);
+    FpHook identity;
+    int host_blocks = 0, struck_blocks = 0, short_host_blocks = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        const OpKind armed = rng.chance(0.5) ? OpKind::Fma : OpKind::Mul;
+        const std::vector<OpKind> block = randomBlock(rng, armed);
+        OpCounts exact{};
+        for (OpKind op : block)
+            ++exact[static_cast<std::size_t>(op)];
+        const std::uint64_t start = rng.below(300);
+        const std::uint64_t armed_ops =
+            exact[static_cast<std::size_t>(armed)];
+        StrikeTrigger t = rng.chance(0.5)
+                              ? randomOneShot(rng, start, armed_ops)
+                              : randomPersistent(rng);
+        t.kind = armed;
+        for (auto &s : t.seen)
+            s = rng.below(50);
+        t.seen[static_cast<std::size_t>(armed)] = start;
+        t.current = rng.below(400);
+        t.inWindow = rng.chance(0.5);
+        // The bound: the exact counts, sometimes with slack, as a
+        // block with data-dependent ops declares it.
+        OpCounts upper = exact;
+        for (auto &n : upper)
+            n += rng.chance(0.3) ? rng.below(4) : 0;
+        const OpKind last = block.empty() ? OpKind::NumKinds : block.back();
+        const std::string what = "iter " + std::to_string(iter);
+
+        StrikeTrigger stepped = t;
+        FpContext step_ctx;
+        step_ctx.hook = &identity;
+        step_ctx.strike = &stepped;
+        bool struck = false;
+        {
+            FpEnvGuard guard(step_ctx);
+            for (OpKind op : block)
+                struck |= detail::enterOp(op).hooked;
+        }
+
+        StrikeTrigger gated = t;
+        FpContext gate_ctx;
+        gate_ctx.hook = &identity;
+        gate_ctx.strike = &gated;
+        {
+            FpEnvGuard guard(gate_ctx);
+            const OpCounts run = detail::peekBlock(upper);
+            for (std::size_t k = 0; k < run.size(); ++k) {
+                ASSERT_EQ(run[k],
+                          t.unstruck(static_cast<OpKind>(k), upper[k]))
+                    << what << " kind " << k;
+            }
+            const bool host = run == upper;
+            if (host) {
+                ASSERT_FALSE(struck) << what;
+            }
+            if (upper == exact && !struck) {
+                ASSERT_TRUE(host) << what;
+            }
+            host_blocks += host;
+            short_host_blocks += host && upper != exact;
+            struck_blocks += struck;
+            detail::commitBlock(exact, last);
+        }
+        expectSameState(gated, stepped, what);
+        EXPECT_EQ(gate_ctx.opCount, step_ctx.opCount) << what;
+    }
+    EXPECT_GT(host_blocks, 5000);
+    EXPECT_GT(struck_blocks, 2000);
+    EXPECT_GT(short_host_blocks, 1000);
 }
 
 } // namespace

@@ -4,12 +4,15 @@
  * gated conversions and the gated half/bfloat16 fma edge cases equal
  * the forced softfloat route bit for bit, the gate steps aside
  * whenever the host FPU leaves its IEEE default mode (directed
- * rounding, flush-to-zero, denormals-are-zero), and a strike trigger
- * routes exactly its struck ops to the hook.
+ * rounding, flush-to-zero, denormals-are-zero), a strike trigger
+ * routes exactly its struck ops to the hook, and the block gate's
+ * host blocks (fma chains, HostFp<P> ops, declines inside a block)
+ * equal the per-op route.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cfenv>
 #include <functional>
@@ -24,7 +27,10 @@
 
 #include "common/rng.hh"
 #include "fault/hooks.hh"
+#include "fp/host.hh"
+#include "fp/internal.hh"
 #include "fp/softfloat.hh"
+#include "workloads/workload.hh"
 
 namespace mparch::fp {
 namespace {
@@ -78,6 +84,37 @@ apply(GOp op, Format f, std::uint64_t a, std::uint64_t b,
       case GOp::Fma:  return fpFma(f, a, b, c);
     }
     return 0;
+}
+
+/** fmaChain over the patterns of @p a and @p b, in precision P. */
+template <Precision P>
+std::uint64_t
+chainIn(const std::uint64_t *a, std::size_t sa, const std::uint64_t *b,
+        std::size_t sb, std::size_t n, std::uint64_t acc)
+{
+    std::vector<Fp<P>> va, vb;
+    for (std::size_t i = 0; n != 0 && i <= (n - 1) * sa; ++i)
+        va.push_back(Fp<P>::fromBits(a[i]));
+    for (std::size_t i = 0; n != 0 && i <= (n - 1) * sb; ++i)
+        vb.push_back(Fp<P>::fromBits(b[i]));
+    return fmaChain(va.data(), sa, vb.data(), sb, n, Fp<P>::fromBits(acc))
+        .bits();
+}
+
+/** fmaChain in the memory format @p f, on bit patterns. */
+std::uint64_t
+chainBits(Format f, const std::uint64_t *a, std::size_t sa,
+          const std::uint64_t *b, std::size_t sb, std::size_t n,
+          std::uint64_t acc)
+{
+    if (f == kHalf)
+        return chainIn<Precision::Half>(a, sa, b, sb, n, acc);
+    if (f == kSingle)
+        return chainIn<Precision::Single>(a, sa, b, sb, n, acc);
+    if (f == kDouble)
+        return chainIn<Precision::Double>(a, sa, b, sb, n, acc);
+    EXPECT_EQ(f, kBfloat16);
+    return chainIn<Precision::Bfloat16>(a, sa, b, sb, n, acc);
 }
 
 /** Forced softfloat: an identity hook instruments every op. */
@@ -258,10 +295,42 @@ class HostModeGuard
 };
 
 /**
+ * Blocks of every HostFp op (add, sub, mul, div, fma, exp, negation)
+ * on random operands through runBlock, appended to @p out: on the
+ * host route in the IEEE default mode, on the per-op route (and so
+ * on softfloat) in any other.
+ */
+template <Precision P>
+void
+blockResults(Rng &rng, std::vector<std::uint64_t> &out)
+{
+    const Format f = formatOf(P);
+    OpCounts upper = expOpBound(f);
+    for (OpKind k : {OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div,
+                     OpKind::Fma})
+        ++upper[static_cast<std::size_t>(k)];
+    for (int i = 0; i < 1000; ++i) {
+        Fp<P> x[3];
+        for (auto &v : x) {
+            v = rng.chance(0.5) ? Fp<P>::fromBits(operand(rng, f))
+                                : Fp<P>::fromDouble(rng.uniform(-4, 4));
+        }
+        runBlock<P>(upper, [&](auto load) {
+            const auto a = load(x[0]);
+            const auto b = load(x[1]);
+            const auto c = load(x[2]);
+            for (const auto &r : {a + b, a - b, a * b, a / b,
+                                  fma(a, b, c), exp(-a)})
+                out.push_back(r.bits());
+        });
+    }
+}
+
+/**
  * Soft round-to-nearest-even results of single/double add, mul, div,
- * sqrt, fma, the host-double conversions and fma chains in every
- * memory format over random operands (subnormals included), in one
- * flat vector.
+ * sqrt, fma, the host-double conversions, and fma chains and
+ * blocks in every memory format over random operands (subnormals
+ * included), in one flat vector.
  */
 std::vector<std::uint64_t>
 softResults()
@@ -294,9 +363,13 @@ softResults()
                 b[k] = rng.chance(0.5) ? operand(rng, f)
                                        : packFields(f, false, 0, 1);
             }
-            out.push_back(fpFmaChain(f, a, 1, b, 1, n, operand(rng, f)));
+            out.push_back(chainBits(f, a, 1, b, 1, n, operand(rng, f)));
         }
     }
+    blockResults<Precision::Half>(rng, out);
+    blockResults<Precision::Single>(rng, out);
+    blockResults<Precision::Double>(rng, out);
+    blockResults<Precision::Bfloat16>(rng, out);
     return out;
 }
 
@@ -448,7 +521,7 @@ TEST(StrikeTriggerTest, HookWithoutTriggerSeesEveryOp)
 }
 
 // ---------------------------------------------------------------
-// fpFmaChain equals the per-op fpFma loop: result bits, op counts,
+// fmaChain equals the per-op fma loop: result bits, op counts,
 // trigger entries, hook calls and the fault's own tallies
 
 /** A chain's operands, both read at one stride. */
@@ -481,8 +554,8 @@ std::uint64_t
 fmaLoop(bool chain, const ChainInput &in)
 {
     if (chain) {
-        return fpFmaChain(in.f, in.a.data(), in.stride, in.b.data(),
-                          in.stride, in.n, in.acc);
+        return chainBits(in.f, in.a.data(), in.stride, in.b.data(),
+                         in.stride, in.n, in.acc);
     }
     std::uint64_t acc = in.acc;
     for (std::size_t i = 0; i < in.n; ++i)
@@ -633,8 +706,7 @@ chainSetups(std::size_t n)
     return out;
 }
 
-constexpr Format kChainFormats[] = {kHalf, kSingle, kDouble, kBfloat16,
-                                    kTf32};
+constexpr Format kChainFormats[] = {kHalf, kSingle, kDouble, kBfloat16};
 
 TEST(FmaChain, RandomChainsMatchThePerOpLoop)
 {
@@ -751,6 +823,107 @@ TEST(FmaChain, HostModesFallBackToSoftfloat)
             expectChainMatchesLoop(in, setup, "host mode");
         EXPECT_EQ(runLoop(true, in, {"bare context"}), want);
     }
+}
+
+// ---------------------------------------------------------------
+// HostFp: the host ops of a block
+
+TEST(HostFp, UnfusedMulAddMatchesSoftfloat)
+{
+    // (1 + 2^-12)^2 - (1 + 2^-11): the product rounds to 1 + 2^-11
+    // (a tie, to even), so a*b+c is 0 while the fused result keeps
+    // the 2^-24. A contracted host a*b+c would return the latter.
+    const std::uint64_t a = fpFromDouble(kSingle, 1.0 + 0x1p-12);
+    const std::uint64_t c = fpFromDouble(kSingle, -(1.0 + 0x1p-11));
+    const std::uint64_t unfused =
+        forced([&] { return fpAdd(kSingle, fpMul(kSingle, a, a), c); });
+    ASSERT_NE(unfused, forced([&] { return fpFma(kSingle, a, a, c); }));
+    HostTally tally;
+    const HostFp<Precision::Single> x(FpSingle::fromBits(a), tally);
+    const HostFp<Precision::Single> z(FpSingle::fromBits(c), tally);
+    EXPECT_EQ((x * x + z).bits(), unfused);
+    EXPECT_EQ(tally.ops[static_cast<std::size_t>(OpKind::Mul)], 1u);
+    EXPECT_EQ(tally.ops[static_cast<std::size_t>(OpKind::Add)], 1u);
+    EXPECT_EQ(tally.last, OpKind::Add);
+}
+
+/** Records each fma's operands (at OperandC, the last operand read)
+ *  and how many fmas ran before each tick. */
+class FmaRecorder : public FpHook
+{
+  public:
+    std::uint64_t
+    perturb(OpKind op, Stage stage, unsigned, std::uint64_t value)
+        override
+    {
+        if (op == OpKind::Fma) {
+            if (stage == Stage::OperandA)
+                pending_[0] = value;
+            else if (stage == Stage::OperandB)
+                pending_[1] = value;
+            else if (stage == Stage::OperandC)
+                fmas.push_back({pending_[0], pending_[1], value});
+        }
+        return value;
+    }
+
+    std::vector<std::array<std::uint64_t, 3>> fmas;
+    std::vector<std::size_t> tickStarts;
+
+  private:
+    std::uint64_t pending_[2] = {};
+};
+
+TEST(BlockGate, Bfloat16DeclinesInsideHostBlocks)
+{
+    // lavamd bfloat16 at scale 0.1 runs 14,880 fmas, a few of which
+    // the host declines; in the bare context every box pair is one
+    // host block, so each decline falls back to the softfloat body
+    // in the middle of a block, and the block carries on.
+    auto w = workloads::makeWorkload("lavamd", Precision::Bfloat16, 0.1);
+    const auto run = [&](FpContext &ctx, FmaRecorder *rec) {
+        w->reset(11);
+        workloads::ExecutionEnv env;
+        if (rec)
+            env.onTick = [rec](std::uint64_t) {
+                rec->tickStarts.push_back(rec->fmas.size());
+            };
+        {
+            FpEnvGuard guard(ctx);
+            w->execute(env);
+        }
+        std::vector<std::uint64_t> out;
+        const workloads::BufferView view = w->output();
+        for (std::size_t i = 0; i < view.count; ++i)
+            out.push_back(view.get(i));
+        return out;
+    };
+    FmaRecorder rec;
+    FpContext forced_ctx;
+    forced_ctx.hook = &rec;
+    const std::vector<std::uint64_t> want = run(forced_ctx, &rec);
+    ASSERT_EQ(rec.fmas.size(), 14880u);
+    rec.tickStarts.push_back(rec.fmas.size());
+
+    std::size_t declined = 0, mid_block = 0;
+    for (std::size_t t = 0; t + 1 < rec.tickStarts.size(); ++t) {
+        for (std::size_t i = rec.tickStarts[t]; i < rec.tickStarts[t + 1];
+             ++i) {
+            const auto &[a, b, c] = rec.fmas[i];
+            if (detail::hostFma(kBfloat16, a, b, c) !=
+                detail::kHostDeclined)
+                continue;
+            ++declined;
+            mid_block += i > rec.tickStarts[t] &&
+                         i + 1 < rec.tickStarts[t + 1];
+        }
+    }
+    EXPECT_GT(declined, 0u);
+    EXPECT_GT(mid_block, 0u);
+
+    FpContext bare;
+    EXPECT_EQ(run(bare, nullptr), want);
+    EXPECT_EQ(bare.opCount, forced_ctx.opCount);
 }
 
 } // namespace

@@ -434,6 +434,35 @@ TEST(HostMath, FpValueOverloadsAreNotHostMath)
     EXPECT_EQ(report.active(), 1u);
 }
 
+TEST(HostMath, HostHeaderIsPartOfTheGate)
+{
+    // fp/host.hh holds the inline per-format ops that host.cc and the
+    // block gate's HostFp<P> share.
+    const auto report = lintBuffer("src/fp/host.hh", R"cpp(
+        #include <cmath>
+        template <class T> T hostFma(T a, T b, T c) {
+            return std::fma(a, b, c) + std::sqrt(a);
+        }
+    )cpp", "host-math");
+    EXPECT_EQ(report.active(), 0u);
+}
+
+TEST(HostMath, ExpCompositionOverloadsAreNotHostMath)
+{
+    // transcendental.cc composes exp over a value type through its
+    // unqualified fma overload; a std:: or :: spelling is host math,
+    // and so is any native math in a header of that name.
+    const auto report = lintBuffer("src/fp/transcendental.cc", R"cpp(
+        template <class V> V poly(V p, V r, V c) { return fma(p, r, c); }
+        double host(double x) { return std::fma(x, x, x) + ::sqrt(x); }
+    )cpp", "host-math");
+    EXPECT_EQ(report.active(), 2u);
+    const auto header = lintBuffer("src/fp/transcendental.hh", R"cpp(
+        template <class V> V poly(V p, V r, V c) { return fma(p, r, c); }
+    )cpp", "host-math");
+    EXPECT_EQ(header.active(), 1u);
+}
+
 TEST(HostMath, OnlyAppliesToFpSources)
 {
     const auto report = lintBuffer("src/verify/host_oracle.cc", R"cpp(
