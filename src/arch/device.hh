@@ -43,22 +43,31 @@ struct DeviceOptions
     fault::SupervisorConfig supervisor;
 };
 
-/** Full reliability evaluation of one (workload, precision). */
+/** Full reliability evaluation of one (workload, precision): the
+ *  campaigns' tallies, the datapath SDC corpus, the exposure
+ *  inventory they fill and the modelled time. A study's rows are
+ *  these records. */
 struct DeviceEvaluation
 {
+    /** Precision of the evaluated workload. */
+    fp::Precision precision = fp::Precision::Double;
+
     /** Functional-unit strikes (FPGA: persistent config-memory
      *  upsets); the beam-like AVF and the TRE corpus. */
     fault::CampaignResult datapathCampaign;
 
     /** Memory-resident data (FPGA: BRAM content; Phi: CAROL-FI
-     *  variable injection, the PVF). */
+     *  variable injection, the PVF). Tallies only: its AVFs fill the
+     *  inventory and no figure reads its deviations, so its SDC
+     *  corpus is not kept (it would only grow the study memo). */
     fault::CampaignResult memoryCampaign;
 
     /** Exposure inventory with the measured AVFs filled in. */
     beam::ResourceInventory inventory;
 
-    double fitSdc = 0.0;       ///< a.u.
-    double fitDue = 0.0;       ///< a.u.
+    double fitSdc() const { return inventory.fitSdc(); }  ///< a.u.
+    double fitDue() const { return inventory.fitDue(); }  ///< a.u.
+
     double timeSeconds = 0.0;  ///< modelled execution time
     double mebf = 0.0;         ///< a.u.
 
@@ -81,8 +90,9 @@ deviceGoldenRun(workloads::Workload &w, const DeviceOptions &options)
 
 /**
  * Run one of @p eval's two campaigns with fault-sampling seed
- * @p seed: a Memory campaign fills memoryCampaign with memoryTrials
- * trials, any other kind fills datapathCampaign with datapathTrials.
+ * @p seed: a Memory campaign fills memoryCampaign's tallies with
+ * memoryTrials trials, any other kind fills datapathCampaign with
+ * datapathTrials.
  * A refused campaign is fatal; coverage (minimum) and poisoned
  * trials (sum) fold into @p eval.
  */
@@ -101,7 +111,11 @@ runDeviceCampaign(DeviceEvaluation &eval, workloads::Workload &w,
         w, kind, config, options.supervisor, fp::OpKind::NumKinds,
         engines);
     fault::requireAccepted(run, w, kind);
-    (memory ? eval.memoryCampaign : eval.datapathCampaign) = run.result;
+    fault::CampaignResult &result =
+        memory ? eval.memoryCampaign : eval.datapathCampaign;
+    result = run.result;
+    if (memory)
+        result.corpus = std::vector<fault::SdcRecord>();
     eval.coverage = std::min(eval.coverage, run.coverage());
     eval.poisoned += run.poisoned;
 }

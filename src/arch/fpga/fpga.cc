@@ -68,6 +68,7 @@ arch::DeviceEvaluation
 evaluateFpga(Workload &w, const arch::DeviceOptions &options)
 {
     arch::DeviceEvaluation eval;
+    eval.precision = w.precision();
     const CircuitReport circuit =
         synthesize(w, *arch::deviceGoldenRun(w, options));
 
@@ -93,10 +94,8 @@ evaluateFpga(Workload &w, const arch::DeviceOptions &options)
         {"bram-content", beam::BitClass::SramData, circuit.bramBits,
          eval.memoryCampaign.avfSdc(), eval.memoryCampaign.avfDue()},
     };
-    eval.fitSdc = eval.inventory.fitSdc();
-    eval.fitDue = eval.inventory.fitDue();
     eval.timeSeconds = circuit.cycles / clockHz(w.precision());
-    eval.mebf = metrics::mebf(eval.fitSdc, eval.timeSeconds);
+    eval.mebf = metrics::mebf(eval.fitSdc(), eval.timeSeconds);
     return eval;
 }
 

@@ -102,6 +102,7 @@ arch::DeviceEvaluation
 evaluateGpu(Workload &w, const arch::DeviceOptions &options)
 {
     arch::DeviceEvaluation eval;
+    eval.precision = w.precision();
     const workloads::KernelDesc desc = w.desc();
     const Precision p = w.precision();
     const auto golden = arch::deviceGoldenRun(w, options);
@@ -148,11 +149,9 @@ evaluateGpu(Workload &w, const arch::DeviceOptions &options)
         {"sm-control", beam::BitClass::ControlLatch, control_bits,
          0.0, due_prob},
     };
-    eval.fitSdc = eval.inventory.fitSdc();
-    eval.fitDue = eval.inventory.fitDue();
     eval.timeSeconds = time_now;
     eval.mebf =
-        metrics::mebf(eval.fitSdc + eval.fitDue, eval.timeSeconds);
+        metrics::mebf(eval.fitSdc() + eval.fitDue(), eval.timeSeconds);
     return eval;
 }
 

@@ -46,6 +46,7 @@ evaluatePhi(Workload &w, const arch::DeviceOptions &options)
         panic("KNC does not implement ",
               fp::precisionName(w.precision()), " precision");
     arch::DeviceEvaluation eval;
+    eval.precision = w.precision();
     const CompiledKernel compiled =
         compileKernel(w.desc(), w.precision());
     const auto golden = arch::deviceGoldenRun(w, options);
@@ -81,11 +82,9 @@ evaluatePhi(Workload &w, const arch::DeviceOptions &options)
         {"lane-control", beam::BitClass::ControlLatch, control_bits,
          0.0, due_prob},
     };
-    eval.fitSdc = eval.inventory.fitSdc();
-    eval.fitDue = eval.inventory.fitDue();
     eval.timeSeconds = phiTimeSeconds(w, *golden);
     eval.mebf =
-        metrics::mebf(eval.fitSdc + eval.fitDue, eval.timeSeconds);
+        metrics::mebf(eval.fitSdc() + eval.fitDue(), eval.timeSeconds);
     return eval;
 }
 

@@ -49,7 +49,7 @@ supportedPrecisions(Architecture arch)
     return out;
 }
 
-const PrecisionResult *
+const arch::DeviceEvaluation *
 StudyResult::find(fp::Precision p) const
 {
     for (const auto &row : rows)
@@ -83,44 +83,25 @@ makeSupervisor(const StudyConfig &config)
     return supervisor;
 }
 
-PrecisionResult
+arch::DeviceEvaluation
 evaluateOne(const StudyConfig &config, fp::Precision p)
 {
-    PrecisionResult row;
-    row.precision = p;
     auto w = nn::makeAnyWorkload(config.workload, p, config.scale);
-
     arch::DeviceOptions options;
     options.datapathTrials = config.trials;
     options.memoryTrials = config.trials / 2 + 1;
     options.seed = config.seed;
     options.supervisor = makeSupervisor(config);
-    arch::DeviceEvaluation eval;
     switch (config.arch) {
       case Architecture::Fpga:
-        eval = fpga::evaluateFpga(*w, options);
-        break;
+        return fpga::evaluateFpga(*w, options);
       case Architecture::XeonPhi:
         options.memoryTrials = config.trials;
-        eval = phi::evaluatePhi(*w, options);
-        row.vectorRegisters =
-            phi::compileKernel(w->desc(), p).vectorRegisters;
-        break;
+        return phi::evaluatePhi(*w, options);
       case Architecture::Gpu:
-        eval = gpu::evaluateGpu(*w, options);
-        break;
+        return gpu::evaluateGpu(*w, options);
     }
-    row.fitSdc = eval.fitSdc;
-    row.fitDue = eval.fitDue;
-    row.timeSeconds = eval.timeSeconds;
-    row.mebf = eval.mebf;
-    row.avfDatapath = eval.datapathCampaign.avfSdc();
-    row.pvf = eval.memoryCampaign.avfSdc();
-    row.tre = metrics::treCurve(eval.datapathCampaign);
-    row.severity = metrics::criticalitySplit(eval.datapathCampaign);
-    row.coverage = eval.coverage;
-    row.poisoned = eval.poisoned;
-    return row;
+    panic("unknown architecture");
 }
 
 /** Everything an un-journaled study's rows depend on. `jobs` is
@@ -132,7 +113,7 @@ using StudyKey = std::tuple<Architecture, std::string,
 /** Studies computed since the golden-run cache was last cleared. */
 std::mutex g_memoMu;
 std::uint64_t g_memoGeneration = 0;
-std::map<StudyKey, std::vector<PrecisionResult>> g_memo;
+std::map<StudyKey, std::vector<arch::DeviceEvaluation>> g_memo;
 
 } // namespace
 

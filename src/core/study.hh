@@ -3,11 +3,15 @@
  * The top-level mixed-precision reliability study API.
  *
  * This is the library's front door: pick an architecture, a
- * benchmark and a set of precisions, and get back the quantities the
- * paper reports — SDC/DUE FIT (a.u.), execution time, MEBF, the
- * FIT-reduction-vs-TRE curve and the SDC criticality split — with
- * all AVFs measured by fault-injection campaigns against the
- * softfloat-simulated workload.
+ * benchmark and a set of precisions, and get back one row per
+ * precision. A row is the device model's arch::DeviceEvaluation
+ * itself: both injection campaigns against the softfloat-simulated
+ * workload (trial, SDC and DUE tallies; the datapath campaign also
+ * keeps its SDC corpus), the exposure inventory their AVFs fill and
+ * the modelled execution time. The paper's quantities read straight
+ * off it: SDC/DUE FIT (a.u.) from the inventory, MEBF, AVF/PVF and
+ * their Wilson intervals from the tallies, the FIT-reduction-vs-TRE
+ * curve and the SDC criticality split from the corpus.
  *
  * Typical use (see examples/quickstart.cpp; report::studyDocument
  * renders the result):
@@ -28,7 +32,7 @@
 #include <string_view>
 #include <vector>
 
-#include "metrics/metrics.hh"
+#include "arch/device.hh"
 #include "workloads/workload.hh"
 
 namespace mparch::core {
@@ -89,46 +93,16 @@ struct StudyConfig
     unsigned jobs = 0;
 };
 
-/** Everything measured for one precision. */
-struct PrecisionResult
-{
-    fp::Precision precision = fp::Precision::Double;
-
-    double fitSdc = 0.0;       ///< a.u.
-    double fitDue = 0.0;       ///< a.u.
-    double timeSeconds = 0.0;  ///< modelled execution time
-    double mebf = 0.0;         ///< a.u.
-
-    /** Propagation probabilities. */
-    double avfDatapath = 0.0;  ///< functional-unit injection
-    double pvf = 0.0;          ///< variable (CAROL-FI) injection
-
-    /** FIT-reduction curve (beam-like datapath corpus). */
-    metrics::TreCurve tre;
-
-    /** SDC severity split (CNN workloads; numeric kernels report
-     *  100% critical-change and defer to TRE). */
-    metrics::CriticalitySplit severity;
-
-    /** Phi extra: instantiated vector registers (zero elsewhere). */
-    int vectorRegisters = 0;
-
-    /** Completed fraction of the planned trials (minimum over the
-     *  precision's campaigns); < 1 when a campaign degraded. */
-    double coverage = 1.0;
-
-    /** Trials the supervisor abandoned after repeated failures. */
-    std::uint64_t poisoned = 0;
-};
-
 /** A full study: one architecture x workload, several precisions. */
 struct StudyResult
 {
     StudyConfig config;
-    std::vector<PrecisionResult> rows;
+
+    /** One device evaluation per precision, in evaluation order. */
+    std::vector<arch::DeviceEvaluation> rows;
 
     /** Row for a precision, if evaluated. */
-    const PrecisionResult *find(fp::Precision p) const;
+    const arch::DeviceEvaluation *find(fp::Precision p) const;
 };
 
 /** Run the campaigns and models for every requested precision.

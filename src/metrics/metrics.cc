@@ -44,19 +44,6 @@ scrubbedErrorRate(double raw_rate, double avf, double interval)
     return (1.0 - p_clean) / interval;
 }
 
-CriticalitySplit
-criticalitySplit(const fault::CampaignResult &result)
-{
-    using workloads::SdcSeverity;
-    CriticalitySplit split;
-    split.tolerable = result.severityFraction(SdcSeverity::Tolerable);
-    split.detectionChange =
-        result.severityFraction(SdcSeverity::DetectionChange);
-    split.criticalChange =
-        result.severityFraction(SdcSeverity::CriticalChange);
-    return split;
-}
-
 CoverageReport
 coverageReport(const fault::SupervisedCampaign &run)
 {

@@ -1,7 +1,8 @@
 /**
  * @file
  * Reliability metrics: FIT normalisation, MEBF, TRE curves and
- * criticality splits — the quantities in every figure of the paper.
+ * campaign coverage, on top of a campaign's own tallies
+ * (fault::CampaignResult).
  */
 
 #ifndef MPARCH_METRICS_METRICS_HH
@@ -54,17 +55,6 @@ struct TreCurve
 
 /** Build a TRE curve from a campaign's SDC corpus. */
 TreCurve treCurve(const fault::CampaignResult &result);
-
-/** Fractions of SDCs by semantic severity (CNN workloads). */
-struct CriticalitySplit
-{
-    double tolerable = 0.0;
-    double detectionChange = 0.0;
-    double criticalChange = 0.0;
-};
-
-/** Compute the severity split of a campaign's corpus. */
-CriticalitySplit criticalitySplit(const fault::CampaignResult &result);
 
 /**
  * Completion summary of a supervised campaign (partial coverage).

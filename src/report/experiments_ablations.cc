@@ -242,7 +242,7 @@ ablationProtection()
                     self.trialsFor(ctx), self.trialsFor(ctx),
                     phi::kDefaultSeed, reportSupervisor(ctx, scale)};
                 auto eval = phi::evaluatePhi(*w, opt);
-                const double base = eval.fitSdc;
+                const double base = eval.fitSdc();
                 // Without MCA the architectural register file (32 x
                 // 512-bit vector registers per core) joins the
                 // exposure, propagating with the measured PVF.
@@ -272,7 +272,7 @@ ablationProtection()
                     self.trialsFor(ctx), self.trialsFor(ctx) / 2,
                     gpu::kDefaultSeed, reportSupervisor(ctx, scale)};
                 auto eval = gpu::evaluateGpu(*w, opt);
-                const double base = eval.fitSdc;
+                const double base = eval.fitSdc();
                 // Without triplication every DRAM-resident copy of
                 // the working set is exposed for the whole
                 // execution, not just the cache-resident fraction.

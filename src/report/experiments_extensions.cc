@@ -19,16 +19,7 @@ namespace mparch::report {
 namespace {
 
 using fp::Precision;
-
-/** remaining[] entry of a study row at a TRE threshold. */
-double
-remainAt(const core::PrecisionResult &row, double threshold)
-{
-    for (std::size_t i = 0; i < row.tre.thresholds.size(); ++i)
-        if (row.tre.thresholds[i] == threshold)
-            return row.tre.remaining[i];
-    return 0.0;
-}
+using workloads::SdcSeverity;
 
 Experiment
 extBfloat16()
@@ -56,16 +47,18 @@ extBfloat16()
                        "avf-dp", "remain@0.1%", "remain@1%",
                        "critical-frac"});
             for (const auto &row : result.rows) {
+                const fault::CampaignResult &dp = row.datapathCampaign;
+                const double critical =
+                    dp.severityFraction(SdcSeverity::CriticalChange) +
+                    dp.severityFraction(SdcSeverity::DetectionChange);
                 table.row()
                     .cell(precisionLabel(row.precision))
-                    .cell({row.fitSdc, 0})
+                    .cell({row.fitSdc(), 0})
                     .cell({row.mebf, 4})
-                    .cell({row.avfDatapath, 3})
-                    .cell({remainAt(row, 1e-3), 3})
-                    .cell({remainAt(row, 1e-2), 3})
-                    .cell({row.severity.criticalChange +
-                               row.severity.detectionChange,
-                           3});
+                    .cell({dp.avfSdc(), 3})
+                    .cell({dp.survivingFraction(1e-3), 3})
+                    .cell({dp.survivingFraction(1e-2), 3})
+                    .cell({critical, 3});
             }
         }
         doc.notes.push_back(
@@ -337,9 +330,9 @@ extHotspotPrediction()
                 core::Architecture::Gpu, name, self, ctx);
             Trend t;
             const double base =
-                result.find(Precision::Double)->fitSdc;
-            t.s = result.find(Precision::Single)->fitSdc / base;
-            t.h = result.find(Precision::Half)->fitSdc / base;
+                result.find(Precision::Double)->fitSdc();
+            t.s = result.find(Precision::Single)->fitSdc() / base;
+            t.h = result.find(Precision::Half)->fitSdc() / base;
             return t;
         };
         const auto distance = [](const Trend &a, const Trend &b) {

@@ -7,6 +7,7 @@
 #include "arch/fpga/fpga.hh"
 #include "arch/fpga/params.hh"
 #include "nn/nn_workloads.hh"
+#include "metrics/metrics.hh"
 #include "report/experiments.hh"
 
 namespace mparch::report {
@@ -14,6 +15,7 @@ namespace mparch::report {
 namespace {
 
 using fp::Precision;
+using workloads::SdcSeverity;
 
 Experiment
 table1FpgaTime()
@@ -213,9 +215,10 @@ fig3FpgaFit()
             const auto result = runStudyFor(
                 core::Architecture::Fpga, name, self, ctx);
             for (const auto &row : result.rows) {
+                const fault::CampaignResult &dp = row.datapathCampaign;
                 const double critical =
-                    row.severity.criticalChange +
-                    row.severity.detectionChange;
+                    dp.severityFraction(SdcSeverity::CriticalChange) +
+                    dp.severityFraction(SdcSeverity::DetectionChange);
                 const double paper_critical =
                     name == "mnist"
                         ? self.paperValue(
@@ -226,10 +229,10 @@ fig3FpgaFit()
                 table.row()
                     .cell(name)
                     .cell(precisionLabel(row.precision))
-                    .cell({row.fitSdc, 0})
-                    .cell({row.fitDue, 0})
+                    .cell({row.fitSdc(), 0})
+                    .cell({row.fitDue(), 0})
                     .cell({critical, 3})
-                    .cell({row.severity.tolerable, 3})
+                    .cell({dp.severityFraction(SdcSeverity::Tolerable), 3})
                     .cell({paper_critical, 2});
             }
         }
@@ -282,12 +285,12 @@ fig4FpgaTre()
         auto &curve = doc.addTable(
             "fraction of TRE=0 FIT remaining",
             {"tre", "double", "single", "half"});
-        for (std::size_t i = 0; i < d->tre.thresholds.size(); ++i) {
+        for (const double t : metrics::kTreThresholds) {
             curve.row()
-                .cell({d->tre.thresholds[i], 4})
-                .cell({d->tre.remaining[i], 3})
-                .cell({s->tre.remaining[i], 3})
-                .cell({h->tre.remaining[i], 3});
+                .cell({t, 4})
+                .cell({d->datapathCampaign.survivingFraction(t), 3})
+                .cell({s->datapathCampaign.survivingFraction(t), 3})
+                .cell({h->datapathCampaign.survivingFraction(t), 3});
         }
         auto &summary = doc.addTable(
             "remaining-at-tre",
@@ -295,8 +298,8 @@ fig4FpgaTre()
         for (const auto *row : {d, s, h}) {
             summary.row()
                 .cell(precisionLabel(row->precision))
-                .cell({row->tre.remaining[2], 3})
-                .cell({row->tre.remaining[4], 3});
+                .cell({row->datapathCampaign.survivingFraction(1e-3), 3})
+                .cell({row->datapathCampaign.survivingFraction(1e-2), 3});
         }
         return doc;
     };

@@ -7,6 +7,7 @@
 #include "arch/gpu/gpu.hh"
 #include "arch/gpu/regfile.hh"
 #include "nn/nn_workloads.hh"
+#include "metrics/metrics.hh"
 #include "report/experiments.hh"
 
 namespace mparch::report {
@@ -14,6 +15,7 @@ namespace mparch::report {
 namespace {
 
 using fp::Precision;
+using workloads::SdcSeverity;
 
 Experiment
 table3GpuTime()
@@ -139,14 +141,14 @@ fig10aGpuMicroFit()
             const auto result = runStudyFor(
                 core::Architecture::Gpu, name, self, ctx);
             const double base =
-                result.find(Precision::Double)->fitSdc;
+                result.find(Precision::Double)->fitSdc();
             for (const auto &row : result.rows) {
                 table.row()
                     .cell(name)
                     .cell(precisionLabel(row.precision))
-                    .cell({row.fitSdc, 0})
-                    .cell({row.fitDue, 0})
-                    .cell({row.fitSdc / base, 2});
+                    .cell({row.fitSdc(), 0})
+                    .cell({row.fitDue(), 0})
+                    .cell({row.fitSdc() / base, 2});
             }
         }
         return doc;
@@ -222,15 +224,15 @@ fig10bGpuAppFit()
             const auto result = runStudyFor(
                 core::Architecture::Gpu, name, self, ctx);
             const double base =
-                result.find(Precision::Double)->fitSdc;
+                result.find(Precision::Double)->fitSdc();
             (name == "lavamd" ? lavamd_d : mxm_d) = base;
             for (const auto &row : result.rows) {
                 table.row()
                     .cell(name)
                     .cell(precisionLabel(row.precision))
-                    .cell({row.fitSdc, 0})
-                    .cell({row.fitDue, 0})
-                    .cell({row.fitSdc / base, 2});
+                    .cell({row.fitSdc(), 0})
+                    .cell({row.fitDue(), 0})
+                    .cell({row.fitSdc() / base, 2});
             }
         }
         char note[96];
@@ -284,9 +286,9 @@ fig10cGpuYoloFit()
         for (const auto &row : result.rows) {
             table.row()
                 .cell(precisionLabel(row.precision))
-                .cell({row.fitSdc, 0})
-                .cell({row.fitDue, 0})
-                .cell({row.fitDue / row.fitSdc, 2});
+                .cell({row.fitSdc(), 0})
+                .cell({row.fitDue(), 0})
+                .cell({row.fitDue() / row.fitSdc(), 2});
         }
         doc.notes.push_back(
             "Known deviation (EXPERIMENTS.md): the paper measures "
@@ -331,18 +333,18 @@ runGpuTre(const Experiment &self, const RunContext &ctx,
         auto &curve = doc.addTable(
             name + " (fraction of FIT remaining)",
             {"tre", "double", "single", "half"});
-        for (std::size_t i = 0; i < d->tre.thresholds.size(); ++i) {
+        for (const double t : metrics::kTreThresholds) {
             curve.row()
-                .cell({d->tre.thresholds[i], 4})
-                .cell({d->tre.remaining[i], 3})
-                .cell({s->tre.remaining[i], 3})
-                .cell({h->tre.remaining[i], 3});
+                .cell({t, 4})
+                .cell({d->datapathCampaign.survivingFraction(t), 3})
+                .cell({s->datapathCampaign.survivingFraction(t), 3})
+                .cell({h->datapathCampaign.survivingFraction(t), 3});
         }
         for (const auto *row : {d, s, h}) {
             summary.row()
                 .cell(name)
                 .cell(precisionLabel(row->precision))
-                .cell({row->tre.remaining[2], 3});
+                .cell({row->datapathCampaign.survivingFraction(1e-3), 3});
         }
     }
     return doc;
@@ -446,11 +448,14 @@ fig11cGpuYoloCrit()
             "main", {"precision", "tolerable", "detection-change",
                      "classification-change"});
         for (const auto &row : result.rows) {
+            const fault::CampaignResult &dp = row.datapathCampaign;
             table.row()
                 .cell(precisionLabel(row.precision))
-                .cell({row.severity.tolerable, 3})
-                .cell({row.severity.detectionChange, 3})
-                .cell({row.severity.criticalChange, 3});
+                .cell({dp.severityFraction(SdcSeverity::Tolerable), 3})
+                .cell({dp.severityFraction(SdcSeverity::DetectionChange),
+                       3})
+                .cell({dp.severityFraction(SdcSeverity::CriticalChange),
+                       3});
         }
         return doc;
     };

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "arch/phi/phi.hh"
+#include "metrics/metrics.hh"
 #include "report/experiments.hh"
 #include "workloads/workload.hh"
 
@@ -125,16 +126,20 @@ fig6PhiFit()
             const auto *d = result.find(Precision::Double);
             const auto *s = result.find(Precision::Single);
             for (const auto *row : {d, s}) {
+                const auto w = workloads::makeWorkload(
+                    name, row->precision, self.scaleFor(ctx));
+                const int vregs =
+                    phi::compileKernel(w->desc(), row->precision)
+                        .vectorRegisters;
                 table.row()
                     .cell(name)
                     .cell(precisionLabel(row->precision))
-                    .cell(static_cast<std::int64_t>(
-                        row->vectorRegisters))
-                    .cell({row->fitSdc, 0})
-                    .cell({row->fitDue, 0})
-                    .cell({row == s ? s->fitSdc / d->fitSdc : 1.0,
+                    .cell(static_cast<std::int64_t>(vregs))
+                    .cell({row->fitSdc(), 0})
+                    .cell({row->fitDue(), 0})
+                    .cell({row == s ? s->fitSdc() / d->fitSdc() : 1.0,
                            2})
-                    .cell({row == s ? s->fitDue / d->fitDue : 1.0,
+                    .cell({row == s ? s->fitDue() / d->fitDue() : 1.0,
                            2});
             }
         }
@@ -210,10 +215,10 @@ fig7PhiPvf()
         for (const std::string name : {"lavamd", "mxm", "lud"}) {
             const auto result = runStudyFor(
                 core::Architecture::XeonPhi, name, self, ctx);
-            const double pd =
-                result.find(Precision::Double)->pvf;
-            const double ps =
-                result.find(Precision::Single)->pvf;
+            const double pd = result.find(Precision::Double)
+                                  ->memoryCampaign.avfSdc();
+            const double ps = result.find(Precision::Single)
+                                  ->memoryCampaign.avfSdc();
             table.row()
                 .cell(name)
                 .cell({pd, 3})
@@ -262,17 +267,16 @@ fig8PhiTre()
             auto &curve = doc.addTable(
                 name, {"tre", "double-remaining",
                        "single-remaining"});
-            for (std::size_t i = 0; i < d->tre.thresholds.size();
-                 ++i) {
+            for (const double t : metrics::kTreThresholds) {
                 curve.row()
-                    .cell({d->tre.thresholds[i], 4})
-                    .cell({d->tre.remaining[i], 3})
-                    .cell({s->tre.remaining[i], 3});
+                    .cell({t, 4})
+                    .cell({d->datapathCampaign.survivingFraction(t), 3})
+                    .cell({s->datapathCampaign.survivingFraction(t), 3});
             }
             summary.row()
                 .cell(name)
-                .cell({d->tre.remaining[2], 3})
-                .cell({s->tre.remaining[2], 3});
+                .cell({d->datapathCampaign.survivingFraction(1e-3), 3})
+                .cell({s->datapathCampaign.survivingFraction(1e-3), 3});
         }
         doc.notes.push_back(
             "Known deviation (EXPERIMENTS.md): the paper's LavaMD "

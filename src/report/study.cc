@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "metrics/metrics.hh"
+
 namespace mparch::report {
 
 ResultDoc
@@ -25,26 +27,29 @@ studyDocument(const core::StudyResult &result)
         "FIT reduction vs tolerated relative error",
         {"precision", "tre", "fit-fraction-remaining"});
     for (const auto &row : result.rows) {
+        using workloads::SdcSeverity;
         const std::string precision(fp::precisionName(row.precision));
+        const fault::CampaignResult &dp = row.datapathCampaign;
         main.row()
             .cell(precision)
-            .cell({row.fitSdc, 3})
-            .cell({row.fitDue, 3})
+            .cell({row.fitSdc(), 3})
+            .cell({row.fitDue(), 3})
             .cell({row.timeSeconds, 9})
             .cell({row.mebf, 6})
-            .cell({row.avfDatapath, 4})
-            .cell({row.pvf, 4})
-            .cell({row.severity.tolerable, 3})
-            .cell({row.severity.criticalChange +
-                       row.severity.detectionChange,
+            .cell({dp.avfSdc(), 4})
+            .cell({row.memoryCampaign.avfSdc(), 4})
+            .cell({dp.severityFraction(SdcSeverity::Tolerable), 3})
+            .cell({dp.severityFraction(SdcSeverity::CriticalChange) +
+                       dp.severityFraction(SdcSeverity::DetectionChange),
                    3})
             .cell({row.coverage, 3})
             .cell(static_cast<std::int64_t>(row.poisoned));
-        for (std::size_t i = 0; i < row.tre.thresholds.size(); ++i) {
+        const metrics::TreCurve curve = metrics::treCurve(dp);
+        for (std::size_t i = 0; i < curve.thresholds.size(); ++i) {
             tre.row()
                 .cell(precision)
-                .cell({row.tre.thresholds[i], 4})
-                .cell({row.tre.remaining[i], 3});
+                .cell({curve.thresholds[i], 4})
+                .cell({curve.remaining[i], 3});
         }
     }
     return doc;

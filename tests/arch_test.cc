@@ -96,10 +96,10 @@ TEST(FpgaEvaluation, FitDecreasesWithPrecisionAndNoDue)
     for (auto p : fp::allPrecisions) {  // double, single, half
         auto w = workloads::makeWorkload("mxm", p, 0.15);
         const auto eval = fpga::evaluateFpga(*w, opt);
-        EXPECT_LT(eval.fitSdc, prev);
-        EXPECT_DOUBLE_EQ(eval.fitDue, 0.0);  // paper: no FPGA DUEs
+        EXPECT_LT(eval.fitSdc(), prev);
+        EXPECT_DOUBLE_EQ(eval.fitDue(), 0.0);  // paper: no FPGA DUEs
         EXPECT_GT(eval.mebf, 0.0);
-        prev = eval.fitSdc;
+        prev = eval.fitSdc();
     }
 }
 
@@ -204,13 +204,13 @@ TEST(PhiEvaluation, Figure6Shapes)
     const auto lud_s = eval("lud", Precision::Single);
 
     // SDC: single above double for LavaMD and MxM; LUD similar.
-    EXPECT_GT(lava_s.fitSdc, lava_d.fitSdc);
-    EXPECT_GT(mxm_s.fitSdc, mxm_d.fitSdc);
-    EXPECT_NEAR(lud_s.fitSdc / lud_d.fitSdc, 1.0, 0.25);
+    EXPECT_GT(lava_s.fitSdc(), lava_d.fitSdc());
+    EXPECT_GT(mxm_s.fitSdc(), mxm_d.fitSdc());
+    EXPECT_NEAR(lud_s.fitSdc() / lud_d.fitSdc(), 1.0, 0.25);
     // DUE: single above double for all three (16 vs 8 lanes).
-    EXPECT_GT(lava_s.fitDue, lava_d.fitDue);
-    EXPECT_GT(mxm_s.fitDue, mxm_d.fitDue);
-    EXPECT_GT(lud_s.fitDue, lud_d.fitDue);
+    EXPECT_GT(lava_s.fitDue(), lava_d.fitDue());
+    EXPECT_GT(mxm_s.fitDue(), mxm_d.fitDue());
+    EXPECT_GT(lud_s.fitDue(), lud_d.fitDue());
     // PVF (Figure 7): similar across precisions per code.
     EXPECT_NEAR(lava_s.memoryCampaign.avfSdc(),
                 lava_d.memoryCampaign.avfSdc(), 0.15);
@@ -280,19 +280,19 @@ TEST(GpuMicro, Figure10aShapes)
     const auto fma_h = eval("micro-fma", Precision::Half);
 
     // MUL: double > single > half.
-    EXPECT_GT(mul_d.fitSdc, mul_s.fitSdc);
-    EXPECT_GT(mul_s.fitSdc, mul_h.fitSdc);
+    EXPECT_GT(mul_d.fitSdc(), mul_s.fitSdc());
+    EXPECT_GT(mul_s.fitSdc(), mul_h.fitSdc());
     // ADD: the opposite — single/half above double, similar to each
     // other.
-    EXPECT_GT(add_s.fitSdc, add_d.fitSdc);
-    EXPECT_NEAR(add_h.fitSdc / add_s.fitSdc, 1.0, 0.35);
+    EXPECT_GT(add_s.fitSdc(), add_d.fitSdc());
+    EXPECT_NEAR(add_h.fitSdc() / add_s.fitSdc(), 1.0, 0.35);
     // FMA > MUL > ADD at fixed precision; half benefits most.
-    EXPECT_GT(fma_d.fitSdc, mul_d.fitSdc);
-    EXPECT_GT(mul_d.fitSdc, add_d.fitSdc);
-    EXPECT_GT(fma_d.fitSdc, fma_h.fitSdc);
+    EXPECT_GT(fma_d.fitSdc(), mul_d.fitSdc());
+    EXPECT_GT(mul_d.fitSdc(), add_d.fitSdc());
+    EXPECT_GT(fma_d.fitSdc(), fma_h.fitSdc());
     // Micro DUE well below app DUE (checked next test), and roughly
     // flat across precisions.
-    EXPECT_NEAR(add_h.fitDue / add_d.fitDue, 1.0, 0.5);
+    EXPECT_NEAR(add_h.fitDue() / add_d.fitDue(), 1.0, 0.5);
 }
 
 TEST(GpuApps, Figure10bShapes)
@@ -309,13 +309,13 @@ TEST(GpuApps, Figure10bShapes)
     const auto micro = eval("micro-mul", Precision::Double);
 
     // MxM well above LavaMD (memory-bound exposure).
-    EXPECT_GT(mxm_d.fitSdc, 1.5 * lava_d.fitSdc);
+    EXPECT_GT(mxm_d.fitSdc(), 1.5 * lava_d.fitSdc());
     // Both follow their dominant-op trend: reduced precision lowers
     // SDC FIT.
-    EXPECT_GT(mxm_d.fitSdc, mxm_h.fitSdc);
-    EXPECT_GT(lava_d.fitSdc, lava_h.fitSdc);
+    EXPECT_GT(mxm_d.fitSdc(), mxm_h.fitSdc());
+    EXPECT_GT(lava_d.fitSdc(), lava_h.fitSdc());
     // Apps have much higher DUE rates than micro kernels.
-    EXPECT_GT(lava_d.fitDue, 3.0 * micro.fitDue);
+    EXPECT_GT(lava_d.fitDue(), 3.0 * micro.fitDue());
 }
 
 TEST(GpuTiming, Table3Ratios)
@@ -392,7 +392,7 @@ TEST(GpuYolite, HalfSlowerAndDueHigh)
     EXPECT_GT(h.timeSeconds, s.timeSeconds);
     EXPECT_GT(d.timeSeconds, s.timeSeconds);
     // Detection CNN: DUE on par with or above SDC (paper Fig. 10c).
-    EXPECT_GT(d.fitDue, 0.5 * d.fitSdc);
+    EXPECT_GT(d.fitDue(), 0.5 * d.fitSdc());
 }
 
 TEST(GpuMebf, Figure13MicroAndApps)

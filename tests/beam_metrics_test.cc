@@ -127,9 +127,9 @@ TEST(Metrics, TreCurveFromCorpus)
     fault::CampaignResult r;
     r.trials = 10;
     r.sdc = 4;
-    r.corpus = {{1e-5, 0.1, workloads::SdcSeverity::CriticalChange},
-                {1e-3, 0.1, workloads::SdcSeverity::CriticalChange},
-                {1e-2, 0.1, workloads::SdcSeverity::CriticalChange},
+    r.corpus = {{1e-5, 0.1, workloads::SdcSeverity::Tolerable},
+                {1e-3, 0.1, workloads::SdcSeverity::Tolerable},
+                {1e-2, 0.1, workloads::SdcSeverity::DetectionChange},
                 {1.0, 0.1, workloads::SdcSeverity::CriticalChange}};
     const auto curve = metrics::treCurve(r);
     ASSERT_EQ(curve.thresholds.size(), metrics::kTreThresholds.size());
@@ -139,19 +139,13 @@ TEST(Metrics, TreCurveFromCorpus)
     // Monotone non-increasing.
     for (std::size_t i = 1; i < curve.remaining.size(); ++i)
         EXPECT_LE(curve.remaining[i], curve.remaining[i - 1]);
-}
-
-TEST(Metrics, CriticalitySplitSumsToOne)
-{
-    fault::CampaignResult r;
-    r.corpus = {{0.1, 0.1, workloads::SdcSeverity::Tolerable},
-                {0.1, 0.1, workloads::SdcSeverity::Tolerable},
-                {0.1, 0.1, workloads::SdcSeverity::DetectionChange},
-                {0.1, 0.1, workloads::SdcSeverity::CriticalChange}};
-    const auto split = metrics::criticalitySplit(r);
-    EXPECT_DOUBLE_EQ(split.tolerable, 0.5);
-    EXPECT_DOUBLE_EQ(split.detectionChange, 0.25);
-    EXPECT_DOUBLE_EQ(split.criticalChange, 0.25);
+    // The same corpus's severity split sums to one.
+    using workloads::SdcSeverity;
+    EXPECT_DOUBLE_EQ(r.severityFraction(SdcSeverity::Tolerable), 0.5);
+    EXPECT_DOUBLE_EQ(r.severityFraction(SdcSeverity::DetectionChange),
+                     0.25);
+    EXPECT_DOUBLE_EQ(r.severityFraction(SdcSeverity::CriticalChange),
+                     0.25);
 }
 
 } // namespace

@@ -91,11 +91,13 @@ TEST(StudyRunTest, GpuStudyPopulatesAllRows)
     const StudyResult result = runStudy(config);
     ASSERT_EQ(result.rows.size(), 3u);
     for (const auto &row : result.rows) {
-        EXPECT_GT(row.fitSdc, 0.0);
+        EXPECT_GT(row.fitSdc(), 0.0);
         EXPECT_GT(row.timeSeconds, 0.0);
         EXPECT_GT(row.mebf, 0.0);
-        EXPECT_GT(row.avfDatapath, 0.0);
-        EXPECT_FALSE(row.tre.remaining.empty());
+        EXPECT_GT(row.datapathCampaign.avfSdc(), 0.0);
+        // The row keeps the SDC corpus its TRE curve is read from.
+        EXPECT_EQ(row.datapathCampaign.corpus.size(),
+                  row.datapathCampaign.sdc);
     }
     EXPECT_NE(result.find(Precision::Half), nullptr);
     EXPECT_EQ(result.find(Precision::Half)->precision,
@@ -112,7 +114,7 @@ TEST(StudyRunTest, PhiStudySkipsHalf)
     const StudyResult result = runStudy(config);
     ASSERT_EQ(result.rows.size(), 2u);
     EXPECT_EQ(result.find(Precision::Half), nullptr);
-    EXPECT_GT(result.rows[0].vectorRegisters, 0);
+    EXPECT_EQ(result.rows[1].precision, Precision::Single);
 }
 
 TEST(StudyRunTest, FpgaStudyHasNoDue)
@@ -125,8 +127,8 @@ TEST(StudyRunTest, FpgaStudyHasNoDue)
     config.precisions = {Precision::Single};
     const StudyResult result = runStudy(config);
     ASSERT_EQ(result.rows.size(), 1u);
-    EXPECT_GT(result.rows[0].fitSdc, 0.0);
-    EXPECT_DOUBLE_EQ(result.rows[0].fitDue, 0.0);
+    EXPECT_GT(result.rows[0].fitSdc(), 0.0);
+    EXPECT_DOUBLE_EQ(result.rows[0].fitDue(), 0.0);
 }
 
 TEST(StudyRunTest, ReportRendersEveryPrecision)
@@ -158,35 +160,45 @@ TEST(StudyRunTest, DeterministicAcrossRuns)
     config.precisions = {Precision::Single};
     const StudyResult a = runStudy(config);
     const StudyResult b = runStudy(config);
-    EXPECT_DOUBLE_EQ(a.rows[0].fitSdc, b.rows[0].fitSdc);
-    EXPECT_DOUBLE_EQ(a.rows[0].avfDatapath, b.rows[0].avfDatapath);
+    EXPECT_DOUBLE_EQ(a.rows[0].fitSdc(), b.rows[0].fitSdc());
+    EXPECT_DOUBLE_EQ(a.rows[0].datapathCampaign.avfSdc(),
+                     b.rows[0].datapathCampaign.avfSdc());
 }
 
-/** Field-by-field equality of two studies' rows (doubles exactly). */
+/** Field-by-field equality of two device evaluations: campaign
+ *  tallies and corpora, inventory entries and the modelled figures
+ *  (doubles exactly). */
+void
+expectSameEvaluation(const arch::DeviceEvaluation &x,
+                     const arch::DeviceEvaluation &y)
+{
+    EXPECT_EQ(x.precision, y.precision);
+    test::expectSameResult(x.datapathCampaign, y.datapathCampaign);
+    test::expectSameResult(x.memoryCampaign, y.memoryCampaign);
+    EXPECT_EQ(x.inventory.node, y.inventory.node);
+    ASSERT_EQ(x.inventory.entries.size(), y.inventory.entries.size());
+    for (std::size_t i = 0; i < x.inventory.entries.size(); ++i) {
+        const beam::ResourceEntry &a = x.inventory.entries[i];
+        const beam::ResourceEntry &b = y.inventory.entries[i];
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.bitClass, b.bitClass);
+        EXPECT_EQ(a.bits, b.bits);
+        EXPECT_EQ(a.avfSdc, b.avfSdc);
+        EXPECT_EQ(a.avfDue, b.avfDue);
+    }
+    EXPECT_EQ(x.timeSeconds, y.timeSeconds);
+    EXPECT_EQ(x.mebf, y.mebf);
+    EXPECT_EQ(x.coverage, y.coverage);
+    EXPECT_EQ(x.poisoned, y.poisoned);
+}
+
+/** Row-by-row equality of two studies. */
 void
 expectSameRows(const StudyResult &a, const StudyResult &b)
 {
     ASSERT_EQ(a.rows.size(), b.rows.size());
-    for (std::size_t i = 0; i < a.rows.size(); ++i) {
-        const PrecisionResult &x = a.rows[i];
-        const PrecisionResult &y = b.rows[i];
-        EXPECT_EQ(x.precision, y.precision);
-        EXPECT_EQ(x.fitSdc, y.fitSdc);
-        EXPECT_EQ(x.fitDue, y.fitDue);
-        EXPECT_EQ(x.timeSeconds, y.timeSeconds);
-        EXPECT_EQ(x.mebf, y.mebf);
-        EXPECT_EQ(x.avfDatapath, y.avfDatapath);
-        EXPECT_EQ(x.pvf, y.pvf);
-        EXPECT_EQ(x.tre.thresholds, y.tre.thresholds);
-        EXPECT_EQ(x.tre.remaining, y.tre.remaining);
-        EXPECT_EQ(x.severity.tolerable, y.severity.tolerable);
-        EXPECT_EQ(x.severity.detectionChange,
-                  y.severity.detectionChange);
-        EXPECT_EQ(x.severity.criticalChange, y.severity.criticalChange);
-        EXPECT_EQ(x.vectorRegisters, y.vectorRegisters);
-        EXPECT_EQ(x.coverage, y.coverage);
-        EXPECT_EQ(x.poisoned, y.poisoned);
-    }
+    for (std::size_t i = 0; i < a.rows.size(); ++i)
+        expectSameEvaluation(a.rows[i], b.rows[i]);
 }
 
 /** A Xeon Phi study small enough to run several times per test. */
@@ -209,7 +221,7 @@ TEST(StudyMemoTest, RepeatAndRecomputeAfterClearAgree)
     const StudyResult repeat = runStudy(memoStudy());
     fault::clearGoldenRunCache();
     const StudyResult recomputed = runStudy(memoStudy());
-    EXPECT_FALSE(first.rows[0].tre.remaining.empty());
+    EXPECT_FALSE(first.rows[0].datapathCampaign.corpus.empty());
     expectSameRows(first, repeat);
     expectSameRows(first, recomputed);
 }
@@ -390,7 +402,7 @@ TEST_P(DeviceContractTest, StudyRowCopiesTheDeviceEvaluation)
     std::filesystem::remove_all(config.journalDir);
     const StudyResult study = runStudy(config);
     ASSERT_EQ(study.rows.size(), 1u);
-    const PrecisionResult &row = study.rows[0];
+    const arch::DeviceEvaluation &row = study.rows[0];
 
     // The study's campaigns ran the trials its policy gives them.
     const std::string prefix = config.journalDir + "/" +
@@ -414,18 +426,10 @@ TEST_P(DeviceContractTest, StudyRowCopiesTheDeviceEvaluation)
     const arch::DeviceEvaluation eval = device.evaluate(*w, options);
     EXPECT_EQ(eval.datapathCampaign.trials, kContractTrials);
     EXPECT_EQ(eval.memoryCampaign.trials, device.memoryTrials);
-    EXPECT_EQ(row.avfDatapath, eval.datapathCampaign.avfSdc());
-    EXPECT_EQ(row.pvf, eval.memoryCampaign.avfSdc());
-    EXPECT_EQ(row.fitSdc, eval.inventory.fitSdc());
-    EXPECT_EQ(row.fitDue, eval.inventory.fitDue());
-    EXPECT_EQ(row.timeSeconds, eval.timeSeconds);
-    EXPECT_EQ(row.mebf, eval.mebf);
-    const metrics::TreCurve tre = metrics::treCurve(eval.datapathCampaign);
-    EXPECT_FALSE(tre.remaining.empty());
-    EXPECT_EQ(row.tre.thresholds, tre.thresholds);
-    EXPECT_EQ(row.tre.remaining, tre.remaining);
-    EXPECT_EQ(row.coverage, eval.coverage);
-    EXPECT_EQ(row.poisoned, eval.poisoned);
+    // The memory campaign keeps its tallies, not its SDC corpus.
+    EXPECT_GT(eval.memoryCampaign.sdc, 0u);
+    EXPECT_TRUE(eval.memoryCampaign.corpus.empty());
+    expectSameEvaluation(row, eval);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -79,7 +79,7 @@ TEST(Bfloat16Study, RunsThroughEveryArchitectureModel)
     config.precisions = {Precision::Bfloat16};
     const auto result = core::runStudy(config);
     ASSERT_EQ(result.rows.size(), 1u);
-    EXPECT_GT(result.rows[0].fitSdc, 0.0);
+    EXPECT_GT(result.rows[0].fitSdc(), 0.0);
     EXPECT_GT(result.rows[0].timeSeconds, 0.0);
 }
 
@@ -303,9 +303,8 @@ TEST(JsonExport, WellFormedAndComplete)
             << key;
     EXPECT_EQ(main.find("rows")->array.size(), result.rows.size());
     // The TRE curve of every precision.
-    const std::size_t curve = result.rows[0].tre.thresholds.size();
     EXPECT_EQ(tables[1].find("rows")->array.size(),
-              result.rows.size() * curve);
+              result.rows.size() * metrics::kTreThresholds.size());
 }
 
 } // namespace

@@ -44,13 +44,13 @@ TEST(Section7, TailoredHardwareFitShrinksWithPrecision)
         const auto *h = result.find(Precision::Half);
         ASSERT_NE(d, nullptr);
         ASSERT_NE(h, nullptr);
-        EXPECT_GT(d->fitSdc, h->fitSdc)
+        EXPECT_GT(d->fitSdc(), h->fitSdc())
             << core::architectureName(arch);
     }
     // Shared-hardware counter-case: Phi single FIT is *higher*.
     const auto phi = quickStudy(Architecture::XeonPhi, "mxm");
-    EXPECT_GT(phi.find(Precision::Single)->fitSdc,
-              phi.find(Precision::Double)->fitSdc);
+    EXPECT_GT(phi.find(Precision::Single)->fitSdc(),
+              phi.find(Precision::Double)->fitSdc());
 }
 
 /**
@@ -87,10 +87,11 @@ TEST(Section7, WiderFormatsAbsorbFaults)
         const auto *d = result.find(Precision::Double);
         const auto *s = result.find(Precision::Single);
         const auto *h = result.find(Precision::Half);
-        // Index 2 is TRE = 0.1%.
-        EXPECT_LT(d->tre.remaining[2], s->tre.remaining[2])
-            << core::architectureName(arch);
-        EXPECT_LE(s->tre.remaining[2], h->tre.remaining[2] + 0.05)
+        const auto remain = [](const arch::DeviceEvaluation *row) {
+            return row->datapathCampaign.survivingFraction(1e-3);
+        };
+        EXPECT_LT(remain(d), remain(s)) << core::architectureName(arch);
+        EXPECT_LE(remain(s), remain(h) + 0.05)
             << core::architectureName(arch);
     }
 }
@@ -106,16 +107,16 @@ TEST(Integration, EveryArchitectureProducesConsistentRows)
                       Architecture::Gpu}) {
         const auto result = quickStudy(arch, "lavamd");
         for (const auto &row : result.rows) {
-            EXPECT_GE(row.fitSdc, 0.0);
-            EXPECT_GE(row.fitDue, 0.0);
+            EXPECT_GE(row.fitSdc(), 0.0);
+            EXPECT_GE(row.fitDue(), 0.0);
             EXPECT_GT(row.timeSeconds, 0.0);
             EXPECT_GT(row.mebf, 0.0);
-            EXPECT_GE(row.avfDatapath, 0.0);
-            EXPECT_LE(row.avfDatapath, 1.0);
-            ASSERT_FALSE(row.tre.remaining.empty());
+            const fault::CampaignResult &dp = row.datapathCampaign;
+            EXPECT_GE(dp.avfSdc(), 0.0);
+            EXPECT_LE(dp.avfSdc(), 1.0);
             // 1.0 whenever any SDC occurred, 0.0 for an empty corpus.
-            EXPECT_TRUE(row.tre.remaining.front() == 1.0 ||
-                        row.tre.remaining.front() == 0.0);
+            EXPECT_TRUE(dp.survivingFraction(0.0) == 1.0 ||
+                        dp.survivingFraction(0.0) == 0.0);
         }
     }
 }
