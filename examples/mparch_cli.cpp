@@ -32,7 +32,11 @@
  * journal; 2 on a usage error: an unknown subcommand or option, a
  * missing value, a malformed number, zero trials, a zero --scale,
  * --errors or --flux, a shard count of 0 or a shard index past it,
- * or an unknown name prints usage on stderr.
+ * --resume without --journal, or an unknown name prints usage on
+ * stderr.
+ *
+ * Every subcommand prints its tables through report::ResultDoc, the
+ * renderer the experiment registry uses.
  */
 
 #include <fstream>
@@ -41,12 +45,12 @@
 
 #include "beam/exposure.hh"
 #include "common/cli.hh"
-#include "common/table.hh"
 #include "core/study.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "fault/supervisor.hh"
 #include "nn/nn_workloads.hh"
+#include "report/document.hh"
 #include "report/study.hh"
 
 namespace {
@@ -136,6 +140,8 @@ cmdStudy(int argc, char **argv)
     }
     config.journalDir = args.text("journal");
     config.resume = args.has("resume");
+    if (config.resume && config.journalDir.empty())
+        args.fail("--resume needs --journal DIR");
     config.batchSize = args.count("batch", 256);
     config.jobs = args.jobs();
 
@@ -202,6 +208,8 @@ cmdCampaign(int argc, char **argv)
     fault::SupervisorConfig supervisor;
     supervisor.journalDir = args.text("journal");
     supervisor.resume = args.has("resume");
+    if (supervisor.resume && supervisor.journalDir.empty())
+        args.fail("--resume needs --journal DIR");
     supervisor.batchSize = args.count("batch", 256);
     supervisor.shardCount = args.count("shards", 1);
     supervisor.shardIndex = args.count("shard", 0);
@@ -220,32 +228,31 @@ cmdCampaign(int argc, char **argv)
     fault::requireAccepted(run, *w, kind);
     const fault::CampaignResult &r = run.result;
 
-    Table table({"metric", "value"});
-    table.setTitle(workload + " / " +
-                   std::string(fp::precisionName(precision)) + " / " +
-                   site + " / " + fault::faultModelName(config.model));
+    report::ResultDoc doc;
+    auto &table = doc.addTable(
+        workload + " / " + std::string(fp::precisionName(precision)) +
+            " / " + site + " / " + fault::faultModelName(config.model),
+        {"metric", "value"});
+    const auto count = [&](const std::string &metric, std::uint64_t n) {
+        table.row().cell(metric).cell(static_cast<std::int64_t>(n));
+    };
     const Interval ci = r.avfSdc95();
-    table.row().cell("trials").cell(
-        static_cast<std::int64_t>(r.trials));
-    table.row().cell("masked").cell(
-        static_cast<std::int64_t>(r.masked));
-    table.row().cell("sdc").cell(static_cast<std::int64_t>(r.sdc));
-    table.row().cell("detected").cell(
-        static_cast<std::int64_t>(r.detected));
-    table.row().cell("due").cell(static_cast<std::int64_t>(r.due));
-    table.row().cell("avf-sdc").cell(r.avfSdc(), 4);
-    table.row().cell("avf-sdc ci95-lo").cell(ci.lo, 4);
-    table.row().cell("avf-sdc ci95-hi").cell(ci.hi, 4);
+    count("trials", r.trials);
+    count("masked", r.masked);
+    count("sdc", r.sdc);
+    count("detected", r.detected);
+    count("due", r.due);
+    table.row().cell("avf-sdc").cell({r.avfSdc(), 4});
+    table.row().cell("avf-sdc ci95-lo").cell({ci.lo, 4});
+    table.row().cell("avf-sdc ci95-hi").cell({ci.hi, 4});
     table.row().cell("remaining @ TRE 0.1%").cell(
-        r.survivingFraction(1e-3), 4);
+        {r.survivingFraction(1e-3), 4});
     table.row().cell("remaining @ TRE 1%").cell(
-        r.survivingFraction(1e-2), 4);
-    table.row().cell("coverage").cell(run.coverage(), 4);
-    table.row().cell("poisoned").cell(
-        static_cast<std::int64_t>(run.poisoned));
+        {r.survivingFraction(1e-2), 4});
+    table.row().cell("coverage").cell({run.coverage(), 4});
+    count("poisoned", run.poisoned);
     if (run.resumed)
-        table.row().cell("resumed trials").cell(
-            static_cast<std::int64_t>(run.resumed));
+        count("resumed trials", run.resumed);
     // The fault-free run's op mix (a cache hit: the campaign ran it).
     const auto golden =
         fault::cachedGoldenRun(*w, config.inputSeed, scale);
@@ -253,11 +260,10 @@ cmdCampaign(int argc, char **argv)
          k < static_cast<std::size_t>(fp::OpKind::NumKinds); ++k) {
         const auto op = static_cast<fp::OpKind>(k);
         if (golden->ops.count(op))
-            table.row()
-                .cell(std::string("golden ops ") + fp::opKindName(op))
-                .cell(static_cast<std::int64_t>(golden->ops.count(op)));
+            count(std::string("golden ops ") + fp::opKindName(op),
+                  golden->ops.count(op));
     }
-    table.print(std::cout);
+    doc.print(std::cout);
     if (!run.journalPath.empty())
         std::cout << "journal: " << run.journalPath << "\n";
     return run.interrupted ? 1 : 0;
@@ -287,9 +293,10 @@ cmdReplayTrial(int argc, char **argv)
     if (!replay.error.empty())
         fatal(replay.error);
 
-    Table table({"metric", "value"});
-    table.setTitle("replay of trial " + std::to_string(index) +
-                   " from " + path);
+    report::ResultDoc doc;
+    auto &table = doc.addTable("replay of trial " + std::to_string(index) +
+                                   " from " + path,
+                               {"metric", "value"});
     table.row().cell("workload").cell(journal->header.workload);
     table.row().cell("precision").cell(std::string(
         fp::precisionName(journal->header.precision)));
@@ -300,9 +307,9 @@ cmdReplayTrial(int argc, char **argv)
         fault::outcomeKindName(replay.trial.outcome));
     if (replay.trial.outcome == fault::OutcomeKind::Sdc) {
         table.row().cell("max relative deviation").cell(
-            replay.trial.sdc.maxRel, 6);
+            {replay.trial.sdc.maxRel, 6});
         table.row().cell("corrupted fraction").cell(
-            replay.trial.sdc.corruptedFraction, 6);
+            {replay.trial.sdc.corruptedFraction, 6});
     }
     if (replay.trial.hasAnatomy) {
         table.row().cell("flipped bit").cell(
@@ -322,7 +329,7 @@ cmdReplayTrial(int argc, char **argv)
         table.row().cell("journaled outcome").cell(
             "(not in journal — trial never completed)");
     }
-    table.print(std::cout);
+    doc.print(std::cout);
     return replay.consistent ? 0 : 1;
 }
 
@@ -344,15 +351,16 @@ cmdBeamPlan(int argc, char **argv)
 
     const double hours = beam::beamHoursForErrors(rate, errors);
     const double acc = beam::accelerationFactor(flux);
-    Table table({"quantity", "value"});
-    table.setTitle("beam campaign plan");
-    table.row().cell("target errors").cell(errors, 0);
-    table.row().cell("beam error rate [1/h]").cell(rate, 3);
-    table.row().cell("beam hours needed").cell(hours, 1);
-    table.row().cell("acceleration vs nature").cell(acc, 0);
+    report::ResultDoc doc;
+    auto &table =
+        doc.addTable("beam campaign plan", {"quantity", "value"});
+    table.row().cell("target errors").cell({errors, 0});
+    table.row().cell("beam error rate [1/h]").cell({rate, 3});
+    table.row().cell("beam hours needed").cell({hours, 1});
+    table.row().cell("acceleration vs nature").cell({acc, 0});
     table.row().cell("natural years represented").cell(
-        beam::naturalYearsEquivalent(hours, acc), 0);
-    table.print(std::cout);
+        {beam::naturalYearsEquivalent(hours, acc), 0});
+    doc.print(std::cout);
     return 0;
 }
 
