@@ -6,8 +6,8 @@
 
 #include "arch/fpga/fpga.hh"
 #include "arch/fpga/params.hh"
-#include "nn/nn_workloads.hh"
 #include "metrics/metrics.hh"
+#include "nn/nn_workloads.hh"
 #include "report/experiments.hh"
 
 namespace mparch::report {

@@ -6,8 +6,8 @@
 
 #include "arch/gpu/gpu.hh"
 #include "arch/gpu/regfile.hh"
-#include "nn/nn_workloads.hh"
 #include "metrics/metrics.hh"
+#include "nn/nn_workloads.hh"
 #include "report/experiments.hh"
 
 namespace mparch::report {
