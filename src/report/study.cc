@@ -26,8 +26,8 @@ studyDocument(const core::StudyResult &result)
     auto &tre = doc.addTable(
         "FIT reduction vs tolerated relative error",
         {"precision", "tre", "fit-fraction-remaining"});
+    using workloads::SdcSeverity;
     for (const auto &row : result.rows) {
-        using workloads::SdcSeverity;
         const std::string precision(fp::precisionName(row.precision));
         const fault::CampaignResult &dp = row.datapathCampaign;
         main.row()
