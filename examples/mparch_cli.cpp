@@ -31,9 +31,9 @@
  * study row's coverage is below 1, or a replay disagrees with its
  * journal; 2 on a usage error: an unknown subcommand or option, a
  * missing value, a malformed number, zero trials, a zero --scale,
- * --errors or --flux, a shard count of 0 or a shard index past it,
- * --resume without --journal, or an unknown name prints usage on
- * stderr.
+ * --errors or --flux, a --scale above cli::kMaxScale, a shard count
+ * of 0 or a shard index past it, --resume without --journal, or an
+ * unknown name prints usage on stderr.
  *
  * Every subcommand prints its tables through report::ResultDoc, the
  * renderer the experiment registry uses.
@@ -71,6 +71,8 @@ const char *const kUsage =
     "           [--shards N --shard I] [--jobs N]\n"
     "  replay-trial --journal FILE --trial N\n"
     "  beamplan --fit-per-hour R [--errors N] [--flux F]\n"
+    "  --scale S: workload size factor, 0.2 by default; above 0 and"
+    " at most 16\n"
     "  --jobs N: trial worker threads, 0 (default) = all hardware"
     " threads; at most 1024\n";
 
@@ -99,17 +101,6 @@ workloadName(const cli::Args &args)
     return name;
 }
 
-/** --scale, 0.2 when absent. Zero is a usage error: the factories
- *  would silently run their minimum size instead. */
-double
-positiveScale(const cli::Args &args)
-{
-    const double scale = args.real("scale", 0.2);
-    if (scale <= 0.0)
-        args.fail("--scale must be greater than 0");
-    return scale;
-}
-
 int
 cmdStudy(int argc, char **argv)
 {
@@ -128,7 +119,7 @@ cmdStudy(int argc, char **argv)
     config.trials = args.count("trials", 300);
     if (config.trials == 0)
         args.fail("--trials must be at least 1");
-    config.scale = positiveScale(args);
+    config.scale = args.scale(0.2);
     if (args.has("precision")) {
         const fp::Precision p =
             parseName(args, "precision", "", fp::parsePrecision);
@@ -187,7 +178,7 @@ cmdCampaign(int argc, char **argv)
     const std::string workload = workloadName(args);
     const fp::Precision precision =
         parseName(args, "precision", "single", fp::parsePrecision);
-    const double scale = positiveScale(args);
+    const double scale = args.scale(0.2);
     auto w = nn::makeAnyWorkload(workload, precision, scale);
 
     fault::CampaignConfig config;
@@ -217,10 +208,7 @@ cmdCampaign(int argc, char **argv)
         args.fail("--shards must be at least 1");
     if (supervisor.shardIndex >= supervisor.shardCount)
         args.fail("--shard must be below --shards");
-    supervisor.scale = scale;
     supervisor.jobs = args.jobs();
-    // Factory workload + correct scale: the cache key is sound.
-    supervisor.useGoldenCache = true;
     supervisor.handleSignals = true;
 
     const fault::SupervisedCampaign run =
@@ -254,8 +242,7 @@ cmdCampaign(int argc, char **argv)
     if (run.resumed)
         count("resumed trials", run.resumed);
     // The fault-free run's op mix (a cache hit: the campaign ran it).
-    const auto golden =
-        fault::cachedGoldenRun(*w, config.inputSeed, scale);
+    const auto golden = fault::goldenRunFor(*w, config.inputSeed);
     for (std::size_t k = 0;
          k < static_cast<std::size_t>(fp::OpKind::NumKinds); ++k) {
         const auto op = static_cast<fp::OpKind>(k);

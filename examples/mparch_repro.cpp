@@ -4,8 +4,7 @@
  *
  * The one front door to every experiment: enumerates, runs and
  * judges the declarative registry (all paper tables/figures, the
- * ablations, the extensions and the engine check) with a
- * machine-checked scorecard.
+ * ablations and the extensions) with a machine-checked scorecard.
  *
  * Usage: mparch_repro [--list] [--filter <regex>] [--quick]
  *                     [--trials N] [--scale X] [--jobs N]
@@ -13,13 +12,14 @@
  *                     [--no-progress]
  * (`mparch_repro --help` explains each option). `--filter
  * '^fig3_fpga_fit$'` runs one experiment; `--trials`/`--scale` 0
- * keep the per-experiment defaults; results are identical for every
- * `--jobs`.
+ * keep the per-experiment defaults, and `--scale` is at most
+ * cli::kMaxScale; results are identical for every `--jobs`.
  *
  * Options accept both "--opt value" and "--opt=value" (common/cli).
  * An unknown option, a missing value or a malformed number prints
  * usage on stderr and exits 2, never a silent default. Exit 1 when
- * --scorecard finds a failed check.
+ * --scorecard finds a failed check or a --json/--csv file could not
+ * be written.
  */
 
 #include <filesystem>
@@ -48,7 +48,8 @@ const cli::Spec kSpec{
         "  --quick      only experiments flagged quick\n"
         "  --trials N   override injection trials (0 = per-experiment"
         " default)\n"
-        "  --scale X    override workload scale (0 = default)\n"
+        "  --scale X    override workload scale (0 = default; at most"
+        " 16)\n"
         "  --jobs N     campaign worker threads (0 = all hardware"
         " threads; at most 1024)\n"
         "  --json DIR   write one JSON document per experiment\n"
@@ -113,7 +114,7 @@ main(int argc, char **argv)
     const auto selected = selectExperiments(args);
     report::RunContext ctx;
     ctx.trials = args.count("trials", 0);
-    ctx.scale = args.real("scale", 0.0);
+    ctx.scale = args.scale(0.0);
     ctx.jobs = args.jobs();
     ctx.progress = !args.has("no-progress");
     const std::string jsonDir = args.text("json");
@@ -140,6 +141,14 @@ main(int argc, char **argv)
     }
 
     std::vector<report::ResultDoc> docs;
+    bool write_failed = false;
+    const auto wrote = [&](const std::ofstream &out,
+                           const std::string &path) {
+        if (!out) {
+            std::cerr << argv[0] << ": failed writing " << path << "\n";
+            write_failed = true;
+        }
+    };
     for (const auto *e : selected) {
         std::cout << "\n=== " << e->id << " — " << e->title
                   << " ===\n"
@@ -152,9 +161,7 @@ main(int argc, char **argv)
             const std::string path = jsonDir + "/" + e->id + ".json";
             std::ofstream out(path);
             doc.writeJson(out);
-            if (!out)
-                std::cerr << argv[0] << ": failed writing " << path
-                          << "\n";
+            wrote(out, path);
         }
         if (!csvDir.empty()) {
             for (const auto &table : doc.tables) {
@@ -162,17 +169,15 @@ main(int argc, char **argv)
                                          table.name() + ".csv";
                 std::ofstream out(path);
                 report::ResultDoc::writeCsv(table, out);
-                if (!out)
-                    std::cerr << argv[0] << ": failed writing "
-                              << path << "\n";
+                wrote(out, path);
             }
         }
     }
 
+    bool failed = write_failed;
     if (args.has("scorecard")) {
         std::cout << "\n";
-        const auto card = report::printScorecard(docs, std::cout);
-        return card.allPassed() ? 0 : 1;
+        failed |= !report::printScorecard(docs, std::cout).allPassed();
     }
-    return 0;
+    return failed ? 1 : 0;
 }

@@ -82,10 +82,9 @@ struct DeviceEvaluation
  *  input seed as runDeviceCampaign's); models take their op counts
  *  from it. */
 inline std::shared_ptr<const fault::GoldenRun>
-deviceGoldenRun(workloads::Workload &w, const DeviceOptions &options)
+deviceGoldenRun(workloads::Workload &w)
 {
-    return fault::goldenRunFor(w, fault::CampaignConfig{}.inputSeed,
-                               options.supervisor);
+    return fault::goldenRunFor(w, fault::CampaignConfig{}.inputSeed);
 }
 
 /**

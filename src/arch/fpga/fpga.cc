@@ -70,7 +70,7 @@ evaluateFpga(Workload &w, const arch::DeviceOptions &options)
     arch::DeviceEvaluation eval;
     eval.precision = w.precision();
     const CircuitReport circuit =
-        synthesize(w, *arch::deviceGoldenRun(w, options));
+        synthesize(w, *arch::deviceGoldenRun(w));
 
     // Persistent configuration-memory campaign: a config upset breaks
     // one physical operator for the rest of the execution (the run

@@ -105,7 +105,7 @@ evaluateGpu(Workload &w, const arch::DeviceOptions &options)
     eval.precision = w.precision();
     const workloads::KernelDesc desc = w.desc();
     const Precision p = w.precision();
-    const auto golden = arch::deviceGoldenRun(w, options);
+    const auto golden = arch::deviceGoldenRun(w);
 
     // Functional-unit strikes (beam-like AVF + TRE corpus).
     arch::runDeviceCampaign(eval, w, fault::CampaignKind::Datapath,

@@ -49,7 +49,7 @@ evaluatePhi(Workload &w, const arch::DeviceOptions &options)
     eval.precision = w.precision();
     const CompiledKernel compiled =
         compileKernel(w.desc(), w.precision());
-    const auto golden = arch::deviceGoldenRun(w, options);
+    const auto golden = arch::deviceGoldenRun(w);
 
     // PVF: CAROL-FI protocol — single bit flip in a random program
     // variable at a random instant (Figure 7).

@@ -189,6 +189,20 @@ Args::jobs() const
 }
 
 double
+Args::scale(double fallback) const
+{
+    const double s = real("scale", fallback);
+    if (s > kMaxScale) {
+        fail("--scale " + values("scale", Kind::Real)->back() +
+             " is above the limit of " +
+             std::to_string(static_cast<int>(kMaxScale)));
+    }
+    if (s == 0.0 && fallback != 0.0)
+        fail("--scale must be greater than 0");
+    return s;
+}
+
+double
 Args::real(const std::string &name, double fallback) const
 {
     if (const auto *v = values(name, Kind::Real))

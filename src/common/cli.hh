@@ -31,6 +31,15 @@ namespace mparch::cli {
 /** The largest worker count a --jobs option may ask for. */
 inline constexpr unsigned kMaxJobs = 1024;
 
+/**
+ * The largest workload scale a --scale option or a journal header
+ * may hold. A workload's buffers and run time grow with its scale;
+ * every scale the registry, the docs and the tests use is at most 1,
+ * and 16 keeps one workload within megabytes, where a mistyped
+ * exponent (1e9) would exhaust memory before the first trial.
+ */
+inline constexpr double kMaxScale = 16.0;
+
 /** What an option or positional argument holds. */
 enum class Kind { Switch, Text, Count, Real };
 
@@ -90,6 +99,11 @@ class Args
     /** The --jobs count, 0 (all hardware threads) when absent; a
      *  request above kMaxJobs is rejected like a parse error. */
     unsigned jobs() const;
+
+    /** The --scale value, @p fallback when absent. A value above
+     *  kMaxScale is rejected like a parse error, and so is 0 unless
+     *  @p fallback is 0 (where 0 spells "the default"). */
+    double scale(double fallback) const;
 
     /** Every value of a repeatable option, in order. */
     const std::vector<std::string> &all(const std::string &name) const;

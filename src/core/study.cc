@@ -72,12 +72,7 @@ makeSupervisor(const StudyConfig &config)
             config.journalDir + "/" + architectureName(config.arch);
     supervisor.resume = config.resume;
     supervisor.batchSize = config.batchSize;
-    supervisor.scale = config.scale;
     supervisor.jobs = config.jobs;
-    // Study workloads come from the factories, so the (name,
-    // precision, scale, inputSeed) cache key fully identifies them:
-    // the N campaigns per workload share one golden run.
-    supervisor.useGoldenCache = true;
     // Ctrl-C on a journaled study flushes and prints a resume hint.
     supervisor.handleSignals = !supervisor.journalDir.empty();
     return supervisor;

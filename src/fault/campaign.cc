@@ -774,25 +774,13 @@ class PersistentTrialRunner : public TrialRunner
     std::uint64_t totalUnits_ = 0;
 };
 
-/** Golden-run cache key; the full identity of a factory workload. */
+/** Golden-run cache key: a stamped workload plus its input seed. */
 struct GoldenKey
 {
-    std::string name;
-    fp::Precision precision;
-    double scale;
+    workloads::WorkloadIdentity identity;
     std::uint64_t inputSeed;
 
-    bool
-    operator<(const GoldenKey &o) const
-    {
-        if (name != o.name)
-            return name < o.name;
-        if (precision != o.precision)
-            return precision < o.precision;
-        if (scale != o.scale)
-            return scale < o.scale;
-        return inputSeed < o.inputSeed;
-    }
+    auto operator<=>(const GoldenKey &) const = default;
 };
 
 std::mutex g_goldenCacheMu;
@@ -802,9 +790,12 @@ std::atomic<std::uint64_t> g_goldenCacheGeneration{0};
 } // namespace
 
 std::shared_ptr<const GoldenRun>
-cachedGoldenRun(Workload &w, std::uint64_t input_seed, double scale)
+goldenRunFor(Workload &w, std::uint64_t input_seed)
 {
-    const GoldenKey key{w.name(), w.precision(), scale, input_seed};
+    const workloads::WorkloadIdentity *identity = w.identity();
+    if (!identity)
+        return std::make_shared<const GoldenRun>(w, input_seed);
+    const GoldenKey key{*identity, input_seed};
     // Compute under the lock: concurrent requests for the same key
     // would otherwise duplicate the (expensive) reference execution,
     // and campaigns only parallelise trials, not golden runs.
@@ -817,6 +808,15 @@ cachedGoldenRun(Workload &w, std::uint64_t input_seed, double scale)
                  .first;
     }
     return it->second;
+}
+
+std::shared_ptr<const GoldenRun>
+cachedGoldenRun(Workload &w, std::uint64_t input_seed, double scale)
+{
+    MPARCH_ASSERT(w.identity() && w.identity()->scale == scale,
+                  "cachedGoldenRun needs a workload stamped at this "
+                  "scale");
+    return goldenRunFor(w, input_seed);
 }
 
 void

@@ -397,20 +397,25 @@ class TrialRunner
 };
 
 /**
- * Process-wide golden-run cache.
+ * The golden run a campaign on @p w classifies against.
  *
  * A study runs several campaigns (memory, datapath, persistent,
- * several fault models) over the same workload instance; each one
- * re-executing the identical fault-free reference is pure waste.
- * This returns a shared golden run keyed on (workload name,
- * precision, scale, inputSeed), executing the workload only on the
- * first request for a key.
- *
- * The key must fully determine the workload's behaviour, which holds
- * for factory-made workloads (makeWorkload and the mitigation
- * wrappers) when @p scale is the factory scale. Hand-built workloads
- * whose behaviour varies beyond that key must not use the cache.
- * Thread-safe.
+ * several fault models) over the same workload; re-executing the
+ * identical fault-free reference for each is pure waste. A workload
+ * a factory stamped (workloads::Workload::identity()) shares one
+ * process-wide golden run per (identity, input seed), executed on
+ * the first request only; a hand-built workload gets a fresh run
+ * every time. Device models take their op counts from here, so a
+ * study executes each reference once. Thread-safe.
+ */
+std::shared_ptr<const GoldenRun>
+goldenRunFor(workloads::Workload &w, std::uint64_t input_seed);
+
+/**
+ * goldenRunFor() for a stamped workload, after checking that
+ * @p scale is its stamped scale. Only the layered benchmark
+ * (layerbench/) calls it; it goes with the benchmark's
+ * SupervisorConfig::useGoldenCache/scale assignments.
  */
 std::shared_ptr<const GoldenRun>
 cachedGoldenRun(workloads::Workload &w, std::uint64_t input_seed,

@@ -1,11 +1,14 @@
 #include "fault/journal.hh"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <sstream>
+
+#include "common/cli.hh"
 
 namespace mparch::fault {
 
@@ -20,6 +23,15 @@ fmtDouble(double v)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
+}
+
+/** The shortest text that round-trips @p v ("0.1", not
+ *  "0.10000000000000001"), for the header's user-given knobs. */
+std::string
+fmtShortest(double v)
+{
+    char buf[40];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 std::optional<OutcomeKind>
@@ -197,13 +209,13 @@ formatJournalHeader(const JournalHeader &header)
        << "#workload=" << header.workload << "\n"
        << "#precision=" << fp::precisionName(header.precision)
        << "\n"
-       << "#scale=" << fmtDouble(header.scale) << "\n"
+       << "#scale=" << fmtShortest(header.scale) << "\n"
        << "#trials=" << header.config.trials << "\n"
        << "#seed=" << header.config.seed << "\n"
        << "#input-seed=" << header.config.inputSeed << "\n"
        << "#model=" << faultModelName(header.config.model) << "\n"
-       << "#timeout-factor=" << fmtDouble(header.config.timeoutFactor)
-       << "\n"
+       << "#timeout-factor="
+       << fmtShortest(header.config.timeoutFactor) << "\n"
        << "#operand-stages-only="
        << (header.config.operandStagesOnly ? 1 : 0) << "\n"
        << "#record-anatomy=" << (header.config.recordAnatomy ? 1 : 0)
@@ -393,6 +405,11 @@ readJournal(const std::string &path, std::string *error)
         return fail("bad precision in '" + path + "'");
     h.precision = *precision;
     h.scale = std::atof(get("scale").c_str());
+    // Replay builds the workload at this scale; NaN fails both tests.
+    if (!(h.scale > 0.0 && h.scale <= cli::kMaxScale))
+        return fail("bad scale '" + get("scale") + "' in '" + path +
+                    "': must be above 0 and at most " +
+                    std::to_string(static_cast<int>(cli::kMaxScale)));
     h.config.trials =
         std::strtoull(get("trials").c_str(), nullptr, 10);
     h.config.seed = std::strtoull(get("seed").c_str(), nullptr, 10);

@@ -98,7 +98,10 @@ makeHeader(Workload &w, CampaignKind kind,
     header.kind = kind;
     header.workload = w.name();
     header.precision = w.precision();
-    header.scale = supervisor.scale;
+    // The factory scale replay rebuilds the workload at; a hand-built
+    // workload has none, and records the default.
+    if (const auto *identity = w.identity())
+        header.scale = identity->scale;
     header.config = config;
     header.kindFilter = kind_filter;
     header.engines = engines;
@@ -203,7 +206,7 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
     // Golden reference + sampling tables (also validates config).
     const auto runner = makeTrialRunner(
         w, kind, config, kind_filter, engines,
-        goldenRunFor(w, config.inputSeed, supervisor));
+        goldenRunFor(w, config.inputSeed));
     if (goldenIsNonFinite(w, runner->golden())) {
         bumpFailure(run, TrialFailure::NonFiniteGolden);
         run.error =
@@ -412,15 +415,6 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
     return run;
 }
 
-std::shared_ptr<const GoldenRun>
-goldenRunFor(Workload &w, std::uint64_t input_seed,
-             const SupervisorConfig &supervisor)
-{
-    if (supervisor.useGoldenCache)
-        return cachedGoldenRun(w, input_seed, supervisor.scale);
-    return std::make_shared<const GoldenRun>(w, input_seed);
-}
-
 void
 requireAccepted(const SupervisedCampaign &run, const Workload &w,
                 CampaignKind kind)
@@ -440,7 +434,9 @@ replayTrial(Workload &w, const Journal &journal, std::uint64_t index)
         replay.error = "trial index out of range";
         return replay;
     }
-    if (h.workload != w.name() || h.precision != w.precision()) {
+    const auto *identity = w.identity();
+    if (h.workload != w.name() || h.precision != w.precision() ||
+        (identity && identity->scale != h.scale)) {
         replay.error = "workload does not match the journal header";
         return replay;
     }

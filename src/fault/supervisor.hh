@@ -96,10 +96,6 @@ struct SupervisorConfig
     std::uint64_t shardCount = 1;
     std::uint64_t shardIndex = 0;
 
-    /** Workload factory scale knob, recorded in the journal header
-     *  so replay can rebuild the workload. */
-    double scale = 1.0;
-
     /**
      * Worker threads executing trials: 1 runs the classic serial
      * loop, 0 uses every hardware thread, N uses N workers. Trials
@@ -110,12 +106,12 @@ struct SupervisorConfig
      */
     unsigned jobs = 1;
 
-    /**
-     * Reuse process-cached golden runs (see cachedGoldenRun). Only
-     * safe when (workload name, precision, scale, inputSeed) fully
-     * identifies the workload — true for factory-made workloads with
-     * this config's scale; leave off for hand-built ones.
-     */
+    /** Unread: the golden-run cache key and the journal header's
+     *  scale come from the workload's stamped identity
+     *  (workloads::Workload::identity()). Only the layered benchmark
+     *  (layerbench/) still assigns these two; they go once it
+     *  stops. */
+    double scale = 1.0;
     bool useGoldenCache = false;
 
     /** Install SIGINT/SIGTERM handlers for the duration of the run
@@ -206,16 +202,6 @@ runSupervisedCampaign(workloads::Workload &w, CampaignKind kind,
                       const std::vector<EngineAllocation> &engines = {});
 
 /**
- * The golden run a campaign with these knobs classifies against:
- * cachedGoldenRun() when @p supervisor enables the cache, a fresh
- * execution otherwise. Device models take their op counts from here,
- * so a study executes each reference once.
- */
-std::shared_ptr<const GoldenRun>
-goldenRunFor(workloads::Workload &w, std::uint64_t input_seed,
-             const SupervisorConfig &supervisor);
-
-/**
  * fatal() when the supervisor refused @p run, naming the campaign
  * (workload, precision, kind) and the reason. Every front end that
  * cannot report a refusal itself stops on it this way.
@@ -249,9 +235,10 @@ struct ReplayResult
  * Re-execute one journaled trial standalone and dump its anatomy.
  *
  * The caller rebuilds the workload from the journal header
- * (name/precision/scale); this function validates the golden-run
- * fingerprint, derives the trial's RNG stream from (seed, index)
- * and runs exactly that trial.
+ * (name/precision/scale); this function refuses a workload whose
+ * name, precision or stamped scale differs from the header,
+ * validates the golden-run fingerprint, derives the trial's RNG
+ * stream from (seed, index) and runs exactly that trial.
  */
 ReplayResult replayTrial(workloads::Workload &w,
                          const Journal &journal, std::uint64_t index);

@@ -2,8 +2,10 @@
 
 namespace mparch::mitigation {
 
+namespace {
+
 workloads::WorkloadPtr
-makeAbftMxM(fp::Precision p, double scale)
+build(fp::Precision p, double scale)
 {
     switch (p) {
       case fp::Precision::Half:
@@ -20,6 +22,14 @@ makeAbftMxM(fp::Precision p, double scale)
             AbftMxMWorkload<fp::Precision::Bfloat16>>(scale);
     }
     panic("unknown precision");
+}
+
+} // namespace
+
+workloads::WorkloadPtr
+makeAbftMxM(fp::Precision p, double scale)
+{
+    return workloads::stamped(build(p, scale), scale);
 }
 
 } // namespace mparch::mitigation

@@ -221,7 +221,8 @@ class AbftMxMWorkload : public workloads::Workload
     std::uint64_t corrections_ = 0;
 };
 
-/** Factory matching the workload registries' signature. */
+/** Factory matching the workload registries' signature; the result
+ *  is stamped with its identity (workloads::stamped). */
 workloads::WorkloadPtr makeAbftMxM(fp::Precision p,
                                    double scale = 1.0);
 

@@ -31,19 +31,19 @@ ReplicatedWorkload::name() const
     return replicas_[0]->name() + "-" + redundancyName(scheme_);
 }
 
+ReplicatedWorkload::ReplicatedWorkload(const ReplicatedWorkload &other)
+    : Workload(other), scheme_(other.scheme_), voted_(other.voted_),
+      detected_(other.detected_), corrections_(other.corrections_)
+{
+    replicas_.reserve(other.replicas_.size());
+    for (const auto &r : other.replicas_)
+        replicas_.push_back(r->clone());
+}
+
 std::unique_ptr<Workload>
 ReplicatedWorkload::clone() const
 {
-    std::vector<WorkloadPtr> copies;
-    copies.reserve(replicas_.size());
-    for (const auto &r : replicas_)
-        copies.push_back(r->clone());
-    auto copy = std::make_unique<ReplicatedWorkload>(scheme_,
-                                                     std::move(copies));
-    copy->voted_ = voted_;
-    copy->detected_ = detected_;
-    copy->corrections_ = corrections_;
-    return copy;
+    return std::make_unique<ReplicatedWorkload>(*this);
 }
 
 fp::Precision
@@ -146,8 +146,9 @@ makeReplicated(Redundancy scheme, const std::string &name,
     const std::size_t count = scheme == Redundancy::Dwc ? 2 : 3;
     for (std::size_t i = 0; i < count; ++i)
         replicas.push_back(workloads::makeWorkload(name, p, scale));
-    return std::make_unique<ReplicatedWorkload>(scheme,
-                                                std::move(replicas));
+    return workloads::stamped(
+        std::make_unique<ReplicatedWorkload>(scheme, std::move(replicas)),
+        scale);
 }
 
 } // namespace mparch::mitigation

@@ -59,6 +59,9 @@ class ReplicatedWorkload : public workloads::Workload
     ReplicatedWorkload(Redundancy scheme,
                        std::vector<workloads::WorkloadPtr> replicas);
 
+    /** Deep copy: replicas cloned, identity kept. */
+    ReplicatedWorkload(const ReplicatedWorkload &other);
+
     std::string name() const override;
     std::unique_ptr<workloads::Workload> clone() const override;
     fp::Precision precision() const override;
@@ -81,9 +84,10 @@ class ReplicatedWorkload : public workloads::Workload
 };
 
 /**
- * Convenience factory: wrap @p name at @p p with the given scheme.
- * Only numeric kernels are supported (CNN severity classification
- * does not compose with voting).
+ * Convenience factory: wrap @p name at @p p with the given scheme,
+ * stamped with its identity (workloads::stamped). Only numeric
+ * kernels are supported (CNN severity classification does not
+ * compose with voting).
  */
 workloads::WorkloadPtr makeReplicated(Redundancy scheme,
                                       const std::string &name,

@@ -349,7 +349,7 @@ WorkloadPtr
 makeAnyWorkload(const std::string &name, fp::Precision p, double scale)
 {
     if (const auto make = findAnyWorkload(name))
-        return make(p, scale);
+        return workloads::stamped(make(p, scale), scale);
     fatal(workloadNameError(name));
 }
 

@@ -41,10 +41,11 @@ workloads::WorkloadMaker findAnyWorkload(std::string_view name);
 std::string workloadNameError(const std::string &name);
 
 /**
- * Factory covering both numeric and CNN benchmarks; fatal() on an
- * unknown name. The CNN names are "mnist" (classifier, batch of 4
- * digits per execution) and "yolite" (detector, batch of 2 scenes),
- * where @p scale is the batch-size knob (1.0 = default batch).
+ * Factory covering both numeric and CNN benchmarks, stamped with
+ * their identity (workloads::stamped); fatal() on an unknown name.
+ * The CNN names are "mnist" (classifier, batch of 4 digits per
+ * execution) and "yolite" (detector, batch of 2 scenes), where
+ * @p scale is the batch-size knob (1.0 = default batch).
  */
 workloads::WorkloadPtr makeAnyWorkload(const std::string &name,
                                        fp::Precision p,

@@ -23,7 +23,11 @@ void addPhiExperiments(std::vector<Experiment> &out);
 void addGpuExperiments(std::vector<Experiment> &out);
 void addAblationExperiments(std::vector<Experiment> &out);
 void addExtensionExperiments(std::vector<Experiment> &out);
-void addEngineExperiments(std::vector<Experiment> &out);
+
+/** The input seed of every registry campaign (CampaignConfig's
+ *  default); golden runs read for op counts use it too. */
+inline constexpr std::uint64_t kInputSeed =
+    fault::CampaignConfig{}.inputSeed;
 
 /** std::string form of a precision name (cell convenience). */
 std::string precisionLabel(fp::Precision p);
@@ -37,28 +41,21 @@ runStudyFor(core::Architecture arch, const std::string &workload,
             const Experiment &experiment, const RunContext &ctx,
             std::vector<fp::Precision> precisions = {});
 
-/** Supervisor knobs for a direct (non-study) campaign: parallel
- *  trial execution plus the process-wide golden-run cache. */
-fault::SupervisorConfig reportSupervisor(const RunContext &ctx,
-                                         double scale);
+/** Supervisor knobs for a direct (non-study) campaign: the
+ *  context's worker threads. */
+fault::SupervisorConfig reportSupervisor(const RunContext &ctx);
 
 /**
- * Run one campaign with the context's worker threads and the
- * golden-run cache (a default SupervisorConfig runs serially without
- * the cache); a refused campaign is fatal.
+ * Run one campaign with the context's worker threads; a refused
+ * campaign is fatal.
  */
 fault::CampaignResult
 runReportCampaign(workloads::Workload &w, fault::CampaignKind kind,
                   const fault::CampaignConfig &config,
-                  const RunContext &ctx, double scale,
+                  const RunContext &ctx,
                   fp::OpKind kind_filter = fp::OpKind::NumKinds,
                   const std::vector<fault::EngineAllocation> &engines =
                       {});
-
-/** Golden run shared through the process-wide cache. */
-std::shared_ptr<const fault::GoldenRun>
-reportGoldenRun(workloads::Workload &w, double scale,
-                std::uint64_t input_seed = 99);
 
 } // namespace mparch::report
 

@@ -63,8 +63,7 @@ ablationInjectionSites()
                 config.trials = self.trialsFor(ctx);
                 config.operandStagesOnly = operand_only;
                 const auto r = runReportCampaign(
-                    *w, fault::CampaignKind::Datapath, config, ctx,
-                    scale);
+                    *w, fault::CampaignKind::Datapath, config, ctx);
                 table.row()
                     .cell(precisionLabel(p))
                     .cell(operand_only ? "operands-only"
@@ -141,7 +140,7 @@ ablationBeamMc()
             auto w = workloads::makeWorkload("micro-mul", p, scale);
             const arch::DeviceOptions opt{
                 self.trialsFor(ctx), self.trialsFor(ctx) / 2,
-                gpu::kDefaultSeed, reportSupervisor(ctx, scale)};
+                gpu::kDefaultSeed, reportSupervisor(ctx)};
             const auto eval = gpu::evaluateGpu(*w, opt);
 
             // Strip the control entry (its DUEs are analytic-only)
@@ -153,7 +152,7 @@ ablationBeamMc()
             // Each neutron is trial 0 of a one-trial campaign seeded
             // from the beam's stream, classified against the golden
             // run evaluateGpu already cached.
-            const auto golden = reportGoldenRun(*w, scale);
+            const auto golden = fault::goldenRunFor(*w, kInputSeed);
             Rng rng(97);
             const double fluence = 400.0 / inv.rawRate();
             const auto mc = beam::runBeam(
@@ -240,7 +239,7 @@ ablationProtection()
                 auto w = workloads::makeWorkload(name, p, scale);
                 const arch::DeviceOptions opt{
                     self.trialsFor(ctx), self.trialsFor(ctx),
-                    phi::kDefaultSeed, reportSupervisor(ctx, scale)};
+                    phi::kDefaultSeed, reportSupervisor(ctx)};
                 auto eval = phi::evaluatePhi(*w, opt);
                 const double base = eval.fitSdc();
                 // Without MCA the architectural register file (32 x
@@ -270,7 +269,7 @@ ablationProtection()
                 auto w = workloads::makeWorkload(name, p, scale);
                 const arch::DeviceOptions opt{
                     self.trialsFor(ctx), self.trialsFor(ctx) / 2,
-                    gpu::kDefaultSeed, reportSupervisor(ctx, scale)};
+                    gpu::kDefaultSeed, reportSupervisor(ctx)};
                 auto eval = gpu::evaluateGpu(*w, opt);
                 const double base = eval.fitSdc();
                 // Without triplication every DRAM-resident copy of
@@ -343,7 +342,7 @@ ablationScrubbing()
             auto w = workloads::makeWorkload("mxm", p, scale);
             const arch::DeviceOptions opt{
                 self.trialsFor(ctx), self.trialsFor(ctx) / 2,
-                fpga::kDefaultSeed, reportSupervisor(ctx, scale)};
+                fpga::kDefaultSeed, reportSupervisor(ctx)};
             const auto eval = fpga::evaluateFpga(*w, opt);
             // Scrubbing only concerns the persistent mechanism: the
             // configuration-memory entry's raw upset rate and AVF.
@@ -632,8 +631,7 @@ ablationFaultModels()
                 config.trials = self.trialsFor(ctx);
                 config.model = model;
                 const auto r = runReportCampaign(
-                    *w, fault::CampaignKind::Memory, config, ctx,
-                    scale);
+                    *w, fault::CampaignKind::Memory, config, ctx);
                 table.row()
                     .cell(fault::faultModelName(model))
                     .cell(precisionLabel(p))

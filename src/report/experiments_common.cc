@@ -33,37 +33,23 @@ runStudyFor(core::Architecture arch, const std::string &workload,
 }
 
 fault::SupervisorConfig
-reportSupervisor(const RunContext &ctx, double scale)
+reportSupervisor(const RunContext &ctx)
 {
     fault::SupervisorConfig supervisor;
     supervisor.jobs = ctx.jobs;
-    supervisor.scale = scale;
-    // Registry experiments build every workload through the
-    // factories, so the (name, precision, scale, inputSeed) cache
-    // key fully identifies them and campaigns can share golden runs.
-    supervisor.useGoldenCache = true;
     return supervisor;
 }
 
 fault::CampaignResult
 runReportCampaign(workloads::Workload &w, fault::CampaignKind kind,
                   const fault::CampaignConfig &config,
-                  const RunContext &ctx, double scale,
-                  fp::OpKind kind_filter,
+                  const RunContext &ctx, fp::OpKind kind_filter,
                   const std::vector<fault::EngineAllocation> &engines)
 {
     const auto supervised = fault::runSupervisedCampaign(
-        w, kind, config, reportSupervisor(ctx, scale), kind_filter,
-        engines);
+        w, kind, config, reportSupervisor(ctx), kind_filter, engines);
     fault::requireAccepted(supervised, w, kind);
     return supervised.result;
-}
-
-std::shared_ptr<const fault::GoldenRun>
-reportGoldenRun(workloads::Workload &w, double scale,
-                std::uint64_t input_seed)
-{
-    return fault::cachedGoldenRun(w, input_seed, scale);
 }
 
 } // namespace mparch::report

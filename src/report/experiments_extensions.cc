@@ -125,7 +125,7 @@ extMitigation()
             // column.
             auto plain = workloads::makeWorkload("mxm", p, scale);
             const double base_ops = static_cast<double>(
-                reportGoldenRun(*plain, scale)->ops.totalOps());
+                fault::goldenRunFor(*plain, kInputSeed)->ops.totalOps());
 
             struct Variant
             {
@@ -148,13 +148,13 @@ extMitigation()
 
             for (auto &variant : variants) {
                 const double ops = static_cast<double>(
-                    reportGoldenRun(*variant.w, scale)
+                    fault::goldenRunFor(*variant.w, kInputSeed)
                         ->ops.totalOps());
                 fault::CampaignConfig config;
                 config.trials = self.trialsFor(ctx);
                 const auto r = runReportCampaign(
                     *variant.w, fault::CampaignKind::Memory,
-                    config, ctx, scale);
+                    config, ctx);
                 const double critical =
                     r.avfSdc() * r.survivingFraction(0.01);
                 table.row()
@@ -244,8 +244,7 @@ extBitAnatomy()
             config.trials = self.trialsFor(ctx);
             config.recordAnatomy = true;
             const auto r = runReportCampaign(
-                *w, fault::CampaignKind::Memory, config, ctx,
-                scale);
+                *w, fault::CampaignKind::Memory, config, ctx);
             for (auto field : {FaultAnatomy::Field::Sign,
                                FaultAnatomy::Field::Exponent,
                                FaultAnatomy::Field::MantissaHigh,
@@ -452,7 +451,7 @@ extTensorcore()
             config.trials = self.trialsFor(ctx);
             const auto r = runReportCampaign(
                 *variant.w, fault::CampaignKind::Memory, config,
-                ctx, scale);
+                ctx);
             table.row()
                 .cell(variant.label)
                 .cell(static_cast<std::int64_t>(bits))
@@ -511,8 +510,7 @@ extDeviationHistogram()
             fault::CampaignConfig config;
             config.trials = self.trialsFor(ctx);
             const auto r = runReportCampaign(
-                *w, fault::CampaignKind::Datapath, config, ctx,
-                scale);
+                *w, fault::CampaignKind::Datapath, config, ctx);
 
             LogHistogram histogram(-10, 13);  // 1e-10 .. 1e3
             std::uint64_t tiny = 0, large = 0, catastrophic = 0;

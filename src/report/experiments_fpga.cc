@@ -50,7 +50,7 @@ table1FpgaTime()
                 self.paperValue(name + "/double/time");
             for (auto p : fp::allPrecisions) {
                 auto w = nn::makeAnyWorkload(name, p, scale);
-                const auto golden = reportGoldenRun(*w, scale);
+                const auto golden = fault::goldenRunFor(*w, kInputSeed);
                 const auto circuit = fpga::synthesize(*w, *golden);
                 const double t = circuit.cycles / fpga::clockHz(p);
                 if (p == Precision::Double)
@@ -119,7 +119,7 @@ fig2FpgaResources()
             double prev_luts = 0.0;
             for (auto p : fp::allPrecisions) {
                 auto w = nn::makeAnyWorkload(name, p, scale);
-                const auto golden = reportGoldenRun(*w, scale);
+                const auto golden = fault::goldenRunFor(*w, kInputSeed);
                 const auto c = fpga::synthesize(*w, *golden);
                 std::string drop = "-";
                 if (prev_luts > 0.0) {

@@ -62,7 +62,7 @@ table3GpuTime()
                 self.paperValue(name + "/double/time");
             for (auto p : fp::allPrecisions) {
                 auto w = nn::makeAnyWorkload(name, p, scale);
-                const auto golden = reportGoldenRun(*w, scale);
+                const auto golden = fault::goldenRunFor(*w, kInputSeed);
                 const double t = gpu::gpuTimeSeconds(*w, *golden);
                 if (p == Precision::Double)
                     model_double = t;

@@ -53,7 +53,7 @@ table2PhiTime()
                 self.paperValue(name + "/double/time");
             for (auto p : kPhiPrecisions) {
                 auto w = workloads::makeWorkload(name, p, scale);
-                const auto golden = reportGoldenRun(*w, scale);
+                const auto golden = fault::goldenRunFor(*w, kInputSeed);
                 const double t = phi::phiTimeSeconds(*w, *golden);
                 if (p == Precision::Double)
                     model_double = t;

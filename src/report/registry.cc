@@ -54,7 +54,6 @@ experiments()
         addGpuExperiments(out);
         addAblationExperiments(out);
         addExtensionExperiments(out);
-        addEngineExperiments(out);
         return out;
     }();
     return table;

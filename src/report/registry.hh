@@ -33,7 +33,9 @@ enum class ExperimentKind
     PaperFigure,  ///< one of the paper's numbered figures
     Ablation,     ///< ablation of a DESIGN.md modelling decision
     Extension,    ///< beyond-the-paper study
-    Engine,       ///< infrastructure benchmark (not a paper target)
+    /** No experiment has this kind; the layered benchmark
+     *  (layerbench/) still filters on it. */
+    Engine,
 };
 
 /** Name of an ExperimentKind ("table" / "figure" / ...). */

@@ -86,10 +86,18 @@ workloadNames()
 }
 
 WorkloadPtr
+stamped(WorkloadPtr w, double scale)
+{
+    MPARCH_ASSERT(!w->identity_, "a workload is stamped once");
+    w->identity_ = WorkloadIdentity{w->name(), w->precision(), scale};
+    return w;
+}
+
+WorkloadPtr
 makeWorkload(const std::string &name, fp::Precision p, double scale)
 {
     if (const WorkloadMaker make = findWorkload(name))
-        return make(p, scale);
+        return stamped(make(p, scale), scale);
     fatal("unknown workload '", name, "'");
 }
 

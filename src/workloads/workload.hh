@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -220,6 +221,20 @@ enum class SdcSeverity
 const char *sdcSeverityName(SdcSeverity severity);
 
 /**
+ * What a workload factory built. With an input seed it fixes the
+ * workload's behaviour, and so its golden run: it keys the golden-run
+ * cache and fills a journal header's workload lines.
+ */
+struct WorkloadIdentity
+{
+    std::string name;
+    fp::Precision precision = fp::Precision::Double;
+    double scale = 1.0;  ///< the factory's problem-size knob
+
+    auto operator<=>(const WorkloadIdentity &) const = default;
+};
+
+/**
  * Abstract benchmark executed under fault injection.
  *
  * Lifecycle per trial: restore a golden checkpoint or reset(seed)
@@ -247,6 +262,15 @@ class Workload
 
     /** Data/operation precision this instance runs at. */
     virtual fp::Precision precision() const = 0;
+
+    /** The identity the factory stamped on this workload (see
+     *  stamped()), kept by copies and clones; null for a hand-built
+     *  workload. */
+    const WorkloadIdentity *
+    identity() const
+    {
+        return identity_ ? &*identity_ : nullptr;
+    }
 
     /** Regenerate inputs deterministically and clear outputs. */
     virtual void reset(std::uint64_t input_seed) = 0;
@@ -339,10 +363,26 @@ class Workload
      * SDCs or masks.
      */
     virtual bool detectedError() const { return false; }
+
+  private:
+    friend std::unique_ptr<Workload>
+    stamped(std::unique_ptr<Workload> w, double scale);
+
+    std::optional<WorkloadIdentity> identity_;
 };
 
 /** Shorthand for factory results. */
 using WorkloadPtr = std::unique_ptr<Workload>;
+
+/**
+ * Stamp @p w, just built by a factory at @p scale, with its identity
+ * (name, precision, scale) and return it. Every factory in the tree
+ * does so once: makeWorkload(), nn::makeAnyWorkload() and the
+ * mitigation makers. A workload whose behaviour depends on more than
+ * its identity and input seed must stay unstamped, or the golden-run
+ * cache would serve it another workload's reference.
+ */
+WorkloadPtr stamped(WorkloadPtr w, double scale);
 
 /** Factory for one benchmark at a precision and problem scale. */
 using WorkloadMaker = WorkloadPtr (*)(fp::Precision p, double scale);
@@ -355,7 +395,8 @@ WorkloadMaker findWorkload(std::string_view name);
 std::vector<std::string_view> workloadNames();
 
 /**
- * Instantiate a benchmark by name and precision.
+ * Instantiate a benchmark by name and precision, stamped with its
+ * identity.
  *
  * Known names: workloadNames(). Throws via fatal() on unknown
  * names.

@@ -364,18 +364,18 @@ class CountingMxM : public workloads::MxMWorkload<Precision::Single>
 
 TEST(GpuEvaluation, SharesTheCampaignsGoldenRun)
 {
-    // With the golden-run cache on, the model's op counts come from
-    // the run its campaigns classify against: one golden execution
-    // plus one per trial.
+    // Stamped as the factory stamps mxm, the workload's model op
+    // counts come from the run its campaigns classify against: one
+    // golden execution plus one per trial.
     const double scale = 0.1;
-    CountingMxM w(scale);
-    arch::DeviceOptions opt{30, 20, gpu::kDefaultSeed, {}};
-    opt.supervisor.scale = scale;
-    opt.supervisor.useGoldenCache = true;
+    auto counting = std::make_unique<CountingMxM>(scale);
+    const auto executions = counting->executions;
+    const auto w = workloads::stamped(std::move(counting), scale);
+    const arch::DeviceOptions opt{30, 20, gpu::kDefaultSeed, {}};
     fault::clearGoldenRunCache();
-    (void)gpu::evaluateGpu(w, opt);
+    (void)gpu::evaluateGpu(*w, opt);
     fault::clearGoldenRunCache();
-    EXPECT_EQ(*w.executions, 30 + 20 + 1);
+    EXPECT_EQ(*executions, 30 + 20 + 1);
 }
 
 TEST(GpuYolite, HalfSlowerAndDueHigh)

@@ -21,6 +21,7 @@
 #include "fault/model.hh"
 #include "nn/nn_workloads.hh"
 #include "report/study.hh"
+#include "workloads/mxm.hh"
 #include "test_util.hh"
 
 namespace mparch::core {
@@ -230,15 +231,18 @@ TEST(StudyMemoTest, ClearingTheGoldenCacheEmptiesTheMemo)
 {
     // A memo hit runs no campaign, so it leaves the golden-run cache
     // empty; a recomputed study fills it. Probe the study's cache key
-    // with a workload of another size: a filled entry hands back the
-    // study's golden run, an empty one runs the probe's own.
+    // with a workload of another size stamped with the study's
+    // identity: a filled entry hands back the study's golden run, an
+    // empty one runs the probe's own.
     const StudyConfig config = memoStudy();
     fault::clearGoldenRunCache();
     runStudy(config);
     fault::clearGoldenRunCache();
     runStudy(config);
 
-    auto probe = workloads::makeWorkload("mxm", Precision::Double, 0.2);
+    auto probe = workloads::stamped(
+        std::make_unique<workloads::MxMWorkload<Precision::Double>>(0.2),
+        config.scale);
     auto study = workloads::makeWorkload("mxm", Precision::Double,
                                          config.scale);
     const fault::CampaignConfig defaults;
@@ -246,9 +250,7 @@ TEST(StudyMemoTest, ClearingTheGoldenCacheEmptiesTheMemo)
         fault::GoldenRun(*study, defaults.inputSeed).ticks;
     ASSERT_NE(fault::GoldenRun(*probe, defaults.inputSeed).ticks,
               study_ticks);
-    EXPECT_EQ(fault::cachedGoldenRun(*probe, defaults.inputSeed,
-                                     config.scale)
-                  ->ticks,
+    EXPECT_EQ(fault::goldenRunFor(*probe, defaults.inputSeed)->ticks,
               study_ticks);
     fault::clearGoldenRunCache();
 }

@@ -23,6 +23,7 @@
 #include "mitigation/abft.hh"
 #include "mitigation/replicated.hh"
 #include "nn/nn_workloads.hh"
+#include "workloads/mxm.hh"
 #include "workloads/workload.hh"
 #include "test_util.hh"
 
@@ -381,13 +382,15 @@ TEST(GoldenCacheTest, SharedByKeyAndDistinctAcrossKeys)
 {
     fault::clearGoldenRunCache();
     auto w = makeWorkload("micro-add", Precision::Single, 0.1);
-    const auto a = fault::cachedGoldenRun(*w, 99, 0.1);
-    const auto b = fault::cachedGoldenRun(*w, 99, 0.1);
-    EXPECT_EQ(a.get(), b.get());  // one reference execution
-    const auto other_seed = fault::cachedGoldenRun(*w, 100, 0.1);
-    EXPECT_NE(a.get(), other_seed.get());
-    const auto other_scale = fault::cachedGoldenRun(*w, 99, 0.2);
-    EXPECT_NE(a.get(), other_scale.get());
+    const auto a = fault::goldenRunFor(*w, 99);
+    // One reference execution, also for a clone (it keeps the stamp)
+    // and through the layered benchmark's entry point.
+    EXPECT_EQ(fault::goldenRunFor(*w, 99).get(), a.get());
+    EXPECT_EQ(fault::goldenRunFor(*w->clone(), 99).get(), a.get());
+    EXPECT_EQ(fault::cachedGoldenRun(*w, 99, 0.1).get(), a.get());
+    EXPECT_NE(fault::goldenRunFor(*w, 100).get(), a.get());
+    auto larger = makeWorkload("micro-add", Precision::Single, 0.2);
+    EXPECT_NE(fault::goldenRunFor(*larger, 99).get(), a.get());
     // The cached run equals a fresh one (the cache only spares the
     // recomputation, never changes the reference).
     const GoldenRun fresh(*w, 99);
@@ -396,26 +399,69 @@ TEST(GoldenCacheTest, SharedByKeyAndDistinctAcrossKeys)
     fault::clearGoldenRunCache();
 }
 
+TEST(GoldenCacheTest, HandBuiltWorkloadsNeverShareARun)
+{
+    // Same name and precision, different sizes: an unstamped workload
+    // gets its own reference every time, never another's.
+    fault::clearGoldenRunCache();
+    workloads::MxMWorkload<Precision::Single> small(0.1), large(0.2);
+    ASSERT_EQ(small.name(), large.name());
+    const auto a = fault::goldenRunFor(small, 99);
+    const auto b = fault::goldenRunFor(large, 99);
+    EXPECT_NE(a->ticks, b->ticks);
+    EXPECT_EQ(a->ticks, GoldenRun(small, 99).ticks);
+    EXPECT_EQ(b->ticks, GoldenRun(large, 99).ticks);
+    EXPECT_NE(fault::goldenRunFor(small, 99).get(), a.get());
+    fault::clearGoldenRunCache();
+}
+
 TEST(GoldenCacheTest, CachedCampaignMatchesUncached)
 {
+    // The stamped workload's campaigns share a cached golden run; the
+    // hand-built twin computes its own. The results agree.
     fault::clearGoldenRunCache();
-    auto w = makeWorkload("mxm", Precision::Single, 0.1);
+    auto stamped = makeWorkload("mxm", Precision::Single, 0.1);
+    workloads::MxMWorkload<Precision::Single> hand_built(0.1);
+    ASSERT_EQ(hand_built.identity(), nullptr);
     CampaignConfig config;
     config.trials = 40;
     config.seed = 5;
-    SupervisorConfig plain;
-    plain.scale = 0.1;
-    SupervisorConfig cached = plain;
-    cached.useGoldenCache = true;
-    const auto a = runSupervisedCampaign(*w, CampaignKind::Memory,
-                                         config, plain);
-    const auto b = runSupervisedCampaign(*w, CampaignKind::Memory,
-                                         config, cached);
-    const auto c = runSupervisedCampaign(*w, CampaignKind::Memory,
-                                         config, cached);
+    const auto a = runSupervisedCampaign(hand_built, CampaignKind::Memory,
+                                         config, SupervisorConfig{});
+    const auto b = runSupervisedCampaign(*stamped, CampaignKind::Memory,
+                                         config, SupervisorConfig{});
+    const auto c = runSupervisedCampaign(*stamped, CampaignKind::Memory,
+                                         config, SupervisorConfig{});
     expectSameResult(b.result, a.result);
     expectSameResult(c.result, a.result);
     fault::clearGoldenRunCache();
+}
+
+TEST(WorkloadIdentityTest, FactoriesStampAndCopiesKeepIt)
+{
+    using workloads::WorkloadIdentity;
+    const auto expect = [](const Workload &w, const std::string &name,
+                           Precision p, double scale) {
+        ASSERT_NE(w.identity(), nullptr) << name;
+        EXPECT_EQ(*w.identity(), (WorkloadIdentity{name, p, scale}));
+        const auto copy = w.clone();
+        ASSERT_NE(copy->identity(), nullptr) << name;
+        EXPECT_EQ(*copy->identity(), *w.identity());
+    };
+    expect(*makeWorkload("lud", Precision::Half, 0.3), "lud",
+           Precision::Half, 0.3);
+    expect(*nn::makeAnyWorkload("micro-fma", Precision::Double, 0.1),
+           "micro-fma", Precision::Double, 0.1);
+    expect(*nn::makeAnyWorkload("yolite", Precision::Single, 0.5),
+           "yolite", Precision::Single, 0.5);
+    expect(*mitigation::makeAbftMxM(Precision::Single, 0.1), "mxm-abft",
+           Precision::Single, 0.1);
+    expect(*mitigation::makeReplicated(mitigation::Redundancy::Tmr, "mxm",
+                                       Precision::Bfloat16, 0.2),
+           "mxm-tmr", Precision::Bfloat16, 0.2);
+    workloads::MxMWorkload<Precision::Single> hand_built(0.1);
+    EXPECT_EQ(hand_built.identity(), nullptr);
+    EXPECT_EQ(hand_built.clone()->identity(), nullptr);
 }
 
 // ---------------------------------------------------------------

@@ -474,9 +474,9 @@ TEST(Registry, EveryEntryIsFullyDeclared)
             EXPECT_TRUE(check.eval != nullptr) << e.id;
         }
     }
-    // 19 paper tables/figures, 7 ablations, 6 extensions and the
-    // engine check: dropping an entry must fail here.
-    EXPECT_EQ(ids.size(), 33u);
+    // 19 paper tables/figures, 7 ablations and 6 extensions:
+    // dropping an entry must fail here.
+    EXPECT_EQ(ids.size(), 32u);
 }
 
 TEST(Registry, QuickTierIsNonEmpty)

@@ -20,6 +20,7 @@
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
 #include "fault/supervisor.hh"
+#include "workloads/mxm.hh"
 #include "workloads/workload.hh"
 #include "test_util.hh"
 
@@ -193,6 +194,55 @@ TEST(JournalTest, HeaderAndRecordsRoundTrip)
     EXPECT_EQ(journal->records[0].maxRel, 0.125);
     EXPECT_EQ(journal->records[0].bit, 30);
     EXPECT_EQ(journal->records[1].outcome, OutcomeKind::Due);
+}
+
+TEST(JournalTest, HeaderScaleIsTheStampedScale)
+{
+    // A default SupervisorConfig journals the scale the factory
+    // stamped; a hand-built workload records the default, 1.
+    CampaignConfig config;
+    config.trials = 4;
+    SupervisorConfig supervisor;
+    supervisor.journalPath = tempPath("header-scale.mpj");
+    auto w = makeWorkload("mxm", Precision::Single, 0.1);
+    (void)runSupervisedCampaign(*w, CampaignKind::Memory, config,
+                                supervisor);
+    const auto stamped = readJournal(supervisor.journalPath);
+    ASSERT_TRUE(stamped.has_value());
+    EXPECT_EQ(stamped->header.scale, 0.1);
+    EXPECT_NE(slurp(supervisor.journalPath).find("\n#scale=0.1\n"),
+              std::string::npos);
+
+    workloads::MxMWorkload<Precision::Single> hand_built(0.1);
+    (void)runSupervisedCampaign(hand_built, CampaignKind::Memory, config,
+                                supervisor);
+    const auto unstamped = readJournal(supervisor.journalPath);
+    ASSERT_TRUE(unstamped.has_value());
+    EXPECT_EQ(unstamped->header.scale, 1.0);
+}
+
+TEST(JournalTest, OutOfRangeScaleIsRefused)
+{
+    JournalHeader header;
+    header.workload = "mxm";
+    const std::string path = tempPath("bad-scale.mpj");
+    { JournalWriter writer(path, header, 1, /*truncate=*/true); }
+    const std::string text = slurp(path);
+    ASSERT_NE(text.find("\n#scale=1\n"), std::string::npos);
+    for (const std::string bad : {"0", "-1", "16.5", "1e9", "inf", "nan"}) {
+        std::string tampered = text;
+        tampered.replace(tampered.find("#scale=1\n"), 9,
+                         "#scale=" + bad + "\n");
+        std::ofstream(path) << tampered;
+        std::string error;
+        EXPECT_FALSE(readJournal(path, &error).has_value()) << bad;
+        EXPECT_NE(error.find("bad scale '" + bad + "'"), std::string::npos)
+            << error;
+    }
+    std::string tampered = text;
+    tampered.replace(tampered.find("#scale=1\n"), 9, "#scale=16\n");
+    std::ofstream(path) << tampered;
+    EXPECT_TRUE(readJournal(path).has_value());
 }
 
 TEST(JournalTest, HeaderMismatchIsDetectedAndReadable)
@@ -595,7 +645,6 @@ TEST(ReplayTest, JournaledTrialsReplayConsistently)
     config.recordAnatomy = true;
     SupervisorConfig supervisor;
     supervisor.journalPath = tempPath("replay.mpj");
-    supervisor.scale = 0.1;
     const auto run = runSupervisedCampaign(
         *w, CampaignKind::Memory, config, supervisor);
     EXPECT_TRUE(run.complete());
@@ -697,8 +746,16 @@ TEST(ReplayTest, RejectsWrongWorkloadAndStaleGolden)
     auto other = makeWorkload("lud", Precision::Single, 0.1);
     EXPECT_FALSE(replayTrial(*other, *journal, 0).error.empty());
 
+    // A factory workload of another size disagrees with the header's
+    // scale; a hand-built one has no stamp to compare, so the golden
+    // fingerprint catches it.
     auto resized = makeWorkload("mxm", Precision::Single, 0.2);
-    const auto stale = replayTrial(*resized, *journal, 0);
+    const auto refused = replayTrial(*resized, *journal, 0);
+    EXPECT_NE(refused.error.find("does not match the journal header"),
+              std::string::npos)
+        << refused.error;
+    workloads::MxMWorkload<Precision::Single> hand_built(0.2);
+    const auto stale = replayTrial(hand_built, *journal, 0);
     EXPECT_NE(stale.error.find("fingerprint"), std::string::npos)
         << stale.error;
 
