@@ -1,18 +1,27 @@
 # Usage: cmake -DREPRO=<mparch_repro> -DGOLDEN=<dir> -DOUT=<dir>
-#              [-DRECORD=ON] -P compare_repro.cmake
+#              [-DID=<experiment>] [-DRECORD=ON] -P compare_repro.cmake
 #
-# Runs every registry experiment at throwaway size with --json OUT,
+# Without ID: runs every registry experiment at throwaway size
+# (--trials 2 --scale 0.1). With ID: runs that one experiment at its
+# default trials and scale. Either way at --jobs 1 with --json OUT,
 # then compares each ResultDoc line by line with its pinned copy
 # GOLDEN/<id>.json. A differing line, a missing golden file or an
 # extra one fails, naming the experiment, the line number and both
-# lines. RECORD=ON rewrites GOLDEN from this run instead.
+# lines. RECORD=ON rewrites the pinned copies from this run instead.
 
 cmake_minimum_required(VERSION 3.16)
 
+if(ID)
+    set(select --filter "^${ID}$")
+    set(pattern "${ID}.json")
+else()
+    set(select --trials 2 --scale 0.1)
+    set(pattern "*.json")
+endif()
+
 file(REMOVE_RECURSE "${OUT}")
 execute_process(
-    COMMAND "${REPRO}" --trials 2 --scale 0.1 --jobs 1 --no-progress
-            --json "${OUT}"
+    COMMAND "${REPRO}" ${select} --jobs 1 --no-progress --json "${OUT}"
     RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT status STREQUAL "0")
     message(FATAL_ERROR "mparch_repro exited with '${status}'\n${err}")
@@ -26,18 +35,20 @@ foreach(path IN LISTS docs)
 endforeach()
 
 if(RECORD)
-    file(REMOVE_RECURSE "${GOLDEN}")
+    if(NOT ID)
+        file(REMOVE_RECURSE "${GOLDEN}")
+    endif()
     foreach(id IN LISTS ids)
         file(COPY "${OUT}/${id}.json" DESTINATION "${GOLDEN}")
     endforeach()
-    message(STATUS "recorded ${GOLDEN}")
+    message(STATUS "recorded ${GOLDEN}/${pattern}")
     return()
 endif()
 
 include("${CMAKE_CURRENT_LIST_DIR}/first_difference.cmake")
 
 set(failures "")
-file(GLOB pinned "${GOLDEN}/*.json")
+file(GLOB pinned "${GOLDEN}/${pattern}")
 set(pinned_ids "")
 foreach(path IN LISTS pinned)
     get_filename_component(id "${path}" NAME_WE)
@@ -59,11 +70,14 @@ foreach(id IN LISTS ids)
 endforeach()
 
 if(failures)
+    if(ID)
+        set(id_arg " -DID=${ID}")
+    endif()
     # NOTICE prints verbatim; FATAL_ERROR would re-wrap the lines.
     message(NOTICE "ResultDocs differ from ${GOLDEN}:\n${failures}"
         "If the change is meant to move results, re-record with\n"
         "  cmake -DREPRO=${REPRO} -DGOLDEN=${GOLDEN} -DOUT=${OUT}"
-        " -DRECORD=ON -P ${CMAKE_CURRENT_LIST_FILE}\n"
+        "${id_arg} -DRECORD=ON -P ${CMAKE_CURRENT_LIST_FILE}\n"
         "and name the values that moved in CHANGES.md.")
     message(FATAL_ERROR "pinned ResultDocs differ")
 endif()
