@@ -40,30 +40,37 @@ namespace mparch::fp {
 
 namespace detail {
 
-/** binary16 bits -> the same value as a float (exact). */
+/**
+ * binary16 bits -> the same value as a float (exact), bit for bit
+ * what the softfloat core's half-to-single conversion returns: a NaN
+ * becomes the core's quiet NaN. The normal, inf/NaN and subnormal
+ * patterns are computed without branches and the exponent field
+ * selects one. A subnormal is man * 2^-24, a normal float; both
+ * steps are exact.
+ *
+ * The select stays a conditional, not an and/or of all-ones masks:
+ * the compiler may then keep a predicted branch around the subnormal
+ * candidate, which a mask select would put on the critical path of
+ * every fma chain (the widened accumulator), at about half again the
+ * time per fma.
+ */
 inline float
 widenHalf(std::uint64_t h)
 {
-    const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u)
-                               << 16;
-    const auto exp = static_cast<std::uint32_t>(h >> 10) & 0x1fu;
-    auto man = static_cast<std::uint32_t>(h) & 0x3ffu;
-    std::uint32_t bits;
-    if (exp == 0x1f) {
-        bits = sign | 0x7f800000u | (man << 13);  // inf, NaN
-    } else if (exp != 0) {
-        bits = sign | ((exp + 112) << 23) | (man << 13);
-    } else if (man == 0) {
-        bits = sign;
-    } else {
-        // Subnormal man * 2^-24: move the leading one to the hidden
-        // bit position (bit 10) and lower the exponent to match.
-        const auto shift =
-            static_cast<std::uint32_t>(std::countl_zero(man) - 21);
-        man <<= shift;
-        bits = sign | ((113 - shift) << 23) | ((man & 0x3ffu) << 13);
-    }
-    return std::bit_cast<float>(bits);
+    const auto x = static_cast<std::uint32_t>(h);
+    const std::uint32_t sign = (x & 0x8000u) << 16;
+    const std::uint32_t exp = (x >> 10) & 0x1fu;
+    const std::uint32_t man = x & 0x3ffu;
+    const std::uint32_t normal = sign | ((exp + 112) << 23) | (man << 13);
+    const std::uint32_t special =
+        man == 0 ? sign | 0x7f800000u
+                 : static_cast<std::uint32_t>(quietNaN(kSingle));
+    const std::uint32_t subnormal =
+        sign |
+        std::bit_cast<std::uint32_t>(static_cast<float>(man) * 0x1p-24f);
+    return std::bit_cast<float>(exp == 0      ? subnormal
+                                : exp == 0x1f ? special
+                                              : normal);
 }
 
 /** bfloat16 is the top half of a binary32 pattern (exact). */

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fp/host.hh"
 #include "nn/digits.hh"
 #include "nn/tensor.hh"
 
@@ -97,7 +98,9 @@ class MnistNet
     }
 
     /**
-     * Forward pass entirely in softfloat precision P.
+     * Forward pass entirely in softfloat precision P. Every dot
+     * product (a conv window, a dense neuron) is one fp::fmaChain of
+     * weight times input onto the bias, in row-major order.
      *
      * @param pixels Image encoded at precision P (row-major 12x12).
      * @param logits Output array of kDigitClasses logits.
@@ -108,7 +111,9 @@ class MnistNet
     {
         // conv + ReLU + 2x2 maxpool
         std::array<Value, kFlat> flat{};
+        std::array<Value, kKernel * kKernel> window;
         for (std::size_t filt = 0; filt < kConvFilters; ++filt) {
+            const Value *filter = &convW_[filt * window.size()];
             for (std::size_t py = 0; py < kPoolOut; ++py) {
                 for (std::size_t px = 0; px < kPoolOut; ++px) {
                     Value best{};
@@ -117,19 +122,15 @@ class MnistNet
                         for (std::size_t wx = 0; wx < 2; ++wx) {
                             const std::size_t oy = 2 * py + wy;
                             const std::size_t ox = 2 * px + wx;
-                            Value acc = convB_[filt];
-                            for (std::size_t ky = 0; ky < kKernel;
-                                 ++ky) {
+                            for (std::size_t ky = 0; ky < kKernel; ++ky)
                                 for (std::size_t kx = 0; kx < kKernel;
-                                     ++kx) {
-                                    acc = fma(
-                                        convW_[(filt * kKernel + ky) *
-                                                   kKernel + kx],
+                                     ++kx)
+                                    window[ky * kKernel + kx] =
                                         pixels[(oy + ky) * kDigitSize +
-                                               ox + kx],
-                                        acc);
-                                }
-                            }
+                                               ox + kx];
+                            Value acc =
+                                fp::fmaChain(filter, 1, window.data(), 1,
+                                             window.size(), convB_[filt]);
                             if (acc < Value{})  // ReLU
                                 acc = Value{};
                             if (first || best < acc) {
@@ -147,19 +148,15 @@ class MnistNet
         // dense 150 -> 32 + ReLU
         std::array<Value, kHidden> hidden{};
         for (std::size_t h = 0; h < kHidden; ++h) {
-            Value acc = fc1B_[h];
-            for (std::size_t i = 0; i < kFlat; ++i)
-                acc = fma(fc1W_[h * kFlat + i], flat[i], acc);
+            const Value acc = fp::fmaChain(&fc1W_[h * kFlat], 1,
+                                           flat.data(), 1, kFlat, fc1B_[h]);
             hidden[h] = acc < Value{} ? Value{} : acc;
         }
 
         // dense 32 -> 10 logits
-        for (std::size_t c = 0; c < kDigitClasses; ++c) {
-            Value acc = fc2B_[c];
-            for (std::size_t h = 0; h < kHidden; ++h)
-                acc = fma(fc2W_[c * kHidden + h], hidden[h], acc);
-            logits[c] = acc;
-        }
+        for (std::size_t c = 0; c < kDigitClasses; ++c)
+            logits[c] = fp::fmaChain(&fc2W_[c * kHidden], 1, hidden.data(),
+                                     1, kHidden, fc2B_[c]);
     }
 
     /** Weight buffers, exposed for fault injection. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "nn/digits.hh"
 #include "nn/mnistnet.hh"
@@ -43,7 +44,8 @@ class MnistWorkload : public Workload
     using Value = fp::Fp<P>;
 
     explicit MnistWorkload(double scale)
-        : net_(pretrainedMnist())
+        : pristine_(std::make_shared<const MnistNet<P>>(pretrainedMnist())),
+          net_(*pristine_)
     {
         batch_ = std::max<std::size_t>(
             1, static_cast<std::size_t>(std::lround(4.0 * scale)));
@@ -69,7 +71,7 @@ class MnistWorkload : public Workload
     {
         // Weights may have been corrupted by a previous trial:
         // reload them (the FPGA/GPU reloads its binary per run).
-        net_ = MnistNet<P>(pretrainedMnist());
+        net_ = *pristine_;
         DigitGenerator gen(input_seed);
         for (std::size_t b = 0; b < batch_; ++b) {
             const DigitSample sample = gen.next();
@@ -170,6 +172,8 @@ class MnistWorkload : public Workload
     }
 
   private:
+    /** The quantised weights as loaded; clones share them. */
+    std::shared_ptr<const MnistNet<P>> pristine_;
     MnistNet<P> net_;
     std::size_t batch_;
     std::vector<Value> pixels_;
@@ -184,6 +188,7 @@ class YoliteWorkload : public Workload
     using Value = fp::Fp<P>;
 
     explicit YoliteWorkload(double scale)
+        : pristine_(std::make_shared<const YoliteNet<P>>()), net_(*pristine_)
     {
         batch_ = std::max<std::size_t>(
             1, static_cast<std::size_t>(std::lround(2.0 * scale)));
@@ -208,7 +213,7 @@ class YoliteWorkload : public Workload
     void
     reset(std::uint64_t input_seed) override
     {
-        net_ = YoliteNet<P>();  // reload weights
+        net_ = *pristine_;  // reload weights
         SceneGenerator gen(input_seed);
         for (std::size_t b = 0; b < batch_; ++b) {
             const Scene scene = gen.next();
@@ -302,6 +307,8 @@ class YoliteWorkload : public Workload
         return worst;
     }
 
+    /** The quantised filters as loaded; clones share them. */
+    std::shared_ptr<const YoliteNet<P>> pristine_;
     YoliteNet<P> net_;
     std::size_t batch_ = 2;
     double threshold_ = 0.0;

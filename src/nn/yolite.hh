@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "fp/value.hh"
+#include "fp/host.hh"
 
 namespace mparch::nn {
 
@@ -179,21 +179,21 @@ class YoliteNet
     }
 
   private:
-    /** Correlation of filter @p cls with the patch at (y, x). */
+    /**
+     * Correlation of filter @p cls with the patch at (y, x): one
+     * fp::fmaChain of the filter row against the patch's pixels.
+     */
     Value
     correlate(const std::vector<Value> &image, std::size_t cls,
               std::size_t y, std::size_t x) const
     {
-        Value acc{};
-        for (std::size_t ky = 0; ky < kShapeSize; ++ky) {
-            for (std::size_t kx = 0; kx < kShapeSize; ++kx) {
-                acc = fma(
-                    filters_[(cls * kShapeSize + ky) * kShapeSize +
-                             kx],
-                    image[(y + ky) * kSceneSize + x + kx], acc);
-            }
-        }
-        return acc;
+        std::array<Value, kShapeSize * kShapeSize> patch;
+        for (std::size_t ky = 0; ky < kShapeSize; ++ky)
+            for (std::size_t kx = 0; kx < kShapeSize; ++kx)
+                patch[ky * kShapeSize + kx] =
+                    image[(y + ky) * kSceneSize + x + kx];
+        return fp::fmaChain(&filters_[cls * patch.size()], 1, patch.data(),
+                            1, patch.size(), Value{});
     }
 
     std::vector<Value> filters_;

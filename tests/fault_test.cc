@@ -18,6 +18,7 @@
 #include "fault/campaign.hh"
 #include "fault/hooks.hh"
 #include "fault/model.hh"
+#include "nn/nn_workloads.hh"
 #include "test_util.hh"
 #include "workloads/workload.hh"
 
@@ -538,8 +539,8 @@ TEST(FaultAnatomyTest, LowMantissaCriticalityGrowsAsPrecisionShrinks)
 // Gate equivalence. An armed fault (hook plus strike trigger) sends
 // only its struck ops through the softfloat stages and lets every
 // other op take the host FPU, one op at a time or, in the block-gated
-// kernels (micro, lavamd, mxm's chains), a whole un-struck block at
-// once; the same fault behind a generic FpHook
+// kernels (micro, lavamd, the fma chains of mxm and the CNNs), a whole
+// un-struck block at once; the same fault behind a generic FpHook
 // subclass instruments every op and advances the trigger at OperandA
 // visits, as the counting hooks did. Both must corrupt the same ops:
 // equal outputs, fired() and hits().
@@ -627,7 +628,8 @@ class GateEquivalenceTest : public ::testing::TestWithParam<GateCase>
 
 TEST_P(GateEquivalenceTest, OneShotFaultsMatchEveryOpInstrumented)
 {
-    auto w = makeWorkload(GetParam().name, GetParam().precision, 0.1);
+    auto w =
+        nn::makeAnyWorkload(GetParam().name, GetParam().precision, 0.1);
     const auto [mix, ticks] = goldenMix(*w);
     Rng rng(5);
     int cases = 0;
@@ -660,7 +662,8 @@ TEST_P(GateEquivalenceTest, OneShotFaultsMatchEveryOpInstrumented)
 
 TEST_P(GateEquivalenceTest, PersistentFaultsMatchEveryOpInstrumented)
 {
-    auto w = makeWorkload(GetParam().name, GetParam().precision, 0.1);
+    auto w =
+        nn::makeAnyWorkload(GetParam().name, GetParam().precision, 0.1);
     const auto [mix, ticks] = goldenMix(*w);
     Rng rng(6);
     int cases = 0;
@@ -724,7 +727,16 @@ INSTANTIATE_TEST_SUITE_P(
                       GateCase{"micro-fma", Precision::Single},
                       GateCase{"micro-fma", Precision::Double},
                       GateCase{"micro-fma", Precision::Half},
-                      GateCase{"micro-fma", Precision::Bfloat16}),
+                      GateCase{"micro-fma", Precision::Bfloat16},
+                      // The CNNs' dot products are fma chains too.
+                      GateCase{"mnist", Precision::Single},
+                      GateCase{"mnist", Precision::Double},
+                      GateCase{"mnist", Precision::Half},
+                      GateCase{"mnist", Precision::Bfloat16},
+                      GateCase{"yolite", Precision::Single},
+                      GateCase{"yolite", Precision::Double},
+                      GateCase{"yolite", Precision::Half},
+                      GateCase{"yolite", Precision::Bfloat16}),
     [](const auto &info) {
         std::string name = std::string(info.param.name) + "_" +
                            std::string(fp::precisionName(

@@ -151,6 +151,19 @@ TEST(HostGate, ConversionsMatchForcedSoftfloat)
     }
 }
 
+// Every binary16 pattern widens to the float the softfloat core's
+// half-to-single conversion returns, bit for bit: subnormals, zeros,
+// infinities and every NaN payload (the core returns its quiet NaN).
+TEST(HostGate, WidenHalfMatchesSoftfloatOnEveryPattern)
+{
+    for (std::uint64_t h = 0; h <= 0xffff; ++h) {
+        const std::uint64_t want =
+            forced([&] { return fpConvert(kSingle, kHalf, h); });
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(detail::widenHalf(h)), want)
+            << std::hex << "h=" << h;
+    }
+}
+
 // ---------------------------------------------------------------
 // Half/bfloat16 fma: host result only under the exact-sum proof
 
