@@ -410,8 +410,10 @@ readJournal(const std::string &path, std::string *error)
         return fail("bad scale '" + get("scale") + "' in '" + path +
                     "': must be above 0 and at most " +
                     std::to_string(static_cast<int>(cli::kMaxScale)));
-    h.config.trials =
-        std::strtoull(get("trials").c_str(), nullptr, 10);
+    if (!cli::parseCount(get("trials"), &h.config.trials) ||
+        h.config.trials == 0)
+        return fail("bad trials '" + get("trials") + "' in '" + path +
+                    "': must be a positive integer");
     h.config.seed = std::strtoull(get("seed").c_str(), nullptr, 10);
     h.config.inputSeed =
         std::strtoull(get("input-seed").c_str(), nullptr, 10);
@@ -424,8 +426,16 @@ readJournal(const std::string &path, std::string *error)
     h.config.operandStagesOnly =
         get("operand-stages-only") == "1";
     h.config.recordAnatomy = get("record-anatomy") == "1";
-    h.kindFilter =
-        static_cast<fp::OpKind>(std::atoi(get("kind-filter").c_str()));
+    // An op kind, or NumKinds for "every kind".
+    std::uint64_t kind_filter = 0;
+    constexpr auto kAnyKind =
+        static_cast<std::uint64_t>(fp::OpKind::NumKinds);
+    if (!cli::parseCount(get("kind-filter"), &kind_filter) ||
+        kind_filter > kAnyKind)
+        return fail("bad kind-filter '" + get("kind-filter") + "' in '" +
+                    path + "': must be an op kind from 0 to " +
+                    std::to_string(kAnyKind));
+    h.kindFilter = static_cast<fp::OpKind>(kind_filter);
     const auto engines = parseEngines(get("engines"));
     if (!engines)
         return fail("bad engine list in '" + path + "'");
