@@ -567,6 +567,18 @@ class MemoryTrialRunner : public TrialRunner
     }
 };
 
+/** The ops of @p kind a datapath campaign with @p kind_filter may
+ *  strike in a golden run with op counts @p ops. */
+std::uint64_t
+targetsOfKind(const fp::FpContext &ops, fp::OpKind kind,
+              fp::OpKind kind_filter)
+{
+    if (kind == fp::OpKind::Exp ||
+        (kind_filter != fp::OpKind::NumKinds && kind != kind_filter))
+        return 0;
+    return ops.count(kind);
+}
+
 /** Transient functional-unit campaign, one trial at a time. */
 class DatapathTrialRunner : public TrialRunner
 {
@@ -576,19 +588,13 @@ class DatapathTrialRunner : public TrialRunner
                         std::shared_ptr<const GoldenRun> golden = nullptr)
         : TrialRunner(w, config, std::move(golden))
     {
-        // Candidate kinds and their dynamic op counts (Exp is
-        // excluded: its constituent mul/fma ops are the targets).
+        // Candidate kinds and their dynamic op counts.
         for (std::size_t k = 0;
              k < static_cast<std::size_t>(fp::OpKind::NumKinds);
              ++k) {
             const auto kind = static_cast<fp::OpKind>(k);
-            if (kind == fp::OpKind::Exp)
-                continue;
-            if (kind_filter != fp::OpKind::NumKinds &&
-                kind != kind_filter) {
-                continue;
-            }
-            const std::uint64_t n = golden_->ops.count(kind);
+            const std::uint64_t n = targetsOfKind(golden_->ops, kind,
+                                                  kind_filter);
             if (n == 0)
                 continue;
             kinds_.emplace_back(kind, n);
@@ -831,6 +837,16 @@ std::uint64_t
 goldenRunCacheGeneration()
 {
     return g_goldenCacheGeneration.load();
+}
+
+std::uint64_t
+datapathTargets(const fp::FpContext &ops, fp::OpKind kind_filter)
+{
+    std::uint64_t n = 0;
+    for (std::size_t k = 0;
+         k < static_cast<std::size_t>(fp::OpKind::NumKinds); ++k)
+        n += targetsOfKind(ops, static_cast<fp::OpKind>(k), kind_filter);
+    return n;
 }
 
 std::unique_ptr<TrialRunner>

@@ -455,10 +455,21 @@ struct EngineAllocation
 };
 
 /**
+ * How many dynamic ops of a golden run with op counts @p ops a
+ * datapath campaign restricted to @p kind_filter (NumKinds: any kind)
+ * may strike. Exp ops are never struck themselves: their inner mul
+ * and fma ops are the targets. A datapath runner needs a non-zero
+ * count.
+ */
+std::uint64_t datapathTargets(const fp::FpContext &ops,
+                              fp::OpKind kind_filter);
+
+/**
  * Build the per-trial runner for any campaign kind (the supervisor's
  * and the replay tool's common factory).
  *
- * @param kind_filter Datapath campaigns: restrict to one op kind.
+ * @param kind_filter Datapath campaigns: restrict to one op kind
+ *                    (datapathTargets() must be non-zero).
  * @param engines     Persistent campaigns: engine allocations.
  * @param golden      Optional pre-computed golden run to share (the
  *                    golden-run cache); null recomputes it.

@@ -70,7 +70,9 @@ class DatapathFault : public fp::FpHook
     DatapathFault(const fp::StrikeTrigger &trigger, fp::Stage stage,
                   double bit_frac)
         : trigger_(trigger), stage_(stage), bitFrac_(bit_frac)
-    {}
+    {
+        trigger_.stage = stage;
+    }
 
     /**
      * The bit to corrupt in this visit of @p stage of @p op, or -1

@@ -441,8 +441,21 @@ replayTrial(Workload &w, const Journal &journal, std::uint64_t index)
         return replay;
     }
 
+    // A header kind filter is checked against the golden run: one
+    // that selects no op could not build a datapath runner.
+    auto golden = goldenRunFor(w, h.config.inputSeed);
+    if (h.kind == CampaignKind::Datapath &&
+        datapathTargets(golden->ops, h.kindFilter) == 0) {
+        replay.error = "bad kind-filter '" +
+                       std::to_string(static_cast<int>(h.kindFilter)) +
+                       "': the golden run has no op of that kind to "
+                       "strike";
+        return replay;
+    }
+
     const auto runner = makeTrialRunner(w, h.kind, h.config,
-                                        h.kindFilter, h.engines);
+                                        h.kindFilter, h.engines,
+                                        std::move(golden));
     if (goldenFingerprint(runner->golden()) != h.goldenFingerprint) {
         replay.error =
             "golden-run fingerprint mismatch: the workload, its "

@@ -168,6 +168,10 @@ addCore(Format f, std::uint64_t a, std::uint64_t b, OpKind op)
     const OpCtx ctx = detail::enterOp(op);
     if (ctx.host && detail::hostAdmits(op, f))
         return detail::hostAdd(f, a, op == OpKind::Sub ? fpNeg(f, b) : b);
+    if (ctx.hooked) {
+        if (const auto r = detail::hostStruck(f, ctx, op, a, b))
+            return *r;
+    }
     a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
         f.valueMask();
     b = detail::touch(ctx, op, Stage::OperandB, f.totalBits, b) &
@@ -253,6 +257,10 @@ fpMul(Format f, std::uint64_t a, std::uint64_t b)
     const OpCtx ctx = detail::enterOp(op);
     if (ctx.host && detail::hostAdmits(op, f))
         return detail::hostMul(f, a, b);
+    if (ctx.hooked) {
+        if (const auto r = detail::hostStruck(f, ctx, op, a, b))
+            return *r;
+    }
     a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
         f.valueMask();
     b = detail::touch(ctx, op, Stage::OperandB, f.totalBits, b) &

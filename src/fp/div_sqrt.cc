@@ -21,6 +21,10 @@ fpDiv(Format f, std::uint64_t a, std::uint64_t b)
     const OpCtx ctx = detail::enterOp(op);
     if (ctx.host && detail::hostAdmits(op, f))
         return detail::hostDiv(f, a, b);
+    if (ctx.hooked) {
+        if (const auto r = detail::hostStruck(f, ctx, op, a, b))
+            return *r;
+    }
     a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
         f.valueMask();
     b = detail::touch(ctx, op, Stage::OperandB, f.totalBits, b) &

@@ -186,6 +186,10 @@ fpFma(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c)
         if (r != detail::kHostDeclined)
             return r;
     }
+    if (ctx.hooked) {
+        if (const auto r = detail::hostStruck(f, ctx, op, a, b, c))
+            return *r;
+    }
     return fmaBody(f, a, b, c, ctx);
 }
 

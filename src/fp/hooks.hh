@@ -135,6 +135,9 @@ struct StrikeTrigger
     std::uint64_t period = 0;  ///< persistent: window period (0 = all)
     std::uint64_t lo = 0;      ///< persistent: window start
     std::uint64_t hi = 0;      ///< persistent: window end
+    /** The one stage a struck op's fault perturbs, when the fault
+     *  says so (NumStages: any); detail::hostStruck reads it. */
+    Stage stage = Stage::NumStages;
 
     OpCounts seen{};           ///< entered ops per kind
     std::uint64_t current = 0;

@@ -304,6 +304,62 @@ hostFma(Native<F> a, Native<F> b, Native<F> c)
 }
 
 /**
+ * Whether this build compiles fmaRunFmaUnit: GNU-compatible
+ * compilers targeting x86, where the FMA instructions are an
+ * extension the CPU reports at run time.
+ */
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define MPARCH_FP_FMA_UNIT 1
+#else
+#define MPARCH_FP_FMA_UNIT 0
+#endif
+
+/**
+ * The host block of fmaChain in single and double: acc = fma(a[i *
+ * sa], b[i * sb], acc) for i < @p n on the host, each NaN result
+ * canonicalised. host.cc compiles one loop twice: fmaRunFmaUnit for
+ * the FMA instruction set, fmaRunPlain for the baseline target, where
+ * std::fma is a libm call. An IEEE fma is correctly rounded, so both
+ * return the same bits; fmaRun() takes the first when hostHasFmaUnit
+ * says the CPU runs it. Half and bfloat16 chains stay inline
+ * (HostFp<P>): their fma is not the instruction.
+ */
+float fmaRunPlain(const Fp<Precision::Single> *a, std::size_t sa,
+                  const Fp<Precision::Single> *b, std::size_t sb,
+                  std::size_t n, float acc);
+double fmaRunPlain(const Fp<Precision::Double> *a, std::size_t sa,
+                   const Fp<Precision::Double> *b, std::size_t sb,
+                   std::size_t n, double acc);
+
+#if MPARCH_FP_FMA_UNIT
+float fmaRunFmaUnit(const Fp<Precision::Single> *a, std::size_t sa,
+                    const Fp<Precision::Single> *b, std::size_t sb,
+                    std::size_t n, float acc);
+double fmaRunFmaUnit(const Fp<Precision::Double> *a, std::size_t sa,
+                     const Fp<Precision::Double> *b, std::size_t sb,
+                     std::size_t n, double acc);
+
+/** __builtin_cpu_supports("fma"), read once at start-up (false
+ *  before that: the plain compilation is never wrong). */
+extern const bool hostHasFmaUnit;
+#else
+inline constexpr bool hostHasFmaUnit = false;
+#endif
+
+/** The fmaRun* compilation this CPU runs best. */
+template <Precision P, class T>
+T
+fmaRun(const Fp<P> *a, std::size_t sa, const Fp<P> *b, std::size_t sb,
+       std::size_t n, T acc)
+{
+#if MPARCH_FP_FMA_UNIT
+    if (hostHasFmaUnit)
+        return fmaRunFmaUnit(a, sa, b, sb, n, acc);
+#endif
+    return fmaRunPlain(a, sa, b, sb, n, acc);
+}
+
+/**
  * The softfloat fma body with no op entry and no hook (fma.cc), at
  * round-to-nearest-even: what fpFma computes for an un-struck op the
  * host declined.
@@ -475,23 +531,32 @@ runBlock(const OpCounts &upper, Body &&body)
  * The dot-product fma chain acc = fma(a[i * sa], b[i * sb], acc) for
  * i < @p n (strides in elements), with the result, op counts,
  * trigger state and hook calls of that per-op loop. The block gate
- * runs each un-struck prefix as one host block; the op it stopped at
- * goes through the per-op route.
+ * runs each un-struck prefix as one host block (single and double
+ * through detail::fmaRun); the op it stopped at goes through the
+ * per-op route.
  */
 template <Precision P>
 Fp<P>
 fmaChain(const Fp<P> *a, std::size_t sa, const Fp<P> *b, std::size_t sb,
          std::size_t n, Fp<P> acc)
 {
+    constexpr Format F = formatOf(P);
     std::size_t i = 0;
     while (i < n) {
         if (const std::size_t run = detail::peekBlock(OpKind::Fma, n - i)) {
-            HostTally tally;
-            HostFp<P> h(acc, tally);
-            for (const std::size_t end = i + run; i < end; ++i)
-                h = fma(HostFp<P>(a[i * sa], tally),
-                        HostFp<P>(b[i * sb], tally), h);
-            acc = Fp<P>(h);
+            if constexpr (F == kSingle || F == kDouble) {
+                acc = Fp<P>::fromBits(detail::toBits<F>(detail::fmaRun(
+                    a + i * sa, sa, b + i * sb, sb, run,
+                    detail::toNative<F>(acc.bits()))));
+                i += run;
+            } else {
+                HostTally tally;
+                HostFp<P> h(acc, tally);
+                for (const std::size_t end = i + run; i < end; ++i)
+                    h = fma(HostFp<P>(a[i * sa], tally),
+                            HostFp<P>(b[i * sb], tally), h);
+                acc = Fp<P>(h);
+            }
             detail::commitBlock(OpKind::Fma, run);
             if (i == n)
                 break;

@@ -14,6 +14,8 @@
 #include <xmmintrin.h>
 #endif
 
+#include <optional>
+
 #include "fp/format.hh"
 #include "fp/host.hh"
 #include "fp/softfloat.hh"
@@ -149,6 +151,23 @@ std::uint64_t hostSqrt(Format f, std::uint64_t a);
 std::uint64_t hostFma(Format f, std::uint64_t a, std::uint64_t b,
                       std::uint64_t c);
 std::uint64_t hostConvert(Format dst, Format src, std::uint64_t a);
+
+/**
+ * The host route of a struck add, sub, mul, div or fma (host.cc): the
+ * result of the softfloat body of @p op for the op @p ctx entered,
+ * with the same hook calls, or nullopt when the caller must run that
+ * body. It answers when the op's trigger is armed (FpContext::strike),
+ * the op rounds to nearest-even on a ready host FPU, @p f is single or
+ * double, and the trigger's stage is one the host can stand in for:
+ * an operand (every operand is touched in the softfloat order, then
+ * the host op runs on the perturbed values) or a finite non-zero
+ * result (the one case where the body certainly reaches roundPack's
+ * Result touch). @p c is read by fma only.
+ */
+std::optional<std::uint64_t> hostStruck(Format f, const OpCtx &ctx,
+                                        OpKind op, std::uint64_t a,
+                                        std::uint64_t b,
+                                        std::uint64_t c = 0);
 
 } // namespace mparch::fp::detail
 

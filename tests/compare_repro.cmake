@@ -1,15 +1,25 @@
 # Usage: cmake -DREPRO=<mparch_repro> -DGOLDEN=<dir> -DOUT=<dir>
-#              [-DID=<experiment>] [-DRECORD=ON] -P compare_repro.cmake
+#              [-DID=<experiment>] [-DJOBS=<n>] [-DRECORD=ON]
+#              -P compare_repro.cmake
 #
 # Without ID: runs every registry experiment at throwaway size
 # (--trials 2 --scale 0.1). With ID: runs that one experiment at its
-# default trials and scale. Either way at --jobs 1 with --json OUT,
-# then compares each ResultDoc line by line with its pinned copy
-# GOLDEN/<id>.json. A differing line, a missing golden file or an
-# extra one fails, naming the experiment, the line number and both
-# lines. RECORD=ON rewrites the pinned copies from this run instead.
+# default trials and scale. Either way at --jobs 1 (or --jobs JOBS)
+# with --json OUT, then compares each ResultDoc line by line with its
+# pinned copy GOLDEN/<id>.json. With JOBS, the ResultDoc's "jobs" line
+# is left out of the comparison: the pins are recorded at --jobs 1,
+# and every other line must not depend on the worker count. A
+# differing line, a missing golden file or an extra one fails, naming
+# the experiment, the line number and both lines. RECORD=ON rewrites
+# the pinned copies from this run instead (not with JOBS).
 
 cmake_minimum_required(VERSION 3.16)
+
+if(NOT JOBS)
+    set(JOBS 1)
+elseif(RECORD)
+    message(FATAL_ERROR "pins are recorded at --jobs 1: drop -DJOBS")
+endif()
 
 if(ID)
     set(select --filter "^${ID}$")
@@ -21,7 +31,8 @@ endif()
 
 file(REMOVE_RECURSE "${OUT}")
 execute_process(
-    COMMAND "${REPRO}" ${select} --jobs 1 --no-progress --json "${OUT}"
+    COMMAND "${REPRO}" ${select} --jobs ${JOBS} --no-progress
+            --json "${OUT}"
     RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT status STREQUAL "0")
     message(FATAL_ERROR "mparch_repro exited with '${status}'\n${err}")
@@ -59,6 +70,11 @@ foreach(path IN LISTS pinned)
     endif()
     file(READ "${path}" expected)
     file(READ "${OUT}/${id}.json" actual)
+    if(NOT JOBS EQUAL 1)
+        set(jobs_line "\n  \"jobs\": [0-9]+,\n")
+        string(REGEX REPLACE "${jobs_line}" "\n" expected "${expected}")
+        string(REGEX REPLACE "${jobs_line}" "\n" actual "${actual}")
+    endif()
     if(NOT expected STREQUAL actual)
         report_first_difference("${id}" "${expected}" "${actual}")
     endif()

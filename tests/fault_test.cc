@@ -746,27 +746,48 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
- * A scripted op stream over zeros, NaNs, infinities and subnormals:
- * struck ops that return early before their stage, exp/log whose
- * inner ops move the shared one-shot index between the outer op's
- * stages, and fpFromInt/fpToInt, which have no OperandA visit and so
- * leave the trigger where it was.
+ * A scripted op stream in @p f over zeros, NaNs, infinities and
+ * subnormals: struck ops that return early before their stage, exp/log
+ * whose inner ops move the shared one-shot index between the outer
+ * op's stages, and fpFromInt/fpToInt, which have no OperandA visit and
+ * so leave the trigger where it was. The last operands overflow to
+ * infinity or underflow (or cancel) to zero from finite non-zero
+ * operands, where the host route of a struck Result stage hands the op
+ * back to softfloat.
  */
 std::vector<std::uint64_t>
-scriptedOps()
+scriptedOps(fp::Format f)
 {
-    const fp::Format f = fp::kSingle;
+    const std::uint64_t big = fp::maxFinite(f, false);
+    const std::uint64_t tiny = fp::packFields(f, false, 0, 1);
     const std::uint64_t values[] = {
         fp::fpFromDouble(f, 1.5),    fp::zero(f, false),
         fp::quietNaN(f),             fp::infinity(f, true),
         fp::packFields(f, false, 0, 5), fp::fpFromDouble(f, -2.25),
         fp::maxFinite(f, false),     fp::fpFromDouble(f, 0.75),
     };
-    std::vector<std::uint64_t> out;
+    struct Operands
+    {
+        std::uint64_t a, b, c;
+    };
+    std::vector<Operands> operands;
     for (std::size_t i = 0; i < std::size(values); ++i) {
-        const std::uint64_t a = values[i];
-        const std::uint64_t b = values[(i + 3) % std::size(values)];
-        const std::uint64_t c = values[(i + 5) % std::size(values)];
+        operands.push_back({values[i], values[(i + 3) % std::size(values)],
+                            values[(i + 5) % std::size(values)]});
+    }
+    // big+big, big*big, fma overflow; big-big cancels; -big*2
+    // overflows; big/tiny overflows; tiny*0.5, tiny/big and
+    // tiny*0.5-tiny underflow to zero; 1.5*2-3 cancels.
+    operands.push_back({big, big, big});
+    operands.push_back({fp::fpNeg(f, big), fp::fpFromDouble(f, 2.0), big});
+    operands.push_back({big, tiny, fp::fpNeg(f, big)});
+    operands.push_back({tiny, fp::fpFromDouble(f, 0.5), fp::fpNeg(f, tiny)});
+    operands.push_back({tiny, big, tiny});
+    operands.push_back({fp::fpFromDouble(f, 1.5), fp::fpFromDouble(f, 2.0),
+                        fp::fpFromDouble(f, -3.0)});
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < operands.size(); ++i) {
+        const auto [a, b, c] = operands[i];
         out.push_back(fp::fpAdd(f, a, b));
         out.push_back(fp::fpMul(f, a, b));
         out.push_back(fp::fpFma(f, a, b, c));
@@ -783,7 +804,7 @@ scriptedOps()
 }
 
 std::vector<std::uint64_t>
-scripted(DatapathFault &fault, bool gated)
+scripted(fp::Format f, DatapathFault &fault, bool gated)
 {
     EveryOp every(fault);
     fp::FpContext ctx;
@@ -792,55 +813,80 @@ scripted(DatapathFault &fault, bool gated)
     else
         ctx.hook = &every;
     fp::FpEnvGuard guard(ctx);
-    return scriptedOps();
+    return scriptedOps(f);
 }
 
+/** Bit fractions that strike a mantissa, an exponent and the sign
+ *  bit of a single or double operand or result (the stage width
+ *  times the fraction, rounded down). */
+constexpr double kScriptBitFracs[] = {0.3, 0.9, 0.99};
+
+/**
+ * The armed route (struck single/double operand and result stages on
+ * the host, detail::hostStruck) against the every-op hooked softfloat
+ * route: same result bits, fired() and hits() for every kind, index,
+ * stage, persist mode and bit position of the script.
+ */
 TEST(GateScriptTest, EdgeCasesEveryKindIndexAndStage)
 {
-    fp::FpContext mix;
-    {
-        fp::FpEnvGuard guard(mix);
-        (void)scriptedOps();
-    }
-    int fired = 0;
-    int hit = 0;
-    for (OpKind kind : kGateKinds) {
-        ASSERT_GT(mix.count(kind), 0u) << fp::opKindName(kind);
-        for (std::uint64_t index = 0; index < mix.count(kind); ++index) {
+    for (fp::Format f : {fp::kSingle, fp::kDouble}) {
+        fp::FpContext mix;
+        {
+            fp::FpEnvGuard guard(mix);
+            (void)scriptedOps(f);
+        }
+        int fired = 0;
+        int hit = 0;
+        for (OpKind kind : kGateKinds) {
+            ASSERT_GT(mix.count(kind), 0u) << fp::opKindName(kind);
             for (int s = 0; s < static_cast<int>(Stage::NumStages); ++s) {
                 const auto stage = static_cast<Stage>(s);
-                OneShotDatapathHook gated(kind, index, stage, 0.4);
-                OneShotDatapathHook every(kind, index, stage, 0.4);
-                EXPECT_EQ(scripted(gated, true), scripted(every, false))
-                    << fp::opKindName(kind) << " #" << index << " "
-                    << fp::stageName(stage);
-                EXPECT_EQ(gated.fired(), every.fired());
-                fired += gated.fired();
-            }
-        }
-        for (std::uint64_t units : {1, 2, 3}) {
-            for (std::uint64_t unit = 0; unit < units; ++unit) {
-                for (int s = 0; s < static_cast<int>(Stage::NumStages);
-                     ++s) {
-                    const auto stage = static_cast<Stage>(s);
-                    PersistentDatapathHook gated(kind, units, unit, stage,
-                                                 0.6, 0, 0, 0,
-                                                 PersistMode::StuckAt1);
-                    PersistentDatapathHook every(kind, units, unit, stage,
-                                                 0.6, 0, 0, 0,
-                                                 PersistMode::StuckAt1);
-                    EXPECT_EQ(scripted(gated, true),
-                              scripted(every, false))
-                        << fp::opKindName(kind) << " unit " << unit << "/"
-                        << units << " " << fp::stageName(stage);
-                    EXPECT_EQ(gated.hits(), every.hits());
-                    hit += gated.hits() > 0;
+                for (double frac : kScriptBitFracs) {
+                    const std::string what =
+                        std::to_string(f.totalBits) + "-bit " +
+                        fp::opKindName(kind) + " " +
+                        fp::stageName(stage) + " bit-frac " +
+                        std::to_string(frac);
+                    for (std::uint64_t index = 0; index < mix.count(kind);
+                         ++index) {
+                        OneShotDatapathHook gated(kind, index, stage, frac);
+                        OneShotDatapathHook every(kind, index, stage, frac);
+                        EXPECT_EQ(scripted(f, gated, true),
+                                  scripted(f, every, false))
+                            << what << " #" << index;
+                        EXPECT_EQ(gated.fired(), every.fired())
+                            << what << " #" << index;
+                        fired += gated.fired();
+                    }
+                    for (PersistMode mode :
+                         {PersistMode::Flip, PersistMode::StuckAt0,
+                          PersistMode::StuckAt1}) {
+                        for (std::uint64_t units : {1, 2, 3}) {
+                            for (std::uint64_t unit = 0; unit < units;
+                                 ++unit) {
+                                PersistentDatapathHook gated(
+                                    kind, units, unit, stage, frac, 0, 0,
+                                    0, mode);
+                                PersistentDatapathHook every(
+                                    kind, units, unit, stage, frac, 0, 0,
+                                    0, mode);
+                                EXPECT_EQ(scripted(f, gated, true),
+                                          scripted(f, every, false))
+                                    << what << " " << persistModeName(mode)
+                                    << " unit " << unit << "/" << units;
+                                EXPECT_EQ(gated.hits(), every.hits())
+                                    << what << " " << persistModeName(mode)
+                                    << " unit " << unit << "/" << units;
+                                hit += gated.hits() > 0;
+                            }
+                        }
+                    }
                 }
             }
         }
+        EXPECT_GT(fired, 300) << f.totalBits << "-bit";
+        EXPECT_GT(hit, 1000) << f.totalBits << "-bit";
     }
-    EXPECT_GT(fired, 100);
-    EXPECT_GT(hit, 100);
 }
 
 } // namespace

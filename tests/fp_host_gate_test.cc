@@ -5,9 +5,11 @@
  * the forced softfloat route bit for bit, the gate steps aside
  * whenever the host FPU leaves its IEEE default mode (directed
  * rounding, flush-to-zero, denormals-are-zero), a strike trigger
- * routes exactly its struck ops to the hook, and the block gate's
- * host blocks (fma chains, HostFp<P> ops, declines inside a block)
- * equal the per-op route.
+ * routes exactly its struck ops to the hook, the host route of a
+ * struck op takes only the stages it can stand in for, both
+ * compilations of the single/double fma chain equal softfloat, and
+ * the block gate's host blocks (fma chains, HostFp<P> ops, declines
+ * inside a block) equal the per-op route.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <cfenv>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -836,6 +839,130 @@ TEST(FmaChain, HostModesFallBackToSoftfloat)
             expectChainMatchesLoop(in, setup, "host mode");
         EXPECT_EQ(runLoop(true, in, {"bare context"}), want);
     }
+}
+
+// ---------------------------------------------------------------
+// fmaRun: the FMA-instruction and baseline compilations of the chain
+
+/**
+ * Random single/double chains (specials and NaN payloads included)
+ * through detail::fmaRun* @p run, against the per-op softfloat loop.
+ */
+template <Precision P, class Run>
+void
+expectFmaRunMatchesSoftfloat(Run run, const char *what)
+{
+    constexpr Format f = formatOf(P);
+    Rng rng(43);
+    int nans = 0;
+    for (int round = 0; round < 3000; ++round) {
+        const std::size_t n = rng.below(6) + 1;
+        std::vector<Fp<P>> a, b;
+        for (std::size_t i = 0; i < n; ++i) {
+            for (auto *v : {&a, &b}) {
+                v->push_back(Fp<P>::fromBits(
+                    rng.chance(0.3) ? operand(rng, f)
+                                    : fpFromDouble(f, rng.uniform(-4.0,
+                                                                  4.0))));
+            }
+        }
+        const std::uint64_t acc =
+            rng.chance(0.3) ? operand(rng, f)
+                            : fpFromDouble(f, rng.uniform(-4.0, 4.0));
+        const std::uint64_t want = forced([&] {
+            std::uint64_t c = acc;
+            for (std::size_t i = 0; i < n; ++i)
+                c = fpFma(f, a[i].bits(), b[i].bits(), c);
+            return c;
+        });
+        const std::uint64_t got = detail::toBits<f>(
+            run(a.data(), 1, b.data(), 1, n, detail::toNative<f>(acc)));
+        ASSERT_EQ(got, want) << what << " " << f.totalBits << "-bit round "
+                             << round;
+        nans += want == quietNaN(f);
+    }
+    EXPECT_GT(nans, 100) << what;  // canonicalised NaN results
+}
+
+TEST(FmaRun, PlainCompilationMatchesSoftfloat)
+{
+    expectFmaRunMatchesSoftfloat<Precision::Single>(
+        [](auto... args) { return detail::fmaRunPlain(args...); }, "plain");
+    expectFmaRunMatchesSoftfloat<Precision::Double>(
+        [](auto... args) { return detail::fmaRunPlain(args...); }, "plain");
+}
+
+TEST(FmaRun, FmaUnitCompilationMatchesSoftfloat)
+{
+#if MPARCH_FP_FMA_UNIT
+    if (!detail::hostHasFmaUnit)
+        GTEST_SKIP() << "this CPU has no FMA instructions";
+    expectFmaRunMatchesSoftfloat<Precision::Single>(
+        [](auto... args) { return detail::fmaRunFmaUnit(args...); },
+        "fma-unit");
+    expectFmaRunMatchesSoftfloat<Precision::Double>(
+        [](auto... args) { return detail::fmaRunFmaUnit(args...); },
+        "fma-unit");
+#else
+    GTEST_SKIP() << "fmaRunFmaUnit is built for x86 only";
+#endif
+}
+
+// ---------------------------------------------------------------
+// hostStruck: struck boundary stages on the host
+
+/** detail::hostStruck for one fma struck by @p fault, armed. */
+std::optional<std::uint64_t>
+struckFma(fault::DatapathFault &fault, Format f, std::uint64_t a,
+          std::uint64_t b, std::uint64_t c)
+{
+    FpContext ctx;
+    fault.arm(ctx);
+    FpEnvGuard guard(ctx);
+    const OpCtx oc = detail::enterOp(OpKind::Fma);
+    EXPECT_TRUE(oc.hooked);
+    return detail::hostStruck(f, oc, OpKind::Fma, a, b, c);
+}
+
+TEST(HostStruck, TakesBoundaryStagesAndDeclinesTheRest)
+{
+    using fault::PersistentDatapathHook;
+    const auto broken = [](Stage stage) {
+        return PersistentDatapathHook(OpKind::Fma, 1, 0, stage, 0.9);
+    };
+    for (Format f : {kSingle, kDouble}) {
+        const std::uint64_t x = fpFromDouble(f, 1.5);
+        const std::uint64_t big = maxFinite(f, false);
+        for (Stage stage : {Stage::OperandA, Stage::OperandC,
+                            Stage::Result}) {
+            PersistentDatapathHook fault = broken(stage);
+            EXPECT_TRUE(struckFma(fault, f, x, x, x).has_value())
+                << stageName(stage);
+            EXPECT_EQ(fault.hits(), 1u) << stageName(stage);
+        }
+        // Operands may be anything at an operand stage, and so may
+        // they at the result when it is finite and non-zero.
+        PersistentDatapathHook operand_b = broken(Stage::OperandB);
+        EXPECT_TRUE(struckFma(operand_b, f, big, big, quietNaN(f)));
+        PersistentDatapathHook zero_product = broken(Stage::Result);
+        EXPECT_TRUE(struckFma(zero_product, f, x, zero(f, false), x));
+        // A NaN, an overflow, an underflow to zero or a cancellation
+        // may return before roundPack; inner stages stay on softfloat.
+        const std::uint64_t tiny = packFields(f, false, 0, 1);
+        for (auto [a, b, c] :
+             {std::array{quietNaN(f), x, x}, std::array{big, big, x},
+              std::array{tiny, fpFromDouble(f, 0.5), fpNeg(f, tiny)},
+              std::array{x, fpFromDouble(f, 2.0), fpFromDouble(f, -3.0)}}) {
+            PersistentDatapathHook result = broken(Stage::Result);
+            EXPECT_FALSE(struckFma(result, f, a, b, c));
+            EXPECT_EQ(result.hits(), 0u);
+        }
+        PersistentDatapathHook inner = broken(Stage::PreRoundSig);
+        EXPECT_FALSE(struckFma(inner, f, x, x, x));
+    }
+    PersistentDatapathHook half = broken(Stage::OperandA);
+    const std::uint64_t h = fpFromDouble(kHalf, 1.5);
+    EXPECT_FALSE(struckFma(half, kHalf, h, h, h));
 }
 
 // ---------------------------------------------------------------

@@ -420,6 +420,39 @@ TEST(HostMath, HostGateFileIsTheException)
     EXPECT_EQ(report.active(), 0u);
 }
 
+TEST(HostMath, FlagsIsaDispatchOutsideTheGate)
+{
+    const char *dispatch = R"cpp(
+        #pragma GCC target("avx2")
+        [[gnu::target("fma")]] float f(float a);
+        __attribute__((noinline, target_clones("default", "fma")))
+        float g(float a);
+        [[gnu::__target__("avx")]] float h(float a);
+        bool fast() { return __builtin_cpu_supports("fma"); }
+        void init() { __builtin_cpu_init(); }
+        // Plain uses of the word are no attribute.
+        int target(int x) { return x; }
+        int y = target(3) + spec.target;
+    )cpp";
+    EXPECT_EQ(lintBuffer("src/workloads/mxm.cc", dispatch, "host-math")
+                  .active(),
+              6u);
+    EXPECT_EQ(lintBuffer("src/fp/arith.cc", dispatch, "host-math")
+                  .active(),
+              6u);
+    // The gate itself, and code outside src/, may dispatch.
+    EXPECT_EQ(lintBuffer("src/fp/host.cc", dispatch, "host-math")
+                  .active(),
+              0u);
+    EXPECT_EQ(lintBuffer("src/fp/host.hh", dispatch, "host-math")
+                  .active(),
+              0u);
+    EXPECT_EQ(lintBuffer("tests/fp_host_gate_test.cc", dispatch,
+                         "host-math")
+                  .active(),
+              0u);
+}
+
 TEST(HostMath, FpValueOverloadsAreNotHostMath)
 {
     // value.hh names its softfloat wrappers fma and sqrt; only a

@@ -3,9 +3,10 @@
 #              -P replay_bad_header.cmake
 #
 # Copies JOURNAL with its `#KEY=` line set to VALUE and checks that
-# `mparch_cli replay-trial` refuses the header when it reads it
-# (exit 1, "bad KEY 'VALUE'") instead of building a workload or a
-# trial runner from it.
+# `mparch_cli replay-trial` refuses the header (exit 1, "bad KEY
+# 'VALUE'") instead of panicking: when it reads the journal, before
+# building a workload, or, for a kind filter that selects no op of
+# the golden run, before building a trial runner.
 
 cmake_minimum_required(VERSION 3.16)
 
