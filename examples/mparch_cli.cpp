@@ -16,9 +16,6 @@
  *                 all hardware threads, the default);
  *                 journals and results are byte-identical to --jobs 1
  *                 because outcomes are committed in index order.
- *                 --shards/--shard run an interleaved slice (trial i
- *                 belongs to shard i mod N); merged shard journals
- *                 reproduce the unsharded campaign exactly.
  *   replay-trial  Re-execute one journaled trial standalone and dump
  *                 its fault anatomy, outcome and agreement with the
  *                 journal record.
@@ -30,10 +27,10 @@
  * code 0 on success; 1 when a campaign is refused or interrupted, a
  * study row's coverage is below 1, or a replay disagrees with its
  * journal; 2 on a usage error: an unknown subcommand or option, a
- * missing value, a malformed number, zero trials, a zero --scale,
- * --errors or --flux, a --scale above cli::kMaxScale, a shard count
- * of 0 or a shard index past it, --resume without --journal, or an
- * unknown name prints usage on stderr.
+ * missing value, a malformed number, zero trials or more than
+ * cli::kMaxTrials, a zero --scale, --errors or --flux, a --scale
+ * above cli::kMaxScale, --resume without --journal, or an unknown
+ * name prints usage on stderr.
  *
  * Every subcommand prints its tables through report::ResultDoc, the
  * renderer the experiment registry uses.
@@ -68,9 +65,10 @@ const char *const kUsage =
     "           [--model single-bit-flip|double-bit-flip|random-byte|\n"
     "                    random-value|word-burst] [--trials N]\n"
     "           [--scale S] [--journal DIR] [--resume] [--batch N]\n"
-    "           [--shards N --shard I] [--jobs N]\n"
+    "           [--jobs N]\n"
     "  replay-trial --journal FILE --trial N\n"
     "  beamplan --fit-per-hour R [--errors N] [--flux F]\n"
+    "  --trials N: at most 1000000\n"
     "  --scale S: workload size factor, 0.2 by default; above 0 and"
     " at most 16\n"
     "  --jobs N: trial worker threads, 0 (default) = all hardware"
@@ -116,9 +114,7 @@ cmdStudy(int argc, char **argv)
     config.arch =
         parseName(args, "arch", "gpu", core::parseArchitecture);
     config.workload = workloadName(args);
-    config.trials = args.count("trials", 300);
-    if (config.trials == 0)
-        args.fail("--trials must be at least 1");
+    config.trials = args.trials(300);
     config.scale = args.scale(0.2);
     if (args.has("precision")) {
         const fp::Precision p =
@@ -171,7 +167,7 @@ cmdCampaign(int argc, char **argv)
     const cli::Args args = cli::parse(
         {.usage = kUsage,
          .text = {"workload", "precision", "site", "model", "journal"},
-         .counts = {"trials", "batch", "shards", "shard", "jobs"},
+         .counts = {"trials", "batch", "jobs"},
          .reals = {"scale"},
          .switches = {"resume"}},
         argc, argv, 2);
@@ -182,9 +178,7 @@ cmdCampaign(int argc, char **argv)
     auto w = nn::makeAnyWorkload(workload, precision, scale);
 
     fault::CampaignConfig config;
-    config.trials = args.count("trials", 500);
-    if (config.trials == 0)
-        args.fail("--trials must be at least 1");
+    config.trials = args.trials(500);
     config.model = parseName(args, "model", "single-bit-flip",
                              fault::parseFaultModel);
     config.recordAnatomy = true;
@@ -202,12 +196,6 @@ cmdCampaign(int argc, char **argv)
     if (supervisor.resume && supervisor.journalDir.empty())
         args.fail("--resume needs --journal DIR");
     supervisor.batchSize = args.count("batch", 256);
-    supervisor.shardCount = args.count("shards", 1);
-    supervisor.shardIndex = args.count("shard", 0);
-    if (supervisor.shardCount == 0)
-        args.fail("--shards must be at least 1");
-    if (supervisor.shardIndex >= supervisor.shardCount)
-        args.fail("--shard must be below --shards");
     supervisor.jobs = args.jobs();
     supervisor.handleSignals = true;
 

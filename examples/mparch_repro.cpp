@@ -12,8 +12,8 @@
  *                     [--no-progress]
  * (`mparch_repro --help` explains each option). `--filter
  * '^fig3_fpga_fit$'` runs one experiment; `--trials`/`--scale` 0
- * keep the per-experiment defaults, and `--scale` is at most
- * cli::kMaxScale; results are identical for every `--jobs`.
+ * keep the per-experiment defaults, and they are at most
+ * cli::kMaxTrials/kMaxScale; results are identical for every `--jobs`.
  *
  * Options accept both "--opt value" and "--opt=value" (common/cli).
  * An unknown option, a missing value or a malformed number prints
@@ -47,7 +47,7 @@ const cli::Spec kSpec{
         "  --filter     run only experiments whose id matches the regex\n"
         "  --quick      only experiments flagged quick\n"
         "  --trials N   override injection trials (0 = per-experiment"
-        " default)\n"
+        " default; at most 1000000)\n"
         "  --scale X    override workload scale (0 = default; at most"
         " 16)\n"
         "  --jobs N     campaign worker threads (0 = all hardware"
@@ -113,7 +113,7 @@ main(int argc, char **argv)
     const cli::Args args = cli::parse(kSpec, argc, argv);
     const auto selected = selectExperiments(args);
     report::RunContext ctx;
-    ctx.trials = args.count("trials", 0);
+    ctx.trials = args.trials(0);
     ctx.scale = args.scale(0.0);
     ctx.jobs = args.jobs();
     ctx.progress = !args.has("no-progress");

@@ -185,7 +185,7 @@ class RngDisciplineRule final : public Rule
             "must come from the counter-based trialRng(seed, index)";
         f.hint = "use trialRng(seed, index) (or fork()/Rng::mix of "
                  "an existing stream) so any trial replays "
-                 "standalone and sharding cannot reorder draws";
+                 "standalone and --jobs cannot reorder draws";
         out.push_back(std::move(f));
     }
 };

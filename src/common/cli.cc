@@ -202,6 +202,19 @@ Args::scale(double fallback) const
     return s;
 }
 
+std::uint64_t
+Args::trials(std::uint64_t fallback) const
+{
+    const std::uint64_t n = count("trials", fallback);
+    if (n > kMaxTrials) {
+        fail("--trials " + std::to_string(n) + " is above the limit of " +
+             std::to_string(kMaxTrials));
+    }
+    if (n == 0 && fallback != 0)
+        fail("--trials must be at least 1");
+    return n;
+}
+
 double
 Args::real(const std::string &name, double fallback) const
 {

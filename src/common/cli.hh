@@ -40,6 +40,11 @@ inline constexpr unsigned kMaxJobs = 1024;
  */
 inline constexpr double kMaxScale = 16.0;
 
+/** The largest --trials count. Campaigns reserve per-trial storage
+ *  up front, so a mistyped count (1e12) must be refused, not left to
+ *  fail that allocation; 10^6 is hundreds of the paper's campaigns. */
+inline constexpr std::uint64_t kMaxTrials = 1'000'000;
+
 /** What an option or positional argument holds. */
 enum class Kind { Switch, Text, Count, Real };
 
@@ -104,6 +109,11 @@ class Args
      *  kMaxScale is rejected like a parse error, and so is 0 unless
      *  @p fallback is 0 (where 0 spells "the default"). */
     double scale(double fallback) const;
+
+    /** The --trials count, @p fallback when absent. A count above
+     *  kMaxTrials is rejected like a parse error, and so is 0 unless
+     *  @p fallback is 0 (where 0 spells "the default"). */
+    std::uint64_t trials(std::uint64_t fallback) const;
 
     /** Every value of a repeatable option, in order. */
     const std::vector<std::string> &all(const std::string &name) const;

@@ -215,9 +215,9 @@ class Rng
  *
  * Campaigns derive every per-trial draw from this instead of a shared
  * sequential stream, so (a) any single trial is replayable standalone
- * from (seed, index) alone, and (b) partitioning the index range
- * across shards cannot change any trial's sample — sharded and
- * unsharded campaigns agree bit-for-bit.
+ * from (seed, index) alone, and (b) running trials out of order, on
+ * worker threads or across a resume, cannot change any trial's
+ * sample: every run of a campaign agrees bit-for-bit.
  */
 inline Rng
 trialRng(std::uint64_t seed, std::uint64_t index)

@@ -336,8 +336,8 @@ void accumulate(CampaignResult &result, const TrialOutcome &trial);
  * tables; runTrial(i) then derives every random choice of trial i
  * from trialRng(config.seed, i) — a counter-based stream — so any
  * trial can be re-executed standalone (replay) and the set of
- * outcomes is independent of how the index range is partitioned
- * across processes (sharding).
+ * outcomes is independent of the order trials run in (worker
+ * threads, resume).
  *
  * makeTrialRunner() builds one for any CampaignKind. Every campaign
  * runs its trials through the supervisor (runSupervisedCampaign,

@@ -16,6 +16,9 @@ namespace {
 
 constexpr const char *kMagic = "#mparch-journal";
 
+/** The fixed v1 `#shard=` value (docs/campaigns.md). */
+constexpr const char *kOnlyShard = "0/1";
+
 /** Print a double so it round-trips exactly through text. */
 std::string
 fmtDouble(double v)
@@ -186,10 +189,6 @@ JournalHeader::mismatch(const JournalHeader &other) const
     if (diff("engines", formatEngines(engines),
              formatEngines(other.engines)))
         return os.str();
-    if (diff("shard count", shardCount, other.shardCount))
-        return os.str();
-    if (diff("shard index", shardIndex, other.shardIndex))
-        return os.str();
     if (goldenFingerprint != other.goldenFingerprint) {
         os << "golden-run fingerprint mismatch (journal: "
            << std::hex << goldenFingerprint << ", campaign: "
@@ -223,8 +222,7 @@ formatJournalHeader(const JournalHeader &header)
        << "#kind-filter=" << static_cast<int>(header.kindFilter)
        << "\n"
        << "#engines=" << formatEngines(header.engines) << "\n"
-       << "#shard=" << header.shardIndex << "/" << header.shardCount
-       << "\n"
+       << "#shard=" << kOnlyShard << "\n"
        << "#golden=" << std::hex << header.goldenFingerprint
        << std::dec << "\n"
        << "#columns=index,outcome,max_rel,corrupted_fraction,"
@@ -233,13 +231,11 @@ formatJournalHeader(const JournalHeader &header)
 }
 
 TrialRecord
-makeTrialRecord(std::uint64_t index, const TrialOutcome &trial,
-                int retries)
+makeTrialRecord(std::uint64_t index, const TrialOutcome &trial)
 {
     TrialRecord rec;
     rec.index = index;
     rec.outcome = trial.outcome;
-    rec.retries = retries;
     if (trial.outcome == OutcomeKind::Sdc) {
         rec.maxRel = trial.sdc.maxRel;
         rec.corruptedFraction = trial.sdc.corruptedFraction;
@@ -270,8 +266,6 @@ firstDifferingColumn(const TrialRecord &a, const TrialRecord &b)
         return "bit";
     if (a.field != b.field)
         return "field";
-    if (a.retries != b.retries)
-        return "retries";
     return "";
 }
 
@@ -327,7 +321,7 @@ JournalWriter::append(const TrialRecord &record)
          << fmtDouble(record.maxRel) << ','
          << fmtDouble(record.corruptedFraction) << ','
          << record.severity << ',' << record.bit << ','
-         << record.field << ',' << record.retries << '\n';
+         << record.field << ",0\n";
     if (++pending_ >= batch_)
         flush();
     if (!out_)
@@ -440,17 +434,9 @@ readJournal(const std::string &path, std::string *error)
     if (!engines)
         return fail("bad engine list in '" + path + "'");
     h.engines = *engines;
-    {
-        const auto shard = split(get("shard"), '/');
-        if (shard.size() != 2)
-            return fail("bad shard spec in '" + path + "'");
-        h.shardIndex =
-            std::strtoull(shard[0].c_str(), nullptr, 10);
-        h.shardCount =
-            std::strtoull(shard[1].c_str(), nullptr, 10);
-        if (h.shardCount == 0 || h.shardIndex >= h.shardCount)
-            return fail("bad shard spec in '" + path + "'");
-    }
+    if (get("shard") != kOnlyShard)
+        return fail("bad shard '" + get("shard") + "' in '" + path +
+                    "': must be " + kOnlyShard);
     h.goldenFingerprint =
         std::strtoull(get("golden").c_str(), nullptr, 16);
 
@@ -479,7 +465,12 @@ readJournal(const std::string &path, std::string *error)
         rec.severity = std::atoi(fields[4].c_str());
         rec.bit = std::atoi(fields[5].c_str());
         rec.field = std::atoi(fields[6].c_str());
-        rec.retries = std::atoi(fields[7].c_str());
+        // Refused, not cut as a torn tail: resume would truncate the
+        // valid records after it.
+        if (fields[7] != "0")
+            return fail("bad retries '" + fields[7] + "' in record " +
+                        std::to_string(rec.index) + " of '" + path +
+                        "': must be 0");
         journal.records.push_back(rec);
         journal.validBytes += line.size() + 1;
     }

@@ -60,11 +60,6 @@ struct JournalHeader
     /** Persistent campaigns: the engine allocations struck. */
     std::vector<EngineAllocation> engines;
 
-    /** Shard this journal belongs to (trial i is owned by shard
-     *  i % shardCount). */
-    std::uint64_t shardCount = 1;
-    std::uint64_t shardIndex = 0;
-
     /** FNV-1a fingerprint of the golden output bits and tick count. */
     std::uint64_t goldenFingerprint = 0;
 
@@ -93,14 +88,11 @@ struct TrialRecord
     /** Anatomy payload (-1 = not recorded). */
     int bit = -1;
     int field = -1;
-
-    /** Retries spent before this attempt succeeded. */
-    int retries = 0;
 };
 
 /** Build the journal record for one completed trial. */
 TrialRecord makeTrialRecord(std::uint64_t index,
-                            const TrialOutcome &trial, int retries);
+                            const TrialOutcome &trial);
 
 /**
  * Name of the first journal column (as in `#columns=`) whose value
@@ -171,8 +163,8 @@ struct Journal
  * Read a journal from disk.
  *
  * A torn final line (crash mid-append) is silently discarded;
- * structurally invalid headers return nullopt with a description in
- * @p error.
+ * structurally invalid headers, and records whose fixed `retries`
+ * column is not 0, return nullopt with a description in @p error.
  */
 std::optional<Journal> readJournal(const std::string &path,
                                    std::string *error = nullptr);

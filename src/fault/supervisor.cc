@@ -4,6 +4,7 @@
 #include <cmath>
 #include <csignal>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "common/parallel.hh"
@@ -87,74 +88,38 @@ goldenIsNonFinite(Workload &w, const GoldenRun &golden)
     return false;
 }
 
-JournalHeader
-makeHeader(Workload &w, CampaignKind kind,
-           const CampaignConfig &config,
-           const SupervisorConfig &supervisor, fp::OpKind kind_filter,
-           const std::vector<EngineAllocation> &engines,
-           const GoldenRun &golden)
-{
-    JournalHeader header;
-    header.kind = kind;
-    header.workload = w.name();
-    header.precision = w.precision();
-    // The factory scale replay rebuilds the workload at; a hand-built
-    // workload has none, and records the default.
-    if (const auto *identity = w.identity())
-        header.scale = identity->scale;
-    header.config = config;
-    header.kindFilter = kind_filter;
-    header.engines = engines;
-    header.shardCount = supervisor.shardCount;
-    header.shardIndex = supervisor.shardIndex;
-    header.goldenFingerprint = goldenFingerprint(golden);
-    return header;
-}
-
 /**
  * Everything the supervisor needs to know about one executed trial:
- * the outcome plus the retry bookkeeping. Produced by workers (or
- * the serial loop) and folded into the campaign by commit() on the
+ * its outcome, or why it was poisoned. Produced by workers (or the
+ * serial loop) and folded into the campaign by commit() on the
  * supervising thread, strictly in index order.
  */
 struct TrialCell
 {
     std::uint64_t index = 0;
-    TrialOutcome trial;
-    int throws = 0;        ///< exceptions caught (== serial `attempts`)
-    bool completed = false;
-    std::string error;     ///< last exception message when poisoned
+    std::optional<TrialOutcome> trial;  ///< empty when poisoned
+    std::string error;                  ///< why, when poisoned
 };
 
 /**
- * Run one trial with bounded retry. A trial that keeps throwing is
- * poisoned and the campaign moves on (graceful degradation; the
- * report carries the reduced coverage).
+ * Run one trial. A trial that throws, whatever it throws, is
+ * poisoned (graceful degradation; the report carries the reduced
+ * coverage): it is a pure function of (workload, seed, index), so
+ * running it again would throw again.
  */
 TrialCell
-runSupervisedTrial(TrialRunner &runner, std::uint64_t index,
-                   int max_retries)
+runSupervisedTrial(TrialRunner &runner, std::uint64_t index)
 {
     TrialCell cell;
     cell.index = index;
-    for (;;) {
-        try {
-            cell.trial = runner.runTrial(index);
-            cell.completed = true;
-            return cell;
-        } catch (const std::exception &e) {
-            if (cell.throws++ >= max_retries) {
-                cell.error = e.what();
-                return cell;
-            }
-        } catch (...) {
-            // Non-std exception: poison without retry, don't
-            // terminate.
-            cell.throws = max_retries + 1;
-            cell.error = "non-standard exception";
-            return cell;
-        }
+    try {
+        cell.trial = runner.runTrial(index);
+    } catch (const std::exception &e) {
+        cell.error = e.what();
+    } catch (...) {
+        cell.error = "non-standard exception";
     }
+    return cell;
 }
 
 /** The journal file @p supervisor names for this campaign: its
@@ -169,10 +134,7 @@ journalPathFor(const Workload &w, CampaignKind kind,
     std::filesystem::create_directories(supervisor.journalDir, ec);
     std::ostringstream name;
     name << w.name() << "-" << fp::precisionName(w.precision()) << "-"
-         << campaignKindName(kind);
-    if (supervisor.shardCount > 1)
-        name << "-shard" << supervisor.shardIndex;
-    name << ".mpj";
+         << campaignKindName(kind) << ".mpj";
     return (std::filesystem::path(supervisor.journalDir) / name.str())
         .string();
 }
@@ -187,21 +149,9 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
                       const std::vector<EngineAllocation> &engines)
 {
     SupervisedCampaign run;
-    const std::uint64_t shards = supervisor.shardCount;
-    if (shards == 0) {
-        run.error = "shard count must be at least 1";
-        return run;
-    }
-    if (supervisor.shardIndex >= shards) {
-        run.error = "shard index out of range";
-        return run;
-    }
+    run.planned = config.trials;
     run.journalPath = journalPathFor(w, kind, supervisor);
     const std::string &journalPath = run.journalPath;
-    for (std::uint64_t i = supervisor.shardIndex; i < config.trials;
-         i += shards) {
-        ++run.planned;
-    }
 
     // Golden reference + sampling tables (also validates config).
     const auto runner = makeTrialRunner(
@@ -215,9 +165,18 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
         return run;
     }
 
-    const JournalHeader header =
-        makeHeader(w, kind, config, supervisor, kind_filter, engines,
-                   runner->golden());
+    JournalHeader header{
+        .kind = kind,
+        .workload = w.name(),
+        .precision = w.precision(),
+        .config = config,
+        .kindFilter = kind_filter,
+        .engines = engines,
+        .goldenFingerprint = goldenFingerprint(runner->golden())};
+    // The factory scale replay rebuilds the workload at; a hand-built
+    // workload has none, and records the default.
+    if (const auto *identity = w.identity())
+        header.scale = identity->scale;
 
     // Resume: load completed trials and validate provenance.
     std::vector<bool> done;
@@ -239,8 +198,6 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
         done.assign(config.trials, false);
         for (const auto &rec : journal->records) {
             if (rec.index >= config.trials || done[rec.index])
-                continue;
-            if (rec.index % shards != supervisor.shardIndex)
                 continue;
             done[rec.index] = true;
             accumulate(run.result, rec);
@@ -280,8 +237,7 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
     // Indices this run still has to execute, in order.
     std::vector<std::uint64_t> pending;
     pending.reserve(run.planned - run.resumed);
-    for (std::uint64_t i = supervisor.shardIndex; i < config.trials;
-         i += shards) {
+    for (std::uint64_t i = 0; i < run.planned; ++i) {
         if (done.empty() || !done[i])
             pending.push_back(i);
     }
@@ -292,30 +248,23 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
                                    pending.size());
     }
 
-    // Fold one finished trial into the campaign: retry/poison
+    // Fold one finished trial into the campaign: poison
     // bookkeeping, tallies, journal. Called strictly in index order
     // on this thread, so serial and parallel runs produce identical
     // journal bytes and CampaignResults.
     const auto commit = [&](const TrialCell &cell) {
-        for (int t = 0; t < cell.throws; ++t)
+        if (!cell.trial) {
             bumpFailure(run, TrialFailure::WorkloadException);
-        if (!cell.completed) {
-            if (cell.throws > 0)
-                run.retried += static_cast<std::uint64_t>(
-                    cell.throws - 1);
-            warn("trial ", cell.index, " poisoned after ",
-                 cell.throws, " attempts: ", cell.error);
+            warn("trial ", cell.index, " poisoned: ", cell.error);
             ++run.poisoned;
             return;
         }
-        run.retried += static_cast<std::uint64_t>(cell.throws);
-        if (cell.trial.outcome == OutcomeKind::Due)
+        if (cell.trial->outcome == OutcomeKind::Due)
             bumpFailure(run, TrialFailure::HangWatchdog);
 
-        accumulate(run.result, cell.trial);
+        accumulate(run.result, *cell.trial);
         if (writer) {
-            writer->append(
-                makeTrialRecord(cell.index, cell.trial, cell.throws));
+            writer->append(makeTrialRecord(cell.index, *cell.trial));
             if (!writer->ok()) {
                 bumpFailure(run, TrialFailure::JournalIo);
                 warn("journal write to '", journalPath,
@@ -333,8 +282,7 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
                 run.interrupted = true;
                 break;
             }
-            commit(runSupervisedTrial(*runner, index,
-                                      supervisor.maxRetries));
+            commit(runSupervisedTrial(*runner, index));
         }
     } else {
         // Parallel path: workers claim chunks of the pending list,
@@ -371,9 +319,8 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
             std::uint64_t begin = 0, end = 0;
             while (chunker.next(begin, end)) {
                 for (std::uint64_t pos = begin; pos < end; ++pos) {
-                    channel.put(pos, runSupervisedTrial(
-                                         mine, pending[pos],
-                                         supervisor.maxRetries));
+                    channel.put(pos,
+                                runSupervisedTrial(mine, pending[pos]));
                 }
             }
             channel.producerDone();
@@ -471,7 +418,7 @@ replayTrial(Workload &w, const Journal &journal, std::uint64_t index)
         replay.journaled = rec;
         replay.hasJournaled = true;
         replay.mismatch = firstDifferingColumn(
-            rec, makeTrialRecord(index, replay.trial, rec.retries));
+            rec, makeTrialRecord(index, replay.trial));
         replay.consistent = replay.mismatch.empty();
         break;
     }

@@ -6,8 +6,8 @@
  * with the machinery that makes production-scale runs survivable:
  *
  *  - counter-based per-trial RNG (common/rng.hh trialRng), so every
- *    trial is replayable standalone and sharded runs agree exactly
- *    with unsharded ones;
+ *    trial is replayable standalone and runs agree exactly whatever
+ *    order their trials execute in;
  *  - an append-only trial journal (fault/journal.hh) flushed in
  *    configurable batches — a killed process loses at most one
  *    batch of trials;
@@ -15,9 +15,8 @@
  *    configuration and golden-run fingerprint (refusing to resume
  *    across mismatches), completed trials are skipped, and the
  *    campaign continues where it stopped;
- *  - a structured trial-failure taxonomy with bounded per-trial
- *    retry for transient failures and graceful degradation: a
- *    pathological trial poisons itself, not the campaign, which
+ *  - a structured trial-failure taxonomy with graceful degradation:
+ *    a trial that throws poisons itself, not the campaign, which
  *    completes and reports partial coverage;
  *  - SIGINT/SIGTERM-clean shutdown that flushes the journal and
  *    prints a resume hint.
@@ -49,8 +48,8 @@ namespace mparch::fault {
  *  - NonFiniteGolden: the fault-free reference output contains
  *    inf/NaN, so deviation-based classification is meaningless; the
  *    campaign refuses to run (campaign-level, not per-trial).
- *  - WorkloadException: Workload::execute()/reset() threw; retried
- *    up to SupervisorConfig::maxRetries, then the trial is poisoned.
+ *  - WorkloadException: Workload::execute()/reset() threw; the
+ *    trial is poisoned on that first throw.
  *  - JournalIo: appending or flushing the journal failed; journaling
  *    is disabled and the campaign continues in memory.
  */
@@ -74,7 +73,7 @@ struct SupervisorConfig
     std::string journalPath;
 
     /** Directory for derived journal file names
-     *  (<workload>-<precision>-<kind>[-shard<i>].mpj, the kind as
+     *  (<workload>-<precision>-<kind>.mpj, the kind as
      *  campaignKindName() spells it); created on demand. */
     std::string journalDir;
 
@@ -83,18 +82,6 @@ struct SupervisorConfig
 
     /** Trials per journal flush; a crash loses at most this many. */
     std::uint64_t batchSize = 256;
-
-    /** Retries per trial before it is abandoned as poisoned. */
-    int maxRetries = 2;
-
-    /**
-     * Shard this run executes: trial i is owned by shard
-     * i % shardCount == shardIndex. Counter-based RNG guarantees
-     * that merging all shards' results reproduces the unsharded
-     * campaign exactly. A count of 0 is refused.
-     */
-    std::uint64_t shardCount = 1;
-    std::uint64_t shardIndex = 0;
 
     /**
      * Worker threads executing trials: 1 runs the classic serial
@@ -133,16 +120,13 @@ struct SupervisedCampaign
      *  included). */
     CampaignResult result;
 
-    /** Trials this shard owns in total. */
+    /** Trials the campaign runs in total (CampaignConfig::trials). */
     std::uint64_t planned = 0;
 
     /** Trials loaded from the journal instead of executed. */
     std::uint64_t resumed = 0;
 
-    /** Retry attempts that were spent (across all trials). */
-    std::uint64_t retried = 0;
-
-    /** Trials abandoned after exhausting retries. */
+    /** Trials abandoned because the workload threw. */
     std::uint64_t poisoned = 0;
 
     /** Per-cause counters, indexed by TrialFailure. */
@@ -184,13 +168,13 @@ struct SupervisedCampaign
  *
  * The library's one campaign entry point. With an empty
  * journalPath and a journalDir set, the journal file name is derived
- * from the workload, precision, campaign kind and shard (see
+ * from the workload, precision and campaign kind (see
  * SupervisorConfig::journalDir).
  *
  * @param w           Workload (reset per trial).
  * @param kind        Which campaign protocol to run.
  * @param config      Campaign physics knobs.
- * @param supervisor  Robustness knobs (journal, resume, shards...).
+ * @param supervisor  Robustness knobs (journal, resume, jobs...).
  * @param kind_filter Datapath campaigns: restrict to one op kind.
  * @param engines     Persistent campaigns: engine allocations.
  */

@@ -68,7 +68,7 @@ struct CoverageReport
 {
     std::uint64_t planned = 0;   ///< trials this run owned
     std::uint64_t completed = 0; ///< trials with a recorded outcome
-    std::uint64_t poisoned = 0;  ///< abandoned after bounded retry
+    std::uint64_t poisoned = 0;  ///< abandoned: the workload threw
     double coverage = 1.0;       ///< completed / planned
     bool degraded = false;       ///< incomplete or any poisoned
     Interval avfSdc95;           ///< Wilson interval at achieved n

@@ -195,6 +195,24 @@ TEST(CliArgs, JobsUpToTheLimitAreAccepted)
     }
 }
 
+TEST(CliArgs, TrialsUpToTheLimitAreAccepted)
+{
+    const Spec spec{.usage = "usage: prog [--trials N]\n",
+                    .counts = {"trials"}};
+    std::string error;
+    const auto absent = Args::tryParse(spec, {}, &error);
+    ASSERT_TRUE(absent) << error;
+    EXPECT_EQ(absent->trials(300), 300u);
+    // With a fallback of 0, an explicit 0 spells "the default" too.
+    const auto zero = Args::tryParse(spec, {"--trials", "0"}, &error);
+    ASSERT_TRUE(zero) << error;
+    EXPECT_EQ(zero->trials(0), 0u);
+    const auto most = Args::tryParse(
+        spec, {"--trials", std::to_string(kMaxTrials)}, &error);
+    ASSERT_TRUE(most) << error;
+    EXPECT_EQ(most->trials(300), kMaxTrials);
+}
+
 TEST(CliParseDeathTest, JobsAboveTheLimitExitTwo)
 {
     // 2^32 and 2^32 + 1 once wrapped to 0 (all threads) and 1.

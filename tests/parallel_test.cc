@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -234,11 +235,13 @@ SupervisedCampaign
 runWithJobs(Workload &w, CampaignKind kind,
             const CampaignConfig &config, unsigned jobs,
             const std::string &journal,
-            const std::vector<EngineAllocation> &engines = {})
+            const std::vector<EngineAllocation> &engines = {},
+            bool resume = false)
 {
     SupervisorConfig supervisor;
     supervisor.jobs = jobs;
     supervisor.journalPath = journal;
+    supervisor.resume = resume;
     return runSupervisedCampaign(w, kind, config, supervisor,
                                  fp::OpKind::NumKinds, engines);
 }
@@ -259,7 +262,6 @@ expectParallelMatchesSerial(Workload &w, CampaignKind kind,
     ASSERT_TRUE(parallel.error.empty()) << parallel.error;
     EXPECT_FALSE(parallel.interrupted);
     EXPECT_EQ(parallel.planned, serial.planned);
-    EXPECT_EQ(parallel.retried, serial.retried);
     EXPECT_EQ(parallel.poisoned, serial.poisoned);
     expectSameResult(parallel.result, serial.result);
     // The strongest statement: the journals agree byte for byte.
@@ -321,7 +323,10 @@ TEST(ParallelCampaignTest, ManyWorkersOnTinyCampaign)
 
 /** Run @p kind at jobs 1 and 4; both journals must equal the
  *  committed tests/data/journals/<name>.mpj byte for byte. A
- *  mismatch names the fresh journal to copy over it to re-record. */
+ *  mismatch names the fresh journal to copy over it to re-record.
+ *  Then resume from the committed bytes cut after their first 10
+ *  records: a journal an earlier build wrote must resume to the same
+ *  bytes. */
 void
 expectPinnedJournal(const std::string &name, Workload &w,
                     CampaignKind kind, const CampaignConfig &config,
@@ -330,6 +335,10 @@ expectPinnedJournal(const std::string &name, Workload &w,
     const std::string pinned =
         std::string(MPARCH_PINNED_JOURNALS) + "/" + name + ".mpj";
     const std::string expected = slurp(pinned);
+    std::size_t cut = expected.find("\n#columns=");
+    for (int line = 0; line <= 10 && cut != std::string::npos; ++line)
+        cut = expected.find('\n', cut + 1);
+    ASSERT_NE(cut, std::string::npos) << pinned;
     for (unsigned jobs : {1u, 4u}) {
         const std::string path = tempPath(
             name + "-jobs" + std::to_string(jobs) + ".mpj");
@@ -339,6 +348,18 @@ expectPinnedJournal(const std::string &name, Workload &w,
         EXPECT_EQ(slurp(path), expected)
             << "journal at jobs " << jobs << " differs from " << pinned
             << "; to re-record: cp " << path << " " << pinned;
+
+        const std::string resumed = tempPath(
+            name + "-resumed-jobs" + std::to_string(jobs) + ".mpj");
+        std::ofstream(resumed, std::ios::binary)
+            << expected.substr(0, cut + 1);
+        const auto rerun = runWithJobs(w, kind, config, jobs, resumed,
+                                       engines, /*resume=*/true);
+        ASSERT_TRUE(rerun.error.empty()) << rerun.error;
+        EXPECT_EQ(rerun.resumed, 10u);
+        EXPECT_EQ(slurp(resumed), expected)
+            << "resumed journal at jobs " << jobs << " differs from "
+            << pinned;
     }
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the crash-safe campaign supervisor: counter-based trial
- * RNG, journal round-trips, kill-and-resume bit-exactness, sharding,
- * trial replay, and the structured failure taxonomy.
+ * RNG, journal round-trips, kill-and-resume bit-exactness, trial
+ * replay, and the structured failure taxonomy.
  */
 
 #include <gtest/gtest.h>
@@ -45,7 +45,7 @@ spit(const std::string &path, const std::string &text)
  * Minimal workload for failure-taxonomy tests. Its iteration count
  * lives in a corruptible buffer and is re-read every tick, so an
  * exponent flip makes the loop overrun the watchdog budget (a hang);
- * an optional callback turns chosen execute() calls into exceptions.
+ * optional callbacks turn chosen execute() calls into exceptions.
  */
 class ToyWorkload : public Workload
 {
@@ -85,9 +85,9 @@ class ToyWorkload : public Workload
         for (double i = 0.0;
              i < steps_[0].toDouble() && !env.aborted(); i += 1.0) {
             env.tick();
-            if (throwIntOnCorruptSteps &&
+            if (throwOnCorruptSteps &&
                 steps_[0].toDouble() != initialSteps_)
-                throw 7;
+                throwOnCorruptSteps();
             acc += i;
         }
         for (std::size_t i = 0; i < out_.size(); ++i)
@@ -118,9 +118,9 @@ class ToyWorkload : public Workload
     /** Added to every output element (golden perturbation knob). */
     double outputBias = 0.0;
 
-    /** When set, a trial whose fault lands in the loop bound throws
-     *  an int (a non-std exception) from execute(). */
-    bool throwIntOnCorruptSteps = false;
+    /** When set, a trial whose fault lands in the loop bound calls
+     *  this, which throws, from execute(). */
+    std::function<void()> throwOnCorruptSteps;
 
   private:
     double initialSteps_;
@@ -131,7 +131,8 @@ class ToyWorkload : public Workload
 TEST(TrialRngTest, CounterBasedAndOrderIndependent)
 {
     // Drawing trial 5's stream never depends on trials 0..4 having
-    // been drawn — the property sharding and replay rest on.
+    // been drawn — the property parallel runs, resume and replay
+    // rest on.
     Rng direct = trialRng(7, 5);
     for (std::uint64_t i = 0; i < 5; ++i)
         (void)trialRng(7, i).next();
@@ -160,8 +161,6 @@ TEST(JournalTest, HeaderAndRecordsRoundTrip)
     header.config.recordAnatomy = true;
     header.kindFilter = fp::OpKind::Mul;
     header.engines = {{{"fma", fp::OpKind::Fma, 16, 0, 8}, 4}};
-    header.shardCount = 3;
-    header.shardIndex = 1;
     header.goldenFingerprint = 0xdeadbeefcafe1234ULL;
 
     const std::string path = tempPath("roundtrip.mpj");
@@ -282,6 +281,35 @@ TEST(JournalTest, TornFinalLineIsDiscarded)
     EXPECT_EQ(journal->records[0].index, 0u);
 }
 
+TEST(JournalTest, NonZeroRetriesIsRefusedNotCut)
+{
+    // The v1 retries column is always 0. Another value refuses the
+    // journal instead of ending it as a torn tail, which resume would
+    // truncate along with every valid record after it.
+    JournalHeader header;
+    header.workload = "toy";
+    header.config.trials = 10;
+    const std::string path = tempPath("retries.mpj");
+    {
+        JournalWriter writer(path, header, 1, true);
+        TrialRecord rec;
+        for (rec.index = 0; rec.index < 3; ++rec.index)
+            writer.append(rec);
+    }
+    ASSERT_TRUE(readJournal(path).has_value());
+    std::string text = slurp(path);
+    const std::string record = "\n1,masked,0,0,-1,-1,-1,0\n";
+    const auto at = text.find(record);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, record.size(), "\n1,masked,0,0,-1,-1,-1,2\n");
+    spit(path, text);
+    std::string error;
+    EXPECT_FALSE(readJournal(path, &error).has_value());
+    EXPECT_NE(error.find("bad retries '2' in record 1"),
+              std::string::npos)
+        << error;
+}
+
 TEST(SupervisorTest, SameSeedTwiceIdenticalTallies)
 {
     auto w = makeWorkload("mxm", Precision::Single, 0.1);
@@ -302,40 +330,6 @@ TEST(SupervisorTest, SameSeedTwiceIdenticalTallies)
     const auto d = runSupervisedCampaign(
         *w, CampaignKind::Datapath, config, supervisor);
     expectSameResult(c.result, d.result);
-}
-
-TEST(SupervisorTest, ShardedRunsMergeToUnshardedResult)
-{
-    auto w = makeWorkload("mxm", Precision::Single, 0.1);
-    CampaignConfig config;
-    config.trials = 90;
-    config.seed = 13;
-    config.recordAnatomy = true;
-
-    const auto whole = runSupervisedCampaign(
-        *w, CampaignKind::Memory, config, SupervisorConfig{});
-
-    CampaignResult merged;
-    std::uint64_t planned = 0;
-    for (std::uint64_t shard = 0; shard < 3; ++shard) {
-        SupervisorConfig supervisor;
-        supervisor.shardCount = 3;
-        supervisor.shardIndex = shard;
-        const auto part = runSupervisedCampaign(
-            *w, CampaignKind::Memory, config, supervisor);
-        EXPECT_TRUE(part.error.empty()) << part.error;
-        planned += part.planned;
-        merged.merge(part.result);
-    }
-    EXPECT_EQ(planned, config.trials);
-    // Counter-based trial RNG makes shard tallies add up exactly.
-    EXPECT_EQ(merged.trials, whole.result.trials);
-    EXPECT_EQ(merged.masked, whole.result.masked);
-    EXPECT_EQ(merged.sdc, whole.result.sdc);
-    EXPECT_EQ(merged.due, whole.result.due);
-    EXPECT_EQ(merged.detected, whole.result.detected);
-    EXPECT_EQ(merged.corpus.size(), whole.result.corpus.size());
-    EXPECT_EQ(merged.anatomy.size(), whole.result.anatomy.size());
 }
 
 TEST(SupervisorTest, KillAndResumeBitIdentical)
@@ -463,41 +457,16 @@ TEST(SupervisorTest, ResumeRefusesChangedGoldenFingerprint)
         << second.error;
 }
 
-TEST(SupervisorTest, TransientExceptionsAreRetried)
-{
-    // Every trial's first attempt throws; the retry succeeds.
-    ToyWorkload w;
-    w.throwOn = [](int execution) {
-        return execution > 1 && execution % 2 == 0;
-    };
-    CampaignConfig config;
-    config.trials = 10;
-    SupervisorConfig supervisor;
-    supervisor.maxRetries = 2;
-    const auto run = runSupervisedCampaign(
-        w, CampaignKind::Memory, config, supervisor);
-    EXPECT_TRUE(run.error.empty()) << run.error;
-    EXPECT_EQ(run.result.trials, 10u);
-    EXPECT_EQ(run.retried, 10u);
-    EXPECT_EQ(run.poisoned, 0u);
-    EXPECT_EQ(run.failureCounts[static_cast<std::size_t>(
-                  TrialFailure::WorkloadException)],
-              10u);
-    EXPECT_TRUE(run.complete());
-}
-
 TEST(SupervisorTest, PersistentFailuresArePoisonedNotFatal)
 {
-    // Every injected execution throws: all trials exhaust their
-    // retries, yet the campaign completes and reports coverage 0.
+    // Every injected execution throws: every trial is poisoned on its
+    // first throw, yet the campaign completes and reports coverage 0.
     ToyWorkload w;
     w.throwOn = [](int execution) { return execution > 1; };
     CampaignConfig config;
     config.trials = 6;
-    SupervisorConfig supervisor;
-    supervisor.maxRetries = 1;
     const auto run = runSupervisedCampaign(
-        w, CampaignKind::Memory, config, supervisor);
+        w, CampaignKind::Memory, config, SupervisorConfig{});
     EXPECT_TRUE(run.error.empty()) << run.error;
     EXPECT_EQ(run.result.trials, 0u);
     EXPECT_EQ(run.poisoned, 6u);
@@ -505,40 +474,54 @@ TEST(SupervisorTest, PersistentFailuresArePoisonedNotFatal)
     // Poisoned trials are accounted for: the campaign "completes"
     // with degraded coverage rather than aborting.
     EXPECT_TRUE(run.complete());
+    // One throw per poisoned trial: none is run again.
     EXPECT_EQ(run.failureCounts[static_cast<std::size_t>(
                   TrialFailure::WorkloadException)],
-              12u);  // 6 trials x (1 attempt + 1 retry)
+              run.poisoned);
 }
 
 TEST(SupervisorTest, NonStdExceptionsPoisonAlikeAtEveryJobCount)
 {
-    // An int thrown from execute() poisons its trial without retry,
-    // in the serial loop exactly as on worker threads.
-    ToyWorkload w;
-    w.throwIntOnCorruptSteps = true;
-    CampaignConfig config;
-    config.trials = 120;
-    config.seed = 5;
-    SupervisedCampaign runs[2];
-    std::string journals[2];
-    const unsigned jobs[2] = {1, 4};
-    for (int i = 0; i < 2; ++i) {
-        SupervisorConfig supervisor;
-        supervisor.jobs = jobs[i];
-        supervisor.journalPath =
-            tempPath("int-throw-" + std::to_string(jobs[i]) + ".mpj");
-        runs[i] = runSupervisedCampaign(w, CampaignKind::Memory, config,
-                                        supervisor);
-        journals[i] = slurp(supervisor.journalPath);
-        EXPECT_TRUE(runs[i].error.empty()) << runs[i].error;
-        EXPECT_TRUE(runs[i].complete());
+    // An int (a non-std exception) and a std::runtime_error thrown
+    // from execute() each poison their trial on the first throw, in
+    // the serial loop exactly as on worker threads.
+    const std::pair<const char *, std::function<void()>> throwers[] = {
+        {"int", [] { throw 7; }},
+        {"runtime-error",
+         [] { throw std::runtime_error("corrupt loop bound"); }},
+    };
+    for (const auto &[what, thrower] : throwers) {
+        ToyWorkload w;
+        w.throwOnCorruptSteps = thrower;
+        CampaignConfig config;
+        config.trials = 120;
+        config.seed = 5;
+        SupervisedCampaign runs[2];
+        std::string journals[2];
+        const unsigned jobs[2] = {1, 4};
+        for (int i = 0; i < 2; ++i) {
+            SupervisorConfig supervisor;
+            supervisor.jobs = jobs[i];
+            supervisor.journalPath = tempPath(
+                std::string(what) + "-throw-" + std::to_string(jobs[i]) +
+                ".mpj");
+            runs[i] = runSupervisedCampaign(w, CampaignKind::Memory,
+                                            config, supervisor);
+            journals[i] = slurp(supervisor.journalPath);
+            EXPECT_TRUE(runs[i].error.empty()) << what << runs[i].error;
+            EXPECT_TRUE(runs[i].complete()) << what;
+        }
+        EXPECT_GT(runs[0].poisoned, 0u) << what;
+        EXPECT_GT(runs[0].result.trials, 0u) << what;
+        EXPECT_EQ(runs[0].failureCounts[static_cast<std::size_t>(
+                      TrialFailure::WorkloadException)],
+                  runs[0].poisoned)
+            << what;
+        EXPECT_EQ(runs[0].poisoned, runs[1].poisoned) << what;
+        EXPECT_EQ(runs[0].failureCounts, runs[1].failureCounts) << what;
+        expectSameResult(runs[0].result, runs[1].result);
+        EXPECT_EQ(journals[0], journals[1]) << what;
     }
-    EXPECT_GT(runs[0].poisoned, 0u);
-    EXPECT_GT(runs[0].result.trials, 0u);
-    EXPECT_EQ(runs[0].poisoned, runs[1].poisoned);
-    EXPECT_EQ(runs[0].failureCounts, runs[1].failureCounts);
-    expectSameResult(runs[0].result, runs[1].result);
-    EXPECT_EQ(journals[0], journals[1]);
 }
 
 TEST(SupervisorDeathTest, SignalStopsEveryLaterCampaign)
@@ -583,20 +566,6 @@ TEST(SupervisorDeathTest, SignalStopsEveryLaterCampaign)
         std::exit(ok ? 0 : 1);
     };
     EXPECT_EXIT(campaigns(), ::testing::ExitedWithCode(0), "");
-}
-
-TEST(SupervisorTest, ZeroShardCountIsRefused)
-{
-    auto w = makeWorkload("mxm", Precision::Single, 0.1);
-    CampaignConfig config;
-    config.trials = 10;
-    SupervisorConfig supervisor;
-    supervisor.shardCount = 0;
-    const auto run = runSupervisedCampaign(
-        *w, CampaignKind::Memory, config, supervisor);
-    EXPECT_NE(run.error.find("shard count"), std::string::npos)
-        << run.error;
-    EXPECT_EQ(run.result.trials, 0u);
 }
 
 TEST(SupervisorTest, HangsAreClassifiedAsDueAndCounted)
