@@ -54,17 +54,6 @@ bitFieldName(FaultAnatomy::Field field)
     return "?";
 }
 
-void
-CampaignConfig::validate() const
-{
-    if (!(timeoutFactor > 0.0)) {
-        fatal("CampaignConfig::timeoutFactor must be > 0 (got ",
-              timeoutFactor,
-              "); a non-positive tick budget classifies every trial "
-              "as a DUE");
-    }
-}
-
 double
 CampaignResult::fieldAvf(FaultAnatomy::Field field) const
 {
@@ -406,9 +395,7 @@ struct ArmedRun
  *
  * A resumable workload starts from golden checkpoint @p from instead
  * of reset() and tick 0; @p from must lie before the first point the
- * fault can act. A checkpoint past the tick budget makes the trial a
- * hang without executing, as the whole run would abort before
- * reaching it.
+ * fault can act.
  *
  * Once @p settled says the fault can act no more, the execution
  * stops as masked at the first checkpoint tick where the state equals
@@ -423,8 +410,7 @@ executeArmed(Workload &w, const GoldenRun &golden,
              const std::function<bool()> &settled)
 {
     const GoldenCheckpoints &checkpoints = golden.checkpoints;
-    const auto budget = static_cast<std::uint64_t>(std::ceil(
-        config.timeoutFactor * static_cast<double>(golden.ticks)));
+    const std::uint64_t budget = kTimeoutFactor * golden.ticks;
     ArmedRun run;
     fp::FpContext ctx;
     if (fault != nullptr)
@@ -434,10 +420,6 @@ executeArmed(Workload &w, const GoldenRun &golden,
     } else {
         const GoldenCheckpoints::Point &point = checkpoints[from];
         run.resumedAt = point.tick;
-        if (point.tick > budget) {
-            run.hung = true;
-            return run;
-        }
         checkpoints.restore(from, w);
         ctx.opCount = point.ops;
         if (fault != nullptr)
@@ -446,8 +428,7 @@ executeArmed(Workload &w, const GoldenRun &golden,
 
     ExecutionEnv env(run.resumedAt);
     env.tickBudget = budget;
-    const bool may_stop =
-        settled && !checkpoints.empty() && budget >= golden.ticks;
+    const bool may_stop = settled && !checkpoints.empty();
     env.onTick = [&](std::uint64_t tick) {
         if (on_tick)
             on_tick(tick);

@@ -150,20 +150,6 @@ struct CampaignConfig
     std::uint64_t inputSeed = 99;  ///< workload input seed
 
     /**
-     * Hang watchdog: a trial whose tick count exceeds
-     * golden ticks x timeoutFactor is aborted and classified as a
-     * DUE (the fault turned the run into a hang/crash).
-     *
-     * Must be strictly positive; campaign construction rejects 0 or
-     * negative values via fatal(), since they would classify every
-     * trial — including fault-free ones — as a DUE. Values in (0, 1]
-     * are legal but almost always a configuration mistake (the
-     * budget is below the fault-free execution length); choose > 1,
-     * typically 2-10.
-     */
-    double timeoutFactor = 4.0;
-
-    /**
      * Datapath campaigns only: restrict strikes to the operand
      * stages (register-read values) instead of the full internal
      * datapath. Supports the operand-vs-datapath criticality
@@ -177,10 +163,11 @@ struct CampaignConfig
      * (single-bit-flip model required).
      */
     bool recordAnatomy = false;
-
-    /** Reject invalid knob combinations via fatal(). */
-    void validate() const;
 };
+
+/** Hang watchdog: a trial past golden ticks x kTimeoutFactor is
+ *  aborted and classified as a DUE (the fault made it hang). */
+inline constexpr std::uint64_t kTimeoutFactor = 4;
 
 /**
  * Golden-prefix checkpoints: copies of a resumable workload's state
@@ -372,9 +359,6 @@ class TrialRunner
     /** The fault-free reference this campaign classifies against. */
     const GoldenRun &golden() const { return *golden_; }
 
-    /** The campaign knobs this runner was built with. */
-    const CampaignConfig &config() const { return config_; }
-
   protected:
     /**
      * @param golden Pre-computed golden run to share (golden-run
@@ -384,7 +368,6 @@ class TrialRunner
                 std::shared_ptr<const GoldenRun> golden = nullptr)
         : workload_(w), config_(config), golden_(std::move(golden))
     {
-        config.validate();
         if (!golden_) {
             golden_ =
                 std::make_shared<const GoldenRun>(w, config.inputSeed);

@@ -1,44 +1,36 @@
 #include "fault/journal.hh"
 
+#include <algorithm>
 #include <charconv>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <sstream>
+#include <cmath>
+#include <iterator>
+#include <limits>
+#include <type_traits>
 
 #include "common/cli.hh"
+#include "common/logging.hh"
 
 namespace mparch::fault {
 
 namespace {
 
-constexpr const char *kMagic = "#mparch-journal";
+using Header = JournalHeader;
+using Record = TrialRecord;
+using Text = std::string_view;
+template <typename T>
+using Bound = std::type_identity_t<T>;
 
-/** The fixed v1 `#shard=` value (docs/campaigns.md). */
-constexpr const char *kOnlyShard = "0/1";
+/** The first line of every v1 journal. */
+constexpr Text kMagic = "#mparch-journal v1";
 
-/** Print a double so it round-trips exactly through text. */
-std::string
-fmtDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+/** The `kind-filter` of a campaign that strikes every op kind. */
+constexpr auto kAnyKind = static_cast<unsigned>(fp::OpKind::NumKinds);
 
-/** The shortest text that round-trips @p v ("0.1", not
- *  "0.10000000000000001"), for the header's user-given knobs. */
-std::string
-fmtShortest(double v)
-{
-    char buf[40];
-    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
-}
+static_assert(kTimeoutFactor == 4, "v1 journals record a factor of 4");
+static_assert(cli::kMaxScale == 16, "the scale row says 16");
 
 std::optional<OutcomeKind>
-parseOutcome(const std::string &text)
+parseOutcome(Text text)
 {
     for (auto o : {OutcomeKind::Masked, OutcomeKind::Sdc,
                    OutcomeKind::Due, OutcomeKind::Detected}) {
@@ -48,55 +40,269 @@ parseOutcome(const std::string &text)
     return std::nullopt;
 }
 
-/** Split a string on a delimiter (keeps empty fields). */
-std::vector<std::string>
-split(const std::string &text, char delim)
+/** The text of @p rest up to the first @p delim (all of it when there
+ *  is none), removed from @p rest with the delimiter. */
+Text
+take(Text &rest, char delim)
 {
-    std::vector<std::string> fields;
-    std::string field;
-    std::istringstream is(text);
-    while (std::getline(is, field, delim))
-        fields.push_back(field);
-    return fields;
+    const std::size_t at = std::min(rest.find(delim), rest.size());
+    const Text field = rest.substr(0, at);
+    rest.remove_prefix(std::min(at + 1, rest.size()));
+    return field;
 }
 
-/** Serialise engine allocations: name:kind:units:period:lo:hi;... */
+/**
+ * One pass over one journal field: a read parses the whole of @c in
+ * into the value and checks its range; a write appends the value's
+ * text to @c out. A header row or record column is one function of a
+ * Codec, so its reader and writer cannot disagree on the field.
+ */
+struct Codec
+{
+    Text in = {};
+    std::string *out = nullptr;  ///< set when the pass writes
+
+    /** Room for any number's text (a %.17g double takes 24 chars). */
+    static constexpr std::size_t kChars = 32;
+
+    bool
+    put(Text t)
+    {
+        out->append(t);
+        return true;
+    }
+
+    /** An integer (in @p base), or a double as %.17g, which
+     *  round-trips; a read must lie in [@p lo, @p hi], where no NaN
+     *  does. from_chars takes no spaces, '+' or trailing junk. */
+    template <typename T>
+    bool
+    number(T &v, Bound<T> lo = std::numeric_limits<T>::lowest(),
+           Bound<T> hi = std::numeric_limits<T>::max(), int base = 10)
+    {
+        constexpr auto general = std::chars_format::general;
+        const char *end = in.data() + in.size();
+        char buf[kChars];
+        T got{};
+        std::from_chars_result r;
+        if constexpr (std::is_floating_point_v<T>) {
+            if (out) {
+                return put({buf, std::to_chars(buf, buf + kChars, v,
+                                               general, 17).ptr});
+            }
+            r = std::from_chars(in.data(), end, got);
+        } else {
+            if (out) {
+                return put(
+                    {buf, std::to_chars(buf, buf + kChars, v, base).ptr});
+            }
+            r = std::from_chars(in.data(), end, got, base);
+        }
+        if (r.ec != std::errc() || r.ptr != end || !(got >= lo && got <= hi))
+            return false;
+        v = got;
+        return true;
+    }
+
+    /** A double in its shortest round-trip text ("0.1"). */
+    bool
+    shortest(double &v, double lo, double hi)
+    {
+        char buf[kChars];
+        return out ? put({buf, std::to_chars(buf, buf + kChars, v).ptr})
+                   : number(v, lo, hi);
+    }
+
+    /** An enumerator, by the name @p nameOf gives and @p parse takes. */
+    template <typename T, typename Name, typename Parse>
+    bool
+    name(T &v, Name nameOf, Parse parse)
+    {
+        if (out)
+            return put(nameOf(v));
+        const auto got = parse(in);
+        v = got.value_or(v);
+        return got.has_value();
+    }
+
+    bool
+    flag(bool &v)
+    {
+        if (out)
+            return put(v ? "1" : "0");
+        v = in == "1";
+        return v || in == "0";
+    }
+
+    /** A fixed v1 value. */
+    bool fixed(Text value) { return out ? put(value) : in == value; }
+};
+
+/** Engine allocations as name:kind:units:period:lo:hi;... Each needs a
+ *  name, an op kind and a unit, the units summing within 64 bits; a
+ *  persistent journal (its kind is read first) needs one. */
+bool
+engines(Codec &c, Header &h)
+{
+    if (c.out) {
+        for (const auto &a : h.engines) {
+            *c.out += detail::concat(
+                &a == h.engines.data() ? "" : ";", a.engine.name, ":",
+                static_cast<int>(a.engine.kind), ":", a.units, ":",
+                a.engine.period, ":", a.engine.lo, ":", a.engine.hi);
+        }
+        return true;
+    }
+    h.engines.clear();
+    std::uint64_t units = 0;
+    for (Text list = c.in; !list.empty();) {
+        Text entry = take(list, ';');
+        Codec f[6];
+        for (Codec &field : f)
+            field.in = &field == &f[5] ? entry : take(entry, ':');
+        EngineAllocation a;
+        unsigned kind = 0;
+        a.engine.name = f[0].in;
+        if (a.engine.name.empty() || !f[1].number(kind, 0, kAnyKind - 1) ||
+            !f[2].number(a.units, 1, ~units) ||
+            !f[3].number(a.engine.period) || !f[4].number(a.engine.lo) ||
+            !f[5].number(a.engine.hi))
+            return false;
+        a.engine.kind = static_cast<fp::OpKind>(kind);
+        units += a.units;
+        h.engines.push_back(a);
+    }
+    return h.kind != CampaignKind::Persistent || !h.engines.empty();
+}
+
+/**
+ * One field of the v1 format: a `#key=value` header row of @p T =
+ * JournalHeader, or a record column of @p T = TrialRecord. A refusal
+ * quotes @c accepts; a field without a codec is fixed to it. A resume
+ * mismatch of the field ends with @c hint.
+ */
+template <typename T>
+struct Field
+{
+    const char *key;
+    const char *accepts;
+    bool (*code)(Codec &c, T &into) = nullptr;
+    const char *hint = "";
+};
+
+/** The v1 record, in writer order. A non-finite output deviates by
+ *  infinity (relativeDeviation). */
+constexpr Field<Record> kColumns[] = {
+    {"index", "an integer above the previous record's and below trials",
+     [](Codec &c, Record &r) { return c.number(r.index); }},
+    {"outcome", "masked, sdc, due or detected",
+     [](Codec &c, Record &r) {
+         return c.name(r.outcome, outcomeKindName, parseOutcome);
+     }},
+    {"max_rel", "a number at least 0, or inf",
+     [](Codec &c, Record &r) { return c.number(r.maxRel, 0, HUGE_VAL); }},
+    {"corrupted_fraction", "a number from 0 to 1",
+     [](Codec &c, Record &r) { return c.number(r.corruptedFraction, 0, 1); }},
+    {"severity", "an integer from -1 to 2",
+     [](Codec &c, Record &r) { return c.number(r.severity, -1, 2); }},
+    {"bit", "an integer from -1 to 63",
+     [](Codec &c, Record &r) { return c.number(r.bit, -1, 63); }},
+    {"field", "an integer from -1 to 3",
+     [](Codec &c, Record &r) { return c.number(r.field, -1, 3); }},
+    {"retries", "0"},
+};
+
+/** The v1 header, in writer order; its last line names the columns. */
+constexpr Field<Header> kHeaderRows[] = {
+    {"kind", "memory, datapath or persistent",
+     [](Codec &c, Header &h) {
+         return c.name(h.kind, campaignKindName, parseCampaignKind);
+     }},
+    {"workload", "a workload name",
+     [](Codec &c, Header &h) {
+         return c.out ? c.put(h.workload) : !(h.workload = c.in).empty();
+     }},
+    {"precision", "half, single, double or bfloat16",
+     [](Codec &c, Header &h) {
+         return c.name(h.precision, fp::precisionName, fp::parsePrecision);
+     }},
+    {"scale", "a number above 0 and at most 16",
+     [](Codec &c, Header &h) {
+         return c.shortest(h.scale, 0, cli::kMaxScale) && h.scale > 0;
+     }},
+    {"trials", "a positive integer",
+     [](Codec &c, Header &h) { return c.number(h.config.trials, 1); }},
+    {"seed", "an unsigned 64-bit integer",
+     [](Codec &c, Header &h) { return c.number(h.config.seed); }},
+    {"input-seed", "an unsigned 64-bit integer",
+     [](Codec &c, Header &h) { return c.number(h.config.inputSeed); }},
+    {"model",
+     "single-bit-flip, double-bit-flip, random-byte, random-value or "
+     "word-burst",
+     [](Codec &c, Header &h) {
+         return c.name(h.config.model, faultModelName, parseFaultModel);
+     }},
+    {"timeout-factor", "4"},
+    {"operand-stages-only", "0 or 1",
+     [](Codec &c, Header &h) { return c.flag(h.config.operandStagesOnly); }},
+    {"record-anatomy", "0 or 1",
+     [](Codec &c, Header &h) { return c.flag(h.config.recordAnatomy); }},
+    {"kind-filter", "an op kind from 0 to 8 (8: every kind)",
+     [](Codec &c, Header &h) {
+         auto kind = static_cast<unsigned>(h.kindFilter);
+         const bool ok = c.number(kind, 0, kAnyKind);
+         h.kindFilter = static_cast<fp::OpKind>(kind);
+         return ok;
+     }},
+    {"engines",
+     "name:kind:units:period:lo:hi entries joined by ';', each with a "
+     "name, an op kind from 0 to 7 and at least 1 unit; at least one in "
+     "a persistent journal",
+     engines},
+    {"shard", "0/1"},
+    {"golden", "1 to 16 hex digits",
+     [](Codec &c, Header &h) {
+         return c.in.size() <= 16 &&
+                c.number(h.goldenFingerprint, 0, UINT64_MAX, 16);
+     },
+     ": the golden-run fingerprints differ, so the workload, its inputs "
+     "or the FP model changed"},
+    {"columns", "the v1 column names",
+     [](Codec &c, Header &) {
+         std::string names;
+         for (const auto &column : kColumns)
+             names += detail::concat(names.empty() ? "" : ",", column.key);
+         return c.fixed(names);
+     }},
+};
+
+/** Read or write @p into's @p field through @p c. */
+template <typename T>
+bool
+code(const Field<T> &field, Codec &c, T &into)
+{
+    return field.code ? field.code(c, into) : c.fixed(field.accepts);
+}
+
+/** The written text of @p field of @p from. */
+template <typename T>
 std::string
-formatEngines(const std::vector<EngineAllocation> &engines)
+textOf(const Field<T> &field, T from)
 {
-    std::ostringstream os;
-    for (std::size_t i = 0; i < engines.size(); ++i) {
-        const auto &alloc = engines[i];
-        os << (i ? ";" : "") << alloc.engine.name << ":"
-           << static_cast<int>(alloc.engine.kind) << ":"
-           << alloc.units << ":" << alloc.engine.period << ":"
-           << alloc.engine.lo << ":" << alloc.engine.hi;
-    }
-    return os.str();
+    std::string text;
+    Codec c{.out = &text};
+    code(field, c, from);
+    return text;
 }
 
-std::optional<std::vector<EngineAllocation>>
-parseEngines(const std::string &text)
+/** The magic line and the header rows of @p header. */
+std::string
+formatJournalHeader(const JournalHeader &header)
 {
-    std::vector<EngineAllocation> engines;
-    if (text.empty())
-        return engines;
-    for (const auto &entry : split(text, ';')) {
-        const auto fields = split(entry, ':');
-        if (fields.size() != 6)
-            return std::nullopt;
-        EngineAllocation alloc;
-        alloc.engine.name = fields[0];
-        alloc.engine.kind = static_cast<fp::OpKind>(
-            std::atoi(fields[1].c_str()));
-        alloc.units = std::strtoull(fields[2].c_str(), nullptr, 10);
-        alloc.engine.period =
-            std::strtoull(fields[3].c_str(), nullptr, 10);
-        alloc.engine.lo = std::strtoull(fields[4].c_str(), nullptr, 10);
-        alloc.engine.hi = std::strtoull(fields[5].c_str(), nullptr, 10);
-        engines.push_back(alloc);
-    }
-    return engines;
+    std::string text = detail::concat(kMagic, "\n");
+    for (const auto &row : kHeaderRows)
+        text += detail::concat("#", row.key, "=", textOf(row, header), "\n");
+    return text;
 }
 
 } // namespace
@@ -113,7 +319,7 @@ campaignKindName(CampaignKind kind)
 }
 
 std::optional<CampaignKind>
-parseCampaignKind(const std::string &text)
+parseCampaignKind(std::string_view text)
 {
     for (auto k : {CampaignKind::Memory, CampaignKind::Datapath,
                    CampaignKind::Persistent}) {
@@ -143,91 +349,15 @@ goldenFingerprint(const GoldenRun &golden)
 std::string
 JournalHeader::mismatch(const JournalHeader &other) const
 {
-    std::ostringstream os;
-    const auto diff = [&os](const char *what, const auto &a,
-                            const auto &b) -> bool {
-        if (a == b)
-            return false;
-        os << what << " mismatch (journal: " << a << ", campaign: "
-           << b << ")";
-        return true;
-    };
-    if (diff("format version", version, other.version))
-        return os.str();
-    if (diff("campaign kind", campaignKindName(kind),
-             campaignKindName(other.kind)))
-        return os.str();
-    if (diff("workload", workload, other.workload))
-        return os.str();
-    if (diff("precision", fp::precisionName(precision),
-             fp::precisionName(other.precision)))
-        return os.str();
-    if (diff("scale", scale, other.scale))
-        return os.str();
-    if (diff("trials", config.trials, other.config.trials))
-        return os.str();
-    if (diff("seed", config.seed, other.config.seed))
-        return os.str();
-    if (diff("input seed", config.inputSeed,
-             other.config.inputSeed))
-        return os.str();
-    if (diff("fault model", faultModelName(config.model),
-             faultModelName(other.config.model)))
-        return os.str();
-    if (diff("timeout factor", config.timeoutFactor,
-             other.config.timeoutFactor))
-        return os.str();
-    if (diff("operand-stages-only", config.operandStagesOnly,
-             other.config.operandStagesOnly))
-        return os.str();
-    if (diff("record-anatomy", config.recordAnatomy,
-             other.config.recordAnatomy))
-        return os.str();
-    if (diff("kind filter", static_cast<int>(kindFilter),
-             static_cast<int>(other.kindFilter)))
-        return os.str();
-    if (diff("engines", formatEngines(engines),
-             formatEngines(other.engines)))
-        return os.str();
-    if (goldenFingerprint != other.goldenFingerprint) {
-        os << "golden-run fingerprint mismatch (journal: "
-           << std::hex << goldenFingerprint << ", campaign: "
-           << other.goldenFingerprint
-           << "); the workload, its inputs or the FP model changed";
-        return os.str();
+    for (const auto &row : kHeaderRows) {
+        const std::string mine = textOf(row, *this);
+        const std::string theirs = textOf(row, other);
+        if (mine != theirs) {
+            return detail::concat(row.key, " mismatch (journal: ", mine,
+                                  ", campaign: ", theirs, ")", row.hint);
+        }
     }
     return {};
-}
-
-std::string
-formatJournalHeader(const JournalHeader &header)
-{
-    std::ostringstream os;
-    os << kMagic << " v" << header.version << "\n"
-       << "#kind=" << campaignKindName(header.kind) << "\n"
-       << "#workload=" << header.workload << "\n"
-       << "#precision=" << fp::precisionName(header.precision)
-       << "\n"
-       << "#scale=" << fmtShortest(header.scale) << "\n"
-       << "#trials=" << header.config.trials << "\n"
-       << "#seed=" << header.config.seed << "\n"
-       << "#input-seed=" << header.config.inputSeed << "\n"
-       << "#model=" << faultModelName(header.config.model) << "\n"
-       << "#timeout-factor="
-       << fmtShortest(header.config.timeoutFactor) << "\n"
-       << "#operand-stages-only="
-       << (header.config.operandStagesOnly ? 1 : 0) << "\n"
-       << "#record-anatomy=" << (header.config.recordAnatomy ? 1 : 0)
-       << "\n"
-       << "#kind-filter=" << static_cast<int>(header.kindFilter)
-       << "\n"
-       << "#engines=" << formatEngines(header.engines) << "\n"
-       << "#shard=" << kOnlyShard << "\n"
-       << "#golden=" << std::hex << header.goldenFingerprint
-       << std::dec << "\n"
-       << "#columns=index,outcome,max_rel,corrupted_fraction,"
-          "severity,bit,field,retries\n";
-    return os.str();
 }
 
 TrialRecord
@@ -251,21 +381,10 @@ makeTrialRecord(std::uint64_t index, const TrialOutcome &trial)
 std::string
 firstDifferingColumn(const TrialRecord &a, const TrialRecord &b)
 {
-    if (a.index != b.index)
-        return "index";
-    if (a.outcome != b.outcome)
-        return "outcome";
-    // %.17g round-trips, so journaled doubles compare exactly.
-    if (a.maxRel != b.maxRel)
-        return "max_rel";
-    if (a.corruptedFraction != b.corruptedFraction)
-        return "corrupted_fraction";
-    if (a.severity != b.severity)
-        return "severity";
-    if (a.bit != b.bit)
-        return "bit";
-    if (a.field != b.field)
-        return "field";
+    // %.17g round-trips, so equal text is equal value.
+    for (const auto &column : kColumns)
+        if (textOf(column, a) != textOf(column, b))
+            return column.key;
     return "";
 }
 
@@ -294,19 +413,13 @@ accumulate(CampaignResult &result, const TrialRecord &record)
 JournalWriter::JournalWriter(const std::string &path,
                              const JournalHeader &header,
                              std::uint64_t batch, bool truncate)
-    : path_(path), batch_(batch ? batch : 1)
+    : batch_(batch ? batch : 1)
 {
-    out_.open(path, truncate ? std::ios::out | std::ios::trunc
-                             : std::ios::out | std::ios::app);
-    if (!out_) {
-        ok_ = false;
-        return;
-    }
-    if (truncate) {
-        out_ << formatJournalHeader(header);
-        out_.flush();
-        ok_ = static_cast<bool>(out_);
-    }
+    out_.open(path, std::ios::out | (truncate ? std::ios::trunc
+                                              : std::ios::app));
+    if (out_ && truncate)
+        out_ << formatJournalHeader(header) << std::flush;
+    ok_ = static_cast<bool>(out_);
 }
 
 JournalWriter::~JournalWriter() { flush(); }
@@ -316,12 +429,14 @@ JournalWriter::append(const TrialRecord &record)
 {
     if (!ok_)
         return;
-    out_ << record.index << ','
-         << outcomeKindName(record.outcome) << ','
-         << fmtDouble(record.maxRel) << ','
-         << fmtDouble(record.corruptedFraction) << ','
-         << record.severity << ',' << record.bit << ','
-         << record.field << ",0\n";
+    TrialRecord r = record;
+    std::string line;
+    Codec c{.out = &line};
+    for (const auto &column : kColumns) {
+        code(column, c, r);
+        line += &column == std::end(kColumns) - 1 ? '\n' : ',';
+    }
+    out_ << line;
     if (++pending_ >= batch_)
         flush();
     if (!out_)
@@ -333,147 +448,74 @@ JournalWriter::flush()
 {
     if (!ok_)
         return;
-    out_.flush();
     pending_ = 0;
-    if (!out_)
-        ok_ = false;
+    ok_ = static_cast<bool>(out_.flush());
 }
 
 std::optional<Journal>
 readJournal(const std::string &path, std::string *error)
 {
-    const auto fail = [error](const std::string &why) {
+    const auto fail = [error](const auto &...why) {
         if (error)
-            *error = why;
+            *error = detail::concat(why...);
         return std::nullopt;
     };
-
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
-        return fail("cannot open '" + path + "'");
+        return fail("cannot open '", path, "'");
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
 
-    std::string line;
-    if (!std::getline(in, line) ||
-        line.rfind(kMagic, 0) != 0) {
-        return fail("'" + path + "' is not an mparch journal");
-    }
-
-    Journal journal;
-    journal.validBytes = line.size() + 1;
-    {
-        // "#mparch-journal v<N>"
-        const auto at = line.find(" v");
-        journal.header.version =
-            at == std::string::npos ? 0
-                                    : std::atoi(line.c_str() + at + 2);
-        if (journal.header.version != 1)
-            return fail("unsupported journal version in '" + path +
-                        "'");
-    }
-
-    // Header: "#key=value" lines until the columns line.
-    std::map<std::string, std::string> kv;
-    while (in.peek() == '#' && std::getline(in, line)) {
-        journal.validBytes += line.size() + 1;
-        const auto eq = line.find('=');
-        if (eq == std::string::npos)
-            continue;
-        kv[line.substr(1, eq - 1)] = line.substr(eq + 1);
-    }
-
-    JournalHeader &h = journal.header;
-    const auto get = [&kv](const char *key) -> std::string {
-        const auto it = kv.find(key);
-        return it == kv.end() ? std::string() : it->second;
+    // Every line ends in '\n'; text after the last one is a torn write.
+    Text rest = text, line;
+    const auto nextLine = [&] {
+        const std::size_t nl = rest.find('\n');
+        line = rest.substr(0, nl);
+        rest.remove_prefix(std::min(nl + 1, rest.size()));
+        return nl != Text::npos;
     };
+    if (!nextLine() || line != kMagic)
+        return fail("the first line is not '", kMagic, "'");
 
-    const auto kind = parseCampaignKind(get("kind"));
-    if (!kind)
-        return fail("bad campaign kind in '" + path + "'");
-    h.kind = *kind;
-    h.workload = get("workload");
-    if (h.workload.empty())
-        return fail("missing workload name in '" + path + "'");
-    const auto precision = fp::parsePrecision(get("precision"));
-    if (!precision)
-        return fail("bad precision in '" + path + "'");
-    h.precision = *precision;
-    h.scale = std::atof(get("scale").c_str());
-    // Replay builds the workload at this scale; NaN fails both tests.
-    if (!(h.scale > 0.0 && h.scale <= cli::kMaxScale))
-        return fail("bad scale '" + get("scale") + "' in '" + path +
-                    "': must be above 0 and at most " +
-                    std::to_string(static_cast<int>(cli::kMaxScale)));
-    if (!cli::parseCount(get("trials"), &h.config.trials) ||
-        h.config.trials == 0)
-        return fail("bad trials '" + get("trials") + "' in '" + path +
-                    "': must be a positive integer");
-    h.config.seed = std::strtoull(get("seed").c_str(), nullptr, 10);
-    h.config.inputSeed =
-        std::strtoull(get("input-seed").c_str(), nullptr, 10);
-    const auto model = parseFaultModel(get("model"));
-    if (!model)
-        return fail("bad fault model in '" + path + "'");
-    h.config.model = *model;
-    h.config.timeoutFactor =
-        std::atof(get("timeout-factor").c_str());
-    h.config.operandStagesOnly =
-        get("operand-stages-only") == "1";
-    h.config.recordAnatomy = get("record-anatomy") == "1";
-    // An op kind, or NumKinds for "every kind".
-    std::uint64_t kind_filter = 0;
-    constexpr auto kAnyKind =
-        static_cast<std::uint64_t>(fp::OpKind::NumKinds);
-    if (!cli::parseCount(get("kind-filter"), &kind_filter) ||
-        kind_filter > kAnyKind)
-        return fail("bad kind-filter '" + get("kind-filter") + "' in '" +
-                    path + "': must be an op kind from 0 to " +
-                    std::to_string(kAnyKind));
-    h.kindFilter = static_cast<fp::OpKind>(kind_filter);
-    const auto engines = parseEngines(get("engines"));
-    if (!engines)
-        return fail("bad engine list in '" + path + "'");
-    h.engines = *engines;
-    if (get("shard") != kOnlyShard)
-        return fail("bad shard '" + get("shard") + "' in '" + path +
-                    "': must be " + kOnlyShard);
-    h.goldenFingerprint =
-        std::strtoull(get("golden").c_str(), nullptr, 16);
-
-    // Records. A torn final line (no trailing newline, or fewer than
-    // 8 fields) is the batch that was being written when the process
-    // died: drop it.
-    while (std::getline(in, line)) {
-        if (in.eof())
-            break;  // no trailing newline: torn write, discard
-        if (line.empty()) {
-            journal.validBytes += 1;
-            continue;
-        }
-        const auto fields = split(line, ',');
-        if (fields.size() != 8)
-            break;  // torn write: discard this and everything after
-        const auto outcome = parseOutcome(fields[1]);
-        if (!outcome)
-            break;
-        TrialRecord rec;
-        rec.index = std::strtoull(fields[0].c_str(), nullptr, 10);
-        rec.outcome = *outcome;
-        rec.maxRel = std::strtod(fields[2].c_str(), nullptr);
-        rec.corruptedFraction =
-            std::strtod(fields[3].c_str(), nullptr);
-        rec.severity = std::atoi(fields[4].c_str());
-        rec.bit = std::atoi(fields[5].c_str());
-        rec.field = std::atoi(fields[6].c_str());
-        // Refused, not cut as a torn tail: resume would truncate the
-        // valid records after it.
-        if (fields[7] != "0")
-            return fail("bad retries '" + fields[7] + "' in record " +
-                        std::to_string(rec.index) + " of '" + path +
-                        "': must be 0");
-        journal.records.push_back(rec);
-        journal.validBytes += line.size() + 1;
+    // The header rows, each "#key=value" in this order. A later key (or
+    // a line with no "#key=") means the expected one is missing; a
+    // repeated or unknown key is refused by name.
+    Journal journal;
+    Codec c;
+    for (const auto &row : kHeaderRows) {
+        const std::size_t eq = nextLine() && line.starts_with('#')
+                                   ? line.find('=')
+                                   : Text::npos;
+        const Text key = eq == Text::npos ? "" : line.substr(1, eq - 1);
+        c.in = line.substr(std::min(eq + 1, line.size()));
+        if (key.empty() || std::any_of(&row + 1, std::end(kHeaderRows),
+                                       [&](auto &r) { return key == r.key; }))
+            return fail("missing ", row.key);
+        if (key != row.key)
+            return fail("bad ", key, " '", c.in, "': expected ", row.key);
+        if (!code(row, c, journal.header))
+            return fail("bad ", key, " '", c.in, "': must be ", row.accepts);
     }
+
+    // Every newline-terminated record must read, its index below trials
+    // and above the previous one: cut as a torn tail, a bad record would
+    // make resume truncate the valid records after it.
+    std::vector<Record> &records = journal.records;
+    while (nextLine()) {
+        Record rec;
+        for (const auto &column : kColumns) {
+            const bool last = &column == std::end(kColumns) - 1;
+            c.in = last ? line : take(line, ',');
+            if (!code(column, c, rec) ||
+                (&column == kColumns &&
+                 (rec.index >= journal.header.config.trials ||
+                  (!records.empty() && rec.index <= records.back().index))))
+                return fail("bad ", column.key, " '", c.in, "' in record ",
+                            records.size(), ": must be ", column.accepts);
+        }
+        records.push_back(rec);
+    }
+    // nextLine() left any unterminated tail in rest.
+    journal.validBytes = text.size() - rest.size();
     return journal;
 }
 

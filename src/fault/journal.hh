@@ -6,8 +6,8 @@
  * (campaign configuration, workload identity, golden-run fingerprint)
  * followed by one CSV record per completed trial. The writer buffers
  * records and flushes in configurable batches, so a killed process
- * loses at most one batch; the reader tolerates a torn final line
- * (the record being written when the process died is discarded).
+ * loses at most one batch; the reader discards a torn final line (the
+ * record being written when the process died) and refuses the rest.
  *
  * Because trials draw from a counter-based RNG (trialRng(seed, i)),
  * a journal plus its header is sufficient to re-execute any recorded
@@ -22,6 +22,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/campaign.hh"
@@ -32,7 +33,7 @@ namespace mparch::fault {
 const char *campaignKindName(CampaignKind kind);
 
 /** Parse a CampaignKind name; nullopt on unknown text. */
-std::optional<CampaignKind> parseCampaignKind(const std::string &text);
+std::optional<CampaignKind> parseCampaignKind(std::string_view text);
 
 /**
  * Everything needed to validate a resume and to re-create the
@@ -42,9 +43,6 @@ std::optional<CampaignKind> parseCampaignKind(const std::string &text);
  */
 struct JournalHeader
 {
-    /** Format version; bumped on incompatible layout changes. */
-    int version = 1;
-
     CampaignKind kind = CampaignKind::Memory;
 
     /** Workload identity: name / precision / factory scale knob. */
@@ -64,9 +62,9 @@ struct JournalHeader
     std::uint64_t goldenFingerprint = 0;
 
     /**
-     * Compare against another header (typically: file vs freshly
-     * configured campaign). Returns an empty string when compatible,
-     * otherwise a human-readable description of the first mismatch.
+     * Compare the written rows with another header's (typically: file
+     * vs freshly configured campaign). Returns an empty string when
+     * they agree, otherwise the first differing key and both values.
      */
     std::string mismatch(const JournalHeader &other) const;
 };
@@ -95,9 +93,9 @@ TrialRecord makeTrialRecord(std::uint64_t index,
                             const TrialOutcome &trial);
 
 /**
- * Name of the first journal column (as in `#columns=`) whose value
- * differs between @p a and @p b, compared exactly; empty when every
- * column agrees.
+ * Name of the first journal column (as in `#columns=`) whose written
+ * value differs between @p a and @p b (exact: doubles are written as
+ * %.17g); empty when every column agrees.
  */
 std::string firstDifferingColumn(const TrialRecord &a,
                                  const TrialRecord &b);
@@ -137,10 +135,7 @@ class JournalWriter
     /** False after any I/O error (journalling is then disabled). */
     bool ok() const { return ok_; }
 
-    const std::string &path() const { return path_; }
-
   private:
-    std::string path_;
     std::ofstream out_;
     std::uint64_t batch_;
     std::uint64_t pending_ = 0;
@@ -162,15 +157,12 @@ struct Journal
 /**
  * Read a journal from disk.
  *
- * A torn final line (crash mid-append) is silently discarded;
- * structurally invalid headers, and records whose fixed `retries`
- * column is not 0, return nullopt with a description in @p error.
+ * A torn final line (no newline: a crash mid-append) is silently
+ * discarded; anything else that is not v1 returns nullopt with the
+ * key or column it refuses in @p error (docs/campaigns.md).
  */
 std::optional<Journal> readJournal(const std::string &path,
                                    std::string *error = nullptr);
-
-/** Serialise a header to its textual journal form (testing aid). */
-std::string formatJournalHeader(const JournalHeader &header);
 
 } // namespace mparch::fault
 

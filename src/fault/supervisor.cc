@@ -153,7 +153,7 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
     run.journalPath = journalPathFor(w, kind, supervisor);
     const std::string &journalPath = run.journalPath;
 
-    // Golden reference + sampling tables (also validates config).
+    // Golden reference + sampling tables.
     const auto runner = makeTrialRunner(
         w, kind, config, kind_filter, engines,
         goldenRunFor(w, config.inputSeed));
@@ -185,24 +185,20 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
         std::filesystem::exists(journalPath)) {
         std::string why;
         const auto journal = readJournal(journalPath, &why);
-        if (!journal) {
-            run.error = "refusing to resume: " + why;
-            return run;
-        }
-        why = journal->header.mismatch(header);
+        if (journal)
+            why = journal->header.mismatch(header);
         if (!why.empty()) {
             run.error = "refusing to resume from '" +
                         journalPath + "': " + why;
             return run;
         }
+        // readJournal holds the indices below trials and rising.
         done.assign(config.trials, false);
         for (const auto &rec : journal->records) {
-            if (rec.index >= config.trials || done[rec.index])
-                continue;
             done[rec.index] = true;
             accumulate(run.result, rec);
-            ++run.resumed;
         }
+        run.resumed = journal->records.size();
         // Cut any torn tail (a record half-written when the previous
         // process died) so appended records start on a fresh line.
         std::error_code ec;
@@ -403,11 +399,10 @@ replayTrial(Workload &w, const Journal &journal, std::uint64_t index)
     const auto runner = makeTrialRunner(w, h.kind, h.config,
                                         h.kindFilter, h.engines,
                                         std::move(golden));
-    if (goldenFingerprint(runner->golden()) != h.goldenFingerprint) {
-        replay.error =
-            "golden-run fingerprint mismatch: the workload, its "
-            "inputs or the FP model changed since the journal was "
-            "written";
+    JournalHeader rebuilt = h;
+    rebuilt.goldenFingerprint = goldenFingerprint(runner->golden());
+    if (rebuilt.goldenFingerprint != h.goldenFingerprint) {
+        replay.error = h.mismatch(rebuilt);
         return replay;
     }
 

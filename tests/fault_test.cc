@@ -251,19 +251,6 @@ TEST(CampaignResultTest, MergePreservesAnatomy)
                      0.0);
 }
 
-TEST(CampaignConfigTest, RejectsNonPositiveTimeoutFactor)
-{
-    CampaignConfig config;
-    config.timeoutFactor = 0.0;
-    EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
-                "timeoutFactor");
-    config.timeoutFactor = -2.0;
-    EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
-                "timeoutFactor");
-    config.timeoutFactor = 0.5;
-    config.validate();  // legal (if suspiciously tight)
-}
-
 TEST(RelativeDeviationTest, ZeroGoldenRecordsAbsoluteDeviation)
 {
     const fp::Format f = fp::formatOf(Precision::Single);

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -157,7 +158,6 @@ TEST(JournalTest, HeaderAndRecordsRoundTrip)
     header.config.trials = 123;
     header.config.seed = 99;
     header.config.model = FaultModel::RandomByte;
-    header.config.timeoutFactor = 2.5;
     header.config.recordAnatomy = true;
     header.kindFilter = fp::OpKind::Mul;
     header.engines = {{{"fma", fp::OpKind::Fma, 16, 0, 8}, 4}};
@@ -179,6 +179,11 @@ TEST(JournalTest, HeaderAndRecordsRoundTrip)
         rec.index = 4;
         rec.outcome = OutcomeKind::Due;
         writer.append(rec);
+        // A non-finite output deviates by infinity.
+        rec.index = 5;
+        rec.outcome = OutcomeKind::Sdc;
+        rec.maxRel = std::numeric_limits<double>::infinity();
+        writer.append(rec);
         EXPECT_TRUE(writer.ok());
     }
 
@@ -187,12 +192,14 @@ TEST(JournalTest, HeaderAndRecordsRoundTrip)
     ASSERT_TRUE(journal.has_value()) << error;
     EXPECT_TRUE(journal->header.mismatch(header).empty())
         << journal->header.mismatch(header);
-    ASSERT_EQ(journal->records.size(), 2u);
+    ASSERT_EQ(journal->records.size(), 3u);
     EXPECT_EQ(journal->records[0].index, 1u);
     EXPECT_EQ(journal->records[0].outcome, OutcomeKind::Sdc);
     EXPECT_EQ(journal->records[0].maxRel, 0.125);
     EXPECT_EQ(journal->records[0].bit, 30);
     EXPECT_EQ(journal->records[1].outcome, OutcomeKind::Due);
+    EXPECT_EQ(journal->records[2].maxRel,
+              std::numeric_limits<double>::infinity());
 }
 
 TEST(JournalTest, HeaderScaleIsTheStampedScale)
@@ -283,9 +290,9 @@ TEST(JournalTest, TornFinalLineIsDiscarded)
 
 TEST(JournalTest, NonZeroRetriesIsRefusedNotCut)
 {
-    // The v1 retries column is always 0. Another value refuses the
-    // journal instead of ending it as a torn tail, which resume would
-    // truncate along with every valid record after it.
+    // A newline-terminated record that does not read is refused, not
+    // ended as a torn tail, which resume would truncate along with
+    // every valid record after it. The v1 retries column is always 0.
     JournalHeader header;
     header.workload = "toy";
     header.config.trials = 10;
@@ -297,17 +304,32 @@ TEST(JournalTest, NonZeroRetriesIsRefusedNotCut)
             writer.append(rec);
     }
     ASSERT_TRUE(readJournal(path).has_value());
-    std::string text = slurp(path);
+    const std::string text = slurp(path);
     const std::string record = "\n1,masked,0,0,-1,-1,-1,0\n";
     const auto at = text.find(record);
     ASSERT_NE(at, std::string::npos) << text;
-    text.replace(at, record.size(), "\n1,masked,0,0,-1,-1,-1,2\n");
-    spit(path, text);
-    std::string error;
-    EXPECT_FALSE(readJournal(path, &error).has_value());
-    EXPECT_NE(error.find("bad retries '2' in record 1"),
-              std::string::npos)
-        << error;
+
+    // Record 1 rewritten, and the refusal it gets.
+    const std::pair<const char *, const char *> cases[] = {
+        {"1,masked,0,0,-1,-1,-1,2", "bad retries '2' in record 1"},
+        {"0,masked,0,0,-1,-1,-1,0", "bad index '0' in record 1"},
+        {"10,masked,0,0,-1,-1,-1,0", "bad index '10' in record 1"},
+        {"1,lost,0,0,-1,-1,-1,0", "bad outcome 'lost' in record 1"},
+        {"1,sdc,0,0,7,-1,-1,0", "bad severity '7' in record 1"},
+        {"1,masked,0,0,-1,-1,9,0", "bad field '9' in record 1"},
+        {"1,masked,0,0,-1,64,2,0", "bad bit '64' in record 1"},
+        {"1,sdc,0,2,2,-1,-1,0", "bad corrupted_fraction '2' in record 1"},
+        {"1,sdc,nan,0,2,-1,-1,0", "bad max_rel 'nan' in record 1"},
+    };
+    for (const auto &[edit, refusal] : cases) {
+        std::string tampered = text;
+        tampered.replace(at + 1, record.size() - 2, edit);
+        spit(path, tampered);
+        std::string error;
+        EXPECT_FALSE(readJournal(path, &error).has_value()) << edit;
+        EXPECT_NE(error.find(refusal), std::string::npos)
+            << edit << ": " << error;
+    }
 }
 
 TEST(SupervisorTest, SameSeedTwiceIdenticalTallies)
