@@ -28,6 +28,7 @@ constexpr auto kAnyKind = static_cast<unsigned>(fp::OpKind::NumKinds);
 
 static_assert(kTimeoutFactor == 4, "v1 journals record a factor of 4");
 static_assert(cli::kMaxScale == 16, "the scale row says 16");
+static_assert(cli::kMaxTrials == 1'000'000, "the trials row says 1000000");
 
 std::optional<OutcomeKind>
 parseOutcome(Text text)
@@ -230,8 +231,10 @@ constexpr Field<Header> kHeaderRows[] = {
      [](Codec &c, Header &h) {
          return c.shortest(h.scale, 0, cli::kMaxScale) && h.scale > 0;
      }},
-    {"trials", "a positive integer",
-     [](Codec &c, Header &h) { return c.number(h.config.trials, 1); }},
+    {"trials", "an integer from 1 to 1000000",
+     [](Codec &c, Header &h) {
+         return c.number(h.config.trials, 1, cli::kMaxTrials);
+     }},
     {"seed", "an unsigned 64-bit integer",
      [](Codec &c, Header &h) { return c.number(h.config.seed); }},
     {"input-seed", "an unsigned 64-bit integer",

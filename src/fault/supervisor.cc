@@ -13,19 +13,6 @@ namespace mparch::fault {
 
 using workloads::Workload;
 
-const char *
-trialFailureName(TrialFailure failure)
-{
-    switch (failure) {
-      case TrialFailure::HangWatchdog:      return "hang-watchdog";
-      case TrialFailure::NonFiniteGolden:   return "non-finite-golden";
-      case TrialFailure::WorkloadException: return "workload-exception";
-      case TrialFailure::JournalIo:         return "journal-io-error";
-      case TrialFailure::NumFailures:       break;
-    }
-    return "?";
-}
-
 namespace {
 
 /** Last signal delivered while a supervised campaign was running;

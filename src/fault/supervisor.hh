@@ -62,9 +62,6 @@ enum class TrialFailure
     NumFailures,
 };
 
-/** Name of a TrialFailure ("hang-watchdog", ...). */
-const char *trialFailureName(TrialFailure failure);
-
 /** Supervisor knobs, separate from the campaign's physics knobs. */
 struct SupervisorConfig
 {
