@@ -9,8 +9,8 @@
  * the host may compute it instead, and hostAdmits() in fp/internal.hh
  * says for which formats the host result is bit-identical; everything
  * else falls through to the unchanged softfloat body. The 16-bit
- * formats widen exactly at the bit level and narrow by one integer
- * round-to-nearest-even step (narrow). Their add, sub, mul, div and
+ * formats widen exactly (widenHalf, widenBfloat16) and narrow by one
+ * integer round-to-nearest-even step (narrow). Their add, sub, mul, div and
  * sqrt run in float; their fma runs in double, where the product is
  * exact, and keeps the host result only when TwoSum proves the sum
  * exact too: every other fma returns kHostDeclined and runs on
