@@ -5,22 +5,6 @@
 
 namespace mparch::analysis {
 
-const char *
-tokKindName(TokKind kind)
-{
-    switch (kind) {
-      case TokKind::Identifier: return "identifier";
-      case TokKind::Number:     return "number";
-      case TokKind::String:     return "string";
-      case TokKind::CharLit:    return "char";
-      case TokKind::Punct:      return "punct";
-      case TokKind::Comment:    return "comment";
-      case TokKind::Directive:  return "directive";
-      case TokKind::HeaderName: return "header-name";
-    }
-    return "?";
-}
-
 namespace {
 
 /** Cursor over the source with line/column tracking and splice

@@ -35,9 +35,6 @@ enum class TokKind
     HeaderName,  ///< <...> after #include, text without the brackets
 };
 
-/** Printable name of a token kind ("identifier", "string", ...). */
-const char *tokKindName(TokKind kind);
-
 struct Token
 {
     TokKind kind = TokKind::Punct;

@@ -376,32 +376,47 @@ LintReport::suppressedCount() const
 }
 
 void
-lintFile(const SourceFile &file, const LintOptions &options,
-         LintReport &report)
+lintFiles(const std::vector<SourceFile> &files,
+          const LintOptions &options, LintReport &report)
 {
-    std::vector<Finding> found;
-    const std::vector<Suppression> sups =
-        collectSuppressions(file, found);
-    for (const Rule *rule : allRules()) {
-        if (!options.onlyRules.empty() &&
+    std::vector<const Rule *> rules;
+    for (const Rule *rule : allRules())
+        if (options.onlyRules.empty() ||
             std::find(options.onlyRules.begin(),
                       options.onlyRules.end(),
-                      rule->name()) == options.onlyRules.end())
-            continue;
-        rule->check(file, found);
+                      rule->name()) != options.onlyRules.end())
+            rules.push_back(rule);
+
+    std::vector<std::vector<Finding>> found(files.size());
+    for (std::size_t i = 0; i < files.size(); ++i)
+        for (const Rule *rule : rules)
+            rule->check(files[i], found[i]);
+    std::vector<Finding> treeFound;
+    for (const Rule *rule : rules)
+        rule->checkTree(files, treeFound);
+    for (Finding &f : treeFound)
+        for (std::size_t i = 0; i < files.size(); ++i)
+            if (files[i].path == f.path) {
+                found[i].push_back(std::move(f));
+                break;
+            }
+
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        std::vector<Finding> &fileFound = found[i];
+        applySuppressions(collectSuppressions(files[i], fileFound),
+                          fileFound);
+        std::sort(fileFound.begin(), fileFound.end(),
+                  [](const Finding &a, const Finding &b) {
+                      if (a.line != b.line)
+                          return a.line < b.line;
+                      if (a.col != b.col)
+                          return a.col < b.col;
+                      return a.rule < b.rule;
+                  });
+        ++report.filesScanned;
+        for (Finding &f : fileFound)
+            report.findings.push_back(std::move(f));
     }
-    applySuppressions(sups, found);
-    std::sort(found.begin(), found.end(),
-              [](const Finding &a, const Finding &b) {
-                  if (a.line != b.line)
-                      return a.line < b.line;
-                  if (a.col != b.col)
-                      return a.col < b.col;
-                  return a.rule < b.rule;
-              });
-    ++report.filesScanned;
-    for (Finding &f : found)
-        report.findings.push_back(std::move(f));
 }
 
 namespace {
@@ -468,6 +483,7 @@ lintPaths(const std::vector<std::string> &paths,
             report.errors.push_back("no such file or directory: " + p);
         }
     }
+    std::vector<SourceFile> sources;
     for (const std::string &path : files) {
         SourceFile file;
         std::string error;
@@ -475,8 +491,9 @@ lintPaths(const std::vector<std::string> &paths,
             report.errors.push_back(error);
             continue;
         }
-        lintFile(file, options, report);
+        sources.push_back(std::move(file));
     }
+    lintFiles(sources, options, report);
     return report;
 }
 

@@ -96,7 +96,11 @@ struct Finding
     std::string suppressReason;  ///< non-empty iff suppressed
 };
 
-/** A lint rule: a named predicate over one SourceFile. */
+/**
+ * A lint rule: a named predicate over one SourceFile, or over every
+ * file of a run at once. A rule overrides whichever pass it needs;
+ * the other stays a no-op.
+ */
 class Rule
 {
   public:
@@ -107,8 +111,14 @@ class Rule
     /** One-line description for --list-rules and the rule catalogue. */
     virtual const char *summary() const = 0;
 
-    virtual void check(const SourceFile &file,
-                       std::vector<Finding> &out) const = 0;
+    /** Per-file pass. */
+    virtual void check(const SourceFile &, std::vector<Finding> &) const
+    {}
+
+    /** Tree pass: sees all files of the run, in run order. */
+    virtual void checkTree(const std::vector<SourceFile> &,
+                           std::vector<Finding> &) const
+    {}
 };
 
 /** All registered rules, in stable (documentation) order. */
@@ -138,9 +148,13 @@ struct LintReport
     std::size_t suppressedCount() const;
 };
 
-/** Run rules over one already-lexed file, honouring suppressions. */
-void lintFile(const SourceFile &file, const LintOptions &options,
-              LintReport &report);
+/**
+ * Run rules over already-lexed files, honouring each file's
+ * suppressions: every file's per-file pass, then one tree pass over
+ * all of them. Findings come out in file order, then line order.
+ */
+void lintFiles(const std::vector<SourceFile> &files,
+               const LintOptions &options, LintReport &report);
 
 /**
  * Lint files and directory trees.

@@ -18,6 +18,7 @@ allRules()
         &hookCoverageRule(),
         &includeHygieneRule(),
         &hostMathRule(),
+        &unreferencedRule(),
     };
     return rules;
 }

@@ -22,6 +22,7 @@ const Rule &orderedSerializationRule();
 const Rule &hookCoverageRule();
 const Rule &includeHygieneRule();
 const Rule &hostMathRule();
+const Rule &unreferencedRule();
 
 namespace detail {
 

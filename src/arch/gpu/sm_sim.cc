@@ -5,6 +5,7 @@
 #include "arch/gpu/params.hh"
 #include "common/bits.hh"
 #include "common/rng.hh"
+#include "fault/campaign.hh"
 
 namespace mparch::gpu {
 
@@ -168,13 +169,11 @@ simulateSm(const SmConfig &config, const WarpProgram &program)
 
 ControlAvf
 measureControlAvf(const SmConfig &config, const WarpProgram &program,
-                  std::uint64_t trials, std::uint64_t seed,
-                  double watchdog_factor)
+                  std::uint64_t trials, std::uint64_t seed)
 {
     const RunResult golden =
         run(config, program, nullptr, ~0ULL >> 1);
-    const auto hard_cap = static_cast<std::uint64_t>(
-        watchdog_factor * static_cast<double>(golden.cycles));
+    const std::uint64_t hard_cap = fault::kTimeoutFactor * golden.cycles;
 
     Rng rng(seed);
     ControlAvf result;

@@ -103,15 +103,12 @@ struct ControlAvf
 /**
  * Inject single bit flips into the scheduler's architectural state
  * (remaining-instruction counters, scoreboard timers, active-warp
- * mask) at uniformly random cycles, re-simulating each time.
- *
- * @param watchdog_factor Hang threshold as a multiple of the
- *                        fault-free cycle count.
+ * mask) at uniformly random cycles, re-simulating each time. A
+ * run past fault::kTimeoutFactor x the fault-free cycle count hangs.
  */
 ControlAvf measureControlAvf(const SmConfig &config,
                              const WarpProgram &program,
-                             std::uint64_t trials, std::uint64_t seed,
-                             double watchdog_factor = 4.0);
+                             std::uint64_t trials, std::uint64_t seed);
 
 } // namespace mparch::gpu
 

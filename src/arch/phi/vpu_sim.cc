@@ -5,6 +5,7 @@
 #include "arch/phi/params.hh"
 #include "common/bits.hh"
 #include "common/rng.hh"
+#include "fault/campaign.hh"
 
 namespace mparch::phi {
 
@@ -143,12 +144,11 @@ simulateVpu(const VpuConfig &config, const VpuProgram &program)
 VpuControlAvf
 measureVpuControlAvf(const VpuConfig &config,
                      const VpuProgram &program, std::uint64_t trials,
-                     std::uint64_t seed, double watchdog_factor)
+                     std::uint64_t seed)
 {
     const RunResult golden = run(config, program, nullptr,
                                  ~0ULL >> 1);
-    const auto hard_cap = static_cast<std::uint64_t>(
-        watchdog_factor * static_cast<double>(golden.cycles));
+    const std::uint64_t hard_cap = fault::kTimeoutFactor * golden.cycles;
     const unsigned control_span =
         kCounterBits + 1 +
         static_cast<unsigned>(lanes(config.precision));

@@ -90,13 +90,13 @@ struct VpuControlAvf
  * pointer, or an active lane-mask bit) at a random cycle and
  * re-simulate. Lane-mask corruption silently drops or duplicates
  * lane results (SDC); counter corruption truncates or overruns the
- * program (SDC or watchdog DUE).
+ * program (SDC or watchdog DUE: a run past fault::kTimeoutFactor x
+ * the fault-free cycle count).
  */
 VpuControlAvf measureVpuControlAvf(const VpuConfig &config,
                                    const VpuProgram &program,
                                    std::uint64_t trials,
-                                   std::uint64_t seed,
-                                   double watchdog_factor = 4.0);
+                                   std::uint64_t seed);
 
 } // namespace mparch::phi
 

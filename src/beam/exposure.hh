@@ -52,26 +52,6 @@ beamHoursForErrors(double beam_error_rate, double target_errors)
                                  : 0.0;
 }
 
-/**
- * Probability of more than one fault in a single execution, given
- * the per-execution fault probability @p p — the quantity the paper
- * keeps "highly unlikely" (observed rates < 1e-3 errors/execution).
- * Poisson approximation: P(k >= 2) = 1 - e^-p (1 + p) ~ p^2 / 2.
- */
-constexpr double
-multiFaultProbability(double p)
-{
-    // Series form keeps this constexpr and exact to O(p^4).
-    return p * p / 2.0 - p * p * p / 3.0;
-}
-
-/** True when a campaign maintains the paper's single-fault regime. */
-constexpr bool
-singleFaultRegime(double errors_per_execution)
-{
-    return errors_per_execution < 1e-3;
-}
-
 } // namespace mparch::beam
 
 #endif // MPARCH_BEAM_EXPOSURE_HH

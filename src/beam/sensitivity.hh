@@ -27,19 +27,6 @@ enum class BitClass
     ControlLatch, ///< scheduler / sequencer / lane-control state
 };
 
-/** Name of a BitClass. */
-constexpr const char *
-bitClassName(BitClass c)
-{
-    switch (c) {
-      case BitClass::SramConfig:    return "sram-config";
-      case BitClass::SramData:      return "sram-data";
-      case BitClass::DatapathLatch: return "datapath-latch";
-      case BitClass::ControlLatch:  return "control-latch";
-    }
-    return "?";
-}
-
 /** Process node of a device under test. */
 enum class Node { Fpga28nm, Phi22nm, Gpu12nm };
 

@@ -240,17 +240,6 @@ Args::positional(std::size_t index, const std::string &fallback) const
                                        : fallback;
 }
 
-std::uint64_t
-Args::positionalCount(std::size_t index, std::uint64_t fallback) const
-{
-    if (index >= spec_.positionals.size() ||
-        spec_.positionals[index] != Kind::Count)
-        panic("cli: positional ", index, " is not a count");
-    if (index < positionals_.size())
-        parseCount(positionals_[index], &fallback);
-    return fallback;
-}
-
 void
 Args::fail(const std::string &why) const
 {

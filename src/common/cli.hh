@@ -127,8 +127,6 @@ class Args
     /** Positional @p index, or @p fallback when not given. */
     std::string positional(std::size_t index,
                            const std::string &fallback) const;
-    std::uint64_t positionalCount(std::size_t index,
-                                  std::uint64_t fallback) const;
 
     /** Reject after parsing (an unknown name, a missing required
      *  option): same output and exit code 2 as a parse error. */

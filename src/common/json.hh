@@ -94,8 +94,6 @@ struct Value
     std::vector<Value> array;
     std::map<std::string, Value> object;
 
-    bool isNull() const { return kind == Kind::Null; }
-
     /** Object member, or null if absent / not an object. */
     const Value *find(const std::string &name) const;
 };

@@ -146,12 +146,6 @@ class IndexChunker
         stop_.store(true, std::memory_order_release);
     }
 
-    bool
-    stopped() const
-    {
-        return stop_.load(std::memory_order_acquire);
-    }
-
   private:
     std::atomic<std::uint64_t> next_{0};
     std::atomic<bool> stop_{false};

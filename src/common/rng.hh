@@ -157,14 +157,6 @@ class Rng
         return count;
     }
 
-    /** Exponential inter-arrival draw with the given rate. */
-    double
-    exponential(double rate)
-    {
-        MPARCH_ASSERT(rate > 0.0, "exponential rate must be positive");
-        return -std::log(1.0 - uniform()) / rate;
-    }
-
     /** Derive an independent child generator (for sub-campaigns). */
     Rng
     fork()

@@ -12,46 +12,6 @@ constexpr double z95 = 1.959963984540054;
 
 } // namespace
 
-void
-RunningStat::push(double x)
-{
-    ++n_;
-    if (n_ == 1) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStat::variance() const
-{
-    return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-RunningStat::stderrMean() const
-{
-    return n_ < 2 ? 0.0 : stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-Interval
-RunningStat::ci95() const
-{
-    const double half = z95 * stderrMean();
-    return {mean_ - half, mean_ + half};
-}
-
 Interval
 wilson95(std::uint64_t hits, std::uint64_t trials)
 {

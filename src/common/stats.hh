@@ -1,6 +1,6 @@
 /**
  * @file
- * Streaming statistics and interval estimators for campaign results.
+ * Interval estimators for campaign results.
  *
  * Fault-injection campaigns produce Bernoulli outcomes (propagated /
  * masked) and beam campaigns produce Poisson counts; both need
@@ -24,49 +24,6 @@ struct Interval
 
     /** True if @p x lies inside the interval. */
     bool contains(double x) const { return x >= lo && x <= hi; }
-};
-
-/**
- * Welford streaming mean/variance accumulator.
- *
- * Numerically stable for long campaigns; O(1) memory.
- */
-class RunningStat
-{
-  public:
-    /** Fold one sample into the accumulator. */
-    void push(double x);
-
-    /** Number of samples seen so far. */
-    std::uint64_t count() const { return n_; }
-
-    /** Sample mean (0 when empty). */
-    double mean() const { return mean_; }
-
-    /** Unbiased sample variance (0 with fewer than two samples). */
-    double variance() const;
-
-    /** Sample standard deviation. */
-    double stddev() const;
-
-    /** Smallest sample seen (0 when empty). */
-    double min() const { return n_ ? min_ : 0.0; }
-
-    /** Largest sample seen (0 when empty). */
-    double max() const { return n_ ? max_ : 0.0; }
-
-    /** Standard error of the mean. */
-    double stderrMean() const;
-
-    /** Normal-approximation 95% CI for the mean. */
-    Interval ci95() const;
-
-  private:
-    std::uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 /**

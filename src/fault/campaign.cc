@@ -55,21 +55,6 @@ bitFieldName(FaultAnatomy::Field field)
 }
 
 double
-CampaignResult::fieldAvf(FaultAnatomy::Field field) const
-{
-    std::uint64_t hit = 0, total = 0;
-    for (const auto &a : anatomy) {
-        if (a.field != field)
-            continue;
-        ++total;
-        hit += a.outcome == OutcomeKind::Sdc;
-    }
-    return total ? static_cast<double>(hit) /
-                       static_cast<double>(total)
-                 : 0.0;
-}
-
-double
 CampaignResult::survivingFraction(double tre) const
 {
     if (corpus.empty())
@@ -93,22 +78,6 @@ CampaignResult::severityFraction(workloads::SdcSeverity severity) const
             ++n;
     return static_cast<double>(n) /
            static_cast<double>(corpus.size());
-}
-
-void
-CampaignResult::merge(const CampaignResult &other)
-{
-    trials += other.trials;
-    masked += other.masked;
-    sdc += other.sdc;
-    due += other.due;
-    detected += other.detected;
-    corpus.reserve(corpus.size() + other.corpus.size());
-    corpus.insert(corpus.end(), other.corpus.begin(),
-                  other.corpus.end());
-    anatomy.reserve(anatomy.size() + other.anatomy.size());
-    anatomy.insert(anatomy.end(), other.anatomy.begin(),
-                   other.anatomy.end());
 }
 
 void
@@ -227,7 +196,7 @@ GoldenCheckpoints::record(Workload &w, std::uint64_t tick,
         }
         refs_.push_back(append(data, size));
     });
-    points_.push_back({tick, ops.opCount, ops.entered()});
+    points_.push_back({tick, ops.opCount});
 }
 
 std::size_t
@@ -253,7 +222,7 @@ GoldenCheckpoints::lastBeforeOp(fp::OpKind kind,
 {
     const auto k = static_cast<std::size_t>(kind);
     std::size_t i = points_.empty() ? 0 : points_.size() - 1;
-    while (i > 0 && points_[i].entered[k] > index)
+    while (i > 0 && points_[i].ops[k] > index)
         --i;
     return i;
 }
@@ -423,7 +392,7 @@ executeArmed(Workload &w, const GoldenRun &golden,
         checkpoints.restore(from, w);
         ctx.opCount = point.ops;
         if (fault != nullptr)
-            fault->resume(point.entered);
+            fault->resume(point.ops);
     }
 
     ExecutionEnv env(run.resumedAt);

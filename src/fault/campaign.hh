@@ -94,9 +94,6 @@ struct CampaignResult
      *  CampaignConfig::recordAnatomy; empty otherwise). */
     std::vector<FaultAnatomy> anatomy;
 
-    /** P(SDC | flip in the given field), from the anatomy log. */
-    double fieldAvf(FaultAnatomy::Field field) const;
-
     /** P(fault -> SDC): the AVF/PVF point estimate. */
     double
     avfSdc() const
@@ -136,9 +133,6 @@ struct CampaignResult
 
     /** Fraction of SDCs at the given semantic severity. */
     double severityFraction(workloads::SdcSeverity severity) const;
-
-    /** Merge another campaign's tallies into this one. */
-    void merge(const CampaignResult &other);
 };
 
 /** Common campaign knobs. */
@@ -205,8 +199,7 @@ class GoldenCheckpoints
     struct Point
     {
         std::uint64_t tick = 0;
-        fp::OpCounts ops{};      ///< FpContext::opCount
-        fp::OpCounts entered{};  ///< StrikeTrigger::seen
+        fp::OpCounts ops{};  ///< FpContext::opCount
     };
 
     /** Record @p w's state and the counts of @p ops at golden tick
@@ -400,6 +393,7 @@ goldenRunFor(workloads::Workload &w, std::uint64_t input_seed);
  * (layerbench/) calls it; it goes with the benchmark's
  * SupervisorConfig::useGoldenCache/scale assignments.
  */
+// mparch-lint: allow(unreferenced): layerbench/ calls it (ROADMAP item 1)
 std::shared_ptr<const GoldenRun>
 cachedGoldenRun(workloads::Workload &w, std::uint64_t input_seed,
                 double scale);
@@ -409,6 +403,7 @@ cachedGoldenRun(workloads::Workload &w, std::uint64_t input_seed,
  * with them every study core::runStudy memoised: the two caches
  * share one lifetime.
  */
+// mparch-lint: allow(unreferenced): layerbench/ calls it (ROADMAP item 1)
 void clearGoldenRunCache();
 
 /** Bumped by every clearGoldenRunCache(); caches built on top of

@@ -152,6 +152,7 @@ struct SupervisedCampaign
     }
 
     /** All planned trials accounted for (completed or poisoned). */
+    // mparch-lint: allow(unreferenced): layerbench/ calls it (ROADMAP item 1)
     bool
     complete() const
     {

@@ -5,9 +5,7 @@
 
 #include "fp/softfloat.hh"
 
-#include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "fp/internal.hh"
 
@@ -61,80 +59,6 @@ fpConvertSilent(Format dst, Format src, std::uint64_t a)
     if (detail::hostAdmitsConvert(dst, src) && detail::hostFpuReady())
         return detail::hostConvert(dst, src, a);
     return convertCore(dst, src, a, OpCtx{}, false);
-}
-
-std::uint64_t
-fpFromInt(Format f, std::int64_t v)
-{
-    // No floating-point operand, hence no OperandA visit.
-    const OpCtx ctx = detail::enterOp(OpKind::Convert, false);
-    if (v == 0)
-        return zero(f, false);
-    const bool sign = v < 0;
-    // Two's-complement safe magnitude (INT64_MIN included).
-    const std::uint64_t mag =
-        sign ? ~static_cast<std::uint64_t>(v) + 1
-             : static_cast<std::uint64_t>(v);
-    // Reserve three guard bits; a magnitude using the top bits needs
-    // a pre-shift instead, folding lost bits into sticky.
-    std::uint64_t sig;
-    int exp;
-    if (mag >> 61) {
-        sig = shiftRightSticky(mag, 3);
-        exp = 3;
-    } else {
-        sig = mag << 3;
-        exp = -3;
-    }
-    return roundPack(f, {sign, exp, sig}, ctx, OpKind::Convert);
-}
-
-std::int64_t
-fpToInt(Format f, std::uint64_t a)
-{
-    (void)detail::enterOp(OpKind::Convert, false);
-    const FpClass ca = classify(f, a);
-    if (ca == FpClass::NaN)
-        return 0;
-    if (ca == FpClass::Zero)
-        return 0;
-    const bool sign = signOf(f, a);
-    if (ca == FpClass::Inf) {
-        return sign ? std::numeric_limits<std::int64_t>::min()
-                    : std::numeric_limits<std::int64_t>::max();
-    }
-    const Unpacked u = unpackFinite(f, a);
-    // value = u.sig * 2^u.exp; round to integer (RNE).
-    if (u.exp >= 0) {
-        if (u.exp >= 63 ||
-            (highestSetBit(u.sig) + u.exp) >= 63) {
-            return sign
-                       ? std::numeric_limits<std::int64_t>::min()
-                       : std::numeric_limits<std::int64_t>::max();
-        }
-        const std::uint64_t mag = u.sig << u.exp;
-        return sign ? -static_cast<std::int64_t>(mag)
-                    : static_cast<std::int64_t>(mag);
-    }
-    const int shift = -u.exp;
-    std::uint64_t kept =
-        shift >= 64 ? 0 : u.sig >> shift;
-    // Round-to-nearest-even on the dropped fraction.
-    const std::uint64_t half_bit =
-        shift >= 1 && shift <= 64
-            ? (shift == 64 ? 0 : (u.sig >> (shift - 1)) & 1)
-            : 0;
-    bool sticky = false;
-    if (shift >= 2) {
-        const unsigned low = std::min(shift - 1, 63);
-        sticky = (u.sig & maskBits(low)) != 0;
-    }
-    if (shift >= 65)
-        sticky = u.sig != 0;
-    if (half_bit && (sticky || (kept & 1)))
-        ++kept;
-    return sign ? -static_cast<std::int64_t>(kept)
-                : static_cast<std::int64_t>(kept);
 }
 
 std::uint64_t

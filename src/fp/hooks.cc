@@ -44,18 +44,6 @@ stageName(Stage stage)
     }
 }
 
-const char *
-roundingName(Rounding mode)
-{
-    switch (mode) {
-      case Rounding::NearestEven: return "nearest-even";
-      case Rounding::TowardZero:  return "toward-zero";
-      case Rounding::Upward:      return "upward";
-      case Rounding::Downward:    return "downward";
-    }
-    return "?";
-}
-
 FpContext *
 currentContext()
 {
@@ -76,20 +64,17 @@ FpEnvGuard::~FpEnvGuard()
 namespace detail {
 
 OpCtx
-enterOp(OpKind op, bool reads_operand)
+enterOp(OpKind op)
 {
     FpContext *ctx = tlsContext;
     if (ctx == nullptr)
         return {nullptr, false, hostFpuReady()};
     ++ctx->opCount[static_cast<std::size_t>(op)];
-    if (!reads_operand)
-        ++ctx->operandless[static_cast<std::size_t>(op)];
     if (ctx->hook != nullptr) {
         StrikeTrigger *strike = ctx->strike;
         if (strike == nullptr)
             return {ctx, true, false};
-        if (reads_operand)
-            strike->enter(op);
+        strike->enter(op);
         if (strike->strikes(op))
             return {ctx, true, false};
     }

@@ -102,9 +102,6 @@ enum class Rounding
     Downward,     ///< roundTowardNegative
 };
 
-/** Name of a rounding mode ("nearest-even", ...). */
-const char *roundingName(Rounding mode);
-
 /**
  * Which dynamic operations an installed hook perturbs, as data.
  *
@@ -279,22 +276,9 @@ struct FpContext
     FpHook *hook = nullptr;
     StrikeTrigger *strike = nullptr;
     Rounding rounding = Rounding::NearestEven;
+    /** Ops per kind; also the entries (StrikeTrigger::seen) of a
+     *  trigger installed in this context from its first op. */
     OpCounts opCount{};
-
-    /** The ops counted in opCount that read no floating-point operand
-     *  (fpFromInt, fpToInt), which a StrikeTrigger does not enter. */
-    OpCounts operandless{};
-
-    /** The per-kind entries (StrikeTrigger::seen) of a trigger
-     *  installed in this context from its first op. */
-    OpCounts
-    entered() const
-    {
-        OpCounts e = opCount;
-        for (std::size_t k = 0; k < e.size(); ++k)
-            e[k] -= operandless[k];
-        return e;
-    }
 
     /** Total number of FP operations executed in this context. */
     std::uint64_t
@@ -362,15 +346,8 @@ struct OpCtx
 
 namespace detail {
 
-/**
- * Count one op, advance the strike trigger and decide its route.
- *
- * @p reads_operand is false only for an op with no floating-point
- * operand (fpFromInt, fpToInt): it has no OperandA visit, so it does
- * not advance the trigger, and it reaches the hook exactly when the
- * trigger's current state strikes its kind.
- */
-OpCtx enterOp(OpKind op, bool reads_operand = true);
+/** Count one op, advance the strike trigger and decide its route. */
+OpCtx enterOp(OpKind op);
 
 /**
  * The block gate's question, asked once for a whole block: for each

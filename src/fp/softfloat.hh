@@ -106,19 +106,6 @@ std::uint64_t fpFromDouble(Format f, double v);
 double fpToDouble(Format f, std::uint64_t a);
 
 /**
- * Convert a signed integer into format @p f (instrumented, counts as
- * OpKind::Convert; rounds per the current context's mode).
- */
-std::uint64_t fpFromInt(Format f, std::int64_t v);
-
-/**
- * Convert format @p f bits to a signed integer, rounding to nearest
- * (ties to even) and saturating at the int64 range. NaN converts to
- * zero. Instrumented as OpKind::Convert.
- */
-std::int64_t fpToInt(Format f, std::uint64_t a);
-
-/**
  * Internal unrounded representation: value = (-1)^sign * sig * 2^exp
  * where @c exp scales the least significant bit of @c sig.
  *

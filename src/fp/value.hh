@@ -152,36 +152,6 @@ abs(Fp<P> a)
     return Fp<P>::fromBits(fpAbs(Fp<P>::format(), a.bits()));
 }
 
-using FpHalf = Fp<Precision::Half>;
-using FpSingle = Fp<Precision::Single>;
-using FpDouble = Fp<Precision::Double>;
-
-/**
- * A dynamically-typed scalar: precision tag plus bit pattern.
- *
- * Used by the SDC corpus and the metrics layer, where values of all
- * three precisions flow through the same analysis code.
- */
-struct FpScalar
-{
-    Precision precision = Precision::Double;
-    std::uint64_t bits = 0;
-
-    /** Decode to host double. */
-    double
-    toDouble() const
-    {
-        return fpToDouble(formatOf(precision), bits);
-    }
-
-    /** Encode a host double at the given precision. */
-    static FpScalar
-    fromDouble(Precision p, double v)
-    {
-        return {p, fpFromDouble(formatOf(p), v)};
-    }
-};
-
 } // namespace mparch::fp
 
 #endif // MPARCH_FP_VALUE_HH

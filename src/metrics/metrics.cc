@@ -5,20 +5,6 @@
 
 namespace mparch::metrics {
 
-std::vector<double>
-normalizeToMax(const std::vector<double> &values)
-{
-    double peak = 0.0;
-    for (double v : values)
-        peak = std::max(peak, v);
-    std::vector<double> out(values.size(), 0.0);
-    if (peak <= 0.0)
-        return out;
-    for (std::size_t i = 0; i < values.size(); ++i)
-        out[i] = values[i] / peak;
-    return out;
-}
-
 TreCurve
 treCurve(const fault::CampaignResult &result)
 {
@@ -42,19 +28,6 @@ scrubbedErrorRate(double raw_rate, double avf, double interval)
     // clean with probability exp(-raw_rate * avf * interval).
     const double p_clean = std::exp(-raw_rate * avf * interval);
     return (1.0 - p_clean) / interval;
-}
-
-CoverageReport
-coverageReport(const fault::SupervisedCampaign &run)
-{
-    CoverageReport report;
-    report.planned = run.planned;
-    report.completed = run.result.trials;
-    report.poisoned = run.poisoned;
-    report.coverage = run.coverage();
-    report.degraded = !run.complete() || run.poisoned > 0;
-    report.avfSdc95 = run.result.avfSdc95();
-    return report;
 }
 
 } // namespace mparch::metrics

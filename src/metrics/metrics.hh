@@ -1,7 +1,7 @@
 /**
  * @file
  * Reliability metrics: FIT normalisation, MEBF, TRE curves and
- * campaign coverage, on top of a campaign's own tallies
+ * scrubbed error rates, on top of a campaign's own tallies
  * (fault::CampaignResult).
  */
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "fault/campaign.hh"
-#include "fault/supervisor.hh"
 
 namespace mparch::metrics {
 
@@ -31,9 +30,6 @@ mebf(double fit, double exec_time_s)
         return 0.0;
     return 1.0 / (fit * exec_time_s);
 }
-
-/** Scale a series so its largest element is 1 (a.u. presentation). */
-std::vector<double> normalizeToMax(const std::vector<double> &values);
 
 /** TRE thresholds used across the paper's criticality figures. */
 inline constexpr std::array<double, 8> kTreThresholds = {
@@ -55,27 +51,6 @@ struct TreCurve
 
 /** Build a TRE curve from a campaign's SDC corpus. */
 TreCurve treCurve(const fault::CampaignResult &result);
-
-/**
- * Completion summary of a supervised campaign (partial coverage).
- *
- * A degraded campaign still yields unbiased AVF point estimates —
- * the supervisor skips trials by index, never by outcome — but the
- * Wilson interval widens with the shrunken sample. Reporting both
- * keeps a partial run from being mistaken for a full one.
- */
-struct CoverageReport
-{
-    std::uint64_t planned = 0;   ///< trials this run owned
-    std::uint64_t completed = 0; ///< trials with a recorded outcome
-    std::uint64_t poisoned = 0;  ///< abandoned: the workload threw
-    double coverage = 1.0;       ///< completed / planned
-    bool degraded = false;       ///< incomplete or any poisoned
-    Interval avfSdc95;           ///< Wilson interval at achieved n
-};
-
-/** Summarise a supervised campaign's completion state. */
-CoverageReport coverageReport(const fault::SupervisedCampaign &run);
 
 /**
  * Effective SDC rate of a *persistent*-fault device (FPGA

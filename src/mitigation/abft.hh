@@ -56,12 +56,6 @@ class AbftMxMWorkload : public workloads::Workload
         return std::make_unique<AbftMxMWorkload<P>>(*this);
     }
 
-    /** Matrix dimension. */
-    std::size_t dim() const { return n_; }
-
-    /** Elements repaired from checksums in the last execution. */
-    std::uint64_t corrections() const { return corrections_; }
-
     void
     reset(std::uint64_t input_seed) override
     {
@@ -74,7 +68,6 @@ class AbftMxMWorkload : public workloads::Workload
         std::fill(row_chk_.begin(), row_chk_.end(), Value{});
         std::fill(col_chk_.begin(), col_chk_.end(), Value{});
         detected_ = false;
-        corrections_ = 0;
     }
 
     void
@@ -207,7 +200,6 @@ class AbftMxMWorkload : public workloads::Workload
             const std::size_t i = bad_rows[0], j = bad_cols[0];
             const Value fix = Value::fromDouble(row_delta[i]);
             c_[i * n_ + j] -= fix;
-            ++corrections_;
             return;
         }
         // Multi-element or checksum-side corruption: detect only.
@@ -218,7 +210,6 @@ class AbftMxMWorkload : public workloads::Workload
     std::vector<Value> a_, b_, c_;
     std::vector<Value> row_chk_, col_chk_;
     bool detected_ = false;
-    std::uint64_t corrections_ = 0;
 };
 
 /** Factory matching the workload registries' signature; the result

@@ -33,7 +33,7 @@ ReplicatedWorkload::name() const
 
 ReplicatedWorkload::ReplicatedWorkload(const ReplicatedWorkload &other)
     : Workload(other), scheme_(other.scheme_), voted_(other.voted_),
-      detected_(other.detected_), corrections_(other.corrections_)
+      detected_(other.detected_)
 {
     replicas_.reserve(other.replicas_.size());
     for (const auto &r : other.replicas_)
@@ -59,7 +59,6 @@ ReplicatedWorkload::reset(std::uint64_t input_seed)
         r->reset(input_seed);
     voted_.clear();
     detected_ = false;
-    corrections_ = 0;
 }
 
 void
@@ -92,11 +91,8 @@ ReplicatedWorkload::execute(ExecutionEnv &env)
         const std::uint64_t c = out2.get(i);
         if (a == b || a == c) {
             voted_[i] = a;
-            if (b != a || c != a)
-                ++corrections_;
         } else if (b == c) {
             voted_[i] = b;
-            ++corrections_;
         } else {
             // Three-way disagreement: unrecoverable, flag it.
             voted_[i] = a;

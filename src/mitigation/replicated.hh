@@ -72,15 +72,11 @@ class ReplicatedWorkload : public workloads::Workload
     workloads::KernelDesc desc() const override;
     bool detectedError() const override { return detected_; }
 
-    /** Votes that repaired a corrupted element (TMR only). */
-    std::uint64_t corrections() const { return corrections_; }
-
   private:
     Redundancy scheme_;
     std::vector<workloads::WorkloadPtr> replicas_;
     std::vector<std::uint64_t> voted_;
     bool detected_ = false;
-    std::uint64_t corrections_ = 0;
 };
 
 /**

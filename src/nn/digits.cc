@@ -1,6 +1,7 @@
 #include "nn/digits.hh"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -144,13 +145,14 @@ constexpr std::array<const char *, kDigitClasses> kGlyphs = {
     "............",
 };
 
-} // namespace
+static_assert(std::ranges::all_of(kGlyphs, [](const char *glyph) {
+                  const std::string_view g(glyph);
+                  return g.size() == kDigitSize * kDigitSize &&
+                         g.find('#') != std::string_view::npos;
+              }),
+              "every glyph is a kDigitSize x kDigitSize bitmap with ink");
 
-const std::array<const char *, kDigitClasses> &
-DigitGenerator::glyphs()
-{
-    return kGlyphs;
-}
+} // namespace
 
 DigitSample
 DigitGenerator::next()

@@ -58,9 +58,6 @@ class DigitGenerator
     /** Draw a sample of a specific class. */
     DigitSample sampleOf(std::size_t label);
 
-    /** The clean prototype bitmap of a class (for tests). */
-    static const std::array<const char *, kDigitClasses> &glyphs();
-
   private:
     Rng rng_;
     double noise_;

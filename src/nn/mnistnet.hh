@@ -20,7 +20,6 @@
 
 #include "fp/host.hh"
 #include "nn/digits.hh"
-#include "nn/tensor.hh"
 
 namespace mparch::nn {
 

@@ -32,12 +32,6 @@ constexpr std::array<const char *, kYoliteClasses> kShapes = {
 
 } // namespace
 
-const std::array<const char *, kYoliteClasses> &
-SceneGenerator::shapes()
-{
-    return kShapes;
-}
-
 std::vector<double>
 yoliteFilterBank()
 {

@@ -75,9 +75,6 @@ class SceneGenerator
     /** Generate the next scene (1..2 non-overlapping objects). */
     Scene next();
 
-    /** The 5x5 ink mask of a class (for tests and filters). */
-    static const std::array<const char *, kYoliteClasses> &shapes();
-
   private:
     Rng rng_;
     double noise_;

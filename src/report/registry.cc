@@ -59,15 +59,6 @@ experiments()
     return table;
 }
 
-const Experiment *
-findExperiment(const std::string &id)
-{
-    for (const auto &experiment : experiments())
-        if (experiment.id == id)
-            return &experiment;
-    return nullptr;
-}
-
 ResultDoc
 runExperiment(const Experiment &experiment, const RunContext &ctx)
 {

@@ -101,9 +101,6 @@ struct Experiment
 /** The full registry, in paper presentation order. */
 const std::vector<Experiment> &experiments();
 
-/** Lookup by id; null when unknown. */
-const Experiment *findExperiment(const std::string &id);
-
 /**
  * Run one experiment: resolve knobs, execute, stamp metadata and
  * evaluate its shape checks into the document.

@@ -300,28 +300,6 @@ ratioWithin(std::string id, std::string description,
 }
 
 ShapeCheck
-nearlyEqual(std::string id, std::string description, Selector a,
-            Selector b, double tolerance)
-{
-    return custom(
-        std::move(id), std::move(description),
-        [a, b, tolerance](const ResultDoc &doc) {
-            CheckOutcome fail_out;
-            double va = 0.0, vb = 0.0;
-            if (!scalar(doc, a, va, fail_out))
-                return fail_out;
-            if (!scalar(doc, b, vb, fail_out))
-                return fail_out;
-            const double diff = std::abs(va - vb);
-            const bool ok = diff <= tolerance;
-            return CheckOutcome{
-                ok, "|" + a.describe() + " - " + b.describe() +
-                        "| = " + num(diff) +
-                        (ok ? " <= " : " EXCEEDS ") + num(tolerance)};
-        });
-}
-
-ShapeCheck
 flatWithin(std::string id, std::string description,
            Selector series_sel, double maxRatio)
 {
@@ -389,46 +367,6 @@ allAbove(std::string id, std::string description, Selector series_sel,
                                         joinSeries(values) + "]" +
                                         (ok ? " all > " : " NOT all > ") +
                                         num(bound)};
-        });
-}
-
-ShapeCheck
-crossoverAt(std::string id, std::string description, Selector a,
-            Selector b, std::size_t loIndex, std::size_t hiIndex)
-{
-    return custom(
-        std::move(id), std::move(description),
-        [a, b, loIndex, hiIndex](const ResultDoc &doc) {
-            std::vector<double> va, vb;
-            CheckOutcome fail_out;
-            if (!series(doc, a, va, fail_out))
-                return fail_out;
-            if (!series(doc, b, vb, fail_out))
-                return fail_out;
-            if (va.size() != vb.size() || va.size() < 2)
-                return failure("series lengths " +
-                               std::to_string(va.size()) + " vs " +
-                               std::to_string(vb.size()));
-            if (va[0] < vb[0])
-                return failure(a.describe() + " already below " +
-                               b.describe() + " at index 0");
-            std::size_t crossing = va.size();
-            for (std::size_t i = 0; i < va.size(); ++i) {
-                if (va[i] < vb[i]) {
-                    crossing = i;
-                    break;
-                }
-            }
-            if (crossing == va.size())
-                return failure(a.describe() + " never drops below " +
-                               b.describe());
-            const bool ok = crossing >= loIndex && crossing <= hiIndex;
-            return CheckOutcome{
-                ok, a.describe() + " crosses below " + b.describe() +
-                        " at index " + std::to_string(crossing) +
-                        (ok ? " within [" : " OUTSIDE [") +
-                        std::to_string(loIndex) + ", " +
-                        std::to_string(hiIndex) + "]"};
         });
 }
 

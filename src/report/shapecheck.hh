@@ -3,7 +3,7 @@
  * Machine-checked shape targets.
  *
  * The paper's FIT values are in arbitrary units, so its actual
- * claims are *shapes*: orderings, ratios, crossovers and growing
+ * claims are *shapes*: orderings, ratios, bounds and growing
  * shares. A ShapeCheck turns each one into an executable
  * predicate over an experiment's ResultDoc with an explicit
  * pass/fail verdict and a human-readable "observed" trace.
@@ -13,11 +13,8 @@
  *    (with optional relative slack);
  *  - exceeds: scalar A > factor * scalar B;
  *  - ratioWithin: A / B inside [lo, hi];
- *  - nearlyEqual: |A - B| <= absolute tolerance;
  *  - flatWithin: max/min of a series below a ratio bound;
  *  - allBelow / allAbove: series against a constant bound;
- *  - crossoverAt: series A starts at-or-above series B and ends
- *    below it, with the crossing index inside a window;
  *  - custom: escape hatch for one-off predicates.
  *
  * Series are addressed declaratively with a Selector — table name,
@@ -124,10 +121,6 @@ ShapeCheck ratioWithin(std::string id, std::string description,
                        Selector numerator, Selector denominator,
                        double lo, double hi);
 
-/** |A - B| <= tolerance (scalars). */
-ShapeCheck nearlyEqual(std::string id, std::string description,
-                       Selector a, Selector b, double tolerance);
-
 /** max(series) / min(series) <= maxRatio ("roughly flat"). */
 ShapeCheck flatWithin(std::string id, std::string description,
                       Selector series, double maxRatio);
@@ -139,15 +132,6 @@ ShapeCheck allBelow(std::string id, std::string description,
 /** Every element of the series is strictly above @p bound. */
 ShapeCheck allAbove(std::string id, std::string description,
                     Selector series, double bound);
-
-/**
- * Series A starts at-or-above series B and crosses below it exactly
- * where the paper says: the first index i with A[i] < B[i] must lie
- * in [loIndex, hiIndex]. Both series must have equal length >= 2.
- */
-ShapeCheck crossoverAt(std::string id, std::string description,
-                       Selector a, Selector b, std::size_t loIndex,
-                       std::size_t hiIndex);
 
 } // namespace mparch::report
 

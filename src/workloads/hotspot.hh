@@ -54,9 +54,6 @@ class HotspotWorkload : public Workload
         return std::make_unique<HotspotWorkload<P>>(*this);
     }
 
-    /** Grid side length. */
-    std::size_t dim() const { return n_; }
-
     void
     reset(std::uint64_t input_seed) override
     {

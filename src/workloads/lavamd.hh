@@ -63,9 +63,6 @@ class LavaMDWorkload : public Workload
     /** Number of boxes in the periodic grid. */
     std::size_t boxCount() const { return grid_ * grid_ * grid_; }
 
-    /** Particles per box. */
-    std::size_t particlesPerBox() const { return par_; }
-
     void
     reset(std::uint64_t input_seed) override
     {

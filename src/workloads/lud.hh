@@ -46,9 +46,6 @@ class LudWorkload : public Workload
         return std::make_unique<LudWorkload<P>>(*this);
     }
 
-    /** Matrix dimension. */
-    std::size_t dim() const { return n_; }
-
     void
     reset(std::uint64_t input_seed) override
     {

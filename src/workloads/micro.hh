@@ -83,9 +83,6 @@ class MicroWorkload : public Workload
         return std::make_unique<MicroWorkload<P>>(*this);
     }
 
-    /** Iterations per simulated thread. */
-    std::size_t iterations() const { return iters_; }
-
     /** Simulated thread count. */
     std::size_t threads() const { return threads_; }
 
@@ -143,9 +140,6 @@ class MicroWorkload : public Workload
         d.branchDensity = 0.002;  // paper: DUE ~1/10 of real codes
         return d;
     }
-
-    /** The stressed operation. */
-    MicroOp microOp() const { return op_; }
 
   private:
     /** The stressed op's kind. */

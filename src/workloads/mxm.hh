@@ -49,9 +49,6 @@ class MxMWorkload : public Workload
         return std::make_unique<MxMWorkload<P>>(*this);
     }
 
-    /** Matrix dimension. */
-    std::size_t dim() const { return n_; }
-
     void
     reset(std::uint64_t input_seed) override
     {

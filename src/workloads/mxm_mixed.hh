@@ -55,9 +55,6 @@ class MxMMixedWorkload : public Workload
         return fp::Precision::Single;
     }
 
-    /** Matrix dimension. */
-    std::size_t dim() const { return n_; }
-
     void
     reset(std::uint64_t input_seed) override
     {

@@ -14,17 +14,6 @@
 
 namespace mparch::workloads {
 
-const char *
-sdcSeverityName(SdcSeverity severity)
-{
-    switch (severity) {
-      case SdcSeverity::Tolerable:       return "tolerable";
-      case SdcSeverity::DetectionChange: return "detection-change";
-      case SdcSeverity::CriticalChange:  return "critical-change";
-    }
-    return "?";
-}
-
 namespace {
 
 /** Instantiate one benchmark template at a runtime precision; @p
@@ -74,15 +63,6 @@ findWorkload(std::string_view name)
         if (known == name)
             return make;
     return nullptr;
-}
-
-std::vector<std::string_view>
-workloadNames()
-{
-    std::vector<std::string_view> names;
-    for (const auto &entry : kWorkloads)
-        names.push_back(entry.first);
-    return names;
 }
 
 WorkloadPtr

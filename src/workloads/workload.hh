@@ -217,9 +217,6 @@ enum class SdcSeverity
     CriticalChange,     ///< classification / detected class changed
 };
 
-/** Name for an SdcSeverity value. */
-const char *sdcSeverityName(SdcSeverity severity);
-
 /**
  * What a workload factory built. With an input seed it fixes the
  * workload's behaviour, and so its golden run: it keys the golden-run
@@ -391,15 +388,11 @@ using WorkloadMaker = WorkloadPtr (*)(fp::Precision p, double scale);
  *  unknown name. */
 WorkloadMaker findWorkload(std::string_view name);
 
-/** Every name makeWorkload() knows, in registry order. */
-std::vector<std::string_view> workloadNames();
-
 /**
  * Instantiate a benchmark by name and precision, stamped with its
  * identity.
  *
- * Known names: workloadNames(). Throws via fatal() on unknown
- * names.
+ * Throws via fatal() on names findWorkload() does not know.
  *
  * @param scale 1.0 is the default problem size; campaigns can shrink
  *              (or grow) the run time with this knob.

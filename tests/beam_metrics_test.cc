@@ -112,16 +112,6 @@ TEST(Metrics, MebfBasics)
     EXPECT_DOUBLE_EQ(metrics::mebf(1.0, 0.0), 0.0);
 }
 
-TEST(Metrics, NormalizeToMax)
-{
-    const auto out = metrics::normalizeToMax({2.0, 4.0, 1.0});
-    EXPECT_DOUBLE_EQ(out[1], 1.0);
-    EXPECT_DOUBLE_EQ(out[0], 0.5);
-    EXPECT_DOUBLE_EQ(out[2], 0.25);
-    const auto zeros = metrics::normalizeToMax({0.0, 0.0});
-    EXPECT_DOUBLE_EQ(zeros[0], 0.0);
-}
-
 TEST(Metrics, TreCurveFromCorpus)
 {
     fault::CampaignResult r;

@@ -100,7 +100,7 @@ TEST(CliArgs, AbsentOptionsFallBack)
     EXPECT_EQ(args.text("journal", "none"), "none");
     EXPECT_FALSE(args.has("resume"));
     EXPECT_TRUE(args.all("rule").empty());
-    EXPECT_EQ(args.positionalCount(0, 9), 9u);
+    EXPECT_EQ(args.positional(0, "9"), "9");
 }
 
 TEST(CliArgs, BooleanSwitch)
@@ -149,7 +149,7 @@ TEST(CliArgs, MalformedNumbersAreRejected)
 
 TEST(CliArgs, PositionalsAreTypedAndBounded)
 {
-    EXPECT_EQ(accepted({"40", "--resume"}).positionalCount(0, 9), 40u);
+    EXPECT_EQ(accepted({"40", "--resume"}).positional(0, "9"), "40");
     EXPECT_EQ(rejection({"12abc"}),
               "argument 1 must be a count, got '12abc'");
     EXPECT_EQ(rejection({"1", "2"}), "unexpected argument '2'");

@@ -16,6 +16,10 @@
 namespace mparch::fp {
 namespace {
 
+using FpHalf = Fp<Precision::Half>;
+using FpSingle = Fp<Precision::Single>;
+using FpDouble = Fp<Precision::Double>;
+
 /** Hook that records every stage visit. */
 class RecordingHook : public FpHook
 {

@@ -130,10 +130,6 @@ TEST(BeamExposure, PaperCampaignArithmetic)
     // is equivalent to more than 11,000 years".
     EXPECT_NEAR(beam::naturalYearsEquivalent(100.0, 1e6), 11408.0,
                 10.0);
-    // Single-fault regime bookkeeping.
-    EXPECT_TRUE(beam::singleFaultRegime(9e-4));
-    EXPECT_FALSE(beam::singleFaultRegime(2e-3));
-    EXPECT_LT(beam::multiFaultProbability(1e-3), 1e-6);
     // Beam-time planning: 0.5 errors/hour, want 100 errors.
     EXPECT_DOUBLE_EQ(beam::beamHoursForErrors(0.5, 100.0), 200.0);
 }

@@ -11,8 +11,10 @@
  * what these tests pin down (this file is swept by lint_all).
  */
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,8 +35,38 @@ lintBuffer(const std::string &path, const std::string &code,
     if (!rule.empty())
         options.onlyRules.push_back(rule);
     LintReport report;
-    lintFile(sourceFromString(path, code), options, report);
+    lintFiles({sourceFromString(path, code)}, options, report);
     return report;
+}
+
+/** Run `unreferenced` over several (path, code) buffers at once. */
+LintReport
+lintTree(const std::vector<std::pair<std::string, std::string>> &files)
+{
+    LintOptions options;
+    options.onlyRules.push_back("unreferenced");
+    std::vector<SourceFile> sources;
+    for (const auto &[path, code] : files)
+        sources.push_back(sourceFromString(path, code));
+    LintReport report;
+    lintFiles(sources, options, report);
+    return report;
+}
+
+/** The quoted symbol of each active `unreferenced` finding, sorted. */
+std::vector<std::string>
+flaggedSymbols(const LintReport &report)
+{
+    std::vector<std::string> names;
+    for (const Finding &f : report.findings) {
+        if (f.suppressed || f.rule != "unreferenced")
+            continue;
+        const std::size_t open = f.message.find('\'');
+        names.push_back(f.message.substr(
+            open + 1, f.message.find('\'', open + 1) - open - 1));
+    }
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 std::vector<std::string>
@@ -511,6 +543,168 @@ TEST(HostMath, OnlyAppliesToFpSources)
 }
 
 // ---------------------------------------------------------------
+// unreferenced
+
+const char *const kApiHeader = R"cpp(
+#ifndef MPARCH_X_API_HH
+#define MPARCH_X_API_HH
+namespace mparch::x {
+int used(int v);
+int unused(int v);
+class Meter
+{
+  public:
+    double read() const;
+    void reset();
+};
+}
+#endif
+)cpp";
+
+TEST(Unreferenced, FlagsUnusedFreeFunctionAndMember)
+{
+    const auto report = lintTree({
+        {"src/x/api.hh", kApiHeader},
+        {"src/x/api.cc", R"cpp(
+            #include "x/api.hh"
+            namespace mparch::x {
+            int used(int v) { return v + 1; }
+            int unused(int v) { return v - 1; }
+            double Meter::read() const { return 1.0; }
+            void Meter::reset() {}
+            }
+        )cpp"},
+        {"examples/main.cpp", R"cpp(
+            int main() { mparch::x::Meter m; return mparch::x::used(2) + int(m.read()); }
+        )cpp"},
+    });
+    EXPECT_EQ(flaggedSymbols(report),
+              (std::vector<std::string>{"reset", "unused"}));
+    // Reported at the declaration in the header, not the definition.
+    for (const Finding &f : report.findings)
+        EXPECT_EQ(f.path, "src/x/api.hh");
+    ASSERT_EQ(report.findings.size(), 2u);
+    EXPECT_EQ(report.findings[0].line, 6u);   // int unused(int v);
+    EXPECT_EQ(report.findings[1].line, 11u);  // void reset();
+}
+
+TEST(Unreferenced, TestOnlyUserDoesNotCount)
+{
+    const std::string testUser = R"cpp(
+        #include "x/api.hh"
+        TEST(Api, Everything) {
+            mparch::x::Meter m; m.reset();
+            EXPECT_EQ(mparch::x::used(1) + mparch::x::unused(1), 2);
+            EXPECT_EQ(m.read(), 1.0);
+        }
+    )cpp";
+    EXPECT_EQ(flaggedSymbols(lintTree({{"src/x/api.hh", kApiHeader},
+                                       {"tests/api_test.cc", testUser}})),
+              (std::vector<std::string>{"Meter", "read", "reset", "unused",
+                                        "used"}));
+    // A tool is a user like the library itself.
+    EXPECT_EQ(flaggedSymbols(lintTree({{"src/x/api.hh", kApiHeader},
+                                       {"tests/api_test.cc", testUser},
+                                       {"tools/meter.cc", testUser}})),
+              std::vector<std::string>{});
+}
+
+TEST(Unreferenced, OverrideOfUsedVirtualIsUsed)
+{
+    const auto report = lintTree({
+        {"src/x/shape.hh", R"cpp(
+            struct Shape { virtual ~Shape() = default;
+                           virtual double area() const = 0;
+                           virtual double perimeter() const = 0; };
+            struct Square final : Shape {
+                double area() const override { return 1.0; }
+                double perimeter() const override { return 4.0; }
+            };
+        )cpp"},
+        {"src/x/use.cc", R"cpp(
+            double f(const Shape &s) { return s.area(); }
+            double g() { return f(Square{}); }
+        )cpp"},
+    });
+    EXPECT_EQ(flaggedSymbols(report),
+              std::vector<std::string>{"perimeter"});
+}
+
+TEST(Unreferenced, OwnDefinitionIsNoUse)
+{
+    // A type named only by its own body and its out-of-line member
+    // definitions, and a function that only calls itself, are dead.
+    const auto report = lintTree({
+        {"src/x/counter.hh", R"cpp(
+            namespace x {
+            template <int N> class Counter {
+              public:
+                Counter() = default;
+                explicit Counter(int start);
+                Counter &bump();
+              private:
+                int n_ = 0;
+            };
+            int countdown(int n);
+            }
+        )cpp"},
+        {"src/x/counter.cc", R"cpp(
+            namespace x {
+            template <int N> Counter<N>::Counter(int start) : n_(start) {}
+            template <int N> Counter<N> &Counter<N>::bump() { ++n_; return *this; }
+            int countdown(int n) { return n > 0 ? countdown(n - 1) : 0; }
+            }
+        )cpp"},
+    });
+    EXPECT_EQ(flaggedSymbols(report),
+              (std::vector<std::string>{"Counter", "bump", "countdown"}));
+}
+
+TEST(Unreferenced, MacrosCallsAndSpecializationsAreNoDeclarations)
+{
+    // A macro call at namespace scope and a call inside a default
+    // member initializer are uses, and so is a name in a macro body.
+    // A specialization declares no new name.
+    const auto report = lintTree({
+        {"src/x/api.hh", R"cpp(
+            #ifndef MPARCH_X_API_HH
+            #define MPARCH_X_API_HH
+            int registerAll();
+            int seedOf(int v);
+            int fromMacro(int v);
+            #define MPARCH_WRAP(v) \
+                fromMacro(v)
+            struct Key { int v; };
+            namespace std {
+            template <> struct hash<Key> {
+                size_t operator()(const Key &k) const { return k.v; }
+            };
+            }
+            #endif
+        )cpp"},
+        {"src/x/use.cc", R"cpp(
+            REGISTER(registerAll);
+            struct Holder { int seed = seedOf(3); Key key; };
+            int h() { return MPARCH_WRAP(2); }
+        )cpp"},
+    });
+    EXPECT_EQ(flaggedSymbols(report), std::vector<std::string>{});
+}
+
+TEST(Unreferenced, AllowCommentAboveTheDeclarationWaivesIt)
+{
+    const auto report = lintTree({{"src/x/api.hh", R"cpp(
+        /** Only the benchmark calls it. */
+        // mparch-lint: allow(unreferenced): an out-of-tree caller
+        std::shared_ptr<int>
+        benchOnly(int v);
+    )cpp"}});
+    EXPECT_EQ(report.active(), 0u);
+    ASSERT_EQ(report.suppressedCount(), 1u);
+    EXPECT_EQ(report.findings[0].suppressReason, "an out-of-tree caller");
+}
+
+// ---------------------------------------------------------------
 // Suppressions
 
 TEST(Suppression, SameLineWaives)
@@ -587,6 +781,7 @@ TEST(Registry, CatalogueIsStable)
         "banned-api",          "rng-discipline",
         "ordered-serialization", "hook-coverage",
         "include-hygiene",     "host-math",
+        "unreferenced",
     };
     EXPECT_EQ(names, expected);
     for (const Rule *r : allRules()) {
@@ -646,6 +841,20 @@ TEST(Fixtures, EveryRuleFiresOnTheCorpus)
     EXPECT_NE(std::count(names.begin(), names.end(),
                          suppressionRuleName()),
               0);
+}
+
+TEST(Fixtures, UnreferencedFlagsExactlyTheDeadCorpusSymbols)
+{
+    // A free function nothing calls, a member nothing calls and a
+    // function only a test calls; the override users.cc reaches
+    // through its base stays unflagged.
+    const std::string corpus =
+        std::string(MPARCH_SOURCE_DIR) + "/tests/data/lint";
+    LintOptions options;
+    options.onlyRules.push_back("unreferenced");
+    EXPECT_EQ(flaggedSymbols(lintPaths({corpus}, options)),
+              (std::vector<std::string>{"debugDump", "orphanHelper",
+                                        "reset"}));
 }
 
 TEST(Fixtures, SuppressedFixtureScansClean)

@@ -59,6 +59,17 @@ slurp(const std::string &path)
     return os.str();
 }
 
+/** Side n of the n x n matrix a workload buffer holds. */
+inline std::size_t
+matrixSide(const workloads::BufferView &view)
+{
+    std::size_t n = 0;
+    while ((n + 1) * (n + 1) <= view.count)
+        ++n;
+    EXPECT_EQ(n * n, view.count) << view.name << " is not square";
+    return n;
+}
+
 /**
  * One campaign through fault::runSupervisedCampaign with the default
  * supervisor. A refused campaign fails the calling test: its empty

@@ -17,6 +17,7 @@
 #include "workloads/mxm.hh"
 #include "workloads/mxm_mixed.hh"
 #include "workloads/workload.hh"
+#include "test_util.hh"
 
 namespace mparch::workloads {
 namespace {
@@ -142,7 +143,7 @@ TEST(MxM, MatchesHostDoubleReference)
     auto views = w.buffers();
     const auto &a = views[0];
     const auto &b = views[1];
-    const std::size_t n = w.dim();
+    const std::size_t n = test::matrixSide(w.output());
     for (std::size_t probe : {std::size_t{0}, n * n / 2, n * n - 1}) {
         const std::size_t i = probe / n, j = probe % n;
         double acc = 0.0;
@@ -160,7 +161,7 @@ TEST(MxM, OpMixIsPureFma)
     MxMWorkload<Precision::Single> w(0.2);
     fp::FpContext ctx;
     runOnce(w, 1, &ctx);
-    const std::size_t n = w.dim();
+    const std::size_t n = test::matrixSide(w.output());
     EXPECT_EQ(ctx.count(OpKind::Fma), n * n * n);
     EXPECT_EQ(ctx.count(OpKind::Mul), 0u);
     EXPECT_EQ(ctx.count(OpKind::Add), 0u);
@@ -198,7 +199,7 @@ TEST(Lud, FactorisationReconstructsMatrix)
     w.reset(5);
     // Capture the input matrix before factorisation.
     auto before = w.buffers()[0];
-    const std::size_t n = w.dim();
+    const std::size_t n = test::matrixSide(before);
     std::vector<double> a(n * n);
     for (std::size_t i = 0; i < n * n; ++i)
         a[i] = fp::fpToDouble(fp::kDouble, before.get(i));
@@ -317,7 +318,7 @@ TEST(Registry, UnknownNameDies)
 TEST(Registry, ScaleShrinksProblem)
 {
     MxMWorkload<Precision::Single> big(1.0), small(0.1);
-    EXPECT_GT(big.dim(), small.dim());
+    EXPECT_GT(big.output().count, small.output().count);
 }
 
 } // namespace
@@ -335,9 +336,8 @@ TEST(MxMMixed, MatchesTensorCoreSemantics)
     auto views = w->buffers();
     const auto &a = views[0];
     const auto &b = views[1];
-    const auto *mixed = dynamic_cast<MxMMixedWorkload *>(w.get());
-    ASSERT_NE(mixed, nullptr);
-    const std::size_t n = mixed->dim();
+    ASSERT_NE(dynamic_cast<MxMMixedWorkload *>(w.get()), nullptr);
+    const std::size_t n = test::matrixSide(a);
     std::vector<float> ha(n * n), hb(n * n);
     for (std::size_t i = 0; i < n * n; ++i) {
         ha[i] = static_cast<float>(
@@ -371,8 +371,7 @@ TEST(MxMMixed, DeterministicAndCountsConversions)
         fp::FpEnvGuard guard(ctx);
         w->execute(env);
     }
-    const auto *mixed = dynamic_cast<MxMMixedWorkload *>(w.get());
-    const std::size_t n = mixed->dim();
+    const std::size_t n = test::matrixSide(w->output());
     // Two widening conversions and one FMA per inner-loop step.
     EXPECT_EQ(ctx.count(fp::OpKind::Fma), n * n * n);
     EXPECT_EQ(ctx.count(fp::OpKind::Convert), 2 * n * n * n);
