@@ -44,16 +44,19 @@ memberAccess(const std::vector<Token> &code, std::size_t i)
            (code[i - 1].isPunct(".") || code[i - 1].isPunct("->"));
 }
 
-/** Index of the `)` matching an opening `(` at @p open; npos-like
- *  code.size() if unbalanced. */
+/** Index of the `)` or `}` matching the `(` or `{` at @p open;
+ *  npos-like code.size() if unbalanced. */
 inline std::size_t
-matchParen(const std::vector<Token> &code, std::size_t open)
+matchClose(const std::vector<Token> &code, std::size_t open)
 {
+    const bool brace = code[open].isPunct("{");
+    const char *opener = brace ? "{" : "(";
+    const char *closer = brace ? "}" : ")";
     int depth = 0;
     for (std::size_t j = open; j < code.size(); ++j) {
-        if (code[j].isPunct("("))
+        if (code[j].isPunct(opener))
             ++depth;
-        else if (code[j].isPunct(")") && --depth == 0)
+        else if (code[j].isPunct(closer) && --depth == 0)
             return j;
     }
     return code.size();

@@ -27,7 +27,7 @@ namespace mparch::analysis {
 
 namespace {
 
-using detail::matchParen;
+using detail::matchClose;
 using detail::signatureBegin;
 
 bool
@@ -64,7 +64,7 @@ class HookCoverageRule final : public Rule
             if (!code[i].isIdent("roundPack") ||
                 !code[i + 1].isPunct("("))
                 continue;
-            const std::size_t close = matchParen(code, i + 1);
+            const std::size_t close = matchClose(code, i + 1);
             if (rangeHasIdent(code, i + 1, close, "ctx") ||
                 rangeHasIdent(code, i + 1, close, "oc") ||
                 rangeHasIdent(code, i + 1, close, "OpCtx"))

@@ -135,7 +135,7 @@ class HostMathRule final : public Rule
             // __attribute__((..., target(...), ...))
             if ((t.text == "__attribute__" || t.text == "__attribute") &&
                 i + 1 < code.size() && code[i + 1].isPunct("(")) {
-                const std::size_t close = detail::matchParen(code, i + 1);
+                const std::size_t close = detail::matchClose(code, i + 1);
                 for (std::size_t k = i + 2; k < close; ++k) {
                     if (isTargetAttribute(code[k]) &&
                         k + 1 < close && code[k + 1].isPunct("("))

@@ -163,7 +163,7 @@ class RngDisciplineRule final : public Rule
         std::size_t initBegin = 0, initEnd = 0;
         if (code[i + 2].isPunct("(")) {
             initBegin = i + 2;
-            initEnd = detail::matchParen(code, i + 2);
+            initEnd = detail::matchClose(code, i + 2);
         } else if (code[i + 2].isPunct("=")) {
             initBegin = i + 3;
             initEnd = initBegin;

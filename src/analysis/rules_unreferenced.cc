@@ -21,6 +21,7 @@
 
 #include "analysis/rules.hh"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -85,19 +86,6 @@ directiveLines(const SourceFile &file)
         onDirective[i] = file.code[i].line < lineIsDirective.size() &&
                          lineIsDirective[file.code[i].line];
     return onDirective;
-}
-
-std::size_t
-matchBrace(const std::vector<Token> &code, std::size_t open)
-{
-    int depth = 0;
-    for (std::size_t j = open; j < code.size(); ++j) {
-        if (code[j].isPunct("{"))
-            ++depth;
-        else if (code[j].isPunct("}") && --depth == 0)
-            return j;
-    }
-    return code.size() - 1;
 }
 
 /** Names qualifying the declarator that ends just before @p name
@@ -196,7 +184,9 @@ declarationOf(const SourceFile &file, std::size_t b, std::size_t e,
     }
     const bool body = code[e].isPunct("{");
     decl.begin = b;
-    decl.end = body ? matchBrace(code, e) : e;
+    decl.end = body ? std::min(detail::matchClose(code, e),
+                               code.size() - 1)
+                    : e;
 
     if (classKey != e) {
         std::size_t n = classKey + 1;
