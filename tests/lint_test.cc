@@ -575,7 +575,10 @@ TEST(Unreferenced, FlagsUnusedFreeFunctionAndMember)
             }
         )cpp"},
         {"examples/main.cpp", R"cpp(
-            int main() { mparch::x::Meter m; return mparch::x::used(2) + int(m.read()); }
+            int main() {
+                mparch::x::Meter m;
+                return mparch::x::used(2) + int(m.read());
+            }
         )cpp"},
     });
     EXPECT_EQ(flaggedSymbols(report),
@@ -651,7 +654,10 @@ TEST(Unreferenced, OwnDefinitionIsNoUse)
         {"src/x/counter.cc", R"cpp(
             namespace x {
             template <int N> Counter<N>::Counter(int start) : n_(start) {}
-            template <int N> Counter<N> &Counter<N>::bump() { ++n_; return *this; }
+            template <int N> Counter<N> &Counter<N>::bump() {
+                ++n_;
+                return *this;
+            }
             int countdown(int n) { return n > 0 ? countdown(n - 1) : 0; }
             }
         )cpp"},
