@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -710,6 +711,115 @@ TEST(Unreferenced, AllowCommentAboveTheDeclarationWaivesIt)
     EXPECT_EQ(report.findings[0].suppressReason, "an out-of-tree caller");
 }
 
+TEST(Unreferenced, UnusedTypesAndAliasesAreFlagged)
+{
+    const auto report = lintTree({
+        {"src/x/types.hh", R"cpp(
+            namespace x {
+            enum class Mode { Fast, Slow };
+            enum class Stale { Old };
+            struct Used { int v; };
+            struct Unused { int v; };
+            using Bits = unsigned;
+            using Dead = int;
+            }
+        )cpp"},
+        {"src/x/use.cc", R"cpp(
+            x::Bits f(x::Mode m, x::Used u) {
+                return m == x::Mode::Fast ? x::Bits(u.v) : 0u;
+            }
+        )cpp"},
+    });
+    EXPECT_EQ(flaggedSymbols(report),
+              (std::vector<std::string>{"Dead", "Stale", "Unused"}));
+    for (const Finding &f : report.findings)
+        EXPECT_EQ(f.message.rfind("type '", 0), 0u) << f.message;
+}
+
+TEST(Unreferenced, CollidingNamesKeepTheDeadOneAlive)
+{
+    // Matching goes by token: a dead member shares its spelling with
+    // a live function elsewhere, so the rule keeps both rather than
+    // risk flagging the live one.
+    const auto report = lintTree({
+        {"src/x/tally.hh", R"cpp(
+            struct Tally {
+                int hits = 0;
+                void merge(const Tally &other);
+                void clear();
+            };
+        )cpp"},
+        {"src/x/tally.cc", R"cpp(
+            void Tally::merge(const Tally &other) { hits += other.hits; }
+            void Tally::clear() { hits = 0; }
+        )cpp"},
+        {"src/x/sweep.cc", R"cpp(
+            namespace verify {
+            int merge(int a, int b) { return a + b; }
+            }
+            int run(Tally &t) { return verify::merge(t.hits, 1); }
+        )cpp"},
+    });
+    EXPECT_EQ(flaggedSymbols(report), std::vector<std::string>{"clear"});
+}
+
+TEST(Unreferenced, OnlySrcHeadersDeclareSymbols)
+{
+    // A src/ source file's own helpers, and the headers of tools/
+    // and tests/, are no library surface: nothing there is flagged.
+    const auto report = lintTree({
+        {"src/x/api.hh", "int exported();\nint dropped();\n"},
+        {"src/x/api.cc", "static int local();\n"
+                         "int exported() { return 1; }\n"},
+        {"tools/tool.hh", "int toolOnly();\n"},
+        {"tests/test_util.hh", "int helperOnly();\n"},
+        {"examples/main.cpp", "int main() { return exported(); }\n"},
+    });
+    EXPECT_EQ(flaggedSymbols(report), std::vector<std::string>{"dropped"});
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_EQ(report.findings[0].path, "src/x/api.hh");
+    EXPECT_EQ(report.findings[0].line, 2u);
+}
+
+// ---------------------------------------------------------------
+// Tree pass plumbing
+
+TEST(TreePass, FindingsJoinTheirFileInLineOrder)
+{
+    // Tree findings land in the file they name, sorted by line among
+    // that file's per-file findings; files keep run order.
+    LintOptions options;
+    options.onlyRules = {"banned-api", "unreferenced"};
+    LintReport report;
+    lintFiles({sourceFromString("src/x/api.hh",
+                                "int dead();\n"
+                                "inline int roll() { return std::rand(); }\n"
+                                "int later();\n"),
+               sourceFromString("src/x/use.cc",
+                                "int f() { return roll() + std::rand(); }\n")},
+              options, report);
+    EXPECT_EQ(report.filesScanned, 2u);
+    std::vector<std::tuple<std::string, std::size_t, std::string>> got;
+    for (const Finding &f : report.findings)
+        got.emplace_back(f.path, f.line, f.rule);
+    const std::vector<std::tuple<std::string, std::size_t, std::string>>
+        want = {{"src/x/api.hh", 1, "unreferenced"},
+                {"src/x/api.hh", 2, "banned-api"},
+                {"src/x/api.hh", 3, "unreferenced"},
+                {"src/x/use.cc", 1, "banned-api"}};
+    EXPECT_EQ(got, want);
+}
+
+TEST(TreePass, OnlyRulesSelectsTreeRulesToo)
+{
+    const std::string header = "int dead();\n";
+    EXPECT_EQ(lintBuffer("src/x/api.hh", header, "banned-api").active(),
+              0u);
+    const auto report = lintBuffer("src/x/api.hh", header, "unreferenced");
+    ASSERT_EQ(report.active(), 1u);
+    EXPECT_EQ(report.findings[0].rule, "unreferenced");
+}
+
 // ---------------------------------------------------------------
 // Suppressions
 
@@ -861,6 +971,26 @@ TEST(Fixtures, UnreferencedFlagsExactlyTheDeadCorpusSymbols)
     EXPECT_EQ(flaggedSymbols(lintPaths({corpus}, options)),
               (std::vector<std::string>{"debugDump", "orphanHelper",
                                         "reset"}));
+}
+
+TEST(Fixtures, TreePassSpansEveryPathArgument)
+{
+    // Users count across separate path arguments: without users.cc
+    // the Gauge and Square are dead; given it as one more path,
+    // only Gauge::reset is.
+    const std::string dir = std::string(MPARCH_SOURCE_DIR) +
+                            "/tests/data/lint/src/unreferenced/";
+    LintOptions options;
+    options.onlyRules.push_back("unreferenced");
+    const std::vector<std::string> headers = {dir + "unused_member.hh",
+                                              dir + "used_override.hh"};
+    EXPECT_EQ(flaggedSymbols(lintPaths(headers, options)),
+              (std::vector<std::string>{"Gauge", "Square", "area", "read",
+                                        "reset"}));
+    std::vector<std::string> withUsers = headers;
+    withUsers.push_back(dir + "users.cc");
+    EXPECT_EQ(flaggedSymbols(lintPaths(withUsers, options)),
+              std::vector<std::string>{"reset"});
 }
 
 TEST(Fixtures, SuppressedFixtureScansClean)
