@@ -107,6 +107,7 @@ class Lexer
             if (c == '\n') {
                 atLineStart_ = true;
                 expectHeaderName_ = false;
+                inDirective_ = false;
                 cur_.advance();
                 continue;
             }
@@ -172,6 +173,8 @@ class Lexer
         // A header name is only expected immediately after #include.
         if (!(t.kind == TokKind::Directive && t.text == "include"))
             expectHeaderName_ = false;
+        inDirective_ = inDirective_ || t.kind == TokKind::Directive;
+        t.inDirective = inDirective_;
         out_.push_back(std::move(t));
     }
 
@@ -431,6 +434,7 @@ class Lexer
     std::vector<Token> out_;
     bool atLineStart_ = true;
     bool expectHeaderName_ = false;
+    bool inDirective_ = false;
 };
 
 } // namespace

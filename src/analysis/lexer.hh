@@ -41,6 +41,7 @@ struct Token
     std::string text;
     unsigned line = 1;  ///< 1-based source line
     unsigned col = 1;   ///< 1-based source column
+    bool inDirective = false;  ///< on a preprocessor line (splices too)
 
     bool
     is(TokKind k, const char *spelling) const

@@ -17,6 +17,9 @@
  * definition of a symbol are the statements that declare it, with
  * their bodies; a type's definition also takes in its out-of-line
  * member definitions (`Type::member(...) {...}`).
+ *
+ * A run that lacks any of src/, examples/ and tools/ would miss
+ * users, so the rule reports only on a run that spans all three.
  */
 
 #include "analysis/rules.hh"
@@ -59,34 +62,6 @@ struct Decl
     std::size_t begin = 0, end = 0;  ///< [begin,end] `code` range
     std::vector<std::string> owners;  ///< symbols the range belongs to
 };
-
-/** True for every `code` token on a preprocessor line (with its
- *  backslash continuations). */
-std::vector<bool>
-directiveLines(const SourceFile &file)
-{
-    std::vector<bool> lineIsDirective(1, false);
-    bool continued = false;
-    std::size_t start = 0;
-    while (start <= file.content.size()) {
-        std::size_t stop = file.content.find('\n', start);
-        if (stop == std::string::npos)
-            stop = file.content.size();
-        const std::size_t first =
-            file.content.find_first_not_of(" \t", start);
-        const bool opens =
-            first < stop && file.content[first] == '#';
-        lineIsDirective.push_back(continued || opens);
-        continued = (continued || opens) && stop > start &&
-                    file.content[stop - 1] == '\\';
-        start = stop + 1;
-    }
-    std::vector<bool> onDirective(file.code.size(), false);
-    for (std::size_t i = 0; i < file.code.size(); ++i)
-        onDirective[i] = file.code[i].line < lineIsDirective.size() &&
-                         lineIsDirective[file.code[i].line];
-    return onDirective;
-}
 
 /** Names qualifying the declarator that ends just before @p name
  *  (`Outer` and `Inner` in `Outer<P>::Inner::name`). */
@@ -248,12 +223,11 @@ std::vector<Decl>
 declarations(const SourceFile &file)
 {
     const auto &code = file.code;
-    const std::vector<bool> onDirective = directiveLines(file);
     std::vector<Decl> decls;
     std::vector<std::pair<std::string, std::size_t>> types;
     std::size_t begin = 0;
     for (std::size_t i = 0; i < code.size(); ++i) {
-        if (onDirective[i]) {
+        if (code[i].inDirective) {
             begin = i + 1;
             continue;
         }
@@ -303,6 +277,15 @@ class UnreferencedRule final : public Rule
     checkTree(const std::vector<SourceFile> &files,
               std::vector<Finding> &out) const override
     {
+        // A symbol's users may lie in any of the three trees, so only
+        // a run that spans all of them can tell a dead one.
+        std::set<std::string> trees;
+        for (const SourceFile &file : files)
+            trees.insert(treeOf(file.path));
+        if (trees.count("src") == 0 || trees.count("examples") == 0 ||
+            trees.count("tools") == 0)
+            return;
+
         // Symbols: first declaration in a src/ header, in run order.
         std::map<std::string, std::pair<const SourceFile *, Decl>>
             symbols;

@@ -1,158 +1,10 @@
 #include "nn/digits.hh"
 
 #include <algorithm>
-#include <string_view>
 
 #include "common/logging.hh"
 
 namespace mparch::nn {
-
-namespace {
-
-// 12x12 glyphs; '#' is ink (1.0), '.' is background (0.0). Drawn to
-// be mutually distinguishable but with genuine confusable pairs
-// (3/8, 1/7, 5/6) so the trained classifier has non-trivial margins.
-constexpr std::array<const char *, kDigitClasses> kGlyphs = {
-    // 0
-    "............"
-    "...######..."
-    "..##....##.."
-    "..##....##.."
-    "..##....##.."
-    "..##....##.."
-    "..##....##.."
-    "..##....##.."
-    "..##....##.."
-    "...######..."
-    "............"
-    "............",
-    // 1
-    "............"
-    ".....##....."
-    "....###....."
-    "...####....."
-    ".....##....."
-    ".....##....."
-    ".....##....."
-    ".....##....."
-    ".....##....."
-    "...######..."
-    "............"
-    "............",
-    // 2
-    "............"
-    "...######..."
-    "..##....##.."
-    "........##.."
-    ".......##..."
-    "......##...."
-    ".....##....."
-    "....##......"
-    "...##......."
-    "..########.."
-    "............"
-    "............",
-    // 3
-    "............"
-    "...######..."
-    "..##....##.."
-    "........##.."
-    "....#####..."
-    "........##.."
-    "........##.."
-    "........##.."
-    "..##....##.."
-    "...######..."
-    "............"
-    "............",
-    // 4
-    "............"
-    "......###..."
-    ".....####..."
-    "....##.##..."
-    "...##..##..."
-    "..##...##..."
-    "..########.."
-    ".......##..."
-    ".......##..."
-    ".......##..."
-    "............"
-    "............",
-    // 5
-    "............"
-    "..########.."
-    "..##........"
-    "..##........"
-    "..#######..."
-    "........##.."
-    "........##.."
-    "........##.."
-    "..##....##.."
-    "...######..."
-    "............"
-    "............",
-    // 6
-    "............"
-    "...######..."
-    "..##....##.."
-    "..##........"
-    "..#######..."
-    "..##....##.."
-    "..##....##.."
-    "..##....##.."
-    "..##....##.."
-    "...######..."
-    "............"
-    "............",
-    // 7
-    "............"
-    "..########.."
-    "........##.."
-    ".......##..."
-    "......##...."
-    ".....##....."
-    ".....##....."
-    "....##......"
-    "....##......"
-    "....##......"
-    "............"
-    "............",
-    // 8
-    "............"
-    "...######..."
-    "..##....##.."
-    "..##....##.."
-    "...######..."
-    "..##....##.."
-    "..##....##.."
-    "..##....##.."
-    "..##....##.."
-    "...######..."
-    "............"
-    "............",
-    // 9
-    "............"
-    "...######..."
-    "..##....##.."
-    "..##....##.."
-    "..##....##.."
-    "...#######.."
-    "........##.."
-    "........##.."
-    "..##....##.."
-    "...######..."
-    "............"
-    "............",
-};
-
-static_assert(std::ranges::all_of(kGlyphs, [](const char *glyph) {
-                  const std::string_view g(glyph);
-                  return g.size() == kDigitSize * kDigitSize &&
-                         g.find('#') != std::string_view::npos;
-              }),
-              "every glyph is a kDigitSize x kDigitSize bitmap with ink");
-
-} // namespace
 
 DigitSample
 DigitGenerator::next()
@@ -166,7 +18,7 @@ DigitGenerator::sampleOf(std::size_t label)
     MPARCH_ASSERT(label < kDigitClasses, "bad digit label");
     DigitSample sample;
     sample.label = label;
-    const char *glyph = kGlyphs[label];
+    const char *glyph = kDigitGlyphs[label];
 
     // Integer jitter of +/-1 pixel in each axis.
     const int dx = static_cast<int>(rng_.between(-1, 1));

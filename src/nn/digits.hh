@@ -15,8 +15,10 @@
 #ifndef MPARCH_NN_DIGITS_HH
 #define MPARCH_NN_DIGITS_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hh"
@@ -28,6 +30,155 @@ inline constexpr std::size_t kDigitSize = 12;
 
 /** Number of classes. */
 inline constexpr std::size_t kDigitClasses = 10;
+
+/**
+ * The class prototypes, one 12x12 glyph per digit; '#' is ink (1.0),
+ * '.' is background (0.0). Drawn to be mutually distinguishable but
+ * with genuine confusable pairs (3/8, 1/7, 5/6) so the trained
+ * classifier has non-trivial margins.
+ */
+inline constexpr std::array<const char *, kDigitClasses> kDigitGlyphs = {
+    // 0
+    "............"
+    "...######..."
+    "..##....##.."
+    "..##....##.."
+    "..##....##.."
+    "..##....##.."
+    "..##....##.."
+    "..##....##.."
+    "..##....##.."
+    "...######..."
+    "............"
+    "............",
+    // 1
+    "............"
+    ".....##....."
+    "....###....."
+    "...####....."
+    ".....##....."
+    ".....##....."
+    ".....##....."
+    ".....##....."
+    ".....##....."
+    "...######..."
+    "............"
+    "............",
+    // 2
+    "............"
+    "...######..."
+    "..##....##.."
+    "........##.."
+    ".......##..."
+    "......##...."
+    ".....##....."
+    "....##......"
+    "...##......."
+    "..########.."
+    "............"
+    "............",
+    // 3
+    "............"
+    "...######..."
+    "..##....##.."
+    "........##.."
+    "....#####..."
+    "........##.."
+    "........##.."
+    "........##.."
+    "..##....##.."
+    "...######..."
+    "............"
+    "............",
+    // 4
+    "............"
+    "......###..."
+    ".....####..."
+    "....##.##..."
+    "...##..##..."
+    "..##...##..."
+    "..########.."
+    ".......##..."
+    ".......##..."
+    ".......##..."
+    "............"
+    "............",
+    // 5
+    "............"
+    "..########.."
+    "..##........"
+    "..##........"
+    "..#######..."
+    "........##.."
+    "........##.."
+    "........##.."
+    "..##....##.."
+    "...######..."
+    "............"
+    "............",
+    // 6
+    "............"
+    "...######..."
+    "..##....##.."
+    "..##........"
+    "..#######..."
+    "..##....##.."
+    "..##....##.."
+    "..##....##.."
+    "..##....##.."
+    "...######..."
+    "............"
+    "............",
+    // 7
+    "............"
+    "..########.."
+    "........##.."
+    ".......##..."
+    "......##...."
+    ".....##....."
+    ".....##....."
+    "....##......"
+    "....##......"
+    "....##......"
+    "............"
+    "............",
+    // 8
+    "............"
+    "...######..."
+    "..##....##.."
+    "..##....##.."
+    "...######..."
+    "..##....##.."
+    "..##....##.."
+    "..##....##.."
+    "..##....##.."
+    "...######..."
+    "............"
+    "............",
+    // 9
+    "............"
+    "...######..."
+    "..##....##.."
+    "..##....##.."
+    "..##....##.."
+    "...#######.."
+    "........##.."
+    "........##.."
+    "..##....##.."
+    "...######..."
+    "............"
+    "............",
+};
+
+static_assert(std::ranges::all_of(kDigitGlyphs,
+                                  [](const char *glyph) {
+                                      const std::string_view g(glyph);
+                                      return g.size() ==
+                                                 kDigitSize * kDigitSize &&
+                                             g.find('#') !=
+                                                 std::string_view::npos;
+                                  }),
+              "every glyph is a kDigitSize x kDigitSize bitmap with ink");
 
 /** One labelled sample in host-double pixels (0..1). */
 struct DigitSample

@@ -5,6 +5,8 @@
 
 #include "workloads/workload.hh"
 
+#include <iterator>
+
 #include "workloads/hotspot.hh"
 #include "workloads/lavamd.hh"
 #include "workloads/lud.hh"
@@ -53,6 +55,10 @@ const std::pair<std::string_view, WorkloadMaker> kWorkloads[] = {
     {"micro-mul", dispatch<MicroWorkload, MicroOp::Mul>},
     {"micro-fma", dispatch<MicroWorkload, MicroOp::Fma>},
 };
+
+// tests/checkpoint_test.cc resumes every workload by name: a new
+// entry joins its list, then this count.
+static_assert(std::size(kWorkloads) == 8);
 
 } // namespace
 

@@ -93,6 +93,8 @@ resumeDeparture(const std::function<WorkloadPtr()> &make)
 
 TEST(CheckpointTest, EveryResumableWorkloadResumesToItsGoldenRun)
 {
+    // Every entry of kWorkloads (src/workloads/registry.cc), whose
+    // static_assert on its length keeps this list complete.
     for (const std::string_view name :
          {"mxm", "mxm-mixed", "lavamd", "hotspot", "lud", "micro-add",
           "micro-mul", "micro-fma"}) {

@@ -1,5 +1,5 @@
 // Fixture: a used class with one member function nothing calls.
-// users.cc reads a Gauge; `unreferenced` flags reset.
+// tools/gauge_user.cc reads a Gauge; `unreferenced` flags reset.
 
 #ifndef MPARCH_FIXTURE_UNUSED_MEMBER_HH
 #define MPARCH_FIXTURE_UNUSED_MEMBER_HH

@@ -1,6 +1,6 @@
-// Fixture: an override of a virtual that users.cc calls through the
-// base class. Matching goes by name, so Square::area is used too and
-// `unreferenced` flags nothing here.
+// Fixture: an override of a virtual that examples/shape_user.cc calls
+// through the base class. Matching goes by name, so Square::area is
+// used too and `unreferenced` flags nothing here.
 
 #ifndef MPARCH_FIXTURE_USED_OVERRIDE_HH
 #define MPARCH_FIXTURE_USED_OVERRIDE_HH

@@ -40,15 +40,22 @@ lintBuffer(const std::string &path, const std::string &code,
     return report;
 }
 
-/** Run `unreferenced` over several (path, code) buffers at once. */
+/**
+ * Run one rule over several (path, code) buffers as one full sweep:
+ * an empty examples/ and tools/ file join them, so that `unreferenced`
+ * sees every tree it needs.
+ */
 LintReport
-lintTree(const std::vector<std::pair<std::string, std::string>> &files)
+lintTree(const std::vector<std::pair<std::string, std::string>> &files,
+         const std::string &rule = "unreferenced")
 {
     LintOptions options;
-    options.onlyRules.push_back("unreferenced");
+    options.onlyRules.push_back(rule);
     std::vector<SourceFile> sources;
     for (const auto &[path, code] : files)
         sources.push_back(sourceFromString(path, code));
+    sources.push_back(sourceFromString("examples/empty.cc", ""));
+    sources.push_back(sourceFromString("tools/empty.cc", ""));
     LintReport report;
     lintFiles(sources, options, report);
     return report;
@@ -124,6 +131,22 @@ TEST(Lexer, DirectivesAndHeaderNames)
     EXPECT_EQ(tokens[3].text, "\"fp/softfloat.hh\"");
     EXPECT_EQ(tokens[4].kind, TokKind::Directive);
     EXPECT_EQ(tokens[4].text, "ifndef");
+}
+
+TEST(Lexer, DirectiveLinesRunToTheirLastSplice)
+{
+    // A directive's tokens, its spliced continuation line included,
+    // are marked; a '#' inside a block comment opens no directive.
+    const auto tokens = lex("#define WRAP(v) \\\n"
+                            "    call(v)\n"
+                            "int x;\n"
+                            "/*\n# not a directive */ int y;\n");
+    std::string marked, plain;
+    for (const Token &t : tokens)
+        if (t.kind != TokKind::Comment)
+            (t.inDirective ? marked : plain) += t.text + " ";
+    EXPECT_EQ(marked, "define WRAP ( v ) call ( v ) ");
+    EXPECT_EQ(plain, "int x ; int y ; ");
 }
 
 TEST(Lexer, LineAndColumnPositions)
@@ -781,6 +804,32 @@ TEST(Unreferenced, OnlySrcHeadersDeclareSymbols)
     EXPECT_EQ(report.findings[0].line, 2u);
 }
 
+TEST(Unreferenced, PartialRunReportsNothing)
+{
+    // A run without examples/ or without tools/ cannot see all users,
+    // so it reports nothing, not a false finding.
+    const std::vector<std::pair<std::string, std::string>> tree = {
+        {"src/x/api.hh", "int exported();\nint dropped();\n"},
+        {"examples/main.cpp", "int main() { return exported(); }\n"},
+        {"tools/tool.cc", "int run() { return 0; }\n"},
+    };
+    LintOptions options;
+    options.onlyRules.push_back("unreferenced");
+    for (std::size_t left = 0; left <= tree.size(); ++left) {
+        std::vector<SourceFile> sources;
+        for (std::size_t i = 0; i < tree.size(); ++i)
+            if (i != left)
+                sources.push_back(
+                    sourceFromString(tree[i].first, tree[i].second));
+        LintReport report;
+        lintFiles(sources, options, report);
+        EXPECT_EQ(flaggedSymbols(report),
+                  left == tree.size() ? std::vector<std::string>{"dropped"}
+                                      : std::vector<std::string>{})
+            << "left out file " << left;
+    }
+}
+
 // ---------------------------------------------------------------
 // Tree pass plumbing
 
@@ -796,9 +845,11 @@ TEST(TreePass, FindingsJoinTheirFileInLineOrder)
                                 "inline int roll() { return std::rand(); }\n"
                                 "int later();\n"),
                sourceFromString("src/x/use.cc",
-                                "int f() { return roll() + std::rand(); }\n")},
+                                "int f() { return roll() + std::rand(); }\n"),
+               sourceFromString("examples/empty.cc", ""),
+               sourceFromString("tools/empty.cc", "")},
               options, report);
-    EXPECT_EQ(report.filesScanned, 2u);
+    EXPECT_EQ(report.filesScanned, 4u);
     std::vector<std::tuple<std::string, std::size_t, std::string>> got;
     for (const Finding &f : report.findings)
         got.emplace_back(f.path, f.line, f.rule);
@@ -812,10 +863,10 @@ TEST(TreePass, FindingsJoinTheirFileInLineOrder)
 
 TEST(TreePass, OnlyRulesSelectsTreeRulesToo)
 {
-    const std::string header = "int dead();\n";
-    EXPECT_EQ(lintBuffer("src/x/api.hh", header, "banned-api").active(),
-              0u);
-    const auto report = lintBuffer("src/x/api.hh", header, "unreferenced");
+    const std::vector<std::pair<std::string, std::string>> header = {
+        {"src/x/api.hh", "int dead();\n"}};
+    EXPECT_EQ(lintTree(header, "banned-api").active(), 0u);
+    const auto report = lintTree(header);
     ASSERT_EQ(report.active(), 1u);
     EXPECT_EQ(report.findings[0].rule, "unreferenced");
 }
@@ -962,7 +1013,7 @@ TEST(Fixtures, EveryRuleFiresOnTheCorpus)
 TEST(Fixtures, UnreferencedFlagsExactlyTheDeadCorpusSymbols)
 {
     // A free function nothing calls, a member nothing calls and a
-    // function only a test calls; the override users.cc reaches
+    // function only a test calls; the override an example reaches
     // through its base stays unflagged.
     const std::string corpus =
         std::string(MPARCH_SOURCE_DIR) + "/tests/data/lint";
@@ -975,20 +1026,21 @@ TEST(Fixtures, UnreferencedFlagsExactlyTheDeadCorpusSymbols)
 
 TEST(Fixtures, TreePassSpansEveryPathArgument)
 {
-    // Users count across separate path arguments: without users.cc
-    // the Gauge and Square are dead; given it as one more path,
-    // only Gauge::reset is.
-    const std::string dir = std::string(MPARCH_SOURCE_DIR) +
-                            "/tests/data/lint/src/unreferenced/";
+    // Users count across separate path arguments: the headers alone
+    // are no full sweep and report nothing; given the corpus's
+    // examples/ and tools/ as two more paths, only Gauge::reset is
+    // dead.
+    const std::string dir =
+        std::string(MPARCH_SOURCE_DIR) + "/tests/data/lint/";
     LintOptions options;
     options.onlyRules.push_back("unreferenced");
-    const std::vector<std::string> headers = {dir + "unused_member.hh",
-                                              dir + "used_override.hh"};
-    EXPECT_EQ(flaggedSymbols(lintPaths(headers, options)),
-              (std::vector<std::string>{"Gauge", "Square", "area", "read",
-                                        "reset"}));
+    const std::vector<std::string> headers = {
+        dir + "src/unreferenced/unused_member.hh",
+        dir + "src/unreferenced/used_override.hh"};
+    EXPECT_EQ(lintPaths(headers, options).findings.size(), 0u);
     std::vector<std::string> withUsers = headers;
-    withUsers.push_back(dir + "users.cc");
+    withUsers.push_back(dir + "examples");
+    withUsers.push_back(dir + "tools");
     EXPECT_EQ(flaggedSymbols(lintPaths(withUsers, options)),
               std::vector<std::string>{"reset"});
 }

@@ -119,11 +119,22 @@ TEST(Replicated, CampaignSdcBecomesDetectedUnderDwc)
 
 TEST(Abft, CleanRunProducesNoCorrections)
 {
+    // Without a fault the checksums must repair nothing: the output
+    // is the plain product bit for bit, at single precision where
+    // rounding makes the checksum residuals non-zero.
     AbftMxMWorkload<Precision::Single> w(0.1);
+    workloads::MxMWorkload<Precision::Single> plain(0.1);
     w.reset(3);
+    plain.reset(3);
     ExecutionEnv env;
     w.execute(env);
+    plain.execute(env);
     EXPECT_FALSE(w.detectedError());
+    const auto got = w.output();
+    const auto want = plain.output();
+    ASSERT_EQ(got.count, want.count);
+    for (std::size_t i = 0; i < got.count; ++i)
+        ASSERT_EQ(got.get(i), want.get(i)) << i;
 }
 
 TEST(Abft, MatchesPlainMxmProduct)
@@ -147,14 +158,17 @@ TEST(Abft, CorrectsSingleCorruptedElement)
     // tolerance.
     w.reset(5);
     ExecutionEnv env;
-    env.onTick = [&w, n](std::uint64_t tick) {
+    bool flipped = false;
+    env.onTick = [&w, n, &flipped](std::uint64_t tick) {
         if (tick == n) {
             auto c = w.buffers()[2];
             ASSERT_EQ(c.name, "C");
             c.set(n + 2, c.get(n + 2) ^ (1ULL << 50));
+            flipped = true;
         }
     };
     w.execute(env);
+    ASSERT_TRUE(flipped);
     EXPECT_FALSE(w.detectedError());
     const auto out = w.output();
     for (std::size_t i = 0; i < out.count; ++i) {

