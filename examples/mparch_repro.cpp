@@ -6,7 +6,7 @@
  * judges the declarative registry (all paper tables/figures, the
  * ablations and the extensions) with a machine-checked scorecard.
  *
- * Usage: mparch_repro [--list] [--filter <regex>] [--quick]
+ * Usage: mparch_repro [--list] [--filter <regex>]
  *                     [--trials N] [--scale X] [--jobs N]
  *                     [--json <dir>] [--csv <dir>] [--scorecard]
  *                     [--no-progress]
@@ -38,14 +38,13 @@ using namespace mparch;
 
 const cli::Spec kSpec{
     .usage =
-        "usage: mparch_repro [--list] [--filter <regex>] [--quick]\n"
+        "usage: mparch_repro [--list] [--filter <regex>]\n"
         "       [--trials N] [--scale X] [--jobs N]\n"
         "       [--json <dir>] [--csv <dir>] [--scorecard]"
         " [--no-progress]\n"
         "\n"
         "  --list       list registered experiments and exit\n"
         "  --filter     run only experiments whose id matches the regex\n"
-        "  --quick      only experiments flagged quick\n"
         "  --trials N   override injection trials (0 = per-experiment"
         " default; at most 1000000)\n"
         "  --scale X    override workload scale (0 = default; at most"
@@ -61,10 +60,10 @@ const cli::Spec kSpec{
     .text = {"filter", "json", "csv"},
     .counts = {"trials", "jobs"},
     .reals = {"scale"},
-    .switches = {"help", "list", "quick", "scorecard", "no-progress"},
+    .switches = {"help", "list", "scorecard", "no-progress"},
 };
 
-/** Experiments selected by --filter/--quick, in registry order. */
+/** Experiments selected by --filter, in registry order. */
 std::vector<const report::Experiment *>
 selectExperiments(const cli::Args &args)
 {
@@ -77,11 +76,8 @@ selectExperiments(const cli::Args &args)
     }
     std::vector<const report::Experiment *> selected;
     for (const auto &e : report::experiments()) {
-        if (args.has("quick") && !e.quick)
-            continue;
-        if (!std::regex_search(e.id, filter))
-            continue;
-        selected.push_back(&e);
+        if (std::regex_search(e.id, filter))
+            selected.push_back(&e);
     }
     return selected;
 }
@@ -95,8 +91,7 @@ listExperiments(const std::vector<const report::Experiment *> &sel)
     for (const auto *e : sel) {
         std::cout << e->id
                   << std::string(id_width - e->id.size() + 2, ' ')
-                  << "[" << report::experimentKindName(e->kind)
-                  << (e->quick ? ", quick" : "") << "] "
+                  << "[" << report::experimentKindName(e->kind) << "] "
                   << e->title << "\n"
                   << std::string(id_width + 2, ' ')
                   << "shape: " << e->shapeTarget << " ("

@@ -6,14 +6,14 @@
  *
  *   quick   The regression gate: replay the persisted counterexample
  *           corpus, run the exhaustive binary16 unary sweeps
- *           (sqrt/exp/log and the half->single/double/bfloat16
+ *           (sqrt/exp and the half->single/double/bfloat16
  *           conversions), then fuzz every memory format with N
  *           trials each (default 10^6, fixed seed).
  *   sweep   Sweep one operation. With --samples 0 (the default) the
  *           sweep is exhaustive: all operand pairs for binary ops
  *           (16-bit formats only), all inputs for unary ops and
  *           conversions. OP is one of add sub mul div fma sqrt exp
- *           log convert; convert needs --dst, and fma needs
+ *           convert; convert needs --dst, and fma needs
  *           --samples (its triples are too many to enumerate).
  *   fuzz    Property-based fuzzing of one format. LIST is
  *           comma-separated op names (default: all ops).
@@ -49,7 +49,7 @@ const char *const kUsage =
     "  quick  [--corpus DIR] [--trials N] [--seed S] [--jobs N]\n"
     "  sweep  --op OP --format F [--dst D] [--samples N] [--seed S]\n"
     "         [--jobs N] [--no-props] [--no-monotone] [--max-report N]\n"
-    "         [--exp-tol N] [--log-tol N]\n"
+    "         [--exp-tol N]\n"
     "  fuzz   --format F [--trials N] [--seed S] [--jobs N]"
     " [--ops LIST]\n"
     "  corpus [--corpus DIR]\n"
@@ -159,7 +159,7 @@ cmdQuick(int argc, char **argv)
     verify::SweepConfig sweep;
     sweep.jobs = jobs;
     sweep.seed = seed;
-    for (VOp op : {VOp::Sqrt, VOp::Exp, VOp::Log}) {
+    for (VOp op : {VOp::Sqrt, VOp::Exp}) {
         std::string what =
             std::string("sweep half ") + verify::vopName(op);
         rc |= reportSweep(what, verify::sweepUnary(op, fp::kHalf,
@@ -188,8 +188,7 @@ cmdSweep(int argc, char **argv)
     const cli::Args args = parseArgs(
         argc, argv,
         {.text = {"op", "format", "dst"},
-         .counts = {"samples", "seed", "jobs", "max-report", "exp-tol",
-                    "log-tol"},
+         .counts = {"samples", "seed", "jobs", "max-report", "exp-tol"},
          .switches = {"no-props", "no-monotone"}});
     const VOp op = requireOp(args);
     const fp::Format f = requireFormat(args, "format");
@@ -205,9 +204,6 @@ cmdSweep(int argc, char **argv)
     cfg.check.prop.expUlpTol = static_cast<int>(args.count(
         "exp-tol",
         static_cast<std::uint64_t>(cfg.check.prop.expUlpTol)));
-    cfg.check.prop.logUlpTol = static_cast<int>(args.count(
-        "log-tol",
-        static_cast<std::uint64_t>(cfg.check.prop.logUlpTol)));
 
     std::ostringstream what;
     what << "sweep " << verify::formatName(f) << ' '

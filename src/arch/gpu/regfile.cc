@@ -147,7 +147,6 @@ campaign(MicroOp op, std::uint64_t trials, std::uint64_t seed,
         const RegHit hit = mapRegisterBit(P, op, flat_bit);
         if (hit.target < 0)
             continue;  // dead register: architecturally masked
-        ++result.liveHits;
         const double x0 = hit.lane == 0 ? x0a : x0b;
         const std::uint64_t golden =
             hit.lane == 0 ? golden_a : golden_b;

@@ -29,7 +29,6 @@ namespace mparch::gpu {
 struct RegFileAvf
 {
     std::uint64_t trials = 0;
-    std::uint64_t liveHits = 0;  ///< flips that landed on live bits
     std::uint64_t sdc = 0;
 
     /** P(SDC | uniform flip in the thread's register allocation). */

@@ -48,7 +48,6 @@ run(const SmConfig &config, const WarpProgram &program,
     {
         std::uint64_t remaining = 0;
         std::uint64_t timer = 0;
-        std::vector<std::uint64_t> completions;  // independent mode
         bool active = true;
     };
     std::vector<WarpState> warps(
@@ -75,10 +74,8 @@ run(const SmConfig &config, const WarpProgram &program,
         if (flip && cycle == flip->cycle) {
             auto &w = warps[static_cast<std::size_t>(flip->warp)];
             if (flip->bit < kCounterBits) {
-                const std::uint64_t before = w.remaining;
                 w.remaining = flipBit(
                     w.remaining & maskBits(kCounterBits), flip->bit);
-                (void)before;
             } else if (flip->bit < kPerWarpBits) {
                 const std::uint64_t before = w.timer;
                 w.timer = flipBit(w.timer & maskBits(kTimerBits),
@@ -97,48 +94,27 @@ run(const SmConfig &config, const WarpProgram &program,
                 --w.timer;
                 ++inflight;
             }
-            std::erase_if(w.completions, [cycle](std::uint64_t c) {
-                return c <= cycle;
-            });
-            inflight += w.completions.size();
         }
         result.inflight_accum += static_cast<double>(inflight);
 
-        // Issue: round-robin over ready warps.
-        int issued_now = 0;
-        for (int probe = 0;
-             probe < config.warps && issued_now < config.issueSlots;
-             ++probe) {
+        // Issue: the first ready warp in round-robin order.
+        for (int probe = 0; probe < config.warps; ++probe) {
             const int idx = (next_warp + probe) % config.warps;
             auto &w = warps[static_cast<std::size_t>(idx)];
-            if (!w.active || w.remaining == 0)
-                continue;
-            const bool ready =
-                program.dependentChain
-                    ? w.timer == 0
-                    : w.completions.size() <
-                          static_cast<std::size_t>(
-                              program.maxInFlight);
-            if (!ready)
+            if (!w.active || w.remaining == 0 || w.timer != 0)
                 continue;
             --w.remaining;
             ++result.issued;
-            ++issued_now;
-            if (program.dependentChain)
-                w.timer = latency;
-            else
-                w.completions.push_back(cycle + latency);
-            next_warp = (idx + 1) % config.warps;
-        }
-        if (issued_now > 0)
             ++result.issue_busy;
+            w.timer = latency;
+            next_warp = (idx + 1) % config.warps;
+            break;
+        }
 
         // Deactivate drained warps.
         for (auto &w : warps) {
-            if (w.active && w.remaining == 0 && w.timer == 0 &&
-                w.completions.empty()) {
+            if (w.active && w.remaining == 0 && w.timer == 0)
                 w.active = false;
-            }
         }
         ++cycle;
     }

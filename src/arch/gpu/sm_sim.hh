@@ -26,20 +26,17 @@
 
 namespace mparch::gpu {
 
-/** A homogeneous warp instruction stream. */
+/** A homogeneous warp instruction stream: a RAW-dependent chain, as
+ *  the micro kernels run, so a warp issues again only once its last
+ *  instruction completed. */
 struct WarpProgram
 {
     /** Instructions each warp executes. */
     std::uint64_t instructions = 256;
-
-    /** RAW-dependent chain (micro kernels) vs independent stream. */
-    bool dependentChain = true;
-
-    /** Maximum in-flight instructions per warp when independent. */
-    int maxInFlight = 4;
 };
 
-/** Scheduler-partition configuration. */
+/** Scheduler-partition configuration. The scheduler issues at most
+ *  one instruction per cycle. */
 struct SmConfig
 {
     fp::Precision precision = fp::Precision::Single;
@@ -47,9 +44,6 @@ struct SmConfig
     /** Resident warps on the partition (256 threads / 32 = 8 for
      *  the paper's deliberately low-occupancy micro setup). */
     int warps = 8;
-
-    /** Instructions issued per cycle by the scheduler. */
-    int issueSlots = 1;
 };
 
 /** Results of a fault-free simulation. */

@@ -13,6 +13,9 @@ namespace {
 
 constexpr unsigned kCounterBits = 32;
 
+/** VPU latency in cycles, for every precision. */
+constexpr std::uint64_t kLatency = 4;
+
 struct ControlFlip
 {
     std::uint64_t cycle = ~0ULL;
@@ -103,8 +106,7 @@ run(const VpuConfig &config, const VpuProgram &program,
                 continue;
             }
             --t.remaining;
-            t.pending.push_back(
-                cycle + static_cast<std::uint64_t>(config.latency));
+            t.pending.push_back(cycle + kLatency);
             ++result.issued;
             if (lane_mask != full_mask)
                 result.lane_corrupt = true;

@@ -43,9 +43,6 @@ struct VpuConfig
 
     /** Resident hardware threads (KNC has 4 contexts/core). */
     int threads = 4;
-
-    /** VPU latency in cycles. */
-    int latency = 4;
 };
 
 /** Fault-free simulation results. */

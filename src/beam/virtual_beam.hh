@@ -6,10 +6,11 @@
  * as a Poisson process over the exposed resources; each arrival picks
  * a resource class proportionally to bits x sensitivity and either
  * resolves through a real injected execution (callback mode) or
- * through the class's measured AVF (analytic mode). FIT estimates
- * come with Poisson confidence intervals, and experiments are sized
- * so that the per-execution error probability stays below 1e-3, the
- * single-fault regime the paper maintains.
+ * through the class's measured AVF (analytic mode). Every arrival is
+ * resolved on its own, as one fault in one execution: the model
+ * assumes the paper's single-fault regime and neither sizes the
+ * fluence to keep it nor checks it. FIT estimates come with Poisson
+ * confidence intervals.
  */
 
 #ifndef MPARCH_BEAM_VIRTUAL_BEAM_HH

@@ -38,8 +38,9 @@ Interval wilson95(std::uint64_t hits, std::uint64_t trials);
  * Normal-approximation 95% interval for a Poisson rate.
  *
  * Used for FIT estimates: @p events errors over @p exposure units of
- * fluence/time. Falls back to the exact-ish Garwood bound behaviour
- * for tiny counts by clamping the lower bound at zero.
+ * fluence/time. The half-width is 1.96 sqrt(max(events, 1)) counts
+ * and the lower bound is clamped at zero; for tiny counts this is
+ * only a rough interval, not an exact (Garwood) one.
  */
 Interval poissonRate95(std::uint64_t events, double exposure);
 

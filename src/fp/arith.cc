@@ -1,6 +1,7 @@
 /**
  * @file
- * Rounding core plus add, sub, mul, negation and comparisons.
+ * The rounding core (roundPack) plus add, sub, mul, negation and
+ * comparisons.
  */
 
 #include "fp/softfloat.hh"
@@ -41,38 +42,11 @@ shiftRightSticky128(unsigned __int128 v, int n)
 
 namespace {
 
-/** Decide whether to round the magnitude up, per IEEE754 mode. */
+/** Round half to even: whether to bump the kept magnitude. */
 bool
-roundUp(Rounding mode, bool sign, std::uint64_t low3, bool lsb_odd)
+roundUp(std::uint64_t low3, bool lsb_odd)
 {
-    switch (mode) {
-      case Rounding::NearestEven:
-        return low3 > 4 || (low3 == 4 && lsb_odd);
-      case Rounding::TowardZero:
-        return false;
-      case Rounding::Upward:
-        return !sign && low3 != 0;
-      case Rounding::Downward:
-        return sign && low3 != 0;
-    }
-    return false;
-}
-
-/** Saturated overflow value, per IEEE754 mode. */
-std::uint64_t
-overflowResult(Format f, Rounding mode, bool sign)
-{
-    switch (mode) {
-      case Rounding::NearestEven:
-        return infinity(f, sign);
-      case Rounding::TowardZero:
-        return maxFinite(f, sign);
-      case Rounding::Upward:
-        return sign ? maxFinite(f, true) : infinity(f, false);
-      case Rounding::Downward:
-        return sign ? infinity(f, true) : maxFinite(f, false);
-    }
-    return infinity(f, sign);
+    return low3 > 4 || (low3 == 4 && lsb_odd);
 }
 
 } // namespace
@@ -80,8 +54,6 @@ overflowResult(Format f, Rounding mode, bool sign)
 std::uint64_t
 roundPack(Format f, RawFloat raw, const OpCtx &ctx, OpKind op)
 {
-    const Rounding mode =
-        ctx.rounding();
     // Normalisation target: hidden bit at manBits + 3 leaves three
     // guard/round/sticky positions below the kept significand.
     const int norm_pos = static_cast<int>(f.manBits) + 3;
@@ -121,7 +93,7 @@ roundPack(Format f, RawFloat raw, const OpCtx &ctx, OpKind op)
 
     std::uint64_t result;
     if (biased >= f.maxBiasedExp()) {
-        result = overflowResult(f, mode, raw.sign);
+        result = infinity(f, raw.sign);
     } else if (biased <= 0) {
         // Subnormal (or total underflow): shift out the deficit.
         const std::int64_t deficit = 1 - biased;
@@ -131,7 +103,7 @@ roundPack(Format f, RawFloat raw, const OpCtx &ctx, OpKind op)
                                             static_cast<int>(deficit));
         const std::uint64_t low3 = sig & 7;
         std::uint64_t kept = sig >> 3;
-        if (roundUp(mode, raw.sign, low3, kept & 1))
+        if (roundUp(low3, kept & 1))
             ++kept;
         // A carry out of the subnormal significand lands exactly on
         // the biased exponent 1 encoding, which is correct.
@@ -139,7 +111,7 @@ roundPack(Format f, RawFloat raw, const OpCtx &ctx, OpKind op)
     } else {
         const std::uint64_t low3 = raw.sig & 7;
         std::uint64_t kept = raw.sig >> 3;  // includes hidden bit
-        if (roundUp(mode, raw.sign, low3, kept & 1))
+        if (roundUp(low3, kept & 1))
             ++kept;
         // Compose via addition so a significand carry bumps the
         // exponent field; re-check for overflow into inf afterwards.
@@ -147,7 +119,7 @@ roundPack(Format f, RawFloat raw, const OpCtx &ctx, OpKind op)
             (static_cast<std::uint64_t>(biased - 1) << f.manBits) + kept;
         if ((body >> f.manBits) >= static_cast<std::uint64_t>(
                 f.maxBiasedExp())) {
-            result = overflowResult(f, mode, raw.sign);
+            result = infinity(f, raw.sign);
         } else {
             result = (static_cast<std::uint64_t>(raw.sign)
                       << f.signPos()) | body;
@@ -191,15 +163,11 @@ addCore(Format f, std::uint64_t a, std::uint64_t b, OpKind op)
     if (cb == FpClass::Inf)
         return b;
 
-    const Rounding mode = ctx.rounding();
     Unpacked ua = unpackFinite(f, a);
     Unpacked ub = unpackFinite(f, b);
     if (ua.sig == 0 && ub.sig == 0) {
-        // (+0)+(+0)=+0, (-0)+(-0)=-0; mixed signs give +0 in every
-        // mode except roundTowardNegative.
-        if (ua.sign == ub.sign)
-            return zero(f, ua.sign);
-        return zero(f, mode == Rounding::Downward);
+        // (+0)+(+0)=+0, (-0)+(-0)=-0; mixed signs give +0.
+        return zero(f, ua.sign && ub.sign);
     }
     if (ua.sig == 0)
         return roundPack(f, {ub.sign, ub.exp - 3, ub.sig << 3}, ctx, op);
@@ -230,8 +198,8 @@ addCore(Format f, std::uint64_t a, std::uint64_t b, OpKind op)
         sum = sb - sa;
     }
     if (sum == 0) {
-        // Exact cancellation of non-zeros: +0 except toward-negative.
-        return zero(f, mode == Rounding::Downward);
+        // Exact cancellation of non-zeros gives +0.
+        return zero(f, false);
     }
     return roundPack(f, {sign, ua.exp - 3, sum}, ctx, op);
 }

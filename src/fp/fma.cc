@@ -67,13 +67,9 @@ fmaBody(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c,
                            ? 2u * (f.manBits + 1u) - 64u : 1u, hi);
     prod = (static_cast<U128>(hi) << 64) | lo;
 
-    const Rounding mode = ctx.rounding();
     if (prod == 0) {
-        if (uc.sig == 0) {
-            if (prod_sign == uc.sign)
-                return zero(f, prod_sign);
-            return zero(f, mode == Rounding::Downward);
-        }
+        if (uc.sig == 0)
+            return zero(f, prod_sign && uc.sign);
         return roundPack(f, {uc.sign, uc.exp - 3, uc.sig << 3}, ctx, op);
     }
     if (uc.sig == 0) {
@@ -155,7 +151,7 @@ fmaBody(Format f, std::uint64_t a, std::uint64_t b, std::uint64_t c,
         sum = c_s - prod_s;
     }
     if (sum == 0)
-        return zero(f, mode == Rounding::Downward);
+        return zero(f, false);
 
     int exp = scale;
     if (sum >> 64) {

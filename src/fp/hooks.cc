@@ -78,8 +78,7 @@ enterOp(OpKind op)
         if (strike->strikes(op))
             return {ctx, true, false};
     }
-    return {ctx, false,
-            ctx->rounding == Rounding::NearestEven && hostFpuReady()};
+    return {ctx, false, hostFpuReady()};
 }
 
 namespace {
@@ -93,14 +92,10 @@ bool
 hostRoute(const FpContext *ctx, const StrikeTrigger *&strike)
 {
     strike = nullptr;
-    if (ctx != nullptr) {
-        if (ctx->rounding != Rounding::NearestEven)
+    if (ctx != nullptr && ctx->hook != nullptr) {
+        if (ctx->strike == nullptr)
             return false;
-        if (ctx->hook != nullptr) {
-            if (ctx->strike == nullptr)
-                return false;
-            strike = ctx->strike;
-        }
+        strike = ctx->strike;
     }
     return hostFpuReady();
 }

@@ -88,21 +88,6 @@ class FpHook
 };
 
 /**
- * IEEE754-2008 rounding-direction attributes.
- *
- * The studied workloads all run round-to-nearest-even (hardware
- * default), but the library implements the full set so interval-style
- * and directed-rounding codes can be simulated too.
- */
-enum class Rounding
-{
-    NearestEven,  ///< roundTiesToEven (default everywhere)
-    TowardZero,   ///< roundTowardZero (truncate)
-    Upward,       ///< roundTowardPositive
-    Downward,     ///< roundTowardNegative
-};
-
-/**
  * Which dynamic operations an installed hook perturbs, as data.
  *
  * A fault strikes one dynamic op (one-shot: the index-th op of a
@@ -265,8 +250,9 @@ struct StrikeTrigger
  *
  * Counts operations by kind (used by the architecture models to build
  * instruction mixes and resource inventories), owns an optional
- * perturbation hook, and carries the rounding mode — the software
- * analogue of an FPU control register.
+ * perturbation hook and the strike trigger that aims it. Every op
+ * rounds to nearest-even, the hardware default of every studied
+ * device, so the context carries no rounding mode.
  *
  * With @c strike null, an installed hook sees every stage of every
  * op. With @c strike set, only the ops it strikes reach the hook.
@@ -275,7 +261,6 @@ struct FpContext
 {
     FpHook *hook = nullptr;
     StrikeTrigger *strike = nullptr;
-    Rounding rounding = Rounding::NearestEven;
     /** Ops per kind; also the entries (StrikeTrigger::seen) of a
      *  trigger installed in this context from its first op. */
     OpCounts opCount{};
@@ -324,24 +309,17 @@ class FpEnvGuard
  *
  * detail::enterOp() makes the one routing decision per op: a struck
  * op (or any op under a hook without a trigger) gets `hooked` and
- * runs the softfloat body stage by stage; an op that is not struck,
- * rounds to nearest-even and finds the host FPU in its IEEE default
- * mode gets `host`, and the caller may compute it natively when its
- * format is admissible (see host.cc). `ctx` is kept for every op
- * because the rounding mode must be honoured even when no hook is
- * installed. Sixteen bytes, so enterOp() returns it in registers.
+ * runs the softfloat body stage by stage; an op that is not struck
+ * and finds the host FPU in its IEEE default mode gets `host`, and
+ * the caller may compute it natively when its format is admissible
+ * (see host.cc). Sixteen bytes, so enterOp() returns it in
+ * registers.
  */
 struct OpCtx
 {
-    FpContext *ctx = nullptr;  ///< counters + rounding, or null
+    FpContext *ctx = nullptr;  ///< counters + hook, or null
     bool hooked = false;       ///< ctx's hook sees this op's stages
     bool host = false;         ///< may run on the host FPU
-
-    Rounding
-    rounding() const
-    {
-        return ctx ? ctx->rounding : Rounding::NearestEven;
-    }
 };
 
 namespace detail {
@@ -355,8 +333,7 @@ OpCtx enterOp(OpKind op);
  * read an operand) would each get OpCtx::host from enterOp(), counted
  * from the first: the un-struck prefix under a strike trigger
  * (StrikeTrigger::unstruck), and zero for every kind under a hook
- * without one, a directed rounding mode or a host FPU outside its
- * IEEE default mode. A block whose op count per kind is at most
+ * without one or a host FPU outside its IEEE default mode. A block whose op count per kind is at most
  * @p upper may run wholly on the host when the answer equals
  * @p upper. Reads the host mode once; nothing is counted or entered.
  */

@@ -209,8 +209,8 @@ hostStruck(Format f, const OpCtx &ctx, OpKind op, std::uint64_t a,
            std::uint64_t b, std::uint64_t c)
 {
     const StrikeTrigger *strike = ctx.hooked ? ctx.ctx->strike : nullptr;
-    if (strike == nullptr || ctx.rounding() != Rounding::NearestEven ||
-        !hostFpuReady() || (f != kSingle && f != kDouble))
+    if (strike == nullptr || !hostFpuReady() ||
+        (f != kSingle && f != kDouble))
         return std::nullopt;
     const std::uint64_t sign = 1ULL << f.signPos();
     switch (strike->stage) {

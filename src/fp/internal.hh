@@ -99,9 +99,8 @@ hostFpuReady()
  * run add, sub, mul, div and sqrt in float (P = 24). Their fma runs
  * in double, where the product is exact: hostFma proves the sum
  * exact too (TwoSum error zero), so narrowing it is the one rounding,
- * and hands every other case back to softfloat. tf32 and exp/log
- * never take the route (exp/log's inner ops take the gate one by
- * one).
+ * and hands every other case back to softfloat. tf32 and exp never
+ * take the route (exp's inner ops take the gate one by one).
  */
 constexpr bool
 hostAdmits(OpKind op, Format f)
@@ -157,8 +156,8 @@ std::uint64_t hostConvert(Format dst, Format src, std::uint64_t a);
  * result of the softfloat body of @p op for the op @p ctx entered,
  * with the same hook calls, or nullopt when the caller must run that
  * body. It answers when the op's trigger is armed (FpContext::strike),
- * the op rounds to nearest-even on a ready host FPU, @p f is single or
- * double, and the trigger's stage is one the host can stand in for:
+ * the host FPU is in its IEEE default mode, @p f is single or double,
+ * and the trigger's stage is one the host can stand in for:
  * an operand (every operand is touched in the softfloat order, then
  * the host op runs on the perturbed values) or a finite non-zero
  * result (the one case where the body certainly reaches roundPack's

@@ -56,14 +56,6 @@ std::uint64_t fpSqrt(Format f, std::uint64_t a);
  */
 std::uint64_t fpExp(Format f, std::uint64_t a);
 
-/**
- * Natural logarithm, evaluated in-format like fpExp: the argument is
- * reduced to m in [sqrt(1/2), sqrt(2)) times 2^k, and ln(m) comes
- * from the atanh series 2t(1 + t^2/3 + ...), t = (m-1)/(m+1), with
- * a precision-dependent term count.
- */
-std::uint64_t fpLog(Format f, std::uint64_t a);
-
 /** -a (sign flip; NaN payload untouched). */
 inline std::uint64_t
 fpNeg(Format f, std::uint64_t a)

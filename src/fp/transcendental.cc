@@ -27,7 +27,7 @@ namespace mparch::fp {
 namespace {
 
 /**
- * The format constants of fpExp and fpLog, encoded once per format.
+ * The format constants of fpExp, encoded once per format.
  * The encodings are silent conversions, so a table gives the same
  * bits and the same op counts as encoding them on every call.
  */
@@ -41,14 +41,6 @@ struct Constants
     std::uint64_t negLn2Lo;
     int expDegree;
     std::array<std::uint64_t, 14> expCoeff;
-    // fpLog: the [sqrt(1/2), sqrt(2)) fold and the atanh series
-    // coefficients 1/(2i+1), 3 / 6 / 10 terms.
-    std::uint64_t sqrt2;
-    std::uint64_t half;
-    std::uint64_t two;
-    std::uint64_t ln2;
-    int logTerms;
-    std::array<std::uint64_t, 11> logCoeff;
 };
 
 Constants
@@ -66,14 +58,6 @@ makeConstants(Format f)
         k.expCoeff[static_cast<std::size_t>(i)] =
             fpFromDouble(f, inv_fact);
     }
-    k.sqrt2 = fpFromDouble(f, 1.4142135623730951);
-    k.half = fpFromDouble(f, 0.5);
-    k.two = fpFromDouble(f, 2.0);
-    k.ln2 = fpFromDouble(f, 0.6931471805599453);
-    k.logTerms = f == kHalf ? 3 : f == kSingle ? 6 : 10;
-    for (int i = 0; i <= k.logTerms; ++i)
-        k.logCoeff[static_cast<std::size_t>(i)] =
-            fpFromDouble(f, 1.0 / (2.0 * i + 1.0));
     return k;
 }
 
@@ -281,58 +265,6 @@ expOpBound(Format f)
     bound[static_cast<std::size_t>(OpKind::Fma)] =
         2 + static_cast<std::uint64_t>(c.expDegree);
     return bound;
-}
-
-std::uint64_t
-fpLog(Format f, std::uint64_t a)
-{
-    const OpKind op = OpKind::Exp;  // transcendental-unit op class
-    const OpCtx ctx = detail::enterOp(op);
-    a = detail::touch(ctx, op, Stage::OperandA, f.totalBits, a) &
-        f.valueMask();
-
-    const FpClass ca = classify(f, a);
-    if (ca == FpClass::NaN)
-        return quietNaN(f);
-    if (ca == FpClass::Zero)
-        return infinity(f, true);
-    if (signOf(f, a))
-        return quietNaN(f);
-    if (ca == FpClass::Inf)
-        return a;
-
-    // a = m * 2^k with m in [1, 2); fold into [sqrt(1/2), sqrt(2))
-    // so the atanh argument stays under ~0.172 and the series
-    // converges to full precision in few terms.
-    detail::Unpacked u = detail::normalize(f, detail::unpackFinite(f, a));
-    long k = u.exp + static_cast<int>(f.manBits);
-    std::uint64_t m =
-        packFields(f, false, f.bias(),
-                   u.sig & f.manMask());  // m in [1, 2)
-    Constants scratch;
-    const Constants &c = constantsFor(f, scratch);
-    if (!fpLess(f, m, c.sqrt2)) {
-        m = fpMul(f, m, c.half);
-        ++k;
-    }
-
-    const std::uint64_t one_v = one(f);
-    const std::uint64_t tt = fpDiv(f, fpSub(f, m, one_v),
-                                   fpAdd(f, m, one_v));
-    const std::uint64_t t2 = fpMul(f, tt, tt);
-
-    // Horner over 1 + t2/3 + t2^2/5 + ...
-    std::uint64_t poly = c.logCoeff[static_cast<std::size_t>(c.logTerms)];
-    for (int i = c.logTerms - 1; i >= 0; --i)
-        poly = fpFma(f, poly, t2, c.logCoeff[static_cast<std::size_t>(i)]);
-    std::uint64_t ln_m = fpMul(f, fpMul(f, tt, poly), c.two);
-
-    const std::uint64_t kf = fpFromDouble(f, static_cast<double>(k));
-    std::uint64_t result = fpFma(f, kf, c.ln2, ln_m);
-    result = detail::touch(ctx, op, Stage::Result, f.totalBits,
-                           result) &
-             f.valueMask();
-    return result;
 }
 
 } // namespace mparch::fp

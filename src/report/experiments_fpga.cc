@@ -30,7 +30,6 @@ table1FpgaTime()
                     "slower than single";
     e.defaultTrials = 0;
     e.defaultScale = 0.3;
-    e.quick = true;
     e.paper = {{"mnist/double/time", 0.011},
                {"mnist/single/time", 0.009},
                {"mnist/half/time", 0.009},
@@ -104,7 +103,6 @@ fig2FpgaResources()
                     "-53% then -26%; MNIST > MxM";
     e.defaultTrials = 0;
     e.defaultScale = 0.3;
-    e.quick = true;
     e.paper = {{"mxm/area-drop-d-to-s", 0.45},
                {"mxm/area-drop-s-to-h", 0.36},
                {"mnist/area-drop-d-to-s", 0.53},

@@ -29,7 +29,6 @@ table3GpuTime()
                     "muted; YOLO half slower than single";
     e.defaultTrials = 0;
     e.defaultScale = 0.3;
-    e.quick = true;
     e.paper = {{"micro-mul/double/time", 6.001},
                {"micro-mul/single/time", 3.021},
                {"micro-mul/half/time", 2.232},

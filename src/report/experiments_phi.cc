@@ -33,7 +33,6 @@ table2PhiTime()
                     "for MxM";
     e.defaultTrials = 0;
     e.defaultScale = 0.3;
-    e.quick = true;
     e.paper = {{"lavamd/double/time", 1.307},
                {"lavamd/single/time", 0.801},
                {"mxm/double/time", 10.612},

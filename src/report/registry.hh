@@ -77,10 +77,6 @@ struct Experiment
     std::uint64_t defaultTrials = 0;
     double defaultScale = 0.3;
 
-    /** Deterministic (or campaign-light) enough for the quick
-     *  scorecard tier at reduced trials. */
-    bool quick = false;
-
     std::vector<PaperValue> paper;
     std::vector<ShapeCheck> checks;
 

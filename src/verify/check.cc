@@ -31,7 +31,6 @@ vopName(VOp op)
       case VOp::Fma:     return "fma";
       case VOp::Sqrt:    return "sqrt";
       case VOp::Exp:     return "exp";
-      case VOp::Log:     return "log";
       case VOp::Convert: return "convert";
       case VOp::NumOps:  break;
     }
@@ -100,7 +99,6 @@ runGated(const Case &c)
       case VOp::Fma:     return fp::fpFma(f, c.a, c.b, c.c);
       case VOp::Sqrt:    return fp::fpSqrt(f, c.a);
       case VOp::Exp:     return fp::fpExp(f, c.a);
-      case VOp::Log:     return fp::fpLog(f, c.a);
       case VOp::Convert: return fp::fpConvert(c.dst, f, c.a);
       case VOp::NumOps:  break;
     }

@@ -17,8 +17,8 @@
  * remainder flag — an *exact* transformation (the remainder can shift
  * a would-be tie but can never cross a halfway point).
  *
- * exp and log are transcendental, so no finite integer oracle exists;
- * for them the reference re-derives the documented algorithm
+ * exp is transcendental, so no finite integer oracle exists; for it
+ * the reference re-derives the documented algorithm
  * (Cody-Waite reduction + in-format Horner chain, softfloat.hh) on
  * top of the reference primitives above. That pins both the
  * primitives the chains execute and the algorithm spec itself.
@@ -471,7 +471,7 @@ refConvert(Format dst, Format src, std::uint64_t a)
 
 // ------------------------------------------------- transcendental mirror
 //
-// Reference re-derivation of the fpExp/fpLog algorithm spec
+// Reference re-derivation of the fpExp algorithm spec
 // (softfloat.hh) on top of the reference primitives. Constants,
 // degrees, range checks and operation order mirror the documented
 // algorithm; the arithmetic underneath is the exact oracle's. A
@@ -571,54 +571,6 @@ refExp(Format f, std::uint64_t a)
     return refScaleByPow2(f, p, k);
 }
 
-std::uint64_t
-refLog(Format f, std::uint64_t a)
-{
-    const FpClass ca = classify(f, a);
-    if (ca == FpClass::NaN)
-        return quietNaN(f);
-    if (ca == FpClass::Zero)
-        return infinity(f, true);
-    if (signOf(f, a))
-        return quietNaN(f);
-    if (ca == FpClass::Inf)
-        return a;
-
-    // Normalise so the leading bit sits at manBits, mirroring the
-    // spec's m in [1, 2) times 2^k decomposition.
-    Dec u = decodeBits(f, a);
-    const int up = static_cast<int>(f.manBits) - highestSetBit(u.mag);
-    u.mag <<= up;
-    u.exp -= up;
-    long k = u.exp + static_cast<int>(f.manBits);
-    std::uint64_t m =
-        packFields(f, false, f.bias(), u.mag & f.manMask());
-    const std::uint64_t sqrt2 = refFromDouble(f, 1.4142135623730951);
-    // IEEE "less" on positive finite patterns is a plain value compare.
-    if (!(refToDouble(f, m) < refToDouble(f, sqrt2))) {
-        m = refMul(f, m, refFromDouble(f, 0.5));
-        ++k;
-    }
-
-    const std::uint64_t one_v = fp::one(f);
-    const std::uint64_t tt =
-        refDiv(f, refAdd(f, m, one_v, true), refAdd(f, m, one_v, false));
-    const std::uint64_t t2 = refMul(f, tt, tt);
-
-    const int terms = f == kHalf ? 3 : f == kSingle ? 6 : 10;
-    std::uint64_t poly = refFromDouble(f, 1.0 / (2.0 * terms + 1.0));
-    for (int i = terms - 1; i >= 0; --i) {
-        poly = refFma(f, poly, t2,
-                      refFromDouble(f, 1.0 / (2.0 * i + 1.0)));
-    }
-    std::uint64_t ln_m =
-        refMul(f, refMul(f, tt, poly), refFromDouble(f, 2.0));
-
-    const std::uint64_t kf = refFromDouble(f, static_cast<double>(k));
-    const std::uint64_t ln2 = refFromDouble(f, 0.6931471805599453);
-    return refFma(f, kf, ln2, ln_m);
-}
-
 } // namespace
 
 OracleResult
@@ -639,8 +591,6 @@ exactOracle(const Case &c)
         return {true, refSqrt(c.fmt, c.a)};
       case VOp::Exp:
         return {true, refExp(c.fmt, c.a)};
-      case VOp::Log:
-        return {true, refLog(c.fmt, c.a)};
       case VOp::Convert:
         return {true, refConvert(c.dst, c.fmt, c.a)};
       case VOp::NumOps:

@@ -38,9 +38,9 @@
  *    can sit one source-ULP above a target tie and collapse onto it
  *    in the intermediate format (see hostConvert for the concrete
  *    double -> bfloat16 counterexample the corpus pinned).
- *  - exp/log: never supported — the production algorithms are not
+ *  - exp: never supported — the production algorithm is not
  *    correctly rounded, so no bit-exact host expectation exists (the
- *    property oracle bounds them in ULPs instead).
+ *    property oracle bounds it in ULPs instead).
  *  - tf32: never supported (no native type; the exact oracle covers it).
  *
  * NaN results are canonicalised to the format's quiet NaN before
@@ -266,7 +266,6 @@ hostOracle(const Case &c)
 {
     switch (c.op) {
       case VOp::Exp:
-      case VOp::Log:
         return {};  // not correctly rounded; property-oracle territory
       case VOp::Convert:
         return hostConvert(c);

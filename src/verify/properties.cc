@@ -5,9 +5,9 @@
  * These checks need no reference value at all: they assert relations
  * the IEEE754 semantics force between *production* results —
  * commutativity, sign symmetry, special-value taxonomy — plus a
- * bounded-ULP envelope for the transcendentals against the host libm
- * (the only oracle layer that covers exp/log beyond the algorithm
- * mirror, since neither is correctly rounded).
+ * bounded-ULP envelope for exp against the host libm (the only oracle
+ * layer that covers exp beyond the algorithm mirror, since it is not
+ * correctly rounded).
  *
  * Property violations are self-contained evidence: they do not depend
  * on the exact or host oracle being right.
@@ -144,17 +144,6 @@ checkTaxonomy(const Case &c, std::uint64_t result,
                         signOf(f, c.a) ? zero(f, false) : c.a, result,
                         out);
         break;
-      case VOp::Log:
-        if (ca == FpClass::Zero)
-            requireBits("log(+/-0)", f, infinity(f, true), result,
-                        out);
-        else if (signOf(f, c.a))
-            requireQuietNaN("log(negative)", f, result, out);
-        else if (ca == FpClass::Inf)
-            requireBits("log(+inf)", f, c.a, result, out);
-        else if (c.a == fp::one(f))
-            requireBits("log(1)", f, zero(f, false), result, out);
-        break;
       case VOp::Convert:
         if (ca == FpClass::Inf)
             requireBits("convert(inf)", rf,
@@ -241,9 +230,9 @@ checkAlgebra(const Case &c, std::uint64_t result,
 }
 
 /**
- * Bounded-ULP envelope for the transcendentals: the in-format result
- * must land within a few grid steps of the host libm value rounded
- * into the format. Checked only when both sides are finite — near
+ * Bounded-ULP envelope for exp: the in-format result must land within
+ * a few grid steps of the host libm value rounded into the format.
+ * Checked only when both sides are finite — near
  * overflow/underflow a one-step disagreement can cross into inf/0 and
  * the envelope is meaningless there.
  */
@@ -252,17 +241,14 @@ checkEnvelope(const Case &c, std::uint64_t result,
               const PropertyOptions &opts,
               std::vector<std::string> &out)
 {
-    if (c.op != VOp::Exp && c.op != VOp::Log)
+    if (c.op != VOp::Exp)
         return;
     const Format f = c.fmt;
     if (!fp::isFinite(f, c.a) || !fp::isFinite(f, result))
         return;
-    if (c.op == VOp::Log &&
-        (signOf(f, c.a) || isZero(f, c.a)))
-        return;
 
     const double x = fp::fpToDouble(f, c.a);
-    const double y = c.op == VOp::Exp ? std::exp(x) : std::log(x);
+    const double y = std::exp(x);
     if (!std::isfinite(y))
         return;
 
@@ -278,23 +264,18 @@ checkEnvelope(const Case &c, std::uint64_t result,
         return;
 
     const std::uint64_t dist = ulpDistance(f, result, ref.bits);
-    std::uint64_t tol = static_cast<std::uint64_t>(
-        c.op == VOp::Exp ? opts.expUlpTol : opts.logUlpTol);
-    if (c.op == VOp::Exp) {
-        // The Cody-Waite reduction r = x - k*ln2 carries ln2's
-        // in-format representation error k times, and exp turns the
-        // absolute error in r into a relative error of the result:
-        // ~ k * 2^-(p+1) relative, i.e. about k/2 ULPs. Budget one
-        // ULP per unit of k on top of the base tolerance. (log needs
-        // no such term: its k*ln2 error stays proportional to the
-        // result's own magnitude.)
-        const double k = std::abs(x) * 1.4426950408889634;
-        tol += static_cast<std::uint64_t>(std::ceil(
-            std::min(k, 16384.0)));
-    }
+    // The Cody-Waite reduction r = x - k*ln2 carries ln2's in-format
+    // representation error k times, and exp turns the absolute error
+    // in r into a relative error of the result: ~ k * 2^-(p+1)
+    // relative, i.e. about k/2 ULPs. Budget one ULP per unit of k on
+    // top of the base tolerance.
+    const double k = std::abs(x) * 1.4426950408889634;
+    const std::uint64_t tol =
+        static_cast<std::uint64_t>(opts.expUlpTol) +
+        static_cast<std::uint64_t>(std::ceil(std::min(k, 16384.0)));
     if (dist > tol) {
         std::ostringstream os;
-        os << vopName(c.op) << " envelope: " << dist
+        os << "exp envelope: " << dist
            << " ulp from libm (tolerance " << tol << ", libm value "
            << fp::fpDescribe(f, ref.bits) << ")";
         out.push_back(os.str());

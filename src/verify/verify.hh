@@ -17,7 +17,7 @@
  *     independently of src/fp — see exact_oracle.cc);
  *  3. algebraic and taxonomy properties (commutativity, sign
  *     symmetry, NaN/Inf/subnormal classification, monotonic rounding,
- *     bounded-ULP envelopes for the transcendentals — properties.cc).
+ *     a bounded-ULP envelope for exp — properties.cc).
  *
  * The production result the oracles judge is the softfloat reference
  * (runProduction forces it past the host-FPU gate); the host-gate
@@ -27,7 +27,7 @@
  * On top of the oracles sit two engines:
  *
  *  - exhaustive/sampled *sweeps* over whole operand spaces (all 2^32
- *    binary16 pairs per binary op, all 2^16 inputs per unary op,
+ *    16-bit pairs per binary op, all 2^16 inputs per unary op,
  *    sampled fma triples), fanned out over the common/parallel
  *    ThreadPool with deterministic chunking — the mismatch report is
  *    byte-identical for any --jobs;
@@ -36,8 +36,8 @@
  *    are persisted to tests/data/fp_corpus/ and replayed first by
  *    every verify_quick run.
  *
- * All checks run round-to-nearest-even (the only mode the studied
- * hardware uses); directed modes are out of oracle scope.
+ * All checks run round-to-nearest-even, the softfloat core's one
+ * rounding (the only mode the studied hardware uses).
  */
 
 #ifndef MPARCH_VERIFY_VERIFY_HH
@@ -55,11 +55,10 @@
 
 namespace mparch::verify {
 
-/** Operations under verification (Log is distinct here even though
- *  the production core counts it in the Exp op class). */
+/** Operations under verification. */
 enum class VOp
 {
-    Add, Sub, Mul, Div, Fma, Sqrt, Exp, Log, Convert,
+    Add, Sub, Mul, Div, Fma, Sqrt, Exp, Convert,
     NumOps,
 };
 
@@ -75,7 +74,7 @@ unsigned vopArity(VOp op);
 /** All ops, in declaration order. */
 inline constexpr VOp allVOps[] = {
     VOp::Add, VOp::Sub, VOp::Mul, VOp::Div, VOp::Fma,
-    VOp::Sqrt, VOp::Exp, VOp::Log, VOp::Convert,
+    VOp::Sqrt, VOp::Exp, VOp::Convert,
 };
 
 /** Format name: "half", "single", "double", "bfloat16", "tf32". */
@@ -130,15 +129,15 @@ struct OracleResult
 /**
  * Oracle 1: host FPU. Supported only where the host computation is
  * provably correctly rounded for the case's result format (see
- * host_oracle.cc for the double-rounding analysis); transcendentals
- * are never host-supported — they get a ULP envelope in the
- * property oracle instead.
+ * host_oracle.cc for the double-rounding analysis); exp is never
+ * host-supported — it gets a ULP envelope in the property oracle
+ * instead.
  */
 OracleResult hostOracle(const Case &c);
 
 /**
  * Oracle 2: exact integer reference with one explicit RNE rounding.
- * Supports every op and every format (exp/log are re-derived from
+ * Supports every op and every format (exp is re-derived from
  * the algorithm spec on top of the reference primitives).
  */
 OracleResult exactOracle(const Case &c);
@@ -147,19 +146,16 @@ OracleResult exactOracle(const Case &c);
 struct PropertyOptions
 {
     /**
-     * Base ULP tolerance between the in-format transcendental and
-     * the host libm result rounded into the format. The production
-     * algorithms are *not* correctly rounded (Cody-Waite reduction +
-     * finite Horner chain evaluated in-format), so the envelope is a
-     * bound, not equality. For exp the checker adds |x * log2e| on
-     * top of the base: the reduction replays ln2's representation
-     * error k times and exp converts it into ~k/2 result ULPs.
-     * Exhaustive 16-bit sweeps measure: exp within the scaled term
-     * alone (base 0 suffices), log at most 2 ULPs; the defaults
-     * leave a 4x margin.
+     * Base ULP tolerance between the in-format exp and the host libm
+     * result rounded into the format. The production algorithm is
+     * *not* correctly rounded (Cody-Waite reduction + finite Horner
+     * chain evaluated in-format), so the envelope is a bound, not
+     * equality. The checker adds |x * log2e| on top of the base: the
+     * reduction replays ln2's representation error k times and exp
+     * converts it into ~k/2 result ULPs. Exhaustive 16-bit sweeps
+     * measure exp within the scaled term alone (base 0 suffices).
      */
     int expUlpTol = 8;
-    int logUlpTol = 8;
 };
 
 /**
@@ -257,7 +253,7 @@ SweepReport sweepPairs(VOp op, fp::Format f, const SweepConfig &cfg);
  */
 SweepReport sweepTriples(VOp op, fp::Format f, const SweepConfig &cfg);
 
-/** Sweep a unary op (Sqrt/Exp/Log) over all (or sampled) inputs. */
+/** Sweep a unary op (Sqrt/Exp) over all (or sampled) inputs. */
 SweepReport sweepUnary(VOp op, fp::Format f, const SweepConfig &cfg);
 
 /** Sweep Convert from @p src to @p dst over all (or sampled) inputs. */

@@ -190,65 +190,6 @@ TEST(TrainerGradientCheck, SgdStepMatchesFiniteDifference)
 namespace mparch {
 namespace {
 
-TEST(FpLogTest, AccuracyPerPrecision)
-{
-    Rng rng(61);
-    for (int i = 0; i < 5000; ++i) {
-        const double x = std::exp(rng.uniform(-12.0, 12.0));
-        const double want = std::log(x);
-        {
-            const double got = fp::fpToDouble(
-                fp::kDouble,
-                fp::fpLog(fp::kDouble,
-                          fp::fpFromDouble(fp::kDouble, x)));
-            EXPECT_NEAR(got, want, std::abs(want) * 1e-12 + 1e-12)
-                << x;
-        }
-        {
-            const std::uint64_t xs =
-                fp::fpFromDouble(fp::kSingle, x);
-            const double got = fp::fpToDouble(
-                fp::kSingle, fp::fpLog(fp::kSingle, xs));
-            EXPECT_NEAR(got, std::log(fp::fpToDouble(fp::kSingle, xs)),
-                        std::abs(want) * 1e-5 + 1e-5)
-                << x;
-        }
-    }
-    // Half: percent-level.
-    for (int i = 0; i < 1000; ++i) {
-        const double x = std::exp(rng.uniform(-5.0, 5.0));
-        const std::uint64_t xh = fp::fpFromDouble(fp::kHalf, x);
-        const double got =
-            fp::fpToDouble(fp::kHalf, fp::fpLog(fp::kHalf, xh));
-        const double want = std::log(fp::fpToDouble(fp::kHalf, xh));
-        EXPECT_NEAR(got, want, std::abs(want) * 0.01 + 0.01) << x;
-    }
-}
-
-TEST(FpLogTest, SpecialValuesAndInverse)
-{
-    using namespace fp;
-    EXPECT_EQ(fpLog(kDouble, zero(kDouble, false)),
-              infinity(kDouble, true));
-    EXPECT_EQ(fpLog(kDouble, zero(kDouble, true)),
-              infinity(kDouble, true));
-    EXPECT_TRUE(isNaN(kDouble,
-                      fpLog(kDouble, fpFromDouble(kDouble, -2.0))));
-    EXPECT_TRUE(isNaN(kDouble, fpLog(kDouble, quietNaN(kDouble))));
-    EXPECT_EQ(fpLog(kDouble, infinity(kDouble, false)),
-              infinity(kDouble, false));
-    EXPECT_EQ(fpLog(kDouble, one(kDouble)), zero(kDouble, false));
-    // log(exp(x)) ~ x.
-    Rng rng(62);
-    for (int i = 0; i < 500; ++i) {
-        const double x = rng.uniform(-5.0, 5.0);
-        const double got = fpToDouble(
-            kDouble,
-            fpLog(kDouble, fpExp(kDouble, fpFromDouble(kDouble, x))));
-        EXPECT_NEAR(got, x, std::abs(x) * 1e-11 + 1e-11);
-    }
-}
-
 TEST(HistogramTest, BucketsAndRender)
 {
     LogHistogram h(-4, 6);  // decades 1e-4 .. 1e2

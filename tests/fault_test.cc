@@ -700,7 +700,7 @@ INSTANTIATE_TEST_SUITE_P(
 /**
  * A scripted op stream in @p f over zeros, NaNs, infinities and
  * subnormals: struck ops that return early before their stage, and
- * exp/log, whose inner ops move the shared one-shot index between the
+ * exp, whose inner ops move the shared one-shot index between the
  * outer op's stages. The last operands overflow to infinity or
  * underflow (or cancel) to zero from finite non-zero operands, where
  * the host route of a struck Result stage hands the op back to
@@ -746,7 +746,6 @@ scriptedOps(fp::Format f)
         out.push_back(fp::fpSub(f, a, c));
         out.push_back(fp::fpDiv(f, a, b));
         out.push_back(fp::fpSqrt(f, a));
-        out.push_back(fp::fpLog(f, a));
         out.push_back(fp::fpConvert(fp::kDouble, f, a));
     }
     return out;

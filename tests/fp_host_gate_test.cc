@@ -681,7 +681,6 @@ struct ChainSetup
 {
     std::string what = {};
     bool context = true;
-    Rounding rounding = Rounding::NearestEven;
     bool identityHook = false;  ///< a hook without a trigger
     /** An armed fault (hook + trigger), made fresh per route. */
     std::function<std::unique_ptr<fault::DatapathFault>()> fault = {};
@@ -715,7 +714,6 @@ runLoop(bool chain, const ChainInput &in, const ChainSetup &setup)
         setup.fault ? setup.fault() : nullptr;
     CountingHook counter(fault.get());
     FpContext ctx;
-    ctx.rounding = setup.rounding;
     if (fault) {
         fault->arm(ctx);
         ctx.hook = &counter;
@@ -759,12 +757,7 @@ chainSetups(std::size_t n)
     std::vector<ChainSetup> out;
     out.push_back({"no context", false});
     out.push_back({"bare context"});
-    out.push_back({"identity hook", true, Rounding::NearestEven, true});
-    for (const auto &[r, name] :
-         {std::pair{Rounding::Upward, "upward"},
-          std::pair{Rounding::TowardZero, "toward-zero"},
-          std::pair{Rounding::Downward, "downward"}})
-        out.push_back({name, true, r});
+    out.push_back({"identity hook", true, true});
     if (n == 0)
         return out;
     const std::size_t positions[] = {0, n / 2, n - 1};

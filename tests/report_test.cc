@@ -457,17 +457,9 @@ TEST(Registry, EveryEntryIsFullyDeclared)
     EXPECT_EQ(ids.size(), 32u);
 }
 
-TEST(Registry, QuickTierIsNonEmpty)
-{
-    std::size_t quick = 0;
-    for (const auto &e : experiments())
-        quick += e.quick ? 1 : 0;
-    EXPECT_GE(quick, 4u);
-}
-
 /**
- * End-to-end through runExperiment on the cheapest quick entry (a
- * pure timing-model experiment; no injection campaigns): metadata is
+ * End-to-end through runExperiment on the cheapest entry (a pure
+ * timing-model experiment; no injection campaigns): metadata is
  * stamped and every declared check produces a verdict.
  */
 TEST(Registry, RunExperimentStampsMetadataAndVerdicts)

@@ -66,18 +66,6 @@ TEST(SmSim, TooFewWarpsStallTheScheduler)
     EXPECT_GT(many.issueUtilization, few.issueUtilization);
 }
 
-TEST(SmSim, IndependentStreamsIssueEveryCycle)
-{
-    WarpProgram prog;
-    prog.instructions = 256;
-    prog.dependentChain = false;
-    const SmStats s =
-        simulateSm(config(Precision::Double, 1), prog);
-    // One warp with 4 in-flight slots at latency 8 can cover half
-    // the latency: utilisation well above the dependent case's 1/8.
-    EXPECT_GT(s.issueUtilization, 0.4);
-}
-
 TEST(SmSim, HalfPairedLatencyMatchesTimingModel)
 {
     // The closed-form micro timing model (gpuTimeSeconds) assumes

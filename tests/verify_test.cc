@@ -59,7 +59,6 @@ TEST(VerifyNames, Arity)
     EXPECT_EQ(vopArity(VOp::Fma), 3u);
     EXPECT_EQ(vopArity(VOp::Sqrt), 1u);
     EXPECT_EQ(vopArity(VOp::Exp), 1u);
-    EXPECT_EQ(vopArity(VOp::Log), 1u);
     EXPECT_EQ(vopArity(VOp::Convert), 1u);
 }
 
@@ -323,7 +322,6 @@ TEST(Properties, CheckCaseAggregatesOracles)
         {VOp::Fma, kHalf, kHalf, 0x3c01, 0x3c01, 0xbc02},
         {VOp::Sqrt, kHalf, kHalf, 0x4000, 0, 0},
         {VOp::Exp, kHalf, kHalf, 0xc000, 0, 0},
-        {VOp::Log, kHalf, kHalf, 0x3e00, 0, 0},
         {VOp::Convert, kSingle, kHalf, 0x3f801000, 0, 0},
     };
     for (const Case &c : cases) {
