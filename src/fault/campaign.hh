@@ -300,7 +300,8 @@ struct TrialOutcome
 
     /** Human-readable fault-site description (replay/debug only;
      *  empty unless runTrial() was asked to describe): the sampled
-     *  site, then `resumed-at=<tick>` (the tick the execution started
+     *  site (a persistent trial's ends with `hits=<n>`, the ops the
+     *  broken unit touched), then `resumed-at=<tick>` (the tick the execution started
      *  from) and, for a trial that stopped early as provably masked,
      *  `masked-at=<tick>`. */
     std::string description;
