@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -456,6 +457,114 @@ TEST(RelativeDeviationTest, LowMantissaFlipIsSmallHighIsLarge)
     EXPECT_NEAR(relativeDeviation(f, golden ^ 1u, golden), 0x1.0p-10,
                 1e-12);
     EXPECT_GT(relativeDeviation(f, golden ^ (1ull << 14), golden), 1.0);
+}
+
+/**
+ * relativeDeviation as it read when it widened through the conversion
+ * op: every value through fp::fpToDouble, then the same formula.
+ */
+double
+conversionDeviation(fp::Format f, std::uint64_t corrupted,
+                    std::uint64_t golden)
+{
+    const double g = fp::fpToDouble(f, golden);
+    const double c = fp::fpToDouble(f, corrupted);
+    if (!std::isfinite(c) || !std::isfinite(g))
+        return std::numeric_limits<double>::infinity();
+    if (g == 0.0)
+        return std::abs(c);
+    return std::abs((c - g) / g);
+}
+
+/** relativeDeviation(f, c, g) equals conversionDeviation bit for bit. */
+::testing::AssertionResult
+sameDeviation(fp::Format f, std::uint64_t c, std::uint64_t g)
+{
+    const double got = relativeDeviation(f, c, g);
+    const double want = conversionDeviation(f, c, g);
+    if (std::bit_cast<std::uint64_t>(got) ==
+        std::bit_cast<std::uint64_t>(want))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << f.totalBits << "/" << f.manBits << "-bit corrupted 0x"
+           << std::hex << c << " golden 0x" << g << std::dec << ": "
+           << got << " against " << want;
+}
+
+/** Goldens of every class in @p f: zeros, subnormals (smallest,
+ *  largest), normals (smallest, 1, -1.5, largest), infinities and
+ *  NaNs (quiet, with a payload, signalling). */
+std::vector<std::uint64_t>
+goldenSet(fp::Format f)
+{
+    const int top = f.maxBiasedExp();
+    return {fp::zero(f, false),
+            fp::zero(f, true),
+            fp::packFields(f, false, 0, 1),
+            fp::packFields(f, true, 0, f.manMask()),
+            fp::packFields(f, false, 1, 0),
+            fp::fpFromDouble(f, 1.0),
+            fp::fpFromDouble(f, -1.5),
+            fp::maxFinite(f, true),
+            fp::infinity(f, false),
+            fp::infinity(f, true),
+            fp::quietNaN(f),
+            fp::packFields(f, true, top, f.manMask()),
+            fp::packFields(f, false, top, 1)};
+}
+
+TEST(RelativeDeviationTest, EverySixteenBitPatternMatchesTheConversion)
+{
+    for (fp::Format f : {fp::kHalf, fp::kBfloat16}) {
+        int mismatches = 0;
+        for (std::uint64_t g : goldenSet(f)) {
+            for (std::uint64_t x = 0; x < 0x10000; ++x) {
+                const bool corrupted = sameDeviation(f, x, g);
+                const bool golden = sameDeviation(f, g, x);
+                if ((!corrupted || !golden) && ++mismatches <= 5) {
+                    EXPECT_TRUE(sameDeviation(f, x, g));
+                    EXPECT_TRUE(sameDeviation(f, g, x));
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0) << f.totalBits << "/" << f.manBits;
+    }
+}
+
+TEST(RelativeDeviationTest, RandomSingleAndDoublePairsMatchTheConversion)
+{
+    Rng rng(77);
+    for (fp::Format f : {fp::kSingle, fp::kDouble}) {
+        for (int i = 0; i < 200000; ++i) {
+            // Raw patterns, and pairs one bit apart as a fault leaves
+            // them.
+            const std::uint64_t g = rng.next() & f.valueMask();
+            const std::uint64_t c =
+                rng.chance(0.5) ? rng.next() & f.valueMask()
+                                : g ^ (1ULL << rng.below(f.totalBits));
+            ASSERT_TRUE(sameDeviation(f, c, g)) << "pair " << i;
+        }
+    }
+}
+
+TEST(RelativeDeviationTest, SpecialsAndSubnormalsMatchTheConversion)
+{
+    for (fp::Format f : {fp::kHalf, fp::kBfloat16, fp::kSingle,
+                         fp::kDouble}) {
+        const std::vector<std::uint64_t> values = goldenSet(f);
+        for (std::uint64_t g : values) {
+            for (std::uint64_t c : values)
+                EXPECT_TRUE(sameDeviation(f, c, g));
+        }
+        // Subnormals at every significand bit, against the goldens.
+        for (unsigned b = 0; b < f.manBits; ++b) {
+            const std::uint64_t sub = fp::packFields(f, b % 2, 0, 1ULL << b);
+            for (std::uint64_t g : values) {
+                EXPECT_TRUE(sameDeviation(f, sub, g));
+                EXPECT_TRUE(sameDeviation(f, g, sub));
+            }
+        }
+    }
 }
 
 TEST(FaultAnatomyTest, LowMantissaCriticalityGrowsAsPrecisionShrinks)
