@@ -34,15 +34,39 @@ const std::array<fp::Stage, 10> &stagesFor(fp::OpKind kind,
 unsigned stageWidthEstimate(fp::Stage stage, fp::Format f);
 
 /**
+ * How a broken physical operator corrupts the datapath bit it owns.
+ *
+ * A configuration-memory upset rewires logic, so the classic model
+ * is a stuck-at: the bit reads 0 (or 1) regardless of the computed
+ * value — which masks the fault whenever the correct value already
+ * matches. Flip (always-wrong) is kept for worst-case analysis. It
+ * is the trigger's bit rule (fp::StrikeTrigger::corrupt).
+ */
+using PersistMode = fp::BitRule;
+
+/** Name of a PersistMode ("flip" / "stuck-at-0" / "stuck-at-1"). */
+constexpr const char *
+persistModeName(PersistMode mode)
+{
+    switch (mode) {
+      case PersistMode::Flip:     return "flip";
+      case PersistMode::StuckAt0: return "stuck-at-0";
+      case PersistMode::StuckAt1: return "stuck-at-1";
+    }
+    return "?";
+}
+
+/**
  * A datapath fault: a strike trigger (which dynamic ops) plus the
- * stage and bit it corrupts in them.
+ * stage, bit and rule it corrupts them with, all held by the trigger.
  *
  * arm() installs the hook together with its trigger, so only the
  * struck ops reach perturb() and every other op runs on the fast
- * path. Installed as a plain FpContext::hook (no trigger), it sees
- * every op and advances the trigger itself at each OperandA visit,
- * which is the same point in the op stream: both installs corrupt
- * the same ops.
+ * path; the host routes of struck ops apply the trigger's rule
+ * without calling perturb(). Installed as a plain FpContext::hook (no
+ * trigger), it sees every op and advances the trigger itself at each
+ * OperandA visit, which is the same point in the op stream: both
+ * installs corrupt the same ops.
  */
 class DatapathFault : public fp::FpHook
 {
@@ -66,37 +90,33 @@ class DatapathFault : public fp::FpHook
     /** True once this fault can no longer strike any op. */
     bool exhausted() const { return trigger_.exhausted(); }
 
-  protected:
-    DatapathFault(const fp::StrikeTrigger &trigger, fp::Stage stage,
-                  double bit_frac)
-        : trigger_(trigger), stage_(stage), bitFrac_(bit_frac)
-    {
-        trigger_.stage = stage;
-    }
-
-    /**
-     * The bit to corrupt in this visit of @p stage of @p op, or -1
-     * when the visit is not struck.
-     */
-    int
-    struckBit(fp::OpKind op, fp::Stage stage, unsigned width)
+    /** The trigger's rule on this visit's value, when it is struck. */
+    std::uint64_t
+    perturb(fp::OpKind op, fp::Stage stage, unsigned width,
+            std::uint64_t value) final
     {
         if (stage == fp::Stage::OperandA) {
             const fp::FpContext *ctx = fp::currentContext();
             if (ctx == nullptr || ctx->strike != &trigger_)
                 trigger_.enter(op);
         }
-        if (stage != stage_ || !trigger_.strikes(op))
-            return -1;
-        const auto bit = static_cast<unsigned>(bitFrac_ * width);
-        return static_cast<int>(bit >= width ? width - 1 : bit);
+        if (stage != trigger_.stage || !trigger_.strikes(op))
+            return value;
+        ++trigger_.hits;
+        return trigger_.corrupt(width, value);
+    }
+
+  protected:
+    DatapathFault(const fp::StrikeTrigger &trigger, fp::Stage stage,
+                  double bit_frac, fp::BitRule rule)
+        : trigger_(trigger)
+    {
+        trigger_.stage = stage;
+        trigger_.bitFrac = bit_frac;
+        trigger_.rule = rule;
     }
 
     fp::StrikeTrigger trigger_;
-
-  private:
-    fp::Stage stage_;
-    double bitFrac_;
 };
 
 /** Flip one bit of one stage of one dynamic op instance. */
@@ -113,45 +133,12 @@ class OneShotDatapathHook : public DatapathFault
     OneShotDatapathHook(fp::OpKind kind, std::uint64_t index,
                         fp::Stage stage, double bit_frac)
         : DatapathFault(fp::StrikeTrigger::oneShot(kind, index), stage,
-                        bit_frac)
+                        bit_frac, fp::BitRule::Flip)
     {}
 
-    std::uint64_t
-    perturb(fp::OpKind op, fp::Stage stage, unsigned width,
-            std::uint64_t value) override
-    {
-        const int bit = struckBit(op, stage, width);
-        if (bit < 0)
-            return value;
-        trigger_.spent = true;
-        return value ^ (1ULL << bit);
-    }
-
     /** True once the fault was placed. */
-    bool fired() const { return trigger_.spent; }
+    bool fired() const { return trigger_.hits != 0; }
 };
-
-/**
- * How a broken physical operator corrupts the datapath bit it owns.
- *
- * A configuration-memory upset rewires logic, so the classic model
- * is a stuck-at: the bit reads 0 (or 1) regardless of the computed
- * value — which masks the fault whenever the correct value already
- * matches. Flip (always-wrong) is kept for worst-case analysis.
- */
-enum class PersistMode { Flip, StuckAt0, StuckAt1 };
-
-/** Name of a PersistMode ("flip" / "stuck-at-0" / "stuck-at-1"). */
-constexpr const char *
-persistModeName(PersistMode mode)
-{
-    switch (mode) {
-      case PersistMode::Flip:     return "flip";
-      case PersistMode::StuckAt0: return "stuck-at-0";
-      case PersistMode::StuckAt1: return "stuck-at-1";
-    }
-    return "?";
-}
 
 /**
  * Break one physical operator: corrupt every op of a kind whose
@@ -181,36 +168,12 @@ class PersistentDatapathHook : public DatapathFault
                            PersistMode mode = PersistMode::Flip)
         : DatapathFault(fp::StrikeTrigger::persistent(kind, units, unit,
                                                       period, lo, hi),
-                        stage, bit_frac),
-          mode_(mode)
+                        stage, bit_frac, mode)
     {}
 
-    std::uint64_t
-    perturb(fp::OpKind op, fp::Stage stage, unsigned width,
-            std::uint64_t value) override
-    {
-        const int bit = struckBit(op, stage, width);
-        if (bit < 0)
-            return value;
-        ++hits_;
-        const auto b = static_cast<unsigned>(bit);
-        switch (mode_) {
-          case PersistMode::Flip:
-            return value ^ (1ULL << b);
-          case PersistMode::StuckAt0:
-            return setBit(value, b, false);
-          case PersistMode::StuckAt1:
-            return setBit(value, b, true);
-        }
-        return value;
-    }
-
-    /** Number of operations the broken unit corrupted. */
-    std::uint64_t hits() const { return hits_; }
-
-  private:
-    PersistMode mode_;
-    std::uint64_t hits_ = 0;
+    /** Number of operations the broken unit touched (a stuck-at bit
+     *  that already held its value included). */
+    std::uint64_t hits() const { return trigger_.hits; }
 };
 
 } // namespace mparch::fault

@@ -255,8 +255,7 @@ fpMul(Format f, std::uint64_t a, std::uint64_t b)
     std::uint64_t hi = static_cast<std::uint64_t>(prod >> 64);
     lo = detail::touch(ctx, op, Stage::ProductLo, 64, lo);
     hi = detail::touch(ctx, op, Stage::ProductHi,
-                       2u * (f.manBits + 1u) > 64u
-                           ? 2u * (f.manBits + 1u) - 64u : 1u, hi);
+                       detail::productHiWidth(f), hi);
     prod = (static_cast<U128>(hi) << 64) | lo;
 
     int exp = ua.exp + ub.exp;

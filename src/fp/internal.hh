@@ -50,6 +50,14 @@ unpackFinite(Format f, std::uint64_t bits)
             m | f.hiddenBit()};
 }
 
+/** The width of the ProductHi stage of @p f: the exact product's bits
+ *  above 64, at least 1. */
+constexpr unsigned
+productHiWidth(Format f)
+{
+    return 2u * (f.manBits + 1u) > 64u ? 2u * (f.manBits + 1u) - 64u : 1u;
+}
+
 /** Normalise an unpacked non-zero value so sig's MSB is at manBits. */
 inline Unpacked
 normalize(Format f, Unpacked u)
@@ -154,14 +162,15 @@ std::uint64_t hostConvert(Format dst, Format src, std::uint64_t a);
 /**
  * The host route of a struck add, sub, mul, div or fma (host.cc): the
  * result of the softfloat body of @p op for the op @p ctx entered,
- * with the same hook calls, or nullopt when the caller must run that
- * body. It answers when the op's trigger is armed (FpContext::strike),
- * the host FPU is in its IEEE default mode, @p f is single or double,
- * and the trigger's stage is one the host can stand in for:
- * an operand (every operand is touched in the softfloat order, then
- * the host op runs on the perturbed values) or a finite non-zero
- * result (the one case where the body certainly reaches roundPack's
- * Result touch). @p c is read by fma only.
+ * with the same hits counted on its trigger (the hook is not called),
+ * or nullopt when the caller must run that body. It answers when the
+ * op's trigger is armed (FpContext::strike), the host FPU is in its
+ * IEEE default mode, @p f is single or double, and the trigger's
+ * stage is one the host can stand in for: an operand (the trigger's
+ * rule corrupts it, then the host op runs), a finite non-zero result
+ * (the one case where the body certainly reaches roundPack's Result
+ * touch), or an fma product half of finite operands that a stuck-at
+ * rule leaves unchanged. @p c is read by fma only.
  */
 std::optional<std::uint64_t> hostStruck(Format f, const OpCtx &ctx,
                                         OpKind op, std::uint64_t a,

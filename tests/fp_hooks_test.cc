@@ -382,7 +382,7 @@ expectSameState(const StrikeTrigger &a, const StrikeTrigger &b,
     EXPECT_EQ(a.seen, b.seen) << what;
     EXPECT_EQ(a.current, b.current) << what;
     EXPECT_EQ(a.inWindow, b.inWindow) << what;
-    EXPECT_EQ(a.spent, b.spent) << what;
+    EXPECT_EQ(a.hits, b.hits) << what;
     EXPECT_EQ(a.exhausted(), b.exhausted()) << what;
 }
 
@@ -400,7 +400,7 @@ randomOneShot(Rng &rng, std::uint64_t start, std::uint64_t n)
       default: index = start + n + rng.below(8); break;
     }
     StrikeTrigger t = StrikeTrigger::oneShot(OpKind::Fma, index);
-    t.spent = rng.chance(0.1);
+    t.hits = rng.chance(0.1);
     return t;
 }
 
