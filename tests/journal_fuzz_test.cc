@@ -140,9 +140,10 @@ structuredCases(const std::string &name)
                 {{begin + eq + 1, end - begin - eq - 2, bad}});
         }
     }
-    // Cuts at every byte of the first, a middle and the last record:
-    // a cut resumes every trial after it, and the reader only tells
-    // a line with its newline from one without.
+    // Cuts at every byte of the first, a middle and the last record,
+    // and once inside the body of every other record: a cut resumes
+    // every trial after it, and the reader only tells a line with its
+    // newline from one without.
     const std::size_t records = lines.size() - first_record;
     const std::size_t cut_records[] = {0, records / 2, records - 1};
     for (std::size_t i = first_record; i < lines.size(); ++i) {
@@ -155,6 +156,10 @@ structuredCases(const std::string &name)
                         " bytes",
                     {{cut, std::string::npos, ""}});
             }
+        } else {
+            const std::size_t cut = (end - 1 - begin) / 2;
+            add(record + " cut after " + std::to_string(cut) + " bytes",
+                {{begin + cut, std::string::npos, ""}});
         }
         // Column c: the field and the comma before it (after it, for
         // the first).
