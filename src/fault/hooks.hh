@@ -102,8 +102,7 @@ class DatapathFault : public fp::FpHook
         }
         if (stage != trigger_.stage || !trigger_.strikes(op))
             return value;
-        ++trigger_.hits;
-        return trigger_.corrupt(width, value);
+        return trigger_.hit(width, value);
     }
 
   protected:

@@ -112,12 +112,12 @@ class FpHook
  * FPU.
  *
  * A fault that says where it strikes (`stage` set) also carries its
- * bit rule: corrupt() is what its hook does to a struck op's value at
- * that stage, and every other stage passes unchanged. Armed, the
- * fault's hook is then never called: the softfloat bodies
- * (detail::touch) and the host routes of struck ops
- * (detail::hostStruck, the fma chain) apply corrupt() themselves and
- * count `hits` as the hook does.
+ * bit rule: hit() is what its hook does to a struck op's value at
+ * that stage, counting it in `hits`, and every other stage passes
+ * unchanged. Armed, the fault's hook is then never called: the
+ * softfloat bodies (detail::touch) and the host routes of struck ops
+ * (detail::hostStruck and the fma chain, through one rule in
+ * host.cc) call hit() themselves.
  *
  * The state advances once per op entry, which is the op's OperandA
  * visit. `current` is the dynamic index of the last entered op
@@ -146,8 +146,8 @@ struct StrikeTrigger
     OpCounts seen{};           ///< entered ops per kind
     std::uint64_t current = 0;
     bool inWindow = false;
-    /** Struck stage values corrupt() was applied to, changed or not
-     *  (one-shot: 1 once the fault was placed). */
+    /** Struck stage values the rule was applied to (hit()), changed
+     *  or not (one-shot: 1 once the fault was placed). */
     std::uint64_t hits = 0;
 
     /** Strike the @p index-th dynamic op of @p kind, once. */
@@ -277,8 +277,8 @@ struct StrikeTrigger
         return b >= width ? width - 1 : b;
     }
 
-    /** The fault's rule on the value @p value of a struck stage
-     *  @p width bits wide; the caller counts the hit. */
+    /** The fault's rule on the value @p value of a stage @p width
+     *  bits wide, uncounted. */
     std::uint64_t
     corrupt(unsigned width, std::uint64_t value) const
     {
@@ -289,6 +289,15 @@ struct StrikeTrigger
           case BitRule::StuckAt1: return setBit(value, b, true);
         }
         return value;
+    }
+
+    /** The struck stage value @p value, @p width bits wide, counted
+     *  in hits and put through corrupt(). */
+    std::uint64_t
+    hit(unsigned width, std::uint64_t value)
+    {
+        ++hits;
+        return corrupt(width, value);
     }
 };
 
@@ -380,9 +389,10 @@ OpCtx enterOp(OpKind op);
  * read an operand) would each get OpCtx::host from enterOp(), counted
  * from the first: the un-struck prefix under a strike trigger
  * (StrikeTrigger::unstruck), and zero for every kind under a hook
- * without one or a host FPU outside its IEEE default mode. A block whose op count per kind is at most
- * @p upper may run wholly on the host when the answer equals
- * @p upper. Reads the host mode once; nothing is counted or entered.
+ * without one or a host FPU outside its IEEE default mode. A block
+ * whose op count per kind is at most @p upper may run wholly on the
+ * host when the answer equals @p upper. Reads the host mode once;
+ * nothing is counted or entered.
  */
 OpCounts peekBlock(const OpCounts &upper);
 
@@ -404,8 +414,8 @@ void commitBlock(OpKind op, std::uint64_t n);
 
 /**
  * The value of @p stage of a hooked op: the trigger's bit rule when
- * the armed fault carries one (StrikeTrigger::corrupt, counted in
- * its hits), else the context hook's perturb().
+ * the armed fault carries one (StrikeTrigger::hit), else the context
+ * hook's perturb().
  */
 inline std::uint64_t
 touch(const OpCtx &oc, OpKind op, Stage stage, unsigned width,
@@ -418,8 +428,7 @@ touch(const OpCtx &oc, OpKind op, Stage stage, unsigned width,
         return oc.ctx->hook->perturb(op, stage, width, value);
     if (stage != strike->stage || !strike->strikes(op))
         return value;
-    ++strike->hits;
-    return strike->corrupt(width, value);
+    return strike->hit(width, value);
 }
 
 } // namespace detail

@@ -20,16 +20,24 @@
  *
  * The ops themselves are the per-format templates of fp/host.hh; this
  * file holds their runtime-format entry points for the per-op gate
- * and the conversions. Single and double fma chains also run here as
- * two compilations of each of their loops (fmaRun*, fmaMasked*), one
- * of them picked by a CPU feature flag. Struck single/double ops run
- * here too, with the fault's bit rule (StrikeTrigger::corrupt)
- * applied around the host op: hostStruck takes one struck op whose
- * fault hits an operand or a finite non-zero result, or a product
- * whose stuck-at bit already holds its value; fmaStruckRun keeps a
- * persistent fault on an operand or the result inside the chain.
- * The block gate's HostFp<P> (fp/host.hh) runs the same templates
- * inline in the kernels that adopt it.
+ * and the conversions. Single and double fma chains also run here:
+ * each chain loop (fmaRun*, fmaMasked*) is two function templates,
+ * one built for the FMA instruction set and one for the baseline,
+ * instantiated below for single and double, and a CPU feature flag
+ * picks the compilation. Their declarations in
+ * fp/host.hh repeat the definitions' target("fma"): GCC drops the
+ * attribute from a template defined after a declaration without it,
+ * and the FMA-unit copies then call libm's fma, a slowdown no result
+ * shows (the fma_unit_objdump test looks for vfmadd in each).
+ *
+ * Struck single/double ops run here too, under one rule
+ * (hostStruckOp): the fault's bit rule (StrikeTrigger::hit) around
+ * the host op when it hits an operand or a finite non-zero result,
+ * and the host op alone for a product whose stuck-at bit already
+ * holds its value. hostStruck applies it to one op; fmaStruckRun's
+ * masked loop applies it to every struck op of a chain under a
+ * persistent fault. The block gate's HostFp<P> (fp/host.hh) runs the
+ * same per-format ops inline in the kernels that adopt it.
  *
  * Placement: each chain loop is short and runs thousands of times
  * per execution, and moving fmaRunFmaUnit by a few bytes with
@@ -78,23 +86,92 @@ fmaRunBody(const Fp<P> *a, std::size_t sa, const Fp<P> *b, std::size_t sb,
     return acc;
 }
 
-/** One host fma of the patterns @p x, @p y, @p z of F. */
+/**
+ * The host op @p op of the patterns @p a, @p b, @p c of F (sub: b
+ * negated, as the softfloat core does; c is read by fma only).
+ */
 template <Format F>
 [[gnu::always_inline]] inline Native<F>
-fmaNative(std::uint64_t x, std::uint64_t y, std::uint64_t z)
+hostOp(OpKind op, std::uint64_t a, std::uint64_t b, std::uint64_t c)
 {
-    return canonical(
-        std::fma(toNative<F>(x), toNative<F>(y), toNative<F>(z)));
+    const Native<F> x = toNative<F>(a);
+    const Native<F> y = toNative<F>(b);
+    switch (op) {
+      case OpKind::Sub: return hostAdd<F>(x, hostNeg<F>(y));
+      case OpKind::Mul: return hostMul<F>(x, y);
+      case OpKind::Div: return hostDiv<F>(x, y);
+      case OpKind::Fma: return hostFma<F>(x, y, toNative<F>(c));
+      default:          return hostAdd<F>(x, y);
+    }
+}
+
+/**
+ * The one rule of the host routes for a struck add, sub, mul, div or
+ * fma of single or double F, whose trigger @p t carries the fault's
+ * bit rule: the result of the softfloat body of @p op on the patterns
+ * @p a, @p b, @p c, with the same hits counted on @p t, or nullopt
+ * when the caller must run that body. hostStruck applies it to one op
+ * and fmaMaskedBody to each struck op of a chain.
+ */
+template <Format F>
+[[gnu::always_inline]] inline std::optional<Native<F>>
+hostStruckOp(StrikeTrigger &t, OpKind op, std::uint64_t a, std::uint64_t b,
+             std::uint64_t c)
+{
+    constexpr unsigned w = F.totalBits;
+    switch (t.stage) {
+      // The softfloat bodies read every operand before anything
+      // else, and only fma reads a third.
+      case Stage::OperandA:
+        return hostOp<F>(op, t.hit(w, a), b, c);
+      case Stage::OperandB:
+        return hostOp<F>(op, a, t.hit(w, b), c);
+      case Stage::OperandC:
+        return hostOp<F>(op, a, b, op == OpKind::Fma ? t.hit(w, c) : c);
+      case Stage::Result: {
+        // A finite non-zero result certainly comes out of roundPack,
+        // which touches it once: every return of these bodies before
+        // roundPack gives a NaN, an infinity or a zero. A result that
+        // overflows to infinity or underflows to zero may come from
+        // either, so it stays on softfloat.
+        const std::uint64_t r = toBits<F>(hostOp<F>(op, a, b, c));
+        const FpClass rc = classify(F, r);
+        if (rc != FpClass::Normal && rc != FpClass::Subnormal)
+            return std::nullopt;
+        return toNative<F>(t.hit(w, r));
+      }
+      case Stage::ProductLo:
+      case Stage::ProductHi: {
+        // With finite operands the fma body forms the significand
+        // product and touches both halves. A stuck-at bit that already
+        // holds its value leaves the product, and so the rest of the
+        // body, un-struck: the result is the host's. The hit is
+        // counted after that check, the rule's one use outside hit().
+        constexpr int kTop = F.maxBiasedExp();
+        if (op != OpKind::Fma || t.rule == BitRule::Flip ||
+            biasedExpOf(F, a) == kTop || biasedExpOf(F, b) == kTop ||
+            biasedExpOf(F, c) == kTop)
+            return std::nullopt;
+        const U128 prod = static_cast<U128>(unpackFinite(F, a).sig) *
+                          unpackFinite(F, b).sig;
+        const bool lo = t.stage == Stage::ProductLo;
+        const auto v = static_cast<std::uint64_t>(lo ? prod : prod >> 64);
+        if (t.corrupt(lo ? 64 : productHiWidth(F), v) != v)
+            return std::nullopt;
+        ++t.hits;
+        return hostOp<F>(op, a, b, c);
+      }
+      default:
+        return std::nullopt;
+    }
 }
 
 /**
  * The loop of the fmaMasked* compilations: fmaRunBody, except that
  * ops 0, units, 2 units, ... are struck by the persistent trigger of
- * @p ctx. On an operand, and on a result that is finite and non-zero,
- * the trigger's bit rule is applied here around the host fma, the one
- * stage visit the softfloat body would corrupt (hostStruck's cases);
- * any other struck op runs fpFma, the per-op route, after the ops
- * before it are entered. Every op is entered by the end.
+ * @p ctx. Each struck op takes hostStruckOp, or runs fpFma, the per-op
+ * route, after the ops before it are entered when the rule declines
+ * it. Every op is entered by the end.
  */
 template <Precision P, class T>
 [[gnu::always_inline]] inline T
@@ -110,32 +187,8 @@ fmaMaskedBody(const Fp<P> *a, std::size_t sa, const Fp<P> *b,
         const std::uint64_t x = a[i * sa].bits();
         const std::uint64_t y = b[i * sb].bits();
         const std::uint64_t z = toBits<F>(acc);
-        const unsigned w = F.totalBits;
-        bool host = true;
-        switch (t.stage) {
-          case Stage::OperandA:
-            acc = fmaNative<F>(t.corrupt(w, x), y, z);
-            break;
-          case Stage::OperandB:
-            acc = fmaNative<F>(x, t.corrupt(w, y), z);
-            break;
-          case Stage::OperandC:
-            acc = fmaNative<F>(x, y, t.corrupt(w, z));
-            break;
-          case Stage::Result: {
-            acc = fmaNative<F>(x, y, z);
-            const FpClass rc = classify(F, toBits<F>(acc));
-            host = rc == FpClass::Normal || rc == FpClass::Subnormal;
-            if (host)
-                acc = toNative<F>(t.corrupt(w, toBits<F>(acc)));
-            break;
-          }
-          default:
-            host = false;
-            break;
-        }
-        if (host) {
-            ++t.hits;
+        if (const auto r = hostStruckOp<F>(t, OpKind::Fma, x, y, z)) {
+            acc = *r;
         } else {
             ctx.opCount[kFma] += i - entered;
             t.skip(OpKind::Fma, i - entered);
@@ -206,19 +259,6 @@ fmaOne(std::uint64_t a, std::uint64_t b, std::uint64_t c)
     return toBits<F>(fmaRun(&x, 1, &y, 1, 1, toNative<F>(c)));
 }
 
-/** The host op @p op of single or double @p f (sub: b negated). */
-std::uint64_t
-hostArith(OpKind op, Format f, std::uint64_t a, std::uint64_t b,
-          std::uint64_t c)
-{
-    switch (op) {
-      case OpKind::Mul: return hostMul(f, a, b);
-      case OpKind::Div: return hostDiv(f, a, b);
-      case OpKind::Fma: return hostFma(f, a, b, c);
-      default:          return hostAdd(f, a, b);
-    }
-}
-
 } // namespace
 
 #if MPARCH_FP_FMA_UNIT
@@ -227,67 +267,35 @@ const bool hostHasFmaUnit = [] {
     return __builtin_cpu_supports("fma") != 0;
 }();
 
-[[gnu::target("fma"), gnu::aligned(64)]] float
-fmaRunFmaUnit(const Fp<Precision::Single> *a, std::size_t sa,
-              const Fp<Precision::Single> *b, std::size_t sb,
-              std::size_t n, float acc)
+template <Precision P, class T>
+[[gnu::target("fma"), gnu::aligned(64)]] T
+fmaRunFmaUnit(const Fp<P> *a, std::size_t sa, const Fp<P> *b,
+              std::size_t sb, std::size_t n, T acc)
 {
     return fmaRunBody(a, sa, b, sb, n, acc);
 }
 
-[[gnu::target("fma"), gnu::aligned(64)]] double
-fmaRunFmaUnit(const Fp<Precision::Double> *a, std::size_t sa,
-              const Fp<Precision::Double> *b, std::size_t sb,
-              std::size_t n, double acc)
-{
-    return fmaRunBody(a, sa, b, sb, n, acc);
-}
-
-[[gnu::target("fma"), gnu::aligned(64)]] float
-fmaMaskedFmaUnit(const Fp<Precision::Single> *a, std::size_t sa,
-                 const Fp<Precision::Single> *b, std::size_t sb,
-                 std::size_t n, float acc, FpContext &ctx)
-{
-    return fmaMaskedBody(a, sa, b, sb, n, acc, ctx);
-}
-
-[[gnu::target("fma"), gnu::aligned(64)]] double
-fmaMaskedFmaUnit(const Fp<Precision::Double> *a, std::size_t sa,
-                 const Fp<Precision::Double> *b, std::size_t sb,
-                 std::size_t n, double acc, FpContext &ctx)
+template <Precision P, class T>
+[[gnu::target("fma"), gnu::aligned(64)]] T
+fmaMaskedFmaUnit(const Fp<P> *a, std::size_t sa, const Fp<P> *b,
+                 std::size_t sb, std::size_t n, T acc, FpContext &ctx)
 {
     return fmaMaskedBody(a, sa, b, sb, n, acc, ctx);
 }
 #endif
 
-[[gnu::aligned(64)]] float
-fmaRunPlain(const Fp<Precision::Single> *a, std::size_t sa,
-            const Fp<Precision::Single> *b, std::size_t sb, std::size_t n,
-            float acc)
+template <Precision P, class T>
+[[gnu::aligned(64)]] T
+fmaRunPlain(const Fp<P> *a, std::size_t sa, const Fp<P> *b, std::size_t sb,
+            std::size_t n, T acc)
 {
     return fmaRunBody(a, sa, b, sb, n, acc);
 }
 
-[[gnu::aligned(64)]] double
-fmaRunPlain(const Fp<Precision::Double> *a, std::size_t sa,
-            const Fp<Precision::Double> *b, std::size_t sb, std::size_t n,
-            double acc)
-{
-    return fmaRunBody(a, sa, b, sb, n, acc);
-}
-
-[[gnu::aligned(64)]] float
-fmaMaskedPlain(const Fp<Precision::Single> *a, std::size_t sa,
-               const Fp<Precision::Single> *b, std::size_t sb,
-               std::size_t n, float acc, FpContext &ctx)
-{
-    return fmaMaskedBody(a, sa, b, sb, n, acc, ctx);
-}
-
-[[gnu::aligned(64)]] double
-fmaMaskedPlain(const Fp<Precision::Double> *a, std::size_t sa,
-               const Fp<Precision::Double> *b, std::size_t sb,
-               std::size_t n, double acc, FpContext &ctx)
+template <Precision P, class T>
+[[gnu::aligned(64)]] T
+fmaMaskedPlain(const Fp<P> *a, std::size_t sa, const Fp<P> *b,
+               std::size_t sb, std::size_t n, T acc, FpContext &ctx)
 {
     return fmaMaskedBody(a, sa, b, sb, n, acc, ctx);
 }
@@ -318,16 +326,33 @@ fmaStruckRun(const Fp<P> *a, std::size_t sa, const Fp<P> *b, std::size_t sb,
     return static_cast<std::size_t>(len);
 }
 
-template std::size_t fmaStruckRun(const Fp<Precision::Single> *,
-                                  std::size_t,
-                                  const Fp<Precision::Single> *,
-                                  std::size_t, std::size_t,
-                                  Fp<Precision::Single> &);
-template std::size_t fmaStruckRun(const Fp<Precision::Double> *,
-                                  std::size_t,
-                                  const Fp<Precision::Double> *,
-                                  std::size_t, std::size_t,
-                                  Fp<Precision::Double> &);
+// The chain loops and fmaStruckRun in single and double.
+using FpS = Fp<Precision::Single>;
+using FpD = Fp<Precision::Double>;
+using std::size_t;
+
+#if MPARCH_FP_FMA_UNIT
+template float fmaRunFmaUnit(const FpS *, size_t, const FpS *, size_t,
+                             size_t, float);
+template double fmaRunFmaUnit(const FpD *, size_t, const FpD *, size_t,
+                              size_t, double);
+template float fmaMaskedFmaUnit(const FpS *, size_t, const FpS *, size_t,
+                                size_t, float, FpContext &);
+template double fmaMaskedFmaUnit(const FpD *, size_t, const FpD *, size_t,
+                                 size_t, double, FpContext &);
+#endif
+template float fmaRunPlain(const FpS *, size_t, const FpS *, size_t, size_t,
+                           float);
+template double fmaRunPlain(const FpD *, size_t, const FpD *, size_t, size_t,
+                            double);
+template float fmaMaskedPlain(const FpS *, size_t, const FpS *, size_t,
+                              size_t, float, FpContext &);
+template double fmaMaskedPlain(const FpD *, size_t, const FpD *, size_t,
+                               size_t, double, FpContext &);
+template size_t fmaStruckRun(const FpS *, size_t, const FpS *, size_t,
+                             size_t, FpS &);
+template size_t fmaStruckRun(const FpD *, size_t, const FpD *, size_t,
+                             size_t, FpD &);
 
 std::uint64_t
 hostAdd(Format f, std::uint64_t a, std::uint64_t b)
@@ -382,66 +407,15 @@ hostStruck(Format f, const OpCtx &ctx, OpKind op, std::uint64_t a,
     if (strike == nullptr || !hostFpuReady() ||
         (f != kSingle && f != kDouble))
         return std::nullopt;
-    a &= f.valueMask();
-    b &= f.valueMask();
-    c &= f.valueMask();
-    const auto struck = [&](unsigned width, std::uint64_t v) {
-        ++strike->hits;
-        return strike->corrupt(width, v);
+    const auto struck = [&]<Format F>() -> std::optional<std::uint64_t> {
+        const std::uint64_t m = F.valueMask();
+        const auto r = hostStruckOp<F>(*strike, op, a & m, b & m, c & m);
+        if (!r)
+            return std::nullopt;
+        return toBits<F>(*r);
     };
-    switch (strike->stage) {
-      // The softfloat bodies read every operand before anything
-      // else, and only fma reads a third.
-      case Stage::OperandA:
-        a = struck(f.totalBits, a);
-        break;
-      case Stage::OperandB:
-        b = struck(f.totalBits, b);
-        break;
-      case Stage::OperandC:
-        if (op == OpKind::Fma)
-            c = struck(f.totalBits, c);
-        break;
-      case Stage::Result: {
-        // A finite non-zero result certainly comes out of roundPack,
-        // which touches it once: every return of these bodies before
-        // roundPack gives a NaN, an infinity or a zero. A result that
-        // overflows to infinity or underflows to zero may come from
-        // either, so it stays on softfloat.
-        if (op == OpKind::Sub)
-            b ^= 1ULL << f.signPos();
-        const std::uint64_t r = hostArith(op, f, a, b, c);
-        const FpClass rc = classify(f, r);
-        if (rc != FpClass::Normal && rc != FpClass::Subnormal)
-            return std::nullopt;
-        return struck(f.totalBits, r);
-      }
-      case Stage::ProductLo:
-      case Stage::ProductHi: {
-        // With finite operands the fma body forms the significand
-        // product and touches both halves. A stuck-at bit that already
-        // holds its value leaves the product, and so the rest of the
-        // body, un-struck: the result is the host's.
-        const int top = f.maxBiasedExp();
-        if (op != OpKind::Fma || strike->rule == BitRule::Flip ||
-            biasedExpOf(f, a) == top || biasedExpOf(f, b) == top ||
-            biasedExpOf(f, c) == top)
-            return std::nullopt;
-        const U128 prod = static_cast<U128>(unpackFinite(f, a).sig) *
-                          unpackFinite(f, b).sig;
-        const bool lo = strike->stage == Stage::ProductLo;
-        const auto v = static_cast<std::uint64_t>(lo ? prod : prod >> 64);
-        if (strike->corrupt(lo ? 64 : productHiWidth(f), v) != v)
-            return std::nullopt;
-        ++strike->hits;
-        return hostFma(f, a, b, c);
-      }
-      default:
-        return std::nullopt;
-    }
-    if (op == OpKind::Sub)
-        b ^= 1ULL << f.signPos();
-    return hostArith(op, f, a, b, c);
+    return f == kSingle ? struck.template operator()<kSingle>()
+                        : struck.template operator()<kDouble>();
 }
 
 std::uint64_t

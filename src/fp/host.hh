@@ -422,27 +422,28 @@ hostFma(Native<F> a, Native<F> b, Native<F> c)
 /**
  * The host block of fmaChain in single and double: acc = fma(a[i *
  * sa], b[i * sb], acc) for i < @p n on the host, each NaN result
- * canonicalised. host.cc compiles one loop twice: fmaRunFmaUnit for
- * the FMA instruction set, fmaRunPlain for the baseline target, where
- * std::fma is a libm call. An IEEE fma is correctly rounded, so both
- * return the same bits; fmaRun() takes the first when hostHasFmaUnit
- * says the CPU runs it. Half and bfloat16 chains stay inline
- * (fmaSum): their fma is not the instruction.
+ * canonicalised. host.cc compiles one loop twice, as two templates
+ * it instantiates for single (T float) and double (T double):
+ * fmaRunFmaUnit for the FMA instruction set, fmaRunPlain for the
+ * baseline target, where std::fma is a libm call. An IEEE fma is
+ * correctly rounded, so both return the same bits; fmaRun() takes the
+ * first when hostHasFmaUnit says the CPU runs it. Half and bfloat16
+ * chains stay inline (fmaSum): their fma is not the instruction.
+ *
+ * The *FmaUnit declarations carry the target attribute of their
+ * definitions: GCC drops it from a template definition whose earlier
+ * declaration lacks it, and the copy then calls libm's fma (the
+ * fma_unit_objdump test checks for the instruction).
  */
-float fmaRunPlain(const Fp<Precision::Single> *a, std::size_t sa,
-                  const Fp<Precision::Single> *b, std::size_t sb,
-                  std::size_t n, float acc);
-double fmaRunPlain(const Fp<Precision::Double> *a, std::size_t sa,
-                   const Fp<Precision::Double> *b, std::size_t sb,
-                   std::size_t n, double acc);
+template <Precision P, class T>
+T fmaRunPlain(const Fp<P> *a, std::size_t sa, const Fp<P> *b,
+              std::size_t sb, std::size_t n, T acc);
 
 #if MPARCH_FP_FMA_UNIT
-float fmaRunFmaUnit(const Fp<Precision::Single> *a, std::size_t sa,
-                    const Fp<Precision::Single> *b, std::size_t sb,
-                    std::size_t n, float acc);
-double fmaRunFmaUnit(const Fp<Precision::Double> *a, std::size_t sa,
-                     const Fp<Precision::Double> *b, std::size_t sb,
-                     std::size_t n, double acc);
+template <Precision P, class T>
+[[gnu::target("fma")]] T fmaRunFmaUnit(const Fp<P> *a, std::size_t sa,
+                                       const Fp<P> *b, std::size_t sb,
+                                       std::size_t n, T acc);
 
 /** __builtin_cpu_supports("fma"), read once at start-up (false
  *  before that: the plain compilation is never wrong). */
@@ -452,28 +453,25 @@ inline constexpr bool hostHasFmaUnit = false;
 #endif
 
 /**
- * The masked loop of fmaChain in single and double, compiled twice
- * like fmaRun*: acc = fma(a[i * sa], b[i * sb], acc) for i < @p n,
- * where ops 0, units, 2 units, ... are struck by the persistent
- * trigger of @p ctx, the current context. A struck operand, or a
- * struck result that is finite and non-zero, gets the trigger's bit
- * rule (StrikeTrigger::corrupt) around the host fma; any other struck
- * op runs fpFma. All n ops are entered in @p ctx, as the per-op loop
- * enters them; fmaStruckRun calls this.
+ * The masked loop of fmaChain in single and double, compiled and
+ * instantiated like fmaRun*: acc = fma(a[i * sa], b[i * sb], acc) for
+ * i < @p n, where ops 0, units, 2 units, ... are struck by the
+ * persistent trigger of @p ctx, the current context. Each struck op
+ * goes through the rule of hostStruck (host.cc): the trigger's bit
+ * rule around the host fma when the fault hits an operand or a finite
+ * non-zero result, the host fma alone for a product half a stuck-at
+ * bit leaves unchanged, and fpFma for the rest. All n ops are entered
+ * in @p ctx, as the per-op loop enters them; fmaStruckRun calls this.
  */
-float fmaMaskedPlain(const Fp<Precision::Single> *a, std::size_t sa,
-                     const Fp<Precision::Single> *b, std::size_t sb,
-                     std::size_t n, float acc, FpContext &ctx);
-double fmaMaskedPlain(const Fp<Precision::Double> *a, std::size_t sa,
-                      const Fp<Precision::Double> *b, std::size_t sb,
-                      std::size_t n, double acc, FpContext &ctx);
+template <Precision P, class T>
+T fmaMaskedPlain(const Fp<P> *a, std::size_t sa, const Fp<P> *b,
+                 std::size_t sb, std::size_t n, T acc, FpContext &ctx);
 #if MPARCH_FP_FMA_UNIT
-float fmaMaskedFmaUnit(const Fp<Precision::Single> *a, std::size_t sa,
-                       const Fp<Precision::Single> *b, std::size_t sb,
-                       std::size_t n, float acc, FpContext &ctx);
-double fmaMaskedFmaUnit(const Fp<Precision::Double> *a, std::size_t sa,
-                        const Fp<Precision::Double> *b, std::size_t sb,
-                        std::size_t n, double acc, FpContext &ctx);
+template <Precision P, class T>
+[[gnu::target("fma")]] T fmaMaskedFmaUnit(const Fp<P> *a, std::size_t sa,
+                                          const Fp<P> *b, std::size_t sb,
+                                          std::size_t n, T acc,
+                                          FpContext &ctx);
 #endif
 
 /**
@@ -482,8 +480,9 @@ double fmaMaskedFmaUnit(const Fp<Precision::Double> *a, std::size_t sa,
  * is persistent and strikes this op, and the host FPU is in its IEEE
  * default mode, the ops from the head to the end of the trigger's
  * window (or the n) run in fmaMasked*, entered, counted and struck
- * as the per-op loop runs them, and @p acc is their result. Returns
- * how many ran; 0 leaves the head op to the per-op route.
+ * as the per-op loop runs them (each struck op under hostStruck's
+ * rule), and @p acc is their result. Returns how many ran; 0 leaves
+ * the head op to the per-op route.
  */
 template <Precision P>
 std::size_t fmaStruckRun(const Fp<P> *a, std::size_t sa, const Fp<P> *b,

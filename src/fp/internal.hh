@@ -170,7 +170,9 @@ std::uint64_t hostConvert(Format dst, Format src, std::uint64_t a);
  * rule corrupts it, then the host op runs), a finite non-zero result
  * (the one case where the body certainly reaches roundPack's Result
  * touch), or an fma product half of finite operands that a stuck-at
- * rule leaves unchanged. @p c is read by fma only.
+ * rule leaves unchanged. @p c is read by fma only. The fma chain's
+ * masked loop (fmaMasked*) applies the same rule, one template in
+ * host.cc, to each struck op.
  */
 std::optional<std::uint64_t> hostStruck(Format f, const OpCtx &ctx,
                                         OpKind op, std::uint64_t a,
