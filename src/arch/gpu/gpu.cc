@@ -48,9 +48,9 @@ namespace {
 
 /**
  * Measured P(scheduler-state upset -> DUE), from the SM simulator's
- * control-injection campaign (memoised per precision). Replaces the
- * assumed kControlDueFactor: the inventory's control entry now uses
- * an AVF that was measured, like every other entry.
+ * control-injection campaign (memoised per precision), so the
+ * inventory's control entry uses an AVF that was measured, like every
+ * other entry, rather than an assumed factor.
  */
 double
 controlDueAvf(Precision p)

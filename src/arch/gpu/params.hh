@@ -30,9 +30,6 @@ inline constexpr int kSmCount = 80;
 /** Boost clock in Hz. */
 inline constexpr double kClockHz = 1.455e9;
 
-/** Resident threads for the paper's micro setup (256 per SM). */
-inline constexpr int kResidentThreads = 256 * kSmCount;
-
 /** 32-bit architectural registers allocated per micro thread. */
 inline constexpr int kThreadRegs = 8;
 
@@ -78,11 +75,6 @@ inline constexpr double kMulBitExponent = 1.6;
 
 /** Scheduler/dispatch control bits per SM. Calibration. */
 inline constexpr double kSmControlBits = 900.0;
-
-/** P(control upset -> DUE) baseline. Superseded at runtime by the
- *  SM simulator's measured control AVF (sm_sim.hh); kept as the
- *  documented analytic fallback magnitude. */
-inline constexpr double kControlDueFactor = 0.25;
 
 /** Cache/memory residency factor: exposed bit-seconds per footprint
  *  bit scale as kResidencyScale / arithmetic intensity. */

@@ -4,8 +4,6 @@
 
 #include "arch/gpu/params.hh"
 #include "common/bits.hh"
-#include "common/rng.hh"
-#include "fault/campaign.hh"
 
 namespace mparch::gpu {
 
@@ -16,29 +14,20 @@ constexpr unsigned kCounterBits = 32;  // remaining-instruction PC
 constexpr unsigned kTimerBits = 8;     // scoreboard countdown
 constexpr unsigned kPerWarpBits = kCounterBits + kTimerBits;
 
-/** One scheduled flip of a control-state bit. */
-struct ControlFlip
+/**
+ * A run's outcome; `corrupt` marks a shortened scoreboard timer (a
+ * stale-read hazard). A flip's bit is [0,32) a counter bit, [32,40)
+ * a timer bit, 40 the active mask, of warp `context`.
+ */
+struct RunResult : arch::ControlRun
 {
-    std::uint64_t cycle = ~0ULL;
-    int warp = 0;
-    /** [0,32): counter bit; [32,40): timer bit; 40: active-mask. */
-    unsigned bit = 0;
-};
-
-/** Simulation outcome details for the injection campaign. */
-struct RunResult
-{
-    std::uint64_t cycles = 0;
-    std::uint64_t issued = 0;
     std::uint64_t issue_busy = 0;
     double inflight_accum = 0.0;
-    bool hang = false;
-    bool hazard = false;  // scoreboard shortened: stale-read hazard
 };
 
 RunResult
 run(const SmConfig &config, const WarpProgram &program,
-    const ControlFlip *flip, std::uint64_t hard_cap)
+    const arch::ControlFlip *flip, std::uint64_t hard_cap)
 {
     const auto latency = static_cast<std::uint64_t>(
         opLatencyCycles(config.precision) *
@@ -72,7 +61,7 @@ run(const SmConfig &config, const WarpProgram &program,
         }
         // Control-fault strike.
         if (flip && cycle == flip->cycle) {
-            auto &w = warps[static_cast<std::size_t>(flip->warp)];
+            auto &w = warps[static_cast<std::size_t>(flip->context)];
             if (flip->bit < kCounterBits) {
                 w.remaining = flipBit(
                     w.remaining & maskBits(kCounterBits), flip->bit);
@@ -81,7 +70,7 @@ run(const SmConfig &config, const WarpProgram &program,
                 w.timer = flipBit(w.timer & maskBits(kTimerBits),
                                   flip->bit - kCounterBits);
                 if (w.timer < before)
-                    result.hazard = true;
+                    result.corrupt = true;
             } else {
                 w.active = !w.active;
             }
@@ -143,34 +132,15 @@ simulateSm(const SmConfig &config, const WarpProgram &program)
     return stats;
 }
 
-ControlAvf
+arch::ControlAvf
 measureControlAvf(const SmConfig &config, const WarpProgram &program,
                   std::uint64_t trials, std::uint64_t seed)
 {
-    const RunResult golden =
-        run(config, program, nullptr, ~0ULL >> 1);
-    const std::uint64_t hard_cap = fault::kTimeoutFactor * golden.cycles;
-
-    Rng rng(seed);
-    ControlAvf result;
-    for (std::uint64_t t = 0; t < trials; ++t) {
-        ControlFlip flip;
-        flip.cycle = rng.below(golden.cycles);
-        flip.warp = static_cast<int>(rng.below(
-            static_cast<std::uint64_t>(config.warps)));
-        flip.bit =
-            static_cast<unsigned>(rng.below(kPerWarpBits + 1));
-        const RunResult r = run(config, program, &flip, hard_cap);
-        ++result.trials;
-        if (r.hang) {
-            ++result.due;
-        } else if (r.issued != golden.issued || r.hazard) {
-            ++result.sdc;
-        } else {
-            ++result.masked;
-        }
-    }
-    return result;
+    return arch::measureControlFlips(
+        [&](const arch::ControlFlip *flip, std::uint64_t cap) {
+            return run(config, program, flip, cap);
+        },
+        config.warps, kPerWarpBits + 1, trials, seed);
 }
 
 } // namespace mparch::gpu

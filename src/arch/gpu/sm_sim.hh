@@ -21,7 +21,7 @@
 
 #include <cstdint>
 
-#include "common/stats.hh"
+#include "arch/control_avf.hh"
 #include "fp/format.hh"
 
 namespace mparch::gpu {
@@ -64,45 +64,16 @@ struct SmStats
 /** Run the scheduler fault-free. */
 SmStats simulateSm(const SmConfig &config, const WarpProgram &program);
 
-/** Outcome tally of a control-state injection campaign. */
-struct ControlAvf
-{
-    std::uint64_t trials = 0;
-    std::uint64_t masked = 0;
-    std::uint64_t sdc = 0;   ///< wrong instruction count completed
-    std::uint64_t due = 0;   ///< hang (watchdog) or lost warp
-
-    /** P(control-bit flip -> DUE). */
-    double
-    avfDue() const
-    {
-        return trials ? static_cast<double>(due) /
-                            static_cast<double>(trials)
-                      : 0.0;
-    }
-
-    /** P(control-bit flip -> program-level SDC). */
-    double
-    avfSdc() const
-    {
-        return trials ? static_cast<double>(sdc) /
-                            static_cast<double>(trials)
-                      : 0.0;
-    }
-
-    /** Wilson 95% interval on avfDue(). */
-    Interval due95() const { return wilson95(due, trials); }
-};
-
 /**
  * Inject single bit flips into the scheduler's architectural state
  * (remaining-instruction counters, scoreboard timers, active-warp
- * mask) at uniformly random cycles, re-simulating each time. A
- * run past fault::kTimeoutFactor x the fault-free cycle count hangs.
+ * mask) at uniformly random cycles, re-simulating each time
+ * (arch::measureControlFlips).
  */
-ControlAvf measureControlAvf(const SmConfig &config,
-                             const WarpProgram &program,
-                             std::uint64_t trials, std::uint64_t seed);
+arch::ControlAvf measureControlAvf(const SmConfig &config,
+                                   const WarpProgram &program,
+                                   std::uint64_t trials,
+                                   std::uint64_t seed);
 
 } // namespace mparch::gpu
 

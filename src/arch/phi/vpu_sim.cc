@@ -4,8 +4,6 @@
 
 #include "arch/phi/params.hh"
 #include "common/bits.hh"
-#include "common/rng.hh"
-#include "fault/campaign.hh"
 
 namespace mparch::phi {
 
@@ -16,26 +14,19 @@ constexpr unsigned kCounterBits = 32;
 /** VPU latency in cycles, for every precision. */
 constexpr std::uint64_t kLatency = 4;
 
-struct ControlFlip
+/**
+ * A run's outcome; `corrupt` marks an issue under a changed lane mask.
+ * A flip's bit is [0,32) a counter bit of thread `context`, 32 the
+ * round-robin pointer, 33 and up a lane-mask bit.
+ */
+struct RunResult : arch::ControlRun
 {
-    std::uint64_t cycle = ~0ULL;
-    int thread = 0;
-    /** [0,32): counter; 32: RR pointer; 33+: lane-mask bit. */
-    unsigned bit = 0;
-};
-
-struct RunResult
-{
-    std::uint64_t cycles = 0;
-    std::uint64_t issued = 0;
     std::uint64_t issue_busy = 0;
-    bool hang = false;
-    bool lane_corrupt = false;
 };
 
 RunResult
 run(const VpuConfig &config, const VpuProgram &program,
-    const ControlFlip *flip, std::uint64_t hard_cap)
+    const arch::ControlFlip *flip, std::uint64_t hard_cap)
 {
     struct ThreadState
     {
@@ -73,7 +64,7 @@ run(const VpuConfig &config, const VpuProgram &program,
         if (flip && cycle == flip->cycle) {
             if (flip->bit < kCounterBits) {
                 auto &t = threads[static_cast<std::size_t>(
-                    flip->thread)];
+                    flip->context)];
                 t.remaining = flipBit(
                     t.remaining & maskBits(kCounterBits), flip->bit);
             } else if (flip->bit == kCounterBits) {
@@ -109,7 +100,7 @@ run(const VpuConfig &config, const VpuProgram &program,
             t.pending.push_back(cycle + kLatency);
             ++result.issued;
             if (lane_mask != full_mask)
-                result.lane_corrupt = true;
+                result.corrupt = true;
             rr = (idx + 1) % config.threads;
             last_issued = idx;
             issued = true;
@@ -143,36 +134,17 @@ simulateVpu(const VpuConfig &config, const VpuProgram &program)
     return stats;
 }
 
-VpuControlAvf
-measureVpuControlAvf(const VpuConfig &config,
-                     const VpuProgram &program, std::uint64_t trials,
-                     std::uint64_t seed)
+arch::ControlAvf
+measureVpuControlAvf(const VpuConfig &config, const VpuProgram &program,
+                     std::uint64_t trials, std::uint64_t seed)
 {
-    const RunResult golden = run(config, program, nullptr,
-                                 ~0ULL >> 1);
-    const std::uint64_t hard_cap = fault::kTimeoutFactor * golden.cycles;
-    const unsigned control_span =
-        kCounterBits + 1 +
-        static_cast<unsigned>(lanes(config.precision));
-
-    Rng rng(seed);
-    VpuControlAvf result;
-    for (std::uint64_t t = 0; t < trials; ++t) {
-        ControlFlip flip;
-        flip.cycle = rng.below(golden.cycles);
-        flip.thread = static_cast<int>(rng.below(
-            static_cast<std::uint64_t>(config.threads)));
-        flip.bit = static_cast<unsigned>(rng.below(control_span));
-        const RunResult r = run(config, program, &flip, hard_cap);
-        ++result.trials;
-        if (r.hang)
-            ++result.due;
-        else if (r.issued != golden.issued || r.lane_corrupt)
-            ++result.sdc;
-        else
-            ++result.masked;
-    }
-    return result;
+    return arch::measureControlFlips(
+        [&](const arch::ControlFlip *flip, std::uint64_t cap) {
+            return run(config, program, flip, cap);
+        },
+        config.threads,
+        kCounterBits + 1 + static_cast<unsigned>(lanes(config.precision)),
+        trials, seed);
 }
 
 } // namespace mparch::phi

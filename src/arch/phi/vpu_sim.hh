@@ -20,7 +20,7 @@
 
 #include <cstdint>
 
-#include "common/stats.hh"
+#include "arch/control_avf.hh"
 #include "fp/format.hh"
 
 namespace mparch::phi {
@@ -57,43 +57,18 @@ struct VpuStats
 VpuStats simulateVpu(const VpuConfig &config,
                      const VpuProgram &program);
 
-/** Control-state injection tally. */
-struct VpuControlAvf
-{
-    std::uint64_t trials = 0;
-    std::uint64_t masked = 0;
-    std::uint64_t sdc = 0;   ///< lane-mask or count corruption
-    std::uint64_t due = 0;   ///< hang
-
-    double
-    avfDue() const
-    {
-        return trials ? static_cast<double>(due) /
-                            static_cast<double>(trials)
-                      : 0.0;
-    }
-
-    double
-    avfSdc() const
-    {
-        return trials ? static_cast<double>(sdc) /
-                            static_cast<double>(trials)
-                      : 0.0;
-    }
-};
-
 /**
  * Flip one random control bit (instruction counter, round-robin
  * pointer, or an active lane-mask bit) at a random cycle and
  * re-simulate. Lane-mask corruption silently drops or duplicates
  * lane results (SDC); counter corruption truncates or overruns the
- * program (SDC or watchdog DUE: a run past fault::kTimeoutFactor x
- * the fault-free cycle count).
+ * program (SDC or watchdog DUE); arch::measureControlFlips runs the
+ * campaign.
  */
-VpuControlAvf measureVpuControlAvf(const VpuConfig &config,
-                                   const VpuProgram &program,
-                                   std::uint64_t trials,
-                                   std::uint64_t seed);
+arch::ControlAvf measureVpuControlAvf(const VpuConfig &config,
+                                      const VpuProgram &program,
+                                      std::uint64_t trials,
+                                      std::uint64_t seed);
 
 } // namespace mparch::phi
 
