@@ -55,19 +55,19 @@ namespace {
 double
 controlDueAvf(Precision p)
 {
-    // Concurrent studies (core::runStudy is reentrant) share it.
-    static std::mutex mu;
-    static double cache[4] = {-1.0, -1.0, -1.0, -1.0};
-    const std::lock_guard<std::mutex> lock(mu);
+    // Concurrent studies (core::runStudy is reentrant) share it; one
+    // precision's first measurement does not hold up another's.
+    static std::once_flag once[4];  // one per fp::Precision value
+    static double cache[4];
     const auto idx = static_cast<std::size_t>(p);
-    if (cache[idx] < 0.0) {
+    std::call_once(once[idx], [&] {
         SmConfig config;
         config.precision = p;
         WarpProgram prog;
         prog.instructions = 128;
         cache[idx] =
             measureControlAvf(config, prog, 1500, 17).avfDue();
-    }
+    });
     return cache[idx];
 }
 

@@ -487,104 +487,188 @@ executeArmed(Workload &w, const GoldenRun &golden,
     return run;
 }
 
-/** CAROL-FI memory campaign, one trial at a time. */
-class MemoryTrialRunner : public TrialRunner
+/**
+ * Draw an index in [0, n) with probability proportional to
+ * @p weight(i), from one draw below the total weight. Every weighted
+ * choice of a trial goes through here.
+ */
+template <class Weight>
+std::size_t
+weightedPick(Rng &rng, std::size_t n, Weight weight)
 {
-  public:
-    MemoryTrialRunner(Workload &w, const CampaignConfig &config,
-                      std::shared_ptr<const GoldenRun> golden = nullptr)
-        : TrialRunner(w, config, std::move(golden))
-    {
-        MPARCH_ASSERT(golden_->ticks > 0,
-                      "workload must tick at least once");
-    }
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        total += weight(i);
+    std::uint64_t pick = rng.below(total);
+    std::size_t i = 0;
+    while (pick >= weight(i))
+        pick -= weight(i++);
+    return i;
+}
 
-    std::unique_ptr<TrialRunner>
-    fork(Workload &w) const override
-    {
-        return std::make_unique<MemoryTrialRunner>(w, config_,
-                                                   golden_);
-    }
+/** A datapath stage of an op of @p kind in format @p f, weighted by
+ *  its bit population; only the operand-read stages when
+ *  @p operand_only. */
+fp::Stage
+pickStage(Rng &rng, fp::OpKind kind, fp::Format f, bool operand_only)
+{
+    std::size_t stage_count = 0;
+    const auto &stages = stagesFor(kind, stage_count);
+    return stages[weightedPick(rng, stage_count, [&](std::size_t s) {
+        const bool operand = stages[s] == fp::Stage::OperandA ||
+                             stages[s] == fp::Stage::OperandB ||
+                             stages[s] == fp::Stage::OperandC;
+        return operand_only && !operand ? 0u
+                                        : stageWidthEstimate(stages[s], f);
+    })];
+}
 
-    TrialOutcome
-    runTrial(std::uint64_t index, bool describe) override
-    {
-        Rng rng = trialRng(config_.seed, index);
+/** CAROL-FI memory trial: flip a live buffer element at a random
+ *  tick. */
+TrialOutcome
+memoryTrial(Workload &w, const GoldenRun &golden,
+            const CampaignConfig &config, Rng &rng, bool describe)
+{
+    // Pick the target: buffer weighted by bit population, then a
+    // uniform element, then the fault model's bit pattern.
+    const std::vector<BufferView> views = w.buffers();
+    const BufferView &target = views[weightedPick(
+        rng, views.size(), [&](std::size_t i) { return views[i].bits(); })];
+    const std::size_t element = rng.below(target.count);
+    const unsigned width = fp::formatOf(target.precision).totalBits;
+    const std::uint64_t inject_tick = rng.below(golden.ticks);
+    Rng payload_rng = rng.fork();
 
-        // Pick the target: buffer weighted by bit population, then a
-        // uniform element, then the fault model's bit pattern.
-        std::vector<BufferView> views = workload_.buffers();
-        std::uint64_t total_bits = 0;
-        for (const auto &view : views)
-            total_bits += view.bits();
-        MPARCH_ASSERT(total_bits > 0, "no injectable bits");
-        std::uint64_t pick = rng.below(total_bits);
-        std::size_t which = 0;
-        while (pick >= views[which].bits()) {
-            pick -= views[which].bits();
-            ++which;
+    int flipped_bit = -1;
+    bool injected = false;
+    const auto on_tick = [&](std::uint64_t tick) {
+        if (tick != inject_tick)
+            return;
+        injected = true;
+        if (config.model == FaultModel::WordBurst) {
+            // A multi-bit upset along a physical row: the same bit
+            // position flips in up to 4 adjacent words (JESD89A-style
+            // MBU, paper reference [8]).
+            const auto bit =
+                static_cast<unsigned>(payload_rng.below(width));
+            const std::size_t span =
+                std::min<std::size_t>(4, target.count - element);
+            for (std::size_t k = 0; k < span; ++k)
+                target.set(element + k, flipBit(target.get(element + k), bit));
+            flipped_bit = static_cast<int>(bit);
+            return;
         }
-        const BufferView &target = views[which];
-        const std::size_t element = rng.below(target.count);
-        const unsigned width =
-            fp::formatOf(target.precision).totalBits;
-        const std::uint64_t inject_tick = rng.below(golden_->ticks);
-        Rng payload_rng = rng.fork();
-
-        int flipped_bit = -1;
-        bool injected = false;
-        const auto on_tick = [&](std::uint64_t tick) {
-            if (tick != inject_tick)
-                return;
-            injected = true;
-            if (config_.model == FaultModel::WordBurst) {
-                // A multi-bit upset along a physical row: the same
-                // bit position flips in up to 4 adjacent words
-                // (JESD89A-style MBU, paper reference [8]).
-                const auto bit = static_cast<unsigned>(
-                    payload_rng.below(width));
-                const std::size_t span =
-                    std::min<std::size_t>(4, target.count - element);
-                for (std::size_t k = 0; k < span; ++k) {
-                    target.set(element + k,
-                               flipBit(target.get(element + k), bit));
-                }
-                flipped_bit = static_cast<int>(bit);
-                return;
-            }
-            const std::uint64_t before = target.get(element);
-            const std::uint64_t after = applyFault(
-                config_.model, payload_rng, width, before);
-            if (config_.model == FaultModel::SingleBitFlip)
-                flipped_bit = highestSetBit(before ^ after);
-            target.set(element, after);
-        };
-        const ArmedRun run = executeArmed(
-            workload_, *golden_, config_,
-            golden_->checkpoints.lastAtOrBefore(inject_tick), nullptr,
-            on_tick, [&injected] { return injected; });
-        TrialOutcome trial = run.outcome(workload_, *golden_);
-        if (config_.recordAnatomy && flipped_bit >= 0) {
-            trial.hasAnatomy = true;
-            trial.anatomy.bit = flipped_bit;
-            trial.anatomy.field = bitField(
-                fp::formatOf(target.precision), flipped_bit);
-            trial.anatomy.outcome = trial.outcome;
-            if (trial.outcome == OutcomeKind::Sdc)
-                trial.anatomy.maxRel = trial.sdc.maxRel;
-        }
-        if (describe) {
-            std::ostringstream os;
-            os << "site=memory model="
-               << faultModelName(config_.model) << " buffer="
-               << target.name << " element=" << element
-               << " tick=" << inject_tick << " bit=" << flipped_bit;
-            run.describe(os);
-            trial.description = os.str();
-        }
-        return trial;
+        const std::uint64_t before = target.get(element);
+        const std::uint64_t after =
+            applyFault(config.model, payload_rng, width, before);
+        if (config.model == FaultModel::SingleBitFlip)
+            flipped_bit = highestSetBit(before ^ after);
+        target.set(element, after);
+    };
+    const ArmedRun run = executeArmed(
+        w, golden, config, golden.checkpoints.lastAtOrBefore(inject_tick),
+        nullptr, on_tick, [&injected] { return injected; });
+    TrialOutcome trial = run.outcome(w, golden);
+    if (config.recordAnatomy && flipped_bit >= 0) {
+        trial.hasAnatomy = true;
+        trial.anatomy.bit = flipped_bit;
+        trial.anatomy.field =
+            bitField(fp::formatOf(target.precision), flipped_bit);
+        trial.anatomy.outcome = trial.outcome;
+        if (trial.outcome == OutcomeKind::Sdc)
+            trial.anatomy.maxRel = trial.sdc.maxRel;
     }
-};
+    if (describe) {
+        std::ostringstream os;
+        os << "site=memory model=" << faultModelName(config.model)
+           << " buffer=" << target.name << " element=" << element
+           << " tick=" << inject_tick << " bit=" << flipped_bit;
+        run.describe(os);
+        trial.description = os.str();
+    }
+    return trial;
+}
+
+/** Transient functional-unit trial: strike one stage of one dynamic
+ *  op, drawn from @p kinds (op kinds by dynamic count). */
+TrialOutcome
+datapathTrial(Workload &w, const GoldenRun &golden,
+              const CampaignConfig &config,
+              const std::vector<std::pair<fp::OpKind, std::uint64_t>> &kinds,
+              Rng &rng, bool describe)
+{
+    // Uniform over dynamic operations, then a stage weighted by its
+    // bit population.
+    const auto &[kind, count] = kinds[weightedPick(
+        rng, kinds.size(), [&](std::size_t i) { return kinds[i].second; })];
+    const std::uint64_t op_index = rng.below(count);
+    const fp::Stage stage = pickStage(rng, kind, fp::formatOf(w.precision()),
+                                      config.operandStagesOnly);
+    const double bit_frac = rng.uniform();
+    OneShotDatapathHook hook(kind, op_index, stage, bit_frac);
+
+    const ArmedRun run = executeArmed(
+        w, golden, config, golden.checkpoints.lastBeforeOp(kind, op_index),
+        &hook, nullptr, [&hook] { return hook.exhausted(); });
+    TrialOutcome trial = run.outcome(w, golden);
+    if (describe) {
+        std::ostringstream os;
+        os << "site=datapath kind=" << fp::opKindName(kind)
+           << " dynamic-index=" << op_index
+           << " stage=" << fp::stageName(stage) << " bit-frac=" << bit_frac;
+        run.describe(os);
+        trial.description = os.str();
+    }
+    return trial;
+}
+
+/** Persistent (configuration-upset) trial: break one physical
+ *  operator of one of @p engines for the whole execution. */
+TrialOutcome
+persistentTrial(Workload &w, const GoldenRun &golden,
+                const CampaignConfig &config,
+                const std::vector<EngineAllocation> &engines, Rng &rng,
+                bool describe)
+{
+    // A configuration upset strikes a physical operator; sample
+    // proportionally to each engine's instance count.
+    const EngineAllocation &alloc = engines[weightedPick(
+        rng, engines.size(), [&](std::size_t i) { return engines[i].units; })];
+    const fp::OpKind kind = alloc.engine.kind;
+    const std::uint64_t unit = rng.below(alloc.units);
+    const fp::Stage stage = pickStage(rng, kind, fp::formatOf(w.precision()),
+                                      /*operand_only=*/false);
+    // Configuration upsets rewire logic: model as stuck-at of either
+    // polarity, with an always-flip tail for upsets in inverting logic
+    // (the gate computes the complement).
+    const std::uint64_t mode_pick = rng.below(3);
+    const PersistMode mode = mode_pick == 0   ? PersistMode::Flip
+                             : mode_pick == 1 ? PersistMode::StuckAt0
+                                              : PersistMode::StuckAt1;
+    const double bit_frac = rng.uniform();
+    PersistentDatapathHook hook(kind, alloc.units, unit, stage, bit_frac,
+                                alloc.engine.period, alloc.engine.lo,
+                                alloc.engine.hi, mode);
+
+    // The broken unit first acts on op `unit` of its kind (or later,
+    // inside an engine window); a persistent fault keeps acting, so
+    // the run never stops early.
+    const ArmedRun run = executeArmed(
+        w, golden, config, golden.checkpoints.lastBeforeOp(kind, unit),
+        &hook, nullptr, nullptr);
+    TrialOutcome trial = run.outcome(w, golden);
+    if (describe) {
+        std::ostringstream os;
+        os << "site=persistent engine=" << alloc.engine.name
+           << " kind=" << fp::opKindName(kind) << " unit=" << unit << "/"
+           << alloc.units << " stage=" << fp::stageName(stage)
+           << " mode=" << persistModeName(mode) << " bit-frac=" << bit_frac
+           << " hits=" << hook.hits();
+        run.describe(os);
+        trial.description = os.str();
+    }
+    return trial;
+}
 
 /** The ops of @p kind a datapath campaign with @p kind_filter may
  *  strike in a golden run with op counts @p ops. */
@@ -597,208 +681,6 @@ targetsOfKind(const fp::FpContext &ops, fp::OpKind kind,
         return 0;
     return ops.count(kind);
 }
-
-/** Transient functional-unit campaign, one trial at a time. */
-class DatapathTrialRunner : public TrialRunner
-{
-  public:
-    DatapathTrialRunner(Workload &w, const CampaignConfig &config,
-                        fp::OpKind kind_filter,
-                        std::shared_ptr<const GoldenRun> golden = nullptr)
-        : TrialRunner(w, config, std::move(golden))
-    {
-        // Candidate kinds and their dynamic op counts.
-        for (std::size_t k = 0;
-             k < static_cast<std::size_t>(fp::OpKind::NumKinds);
-             ++k) {
-            const auto kind = static_cast<fp::OpKind>(k);
-            const std::uint64_t n = targetsOfKind(golden_->ops, kind,
-                                                  kind_filter);
-            if (n == 0)
-                continue;
-            kinds_.emplace_back(kind, n);
-            totalOps_ += n;
-        }
-        MPARCH_ASSERT(totalOps_ > 0, "no operations to strike");
-    }
-
-    std::unique_ptr<TrialRunner>
-    fork(Workload &w) const override
-    {
-        auto copy =
-            std::unique_ptr<DatapathTrialRunner>(
-                new DatapathTrialRunner(w, config_, golden_));
-        copy->kinds_ = kinds_;
-        copy->totalOps_ = totalOps_;
-        return copy;
-    }
-
-    TrialOutcome
-    runTrial(std::uint64_t index, bool describe) override
-    {
-        Rng rng = trialRng(config_.seed, index);
-        const fp::Format f = fp::formatOf(workload_.precision());
-
-        // Uniform over dynamic operations...
-        std::uint64_t pick = rng.below(totalOps_);
-        std::size_t which = 0;
-        while (pick >= kinds_[which].second) {
-            pick -= kinds_[which].second;
-            ++which;
-        }
-        const fp::OpKind kind = kinds_[which].first;
-        const std::uint64_t op_index =
-            rng.below(kinds_[which].second);
-
-        // ...then a stage weighted by its bit population (optionally
-        // restricted to the operand-read stages).
-        std::size_t stage_count = 0;
-        const auto &stages = stagesFor(kind, stage_count);
-        const auto is_operand = [](fp::Stage s) {
-            return s == fp::Stage::OperandA ||
-                   s == fp::Stage::OperandB ||
-                   s == fp::Stage::OperandC;
-        };
-        std::uint64_t weight_sum = 0;
-        for (std::size_t s = 0; s < stage_count; ++s) {
-            if (config_.operandStagesOnly && !is_operand(stages[s]))
-                continue;
-            weight_sum += stageWidthEstimate(stages[s], f);
-        }
-        std::uint64_t spick = rng.below(weight_sum);
-        std::size_t si = 0;
-        for (;; ++si) {
-            if (config_.operandStagesOnly && !is_operand(stages[si]))
-                continue;
-            const std::uint64_t sw = stageWidthEstimate(stages[si], f);
-            if (spick < sw)
-                break;
-            spick -= sw;
-        }
-        const double bit_frac = rng.uniform();
-        OneShotDatapathHook hook(kind, op_index, stages[si], bit_frac);
-
-        const ArmedRun run = executeArmed(
-            workload_, *golden_, config_,
-            golden_->checkpoints.lastBeforeOp(kind, op_index), &hook,
-            nullptr, [&hook] { return hook.exhausted(); });
-        TrialOutcome trial = run.outcome(workload_, *golden_);
-        if (describe) {
-            std::ostringstream os;
-            os << "site=datapath kind=" << fp::opKindName(kind)
-               << " dynamic-index=" << op_index << " stage="
-               << fp::stageName(stages[si])
-               << " bit-frac=" << bit_frac;
-            run.describe(os);
-            trial.description = os.str();
-        }
-        return trial;
-    }
-
-  private:
-    /** Fork constructor: sampling tables are copied by fork(). */
-    DatapathTrialRunner(Workload &w, const CampaignConfig &config,
-                        std::shared_ptr<const GoldenRun> golden)
-        : TrialRunner(w, config, std::move(golden))
-    {
-    }
-
-    std::vector<std::pair<fp::OpKind, std::uint64_t>> kinds_;
-    std::uint64_t totalOps_ = 0;
-};
-
-/** Persistent (configuration-upset) campaign, one trial at a time. */
-class PersistentTrialRunner : public TrialRunner
-{
-  public:
-    PersistentTrialRunner(Workload &w, const CampaignConfig &config,
-                          std::vector<EngineAllocation> engines,
-                          std::shared_ptr<const GoldenRun> golden = nullptr)
-        : TrialRunner(w, config, std::move(golden)),
-          engines_(std::move(engines))
-    {
-        for (const auto &alloc : engines_)
-            totalUnits_ += alloc.units;
-        MPARCH_ASSERT(totalUnits_ > 0, "circuit has no physical units");
-    }
-
-    std::unique_ptr<TrialRunner>
-    fork(Workload &w) const override
-    {
-        return std::make_unique<PersistentTrialRunner>(
-            w, config_, engines_, golden_);
-    }
-
-    TrialOutcome
-    runTrial(std::uint64_t index, bool describe) override
-    {
-        Rng rng = trialRng(config_.seed, index);
-        const fp::Format f = fp::formatOf(workload_.precision());
-
-        // A configuration upset strikes a physical operator; sample
-        // proportionally to each engine's instance count.
-        std::uint64_t pick = rng.below(totalUnits_);
-        std::size_t which = 0;
-        while (pick >= engines_[which].units) {
-            pick -= engines_[which].units;
-            ++which;
-        }
-        const auto &alloc = engines_[which];
-        const fp::OpKind kind = alloc.engine.kind;
-        const std::uint64_t unit = rng.below(alloc.units);
-
-        std::size_t stage_count = 0;
-        const auto &stages = stagesFor(kind, stage_count);
-        std::uint64_t weight_sum = 0;
-        for (std::size_t s = 0; s < stage_count; ++s)
-            weight_sum += stageWidthEstimate(stages[s], f);
-        std::uint64_t spick = rng.below(weight_sum);
-        std::size_t si = 0;
-        while (spick >= stageWidthEstimate(stages[si], f)) {
-            spick -= stageWidthEstimate(stages[si], f);
-            ++si;
-        }
-        // Configuration upsets rewire logic: model as stuck-at of
-        // either polarity, with an always-flip tail for upsets in
-        // inverting logic (the gate computes the complement).
-        const std::uint64_t mode_pick = rng.below(3);
-        const PersistMode mode =
-            mode_pick == 0 ? PersistMode::Flip
-            : mode_pick == 1 ? PersistMode::StuckAt0
-                             : PersistMode::StuckAt1;
-        const double bit_frac = rng.uniform();
-        PersistentDatapathHook hook(kind, alloc.units, unit,
-                                    stages[si], bit_frac,
-                                    alloc.engine.period,
-                                    alloc.engine.lo, alloc.engine.hi,
-                                    mode);
-
-        // The broken unit first acts on op `unit` of its kind (or
-        // later, inside an engine window); a persistent fault keeps
-        // acting, so the run never stops early.
-        const ArmedRun run = executeArmed(
-            workload_, *golden_, config_,
-            golden_->checkpoints.lastBeforeOp(kind, unit), &hook,
-            nullptr, nullptr);
-        TrialOutcome trial = run.outcome(workload_, *golden_);
-        if (describe) {
-            std::ostringstream os;
-            os << "site=persistent engine=" << alloc.engine.name
-               << " kind=" << fp::opKindName(kind) << " unit="
-               << unit << "/" << alloc.units << " stage="
-               << fp::stageName(stages[si]) << " mode="
-               << persistModeName(mode) << " bit-frac=" << bit_frac
-               << " hits=" << hook.hits();
-            run.describe(os);
-            trial.description = os.str();
-        }
-        return trial;
-    }
-
-  private:
-    std::vector<EngineAllocation> engines_;
-    std::uint64_t totalUnits_ = 0;
-};
 
 /** Golden-run cache key: a stamped workload plus its input seed. */
 struct GoldenKey
@@ -869,24 +751,66 @@ datapathTargets(const fp::FpContext &ops, fp::OpKind kind_filter)
     return n;
 }
 
+TrialRunner::TrialRunner(Workload &w, CampaignKind kind,
+                         const CampaignConfig &config,
+                         fp::OpKind kind_filter,
+                         std::vector<EngineAllocation> engines,
+                         std::shared_ptr<const GoldenRun> golden)
+    : workload_(w), kind_(kind), config_(config),
+      golden_(golden ? std::move(golden)
+                     : std::make_shared<const GoldenRun>(w,
+                                                         config.inputSeed))
+{
+    switch (kind_) {
+      case CampaignKind::Memory:
+        MPARCH_ASSERT(golden_->ticks > 0,
+                      "workload must tick at least once");
+        break;
+      case CampaignKind::Datapath:
+        for (std::size_t k = 0;
+             k < static_cast<std::size_t>(fp::OpKind::NumKinds); ++k) {
+            const auto op = static_cast<fp::OpKind>(k);
+            if (const auto n = targetsOfKind(golden_->ops, op, kind_filter))
+                kinds_.emplace_back(op, n);
+        }
+        MPARCH_ASSERT(!kinds_.empty(), "no operations to strike");
+        break;
+      case CampaignKind::Persistent:
+        engines_ = std::move(engines);
+        MPARCH_ASSERT(std::any_of(engines_.begin(), engines_.end(),
+                                  [](const EngineAllocation &e) {
+                                      return e.units > 0;
+                                  }),
+                      "circuit has no physical units");
+        break;
+    }
+}
+
+TrialOutcome
+TrialRunner::runTrial(Workload &w, std::uint64_t index,
+                      bool describe) const
+{
+    Rng rng = trialRng(config_.seed, index);
+    switch (kind_) {
+      case CampaignKind::Memory:
+        return memoryTrial(w, *golden_, config_, rng, describe);
+      case CampaignKind::Datapath:
+        return datapathTrial(w, *golden_, config_, kinds_, rng, describe);
+      case CampaignKind::Persistent:
+        return persistentTrial(w, *golden_, config_, engines_, rng,
+                               describe);
+    }
+    panic("unknown campaign kind");
+}
+
 std::unique_ptr<TrialRunner>
 makeTrialRunner(Workload &w, CampaignKind kind,
                 const CampaignConfig &config, fp::OpKind kind_filter,
                 const std::vector<EngineAllocation> &engines,
                 std::shared_ptr<const GoldenRun> golden)
 {
-    switch (kind) {
-      case CampaignKind::Memory:
-        return std::make_unique<MemoryTrialRunner>(w, config,
-                                                   std::move(golden));
-      case CampaignKind::Datapath:
-        return std::make_unique<DatapathTrialRunner>(
-            w, config, kind_filter, std::move(golden));
-      case CampaignKind::Persistent:
-        return std::make_unique<PersistentTrialRunner>(
-            w, config, engines, std::move(golden));
-    }
-    panic("unknown campaign kind");
+    return std::make_unique<TrialRunner>(w, kind, config, kind_filter,
+                                         engines, std::move(golden));
 }
 
 } // namespace mparch::fault

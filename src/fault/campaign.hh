@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -311,14 +312,41 @@ struct TrialOutcome
 void accumulate(CampaignResult &result, const TrialOutcome &trial);
 
 /**
+ * Which campaign protocol a runner (or supervised run) executes.
+ *
+ *  - Memory: CAROL-FI style; corrupt a random element of a random
+ *    live buffer (weighted by bit population) at a random tick.
+ *  - Datapath: corrupt one datapath stage of one random dynamic
+ *    operation (uniform over executed operations; stage chosen
+ *    proportionally to its bit population), optionally restricted
+ *    to one op kind.
+ *  - Persistent: FPGA configuration memory; break one physical
+ *    operator of one engine for the whole execution, sampled
+ *    proportionally to each engine's unit count.
+ */
+enum class CampaignKind { Memory, Datapath, Persistent };
+
+/** One engine of a spatial design and its physical operator count. */
+struct EngineAllocation
+{
+    workloads::Engine engine;
+    std::uint64_t units = 1;
+};
+
+/**
  * A prepared campaign that executes trials one at a time.
  *
- * Construction runs the golden reference and builds the sampling
- * tables; runTrial(i) then derives every random choice of trial i
- * from trialRng(config.seed, i) — a counter-based stream — so any
- * trial can be re-executed standalone (replay) and the set of
- * outcomes is independent of the order trials run in (worker
- * threads, resume).
+ * Construction runs (or takes) the golden reference and builds the
+ * kind's sampling table; runTrial(w, i) then derives every random
+ * choice of trial i from trialRng(config.seed, i) — a counter-based
+ * stream — so any trial can be re-executed standalone (replay) and
+ * the set of outcomes is independent of the order trials run in
+ * (worker threads, resume).
+ *
+ * Nothing in a runner changes after construction: a trial's mutable
+ * state is the workload it is handed. One runner therefore serves
+ * every worker of a parallel campaign at once, each worker passing
+ * its own clone of the workload.
  *
  * makeTrialRunner() builds one for any CampaignKind. Every campaign
  * runs its trials through the supervisor (runSupervisedCampaign,
@@ -328,49 +356,45 @@ void accumulate(CampaignResult &result, const TrialOutcome &trial);
 class TrialRunner
 {
   public:
-    virtual ~TrialRunner() = default;
+    /** See makeTrialRunner(), which forwards its arguments here. */
+    TrialRunner(workloads::Workload &w, CampaignKind kind,
+                const CampaignConfig &config, fp::OpKind kind_filter,
+                std::vector<EngineAllocation> engines,
+                std::shared_ptr<const GoldenRun> golden);
 
     /**
-     * Execute trial @p index and classify it against the golden run.
+     * Execute trial @p index on @p w and classify it against the
+     * golden run. @p w is this runner's workload or a clone of it;
+     * concurrent calls need distinct workloads.
      *
      * @param describe Also fill TrialOutcome::description with the
      *                 sampled fault site (costs a string; off on the
      *                 campaign hot path).
      */
-    virtual TrialOutcome runTrial(std::uint64_t index,
-                                  bool describe = false) = 0;
+    TrialOutcome runTrial(workloads::Workload &w, std::uint64_t index,
+                          bool describe = false) const;
 
-    /**
-     * A runner over workload @p w (a clone of this runner's workload)
-     * that shares the immutable golden run and sampling tables
-     * instead of recomputing them. Forks drive the parallel campaign
-     * engine: one fork per worker thread, each over its own clone,
-     * produces bit-identical trials to this runner.
-     */
-    virtual std::unique_ptr<TrialRunner>
-    fork(workloads::Workload &w) const = 0;
+    /** runTrial() on the workload this runner was built over. */
+    TrialOutcome
+    runTrial(std::uint64_t index, bool describe = false)
+    {
+        return runTrial(workload_, index, describe);
+    }
 
     /** The fault-free reference this campaign classifies against. */
     const GoldenRun &golden() const { return *golden_; }
 
-  protected:
-    /**
-     * @param golden Pre-computed golden run to share (golden-run
-     *               cache, forks); null recomputes it from @p w.
-     */
-    TrialRunner(workloads::Workload &w, const CampaignConfig &config,
-                std::shared_ptr<const GoldenRun> golden = nullptr)
-        : workload_(w), config_(config), golden_(std::move(golden))
-    {
-        if (!golden_) {
-            golden_ =
-                std::make_shared<const GoldenRun>(w, config.inputSeed);
-        }
-    }
-
+  private:
     workloads::Workload &workload_;
+    CampaignKind kind_;
     CampaignConfig config_;
     std::shared_ptr<const GoldenRun> golden_;
+
+    /** Datapath: the op kinds a trial may strike, by dynamic count. */
+    std::vector<std::pair<fp::OpKind, std::uint64_t>> kinds_;
+
+    /** Persistent: the engines a trial may break, by unit count. */
+    std::vector<EngineAllocation> engines_;
 };
 
 /**
@@ -412,28 +436,6 @@ void clearGoldenRunCache();
 std::uint64_t goldenRunCacheGeneration();
 
 /**
- * Which campaign protocol a runner (or supervised run) executes.
- *
- *  - Memory: CAROL-FI style; corrupt a random element of a random
- *    live buffer (weighted by bit population) at a random tick.
- *  - Datapath: corrupt one datapath stage of one random dynamic
- *    operation (uniform over executed operations; stage chosen
- *    proportionally to its bit population), optionally restricted
- *    to one op kind.
- *  - Persistent: FPGA configuration memory; break one physical
- *    operator of one engine for the whole execution, sampled
- *    proportionally to each engine's unit count.
- */
-enum class CampaignKind { Memory, Datapath, Persistent };
-
-/** One engine of a spatial design and its physical operator count. */
-struct EngineAllocation
-{
-    workloads::Engine engine;
-    std::uint64_t units = 1;
-};
-
-/**
  * How many dynamic ops of a golden run with op counts @p ops a
  * datapath campaign restricted to @p kind_filter (NumKinds: any kind)
  * may strike. Exp ops are never struck themselves: their inner mul
@@ -444,9 +446,13 @@ std::uint64_t datapathTargets(const fp::FpContext &ops,
                               fp::OpKind kind_filter);
 
 /**
- * Build the per-trial runner for any campaign kind (the supervisor's
- * and the replay tool's common factory).
+ * Build the trial runner for any campaign kind (the supervisor's and
+ * the replay tool's common factory). The supervisor shares the one
+ * runner among all its workers.
  *
+ * @param w           The workload runTrial(index) runs on, and the
+ *                    one the golden run is computed from when
+ *                    @p golden is null.
  * @param kind_filter Datapath campaigns: restrict to one op kind
  *                    (datapathTargets() must be non-zero).
  * @param engines     Persistent campaigns: engine allocations.

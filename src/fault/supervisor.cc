@@ -89,18 +89,19 @@ struct TrialCell
 };
 
 /**
- * Run one trial. A trial that throws, whatever it throws, is
+ * Run one trial on @p w. A trial that throws, whatever it throws, is
  * poisoned (graceful degradation; the report carries the reduced
  * coverage): it is a pure function of (workload, seed, index), so
  * running it again would throw again.
  */
 TrialCell
-runSupervisedTrial(TrialRunner &runner, std::uint64_t index)
+runSupervisedTrial(const TrialRunner &runner, Workload &w,
+                   std::uint64_t index)
 {
     TrialCell cell;
     cell.index = index;
     try {
-        cell.trial = runner.runTrial(index);
+        cell.trial = runner.runTrial(w, index);
     } catch (const std::exception &e) {
         cell.error = e.what();
     } catch (...) {
@@ -265,12 +266,12 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
                 run.interrupted = true;
                 break;
             }
-            commit(runSupervisedTrial(*runner, index));
+            commit(runSupervisedTrial(*runner, w, index));
         }
     } else {
         // Parallel path: workers claim chunks of the pending list,
-        // run trials on their own workload clone + runner fork, and
-        // hand cells through a bounded reorder window; this thread
+        // run trials of the shared runner on their own workload clone,
+        // and hand cells through a bounded reorder window; this thread
         // commits them in index order. Counter-based trial RNG makes
         // every trial independent of execution order, so the result
         // is bit-identical to the serial loop.
@@ -285,25 +286,21 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
         parallel::OrderedChannel<TrialCell> channel(
             std::max<std::size_t>(jobs * chunk * 4, 256), jobs);
 
-        // Clones and forks are built up front, on this thread, so
-        // construction failures surface before any worker starts.
+        // Clones are built up front, on this thread, so construction
+        // failures surface before any worker starts.
         std::vector<workloads::WorkloadPtr> clones;
-        std::vector<std::unique_ptr<TrialRunner>> forks;
         clones.reserve(jobs);
-        forks.reserve(jobs);
-        for (unsigned j = 0; j < jobs; ++j) {
+        for (unsigned j = 0; j < jobs; ++j)
             clones.push_back(w.clone());
-            forks.push_back(runner->fork(*clones.back()));
-        }
 
         parallel::ThreadPool pool(jobs);
         pool.start([&](unsigned worker) {
-            TrialRunner &mine = *forks[worker];
+            Workload &mine = *clones[worker];
             std::uint64_t begin = 0, end = 0;
             while (chunker.next(begin, end)) {
                 for (std::uint64_t pos = begin; pos < end; ++pos) {
-                    channel.put(pos,
-                                runSupervisedTrial(mine, pending[pos]));
+                    channel.put(pos, runSupervisedTrial(*runner, mine,
+                                                        pending[pos]));
                 }
             }
             channel.producerDone();

@@ -316,33 +316,15 @@ class YoliteWorkload : public Workload
     std::vector<Value> out_;
 };
 
-/** Instantiate one adapter template at a runtime precision. */
-template <template <fp::Precision> class W>
-WorkloadPtr
-dispatch(fp::Precision p, double scale)
-{
-    switch (p) {
-      case fp::Precision::Half:
-        return std::make_unique<W<fp::Precision::Half>>(scale);
-      case fp::Precision::Single:
-        return std::make_unique<W<fp::Precision::Single>>(scale);
-      case fp::Precision::Double:
-        return std::make_unique<W<fp::Precision::Double>>(scale);
-      case fp::Precision::Bfloat16:
-        return std::make_unique<W<fp::Precision::Bfloat16>>(scale);
-    }
-    panic("unknown precision");
-}
-
 } // namespace
 
 workloads::WorkloadMaker
 findAnyWorkload(std::string_view name)
 {
     if (name == "mnist")
-        return dispatch<MnistWorkload>;
+        return workloads::dispatch<MnistWorkload>;
     if (name == "yolite")
-        return dispatch<YoliteWorkload>;
+        return workloads::dispatch<YoliteWorkload>;
     return workloads::findWorkload(name);
 }
 

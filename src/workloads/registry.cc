@@ -18,26 +18,6 @@ namespace mparch::workloads {
 
 namespace {
 
-/** Instantiate one benchmark template at a runtime precision; @p
- *  Args lead the constructor arguments, before the scale. */
-template <template <fp::Precision> class W, auto... Args>
-WorkloadPtr
-dispatch(fp::Precision p, double scale)
-{
-    switch (p) {
-      case fp::Precision::Half:
-        return std::make_unique<W<fp::Precision::Half>>(Args..., scale);
-      case fp::Precision::Single:
-        return std::make_unique<W<fp::Precision::Single>>(Args..., scale);
-      case fp::Precision::Double:
-        return std::make_unique<W<fp::Precision::Double>>(Args..., scale);
-      case fp::Precision::Bfloat16:
-        return std::make_unique<W<fp::Precision::Bfloat16>>(Args...,
-                                                             scale);
-    }
-    panic("unknown precision");
-}
-
 WorkloadPtr
 makeMixed(fp::Precision, double scale)
 {

@@ -24,6 +24,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "fp/host.hh"
 #include "fp/value.hh"
@@ -383,6 +384,29 @@ WorkloadPtr stamped(WorkloadPtr w, double scale);
 
 /** Factory for one benchmark at a precision and problem scale. */
 using WorkloadMaker = WorkloadPtr (*)(fp::Precision p, double scale);
+
+/**
+ * The WorkloadMaker of benchmark template @p W: instantiates it at a
+ * runtime precision. @p Args lead the constructor arguments, before
+ * the scale.
+ */
+template <template <fp::Precision> class W, auto... Args>
+WorkloadPtr
+dispatch(fp::Precision p, double scale)
+{
+    switch (p) {
+      case fp::Precision::Half:
+        return std::make_unique<W<fp::Precision::Half>>(Args..., scale);
+      case fp::Precision::Single:
+        return std::make_unique<W<fp::Precision::Single>>(Args..., scale);
+      case fp::Precision::Double:
+        return std::make_unique<W<fp::Precision::Double>>(Args..., scale);
+      case fp::Precision::Bfloat16:
+        return std::make_unique<W<fp::Precision::Bfloat16>>(Args...,
+                                                             scale);
+    }
+    panic("unknown precision");
+}
 
 /** The factory makeWorkload() dispatches @p name to; null for an
  *  unknown name. */

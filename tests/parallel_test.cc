@@ -3,9 +3,9 @@
  * Tests for the parallel campaign engine: the executor primitives
  * (thread pool, index chunker, ordered channel), clone isolation for
  * every registered workload, parallel-vs-serial bit-exactness for
- * all three campaign kinds, journals pinned against committed
- * copies, the golden-run cache, and kill-and-resume under a
- * multi-threaded run.
+ * all three campaign kinds, one trial runner shared by concurrent
+ * workers, journals pinned against committed copies, the golden-run
+ * cache, and kill-and-resume under a multi-threaded run.
  */
 
 #include <gtest/gtest.h>
@@ -497,6 +497,52 @@ TEST(ParallelCampaignTest, DescriptionsOnlyWhenRequested)
         fault::makeTrialRunner(*w, CampaignKind::Memory, config);
     EXPECT_TRUE(runner->runTrial(0, false).description.empty());
     EXPECT_FALSE(runner->runTrial(0, true).description.empty());
+}
+
+// ---------------------------------------------------------------
+// One runner shared by concurrent workers.
+// ---------------------------------------------------------------
+
+TEST(SharedRunnerTest, ConcurrentTrialsOnClonesMatchSerial)
+{
+    auto w = makeWorkload("mxm", Precision::Single, 0.1);
+    CampaignConfig config;
+    config.trials = 24;
+    config.seed = 5;
+    config.recordAnatomy = true;
+    const GoldenRun golden(*w, config.inputSeed);
+    const auto engines = fpga::synthesize(*w, golden).engines;
+    constexpr unsigned kThreads = 4;
+    for (CampaignKind kind : {CampaignKind::Memory, CampaignKind::Datapath,
+                              CampaignKind::Persistent}) {
+        SCOPED_TRACE(fault::campaignKindName(kind));
+        const auto runner = fault::makeTrialRunner(
+            *w, kind, config, fp::OpKind::NumKinds, engines);
+        std::vector<fault::TrialOutcome> serial;
+        for (std::uint64_t i = 0; i < config.trials; ++i)
+            serial.push_back(runner->runTrial(i, true));
+
+        // Every thread runs trials of the one runner on its own clone.
+        std::vector<workloads::WorkloadPtr> clones;
+        for (unsigned t = 0; t < kThreads; ++t)
+            clones.push_back(w->clone());
+        std::vector<fault::TrialOutcome> shared(config.trials);
+        const fault::TrialRunner &one = *runner;
+        parallel::ThreadPool pool(kThreads);
+        pool.run([&](unsigned t) {
+            for (std::uint64_t i = t; i < config.trials; i += kThreads)
+                shared[i] = one.runTrial(*clones[t], i, true);
+        });
+
+        for (std::uint64_t i = 0; i < config.trials; ++i) {
+            SCOPED_TRACE("trial " + std::to_string(i));
+            EXPECT_EQ(fault::firstDifferingColumn(
+                          fault::makeTrialRecord(i, shared[i]),
+                          fault::makeTrialRecord(i, serial[i])),
+                      "");
+            EXPECT_EQ(shared[i].description, serial[i].description);
+        }
+    }
 }
 
 // ---------------------------------------------------------------
