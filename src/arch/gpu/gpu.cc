@@ -57,8 +57,8 @@ controlDueAvf(Precision p)
 {
     // Concurrent studies (core::runStudy is reentrant) share it; one
     // precision's first measurement does not hold up another's.
-    static std::once_flag once[4];  // one per fp::Precision value
-    static double cache[4];
+    static std::once_flag once[fp::kPrecisionCount];
+    static double cache[fp::kPrecisionCount];
     const auto idx = static_cast<std::size_t>(p);
     std::call_once(once[idx], [&] {
         SmConfig config;

@@ -43,7 +43,7 @@ std::vector<fp::Precision>
 supportedPrecisions(Architecture arch)
 {
     std::vector<fp::Precision> out;
-    for (fp::Precision p : fp::allPrecisions)
+    for (fp::Precision p : fp::paperPrecisions)
         if (supportsPrecision(arch, p))
             out.push_back(p);
     return out;

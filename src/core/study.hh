@@ -50,7 +50,7 @@ std::optional<Architecture> parseArchitecture(std::string_view name);
  *  except on KNC, which has neither half nor bfloat16. */
 bool supportsPrecision(Architecture arch, fp::Precision p);
 
-/** The paper's precisions (fp::allPrecisions) the device supports;
+/** The paper's precisions (fp::paperPrecisions) the device supports;
  *  what a study evaluates by default. */
 std::vector<fp::Precision> supportedPrecisions(Architecture arch);
 

@@ -16,6 +16,7 @@
 #ifndef MPARCH_FP_FORMAT_HH
 #define MPARCH_FP_FORMAT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -32,6 +33,11 @@ namespace mparch::fp {
  * exponent range as single, 8-bit significand).
  */
 enum class Precision { Half, Single, Double, Bfloat16 };
+
+/** How many Precision values there are: the size of a table indexed
+ *  by static_cast<std::size_t>(p). */
+inline constexpr std::size_t kPrecisionCount =
+    static_cast<std::size_t>(Precision::Bfloat16) + 1;
 
 /** Human-readable name ("half" / "single" / "double"). */
 constexpr std::string_view
@@ -57,8 +63,10 @@ parsePrecision(std::string_view name)
     return std::nullopt;
 }
 
-/** All three precisions, in the paper's presentation order. */
-inline constexpr Precision allPrecisions[] = {
+/** The three precisions the paper studies (no bfloat16), in its
+ *  presentation order. Not a count of Precision values: see
+ *  kPrecisionCount. */
+inline constexpr Precision paperPrecisions[] = {
     Precision::Double, Precision::Single, Precision::Half,
 };
 

@@ -29,15 +29,7 @@ struct ForwardState
     std::array<double, kDigitClasses> logits{};
 };
 
-/*
- * forward() and step() carry MNIST pretraining, most of a study's
- * setup time. Their inner loops are short and run millions of times,
- * so their speed followed where the linker happened to place them:
- * moving forward() from offset 0 to offset 32 within a 64-byte line
- * (an unrelated change elsewhere in the binary) made pretraining
- * about 10% slower. Aligning both to a cache line pins it.
- */
-[[gnu::aligned(64)]] void
+void
 forward(const MnistParams &p,
         const std::array<double, kDigitSize * kDigitSize> &px,
         ForwardState &fs)
@@ -94,7 +86,7 @@ forward(const MnistParams &p,
 }
 
 /** One SGD step on one sample; returns the cross-entropy loss. */
-[[gnu::aligned(64)]] double
+double
 step(MnistParams &p,
      const std::array<double, kDigitSize * kDigitSize> &px,
      std::size_t label, double lr)

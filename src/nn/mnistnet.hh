@@ -5,10 +5,12 @@
  * Topology (LeNet-flavoured, scaled to the 12x12 synthetic digit
  * task): conv 6@3x3 + ReLU -> maxpool 2x2 -> dense 150->32 + ReLU ->
  * dense 32->10 logits. The network is trained once in host double
- * precision by SGD with softmax cross-entropy; the trained weights
- * are then *converted* (never retrained) to half/single/double
- * softfloat for the reliability experiments — the paper's protocol
- * for isolating mixed-precision effects (Section 3.1).
+ * precision by SGD with softmax cross-entropy, and the trained
+ * weights are committed as data (pretrainedMnist(), written by
+ * tools/mparch_mnist_weights). They are then *converted* (never
+ * retrained) to half/single/double softfloat for the reliability
+ * experiments — the paper's protocol for isolating mixed-precision
+ * effects (Section 3.1).
  */
 
 #ifndef MPARCH_NN_MNISTNET_HH

@@ -18,22 +18,6 @@ using workloads::SdcSeverity;
 using workloads::Workload;
 using workloads::WorkloadPtr;
 
-const MnistParams &
-pretrainedMnist()
-{
-    static const MnistParams params = [] {
-        TrainConfig config;
-        MnistParams p = trainMnist(config);
-        const double acc = evaluateHostAccuracy(p, 500, 77);
-        if (acc < 0.9) {
-            warn("pretrained digit classifier accuracy ", acc,
-                 " below 0.9; criticality results may be noisy");
-        }
-        return p;
-    }();
-    return params;
-}
-
 namespace {
 
 /** MNIST-like classifier under injection. */

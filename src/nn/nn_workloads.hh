@@ -23,8 +23,9 @@
 namespace mparch::nn {
 
 /**
- * Lazily train (once per process) and cache the classifier weights
- * used by every MNIST workload instance.
+ * The trained classifier weights used by every MNIST workload
+ * instance: trainMnist(TrainConfig{})'s result, committed as the
+ * generated table src/nn/mnist_weights.cc (no training at run time).
  */
 const struct MnistParams &pretrainedMnist();
 

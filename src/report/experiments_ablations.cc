@@ -56,7 +56,7 @@ ablationInjectionSites()
         auto &table = doc.addTable(
             "main", {"precision", "sites", "avf-sdc", "remain@0.1%",
                      "remain@1%"});
-        for (auto p : fp::allPrecisions) {
+        for (auto p : fp::paperPrecisions) {
             for (const bool operand_only : {true, false}) {
                 auto w = nn::makeAnyWorkload("mxm", p, scale);
                 fault::CampaignConfig config;
@@ -136,7 +136,7 @@ ablationBeamMc()
             "main",
             {"precision", "analytic-fit", "mc-fit", "mc-ci95-lo",
              "mc-ci95-hi", "mc-faults", "covered"});
-        for (auto p : fp::allPrecisions) {
+        for (auto p : fp::paperPrecisions) {
             auto w = workloads::makeWorkload("micro-mul", p, scale);
             const arch::DeviceOptions opt{
                 self.trialsFor(ctx), self.trialsFor(ctx) / 2,
@@ -265,7 +265,7 @@ ablationProtection()
             {"benchmark", "precision", "fit-sdc(triplicated)",
              "fit-sdc(raw HBM2)", "ratio"});
         for (const std::string name : {"mxm", "lavamd"}) {
-            for (auto p : fp::allPrecisions) {
+            for (auto p : fp::paperPrecisions) {
                 auto w = workloads::makeWorkload(name, p, scale);
                 const arch::DeviceOptions opt{
                     self.trialsFor(ctx), self.trialsFor(ctx) / 2,
@@ -338,7 +338,7 @@ ablationScrubbing()
             double avf;
         };
         std::vector<Row> rows;
-        for (auto p : fp::allPrecisions) {
+        for (auto p : fp::paperPrecisions) {
             auto w = workloads::makeWorkload("mxm", p, scale);
             const arch::DeviceOptions opt{
                 self.trialsFor(ctx), self.trialsFor(ctx) / 2,
@@ -422,7 +422,7 @@ ablationSmSim()
             "fault-free schedule",
             {"precision", "warps", "sim-cycles",
              "latency-model-cycles", "issue-util", "avg-inflight"});
-        for (auto p : fp::allPrecisions) {
+        for (auto p : fp::paperPrecisions) {
             for (int warps : {1, 4, 8}) {
                 gpu::SmConfig config;
                 config.precision = p;
@@ -450,7 +450,7 @@ ablationSmSim()
             "scheduler-state injection",
             {"precision", "trials", "masked", "sdc(program)",
              "due(hang)", "avf-due", "ci95"});
-        for (auto p : fp::allPrecisions) {
+        for (auto p : fp::paperPrecisions) {
             gpu::SmConfig config;
             config.precision = p;
             const auto r = gpu::measureControlAvf(
@@ -625,7 +625,7 @@ ablationFaultModels()
               fault::FaultModel::RandomByte,
               fault::FaultModel::RandomValue,
               fault::FaultModel::WordBurst}) {
-            for (auto p : fp::allPrecisions) {
+            for (auto p : fp::paperPrecisions) {
                 auto w = workloads::makeWorkload("mxm", p, scale);
                 fault::CampaignConfig config;
                 config.trials = self.trialsFor(ctx);

@@ -120,7 +120,7 @@ extMitigation()
             "main", {"precision", "variant", "ops-overhead",
                      "avf-sdc", "avf-critical(>1%)",
                      "avf-detected"});
-        for (auto p : fp::allPrecisions) {
+        for (auto p : fp::paperPrecisions) {
             // Unprotected baseline op count for the overhead
             // column.
             auto plain = workloads::makeWorkload("mxm", p, scale);
@@ -238,7 +238,7 @@ extBitAnatomy()
         auto &table = doc.addTable(
             "main", {"precision", "field", "flips", "avf-sdc",
                      "critical(>1%) share of SDCs"});
-        for (auto p : fp::allPrecisions) {
+        for (auto p : fp::paperPrecisions) {
             auto w = workloads::makeWorkload("mxm", p, scale);
             fault::CampaignConfig config;
             config.trials = self.trialsFor(ctx);
@@ -505,7 +505,7 @@ extDeviationHistogram()
         auto &table = doc.addTable(
             "main", {"precision", "sdcs", "share<1e-6",
                      "share>=1e-2", "share-catastrophic"});
-        for (auto p : fp::allPrecisions) {
+        for (auto p : fp::paperPrecisions) {
             auto w = workloads::makeWorkload("mxm", p, scale);
             fault::CampaignConfig config;
             config.trials = self.trialsFor(ctx);

@@ -47,7 +47,7 @@ table1FpgaTime()
             double model_double = 0.0;
             const double paper_double =
                 self.paperValue(name + "/double/time");
-            for (auto p : fp::allPrecisions) {
+            for (auto p : fp::paperPrecisions) {
                 auto w = nn::makeAnyWorkload(name, p, scale);
                 const auto golden = fault::goldenRunFor(*w, kInputSeed);
                 const auto circuit = fpga::synthesize(*w, *golden);
@@ -115,7 +115,7 @@ fig2FpgaResources()
                      "BRAMs", "config-bits", "area-drop-vs-prev"});
         for (const std::string name : {"mxm", "mnist"}) {
             double prev_luts = 0.0;
-            for (auto p : fp::allPrecisions) {
+            for (auto p : fp::paperPrecisions) {
                 auto w = nn::makeAnyWorkload(name, p, scale);
                 const auto golden = fault::goldenRunFor(*w, kInputSeed);
                 const auto c = fpga::synthesize(*w, *golden);

@@ -59,7 +59,7 @@ table3GpuTime()
             double model_double = 0.0;
             const double paper_double =
                 self.paperValue(name + "/double/time");
-            for (auto p : fp::allPrecisions) {
+            for (auto p : fp::paperPrecisions) {
                 auto w = nn::makeAnyWorkload(name, p, scale);
                 const auto golden = fault::goldenRunFor(*w, kInputSeed);
                 const double t = gpu::gpuTimeSeconds(*w, *golden);
@@ -506,13 +506,16 @@ fig12GpuAvf()
         for (auto op :
              {workloads::MicroOp::Mul, workloads::MicroOp::Add,
               workloads::MicroOp::Fma}) {
-            const double single_avf =
-                gpu::measureRegFileAvf(op, Precision::Single,
-                                       trials, 5)
-                    .avfSdc();
-            for (auto p : fp::allPrecisions) {
-                const auto r =
-                    gpu::measureRegFileAvf(op, p, trials, 5);
+            std::vector<gpu::RegFileAvf> avfs;
+            double single_avf = 0.0;
+            for (auto p : fp::paperPrecisions) {
+                avfs.push_back(gpu::measureRegFileAvf(op, p, trials, 5));
+                if (p == Precision::Single)
+                    single_avf = avfs.back().avfSdc();
+            }
+            for (std::size_t i = 0; i < avfs.size(); ++i) {
+                const Precision p = fp::paperPrecisions[i];
+                const auto &r = avfs[i];
                 const auto ci = r.avf95();
                 table.row()
                     .cell(std::string("micro-") +

@@ -84,7 +84,7 @@ TEST(FpgaSynthesis, MnistUsesMoreResourcesThanMxm)
         const fault::GoldenRun golden(*w, 99);
         return fpga::synthesize(*w, golden);
     };
-    for (auto p : fp::allPrecisions) {
+    for (auto p : fp::paperPrecisions) {
         EXPECT_GT(report("mnist", p).luts, report("mxm", p).luts);
     }
 }
@@ -93,7 +93,7 @@ TEST(FpgaEvaluation, FitDecreasesWithPrecisionAndNoDue)
 {
     const arch::DeviceOptions opt{150, 100, fpga::kDefaultSeed, {}};
     double prev = 1e300;
-    for (auto p : fp::allPrecisions) {  // double, single, half
+    for (auto p : fp::paperPrecisions) {  // double, single, half
         auto w = workloads::makeWorkload("mxm", p, 0.15);
         const auto eval = fpga::evaluateFpga(*w, opt);
         EXPECT_LT(eval.fitSdc(), prev);
@@ -234,7 +234,7 @@ TEST(GpuDatapath, PerOpBitOrderings)
 {
     // FMA needs the most lane state, ADD the least; double lanes are
     // the widest.
-    for (auto p : fp::allPrecisions) {
+    for (auto p : fp::paperPrecisions) {
         const double add = gpu::datapathBitsPerCore(OpKind::Add, p);
         const double mul = gpu::datapathBitsPerCore(OpKind::Mul, p);
         const double fma = gpu::datapathBitsPerCore(OpKind::Fma, p);

@@ -29,7 +29,7 @@ TEST(SmSim, SingleWarpDependentChainIsLatencyBound)
     // One warp, RAW chain: cycles ~ instructions x latency.
     WarpProgram prog;
     prog.instructions = 100;
-    for (auto p : fp::allPrecisions) {
+    for (auto p : fp::paperPrecisions) {
         const SmStats s = simulateSm(config(p, 1), prog);
         const double latency =
             opLatencyCycles(p) * packFactor(p);
