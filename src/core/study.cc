@@ -1,12 +1,11 @@
 #include "core/study.hh"
 
-#include <map>
-#include <mutex>
 #include <tuple>
 
 #include "arch/fpga/fpga.hh"
 #include "arch/gpu/gpu.hh"
 #include "arch/phi/phi.hh"
+#include "common/memo.hh"
 #include "fault/supervisor.hh"
 #include "nn/nn_workloads.hh"
 
@@ -105,10 +104,9 @@ using StudyKey = std::tuple<Architecture, std::string,
                             std::vector<fp::Precision>, double,
                             std::uint64_t, std::uint64_t>;
 
-/** Studies computed since the golden-run cache was last cleared. */
-std::mutex g_memoMu;
-std::uint64_t g_memoGeneration = 0;
-std::map<StudyKey, std::vector<arch::DeviceEvaluation>> g_memo;
+/** Un-journaled studies, computed once per key (single-flight) until
+ *  the next common::clearMemos(). */
+common::Memo<StudyKey, std::vector<arch::DeviceEvaluation>> g_studies;
 
 } // namespace
 
@@ -121,35 +119,19 @@ runStudy(const StudyConfig &config)
     if (precisions.empty())
         precisions = supportedPrecisions(config.arch);
     const auto compute = [&] {
+        std::vector<arch::DeviceEvaluation> rows;
         for (fp::Precision p : precisions)
-            result.rows.push_back(evaluateOne(config, p));
+            rows.push_back(evaluateOne(config, p));
+        return rows;
     };
     // A journaled study (resumed or not) must write its journals.
-    if (!config.journalDir.empty()) {
-        compute();
-        return result;
-    }
-
-    const StudyKey key{config.arch, config.workload, precisions,
-                       config.scale, config.trials, config.seed};
-    const std::uint64_t generation = fault::goldenRunCacheGeneration();
-    {
-        std::lock_guard<std::mutex> lock(g_memoMu);
-        if (g_memoGeneration < generation) {
-            g_memo.clear();
-            g_memoGeneration = generation;
-        }
-        if (const auto it = g_memo.find(key); it != g_memo.end()) {
-            result.rows = it->second;
-            return result;
-        }
-    }
-    compute();
-    // A clear while computing means this result belongs to a dropped
-    // generation; the next call recomputes it.
-    std::lock_guard<std::mutex> lock(g_memoMu);
-    if (fault::goldenRunCacheGeneration() == generation)
-        g_memo.emplace(key, result.rows);
+    if (!config.journalDir.empty())
+        result.rows = compute();
+    else
+        result.rows = *g_studies.get(
+            StudyKey{config.arch, config.workload, precisions,
+                     config.scale, config.trials, config.seed},
+            compute);
     return result;
 }
 

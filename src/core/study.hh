@@ -107,8 +107,9 @@ struct StudyResult
 
 /** Run the campaigns and models for every requested precision.
  *  Identical un-journaled studies are computed once per process
- *  (until fault::clearGoldenRunCache(); see docs/performance.md).
- *  Thread-safe. */
+ *  until common::clearMemos() (see docs/performance.md).
+ *  Single-flight per study: concurrent callers of one study share
+ *  one computation, and callers of other studies do not wait. */
 StudyResult runStudy(const StudyConfig &config);
 
 } // namespace mparch::core

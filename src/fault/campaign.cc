@@ -1,16 +1,14 @@
 #include "fault/campaign.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <sstream>
 
+#include "common/memo.hh"
 #include "fault/hooks.hh"
 
 namespace mparch::fault {
@@ -691,9 +689,8 @@ struct GoldenKey
     auto operator<=>(const GoldenKey &) const = default;
 };
 
-std::mutex g_goldenCacheMu;
-std::map<GoldenKey, std::shared_ptr<const GoldenRun>> g_goldenCache;
-std::atomic<std::uint64_t> g_goldenCacheGeneration{0};
+/** Golden runs of stamped workloads, until common::clearMemos(). */
+common::Memo<GoldenKey, GoldenRun> g_goldenRuns;
 
 } // namespace
 
@@ -703,19 +700,8 @@ goldenRunFor(Workload &w, std::uint64_t input_seed)
     const workloads::WorkloadIdentity *identity = w.identity();
     if (!identity)
         return std::make_shared<const GoldenRun>(w, input_seed);
-    const GoldenKey key{*identity, input_seed};
-    // Compute under the lock: concurrent requests for the same key
-    // would otherwise duplicate the (expensive) reference execution,
-    // and campaigns only parallelise trials, not golden runs.
-    std::lock_guard<std::mutex> lock(g_goldenCacheMu);
-    auto it = g_goldenCache.find(key);
-    if (it == g_goldenCache.end()) {
-        it = g_goldenCache
-                 .emplace(key, std::make_shared<const GoldenRun>(
-                                   w, input_seed))
-                 .first;
-    }
-    return it->second;
+    return g_goldenRuns.get(GoldenKey{*identity, input_seed},
+                            [&] { return GoldenRun(w, input_seed); });
 }
 
 std::shared_ptr<const GoldenRun>
@@ -730,15 +716,7 @@ cachedGoldenRun(Workload &w, std::uint64_t input_seed, double scale)
 void
 clearGoldenRunCache()
 {
-    std::lock_guard<std::mutex> lock(g_goldenCacheMu);
-    g_goldenCache.clear();
-    ++g_goldenCacheGeneration;
-}
-
-std::uint64_t
-goldenRunCacheGeneration()
-{
-    return g_goldenCacheGeneration.load();
+    common::clearMemos();
 }
 
 std::uint64_t

@@ -407,7 +407,10 @@ class TrialRunner
  * process-wide golden run per (identity, input seed), executed on
  * the first request only; a hand-built workload gets a fresh run
  * every time. Device models take their op counts from here, so a
- * study executes each reference once. Thread-safe.
+ * study executes each reference once. Single-flight per key:
+ * concurrent requests for one key run it once and share the result,
+ * and requests for other keys do not wait for it. The cache lives
+ * until the next common::clearMemos() (src/common/memo.hh).
  */
 std::shared_ptr<const GoldenRun>
 goldenRunFor(workloads::Workload &w, std::uint64_t input_seed);
@@ -424,16 +427,12 @@ cachedGoldenRun(workloads::Workload &w, std::uint64_t input_seed,
                 double scale);
 
 /**
- * Drop every cached golden run (tests, FP-model experiments), and
- * with them every study core::runStudy memoised: the two caches
- * share one lifetime.
+ * common::clearMemos(): drop every cached golden run, and with them
+ * every study core::runStudy memoised. Only the layered benchmark
+ * (layerbench/) calls it; tests call common::clearMemos().
  */
 // mparch-lint: allow(unreferenced): layerbench/ calls it (ROADMAP item 1)
 void clearGoldenRunCache();
-
-/** Bumped by every clearGoldenRunCache(); caches built on top of
- *  the golden-run cache compare it to know when to drop out. */
-std::uint64_t goldenRunCacheGeneration();
 
 /**
  * How many dynamic ops of a golden run with op counts @p ops a

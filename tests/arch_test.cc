@@ -17,6 +17,7 @@
 #include "arch/gpu/regfile.hh"
 #include "arch/phi/compiler_model.hh"
 #include "arch/phi/phi.hh"
+#include "common/memo.hh"
 #include "nn/nn_workloads.hh"
 #include "workloads/mxm.hh"
 
@@ -372,9 +373,9 @@ TEST(GpuEvaluation, SharesTheCampaignsGoldenRun)
     const auto executions = counting->executions;
     const auto w = workloads::stamped(std::move(counting), scale);
     const arch::DeviceOptions opt{30, 20, gpu::kDefaultSeed, {}};
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     (void)gpu::evaluateGpu(*w, opt);
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     EXPECT_EQ(*executions, 30 + 20 + 1);
 }
 

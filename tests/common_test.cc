@@ -1,16 +1,24 @@
 /**
  * @file
- * Tests for the common substrate: RNG, bits, stats, tables.
+ * Tests for the common substrate: RNG, bits, stats, tables, memo.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <latch>
+#include <memory>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/bits.hh"
+#include "common/memo.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -188,6 +196,81 @@ TEST(Table, CsvQuoting)
     std::ostringstream os;
     t.printCsv(os);
     EXPECT_NE(os.str().find("\"x,y\""), std::string::npos);
+}
+
+TEST(Memo, OneKeyComputesOnceUnderFourCallers)
+{
+    common::Memo<int, int> memo;
+    std::atomic<int> computes{0};
+    std::latch start(4);
+    std::array<std::shared_ptr<const int>, 4> got;
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            got[i] = memo.get(7, [&] {
+                ++computes;
+                // Long enough for the other callers to arrive while
+                // the value is being computed.
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                return 49;
+            });
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(computes.load(), 1);
+    EXPECT_EQ(*got[0], 49);
+    for (const auto &p : got)
+        EXPECT_EQ(p.get(), got[0].get());
+}
+
+TEST(Memo, DifferentKeysComputeAtOnce)
+{
+    // Key 1's compute waits for key 2's value, which the main thread
+    // computes meanwhile. A memo that computed under its lock would
+    // hold key 2 back until key 1 gave up: the wait is bounded, so
+    // that fails here instead of hanging.
+    common::Memo<int, int> memo;
+    std::latch one_started(1);
+    std::promise<int> two;
+    std::future<int> two_value = two.get_future();
+    std::shared_ptr<const int> one;
+    std::thread t([&] {
+        one = memo.get(1, [&] {
+            one_started.count_down();
+            if (two_value.wait_for(std::chrono::seconds(10)) !=
+                std::future_status::ready)
+                return -1;
+            return two_value.get() + 1;
+        });
+    });
+    one_started.wait();
+    const auto got_two = memo.get(2, [&] {
+        two.set_value(2);
+        return 2;
+    });
+    t.join();
+    EXPECT_EQ(*got_two, 2);
+    EXPECT_EQ(*one, 3);
+}
+
+TEST(Memo, ClearDuringComputeKeepsNothing)
+{
+    common::Memo<int, int> memo;
+    int computes = 0;
+    const auto compute = [&] { return ++computes; };
+    // A value computed across a clear goes back to its caller only.
+    EXPECT_EQ(*memo.get(1, [&] {
+        common::clearMemos();
+        return compute();
+    }), 1);
+    EXPECT_EQ(*memo.get(1, compute), 2);
+    EXPECT_EQ(*memo.get(1, compute), 2);
+    // A clear before two requests: one compute.
+    common::clearMemos();
+    EXPECT_EQ(*memo.get(1, compute), 3);
+    EXPECT_EQ(*memo.get(1, compute), 3);
+    EXPECT_EQ(computes, 3);
 }
 
 } // namespace

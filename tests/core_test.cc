@@ -15,6 +15,7 @@
 #include "arch/fpga/fpga.hh"
 #include "arch/gpu/gpu.hh"
 #include "arch/phi/phi.hh"
+#include "common/memo.hh"
 #include "core/study.hh"
 #include "fault/campaign.hh"
 #include "fault/journal.hh"
@@ -217,10 +218,10 @@ memoStudy()
 
 TEST(StudyMemoTest, RepeatAndRecomputeAfterClearAgree)
 {
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     const StudyResult first = runStudy(memoStudy());
     const StudyResult repeat = runStudy(memoStudy());
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     const StudyResult recomputed = runStudy(memoStudy());
     EXPECT_FALSE(first.rows[0].datapathCampaign.corpus.empty());
     expectSameRows(first, repeat);
@@ -235,9 +236,9 @@ TEST(StudyMemoTest, ClearingTheGoldenCacheEmptiesTheMemo)
     // identity: a filled entry hands back the study's golden run, an
     // empty one runs the probe's own.
     const StudyConfig config = memoStudy();
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     runStudy(config);
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     runStudy(config);
 
     auto probe = workloads::stamped(
@@ -252,7 +253,7 @@ TEST(StudyMemoTest, ClearingTheGoldenCacheEmptiesTheMemo)
               study_ticks);
     EXPECT_EQ(fault::goldenRunFor(*probe, defaults.inputSeed)->ticks,
               study_ticks);
-    fault::clearGoldenRunCache();
+    common::clearMemos();
 }
 
 TEST(StudyMemoTest, HitCarriesTheCallersJobs)
@@ -271,9 +272,9 @@ TEST(StudyMemoTest, DefaultPrecisionsEqualTheExplicitList)
     StudyConfig implicit = memoStudy();
     StudyConfig explicit_list = memoStudy();
     explicit_list.precisions = supportedPrecisions(explicit_list.arch);
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     const StudyResult a = runStudy(implicit);
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     const StudyResult b = runStudy(explicit_list);
     const StudyResult hit = runStudy(implicit);
     EXPECT_EQ(a.rows.size(), 2u);
@@ -449,7 +450,7 @@ TEST(StudyMemoTest, ConcurrentCallersAgree)
 {
     // A GPU study, so both callers also share the memoised
     // control-AVF simulation.
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     StudyConfig config = memoStudy();
     config.arch = Architecture::Gpu;
     config.workload = "micro-mul";

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/memo.hh"
 #include "common/rng.hh"
 #include "fault/journal.hh"
 #include "fault/supervisor.hh"
@@ -231,7 +232,7 @@ holds(const Case &c, const Scratch &scratch)
 {
     // A mutated #input-seed= computes a fresh golden run; a cleared
     // cache keeps each case independent of the ones before it.
-    clearGoldenRunCache();
+    common::clearMemos();
     const std::string text = applyEdits(c);
     spit(scratch.read, text);
     spit(scratch.resume, text);

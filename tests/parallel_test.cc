@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "arch/fpga/fpga.hh"
+#include "common/memo.hh"
 #include "common/parallel.hh"
 #include "fault/campaign.hh"
 #include "fault/supervisor.hh"
@@ -400,7 +401,7 @@ TEST(PinnedJournalTest, PersistentCampaign)
 
 TEST(GoldenCacheTest, SharedByKeyAndDistinctAcrossKeys)
 {
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     auto w = makeWorkload("micro-add", Precision::Single, 0.1);
     const auto a = fault::goldenRunFor(*w, 99);
     // One reference execution, also for a clone (it keeps the stamp)
@@ -416,14 +417,14 @@ TEST(GoldenCacheTest, SharedByKeyAndDistinctAcrossKeys)
     const GoldenRun fresh(*w, 99);
     EXPECT_EQ(a->outputBits, fresh.outputBits);
     EXPECT_EQ(a->ticks, fresh.ticks);
-    fault::clearGoldenRunCache();
+    common::clearMemos();
 }
 
 TEST(GoldenCacheTest, HandBuiltWorkloadsNeverShareARun)
 {
     // Same name and precision, different sizes: an unstamped workload
     // gets its own reference every time, never another's.
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     workloads::MxMWorkload<Precision::Single> small(0.1), large(0.2);
     ASSERT_EQ(small.name(), large.name());
     const auto a = fault::goldenRunFor(small, 99);
@@ -432,14 +433,14 @@ TEST(GoldenCacheTest, HandBuiltWorkloadsNeverShareARun)
     EXPECT_EQ(a->ticks, GoldenRun(small, 99).ticks);
     EXPECT_EQ(b->ticks, GoldenRun(large, 99).ticks);
     EXPECT_NE(fault::goldenRunFor(small, 99).get(), a.get());
-    fault::clearGoldenRunCache();
+    common::clearMemos();
 }
 
 TEST(GoldenCacheTest, CachedCampaignMatchesUncached)
 {
     // The stamped workload's campaigns share a cached golden run; the
     // hand-built twin computes its own. The results agree.
-    fault::clearGoldenRunCache();
+    common::clearMemos();
     auto stamped = makeWorkload("mxm", Precision::Single, 0.1);
     workloads::MxMWorkload<Precision::Single> hand_built(0.1);
     ASSERT_EQ(hand_built.identity(), nullptr);
@@ -454,7 +455,7 @@ TEST(GoldenCacheTest, CachedCampaignMatchesUncached)
                                          config, SupervisorConfig{});
     expectSameResult(b.result, a.result);
     expectSameResult(c.result, a.result);
-    fault::clearGoldenRunCache();
+    common::clearMemos();
 }
 
 TEST(WorkloadIdentityTest, FactoriesStampAndCopiesKeepIt)
