@@ -1,6 +1,5 @@
 #include "common/json.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -203,255 +202,6 @@ Writer::null()
     beforeValue();
     os_ << "null";
     return *this;
-}
-
-const Value *
-Value::find(const std::string &name) const
-{
-    if (kind != Kind::Object)
-        return nullptr;
-    auto it = object.find(name);
-    return it == object.end() ? nullptr : &it->second;
-}
-
-namespace {
-
-/** Recursive-descent parser over a char range. */
-class Parser
-{
-  public:
-    Parser(const std::string &text, std::string *error)
-        : text_(text), error_(error)
-    {
-    }
-
-    bool
-    run(Value &out)
-    {
-        skipSpace();
-        if (!parseValue(out))
-            return false;
-        skipSpace();
-        if (pos_ != text_.size())
-            return fail("trailing characters after document");
-        return true;
-    }
-
-  private:
-    bool
-    fail(const std::string &what)
-    {
-        if (error_ && error_->empty()) {
-            *error_ = "json parse error at offset " +
-                      std::to_string(pos_) + ": " + what;
-        }
-        return false;
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    literal(const char *word, std::size_t len)
-    {
-        if (text_.compare(pos_, len, word) != 0)
-            return false;
-        pos_ += len;
-        return true;
-    }
-
-    bool
-    parseValue(Value &out)
-    {
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        const char ch = text_[pos_];
-        switch (ch) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
-          case '"':
-            out.kind = Value::Kind::String;
-            return parseString(out.string);
-          case 't':
-            if (!literal("true", 4))
-                return fail("bad literal");
-            out.kind = Value::Kind::Bool;
-            out.boolean = true;
-            return true;
-          case 'f':
-            if (!literal("false", 5))
-                return fail("bad literal");
-            out.kind = Value::Kind::Bool;
-            out.boolean = false;
-            return true;
-          case 'n':
-            if (!literal("null", 4))
-                return fail("bad literal");
-            out.kind = Value::Kind::Null;
-            return true;
-          default:  return parseNumber(out);
-        }
-    }
-
-    bool
-    parseNumber(Value &out)
-    {
-        const char *begin = text_.c_str() + pos_;
-        char *end = nullptr;
-        const double v = std::strtod(begin, &end);
-        if (end == begin)
-            return fail("expected a value");
-        pos_ += static_cast<std::size_t>(end - begin);
-        out.kind = Value::Kind::Number;
-        out.number = v;
-        return true;
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        ++pos_;  // opening quote
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char ch = text_[pos_++];
-            if (ch == '"')
-                return true;
-            if (ch != '\\') {
-                out += ch;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return fail("dangling escape");
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"':  out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/':  out += '/'; break;
-              case 'b':  out += '\b'; break;
-              case 'f':  out += '\f'; break;
-              case 'n':  out += '\n'; break;
-              case 'r':  out += '\r'; break;
-              case 't':  out += '\t'; break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char hex = text_[pos_++];
-                    code <<= 4;
-                    if (hex >= '0' && hex <= '9')
-                        code |= static_cast<unsigned>(hex - '0');
-                    else if (hex >= 'a' && hex <= 'f')
-                        code |= static_cast<unsigned>(hex - 'a' + 10);
-                    else if (hex >= 'A' && hex <= 'F')
-                        code |= static_cast<unsigned>(hex - 'A' + 10);
-                    else
-                        return fail("bad \\u escape digit");
-                }
-                // UTF-8 encode the code point (BMP only; escape
-                // writers only emit control characters here).
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xc0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                } else {
-                    out += static_cast<char>(0xe0 | (code >> 12));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 6) & 0x3f));
-                    out += static_cast<char>(0x80 | (code & 0x3f));
-                }
-                break;
-              }
-              default: return fail("unknown escape");
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    parseObject(Value &out)
-    {
-        ++pos_;  // '{'
-        out.kind = Value::Kind::Object;
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipSpace();
-            if (pos_ >= text_.size() || text_[pos_] != '"')
-                return fail("expected object key");
-            std::string name;
-            if (!parseString(name))
-                return false;
-            skipSpace();
-            if (pos_ >= text_.size() || text_[pos_++] != ':')
-                return fail("expected ':' after key");
-            skipSpace();
-            Value member;
-            if (!parseValue(member))
-                return false;
-            out.object.emplace(std::move(name), std::move(member));
-            skipSpace();
-            if (pos_ >= text_.size())
-                return fail("unterminated object");
-            const char next = text_[pos_++];
-            if (next == '}')
-                return true;
-            if (next != ',')
-                return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    parseArray(Value &out)
-    {
-        ++pos_;  // '['
-        out.kind = Value::Kind::Array;
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipSpace();
-            Value element;
-            if (!parseValue(element))
-                return false;
-            out.array.push_back(std::move(element));
-            skipSpace();
-            if (pos_ >= text_.size())
-                return fail("unterminated array");
-            const char next = text_[pos_++];
-            if (next == ']')
-                return true;
-            if (next != ',')
-                return fail("expected ',' or ']'");
-        }
-    }
-
-    const std::string &text_;
-    std::string *error_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-bool
-parse(const std::string &text, Value &out, std::string *error)
-{
-    if (error)
-        error->clear();
-    out = Value{};
-    Parser parser(text, error);
-    return parser.run(out);
 }
 
 } // namespace mparch::json

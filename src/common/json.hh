@@ -1,22 +1,19 @@
 /**
  * @file
- * Minimal JSON emission and parsing.
+ * Minimal JSON emission.
  *
  * The writer is a streaming emitter with correct string escaping and
  * an explicit non-finite policy (JSON has no NaN/Inf, so they are
  * emitted as null); every structured artefact the tooling writes —
- * experiment result documents, study dumps — goes through it instead
- * of hand-rolled `os << "{\"x\": ..."` fragments. The parser is the
- * writer's round-trip counterpart: a small recursive-descent reader
- * used by tests and by tooling that re-ingests result documents.
+ * experiment result documents, study dumps, lint reports — goes
+ * through it instead of hand-rolled `os << "{\"x\": ..."` fragments.
+ * Nothing in the project reads JSON back.
  */
 
 #ifndef MPARCH_COMMON_JSON_HH
 #define MPARCH_COMMON_JSON_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -81,32 +78,6 @@ class Writer
     std::vector<Level> stack_;
     bool keyPending_ = false;
 };
-
-/** A parsed JSON value (test/tooling-grade document tree). */
-struct Value
-{
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<Value> array;
-    std::map<std::string, Value> object;
-
-    /** Object member, or null if absent / not an object. */
-    const Value *find(const std::string &name) const;
-};
-
-/**
- * Parse a complete JSON document.
- *
- * @param text  The document.
- * @param error Filled with a position-annotated message on failure.
- * @return Parsed tree, or std::nullopt-like failure signalled by a
- *         non-empty @p error (the returned value is Null then).
- */
-bool parse(const std::string &text, Value &out, std::string *error);
 
 } // namespace mparch::json
 

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -42,13 +43,16 @@ class Memo
      * The value of @p key, from compute() (returning a Value) on the
      * first request since the last clearMemos(). compute() runs
      * outside the map's lock: later callers of the same key wait for
-     * it, callers of other keys do not.
+     * it, callers of other keys do not. A compute() that throws
+     * passes its exception to the callers waiting on it and drops the
+     * key's cell, so the next request computes afresh.
      */
     template <typename Compute>
     std::shared_ptr<const Value>
     get(const Key &key, Compute &&compute)
     {
-        std::shared_ptr<Cell> cell;
+        std::shared_ptr<Cell> mine;
+        Future theirs;
         {
             std::lock_guard<std::mutex> lock(mu_);
             if (const std::uint64_t g = detail::memoGeneration.load();
@@ -57,21 +61,40 @@ class Memo
                 generation_ = g;
             }
             std::shared_ptr<Cell> &slot = cells_[key];
-            if (!slot)
-                slot = std::make_shared<Cell>();
-            cell = slot;
+            if (slot)
+                theirs = slot->value;  // each waiter waits on a copy
+            else
+                slot = mine = std::make_shared<Cell>();
         }
-        std::call_once(cell->once, [&] {
-            cell->value = std::make_shared<const Value>(compute());
-        });
-        return cell->value;
+        if (!mine)
+            return theirs.get();
+
+        std::shared_ptr<const Value> value;
+        try {
+            value = std::make_shared<const Value>(compute());
+        } catch (...) {
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                const auto it = cells_.find(key);
+                if (it != cells_.end() && it->second == mine)
+                    cells_.erase(it);
+            }
+            mine->promise.set_exception(std::current_exception());
+            throw;
+        }
+        mine->promise.set_value(value);
+        return value;
     }
 
   private:
+    using Future = std::shared_future<std::shared_ptr<const Value>>;
+
+    /** A key's value: set through promise by the one caller that
+     *  computes it, awaited through value by the others. */
     struct Cell
     {
-        std::once_flag once;
-        std::shared_ptr<const Value> value;
+        std::promise<std::shared_ptr<const Value>> promise;
+        Future value = promise.get_future().share();
     };
 
     std::mutex mu_;

@@ -1,9 +1,12 @@
 /**
  * @file
- * Work-stealing trial executor primitives.
+ * The in-order parallel loop and the executor primitives under it.
  *
- * Three small pieces compose the parallel campaign engine
- * (fault/supervisor.cc) and any future data-parallel sweep:
+ * forEachInOrder() is the one parallel loop of the library: campaigns
+ * (fault/supervisor.cc), the operand-space sweeps (verify/sweep.cc)
+ * and the fuzzer (verify/fuzz.cc) run their indexed units through it,
+ * and fold the results strictly in index order, so their output is
+ * identical at any number of workers. It composes three pieces:
  *
  *  - ThreadPool: a fixed set of worker threads that run one job
  *    function per dispatch generation (no per-task queue — workers
@@ -16,19 +19,21 @@
  *    property the ordered reduction below relies on;
  *  - OrderedChannel<T>: a bounded reorder window through which
  *    workers hand results to a single consumer that pops them in
- *    index order. Combined with counter-based per-trial RNG, this
- *    makes the parallel campaign byte-identical to the serial one:
- *    trials execute out of order, but accumulation and journaling
- *    happen strictly in order.
+ *    index order. Combined with counter-based per-unit RNG, this
+ *    makes a parallel run byte-identical to the serial one: units
+ *    execute out of order, but accumulation and journaling happen
+ *    strictly in order.
  *
- * Everything here uses plain mutex/condvar synchronisation: trials
- * are milliseconds-scale, so lock overhead is noise, and the simple
- * discipline is easy to audit (and keeps TSan quiet by construction).
+ * Everything here uses plain mutex/condvar synchronisation: units
+ * are microseconds to milliseconds, so lock overhead is noise, and
+ * the simple discipline is easy to audit (and keeps TSan quiet by
+ * construction).
  */
 
 #ifndef MPARCH_COMMON_PARALLEL_HH
 #define MPARCH_COMMON_PARALLEL_HH
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -36,6 +41,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -226,6 +232,85 @@ class OrderedChannel
     std::size_t base_ = 0;
     unsigned producers_;
 };
+
+/** The stop predicate of a loop that never stops early. */
+inline bool
+neverStop()
+{
+    return false;
+}
+
+/**
+ * Run @p n indexed units on @p jobs workers and fold their results in
+ * index order.
+ *
+ * run(worker, i) computes unit i on worker `worker` (0..jobs-1) and
+ * must not throw; commit(i, result) receives every result on the
+ * calling thread, for i = 0, 1, 2... in order. stop() is polled on
+ * the calling thread: before any work starts, and then before each
+ * further unit at jobs 1 and after each commit at jobs > 1. Once it
+ * returns true no further chunk is handed out; units already claimed
+ * still run and are committed, so the committed units are always a
+ * contiguous prefix [0, k). Returns k.
+ *
+ * At jobs <= 1 the loop runs on the caller with no thread. Otherwise
+ * the workers claim chunks of up to 32 indices and hand results
+ * through a reorder window of at least 256 of them, which bounds
+ * the results held at once.
+ */
+template <typename Run, typename Commit, typename Stop = bool (*)()>
+std::uint64_t
+forEachInOrder(std::uint64_t n, unsigned jobs, const Run &run,
+               Commit &&commit, Stop &&stop = neverStop)
+{
+    if (jobs <= 1) {
+        std::uint64_t i = 0;
+        for (; i < n && !stop(); ++i)
+            commit(i, run(0u, i));
+        return i;
+    }
+    if (stop())
+        return 0;
+
+    using Result = std::invoke_result_t<const Run &, unsigned,
+                                        std::uint64_t>;
+    const std::uint64_t chunk = std::clamp<std::uint64_t>(
+        n / (static_cast<std::uint64_t>(jobs) * 4), 1, 32);
+    IndexChunker chunker(n, chunk);
+    OrderedChannel<Result> channel(
+        std::max<std::size_t>(jobs * chunk * 4, 256), jobs);
+    ThreadPool pool(jobs);
+    pool.start([&](unsigned worker) {
+        std::uint64_t begin = 0, end = 0;
+        while (chunker.next(begin, end))
+            for (std::uint64_t i = begin; i < end; ++i)
+                channel.put(i, run(worker, i));
+        channel.producerDone();
+    });
+
+    std::uint64_t committed = 0;
+    bool stopped = false;
+    try {
+        while (auto result = channel.take()) {
+            commit(committed, std::move(*result));
+            ++committed;
+            if (!stopped && committed < n && stop()) {
+                stopped = true;
+                chunker.stop();
+            }
+        }
+    } catch (...) {
+        // Let the workers finish their claimed chunks, so the pool
+        // can be joined, before the exception leaves.
+        chunker.stop();
+        while (channel.take()) {
+        }
+        pool.wait();
+        throw;
+    }
+    pool.wait();
+    return committed;
+}
 
 } // namespace mparch::parallel
 

@@ -1,9 +1,7 @@
 #include "table.hh"
 
 #include <algorithm>
-#include <cstdint>
 #include <iomanip>
-#include <sstream>
 
 #include "logging.hh"
 
@@ -30,20 +28,6 @@ Table::cell(const std::string &text)
                   "row has more cells than headers");
     rows_.back().push_back(text);
     return *this;
-}
-
-Table &
-Table::cell(double value, int digits)
-{
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(digits) << value;
-    return cell(os.str());
-}
-
-Table &
-Table::cell(std::int64_t value)
-{
-    return cell(std::to_string(value));
 }
 
 void

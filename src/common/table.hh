@@ -19,8 +19,7 @@ namespace mparch {
 /**
  * A simple column-aligned table builder.
  *
- * Cells are strings; numeric convenience overloads format with a
- * fixed precision. Rendering pads each column to its widest cell.
+ * Cells are strings. Rendering pads each column to its widest cell.
  */
 class Table
 {
@@ -37,20 +36,11 @@ class Table
     /** Append a string cell to the current row. */
     Table &cell(const std::string &text);
 
-    /** Append a formatted numeric cell (fixed, @p digits decimals). */
-    Table &cell(double value, int digits = 3);
-
-    /** Append an integer cell. */
-    Table &cell(std::int64_t value);
-
     /** Render the table, column-aligned. */
     void print(std::ostream &os) const;
 
     /** Render as CSV (no padding, comma separated, quoted as needed). */
     void printCsv(std::ostream &os) const;
-
-    /** Number of data rows so far. */
-    std::size_t rowCount() const { return rows_.size(); }
 
   private:
     std::string title_;

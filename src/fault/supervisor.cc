@@ -1,6 +1,5 @@
 #include "fault/supervisor.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <filesystem>
@@ -77,9 +76,9 @@ goldenIsNonFinite(Workload &w, const GoldenRun &golden)
 
 /**
  * Everything the supervisor needs to know about one executed trial:
- * its outcome, or why it was poisoned. Produced by workers (or the
- * serial loop) and folded into the campaign by commit() on the
- * supervising thread, strictly in index order.
+ * its outcome, or why it was poisoned. Produced by a worker and
+ * folded into the campaign by commit() on the supervising thread,
+ * strictly in index order.
  */
 struct TrialCell
 {
@@ -258,74 +257,30 @@ runSupervisedCampaign(Workload &w, CampaignKind kind,
         }
     };
 
+    // Workers run trials of the shared runner on their own workload
+    // clone (w itself at jobs 1); this thread commits them in index
+    // order. Counter-based trial RNG makes every trial independent of
+    // execution order, so the result is the same at any jobs.
     const unsigned jobs =
         parallel::resolveJobs(supervisor.jobs, pending.size());
-    if (jobs <= 1) {
-        for (std::uint64_t index : pending) {
-            if (stopping()) {
-                run.interrupted = true;
-                break;
-            }
-            commit(runSupervisedTrial(*runner, w, index));
-        }
-    } else {
-        // Parallel path: workers claim chunks of the pending list,
-        // run trials of the shared runner on their own workload clone,
-        // and hand cells through a bounded reorder window; this thread
-        // commits them in index order. Counter-based trial RNG makes
-        // every trial independent of execution order, so the result
-        // is bit-identical to the serial loop.
-        const std::uint64_t chunk = std::clamp<std::uint64_t>(
-            pending.size() / (static_cast<std::uint64_t>(jobs) * 4),
-            1, 32);
-        parallel::IndexChunker chunker(pending.size(), chunk);
-        // A signal delivered before this campaign started (a study
-        // stopping as a whole) must not let workers claim a chunk.
-        if (signals.fired())
-            chunker.stop();
-        parallel::OrderedChannel<TrialCell> channel(
-            std::max<std::size_t>(jobs * chunk * 4, 256), jobs);
-
-        // Clones are built up front, on this thread, so construction
-        // failures surface before any worker starts.
-        std::vector<workloads::WorkloadPtr> clones;
+    // Clones are built up front, on this thread, so construction
+    // failures surface before any worker starts.
+    std::vector<workloads::WorkloadPtr> clones;
+    if (jobs > 1) {
         clones.reserve(jobs);
         for (unsigned j = 0; j < jobs; ++j)
             clones.push_back(w.clone());
-
-        parallel::ThreadPool pool(jobs);
-        pool.start([&](unsigned worker) {
-            Workload &mine = *clones[worker];
-            std::uint64_t begin = 0, end = 0;
-            while (chunker.next(begin, end)) {
-                for (std::uint64_t pos = begin; pos < end; ++pos) {
-                    channel.put(pos, runSupervisedTrial(*runner, mine,
-                                                        pending[pos]));
-                }
-            }
-            channel.producerDone();
-        });
-
-        std::size_t committed = 0;
-        bool stopRequested = false;
-        for (;;) {
-            // Cooperative stop, honoured between commits: stop
-            // handing out chunks; claimed chunks drain into the
-            // window and are committed below.
-            if (!stopRequested && stopping()) {
-                stopRequested = true;
-                chunker.stop();
-            }
-            auto cell = channel.take();
-            if (!cell)
-                break;
-            commit(*cell);
-            ++committed;
-        }
-        pool.wait();
-        if (committed < pending.size())
-            run.interrupted = true;
     }
+    const std::uint64_t committed = parallel::forEachInOrder(
+        pending.size(), jobs,
+        [&](unsigned worker, std::uint64_t pos) {
+            return runSupervisedTrial(
+                *runner, clones.empty() ? w : *clones[worker],
+                pending[pos]);
+        },
+        [&](std::uint64_t, const TrialCell &cell) { commit(cell); },
+        stopping);
+    run.interrupted = committed < pending.size();
 
     if (writer)
         writer->flush();

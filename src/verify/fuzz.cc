@@ -249,71 +249,56 @@ shrinkCase(Case c, const std::function<bool(const Case &)> &fails,
 FuzzReport
 fuzzFormat(fp::Format f, const FuzzConfig &cfg)
 {
-    const unsigned jobs = parallel::resolveJobs(cfg.jobs, cfg.trials);
     const std::uint64_t seed = Rng::mix(
         cfg.seed, (static_cast<std::uint64_t>(f.totalBits) << 16) |
                       f.manBits);
 
-    struct WorkerOut
+    // Trials run in blocks; a block hands back its failing cases, and
+    // the commit shrinks the first maxFailures of them in trial order.
+    constexpr std::uint64_t kBlock = 256;
+    struct Failing
     {
-        std::uint64_t failures = 0;
-        std::vector<FuzzFailure> kept;
+        std::uint64_t trial;
+        Case c;
     };
-    std::vector<WorkerOut> outs(jobs);
-    parallel::IndexChunker chunker(
-        cfg.trials,
-        std::max<std::uint64_t>(1, cfg.trials / (jobs * 32) + 1));
-
-    parallel::ThreadPool pool(jobs);
-    pool.run([&](unsigned worker) {
-        WorkerOut &out = outs[worker];
-        std::uint64_t begin, end;
-        while (chunker.next(begin, end)) {
-            std::size_t budget = cfg.maxFailures;
-            for (std::uint64_t trial = begin; trial < end; ++trial) {
-                Rng rng = trialRng(seed, trial);
-                const Case c = genCase(rng, f, cfg.ops);
-                std::vector<Mismatch> found;
-                if (checkCase(c, cfg.check, &found))
-                    continue;
-                ++out.failures;
-                if (budget == 0)
-                    continue;
-                --budget;
-                FuzzFailure failure;
-                failure.trial = trial;
-                failure.original = c;
-                failure.shrunk =
-                    cfg.shrink
-                        ? shrinkCase(c,
-                                     [&](const Case &cand) {
-                                         return !checkCase(
-                                             cand, cfg.check, nullptr);
-                                     })
-                        : c;
-                checkCase(failure.shrunk, cfg.check,
-                          &failure.mismatches);
-                out.kept.push_back(std::move(failure));
-            }
-        }
-    });
-
+    const std::uint64_t blocks = (cfg.trials + kBlock - 1) / kBlock;
     FuzzReport report;
     report.trials = cfg.trials;
-    std::vector<FuzzFailure> merged;
-    for (WorkerOut &out : outs) {
-        report.failures += out.failures;
-        merged.insert(merged.end(),
-                      std::make_move_iterator(out.kept.begin()),
-                      std::make_move_iterator(out.kept.end()));
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const FuzzFailure &x, const FuzzFailure &y) {
-                         return x.trial < y.trial;
-                     });
-    if (merged.size() > cfg.maxFailures)
-        merged.resize(cfg.maxFailures);
-    report.sample = std::move(merged);
+    parallel::forEachInOrder(
+        blocks, parallel::resolveJobs(cfg.jobs, blocks),
+        [&](unsigned, std::uint64_t block) {
+            std::vector<Failing> failing;
+            const std::uint64_t end =
+                std::min(cfg.trials, (block + 1) * kBlock);
+            for (std::uint64_t trial = block * kBlock; trial < end;
+                 ++trial) {
+                Rng rng = trialRng(seed, trial);
+                const Case c = genCase(rng, f, cfg.ops);
+                if (!checkCase(c, cfg.check))
+                    failing.push_back({trial, c});
+            }
+            return failing;
+        },
+        [&](std::uint64_t, std::vector<Failing> failing) {
+            report.failures += failing.size();
+            for (const Failing &x : failing) {
+                if (report.sample.size() >= cfg.maxFailures)
+                    break;
+                FuzzFailure failure;
+                failure.trial = x.trial;
+                failure.original = x.c;
+                failure.shrunk =
+                    cfg.shrink ? shrinkCase(x.c,
+                                            [&](const Case &cand) {
+                                                return !checkCase(
+                                                    cand, cfg.check);
+                                            })
+                               : x.c;
+                checkCase(failure.shrunk, cfg.check,
+                          &failure.mismatches);
+                report.sample.push_back(std::move(failure));
+            }
+        });
     return report;
 }
 

@@ -2,26 +2,20 @@
  * @file
  * Exhaustive and sampled operand-space sweeps.
  *
- * Sweeps fan out over the common/parallel ThreadPool with
- * IndexChunker's prefix-ordered chunk dispenser. Determinism in the
- * number of workers comes from two disciplines:
- *
- *  - every case is identified by a global index (operand pattern, or
- *    pair index a * 2^bits + b, or sampled-trial counter), and the
- *    work a chunk performs depends only on its index range — never on
- *    which worker claimed it or in what order;
- *  - each chunk keeps at most maxReport mismatches, so the merged,
- *    index-sorted sample is a deterministic prefix of the full
- *    mismatch list (a mismatch dropped inside a chunk is always
- *    preceded by maxReport kept ones with smaller indices).
+ * Every case of a sweep has a global index (operand pattern, or pair
+ * index a * 2^bits + b, or sampled-trial counter), and what a case
+ * checks depends only on its index. The cases run in blocks through
+ * parallel::forEachInOrder, which commits the blocks in index order;
+ * the commit keeps the first maxReport mismatches it sees, so the
+ * report is the first maxReport mismatches in operand order at any
+ * number of workers.
  *
  * The unary/convert sweeps additionally check rounding monotonicity:
  * within each sign half, value order follows bit-pattern order, so a
  * correctly rounded monotone function must produce results that are
- * monotone on the same grid. Chunk-internal neighbours are checked
- * directly and the one cross-chunk boundary pair is re-derived by
- * evaluating the predecessor pattern — again independent of chunk
- * assignment.
+ * monotone on the same grid. Each case is checked against its
+ * predecessor pattern, re-evaluated where it is needed, so the check
+ * too depends on the index alone.
  */
 
 #include "verify/verify.hh"
@@ -39,19 +33,17 @@ using fp::isNaN;
 
 namespace {
 
-/** Keyed mismatch for deterministic cross-worker merging. */
-struct Keyed
-{
-    std::uint64_t key;
-    Mismatch m;
-};
-
-struct WorkerOut
+/** What one block of cases found. */
+struct BlockOut
 {
     std::uint64_t cases = 0;
     std::uint64_t mismatches = 0;
-    std::vector<Keyed> kept;
+    std::vector<Mismatch> kept;  ///< the first maxReport of them
 };
+
+/** Cases per block of a unary or sampled sweep: enough to amortise
+ *  the loop's per-unit hand-off over cases of a few microseconds. */
+constexpr std::uint64_t kBlock = 256;
 
 /** Sign-magnitude pattern -> signed line (as in ulpDistance). */
 std::int64_t
@@ -62,71 +54,49 @@ valueLine(Format f, std::uint64_t bits)
     return fp::signOf(f, bits) ? -mag : mag;
 }
 
-/** Merge the workers' outcomes; keep the first maxReport by key. */
-SweepReport
-merge(std::vector<WorkerOut> &outs, const SweepConfig &cfg)
-{
-    SweepReport report;
-    std::vector<Keyed> merged;
-    for (WorkerOut &out : outs) {
-        report.cases += out.cases;
-        report.mismatches += out.mismatches;
-        merged.insert(merged.end(),
-                      std::make_move_iterator(out.kept.begin()),
-                      std::make_move_iterator(out.kept.end()));
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Keyed &x, const Keyed &y) {
-                         return x.key < y.key;
-                     });
-    if (merged.size() > cfg.maxReport)
-        merged.resize(cfg.maxReport);
-    report.sample.reserve(merged.size());
-    for (Keyed &k : merged)
-        report.sample.push_back(std::move(k.m));
-    return report;
-}
-
 /**
- * Run the chunked loop over @p count units and merge the outcome.
- * @p body is called as body(unit, worker_out, chunk_kept_budget).
+ * Check cases [0, count) in blocks of @p block on cfg.jobs workers;
+ * @p body(index, out) checks one case. Blocks commit in index order,
+ * and the report keeps the first maxReport mismatches committed.
  */
 template <typename Body>
 SweepReport
-runChunked(std::uint64_t count, const SweepConfig &cfg, Body body)
+runBlocks(std::uint64_t count, std::uint64_t block, const SweepConfig &cfg,
+          const Body &body)
 {
-    const unsigned jobs = parallel::resolveJobs(cfg.jobs, count);
-    std::vector<WorkerOut> outs(jobs);
-    // Chunks sized so even a 2^16-unit sweep produces enough of them
-    // to balance a fast/slow worker split.
-    const std::uint64_t chunk = std::max<std::uint64_t>(
-        1, std::min<std::uint64_t>(1024, count / (jobs * 8) + 1));
-    parallel::IndexChunker chunker(count, chunk);
-
-    parallel::ThreadPool pool(jobs);
-    pool.run([&](unsigned worker) {
-        WorkerOut &out = outs[worker];
-        std::uint64_t begin, end;
-        while (chunker.next(begin, end)) {
-            std::size_t budget = cfg.maxReport;
-            for (std::uint64_t unit = begin; unit < end; ++unit)
-                body(unit, out, budget);
-        }
-    });
-
-    return merge(outs, cfg);
+    const std::uint64_t blocks = (count + block - 1) / block;
+    SweepReport report;
+    parallel::forEachInOrder(
+        blocks, parallel::resolveJobs(cfg.jobs, blocks),
+        [&](unsigned, std::uint64_t b) {
+            BlockOut out;
+            const std::uint64_t end = std::min(count, (b + 1) * block);
+            out.cases = end - b * block;
+            for (std::uint64_t i = b * block; i < end; ++i)
+                body(i, out);
+            return out;
+        },
+        [&](std::uint64_t, BlockOut out) {
+            report.cases += out.cases;
+            report.mismatches += out.mismatches;
+            for (Mismatch &m : out.kept) {
+                if (report.sample.size() >= cfg.maxReport)
+                    break;
+                report.sample.push_back(std::move(m));
+            }
+        });
+    return report;
 }
 
 void
-record(WorkerOut &out, std::size_t &budget, std::uint64_t key,
+record(BlockOut &out, const SweepConfig &cfg,
        std::vector<Mismatch> &found)
 {
     out.mismatches += found.size();
     for (Mismatch &m : found) {
-        if (budget == 0)
+        if (out.kept.size() >= cfg.maxReport)
             break;
-        --budget;
-        out.kept.push_back({key, std::move(m)});
+        out.kept.push_back(std::move(m));
     }
     found.clear();
 }
@@ -146,7 +116,7 @@ unaryCase(VOp op, Format f, Format dst, std::uint64_t bits)
 /**
  * The sampled sweep of @p op at any arity: @c cfg.samples cases, each
  * drawing its operands (a, then b, then c) from its own counter-based
- * stream, so the report is independent of the chunking.
+ * stream, so the report is independent of the blocking.
  */
 SweepReport
 sweepSampled(VOp op, Format f, Format dst, const SweepConfig &cfg)
@@ -156,19 +126,17 @@ sweepSampled(VOp op, Format f, Format dst, const SweepConfig &cfg)
         cfg.seed, (static_cast<std::uint64_t>(op) << 32) |
                       (static_cast<std::uint64_t>(f.totalBits) << 16) |
                       f.manBits);
-    return runChunked(
-        cfg.samples, cfg,
-        [&](std::uint64_t unit, WorkerOut &out, std::size_t &budget) {
-            Rng rng = trialRng(seed, unit);
+    return runBlocks(
+        cfg.samples, kBlock, cfg, [&](std::uint64_t i, BlockOut &out) {
+            Rng rng = trialRng(seed, i);
             Case c = unaryCase(op, f, dst, genOperand(rng, f));
             if (arity >= 2)
                 c.b = genOperand(rng, f);
             if (arity >= 3)
                 c.c = genOperand(rng, f);
             std::vector<Mismatch> found;
-            ++out.cases;
             if (!checkCase(c, cfg.check, &found))
-                record(out, budget, unit, found);
+                record(out, cfg, found);
         });
 }
 
@@ -179,8 +147,7 @@ sweepSampled(VOp op, Format f, Format dst, const SweepConfig &cfg)
  */
 void
 checkMonotonePair(VOp op, Format f, Format dst, std::uint64_t prev,
-                  std::uint64_t cur, std::uint64_t key, WorkerOut &out,
-                  std::size_t &budget)
+                  std::uint64_t cur, BlockOut &out, const SweepConfig &cfg)
 {
     // Crossing the sign boundary breaks value adjacency.
     if (fp::signOf(f, prev) != fp::signOf(f, cur))
@@ -214,7 +181,7 @@ checkMonotonePair(VOp op, Format f, Format dst, std::uint64_t prev,
                   static_cast<unsigned long long>(prev));
     m.detail += hex;
     found.push_back(std::move(m));
-    record(out, budget, key, found);
+    record(out, cfg, found);
 }
 
 SweepReport
@@ -231,18 +198,15 @@ sweepUnaryLike(VOp op, Format f, Format dst, const SweepConfig &cfg)
         // neighbours (observed for bfloat16 exp), so they are exempt.
         const bool monotone = cfg.checkMonotone &&
                               (op == VOp::Sqrt || op == VOp::Convert);
-        return runChunked(
-            space, cfg,
-            [&](std::uint64_t unit, WorkerOut &out,
-                std::size_t &budget) {
-                const Case c = unaryCase(op, f, dst, unit);
+        return runBlocks(
+            space, kBlock, cfg, [&](std::uint64_t bits, BlockOut &out) {
+                const Case c = unaryCase(op, f, dst, bits);
                 std::vector<Mismatch> found;
-                ++out.cases;
                 if (!checkCase(c, cfg.check, &found))
-                    record(out, budget, unit, found);
-                if (monotone && unit > 0)
-                    checkMonotonePair(op, f, dst, unit - 1, unit,
-                                      unit, out, budget);
+                    record(out, cfg, found);
+                if (monotone && bits > 0)
+                    checkMonotonePair(op, f, dst, bits - 1, bits, out,
+                                      cfg);
             });
     }
 
@@ -260,35 +224,18 @@ sweepPairs(VOp op, fp::Format f, const SweepConfig &cfg)
         MPARCH_ASSERT(f.totalBits <= 16,
                       "exhaustive sweep needs a <= 16-bit format");
         const std::uint64_t space = 1ULL << f.totalBits;
-        // Chunk by first operand: each claimed range runs a full
-        // inner loop over every second operand.
-        const unsigned jobs = parallel::resolveJobs(cfg.jobs, space / 4);
-        std::vector<WorkerOut> outs(jobs);
-        parallel::IndexChunker chunker(space, 4);
-        parallel::ThreadPool pool(jobs);
-        pool.run([&](unsigned worker) {
-            WorkerOut &out = outs[worker];
-            std::uint64_t begin, end;
-            while (chunker.next(begin, end)) {
-                std::size_t budget = cfg.maxReport;
+        // One block per first operand: pair index a * 2^bits + b.
+        return runBlocks(
+            space * space, space, cfg, [&](std::uint64_t i, BlockOut &out) {
+                Case c;
+                c.op = op;
+                c.fmt = f;
+                c.a = i >> f.totalBits;
+                c.b = i & (space - 1);
                 std::vector<Mismatch> found;
-                for (std::uint64_t a = begin; a < end; ++a) {
-                    for (std::uint64_t b = 0; b < space; ++b) {
-                        Case c;
-                        c.op = op;
-                        c.fmt = f;
-                        c.a = a;
-                        c.b = b;
-                        ++out.cases;
-                        if (!checkCase(c, cfg.check, &found))
-                            record(out, budget, (a << f.totalBits) | b,
-                                   found);
-                    }
-                }
-            }
-        });
-
-        return merge(outs, cfg);
+                if (!checkCase(c, cfg.check, &found))
+                    record(out, cfg, found);
+            });
     }
 
     return sweepSampled(op, f, f, cfg);

@@ -28,9 +28,10 @@
  *
  *  - exhaustive/sampled *sweeps* over whole operand spaces (all 2^32
  *    16-bit pairs per binary op, all 2^16 inputs per unary op,
- *    sampled fma triples), fanned out over the common/parallel
- *    ThreadPool with deterministic chunking — the mismatch report is
- *    byte-identical for any --jobs;
+ *    sampled fma triples), run in blocks through
+ *    parallel::forEachInOrder, whose in-order commit keeps the first
+ *    mismatches in operand order — the report is byte-identical for
+ *    any --jobs;
  *  - a seeded property-based *fuzzer* with a special-value-biased
  *    operand generator and counterexample shrinking, whose failures
  *    are persisted to tests/data/fp_corpus/ and replayed first by
@@ -239,9 +240,9 @@ struct SweepReport
 /**
  * Sweep a binary op (Add/Sub/Mul/Div) over operand pairs. Exhaustive
  * (samples == 0) requires a format of at most 16 bits — all 2^32
- * pairs are enumerated, chunked by first operand over the thread
- * pool. Otherwise @c samples pseudo-random biased pairs are drawn
- * from counter-based streams (deterministic in jobs).
+ * pairs are enumerated, one block per first operand. Otherwise
+ * @c samples pseudo-random biased pairs are drawn from counter-based
+ * streams (deterministic in jobs).
  */
 SweepReport sweepPairs(VOp op, fp::Format f, const SweepConfig &cfg);
 

@@ -1,20 +1,24 @@
 /**
  * @file
  * Tests for the parallel campaign engine: the executor primitives
- * (thread pool, index chunker, ordered channel), clone isolation for
- * every registered workload, parallel-vs-serial bit-exactness for
- * all three campaign kinds, one trial runner shared by concurrent
- * workers, journals pinned against committed copies, the golden-run
- * cache, and kill-and-resume under a multi-threaded run.
+ * (thread pool, index chunker, ordered channel) and the in-order loop
+ * built on them, clone isolation for every registered workload,
+ * parallel-vs-serial bit-exactness for all three campaign kinds,
+ * one trial runner shared by concurrent workers, journals pinned
+ * against committed copies, the golden-run cache, and kill-and-resume
+ * under a multi-threaded run.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/fpga/fpga.hh"
@@ -155,6 +159,117 @@ TEST(ResolveJobsTest, ClampsToTheTaskCount)
     EXPECT_EQ(parallel::resolveJobs(0, 1), 1u);
     EXPECT_EQ(parallel::resolveJobs(7, 0), 1u);
     EXPECT_EQ(parallel::resolveJobs(0, 0), 1u);
+}
+
+// ---------------------------------------------------------------
+// The in-order loop.
+// ---------------------------------------------------------------
+
+TEST(ForEachInOrderTest, CommitsInIndexOrderUnderUnevenCosts)
+{
+    constexpr std::uint64_t kCount = 1000;
+    std::vector<std::uint64_t> order;
+    const std::uint64_t committed = parallel::forEachInOrder(
+        kCount, 4,
+        [](unsigned, std::uint64_t i) {
+            // Units of a chunk take 0..80 us, so workers finish out
+            // of order.
+            std::this_thread::sleep_for(
+                std::chrono::microseconds((i * 7919 % 5) * 20));
+            return i * 3;
+        },
+        [&](std::uint64_t i, std::uint64_t value) {
+            EXPECT_EQ(value, i * 3);
+            order.push_back(i);
+        });
+    EXPECT_EQ(committed, kCount);
+    ASSERT_EQ(order.size(), kCount);
+    for (std::uint64_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(ForEachInOrderTest, SerialStopAfterKPollsCommitsK)
+{
+    for (std::uint64_t k : {0u, 1u, 7u}) {
+        std::uint64_t polls = 0;
+        std::uint64_t runs = 0;
+        std::vector<std::uint64_t> order;
+        const std::uint64_t committed = parallel::forEachInOrder(
+            100, 1,
+            [&](unsigned worker, std::uint64_t i) {
+                EXPECT_EQ(worker, 0u);
+                ++runs;
+                return i;
+            },
+            [&](std::uint64_t i, std::uint64_t) { order.push_back(i); },
+            [&] { return polls++ == k; });
+        EXPECT_EQ(committed, k);
+        EXPECT_EQ(runs, k);
+        EXPECT_EQ(order.size(), k);
+    }
+}
+
+TEST(ForEachInOrderTest, StopAtEntryCommitsNothing)
+{
+    for (unsigned jobs : {1u, 4u}) {
+        std::atomic<int> runs{0};
+        int commits = 0;
+        const std::uint64_t committed = parallel::forEachInOrder(
+            100, jobs,
+            [&](unsigned, std::uint64_t i) {
+                ++runs;
+                return i;
+            },
+            [&](std::uint64_t, std::uint64_t) { ++commits; },
+            [] { return true; });
+        EXPECT_EQ(committed, 0u) << "jobs " << jobs;
+        EXPECT_EQ(runs.load(), 0) << "jobs " << jobs;
+        EXPECT_EQ(commits, 0) << "jobs " << jobs;
+    }
+}
+
+TEST(ForEachInOrderTest, ParallelStopLeavesContiguousPrefix)
+{
+    constexpr std::uint64_t kCount = 100000;
+    std::atomic<std::uint64_t> runs{0};
+    std::vector<std::uint64_t> order;
+    std::uint64_t polls = 0;
+    const std::uint64_t committed = parallel::forEachInOrder(
+        kCount, 4,
+        [&](unsigned, std::uint64_t i) {
+            ++runs;
+            return i;
+        },
+        [&](std::uint64_t i, std::uint64_t value) {
+            EXPECT_EQ(value, i);
+            order.push_back(i);
+        },
+        [&] { return ++polls > 10; });
+    // The stop came after ten commits; chunks claimed by then still
+    // commit, and nothing beyond them runs.
+    EXPECT_GE(committed, 10u);
+    EXPECT_LT(committed, kCount);
+    EXPECT_EQ(runs.load(), committed);
+    ASSERT_EQ(order.size(), committed);
+    for (std::uint64_t i = 0; i < committed; ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(ForEachInOrderTest, ThrowingCommitJoinsTheWorkers)
+{
+    // The exception leaves only after every worker has finished, so
+    // nothing touches the loop's state once it has unwound.
+    std::uint64_t commits = 0;
+    EXPECT_THROW(parallel::forEachInOrder(
+                     100000, 4,
+                     [](unsigned, std::uint64_t i) { return i; },
+                     [&](std::uint64_t i, std::uint64_t) {
+                         if (i == 5)
+                             throw std::runtime_error("commit failed");
+                         ++commits;
+                     }),
+                 std::runtime_error);
+    EXPECT_EQ(commits, 5u);
 }
 
 // ---------------------------------------------------------------

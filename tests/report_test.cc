@@ -306,17 +306,10 @@ TEST(Json, NonFiniteNumbersBecomeNull)
         .value(std::numeric_limits<double>::infinity())
         .value(1.5)
         .endArray();
-
-    json::Value v;
-    std::string error;
-    ASSERT_TRUE(json::parse(os.str(), v, &error)) << error;
-    ASSERT_EQ(v.array.size(), 3u);
-    EXPECT_TRUE(v.array[0].kind == json::Value::Kind::Null);
-    EXPECT_TRUE(v.array[1].kind == json::Value::Kind::Null);
-    EXPECT_DOUBLE_EQ(v.array[2].number, 1.5);
+    EXPECT_EQ(os.str(), "[\n  null,\n  null,\n  1.5\n]");
 }
 
-TEST(Json, WriterParserRoundTrip)
+TEST(Json, WriterEmitsExactText)
 {
     std::ostringstream os;
     json::Writer w(os);
@@ -328,38 +321,25 @@ TEST(Json, WriterParserRoundTrip)
     w.key("rows").beginArray();
     w.beginObject().member("v", -3).endObject();
     w.endArray();
+    w.key("empty").beginArray().endArray();
     w.key("none").null();
     w.endObject();
-
-    json::Value v;
-    std::string error;
-    ASSERT_TRUE(json::parse(os.str(), v, &error)) << error;
-    EXPECT_EQ(v.find("name")->string, "tab\tle \"x\"");
-    EXPECT_DOUBLE_EQ(v.find("count")->number, 7.0);
-    EXPECT_DOUBLE_EQ(v.find("ratio")->number, 0.12345678901234567);
-    EXPECT_TRUE(v.find("ok")->boolean);
-    EXPECT_EQ(v.find("rows")->array.size(), 1u);
-    EXPECT_DOUBLE_EQ(
-        v.find("rows")->array[0].find("v")->number, -3.0);
-    EXPECT_TRUE(v.find("none")->kind == json::Value::Kind::Null);
-    EXPECT_EQ(v.find("absent"), nullptr);
+    EXPECT_EQ(os.str(), "{\n"
+                        "  \"name\": \"tab\\tle \\\"x\\\"\",\n"
+                        "  \"count\": 7,\n"
+                        "  \"ratio\": 0.12345678901234566,\n"
+                        "  \"ok\": true,\n"
+                        "  \"rows\": [\n"
+                        "    {\n"
+                        "      \"v\": -3\n"
+                        "    }\n"
+                        "  ],\n"
+                        "  \"empty\": [],\n"
+                        "  \"none\": null\n"
+                        "}");
 }
 
-TEST(Json, ParserRejectsMalformedDocuments)
-{
-    json::Value v;
-    std::string error;
-    EXPECT_FALSE(json::parse("{\"a\": ", v, &error));
-    EXPECT_FALSE(error.empty());
-    error.clear();
-    EXPECT_FALSE(json::parse("[1, 2,]", v, &error));
-    EXPECT_FALSE(error.empty());
-    error.clear();
-    EXPECT_FALSE(json::parse("[1] trailing", v, &error));
-    EXPECT_FALSE(error.empty());
-}
-
-TEST(Json, ResultDocRoundTripPreservesFullPrecision)
+TEST(Json, ResultDocJsonKeepsFullPrecision)
 {
     ResultDoc doc = sampleDoc();
     doc.experiment = "unit_doc";
@@ -375,24 +355,22 @@ TEST(Json, ResultDocRoundTripPreservesFullPrecision)
 
     std::ostringstream os;
     doc.writeJson(os);
-
-    json::Value v;
-    std::string error;
-    ASSERT_TRUE(json::parse(os.str(), v, &error)) << error;
-    EXPECT_EQ(v.find("experiment")->string, "unit_doc");
-    EXPECT_EQ(v.find("title")->string, "unit \"doc\"");
-    EXPECT_DOUBLE_EQ(v.find("trials")->number, 12.0);
-
-    const auto &tables = v.find("tables")->array;
-    ASSERT_EQ(tables.size(), 2u);
-    const auto &rows = tables[0].find("rows")->array;
-    const auto &pi_row = rows.back().array;
-    EXPECT_DOUBLE_EQ(pi_row[2].number, 3.141592653589793);
-
-    EXPECT_EQ(v.find("notes")->array[0].string, "line\nbreak");
-    const auto &verdict = v.find("checks")->array[0];
-    EXPECT_EQ(verdict.find("id")->string, "check");
-    EXPECT_TRUE(verdict.find("pass")->boolean);
+    const std::string out = os.str();
+    for (const char *text : {
+             "\"experiment\": \"unit_doc\",\n",
+             "\"title\": \"unit \\\"doc\\\"\",\n",
+             "\"trials\": 12,\n",
+             "\"scale\": 0.25,\n",
+             "\"name\": \"main\",\n",
+             "\"name\": \"other\",\n",
+             // The pi row, last of the main table, at full precision.
+             "[\n          \"pi\",\n          \"x\",\n"
+             "          3.141592653589793\n        ]\n      ]",
+             "\"notes\": [\n    \"line\\nbreak\"\n  ],\n",
+             "\"id\": \"check\",\n",
+             "\"pass\": true\n",
+         })
+        EXPECT_NE(out.find(text), std::string::npos) << text << "\n" << out;
 }
 
 TEST(Json, CsvEscapesDelimiters)
